@@ -288,15 +288,6 @@ impl FactStore {
             .copied()
     }
 
-    /// All class digests recorded for `unit`, keyed by problem name.
-    pub fn unit_digests(&self, unit: &str) -> BTreeMap<String, u64> {
-        self.digests
-            .iter()
-            .filter(|((_, u), _)| u == unit)
-            .map(|((p, _), &d)| (p.clone(), d))
-            .collect()
-    }
-
     /// Iterates `(problem, unit) → digest` in deterministic order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &str, u64)> {
         self.digests
@@ -504,7 +495,7 @@ mod tests {
             fs.digest("reaching", "main").unwrap(),
             stable_hash("x: BLOCK", &interner)
         );
-        assert_eq!(fs.unit_digests("main").len(), 2);
+        assert_eq!(fs.len(), 2);
     }
 
     #[test]

@@ -3,14 +3,14 @@
 //! schedule vs an incremental one-leaf-edit recompile, over the wide
 //! multi-procedure corpus ([`fortrand::corpus::wide_corpus`]).
 //!
-//! The parallel schedule only pays off with >1 host core; the incremental
-//! engine pays off everywhere (it skips code generation for every unit
-//! whose source and consumed facts are unchanged).
+//! The parallel schedule only pays off with >1 host core; the artifact
+//! store pays off everywhere (the sweep skips code generation for every
+//! unit whose source and consumed facts are unchanged).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fortrand::corpus::{wide_corpus, wide_corpus_edited};
-use fortrand::{CompileMode, CompileOptions, IncrementalEngine};
-use fortrand_bench::compile;
+use fortrand::{CompileMode, CompileOptions};
+use fortrand_bench::{compile, Chain};
 
 fn bench_compile_time(c: &mut Criterion) {
     let mut g = c.benchmark_group("compile-time");
@@ -42,14 +42,14 @@ fn bench_compile_time(c: &mut Criterion) {
         BenchmarkId::new("incremental-edit", procs),
         &src,
         |b, src| {
-            let mut eng = IncrementalEngine::new();
-            eng.compile(src, &CompileOptions::default()).unwrap();
+            let mut chain = Chain::default();
+            chain.compile(src, &CompileOptions::default());
             // Alternate base/edited so every iteration is a real one-leaf edit.
             let mut flip = false;
             b.iter(|| {
                 flip = !flip;
                 let s: &str = if flip { &edited } else { src };
-                eng.compile(s, &CompileOptions::default()).unwrap()
+                chain.compile(s, &CompileOptions::default())
             })
         },
     );

@@ -355,7 +355,7 @@ fn main() {
     if want("compile-time") {
         banner("COMPILE TIME — sequential vs wavefront-parallel vs incremental");
         use fortrand::corpus::{wide_corpus, wide_corpus_edited};
-        use fortrand::{CompileMode, IncrementalEngine};
+        use fortrand::CompileMode;
         let threads = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1);
@@ -386,22 +386,20 @@ fn main() {
         });
         // Incremental: alternate base/edited so every timed compile is a
         // genuine one-leaf edit, not a no-op.
-        let mut eng = IncrementalEngine::new();
-        eng.compile(&src, &CompileOptions::default()).unwrap();
+        let mut chain = fortrand_bench::Chain::default();
+        chain.compile(&src, &CompileOptions::default());
         let mut flip = false;
         let inc = best(&mut || {
             flip = !flip;
             let s: &str = if flip { &edited } else { &src };
             let t0 = std::time::Instant::now();
-            eng.compile(s, &CompileOptions::default()).unwrap();
+            chain.compile(s, &CompileOptions::default());
             t0.elapsed()
         });
-        let last = eng
-            .compile(
-                if flip { &src } else { &edited },
-                &CompileOptions::default(),
-            )
-            .unwrap();
+        let last = chain.compile(
+            if flip { &src } else { &edited },
+            &CompileOptions::default(),
+        );
         println!("sequential            {:>10.3} ms", seq.as_secs_f64() * 1e3);
         println!(
             "parallel (x{threads:<2})        {:>10.3} ms  ({:.2}x vs sequential)",

@@ -18,33 +18,11 @@ use fortrand_spmd::{try_run_spmd, Bytecode, ExecOptions, ExecOutput, Native, Spm
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-/// Clean compile through the `Session` facade — the harness-wide
-/// replacement for the retired `fortrand::compile` wrapper (now gated
-/// behind the `legacy` cargo feature). The corpus is known-good, so any
-/// non-compile session error is a harness bug and panics.
-pub fn compile(
-    source: &str,
-    opts: &CompileOptions,
-) -> Result<fortrand::CompileOutput, fortrand::CompileError> {
-    match fortrand::Session::new(source)
-        .options(opts.clone())
-        .compile()
-    {
-        Ok(compiled) => Ok(compiled.into_output()),
-        Err(fortrand::Error::Compile(e)) => Err(e),
-        Err(e) => panic!("compile-only session hit a non-compile error: {e}"),
-    }
-}
-
-/// Panic-on-failure runner on the default backend (replaces the retired
-/// `fortrand_spmd::run_spmd` wrapper for the harness).
-pub fn run_spmd(
-    prog: &SpmdProgram,
-    machine: &Machine,
-    init: &BTreeMap<fortrand_ir::Sym, Vec<f64>>,
-) -> ExecOutput {
-    run_spmd_opts(prog, machine, init, &ExecOptions::new())
-}
+/// The compile/run call shapes shared with the root integration tests —
+/// one definition for both (`tests/common/mod.rs`).
+#[path = "../../../tests/common/mod.rs"]
+mod common;
+pub use common::{compile, run_spmd, Chain};
 
 /// [`run_spmd`] with explicit execution options (backend selection etc.).
 pub fn run_spmd_opts(

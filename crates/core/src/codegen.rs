@@ -56,7 +56,7 @@ pub struct CodegenError {
 }
 
 impl CodegenError {
-    fn at(line: u32, m: impl Into<String>) -> Self {
+    pub(crate) fn at(line: u32, m: impl Into<String>) -> Self {
         CodegenError {
             line,
             message: m.into(),
@@ -71,10 +71,6 @@ impl std::fmt::Display for CodegenError {
 }
 
 type R<T> = Result<T, CodegenError>;
-
-/// One wavefront level's output slots, filled in (by index) from pool
-/// worker threads.
-type LevelSlots = std::sync::Arc<std::sync::Mutex<Vec<Option<R<(SpmdProgram, CompiledUnit)>>>>>;
 
 /// Everything the per-unit compilers need.
 pub struct Ctx<'a> {
@@ -111,52 +107,22 @@ pub struct CompiledUnit {
     pub dyn_summary: DynDecompSummary,
 }
 
-/// Compiles every unit, returning the program and per-unit records.
-/// With an enabled `trace`, each unit's compilation is a complete span on
-/// the driver track.
+/// Compiles every unit, returning the program and per-unit records: the
+/// code-generation sweep (`incremental::sweep`) with no artifact store
+/// and no worker pool. With an enabled `trace`, each unit's compilation is
+/// a complete span on the driver track.
 pub fn compile_all(
     ctx: &Ctx,
     trace: &fortrand_trace::Trace,
 ) -> R<(SpmdProgram, BTreeMap<Sym, CompiledUnit>)> {
-    let mut spmd = SpmdProgram {
-        interner: ctx.prog.interner.clone(),
-        nprocs: ctx.nprocs,
-        procs: Vec::new(),
-        main: usize::MAX,
-        dists: Vec::new(),
-    };
-    let mut compiled: BTreeMap<Sym, CompiledUnit> = BTreeMap::new();
-    let mut dyn_summaries: BTreeMap<Sym, DynDecompSummary> = BTreeMap::new();
-    for name in ctx.acg.reverse_topo() {
-        let t0 = trace.now_us();
-        let cu = compile_one(ctx, name, &mut spmd, &compiled, &dyn_summaries)?;
-        if trace.on() {
-            let t1 = trace.now_us();
-            trace.complete(
-                fortrand_trace::PID_COMPILE,
-                0,
-                "codegen",
-                ctx.prog.interner.name(name),
-                t0,
-                t1 - t0,
-                Vec::new(),
-            );
-        }
-        dyn_summaries.insert(name, cu.dyn_summary.clone());
-        if ctx.prog.unit(name).map(|u| u.kind) == Some(UnitKind::Program) {
-            spmd.main = cu.proc;
-        }
-        compiled.insert(name, cu);
-    }
-    if spmd.main == usize::MAX {
-        return Err(CodegenError::at(0, "no PROGRAM unit"));
-    }
-    Ok((spmd, compiled))
+    let sweep = crate::incremental::sweep(ctx, None, None, 0, &Default::default(), trace)?;
+    Ok((sweep.spmd, sweep.compiled))
 }
 
 /// Compiles a single unit into `spmd`, with every callee's record already
-/// present in `compiled`/`dyn_summaries`. Shared by the sequential sweep,
-/// the wavefront workers, and the incremental engine's recompile path.
+/// present in `compiled`/`dyn_summaries`: straight into the growing
+/// program from the sweep's inline path, into a scratch program from its
+/// pool workers.
 pub(crate) fn compile_one(
     ctx: &Ctx,
     name: Sym,
@@ -206,10 +172,9 @@ pub(crate) fn compile_unit_scratch(
 /// Merges one scratch-compiled unit into the growing program: scratch-local
 /// symbols (ids ≥ `l0`) and distributions (ids ≥ `d0`) are re-interned /
 /// deduplicated into `spmd`, and the procedure is appended. Returns the
-/// unit's record with its final procedure index. Shared by the pooled
-/// wavefront sweep and the incremental engine; merging in flattened
+/// unit's record with its final procedure index. Merging in flattened
 /// reverse-topo order makes the result identical — not just equivalent —
-/// to the sequential sweep's.
+/// to compiling inline.
 pub(crate) fn merge_scratch_unit(
     spmd: &mut SpmdProgram,
     scratch: SpmdProgram,
@@ -259,114 +224,6 @@ pub(crate) fn merge_scratch_unit(
     cu.proc = spmd.procs.len();
     spmd.procs.push(proc);
     Ok(cu)
-}
-
-/// Compiles every unit on a wavefront-parallel schedule over the ACG,
-/// with per-unit jobs scheduled on a (possibly shared) [`CompilePool`].
-///
-/// Units in the same wavefront level have no call edges between them
-/// (every call edge crosses levels), so each is submitted as one pool job
-/// compiling into a scratch program seeded with the merged program's state
-/// at the start of the level. Scratch results are then merged serially in
-/// the exact order [`compile_all`] visits units, so the merged program is
-/// identical — not just equivalent — to the sequential one. Because the
-/// pool is externally owned, batches from concurrent compilations (other
-/// sessions, a compile server) interleave on the same workers.
-pub(crate) fn compile_all_pooled(
-    an: &std::sync::Arc<crate::driver::Analysis>,
-    dyn_opt: DynOptLevel,
-    pool: &crate::pool::CompilePool,
-    trace: &fortrand_trace::Trace,
-) -> R<(SpmdProgram, BTreeMap<Sym, CompiledUnit>)> {
-    use std::sync::{Arc, Mutex};
-    let mut spmd = SpmdProgram {
-        interner: an.prog.interner.clone(),
-        nprocs: an.nprocs,
-        procs: Vec::new(),
-        main: usize::MAX,
-        dists: Vec::new(),
-    };
-    let mut compiled: BTreeMap<Sym, CompiledUnit> = BTreeMap::new();
-    let mut dyn_summaries: BTreeMap<Sym, DynDecompSummary> = BTreeMap::new();
-    for (level_idx, level) in an.acg.wavefront_levels().into_iter().enumerate() {
-        let _level_span = trace.span(
-            fortrand_trace::PID_COMPILE,
-            0,
-            "codegen",
-            &format!("wavefront level {level_idx}"),
-        );
-        // Snapshot the merged state: every unit in this level compiles
-        // against the same base, so scratch-local ids start at (l0, d0).
-        // The snapshots are Arc'd because pool jobs must be 'static —
-        // the pool outlives this compilation.
-        let base_interner = Arc::new(spmd.interner.clone());
-        let base_dists = Arc::new(spmd.dists.clone());
-        let l0 = base_interner.len();
-        let d0 = base_dists.len();
-        let callees = Arc::new(std::mem::take(&mut compiled));
-        let summaries = Arc::new(std::mem::take(&mut dyn_summaries));
-        let slots: LevelSlots = Arc::new(Mutex::new((0..level.len()).map(|_| None).collect()));
-        let jobs = level
-            .iter()
-            .enumerate()
-            .map(|(i, &name)| {
-                let an = Arc::clone(an);
-                let base_interner = Arc::clone(&base_interner);
-                let base_dists = Arc::clone(&base_dists);
-                let callees = Arc::clone(&callees);
-                let summaries = Arc::clone(&summaries);
-                let slots = Arc::clone(&slots);
-                let trace = trace.clone();
-                Box::new(move |worker: usize| {
-                    let t0 = trace.now_us();
-                    let ctx = an.ctx(dyn_opt);
-                    let r = compile_unit_scratch(
-                        &ctx,
-                        name,
-                        &base_interner,
-                        &base_dists,
-                        &callees,
-                        &summaries,
-                    );
-                    if trace.on() {
-                        // Worker tracks are tid 1..=threads; tid 0 is the
-                        // driver thread.
-                        let t1 = trace.now_us();
-                        trace.complete(
-                            fortrand_trace::PID_COMPILE,
-                            worker as u32 + 1,
-                            "codegen",
-                            an.prog.interner.name(name),
-                            t0,
-                            t1 - t0,
-                            vec![("level", level_idx.into()), ("worker", worker.into())],
-                        );
-                    }
-                    slots.lock().expect("codegen slots poisoned")[i] = Some(r);
-                }) as Box<dyn FnOnce(usize) + Send>
-            })
-            .collect();
-        pool.run_batch(jobs);
-        compiled = Arc::try_unwrap(callees).unwrap_or_else(|a| (*a).clone());
-        dyn_summaries = Arc::try_unwrap(summaries).unwrap_or_else(|a| (*a).clone());
-        let results = std::mem::take(&mut *slots.lock().expect("codegen slots poisoned"));
-        // Merge serially in level order (= flattened reverse-topo order).
-        // `?` surfaces the first error in that order, matching sequential.
-        for (&name, result) in level.iter().zip(results) {
-            let (scratch, cu) = result.expect("pool ran every job")?;
-            let cu = merge_scratch_unit(&mut spmd, scratch, cu, l0, d0)?;
-            let unit = an.prog.unit(name).expect("unit checked during compile");
-            if unit.kind == UnitKind::Program {
-                spmd.main = cu.proc;
-            }
-            dyn_summaries.insert(name, cu.dyn_summary.clone());
-            compiled.insert(name, cu);
-        }
-    }
-    if spmd.main == usize::MAX {
-        return Err(CodegenError::at(0, "no PROGRAM unit"));
-    }
-    Ok((spmd, compiled))
 }
 
 /// How a scalar symbol is valued in the current context.

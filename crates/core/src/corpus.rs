@@ -264,38 +264,36 @@ mod tests {
 
     #[test]
     fn wide_corpus_compiles_in_every_mode() {
-        use crate::driver::{compile, CompileMode, CompileOptions};
+        use crate::{CompileMode, Session};
         let src = wide_corpus(6, 64, 4);
-        let seq = compile(&src, &CompileOptions::default()).unwrap();
-        assert_eq!(seq.spmd.procs.len(), 7);
-        let par = compile(
-            &src,
-            &CompileOptions {
-                mode: CompileMode::Parallel(4),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(
-            fortrand_spmd::print::pretty_all(&seq.spmd),
-            fortrand_spmd::print::pretty_all(&par.spmd)
-        );
+        let seq = Session::new(src.as_str()).compile().unwrap();
+        assert_eq!(seq.spmd().procs.len(), 7);
+        let par = Session::new(src)
+            .mode(CompileMode::Parallel(4))
+            .compile()
+            .unwrap();
+        assert_eq!(seq.emit(), par.emit());
     }
 
     #[test]
     fn wide_corpus_edit_recompiles_one_leaf() {
-        use crate::incremental::IncrementalEngine;
-        let mut eng = IncrementalEngine::new();
-        let opts = Default::default();
-        eng.compile(&wide_corpus(6, 64, 4), &opts).unwrap();
-        let out = eng.compile(&wide_corpus_edited(6, 64, 4), &opts).unwrap();
-        assert_eq!(out.recompiled.len(), 1, "{:?}", out.recompiled);
+        use crate::{ArtifactStore, Session};
+        let store = ArtifactStore::shared();
+        Session::new(wide_corpus(6, 64, 4))
+            .store(store.clone())
+            .compile()
+            .unwrap();
+        let out = Session::new(wide_corpus_edited(6, 64, 4))
+            .store(store)
+            .compile()
+            .unwrap();
+        assert_eq!(out.recompiled().len(), 1, "{:?}", out.recompiled());
         assert!(
-            out.recompiled.contains_key("sweep0"),
+            out.recompiled().contains_key("sweep0"),
             "{:?}",
-            out.recompiled
+            out.recompiled()
         );
-        assert_eq!(out.reused.len(), 6);
+        assert_eq!(out.reused().len(), 6);
     }
 
     #[test]

@@ -9,15 +9,20 @@
 //!    topological order, residuals flowing caller-ward (delayed
 //!    instantiation).
 //!
-//! The driver also produces per-unit *fact hashes* — digests of the
-//! interprocedural information each unit's code depends on — which the
+//! Phase 3 is one sweep (`incremental::sweep`) for every kind of
+//! compile — sequential, pooled, store-backed. It also produces per-unit
+//! *fact hashes* — digests of the interprocedural information each unit's
+//! code depends on — which key the artifact store and which the
 //! [`crate::recompile`] module compares across compilations to decide what
 //! must be recompiled after an edit (paper §8).
 
 use crate::cloning::{clone_for_decompositions, CloneResult};
-use crate::codegen::{self, CodegenError, CompiledUnit, Ctx};
+use crate::codegen::{CodegenError, CompiledUnit, Ctx};
+use crate::incremental::{self, Sweep};
 use crate::model::{DynOptLevel, Strategy};
 use crate::overlap::{self, Overlaps};
+use crate::recompile::{ModuleDb, Reason, UnitRecord};
+use crate::store::ArtifactStore;
 use fortrand_analysis::acg::Acg;
 use fortrand_analysis::consts::InterConsts;
 use fortrand_analysis::framework::{FactStore, SolveStats};
@@ -222,10 +227,14 @@ pub struct CompileReport {
     pub pass_stats: Vec<SolveStats>,
     /// What the communication optimizer did.
     pub comm: OptReport,
-    /// Artifact-store counters at the end of the compile, when the compile
-    /// went through an [`crate::IncrementalEngine`] (shared-store path);
-    /// `None` for one-shot clean compiles.
+    /// Artifact-store counters at the end of the compile, when a store
+    /// was attached ([`crate::Session::store`]); `None` otherwise.
     pub store: Option<crate::store::StoreStats>,
+    /// Fingerprint of the options that shape generated code (strategy,
+    /// processor count, dynamic-decomposition and communication levels):
+    /// the first component of every artifact key, and the condition under
+    /// which two compiles' per-unit hashes are comparable.
+    pub opts_hash: u64,
 }
 
 /// Folds one simulated run's execution-engine cost into a report's
@@ -256,13 +265,17 @@ pub struct CompileOutput {
     pub spmd: SpmdProgram,
     /// Statistics and recompilation records.
     pub report: CompileReport,
+    /// Units whose code was generated by this compile, with the §8 reason
+    /// (every unit, when no artifact store is attached).
+    pub recompiled: BTreeMap<String, Reason>,
+    /// Units whose code was taken from the artifact store.
+    pub reused: Vec<String>,
 }
 
 /// The product of phases 1 and 2: everything code generation consumes.
 ///
-/// Factored out of [`compile`] so the incremental engine
-/// ([`crate::incremental`]) can run the analysis pipeline once, then make
-/// per-unit recompile-or-reuse decisions during the codegen sweep.
+/// Shared (`Arc`) with the codegen pool's workers, which outlive any
+/// borrow of it.
 pub(crate) struct Analysis {
     pub prog: SourceProgram,
     pub info: ProgramInfo,
@@ -393,64 +406,127 @@ pub(crate) fn analyze(
     })
 }
 
-/// Compiles Fortran D source to an SPMD node program.
+/// Compiles Fortran D source to an SPMD node program, recording every
+/// driver phase — parse, cloning, each dataflow solve, per-unit code
+/// generation (with wavefront worker/level attribution when a pool runs),
+/// the communication optimizer passes, and with a `store` the cache
+/// decisions and counters — on `trace`'s compile timeline.
 ///
-/// Retired wrapper, available only with the `legacy` cargo feature (and
-/// to this crate's own unit tests) — prefer the `fortrand::Session`
-/// facade, which also carries tracing and run options. Equivalent to
-/// [`compile_with_trace`] with tracing off.
-#[cfg(any(test, feature = "legacy"))]
-pub fn compile(source: &str, opts: &CompileOptions) -> Result<CompileOutput, CompileError> {
-    compile_with_trace(source, opts, &Trace::off())
-}
-
-/// [`compile`] recording every driver phase — parse, cloning, each
-/// dataflow solve, per-unit code generation (with wavefront worker/level
-/// attribution under [`CompileMode::Parallel`]), and the communication
-/// optimizer passes — on `trace`'s compile timeline.
-pub fn compile_with_trace(
+/// `store`, when given, answers units whose content key it holds and
+/// receives the rest; `prev` is the previous compile's database, read only
+/// to name the §8 reason of each unit that is generated.
+pub(crate) fn compile(
     source: &str,
     opts: &CompileOptions,
     trace: &Trace,
+    store: Option<&ArtifactStore>,
+    prev: &ModuleDb,
 ) -> Result<CompileOutput, CompileError> {
     let root = trace.span(PID_COMPILE, 0, "driver", "compile");
     if trace.on() {
         trace.name_track(PID_COMPILE, 0, "driver");
     }
+    let stats0 = store.map(ArtifactStore::stats);
     let an = std::sync::Arc::new(analyze(source, opts, trace)?);
+    let opts_hash = hash_of(&format!(
+        "{:?}|{}|{:?}|{}|{}",
+        an.strategy,
+        an.nprocs,
+        opts.dyn_opt,
+        an.strategy_used,
+        opts.comm_opt.as_str()
+    ));
 
-    // Phase 3: reverse-topological code generation — sequential, on a
-    // caller-provided shared pool, or on a transient pool for
-    // `CompileMode::Parallel` (identical output all three ways).
+    // Phase 3: the level-ordered sweep — on the caller's shared pool, on
+    // a transient one for `CompileMode::Parallel`, or inline (identical
+    // output all three ways).
     let codegen_span = trace.span(PID_COMPILE, 0, "driver", "codegen");
-    let (mut spmd, compiled) = match (&opts.pool, opts.mode) {
-        (Some(pool), _) => codegen::compile_all_pooled(&an, opts.dyn_opt, pool, trace),
-        (None, CompileMode::Sequential) => codegen::compile_all(&an.ctx(opts.dyn_opt), trace),
+    let transient;
+    let pool = match (&opts.pool, opts.mode) {
+        (Some(pool), _) => Some(pool),
         (None, CompileMode::Parallel(threads)) => {
-            let pool = crate::pool::CompilePool::new(threads);
-            codegen::compile_all_pooled(&an, opts.dyn_opt, &pool, trace)
+            transient = crate::pool::CompilePool::new(threads);
+            Some(&transient)
         }
-    }
+        (None, CompileMode::Sequential) => None,
+    };
+    let Sweep {
+        mut spmd,
+        records,
+        fact_hashes,
+        recompiled,
+        reused,
+        ..
+    } = incremental::sweep(
+        &an.ctx(opts.dyn_opt),
+        pool.map(|pool| (pool, &an)),
+        store,
+        opts_hash,
+        prev,
+        trace,
+    )
     .map_err(CompileError::Codegen)?;
     drop(codegen_span);
 
-    // Between codegen and emit: the communication optimization pass.
+    // Between codegen and emit: the communication optimization pass. The
+    // store holds pre-optimization artifacts, so graft-then-optimize is
+    // byte-identical to a clean compile.
     let (comm, comm_stats) = opt::optimize_traced(&mut spmd, opts.comm_opt, trace);
 
-    let report = {
+    let mut report = {
         let _span = trace.span(PID_COMPILE, 0, "driver", "build report");
-        build_report(&an, &spmd, &compiled, comm, comm_stats)
+        build_report(&an, &spmd, records, fact_hashes, comm, comm_stats)
     };
+    report.opts_hash = opts_hash;
+    if let (Some(store), Some(stats0)) = (store, stats0) {
+        let stats = store.stats();
+        report.store = Some(stats);
+        for (label, delta) in [
+            ("store hits", stats.hits - stats0.hits),
+            ("store misses", stats.misses - stats0.misses),
+            ("store evictions", stats.evictions - stats0.evictions),
+        ] {
+            report.pass_stats.push(SolveStats {
+                problem: label.into(),
+                direction: "shared".into(),
+                units: stats.entries,
+                contributions: delta as usize,
+                iterations: 1,
+                wall_ns: 0,
+            });
+        }
+        if trace.on() {
+            let ts = trace.now_us();
+            for (name, value) in [
+                ("cache_hits", reused.len() as f64),
+                ("cache_misses", recompiled.len() as f64),
+                ("store_hits", stats.hits as f64),
+                ("store_misses", stats.misses as f64),
+                ("store_evictions", stats.evictions as f64),
+                ("store_entries", stats.entries as f64),
+                ("store_cost_bytes", stats.cost as f64),
+            ] {
+                trace.counter(PID_COMPILE, 0, name, ts, value);
+            }
+        }
+    }
     drop(root);
-    Ok(CompileOutput { spmd, report })
+    Ok(CompileOutput {
+        spmd,
+        report,
+        recompiled,
+        reused,
+    })
 }
 
 /// Builds the statistics + recompilation-hash report for a finished
-/// compile.
-pub(crate) fn build_report(
+/// compile from the hashes the sweep computed (`records`: source hash and
+/// per-class digests; `fact_hashes`: the monolithic digest).
+fn build_report(
     an: &Analysis,
     spmd: &SpmdProgram,
-    compiled: &BTreeMap<Sym, CompiledUnit>,
+    records: BTreeMap<String, UnitRecord>,
+    fact_hashes: BTreeMap<String, u64>,
     comm: OptReport,
     comm_stats: Vec<SolveStats>,
 ) -> CompileReport {
@@ -470,27 +546,18 @@ pub(crate) fn build_report(
             })
             .collect(),
         pass_stats: an.pass_stats.clone(),
+        fact_hashes,
         ..Default::default()
     };
     report.pass_stats.extend(comm_stats);
     for p in &spmd.procs {
         count_static(&p.body, &mut report);
     }
-    for u in &an.prog.units {
-        let name = an.prog.interner.name(u.name).to_string();
-        report.source_hashes.insert(
-            name.clone(),
-            stable_hash(&unit_fingerprint(u), &an.prog.interner),
-        );
-        report.fact_hashes.insert(
-            name.clone(),
-            stable_hash(&unit_facts(an, u.name, compiled), &an.prog.interner),
-        );
-        for (class, rendered) in unit_fact_classes(an, u, compiled) {
-            report
-                .facts
-                .record(class, &name, &rendered, &an.prog.interner);
+    for (name, rec) in records {
+        for (class, digest) in rec.digests {
+            report.facts.record_digest(&class, &name, digest);
         }
+        report.source_hashes.insert(name, rec.source_hash);
     }
     // Fold the optimizer's per-procedure decisions into the fact hashes:
     // a unit whose communication was rewritten based on interprocedural
@@ -508,31 +575,45 @@ pub(crate) fn build_report(
     report
 }
 
-/// Renders the interprocedural facts unit `name`'s compiled code depends
-/// on: its reaching decompositions, the interprocedural constants of its
-/// formals, its overlap widths, and its callees' residuals — concatenated
-/// into the monolithic digest input (every formal constant included,
-/// mentioned or not: the baseline the per-class digests improve on).
-pub(crate) fn unit_facts(
-    an: &Analysis,
-    name: Sym,
+/// The hashes the §8 test and the artifact store key on, for one unit
+/// whose callees are all in `compiled`: its record (source fingerprint
+/// hash plus one digest per fact class — a unit is reusable only when
+/// *every* class it consumes is unchanged, and an edit perturbing one
+/// class leaves units that don't consume it untouched) and the monolithic
+/// digest kept for §8 reporting (every fact class concatenated, every
+/// formal constant included, mentioned or not: the baseline the per-class
+/// digests improve on). Each class is rendered once for both.
+pub(crate) fn unit_hashes(
+    ctx: &Ctx,
+    u: &fortrand_frontend::ProcUnit,
     compiled: &BTreeMap<Sym, CompiledUnit>,
-) -> String {
-    let mut facts = facts_reaching(an, name);
-    for (&(unit, f), v) in &an.ic.formals {
-        if unit == name {
-            facts.push_str(&format!("{f:?}={v};"));
-        }
-    }
-    facts.push_str(&facts_overlaps(an, name));
-    facts.push_str(&facts_residuals(an, name, compiled));
-    facts
+) -> (UnitRecord, u64) {
+    let interner = &ctx.prog.interner;
+    let reaching = facts_reaching(ctx, u.name);
+    let overlaps = facts_overlaps(ctx, u.name);
+    let residuals = facts_residuals(ctx, u.name, compiled);
+    let (constants, all_constants) = facts_constants(ctx, u.name, &mention_haystack(u));
+    let digests = [
+        ("reaching", &reaching),
+        ("constants", &constants),
+        ("overlaps", &overlaps),
+        ("residuals", &residuals),
+    ]
+    .into_iter()
+    .map(|(class, rendered)| (class.to_string(), stable_hash(rendered, interner)))
+    .collect();
+    let record = UnitRecord {
+        source_hash: stable_hash(&unit_fingerprint(u), interner),
+        digests,
+    };
+    let monolithic = [reaching, all_constants, overlaps, residuals].concat();
+    (record, stable_hash(&monolithic, interner))
 }
 
 /// The reaching-decompositions fact class: the decomposition sets flowing
 /// into the unit.
-fn facts_reaching(an: &Analysis, name: Sym) -> String {
-    an.reaching
+fn facts_reaching(ctx: &Ctx, name: Sym) -> String {
+    ctx.reaching
         .reaching
         .get(&name)
         .map(|r| format!("{r:?}"))
@@ -544,21 +625,26 @@ fn facts_reaching(an: &Analysis, name: Sym) -> String {
 /// adjustable array bounds count). A constant propagated into a formal
 /// the unit never reads cannot affect its code, so it is excluded: this
 /// is what lets a constants-only edit skip units that ignore the edited
-/// constant, where the monolithic hash recompiled them.
-fn facts_constants(an: &Analysis, name: Sym, mention_hay: &str) -> String {
-    let mut s = String::new();
-    for (&(unit, f), v) in &an.ic.formals {
-        if unit == name && mention_hay.contains(&format!("{f:?}")) {
-            s.push_str(&format!("{f:?}={v};"));
+/// constant, where the monolithic hash recompiled them. Second: the same
+/// rendering over every formal, for the monolithic hash.
+fn facts_constants(ctx: &Ctx, name: Sym, mention_hay: &str) -> (String, String) {
+    let (mut mentioned, mut all) = (String::new(), String::new());
+    for (&(unit, f), v) in &ctx.consts.formals {
+        if unit == name {
+            let entry = format!("{f:?}={v};");
+            if mention_hay.contains(&format!("{f:?}")) {
+                mentioned.push_str(&entry);
+            }
+            all.push_str(&entry);
         }
     }
-    s
+    (mentioned, all)
 }
 
 /// The overlap-widths fact class.
-fn facts_overlaps(an: &Analysis, name: Sym) -> String {
+fn facts_overlaps(ctx: &Ctx, name: Sym) -> String {
     let mut s = String::new();
-    for ((unit, arr), w) in &an.overlaps.widths {
+    for ((unit, arr), w) in &ctx.overlaps.widths {
         if *unit == name {
             s.push_str(&format!("{arr:?}:{w:?};"));
         }
@@ -568,9 +654,9 @@ fn facts_overlaps(an: &Analysis, name: Sym) -> String {
 
 /// The callee-residuals fact class: the delayed-instantiation summaries
 /// of every callee, in call order.
-fn facts_residuals(an: &Analysis, name: Sym, compiled: &BTreeMap<Sym, CompiledUnit>) -> String {
+fn facts_residuals(ctx: &Ctx, name: Sym, compiled: &BTreeMap<Sym, CompiledUnit>) -> String {
     let mut s = String::new();
-    for edge in an.acg.calls.get(&name).into_iter().flatten() {
+    for edge in ctx.acg.calls.get(&name).into_iter().flatten() {
         if let Some(cu) = compiled.get(&edge.callee) {
             s.push_str(&format!("{:?}{:?}", cu.residual, cu.dyn_summary));
         }
@@ -589,23 +675,6 @@ fn mention_haystack(u: &fortrand_frontend::ProcUnit) -> String {
         s.push(';');
     }
     s
-}
-
-/// The per-class fact renderings for one unit, keyed by fact-class name.
-/// Shared by [`build_report`] and the incremental engine's sweep so both
-/// compute identical digests.
-pub(crate) fn unit_fact_classes(
-    an: &Analysis,
-    u: &fortrand_frontend::ProcUnit,
-    compiled: &BTreeMap<Sym, CompiledUnit>,
-) -> Vec<(&'static str, String)> {
-    let hay = mention_haystack(u);
-    vec![
-        ("reaching", facts_reaching(an, u.name)),
-        ("constants", facts_constants(an, u.name, &hay)),
-        ("overlaps", facts_overlaps(an, u.name)),
-        ("residuals", facts_residuals(an, u.name, compiled)),
-    ]
 }
 
 fn count_static(body: &[SStmt], r: &mut CompileReport) {
@@ -637,7 +706,7 @@ fn count_static(body: &[SStmt], r: &mut CompileReport) {
 /// doesn't perturb it. Declarations participate because they change
 /// generated code without appearing as statements — a `PARAMETER` value
 /// edit must read as a source change.
-pub(crate) fn unit_fingerprint(u: &fortrand_frontend::ProcUnit) -> String {
+fn unit_fingerprint(u: &fortrand_frontend::ProcUnit) -> String {
     let mut s = format!("{:?}|{:?}|{:?}|", u.kind, u.name, u.formals);
     for d in &u.decls {
         s.push_str(&decl_tag(d));
@@ -695,6 +764,10 @@ pub(crate) fn hash_of(s: &str) -> u64 {
 mod tests {
     use super::*;
     use fortrand_analysis::fixtures::{FIG1, FIG15, FIG4};
+
+    fn compile(source: &str, opts: &CompileOptions) -> Result<CompileOutput, CompileError> {
+        super::compile(source, opts, &Trace::off(), None, &ModuleDb::default())
+    }
 
     #[test]
     fn fig1_compiles_interprocedurally() {

@@ -44,7 +44,7 @@ pub mod codegen;
 pub mod corpus;
 pub mod driver;
 pub mod dynamic_decomp;
-pub mod incremental;
+mod incremental;
 pub mod json;
 pub mod model;
 pub mod overlap;
@@ -54,24 +54,19 @@ pub mod seq;
 pub mod session;
 pub mod store;
 
-#[cfg(feature = "legacy")]
-pub use driver::compile;
 pub use driver::{
-    compile_with_trace, record_exec_stats, CompileError, CompileMode, CompileOptions,
-    CompileOptionsBuilder, CompileOutput, CompileReport,
+    record_exec_stats, CompileError, CompileMode, CompileOptions, CompileOptionsBuilder,
+    CompileOutput, CompileReport,
 };
 pub use fortrand_spmd::codegen::rustc_available;
 pub use fortrand_spmd::opt::{CommOpt, OptReport};
-#[cfg(feature = "legacy")]
-pub use fortrand_spmd::{run_spmd, run_spmd_engine};
 pub use fortrand_spmd::{
-    try_run_spmd, Bytecode, ExecBackend, ExecEngine, ExecError, ExecOptions, MachineKind, Native,
-    RankFailure, RunOutcome, Tree,
+    try_run_spmd, Bytecode, ExecBackend, ExecError, ExecOptions, MachineKind, Native, RankFailure,
+    RunOutcome, Tree,
 };
 pub use fortrand_trace::{
     ChromeTraceSink, JsonLinesSink, MemorySink, Trace, TraceSink, PID_COMPILE, PID_MACHINE,
 };
-pub use incremental::{IncrementalEngine, IncrementalOutput};
 pub use model::{DynOptLevel, Strategy};
 pub use pool::CompilePool;
 pub use seq::run_sequential;
@@ -89,6 +84,5 @@ const _: () = assert_send_sync::<session::Compiled>();
 const _: () = assert_send_sync::<store::ArtifactStore>();
 const _: () = assert_send_sync::<store::StoreStats>();
 const _: () = assert_send_sync::<pool::CompilePool>();
-const _: () = assert_send_sync::<incremental::IncrementalEngine>();
 const _: () = assert_send_sync::<driver::CompileOptions>();
 const _: () = assert_send_sync::<driver::CompileReport>();

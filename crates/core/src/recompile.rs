@@ -7,9 +7,11 @@
 //! decompositions, callee residuals (iteration sets, nonlocal index sets,
 //! remap summaries), interprocedural constants, overlap widths — changed.
 //!
-//! The [`crate::driver`] computes both hash families during every compile;
-//! this module persists them as a *module database* and diffs databases to
-//! produce a recompilation plan.
+//! The code-generation sweep (`incremental::sweep`) computes both hash
+//! families during every compile; this module persists them as a *module
+//! database*, holds the per-unit test ([`reason`]) the sweep applies to
+//! every unit it cannot take from the artifact store, and diffs whole
+//! databases with the same test to produce a recompilation plan.
 
 use crate::driver::CompileReport;
 use crate::json::{self, Json};
@@ -18,6 +20,10 @@ use std::collections::BTreeMap;
 /// Persisted per-program compilation records.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ModuleDb {
+    /// Fingerprint of the code-shaping driver options the records were
+    /// made under ([`CompileReport::opts_hash`]). Records made under other
+    /// options say nothing about a unit: see [`ModuleDb::previous`].
+    pub opts_hash: u64,
     /// Per-unit records, keyed by unit name.
     pub units: BTreeMap<String, UnitRecord>,
 }
@@ -38,17 +44,32 @@ pub struct UnitRecord {
 impl ModuleDb {
     /// Builds a database from a compile report.
     pub fn from_report(report: &CompileReport) -> Self {
-        let mut db = ModuleDb::default();
+        let mut db = ModuleDb {
+            opts_hash: report.opts_hash,
+            ..Default::default()
+        };
         for (name, &source_hash) in &report.source_hashes {
             db.units.insert(
                 name.clone(),
                 UnitRecord {
                     source_hash,
-                    digests: report.facts.unit_digests(name),
+                    digests: BTreeMap::new(),
                 },
             );
         }
+        for (class, unit, digest) in report.facts.iter() {
+            if let Some(rec) = db.units.get_mut(unit) {
+                rec.digests.insert(class.to_string(), digest);
+            }
+        }
         db
+    }
+
+    /// The record a compile under `opts_hash` tests `unit` against: the
+    /// one stored here, unless this database was made under other options
+    /// (then every unit counts as new).
+    pub fn previous(&self, opts_hash: u64, unit: &str) -> Option<&UnitRecord> {
+        self.units.get(unit).filter(|_| self.opts_hash == opts_hash)
     }
 
     /// Serializes to JSON (the on-disk module database). Hashes are stored
@@ -72,7 +93,11 @@ impl ModuleDb {
                 )
             })
             .collect();
-        Json::Obj(vec![("units".into(), Json::Obj(units))]).pretty()
+        Json::Obj(vec![
+            ("opts_hash".into(), Json::hex_u64(self.opts_hash)),
+            ("units".into(), Json::Obj(units)),
+        ])
+        .pretty()
     }
 
     /// Deserializes from JSON.
@@ -82,7 +107,14 @@ impl ModuleDb {
             .get("units")
             .and_then(Json::as_obj)
             .ok_or("module db: missing \"units\" object")?;
-        let mut db = ModuleDb::default();
+        let opts_hash = root
+            .get("opts_hash")
+            .and_then(Json::as_hex_u64)
+            .ok_or("module db: bad opts_hash")?;
+        let mut db = ModuleDb {
+            opts_hash,
+            ..Default::default()
+        };
         for (name, rec) in units {
             let source_hash = rec
                 .get("source_hash")
@@ -143,23 +175,27 @@ impl RecompilePlan {
     }
 }
 
+/// The §8 test for one unit: why `now` must be recompiled given the
+/// record `prev` of the previous compile, or `None` when the compiled
+/// code is still valid.
+pub fn reason(prev: Option<&UnitRecord>, now: &UnitRecord) -> Option<Reason> {
+    match prev {
+        None => Some(Reason::New),
+        Some(prev) if prev.source_hash != now.source_hash => Some(Reason::SourceChanged),
+        Some(prev) if prev.digests != now.digests => Some(Reason::FactsChanged),
+        Some(_) => None,
+    }
+}
+
 /// Diffs two databases (old compile vs new program state).
 pub fn plan(old: &ModuleDb, new: &ModuleDb) -> RecompilePlan {
     let mut out = RecompilePlan::default();
     for (name, rec) in &new.units {
-        match old.units.get(name) {
-            None => {
-                out.recompile.insert(name.clone(), Reason::New);
+        match reason(old.previous(new.opts_hash, name), rec) {
+            Some(why) => {
+                out.recompile.insert(name.clone(), why);
             }
-            Some(prev) => {
-                if prev.source_hash != rec.source_hash {
-                    out.recompile.insert(name.clone(), Reason::SourceChanged);
-                } else if prev.digests != rec.digests {
-                    out.recompile.insert(name.clone(), Reason::FactsChanged);
-                } else {
-                    out.skip.push(name.clone());
-                }
-            }
+            None => out.skip.push(name.clone()),
         }
     }
     out
@@ -168,12 +204,11 @@ pub fn plan(old: &ModuleDb, new: &ModuleDb) -> RecompilePlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::{compile, CompileOptions};
+    use crate::Session;
     use fortrand_analysis::fixtures::FIG4;
 
     fn db_of(src: &str) -> ModuleDb {
-        let out = compile(src, &CompileOptions::default()).unwrap();
-        ModuleDb::from_report(&out.report)
+        ModuleDb::from_report(Session::new(src).compile().unwrap().report())
     }
 
     #[test]

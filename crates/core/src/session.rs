@@ -20,16 +20,21 @@
 //!
 //! Attach a [`fortrand_trace::TraceSink`] with [`Session::trace`] and the
 //! same handle follows the program onto the simulated machine, so compile
-//! phases and per-rank message events land in one timeline. The legacy
-//! free functions ([`crate::compile`], [`fortrand_spmd::run_spmd`]) remain
-//! as thin wrappers over the same machinery.
+//! phases and per-rank message events land in one timeline.
+//!
+//! The session is also the handle over the shared compile state: bind an
+//! [`ArtifactStore`] with [`Session::store`] and a [`CompilePool`] with
+//! [`Session::pool`], hand the previous compile's [`ModuleDb`] to
+//! [`Session::previous`], and the same compile reuses every unit whose
+//! content the store already holds and names the §8 reason for each unit
+//! it regenerates ([`Compiled::recompiled`], [`Compiled::reused`]).
 
 use crate::driver::{
-    compile_with_trace, CompileError, CompileMode, CompileOptions, CompileOutput, CompileReport,
+    self, CompileError, CompileMode, CompileOptions, CompileOutput, CompileReport,
 };
-use crate::incremental::IncrementalEngine;
 use crate::model::{DynOptLevel, Strategy};
 use crate::pool::CompilePool;
+use crate::recompile::{ModuleDb, Reason};
 use crate::store::ArtifactStore;
 use fortrand_ir::Sym;
 use fortrand_machine::{Machine, RankFailure};
@@ -114,6 +119,7 @@ pub struct Session {
     opts: CompileOptions,
     trace: Trace,
     store: Option<std::sync::Arc<ArtifactStore>>,
+    prev: ModuleDb,
 }
 
 impl Session {
@@ -124,6 +130,7 @@ impl Session {
             opts: CompileOptions::default(),
             trace: Trace::off(),
             store: None,
+            prev: ModuleDb::default(),
         }
     }
 
@@ -170,13 +177,24 @@ impl Session {
     }
 
     /// Binds this session to a shared content-addressed artifact store:
-    /// the compile routes through an [`IncrementalEngine`] over `store`,
-    /// so units already compiled by any session sharing it are grafted
+    /// units already compiled by any session sharing it are grafted
     /// instead of recompiled, and this compile's artifacts become hits
     /// for everyone else. The resulting report carries the store counters
     /// in [`CompileReport::store`] and `pass_stats`.
     pub fn store(mut self, store: std::sync::Arc<ArtifactStore>) -> Session {
         self.store = Some(store);
+        self
+    }
+
+    /// Hands over the previous compile's database
+    /// ([`ModuleDb::from_report`], or one persisted as JSON): each unit
+    /// this compile regenerates is then labelled with the paper's §8
+    /// reason — own source changed, consumed facts changed, or new —
+    /// instead of all being new. A database made under other
+    /// code-shaping options is ignored. Reasons only: what is *reused*
+    /// is decided by the store's content keys.
+    pub fn previous(mut self, db: ModuleDb) -> Session {
+        self.prev = db;
         self
     }
 
@@ -204,22 +222,13 @@ impl Session {
     /// Runs the compiler. The returned [`Compiled`] keeps the trace handle
     /// so subsequent [`Compiled::run`] calls land in the same timeline.
     pub fn compile(self) -> Result<Compiled, Error> {
-        let out = match self.store {
-            Some(store) => {
-                let mut eng = IncrementalEngine::new()
-                    .with_store(store)
-                    .with_trace(self.trace.clone());
-                if let Some(pool) = self.opts.pool.clone() {
-                    eng = eng.with_pool(pool);
-                }
-                let inc = eng.compile(&self.source, &self.opts)?;
-                CompileOutput {
-                    spmd: inc.spmd,
-                    report: inc.report,
-                }
-            }
-            None => compile_with_trace(&self.source, &self.opts, &self.trace)?,
-        };
+        let out = driver::compile(
+            &self.source,
+            &self.opts,
+            &self.trace,
+            self.store.as_deref(),
+            &self.prev,
+        )?;
         Ok(Compiled {
             out,
             trace: self.trace,
@@ -243,6 +252,18 @@ impl Compiled {
     /// The SPMD node program.
     pub fn spmd(&self) -> &SpmdProgram {
         &self.out.spmd
+    }
+
+    /// Units whose code this compile generated, with the §8 reason judged
+    /// against [`Session::previous`] — every unit, unless a
+    /// [`Session::store`] answered some.
+    pub fn recompiled(&self) -> &BTreeMap<String, Reason> {
+        &self.out.recompiled
+    }
+
+    /// Units whose code came out of the artifact store.
+    pub fn reused(&self) -> &[String] {
+        &self.out.reused
     }
 
     /// Pretty-prints every procedure of the node program (the paper-figure
@@ -287,7 +308,7 @@ impl Compiled {
         Ok(self.trace.finish()?)
     }
 
-    /// Unwraps into the raw [`CompileOutput`] for legacy call sites.
+    /// Unwraps into the raw [`CompileOutput`].
     pub fn into_output(self) -> CompileOutput {
         self.out
     }
@@ -297,14 +318,6 @@ impl Compiled {
 mod tests {
     use super::*;
     use fortrand_analysis::fixtures::FIG1;
-
-    #[test]
-    fn session_matches_legacy_compile() {
-        let legacy = crate::driver::compile(FIG1, &CompileOptions::default()).unwrap();
-        let compiled = Session::new(FIG1).compile().unwrap();
-        assert_eq!(compiled.emit(), pretty_all(&legacy.spmd));
-        assert_eq!(compiled.report().nprocs, legacy.report.nprocs);
-    }
 
     #[test]
     fn session_run_produces_time() {

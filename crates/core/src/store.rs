@@ -1,10 +1,9 @@
 //! Shared, content-addressed artifact store.
 //!
-//! The [`crate::incremental`] engine used to keep each session's compiled
-//! artifacts in a private per-engine map, so two sessions compiling the
-//! same program recompiled everything twice. An [`ArtifactStore`] factors
-//! that state into one thread-safe substrate shared by any number of
-//! sessions (and by the `fortrand-serve` daemon): artifacts are keyed by
+//! An [`ArtifactStore`] is the one thread-safe home of compiled artifacts,
+//! shared by any number of sessions (and by the `fortrand-serve` daemon),
+//! so two sessions compiling the same program do not generate everything
+//! twice: artifacts are keyed by
 //! **content** — the driver-options fingerprint, the unit's structural
 //! source hash, and the combined per-class fact digests (reaching /
 //! constants / overlaps / residuals / comm) that PR 3 introduced — so a
@@ -15,8 +14,8 @@
 //! The store is bounded: each entry is charged an approximate cost,
 //! least-recently-used entries are evicted once the total exceeds the
 //! capacity, and hit/miss/eviction/insertion counters are exposed via
-//! [`ArtifactStore::stats`] — the incremental engine surfaces them on the
-//! trace and in `CompileReport::pass_stats`.
+//! [`ArtifactStore::stats`] — the driver surfaces them on the trace and in
+//! `CompileReport::pass_stats`.
 
 use crate::model::{DynDecompSummary, Residual};
 use fortrand_ir::dist::ArrayDist;

@@ -1,18 +1,14 @@
 //! The daemon: shared compile state plus a TCP accept loop.
 //!
 //! One [`Server`] owns the shared [`ArtifactStore`] and [`CompilePool`];
-//! each client session is a cheap handle (source text + an
-//! [`IncrementalEngine`] bound to the shared store). Requests mutate only
-//! their own session under its own lock, so sessions compile concurrently
-//! and interleave on the one worker pool.
+//! each client session is a cheap handle (source text + its last
+//! [`Compiled`] program, whose artifacts live in the shared store).
+//! Requests mutate only their own session under its own lock, so sessions
+//! compile concurrently and interleave on the one worker pool.
 
 use crate::protocol::{err_response, ok_response, parse_request, Request};
 use fortrand::json::Json;
-use fortrand::{
-    try_run_spmd, ArtifactStore, CompileOptions, CompilePool, ExecOptions, IncrementalEngine,
-};
-use fortrand_machine::Machine;
-use fortrand_spmd::SpmdProgram;
+use fortrand::{ArtifactStore, CompileOptions, CompilePool, Compiled, Session};
 use std::collections::{BTreeMap, HashMap};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -42,12 +38,11 @@ impl Default for ServerConfig {
     }
 }
 
-/// One client session: its current source, its incremental engine (whose
-/// artifacts live in the *shared* store), and its last compiled program.
+/// One client session: its current source and its last compiled program
+/// (what `run` executes).
 struct SessionState {
     source: String,
-    engine: IncrementalEngine,
-    spmd: Option<SpmdProgram>,
+    last: Option<Compiled>,
 }
 
 /// The daemon state. Wrap in an [`Arc`]; every connection thread holds a
@@ -92,16 +87,6 @@ impl Server {
         &self.store
     }
 
-    fn fresh_session(&self, source: String) -> SessionState {
-        SessionState {
-            source,
-            engine: IncrementalEngine::new()
-                .with_store(Arc::clone(&self.store))
-                .with_pool(self.pool.clone()),
-            spmd: None,
-        }
-    }
-
     fn session(&self, id: &str) -> Result<Arc<Mutex<SessionState>>, String> {
         relock(&self.sessions)
             .get(id)
@@ -140,7 +125,7 @@ impl Server {
     fn dispatch(&self, req: Request) -> Result<String, String> {
         match req {
             Request::Open { session, source } => {
-                let state = Arc::new(Mutex::new(self.fresh_session(source)));
+                let state = Arc::new(Mutex::new(SessionState { source, last: None }));
                 relock(&self.sessions).insert(session, state);
                 Ok(ok_response(Vec::new()))
             }
@@ -167,34 +152,38 @@ impl Server {
             Request::Compile { session } => {
                 let state = self.session(&session)?;
                 let mut state = relock(&state);
-                let source = state.source.clone();
-                let out = state
-                    .engine
-                    .compile(&source, &self.opts)
+                let out = Session::new(state.source.as_str())
+                    .options(self.opts.clone())
+                    .store(Arc::clone(&self.store))
+                    .pool(self.pool.clone())
+                    .compile()
                     .map_err(|e| e.to_string())?;
+                let store = out.report().store.expect("store-backed compile");
                 let fields = vec![
-                    ("procs".into(), Json::Int(out.spmd.procs.len() as i128)),
-                    ("recompiled".into(), Json::Int(out.recompiled.len() as i128)),
-                    ("reused".into(), Json::Int(out.reused.len() as i128)),
-                    ("store_hits".into(), Json::Int(out.store.hits as i128)),
-                    ("store_misses".into(), Json::Int(out.store.misses as i128)),
+                    ("procs".into(), Json::Int(out.spmd().procs.len() as i128)),
+                    (
+                        "recompiled".into(),
+                        Json::Int(out.recompiled().len() as i128),
+                    ),
+                    ("reused".into(), Json::Int(out.reused().len() as i128)),
+                    ("store_hits".into(), Json::Int(store.hits as i128)),
+                    ("store_misses".into(), Json::Int(store.misses as i128)),
                     (
                         "hit_rate_x100".into(),
-                        Json::Int(out.store.hit_rate_x100() as i128),
+                        Json::Int(store.hit_rate_x100() as i128),
                     ),
                 ];
-                state.spmd = Some(out.spmd);
+                state.last = Some(out);
                 Ok(ok_response(fields))
             }
             Request::Run { session } => {
                 let state = self.session(&session)?;
                 let state = relock(&state);
-                let spmd = state
-                    .spmd
+                let out = state
+                    .last
                     .as_ref()
-                    .ok_or_else(|| format!("session {session:?} has no compiled program"))?;
-                let machine = Machine::new(spmd.nprocs);
-                let out = try_run_spmd(spmd, &machine, &BTreeMap::new(), &ExecOptions::default())
+                    .ok_or_else(|| format!("session {session:?} has no compiled program"))?
+                    .run(&BTreeMap::new())
                     .map_err(|e| e.to_string())?;
                 Ok(ok_response(vec![
                     (

@@ -8,7 +8,7 @@
 //!
 //! This engine is the semantic reference: the bytecode VM ([`crate::vm`])
 //! must match it bit-for-bit on every simulated observable. Production runs
-//! default to the VM ([`ExecEngine::Bytecode`]); the tree-walker stays for
+//! default to the VM ([`crate::Bytecode`]); the tree-walker stays for
 //! differential testing and as executable documentation of the charging
 //! model.
 //!
@@ -24,8 +24,7 @@ use crate::runtime::{
     scalar_from_wire, scatter_init_store, ArrayStore, FinalArray, Value,
 };
 pub use crate::runtime::{
-    global_extents, try_run_spmd, ExecEngine, ExecOptions, ExecOutput, RankFailure, TAG_BCAST,
-    TAG_BCAST_PACK,
+    global_extents, try_run_spmd, ExecOptions, ExecOutput, RankFailure, TAG_BCAST, TAG_BCAST_PACK,
 };
 use fortrand_ir::Sym;
 use fortrand_machine::{Machine, Node};
@@ -808,12 +807,11 @@ mod tests {
         machine: &Machine,
         init: &BTreeMap<Sym, Vec<f64>>,
     ) -> ExecOutput {
-        let run = |engine| {
-            try_run_spmd(prog, machine, init, &ExecOptions::new().engine(engine))
-                .unwrap_or_else(|f| panic!("{f}"))
+        let run = |opts: ExecOptions| {
+            try_run_spmd(prog, machine, init, &opts).unwrap_or_else(|f| panic!("{f}"))
         };
-        let tree = run(ExecEngine::Tree);
-        let vm = run(ExecEngine::Bytecode);
+        let tree = run(ExecOptions::new().backend(crate::Tree));
+        let vm = run(ExecOptions::new().backend(crate::Bytecode));
         assert_eq!(tree.stats.time_us, vm.stats.time_us, "time diverged");
         assert_eq!(tree.stats.total_msgs, vm.stats.total_msgs);
         assert_eq!(tree.stats.total_bytes, vm.stats.total_bytes);

@@ -43,11 +43,9 @@ pub use ir::{
 };
 pub use opt::{optimize, CommOpt, OptReport};
 pub use print::pretty;
-#[cfg(feature = "legacy")]
-pub use runtime::{run_spmd, run_spmd_engine};
 pub use runtime::{
-    try_run_spmd, Bytecode, ExecBackend, ExecEngine, ExecError, ExecOptions, ExecOutput,
-    MachineKind, RankFailure, RunOutcome, Tree,
+    try_run_spmd, Bytecode, ExecBackend, ExecError, ExecOptions, ExecOutput, MachineKind,
+    RankFailure, RunOutcome, Tree,
 };
 
 // Compile-time thread-safety audit: compiled node programs are cached in

@@ -111,7 +111,7 @@ pub struct OptReport {
     /// before this iteration's trailing update).
     pub pipelined_loops: usize,
     /// Per-procedure summary of decisions, keyed by procedure name.
-    /// Deterministic; hashed into the incremental engine's fact hashes.
+    /// Deterministic; hashed into the driver's fact hashes.
     pub per_proc: BTreeMap<String, String>,
 }
 

@@ -27,24 +27,6 @@ pub const TAG_BCAST_PACK: u64 = (1 << 32) + 1;
 /// Tag space reserved for remap traffic (compiler tags stay below this).
 pub(crate) const REMAP_TAG_BASE: u64 = 1 << 40;
 
-/// Legacy engine selector, kept so existing call sites (and the `legacy`
-/// feature's wrappers) compile unchanged.
-///
-/// Deprecated in favor of [`ExecBackend`] values passed to
-/// [`ExecOptions::backend`]; [`ExecOptions::engine`] maps each variant to
-/// the equivalent backend ([`Tree`] / [`Bytecode`]). The native backend
-/// (`crate::codegen::Native`) has no `ExecEngine` spelling — it predates
-/// the trait and stays frozen at these two simulator engines.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum ExecEngine {
-    /// Reference tree-walking interpreter over the [`SStmt`]/[`SExpr`] IR.
-    Tree,
-    /// Lowered engine: programs are flattened to dense bytecode
-    /// ([`crate::lower`]) and run by a dispatch loop ([`crate::vm`]).
-    #[default]
-    Bytecode,
-}
-
 /// Unified result of running a node program under any [`ExecBackend`].
 #[derive(Debug)]
 #[non_exhaustive]
@@ -176,7 +158,6 @@ impl ExecBackend for Bytecode {
 ///
 /// ```ignore
 /// let opts = ExecOptions::new().backend(codegen::Native::default());
-/// let opts = ExecOptions::new().engine(ExecEngine::Tree); // legacy spelling
 /// ```
 #[derive(Clone, Debug)]
 #[non_exhaustive]
@@ -218,16 +199,6 @@ impl ExecOptions {
         self
     }
 
-    /// Selects a simulator engine by its legacy [`ExecEngine`] name.
-    /// Compatibility shim for pre-`ExecBackend` call sites; equivalent to
-    /// `backend(Tree)` / `backend(Bytecode)`.
-    pub fn engine(self, engine: ExecEngine) -> ExecOptions {
-        match engine {
-            ExecEngine::Tree => self.backend(Tree),
-            ExecEngine::Bytecode => self.backend(Bytecode),
-        }
-    }
-
     /// Forces the run onto the given execution substrate, overriding the
     /// kind of whatever [`Machine`] is passed in.
     pub fn machine(mut self, kind: MachineKind) -> ExecOptions {
@@ -267,40 +238,6 @@ pub fn try_run_spmd(
         _ => machine,
     };
     opts.backend.run(prog, machine, init, opts)
-}
-
-/// Runs `prog` on `machine` under the default engine ([`ExecEngine::Bytecode`]).
-/// `init` supplies initial global values for arrays declared in the entry
-/// procedure (missing arrays start at zero).
-///
-/// Retired wrapper, available only with the `legacy` cargo feature —
-/// prefer [`try_run_spmd`] (panic-safe) or the `fortrand::Session`
-/// facade. Panics if a rank panics.
-#[cfg(feature = "legacy")]
-pub fn run_spmd(
-    prog: &SpmdProgram,
-    machine: &Machine,
-    init: &BTreeMap<Sym, Vec<f64>>,
-) -> ExecOutput {
-    run_spmd_engine(prog, machine, init, ExecEngine::default())
-}
-
-/// [`run_spmd`] with an explicit engine choice.
-///
-/// Retired wrapper, available only with the `legacy` cargo feature —
-/// prefer [`try_run_spmd`] with [`ExecOptions`], or the
-/// `fortrand::Session` facade. Panics if a rank panics.
-#[cfg(feature = "legacy")]
-pub fn run_spmd_engine(
-    prog: &SpmdProgram,
-    machine: &Machine,
-    init: &BTreeMap<Sym, Vec<f64>>,
-    engine: ExecEngine,
-) -> ExecOutput {
-    match try_run_spmd(prog, machine, init, &ExecOptions::new().engine(engine)) {
-        Ok(out) => out,
-        Err(f) => panic!("{f}"),
-    }
 }
 
 /// Engine-independent run harness: executes `body` once per rank, collects

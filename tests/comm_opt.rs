@@ -8,39 +8,14 @@
 //! the Fig. 4 program, the wide compile-time corpus, stencil/ADI
 //! workloads, and the dgefa case study at several machine sizes.
 
+mod common;
+
+use common::{compile, run_spmd};
 use fortrand::corpus::{adi_source, dgefa_matrix, dgefa_source, relax_source, wide_corpus};
 use fortrand::{CommOpt, CompileOptions};
 use fortrand_analysis::fixtures::FIG4;
 use fortrand_machine::{Machine, RunStats};
 use std::collections::BTreeMap;
-
-/// Clean compile through the `Session` facade (replaces the retired
-/// `fortrand::compile` wrapper, which is now gated behind the `legacy`
-/// cargo feature).
-fn compile(
-    source: &str,
-    opts: &fortrand::CompileOptions,
-) -> Result<fortrand::CompileOutput, fortrand::CompileError> {
-    match fortrand::Session::new(source)
-        .options(opts.clone())
-        .compile()
-    {
-        Ok(compiled) => Ok(compiled.into_output()),
-        Err(fortrand::Error::Compile(e)) => Err(e),
-        Err(e) => panic!("compile-only session hit a non-compile error: {e}"),
-    }
-}
-
-/// Panic-on-failure runner (replaces the retired `run_spmd` wrapper,
-/// now gated behind the `legacy` cargo feature).
-fn run_spmd(
-    prog: &fortrand_spmd::SpmdProgram,
-    machine: &Machine,
-    init: &BTreeMap<fortrand_ir::Sym, Vec<f64>>,
-) -> fortrand_spmd::ExecOutput {
-    fortrand_spmd::try_run_spmd(prog, machine, init, &fortrand_spmd::ExecOptions::default())
-        .unwrap_or_else(|f| panic!("{f}"))
-}
 
 /// Compile `src` at the given optimizer level, run it, and return every
 /// named array (keyed by source name, so results from independent

@@ -4,27 +4,13 @@
 //! (b) leave no lock poisoned, and (c) actually share artifacts across
 //! threads (cross-session hits).
 
+mod common;
+
+use common::{compile, Chain};
 use fortrand::corpus::{wide_corpus, wide_corpus_edited};
-use fortrand::{ArtifactStore, CompileOptions, CompilePool, IncrementalEngine};
+use fortrand::{ArtifactStore, CompileOptions, CompilePool};
 use fortrand_spmd::print::pretty_all;
 use std::sync::Arc;
-
-/// Clean compile through the `Session` facade (replaces the retired
-/// `fortrand::compile` wrapper, which is now gated behind the `legacy`
-/// cargo feature).
-fn compile(
-    source: &str,
-    opts: &fortrand::CompileOptions,
-) -> Result<fortrand::CompileOutput, fortrand::CompileError> {
-    match fortrand::Session::new(source)
-        .options(opts.clone())
-        .compile()
-    {
-        Ok(compiled) => Ok(compiled.into_output()),
-        Err(fortrand::Error::Compile(e)) => Err(e),
-        Err(e) => panic!("compile-only session hit a non-compile error: {e}"),
-    }
-}
 
 const THREADS: usize = 8;
 const ROUNDS: usize = 4;
@@ -40,8 +26,8 @@ fn sources(thread: usize) -> (String, String) {
 #[test]
 fn concurrent_sessions_share_one_store_and_stay_byte_identical() {
     let store = ArtifactStore::shared();
-    let pool = CompilePool::new(4);
     let opts = CompileOptions::default();
+    let pooled = CompileOptions::builder().pool(CompilePool::new(4)).build();
 
     // Sequential reference for every (thread, round) cell.
     let expected: Vec<Vec<String>> = (0..THREADS)
@@ -59,15 +45,14 @@ fn concurrent_sessions_share_one_store_and_stay_byte_identical() {
     let workers: Vec<_> = (0..THREADS)
         .map(|t| {
             let store = Arc::clone(&store);
-            let pool = pool.clone();
-            let opts = opts.clone();
+            let opts = pooled.clone();
             std::thread::spawn(move || -> Vec<String> {
                 let (base, edited) = sources(t);
-                let mut eng = IncrementalEngine::new().with_store(store).with_pool(pool);
+                let mut eng = Chain::over(store);
                 (0..ROUNDS)
                     .map(|r| {
                         let src = if r % 2 == 0 { &base } else { &edited };
-                        pretty_all(&eng.compile(src, &opts).unwrap().spmd)
+                        pretty_all(&eng.compile(src, &opts).spmd)
                     })
                     .collect()
             })
@@ -119,9 +104,9 @@ fn eviction_under_concurrency_degrades_to_recompiles_not_corruption() {
             let opts = opts.clone();
             std::thread::spawn(move || -> Vec<String> {
                 let (base, _) = sources(t);
-                let mut eng = IncrementalEngine::new().with_store(store);
+                let mut eng = Chain::over(store);
                 (0..3)
-                    .map(|_| pretty_all(&eng.compile(&base, &opts).unwrap().spmd))
+                    .map(|_| pretty_all(&eng.compile(&base, &opts).spmd))
                     .collect()
             })
         })

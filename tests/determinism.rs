@@ -7,32 +7,52 @@
 //! bit-identical to each other (no iteration-order or scheduling
 //! nondeterminism leaks into the output).
 
+mod common;
+
+use common::compile;
 use fortrand::corpus::{adi_source, dgefa_source, relax_source, wide_corpus};
-use fortrand::{CompileMode, CompileOptions};
+use fortrand::{ArtifactStore, CompileMode, CompileOptions, MemorySink, Session};
 use fortrand_spmd::print::pretty_all;
 use proptest::prelude::*;
-
-/// Clean compile through the `Session` facade (replaces the retired
-/// `fortrand::compile` wrapper, which is now gated behind the `legacy`
-/// cargo feature).
-fn compile(
-    source: &str,
-    opts: &fortrand::CompileOptions,
-) -> Result<fortrand::CompileOutput, fortrand::CompileError> {
-    match fortrand::Session::new(source)
-        .options(opts.clone())
-        .compile()
-    {
-        Ok(compiled) => Ok(compiled.into_output()),
-        Err(fortrand::Error::Compile(e)) => Err(e),
-        Err(e) => panic!("compile-only session hit a non-compile error: {e}"),
-    }
-}
 
 fn compiled_text(src: &str, mode: CompileMode) -> String {
     let out = compile(src, &CompileOptions::builder().mode(mode).build())
         .expect("corpus programs compile");
     pretty_all(&out.spmd)
+}
+
+/// The schedule and the artifact store are independent choices: a
+/// store-backed compile honours `CompileMode::Parallel` (its misses go to
+/// the transient pool, visible as codegen spans on worker tracks), makes
+/// the same store decisions as the sequential store-backed compile, and
+/// emits the plain sequential compile's program.
+#[test]
+fn store_backed_compile_honours_the_parallel_schedule() {
+    let src = wide_corpus(8, 64, 4);
+    let plain = compiled_text(&src, CompileMode::Sequential);
+    let store_backed = |mode| {
+        let (sink, events) = MemorySink::new();
+        let compiled = Session::new(src.as_str())
+            .store(ArtifactStore::shared())
+            .mode(mode)
+            .trace(sink)
+            .compile()
+            .unwrap();
+        let worker_spans = events
+            .lock()
+            .unwrap()
+            .iter()
+            .filter(|e| e.cat == "codegen" && e.tid >= 1)
+            .count();
+        (compiled, worker_spans)
+    };
+    let (seq, seq_worker_spans) = store_backed(CompileMode::Sequential);
+    let (par, par_worker_spans) = store_backed(CompileMode::Parallel(4));
+    assert_eq!(par.emit(), plain);
+    assert_eq!(par.report().store, seq.report().store);
+    assert!(par.report().store.is_some());
+    assert_eq!(seq_worker_spans, 0);
+    assert_eq!(par_worker_spans, 8, "the eight leaves of level 0");
 }
 
 proptest! {

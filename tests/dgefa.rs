@@ -2,38 +2,13 @@
 //! reference under every strategy, and the strategies must rank as the
 //! paper reports (interprocedural fastest, run-time resolution slowest).
 
+mod common;
+
+use common::{compile, run_spmd};
 use fortrand::corpus::{dgefa_matrix, dgefa_source};
 use fortrand::{run_sequential, CompileOptions, Strategy};
 use fortrand_machine::Machine;
 use std::collections::BTreeMap;
-
-/// Clean compile through the `Session` facade (replaces the retired
-/// `fortrand::compile` wrapper, which is now gated behind the `legacy`
-/// cargo feature).
-fn compile(
-    source: &str,
-    opts: &fortrand::CompileOptions,
-) -> Result<fortrand::CompileOutput, fortrand::CompileError> {
-    match fortrand::Session::new(source)
-        .options(opts.clone())
-        .compile()
-    {
-        Ok(compiled) => Ok(compiled.into_output()),
-        Err(fortrand::Error::Compile(e)) => Err(e),
-        Err(e) => panic!("compile-only session hit a non-compile error: {e}"),
-    }
-}
-
-/// Panic-on-failure runner (replaces the retired `run_spmd` wrapper,
-/// now gated behind the `legacy` cargo feature).
-fn run_spmd(
-    prog: &fortrand_spmd::SpmdProgram,
-    machine: &Machine,
-    init: &BTreeMap<fortrand_ir::Sym, Vec<f64>>,
-) -> fortrand_spmd::ExecOutput {
-    fortrand_spmd::try_run_spmd(prog, machine, init, &fortrand_spmd::ExecOptions::default())
-        .unwrap_or_else(|f| panic!("{f}"))
-}
 
 fn run_strategy(n: i64, p: usize, strategy: Strategy) -> (Vec<f64>, fortrand_machine::RunStats) {
     let (a, _ipvt, stats) = run_strategy_full(n, p, strategy);

@@ -10,6 +10,9 @@
 //! and the VM's dispatched-instruction count are engine-specific
 //! diagnostics and are deliberately excluded.
 
+mod common;
+
+use common::compile;
 use fortrand::corpus::{dgefa_matrix, dgefa_source};
 use fortrand::{CommOpt, CompileOptions, DynOptLevel, Strategy};
 use fortrand_analysis::fixtures::{FIG1, FIG15, FIG4};
@@ -17,23 +20,6 @@ use fortrand_machine::Machine;
 use fortrand_spmd::{try_run_spmd, Bytecode, ExecOptions, ExecOutput, Tree};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-
-/// Clean compile through the `Session` facade (replaces the retired
-/// `fortrand::compile` wrapper, which is now gated behind the `legacy`
-/// cargo feature).
-fn compile(
-    source: &str,
-    opts: &fortrand::CompileOptions,
-) -> Result<fortrand::CompileOutput, fortrand::CompileError> {
-    match fortrand::Session::new(source)
-        .options(opts.clone())
-        .compile()
-    {
-        Ok(compiled) => Ok(compiled.into_output()),
-        Err(fortrand::Error::Compile(e)) => Err(e),
-        Err(e) => panic!("compile-only session hit a non-compile error: {e}"),
-    }
-}
 
 /// Asserts every simulated observable matches between the two outputs.
 fn assert_identical(t: &ExecOutput, b: &ExecOutput, ctx: &str) {

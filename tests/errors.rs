@@ -2,24 +2,10 @@
 //! diagnostic (never silent wrong code), and legal-but-odd programs must
 //! still compile.
 
-use fortrand::{CompileOptions, Strategy};
+mod common;
 
-/// Clean compile through the `Session` facade (replaces the retired
-/// `fortrand::compile` wrapper, which is now gated behind the `legacy`
-/// cargo feature).
-fn compile(
-    source: &str,
-    opts: &fortrand::CompileOptions,
-) -> Result<fortrand::CompileOutput, fortrand::CompileError> {
-    match fortrand::Session::new(source)
-        .options(opts.clone())
-        .compile()
-    {
-        Ok(compiled) => Ok(compiled.into_output()),
-        Err(fortrand::Error::Compile(e)) => Err(e),
-        Err(e) => panic!("compile-only session hit a non-compile error: {e}"),
-    }
-}
+use common::compile;
+use fortrand::{CompileOptions, Strategy};
 
 fn err_of(src: &str) -> String {
     match compile(src, &CompileOptions::default()) {

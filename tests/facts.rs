@@ -14,6 +14,9 @@
 //! UPDATE_GOLDEN=1 cargo test --test facts
 //! ```
 
+mod common;
+
+use common::compile;
 use fortrand::corpus::{dgefa_source, relax_source};
 use fortrand::CompileOptions;
 use fortrand_analysis::acg::build_acg;
@@ -23,23 +26,6 @@ use fortrand_analysis::{consts, reaching, side_effects};
 use fortrand_frontend::load_program;
 use std::fmt::Write as _;
 use std::path::PathBuf;
-
-/// Clean compile through the `Session` facade (replaces the retired
-/// `fortrand::compile` wrapper, which is now gated behind the `legacy`
-/// cargo feature).
-fn compile(
-    source: &str,
-    opts: &fortrand::CompileOptions,
-) -> Result<fortrand::CompileOutput, fortrand::CompileError> {
-    match fortrand::Session::new(source)
-        .options(opts.clone())
-        .compile()
-    {
-        Ok(compiled) => Ok(compiled.into_output()),
-        Err(fortrand::Error::Compile(e)) => Err(e),
-        Err(e) => panic!("compile-only session hit a non-compile error: {e}"),
-    }
-}
 
 fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))

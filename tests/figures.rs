@@ -1,26 +1,12 @@
 //! Golden reproductions of the paper's code figures: the pretty-printed
 //! compiler output must match the structure of Figs. 2, 3, 10 and 12.
 
+mod common;
+
+use common::compile;
 use fortrand::{CompileOptions, Strategy};
 use fortrand_analysis::fixtures::{FIG1, FIG4};
 use fortrand_spmd::print::{pretty, pretty_all};
-
-/// Clean compile through the `Session` facade (replaces the retired
-/// `fortrand::compile` wrapper, which is now gated behind the `legacy`
-/// cargo feature).
-fn compile(
-    source: &str,
-    opts: &fortrand::CompileOptions,
-) -> Result<fortrand::CompileOutput, fortrand::CompileError> {
-    match fortrand::Session::new(source)
-        .options(opts.clone())
-        .compile()
-    {
-        Ok(compiled) => Ok(compiled.into_output()),
-        Err(fortrand::Error::Compile(e)) => Err(e),
-        Err(e) => panic!("compile-only session hit a non-compile error: {e}"),
-    }
-}
 
 fn compiled(src: &str, strategy: Strategy) -> fortrand::CompileOutput {
     compile(src, &CompileOptions::builder().strategy(strategy).build()).unwrap()

@@ -12,27 +12,13 @@
 //!
 //! and review the diff like any other code change.
 
+mod common;
+
+use common::compile;
 use fortrand::{CompileOptions, Strategy};
 use fortrand_analysis::fixtures::{FIG1, FIG4};
 use fortrand_spmd::print::pretty_all;
 use std::path::PathBuf;
-
-/// Clean compile through the `Session` facade (replaces the retired
-/// `fortrand::compile` wrapper, which is now gated behind the `legacy`
-/// cargo feature).
-fn compile(
-    source: &str,
-    opts: &fortrand::CompileOptions,
-) -> Result<fortrand::CompileOutput, fortrand::CompileError> {
-    match fortrand::Session::new(source)
-        .options(opts.clone())
-        .compile()
-    {
-        Ok(compiled) => Ok(compiled.into_output()),
-        Err(fortrand::Error::Compile(e)) => Err(e),
-        Err(e) => panic!("compile-only session hit a non-compile error: {e}"),
-    }
-}
 
 fn golden_path(name: &str) -> PathBuf {
     // CARGO_MANIFEST_DIR is crates/core; the snapshots live beside the

@@ -1,29 +1,16 @@
 //! Incremental-compilation correctness over the paper's §8 edit
-//! scenarios: the engine must (a) recompile exactly the units the §8
-//! recompilation test selects, and (b) produce output byte-identical to a
-//! clean compile — reused artifacts included.
+//! scenarios: a store-backed compile must (a) regenerate exactly the units
+//! the §8 recompilation test selects, for the reasons it gives, and (b)
+//! produce output byte-identical to a clean compile — reused artifacts
+//! included.
 
+mod common;
+
+use common::{compile, Chain};
 use fortrand::recompile::{self, ModuleDb, Reason};
-use fortrand::{CompileOptions, IncrementalEngine};
+use fortrand::CompileOptions;
 use fortrand_analysis::fixtures::FIG4;
 use fortrand_spmd::print::pretty_all;
-
-/// Clean compile through the `Session` facade (replaces the retired
-/// `fortrand::compile` wrapper, which is now gated behind the `legacy`
-/// cargo feature).
-fn compile(
-    source: &str,
-    opts: &fortrand::CompileOptions,
-) -> Result<fortrand::CompileOutput, fortrand::CompileError> {
-    match fortrand::Session::new(source)
-        .options(opts.clone())
-        .compile()
-    {
-        Ok(compiled) => Ok(compiled.into_output()),
-        Err(fortrand::Error::Compile(e)) => Err(e),
-        Err(e) => panic!("compile-only session hit a non-compile error: {e}"),
-    }
-}
 
 /// The `tables sec8` edit scenarios.
 fn scenarios() -> Vec<(&'static str, String)> {
@@ -42,28 +29,35 @@ fn scenarios() -> Vec<(&'static str, String)> {
     ]
 }
 
+/// The sweep and `recompile::plan` apply one §8 test: with a private store
+/// and no intervening hit, what the second compile of a chain regenerates
+/// — units and reasons — is exactly the plan diffed from the two clean
+/// compiles' databases.
 #[test]
-fn engine_recompiles_exactly_the_sec8_plan() {
-    let base = compile(FIG4, &CompileOptions::default()).unwrap();
-    let db0 = ModuleDb::from_report(&base.report);
-    for (label, src) in scenarios() {
-        let clean = compile(&src, &CompileOptions::default()).unwrap();
-        let plan = recompile::plan(&db0, &ModuleDb::from_report(&clean.report));
+fn sweep_recompiles_exactly_the_sec8_plan() {
+    let opts = CompileOptions::default();
+    let fig4 = scenarios()
+        .into_iter()
+        .map(|(label, src)| (label, FIG4, src));
+    let consts = (
+        "constants-only edit",
+        CONSTS_CORPUS,
+        CONSTS_CORPUS.replace("(c = 8)", "(c = 9)"),
+    );
+    for (label, base, src) in fig4.chain([consts]) {
+        let before = ModuleDb::from_report(&compile(base, &opts).unwrap().report);
+        let after = ModuleDb::from_report(&compile(&src, &opts).unwrap().report);
+        let plan = recompile::plan(&before, &after);
 
-        let mut eng = IncrementalEngine::new();
-        eng.compile(FIG4, &CompileOptions::default()).unwrap();
-        let inc = eng.compile(&src, &CompileOptions::default()).unwrap();
-
-        let planned: Vec<&String> = plan.recompile.keys().collect();
-        let actual: Vec<&String> = inc.recompiled.keys().collect();
-        assert_eq!(actual, planned, "scenario {label:?}");
-        for (unit, reason) in &inc.recompiled {
-            assert_eq!(
-                Some(reason),
-                plan.recompile.get(unit),
-                "scenario {label:?}, unit {unit}"
-            );
-        }
+        let mut chain = Chain::default();
+        chain.compile(base, &opts);
+        let inc = chain.compile(&src, &opts);
+        assert_eq!(inc.recompiled, plan.recompile, "scenario {label:?}");
+        assert_eq!(
+            inc.recompiled.len() + inc.reused.len(),
+            after.units.len(),
+            "scenario {label:?}"
+        );
     }
 }
 
@@ -72,9 +66,9 @@ fn from_cache_output_is_byte_identical_to_clean_compile() {
     for (label, src) in scenarios() {
         let clean = compile(&src, &CompileOptions::default()).unwrap();
 
-        let mut eng = IncrementalEngine::new();
-        eng.compile(FIG4, &CompileOptions::default()).unwrap();
-        let inc = eng.compile(&src, &CompileOptions::default()).unwrap();
+        let mut eng = Chain::default();
+        eng.compile(FIG4, &CompileOptions::default());
+        let inc = eng.compile(&src, &CompileOptions::default());
 
         assert_eq!(
             pretty_all(&inc.spmd),
@@ -96,10 +90,10 @@ fn local_edit_recompiles_strictly_fewer_units_than_a_clean_build() {
     // invalidate every unit (their facts reach all callers), so strict
     // savings are only demanded where the §8 analysis can deliver them.
     let (label, src) = ("local body edit in F2", FIG4.replace("0.5 *", "0.25 *"));
-    let mut eng = IncrementalEngine::new();
-    let first = eng.compile(FIG4, &CompileOptions::default()).unwrap();
+    let mut eng = Chain::default();
+    let first = eng.compile(FIG4, &CompileOptions::default());
     let total = first.recompiled.len();
-    let inc = eng.compile(&src, &CompileOptions::default()).unwrap();
+    let inc = eng.compile(&src, &CompileOptions::default());
     assert!(
         !inc.recompiled.is_empty() && inc.recompiled.len() < total,
         "scenario {label:?}: {}/{total} recompiled",
@@ -141,9 +135,9 @@ fn constants_only_edit_recompiles_fewer_units_than_decomposition_edit() {
     let opts = CompileOptions::default();
 
     let recompiled = |edit: &str| {
-        let mut eng = IncrementalEngine::new();
-        eng.compile(CONSTS_CORPUS, &opts).unwrap();
-        let inc = eng.compile(edit, &opts).unwrap();
+        let mut eng = Chain::default();
+        eng.compile(CONSTS_CORPUS, &opts);
+        let inc = eng.compile(edit, &opts);
         assert_eq!(
             pretty_all(&inc.spmd),
             pretty_all(&compile(edit, &opts).unwrap().spmd),
@@ -202,17 +196,17 @@ fn chained_edits_keep_converging() {
     // store under different keys, so a revert reuses *everything* the
     // original compile produced — no slot was overwritten.
     let edited = FIG4.replace("0.5 *", "0.25 *");
-    let mut eng = IncrementalEngine::new();
+    let mut eng = Chain::default();
     let opts = CompileOptions::default();
-    eng.compile(FIG4, &opts).unwrap();
-    let fwd = eng.compile(&edited, &opts).unwrap();
+    eng.compile(FIG4, &opts);
+    let fwd = eng.compile(&edited, &opts);
     assert!(
         fwd.recompiled.keys().all(|k| k.starts_with("f2")),
         "{:?}",
         fwd.recompiled
     );
     assert!(fwd.recompiled.values().all(|r| *r == Reason::SourceChanged));
-    let back = eng.compile(FIG4, &opts).unwrap();
+    let back = eng.compile(FIG4, &opts);
     assert!(
         back.recompiled.is_empty(),
         "content-addressed store keeps both versions: {:?}",
@@ -251,9 +245,9 @@ fn comm_opt_level_participates_in_caching() {
     assert_ne!(df, do_, "comm digest must fold in the overlap decisions");
 
     // Switching levels invalidates everything; staying put reuses all.
-    let mut eng = IncrementalEngine::new();
-    eng.compile(&src, &full_opts).unwrap();
-    let switched = eng.compile(&src, &ov_opts).unwrap();
+    let mut eng = Chain::default();
+    eng.compile(&src, &full_opts);
+    let switched = eng.compile(&src, &ov_opts);
     assert!(
         switched.reused.is_empty(),
         "level switch must clear the cache, reused {:?}",
@@ -263,13 +257,13 @@ fn comm_opt_level_participates_in_caching() {
         .recompiled
         .values()
         .all(|r| matches!(r, Reason::New)));
-    let steady = eng.compile(&src, &ov_opts).unwrap();
+    let steady = eng.compile(&src, &ov_opts);
     assert!(steady.recompiled.is_empty(), "{:?}", steady.recompiled);
 
     // An edit under Overlap converges to the clean compile byte for byte.
     let edited = src.replace("a(i,j) - t * a(i,k)", "a(i,j) - a(i,k) * t");
     assert_ne!(src, edited, "the edit must change the source");
-    let inc = eng.compile(&edited, &ov_opts).unwrap();
+    let inc = eng.compile(&edited, &ov_opts);
     let clean = compile(&edited, &ov_opts).unwrap();
     assert!(!inc.recompiled.is_empty());
     assert_eq!(pretty_all(&inc.spmd), pretty_all(&clean.spmd));
@@ -359,12 +353,12 @@ mod digest_stability {
 
         let store = ArtifactStore::shared();
         let src = wide_corpus(4, 32, 4);
-        let mut a = IncrementalEngine::new().with_store(store.clone());
-        a.compile(&src, &CompileOptions::default()).unwrap();
+        let mut a = Chain::over(store.clone());
+        a.compile(&src, &CompileOptions::default());
 
         let spaced = src.replace('\n', " \n");
-        let mut b = IncrementalEngine::new().with_store(store);
-        let out = b.compile(&spaced, &CompileOptions::default()).unwrap();
+        let mut b = Chain::over(store);
+        let out = b.compile(&spaced, &CompileOptions::default());
         assert!(
             out.recompiled.is_empty(),
             "every unit should come from the shared store, recompiled {:?}",

@@ -18,6 +18,9 @@
 //! included) and *scalability* (a p=1024 stencil run that the threaded
 //! machine's O(p²) channel fabric was never sized for).
 
+mod common;
+
+use common::compile;
 use fortrand::corpus::{dgefa_matrix, dgefa_source, relax_source};
 use fortrand::{CommOpt, CompileOptions, DynOptLevel, Strategy};
 use fortrand_analysis::fixtures::{FIG1, FIG15, FIG4};
@@ -26,23 +29,6 @@ use fortrand_spmd::{try_run_spmd, Bytecode, ExecOptions, ExecOutput, Tree};
 use fortrand_trace::{MemorySink, Trace, PID_MACHINE};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-
-/// Clean compile through the `Session` facade (replaces the retired
-/// `fortrand::compile` wrapper, which is now gated behind the `legacy`
-/// cargo feature).
-fn compile(
-    source: &str,
-    opts: &fortrand::CompileOptions,
-) -> Result<fortrand::CompileOutput, fortrand::CompileError> {
-    match fortrand::Session::new(source)
-        .options(opts.clone())
-        .compile()
-    {
-        Ok(compiled) => Ok(compiled.into_output()),
-        Err(fortrand::Error::Compile(e)) => Err(e),
-        Err(e) => panic!("compile-only session hit a non-compile error: {e}"),
-    }
-}
 
 /// Asserts every simulated observable matches between two outputs.
 fn assert_identical(r: &ExecOutput, c: &ExecOutput, ctx: &str) {

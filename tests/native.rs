@@ -15,28 +15,15 @@
 //! collectives, or the stats protocol fails here. All tests skip
 //! gracefully when no `rustc` is on PATH (e.g. a minimal CI runner).
 
+mod common;
+
+use common::compile;
 use fortrand::corpus::{dgefa_matrix, dgefa_source, relax_source};
 use fortrand::{rustc_available, CommOpt, CompileOptions, DynOptLevel, Strategy};
 use fortrand_analysis::fixtures::{FIG1, FIG15, FIG4};
 use fortrand_machine::Machine;
 use fortrand_spmd::{try_run_spmd, ExecError, ExecOptions, ExecOutput, Native};
 use std::collections::BTreeMap;
-
-/// Clean compile through the `Session` facade (same shape as
-/// `tests/engines.rs`).
-fn compile(
-    source: &str,
-    opts: &fortrand::CompileOptions,
-) -> Result<fortrand::CompileOutput, fortrand::CompileError> {
-    match fortrand::Session::new(source)
-        .options(opts.clone())
-        .compile()
-    {
-        Ok(compiled) => Ok(compiled.into_output()),
-        Err(fortrand::Error::Compile(e)) => Err(e),
-        Err(e) => panic!("compile-only session hit a non-compile error: {e}"),
-    }
-}
 
 fn native_opts() -> ExecOptions {
     ExecOptions::new().backend(Native {

@@ -9,15 +9,14 @@
 //!   events;
 //! * tracing **off is free**: compiled output and run observables are
 //!   byte-identical with and without a sink attached;
-//! * the [`fortrand::Session`] facade is **equivalent to the raw**
-//!   free-function pipeline (`compile_with_trace` + `try_run_spmd`).
+//! * [`fortrand::Compiled::run`] is **equivalent to the raw** runner
+//!   (`try_run_spmd` on a hand-built machine).
 //!
 //! Regenerate the golden snapshot with
 //! `UPDATE_GOLDEN=1 cargo test --test trace`.
 
-use fortrand::{CompileOptions, Session, Strategy};
+use fortrand::{Session, Strategy};
 use fortrand_analysis::fixtures::FIG1;
-use fortrand_spmd::print::pretty_all;
 use fortrand_trace::chrome::validate;
 use fortrand_trace::{span_tree, ChromeTraceSink, MemorySink, PID_COMPILE, PID_MACHINE};
 use std::collections::BTreeMap;
@@ -175,23 +174,14 @@ fn tracing_off_and_on_produce_identical_outputs() {
     assert_eq!(r0.arrays, r1.arrays);
 }
 
-/// The facade is a veneer: it must produce the same program and the same
-/// simulated results as driving the raw pipeline functions directly.
+/// Running through the facade is a veneer: it must produce the same
+/// simulated results as handing the compiled program to the raw runner.
 #[test]
-fn session_is_equivalent_to_raw_pipeline() {
-    let raw = fortrand::compile_with_trace(
-        FIG1,
-        &CompileOptions::default(),
-        &fortrand_trace::Trace::off(),
-    )
-    .unwrap();
+fn session_run_is_equivalent_to_raw_runner() {
     let session = Session::new(FIG1).compile().unwrap();
-    assert_eq!(pretty_all(&raw.spmd), session.emit());
-    assert_eq!(raw.report.fact_hashes, session.report().fact_hashes);
-
-    let machine = fortrand_machine::Machine::new(raw.spmd.nprocs);
+    let machine = fortrand_machine::Machine::new(session.spmd().nprocs);
     let raw_run = fortrand_spmd::try_run_spmd(
-        &raw.spmd,
+        session.spmd(),
         &machine,
         &BTreeMap::new(),
         &fortrand_spmd::ExecOptions::default(),
