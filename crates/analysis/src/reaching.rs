@@ -9,17 +9,38 @@
 //! undone on return, so a procedure's reaching decompositions depend only
 //! on its callers.
 //!
-//! The inherited placeholder `⊤` of the paper is [`DecompEntry::Inherited`];
-//! after propagation it is expanded from the callee's `Reaching` set.
+//! The paper's inherited placeholder `⊤` never materialises: callers are
+//! solved before callees, so a formal's entry set is expanded from the met
+//! input before the body is walked.
+//!
+//! # Representation
+//!
+//! A fact is born at unit entry or at an `ALIGN`/`DISTRIBUTE` and holds
+//! until the next one, so the per-statement answer is stored where it
+//! changes, not at every statement. Per unit a `Timeline` keeps each
+//! statement's position in visit order and, per array, a change list
+//! `(position, set)`; the set before a statement is the last entry at or
+//! below its position ([`ReachingDecomps::at`], a binary search). Sets are
+//! `Arc`-shared between the walker's state, the change lists and every
+//! statement they hold at. Cost is O(statements + changes + arrays ×
+//! `IF`/`DO` nodes): a plain statement logs only the arrays it re-specifies,
+//! while control flow switches the walker to another whole state (the
+//! `else` branch restarts from the pre-`then` state, a join merges two), so
+//! there the log is re-synchronised against every array — a comparison of
+//! handles, not a copy of sets.
 
 use crate::acg::{Acg, CallEdge};
 use crate::framework::{self, AcgGraph, DataflowProblem, SolveStats};
 use crate::registry::Direction;
-use fortrand_frontend::ast::{SourceProgram, Stmt, StmtId, StmtKind};
+use fortrand_frontend::ast::{Expr, SourceProgram, Stmt, StmtId, StmtKind};
 use fortrand_frontend::sema::ProgramInfo;
 use fortrand_ir::dist::{Alignment, ArrayDist, DistKind, Distribution};
 use fortrand_ir::Sym;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
+
+#[cfg(test)]
+mod differential;
 
 /// A fully-resolved decomposition specification for one array: the
 /// decomposition extents, its distribution kinds, and the array's alignment
@@ -71,42 +92,114 @@ impl DecompSpec {
     }
 }
 
-/// One element of a reaching set.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Debug)]
-pub enum DecompEntry {
-    /// The paper's `⊤`: a decomposition inherited from the caller.
-    Inherited,
-    /// A concrete specification.
-    Spec(DecompSpec),
+/// A reaching set, shared by every holder.
+type SetRef = Arc<BTreeSet<DecompSpec>>;
+
+/// What reaches an array the analysis has no record of.
+static NO_SPECS: BTreeSet<DecompSpec> = BTreeSet::new();
+
+/// One unit's reaching sets before each statement, stored where they
+/// change.
+#[derive(Clone, Debug, Default)]
+struct Timeline {
+    /// Each statement's position in visit order (pre-order; a loop body
+    /// keeps the positions of its last fixpoint iteration).
+    pos: BTreeMap<StmtId, u32>,
+    /// Per array, `(position, set)`: the set reaching it before every
+    /// statement from that position up to the next entry's. Positions
+    /// strictly increase, so each entry covers at least one statement.
+    changes: BTreeMap<Sym, Vec<(u32, SetRef)>>,
 }
 
-/// Reaching set for one variable.
-pub type DecompSet = BTreeSet<DecompEntry>;
+impl Timeline {
+    fn at(&self, stmt: StmtId, array: Sym) -> Option<&BTreeSet<DecompSpec>> {
+        let pos = *self.pos.get(&stmt)?;
+        let list = self.changes.get(&array)?;
+        let upto = list.partition_point(|(from, _)| *from <= pos);
+        Some(&list[upto.checked_sub(1)?].1)
+    }
+}
 
 /// Results of the analysis.
 #[derive(Clone, Debug, Default)]
 pub struct ReachingDecomps {
     /// `Reaching(P)`: decompositions reaching each unit's formals from all
-    /// callers (fully expanded — no `Inherited` entries remain).
+    /// callers.
     pub reaching: BTreeMap<Sym, BTreeMap<Sym, BTreeSet<DecompSpec>>>,
-    /// Expanded reaching sets *before* each statement, per unit.
-    pub before_stmt: BTreeMap<(Sym, StmtId), BTreeMap<Sym, BTreeSet<DecompSpec>>>,
-    /// `LocalReaching(C)` per call site, translated to callee formals,
-    /// expanded.
+    /// `LocalReaching(C)` per call site, translated to callee formals.
     pub at_call: BTreeMap<StmtId, BTreeMap<Sym, BTreeSet<DecompSpec>>>,
+    /// Reaching sets *before* each statement, per unit.
+    timelines: BTreeMap<Sym, Timeline>,
 }
 
 impl ReachingDecomps {
-    /// The unique decomposition of `var` at `stmt` in `unit`, if exactly
+    /// The decompositions reaching `array` before `stmt` of `unit`; empty
+    /// when none does, or when the analysis never saw the triple.
+    pub fn at(&self, unit: Sym, stmt: StmtId, array: Sym) -> &BTreeSet<DecompSpec> {
+        self.timelines
+            .get(&unit)
+            .and_then(|t| t.at(stmt, array))
+            .unwrap_or(&NO_SPECS)
+    }
+
+    /// The unique decomposition of `array` at `stmt` in `unit`, if exactly
     /// one reaches (the post-cloning invariant).
-    pub fn unique_at(&self, unit: Sym, stmt: StmtId, var: Sym) -> Option<&DecompSpec> {
-        let m = self.before_stmt.get(&(unit, stmt))?;
-        let set = m.get(&var)?;
+    pub fn unique_at(&self, unit: Sym, stmt: StmtId, array: Sym) -> Option<&DecompSpec> {
+        let set = self.at(unit, stmt, array);
         if set.len() == 1 {
-            set.iter().next()
+            set.first()
         } else {
             None
         }
+    }
+
+    /// The first spec of the first reaching set of `array`, in statement
+    /// order over `unit`, that `accept` takes: what probing [`Self::at`]
+    /// statement by statement would find, in one pass over the changes.
+    pub fn first_spec(
+        &self,
+        unit: Sym,
+        array: Sym,
+        accept: impl Fn(&BTreeSet<DecompSpec>) -> bool,
+    ) -> Option<&DecompSpec> {
+        let list = self.timelines.get(&unit)?.changes.get(&array)?;
+        list.iter().find(|(_, set)| accept(set))?.1.first()
+    }
+
+    /// What the per-statement record stores: visit positions, change-list
+    /// entries and distinct shared sets. The scaling tests bound it by the
+    /// program's size.
+    pub fn stored_entries(&self) -> usize {
+        let mut sets = BTreeSet::new();
+        let mut entries = 0;
+        for t in self.timelines.values() {
+            entries += t.pos.len();
+            for (_, set) in t.changes.values().flatten() {
+                entries += 1;
+                sets.insert(Arc::as_ptr(set));
+            }
+        }
+        entries + sets.len()
+    }
+
+    /// The dense table the change lists stand for — every array's set
+    /// before every statement — for the golden fact dumps and the
+    /// differential test; O(statements × arrays), never on a compile path.
+    pub fn expand_before_stmt(
+        &self,
+    ) -> BTreeMap<(Sym, StmtId), BTreeMap<Sym, BTreeSet<DecompSpec>>> {
+        let mut dense = BTreeMap::new();
+        for (&unit, t) in &self.timelines {
+            for &stmt in t.pos.keys() {
+                let sets = t
+                    .changes
+                    .keys()
+                    .filter_map(|&a| Some((a, t.at(stmt, a)?.clone())))
+                    .collect();
+                dense.insert((unit, stmt), sets);
+            }
+        }
+        dense
     }
 }
 
@@ -122,8 +215,8 @@ struct AlignBinding {
 /// Flow state within one unit.
 #[derive(Clone, PartialEq, Debug, Default)]
 struct State {
-    /// Per-array reaching set.
-    val: BTreeMap<Sym, DecompSet>,
+    /// Per-array reaching set; cloning the state clones handles.
+    val: BTreeMap<Sym, SetRef>,
     /// Per-array current alignment.
     aligned: BTreeMap<Sym, AlignBinding>,
     /// Last distribution seen per decomposition target.
@@ -133,22 +226,19 @@ struct State {
 impl State {
     fn merge(&mut self, other: &State) {
         for (k, v) in &other.val {
-            self.val.entry(*k).or_default().extend(v.iter().cloned());
+            match self.val.get_mut(k) {
+                // Keeps the shared set when `other` adds nothing to it.
+                Some(mine) if v.is_subset(mine) => {}
+                Some(mine) => Arc::make_mut(mine).extend(v.iter().cloned()),
+                None => {
+                    self.val.insert(*k, Arc::clone(v));
+                }
+            }
         }
         // Alignment conflicts collapse to "unknown": drop the binding so a
         // later DISTRIBUTE of the target no longer updates the array.
-        let keys: Vec<Sym> = self.aligned.keys().copied().collect();
-        for k in keys {
-            if other.aligned.get(&k) != self.aligned.get(&k) {
-                self.aligned.remove(&k);
-            }
-        }
-        let dkeys: Vec<Sym> = self.dist_of.keys().copied().collect();
-        for k in dkeys {
-            if other.dist_of.get(&k) != self.dist_of.get(&k) {
-                self.dist_of.remove(&k);
-            }
-        }
+        self.aligned.retain(|k, b| other.aligned.get(k) == Some(b));
+        self.dist_of.retain(|k, d| other.dist_of.get(k) == Some(d));
     }
 }
 
@@ -219,17 +309,14 @@ impl DataflowProblem<AcgGraph<'_>> for ReachingProblem<'_> {
         let ui = self.info.unit(n);
 
         // Entry state: formals inherit (expanded immediately from the
-        // met input); locals start replicated (empty set).
+        // met input); locals start replicated (one shared empty set).
         let mut st = State::default();
+        let replicated = SetRef::default();
         for (&v, vi) in &ui.vars {
             if vi.is_array() {
-                let set = if vi.is_formal {
-                    input
-                        .get(&v)
-                        .map(|s| s.iter().cloned().map(DecompEntry::Spec).collect())
-                        .unwrap_or_default()
-                } else {
-                    DecompSet::new()
+                let set = match input.get(&v) {
+                    Some(specs) if vi.is_formal => Arc::new(specs.clone()),
+                    _ => Arc::clone(&replicated),
                 };
                 st.val.insert(v, set);
                 st.aligned.insert(
@@ -243,12 +330,16 @@ impl DataflowProblem<AcgGraph<'_>> for ReachingProblem<'_> {
         }
 
         let mut walker = Walker {
-            prog: self.prog,
             info: self.info,
             unit_name: n,
-            out: &mut self.out,
+            at_call: &mut self.out.at_call,
+            line: Timeline::default(),
+            next: 0,
         };
+        walker.log_all(&st);
         walker.exec_body(&unit.body, &mut st);
+        let timeline = walker.finish();
+        self.out.timelines.insert(n, timeline);
         input
     }
 }
@@ -276,44 +367,69 @@ pub fn compute_with_stats(
     (problem.out, stats)
 }
 
+/// Drops the entries of a change list at or past `next`, the position the
+/// next visited statement takes. They cover no statement: superseded before
+/// a statement saw them, or left by the loop iteration being walked again.
+fn drop_uncovered(list: &mut Vec<(u32, SetRef)>, next: u32) {
+    list.truncate(list.partition_point(|(from, _)| *from < next));
+}
+
+/// Walks one unit's body. Invariant between any two steps: for every
+/// array, the last entry of its change list is the set the current state
+/// holds for it.
 struct Walker<'a> {
-    prog: &'a SourceProgram,
     info: &'a ProgramInfo,
     unit_name: Sym,
-    out: &'a mut ReachingDecomps,
+    at_call: &'a mut BTreeMap<StmtId, BTreeMap<Sym, BTreeSet<DecompSpec>>>,
+    /// The unit's timeline so far.
+    line: Timeline,
+    /// The position the next visited statement takes.
+    next: u32,
 }
 
 impl Walker<'_> {
-    fn record(&mut self, stmt: StmtId, st: &State) {
-        let expanded: BTreeMap<Sym, BTreeSet<DecompSpec>> = st
-            .val
-            .iter()
-            .map(|(&v, set)| {
-                (
-                    v,
-                    set.iter()
-                        .filter_map(|e| match e {
-                            DecompEntry::Spec(s) => Some(s.clone()),
-                            DecompEntry::Inherited => None,
-                        })
-                        .collect(),
-                )
-            })
-            .collect();
-        self.out
-            .before_stmt
-            .insert((self.unit_name, stmt), expanded);
+    /// Logs that `set` reaches `array` before the next visited statement.
+    fn log(&mut self, array: Sym, set: &SetRef) {
+        let list = self.line.changes.entry(array).or_default();
+        drop_uncovered(list, self.next);
+        if list.last().map(|(_, last)| last) != Some(set) {
+            list.push((self.next, Arc::clone(set)));
+        }
+    }
+
+    /// Re-establishes the invariant after the walker switched to, or
+    /// merged into, a whole other state.
+    fn log_all(&mut self, st: &State) {
+        for (&array, set) in &st.val {
+            self.log(array, set);
+        }
+    }
+
+    /// `array` is re-specified: exactly `spec` reaches it from here on.
+    fn respecify(&mut self, st: &mut State, array: Sym, spec: DecompSpec) {
+        let set = Arc::new(BTreeSet::from([spec]));
+        self.log(array, &set);
+        st.val.insert(array, set);
+    }
+
+    /// The finished timeline: what was logged after the last statement
+    /// goes.
+    fn finish(mut self) -> Timeline {
+        for list in self.line.changes.values_mut() {
+            drop_uncovered(list, self.next);
+        }
+        self.line
     }
 
     fn exec_body(&mut self, body: &[Stmt], st: &mut State) {
         for s in body {
-            self.record(s.id, st);
+            self.line.pos.insert(s.id, self.next);
+            self.next += 1;
             self.exec_stmt(s, st);
         }
     }
 
     fn exec_stmt(&mut self, s: &Stmt, st: &mut State) {
-        let ui = self.info.unit(self.unit_name);
         match &s.kind {
             StmtKind::Align {
                 array,
@@ -321,31 +437,29 @@ impl Walker<'_> {
                 perm,
                 offset,
             } => {
+                let align = Alignment {
+                    perm: perm.clone(),
+                    offset: offset.clone(),
+                };
                 st.aligned.insert(
                     *array,
                     AlignBinding {
                         target: *target,
-                        align: Alignment {
-                            perm: perm.clone(),
-                            offset: offset.clone(),
-                        },
+                        align: align.clone(),
                     },
                 );
                 // If the target is already distributed, the array picks up
                 // that distribution immediately.
                 if let Some(kinds) = st.dist_of.get(target).cloned() {
                     let extents = self.target_extents(*target);
-                    st.val.insert(
+                    self.respecify(
+                        st,
                         *array,
-                        [DecompEntry::Spec(DecompSpec {
+                        DecompSpec {
                             extents,
                             kinds,
-                            align: Alignment {
-                                perm: perm.clone(),
-                                offset: offset.clone(),
-                            },
-                        })]
-                        .into(),
+                            align,
+                        },
                     );
                 }
             }
@@ -361,21 +475,23 @@ impl Walker<'_> {
                     .map(|(&a, b)| (a, b.align.clone()))
                     .collect();
                 for (a, align) in affected {
-                    st.val.insert(
+                    self.respecify(
+                        st,
                         a,
-                        [DecompEntry::Spec(DecompSpec {
+                        DecompSpec {
                             extents: extents.clone(),
                             kinds: kinds.clone(),
                             align,
-                        })]
-                        .into(),
+                        },
                     );
                 }
-                let _ = ui;
             }
             StmtKind::Do { body, .. } => {
                 // Loop: iterate to fixpoint (the lattice is small and the
                 // transfer functions are monotone after the first kill).
+                // Every iteration walks the body over the same positions,
+                // so the last visit is the one on record.
+                let start = self.next;
                 loop {
                     let before = st.clone();
                     self.exec_body(body, st);
@@ -383,7 +499,10 @@ impl Walker<'_> {
                     if *st == before {
                         break;
                     }
+                    self.next = start;
+                    self.log_all(st);
                 }
+                self.log_all(st);
             }
             StmtKind::If {
                 then_body,
@@ -392,31 +511,25 @@ impl Walker<'_> {
             } => {
                 let mut st_else = st.clone();
                 self.exec_body(then_body, st);
+                // The else branch starts from the state before the IF.
+                self.log_all(&st_else);
                 self.exec_body(else_body, &mut st_else);
                 st.merge(&st_else);
+                self.log_all(st);
             }
             StmtKind::Call { name, args } => {
                 // LocalReaching(C), translated to callee formals.
                 let callee_info = self.info.unit(*name);
-                let mut translated: BTreeMap<Sym, BTreeSet<DecompSpec>> = BTreeMap::new();
+                let bound = self.at_call.entry(s.id).or_default();
                 for (i, a) in args.iter().enumerate() {
-                    if let fortrand_frontend::ast::Expr::Var(v) = a {
+                    if let Expr::Var(v) = a {
                         if let Some(set) = st.val.get(v) {
-                            let formal = callee_info.formals[i];
-                            let specs: BTreeSet<DecompSpec> = set
-                                .iter()
-                                .filter_map(|e| match e {
-                                    DecompEntry::Spec(s) => Some(s.clone()),
-                                    DecompEntry::Inherited => None,
-                                })
-                                .collect();
-                            translated.entry(formal).or_default().extend(specs);
+                            bound
+                                .entry(callee_info.formals[i])
+                                .or_default()
+                                .extend(set.iter().cloned());
                         }
                     }
-                }
-                let prev = self.out.at_call.entry(s.id).or_default();
-                for (f, set) in translated {
-                    prev.entry(f).or_default().extend(set);
                 }
                 // The callee may dynamically remap, but its effects are
                 // undone on return (Fortran D scoping) — caller state is
@@ -436,7 +549,6 @@ impl Walker<'_> {
         if let Some(v) = ui.var(target) {
             return v.dims.clone();
         }
-        let _ = self.prog;
         vec![]
     }
 }
@@ -514,7 +626,7 @@ mod tests {
             .walk()
             .find(|s| matches!(s.kind, fortrand_frontend::StmtKind::Do { .. }))
             .unwrap();
-        let at = &rd.before_stmt[&(f1, do_stmt.id)][&x];
+        let at = rd.at(f1, do_stmt.id, x);
         assert_eq!(at.len(), 1);
         assert_eq!(at.iter().next().unwrap().kinds, vec![DistKind::Cyclic]);
     }
@@ -532,7 +644,7 @@ mod tests {
         let pn = p.interner.get("p").unwrap();
         let a = p.interner.get("a").unwrap();
         let first = p.unit(pn).unwrap().body[0].id;
-        assert!(rd.before_stmt[&(pn, first)][&a].is_empty());
+        assert!(rd.at(pn, first, a).is_empty());
     }
 
     #[test]
@@ -562,7 +674,7 @@ mod tests {
             .rev()
             .find(|s| matches!(s.kind, fortrand_frontend::StmtKind::Assign { .. }))
             .unwrap();
-        let set = &rd.before_stmt[&(pn, assign.id)][&a];
+        let set = rd.at(pn, assign.id, a);
         assert_eq!(set.len(), 2, "{set:?}");
     }
 

@@ -366,14 +366,16 @@ fn main() {
         if threads == 1 {
             println!("(single-core host: the parallel schedule cannot beat sequential here)");
         }
-        // Best-of-3 wall-clock for each mode.
-        let best = |f: &mut dyn FnMut() -> std::time::Duration| (0..3).map(|_| f()).min().unwrap();
-        let seq = best(&mut || {
+        // Best-of-n wall-clock: 3 for each mode here, 5 for the wide block.
+        let best_of = |n: usize, f: &mut dyn FnMut() -> std::time::Duration| {
+            (0..n).map(|_| f()).min().unwrap()
+        };
+        let seq = best_of(3, &mut || {
             let t0 = std::time::Instant::now();
             compile(&src, &CompileOptions::default()).unwrap();
             t0.elapsed()
         });
-        let par = best(&mut || {
+        let par = best_of(3, &mut || {
             let t0 = std::time::Instant::now();
             compile(
                 &src,
@@ -389,7 +391,7 @@ fn main() {
         let mut chain = fortrand_bench::Chain::default();
         chain.compile(&src, &CompileOptions::default());
         let mut flip = false;
-        let inc = best(&mut || {
+        let inc = best_of(3, &mut || {
             flip = !flip;
             let s: &str = if flip { &edited } else { &src };
             let t0 = std::time::Instant::now();
@@ -412,6 +414,50 @@ fn main() {
             seq.as_secs_f64() / inc.as_secs_f64(),
             last.recompiled.len(),
             last.reused.len()
+        );
+
+        // The benchmark's `wide_u300` program: analysis-dominated (600
+        // arrays and 900 statements in the main program), which the
+        // 24-leaf rows above do not show.
+        let procs = 300;
+        let src = wide_corpus(procs, 256, 4);
+        println!("\ncorpus: {procs} independent leaf procedures + root; best of 5");
+        let cold = best_of(5, &mut || {
+            let t0 = std::time::Instant::now();
+            compile(&src, &CompileOptions::default()).unwrap();
+            t0.elapsed()
+        });
+        // One store under every recompile, and a coefficient it has not
+        // seen each time: always exactly one leaf to generate.
+        let mut chain = fortrand_bench::Chain::default();
+        chain.compile(&src, &CompileOptions::default());
+        let mut edits = 0;
+        let mut last = None;
+        let inc = best_of(5, &mut || {
+            edits += 1;
+            let edited = src.replacen("0.5 * (u(i)", &format!("0.5{edits} * (u(i)"), 1);
+            let t0 = std::time::Instant::now();
+            last = Some(chain.compile(&edited, &CompileOptions::default()));
+            t0.elapsed()
+        });
+        let last = last.expect("five recompiles ran");
+        let (prog, info) = fortrand_frontend::load_program(&src).unwrap();
+        let acg = build_acg(&prog, &info).unwrap();
+        let stored = reaching::compute(&prog, &info, &acg).stored_entries();
+        println!(
+            "cold compile          {:>10.3} ms",
+            cold.as_secs_f64() * 1e3
+        );
+        println!(
+            "one-leaf recompile    {:>10.3} ms  ({:.2}x vs cold, {} recompiled / {} reused, store-backed, edit unseen)",
+            inc.as_secs_f64() * 1e3,
+            cold.as_secs_f64() / inc.as_secs_f64(),
+            last.recompiled.len(),
+            last.reused.len()
+        );
+        println!(
+            "reaching stored entries {stored:>8}     (a table of every array at every statement: {})",
+            6 * procs * procs + 8 * procs
         );
     }
     if want("sec9") {

@@ -382,17 +382,11 @@ impl<'a, 'b> UnitCompiler<'a, 'b> {
     /// The unique decomposition spec of `array` at `stmt` (None =
     /// replicated).
     fn spec_at(&self, stmt: StmtId, array: Sym) -> R<Option<DecompSpec>> {
-        let set = self
-            .ctx
-            .reaching
-            .before_stmt
-            .get(&(self.unit.name, stmt))
-            .and_then(|m| m.get(&array));
-        match set {
-            None => Ok(None),
-            Some(s) if s.is_empty() => Ok(None),
-            Some(s) if s.len() == 1 => Ok(Some(s.iter().next().unwrap().clone())),
-            Some(_) => Err(CodegenError::at(
+        let set = self.ctx.reaching.at(self.unit.name, stmt, array);
+        match set.len() {
+            0 => Ok(None),
+            1 => Ok(set.first().cloned()),
+            _ => Err(CodegenError::at(
                 self.unit.line,
                 format!(
                     "multiple decompositions reach `{}` (cloning limit hit?)",
@@ -436,12 +430,11 @@ impl<'a, 'b> UnitCompiler<'a, 'b> {
             }
             // Locals (and main arrays): the first spec ever established.
             if spec.is_none() {
-                for st in self.unit.walk() {
-                    if let Ok(Some(s)) = self.spec_at(st.id, a) {
-                        spec = Some(s);
-                        break;
-                    }
-                }
+                spec = self
+                    .ctx
+                    .reaching
+                    .first_spec(self.unit.name, a, |set| set.len() == 1)
+                    .cloned();
             }
             let extents = self.ui.var(a).unwrap().dims.clone();
             let dist = match &spec {
@@ -484,21 +477,11 @@ impl<'a, 'b> UnitCompiler<'a, 'b> {
             .map(|(&s, _)| s)
             .collect();
         for a in arrays {
-            let mut spec: Option<DecompSpec> = None;
-            for st in self.unit.walk() {
-                if let Some(set) = self
-                    .ctx
-                    .reaching
-                    .before_stmt
-                    .get(&(self.unit.name, st.id))
-                    .and_then(|m| m.get(&a))
-                {
-                    if let Some(s) = set.iter().next() {
-                        spec = Some(s.clone());
-                        break;
-                    }
-                }
-            }
+            let mut spec = self
+                .ctx
+                .reaching
+                .first_spec(self.unit.name, a, |set| !set.is_empty())
+                .cloned();
             if spec.is_none() {
                 if let Some(set) = self
                     .ctx
@@ -525,16 +508,8 @@ impl<'a, 'b> UnitCompiler<'a, 'b> {
     /// decomposition at the statement — run-time resolution then treats
     /// it as distributed with dynamic ownership.
     fn rtr_is_distributed(&self, stmt: StmtId, array: Sym) -> bool {
-        if let Some(set) = self
-            .ctx
-            .reaching
-            .before_stmt
-            .get(&(self.unit.name, stmt))
-            .and_then(|m| m.get(&array))
-        {
-            if !set.is_empty() {
-                return true;
-            }
+        if !self.ctx.reaching.at(self.unit.name, stmt, array).is_empty() {
+            return true;
         }
         self.ctx
             .reaching

@@ -510,6 +510,8 @@ pub(crate) fn compile(
             }
         }
     }
+    // Inside the span: tearing the analysis down is part of the compile.
+    drop(an);
     drop(root);
     Ok(CompileOutput {
         spmd,
@@ -629,14 +631,12 @@ fn facts_reaching(ctx: &Ctx, name: Sym) -> String {
 /// rendering over every formal, for the monolithic hash.
 fn facts_constants(ctx: &Ctx, name: Sym, mention_hay: &str) -> (String, String) {
     let (mut mentioned, mut all) = (String::new(), String::new());
-    for (&(unit, f), v) in &ctx.consts.formals {
-        if unit == name {
-            let entry = format!("{f:?}={v};");
-            if mention_hay.contains(&format!("{f:?}")) {
-                mentioned.push_str(&entry);
-            }
-            all.push_str(&entry);
+    for (&(_, f), v) in ctx.consts.formals.range(unit_keys(name)) {
+        let entry = format!("{f:?}={v};");
+        if mention_hay.contains(&format!("{f:?}")) {
+            mentioned.push_str(&entry);
         }
+        all.push_str(&entry);
     }
     (mentioned, all)
 }
@@ -644,12 +644,15 @@ fn facts_constants(ctx: &Ctx, name: Sym, mention_hay: &str) -> (String, String) 
 /// The overlap-widths fact class.
 fn facts_overlaps(ctx: &Ctx, name: Sym) -> String {
     let mut s = String::new();
-    for ((unit, arr), w) in &ctx.overlaps.widths {
-        if *unit == name {
-            s.push_str(&format!("{arr:?}:{w:?};"));
-        }
+    for ((_, arr), w) in ctx.overlaps.widths.range(unit_keys(name)) {
+        s.push_str(&format!("{arr:?}:{w:?};"));
     }
     s
+}
+
+/// Every `(unit, _)` key of a map ordered by `(unit, symbol)`.
+fn unit_keys(unit: Sym) -> std::ops::RangeInclusive<(Sym, Sym)> {
+    (unit, Sym(0))..=(unit, Sym(u32::MAX))
 }
 
 /// The callee-residuals fact class: the delayed-instantiation summaries

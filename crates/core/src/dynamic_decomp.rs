@@ -300,11 +300,7 @@ fn build_events(
                     };
                     // Spec needed before the call.
                     let before_spec = cs.before.iter().find(|(bf, _)| *bf == f).map(|(_, s)| s);
-                    let inherited = reaching
-                        .before_stmt
-                        .get(&(unit, st.id))
-                        .and_then(|m| m.get(v))
-                        .and_then(|s| if s.len() == 1 { s.iter().next() } else { None });
+                    let inherited = reaching.unique_at(unit, st.id, *v);
                     if let Some(spec) = before_spec {
                         out.push(Ev::Remap {
                             array: *v,
@@ -353,12 +349,7 @@ fn build_events(
                     if !ui.is_array(v) {
                         continue;
                     }
-                    if let Some(spec) = reaching
-                        .before_stmt
-                        .get(&(unit, st.id))
-                        .and_then(|m| m.get(&v))
-                        .and_then(|s| if s.len() == 1 { s.iter().next() } else { None })
-                    {
+                    if let Some(spec) = reaching.unique_at(unit, st.id, v) {
                         out.push(Ev::Use {
                             array: v,
                             spec: spec.clone(),

@@ -17,7 +17,7 @@
 mod common;
 
 use common::compile;
-use fortrand::corpus::{dgefa_source, relax_source};
+use fortrand::corpus::{dgefa_source, relax_source, wide_corpus};
 use fortrand::CompileOptions;
 use fortrand_analysis::acg::build_acg;
 use fortrand_analysis::fixtures::{FIG1, FIG15, FIG4};
@@ -66,7 +66,7 @@ fn dump_analysis_facts(src: &str) -> String {
     writeln!(out, "== reaching: unit -> formal -> decomposition specs ==").unwrap();
     writeln!(out, "{:#?}", reaching.reaching).unwrap();
     writeln!(out, "== reaching: statement -> array -> specs ==").unwrap();
-    writeln!(out, "{:#?}", reaching.before_stmt).unwrap();
+    writeln!(out, "{:#?}", reaching.expand_before_stmt()).unwrap();
     writeln!(out, "== reaching: call site -> formal -> specs ==").unwrap();
     writeln!(out, "{:#?}", reaching.at_call).unwrap();
     writeln!(out, "== interprocedural constants ==").unwrap();
@@ -143,4 +143,38 @@ fn dgefa_comm_facts() {
         "facts_comm_dgefa.txt",
         &dump_comm_facts(&dgefa_source(64, 4)),
     );
+}
+
+/// The per-statement reaching record is stored where it changes, so it
+/// grows with the program — statements plus arrays — and not with their
+/// product. A table of every array at every statement holds 6p² + 8p
+/// entries for these programs (15 400, 60 800, 241 600) and meets neither
+/// bound.
+#[test]
+fn reaching_record_grows_with_the_program_not_statements_times_arrays() {
+    let mut smaller: Option<usize> = None;
+    for p in [50, 100, 200] {
+        let (prog, info) = load_program(&wide_corpus(p, 64, 4)).unwrap();
+        let acg = build_acg(&prog, &info).unwrap();
+        let stored = reaching::compute(&prog, &info, &acg).stored_entries();
+        let size: usize = prog
+            .units
+            .iter()
+            .map(|u| {
+                let arrays = info.unit(u.name).vars.values().filter(|v| v.is_array());
+                u.walk().count() + arrays.count()
+            })
+            .sum();
+        assert!(
+            stored <= 8 * size,
+            "p={p}: {stored} entries for {size} statements + arrays"
+        );
+        if let Some(smaller) = smaller {
+            assert!(
+                10 * stored <= 22 * smaller,
+                "p={p}: {stored} entries, more than double (+10 %) the {smaller} of p/2"
+            );
+        }
+        smaller = Some(stored);
+    }
 }
