@@ -264,3 +264,76 @@ fn opt_report_reflects_elimination() {
     assert_eq!(off.report.comm.eliminated, 0);
     assert_eq!(off.report.comm.level, CommOpt::Off);
 }
+
+/// What the optimizer decided, per program and level, pinned as a table.
+/// The goldens catch a change in printed code; this catches an
+/// optimization that silently stops firing on a program no golden prints.
+#[test]
+fn opt_report_counters_are_pinned() {
+    use fortrand_analysis::fixtures::{FIG1, FIG15};
+    let programs = [
+        ("dgefa", dgefa_source(64, 4)),
+        ("relax", relax_source(32, 2, 3, 4)),
+        ("adi", adi_source(12, 2, 4)),
+        ("wide", wide_corpus(8, 64, 4)),
+        ("fig1", FIG1.to_string()),
+        ("fig4", FIG4.to_string()),
+        ("fig15", FIG15.to_string()),
+    ];
+    let mut table = String::new();
+    for (what, src) in &programs {
+        for level in [
+            CommOpt::Off,
+            CommOpt::Coalesce,
+            CommOpt::Full,
+            CommOpt::Overlap,
+        ] {
+            let out = compile(src, &CompileOptions::builder().comm_opt(level).build())
+                .unwrap_or_else(|e| panic!("{what} at {level:?}: {e}"));
+            let c = &out.report.comm;
+            table.push_str(&format!(
+                "{what} {}: elim={} coal={} hoist={} ovl={} posts={} waits={} pipe={}\n",
+                level.as_str(),
+                c.eliminated,
+                c.coalesced,
+                c.hoisted,
+                c.overlapped,
+                c.posts_hoisted,
+                c.waits_sunk,
+                c.pipelined_loops
+            ));
+        }
+    }
+    assert_eq!(table, OPT_COUNTERS, "optimizer decisions changed:\n{table}");
+}
+
+const OPT_COUNTERS: &str = "\
+dgefa off: elim=0 coal=0 hoist=0 ovl=0 posts=0 waits=0 pipe=0\n\
+dgefa coalesce: elim=0 coal=0 hoist=0 ovl=0 posts=0 waits=0 pipe=0\n\
+dgefa full: elim=1 coal=0 hoist=0 ovl=0 posts=0 waits=0 pipe=0\n\
+dgefa overlap: elim=1 coal=0 hoist=0 ovl=0 posts=0 waits=0 pipe=1\n\
+relax off: elim=0 coal=0 hoist=0 ovl=0 posts=0 waits=0 pipe=0\n\
+relax coalesce: elim=0 coal=0 hoist=0 ovl=0 posts=0 waits=0 pipe=0\n\
+relax full: elim=0 coal=0 hoist=0 ovl=0 posts=0 waits=0 pipe=0\n\
+relax overlap: elim=0 coal=0 hoist=0 ovl=4 posts=0 waits=0 pipe=0\n\
+adi off: elim=0 coal=0 hoist=0 ovl=0 posts=0 waits=0 pipe=0\n\
+adi coalesce: elim=0 coal=0 hoist=0 ovl=0 posts=0 waits=0 pipe=0\n\
+adi full: elim=0 coal=0 hoist=0 ovl=0 posts=0 waits=0 pipe=0\n\
+adi overlap: elim=0 coal=0 hoist=0 ovl=0 posts=0 waits=0 pipe=0\n\
+wide off: elim=0 coal=0 hoist=0 ovl=0 posts=0 waits=0 pipe=0\n\
+wide coalesce: elim=0 coal=0 hoist=0 ovl=0 posts=0 waits=0 pipe=0\n\
+wide full: elim=0 coal=0 hoist=0 ovl=0 posts=0 waits=0 pipe=0\n\
+wide overlap: elim=0 coal=0 hoist=0 ovl=32 posts=0 waits=0 pipe=0\n\
+fig1 off: elim=0 coal=0 hoist=0 ovl=0 posts=0 waits=0 pipe=0\n\
+fig1 coalesce: elim=0 coal=0 hoist=0 ovl=0 posts=0 waits=0 pipe=0\n\
+fig1 full: elim=0 coal=0 hoist=0 ovl=0 posts=0 waits=0 pipe=0\n\
+fig1 overlap: elim=0 coal=0 hoist=0 ovl=2 posts=0 waits=0 pipe=0\n\
+fig4 off: elim=0 coal=0 hoist=0 ovl=0 posts=0 waits=0 pipe=0\n\
+fig4 coalesce: elim=0 coal=0 hoist=0 ovl=0 posts=0 waits=0 pipe=0\n\
+fig4 full: elim=0 coal=0 hoist=0 ovl=0 posts=0 waits=0 pipe=0\n\
+fig4 overlap: elim=0 coal=0 hoist=0 ovl=2 posts=0 waits=0 pipe=0\n\
+fig15 off: elim=0 coal=0 hoist=0 ovl=0 posts=0 waits=0 pipe=0\n\
+fig15 coalesce: elim=0 coal=0 hoist=0 ovl=0 posts=0 waits=0 pipe=0\n\
+fig15 full: elim=0 coal=0 hoist=0 ovl=0 posts=0 waits=0 pipe=0\n\
+fig15 overlap: elim=0 coal=0 hoist=0 ovl=0 posts=0 waits=0 pipe=0\n\
+";
