@@ -34,7 +34,7 @@ use fortrand_frontend::parse_program;
 use fortrand_frontend::sema::ProgramInfo;
 use fortrand_frontend::SourceProgram;
 use fortrand_ir::Sym;
-use fortrand_spmd::ir::{SStmt, SpmdProgram};
+use fortrand_spmd::ir::{walk_stmts, MsgKind, SStmt, SpmdProgram};
 use fortrand_spmd::opt::{self, CommOpt, OptReport};
 use fortrand_trace::{Trace, PID_COMPILE};
 use std::collections::hash_map::DefaultHasher;
@@ -680,28 +680,17 @@ fn mention_haystack(u: &fortrand_frontend::ProcUnit) -> String {
     s
 }
 
+/// Static message counts: a posted operation counts as the message it
+/// initiates, its wait as nothing, so the figures survive `CommOpt::Overlap`.
 fn count_static(body: &[SStmt], r: &mut CompileReport) {
-    for s in body {
-        match s {
-            SStmt::Send { .. } => r.static_sends += 1,
-            SStmt::Bcast { .. } | SStmt::BcastScalar { .. } | SStmt::BcastPack { .. } => {
-                r.static_bcasts += 1
-            }
-            SStmt::SendElem { .. } => r.static_elem_msgs += 1,
-            SStmt::Remap { .. } | SStmt::RemapGlobal { .. } => r.static_remaps += 1,
-            SStmt::MarkDist { .. } => r.static_marks += 1,
-            SStmt::Do { body, .. } => count_static(body, r),
-            SStmt::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                count_static(then_body, r);
-                count_static(else_body, r);
-            }
-            _ => {}
-        }
-    }
+    walk_stmts(body, &mut |s| match s.msg_kind() {
+        Some(MsgKind::Send { .. }) => r.static_sends += 1,
+        Some(MsgKind::Bcast) => r.static_bcasts += 1,
+        Some(MsgKind::ElemSend { .. }) => r.static_elem_msgs += 1,
+        Some(MsgKind::Remap) => r.static_remaps += 1,
+        Some(MsgKind::Mark) => r.static_marks += 1,
+        Some(MsgKind::Recv { .. } | MsgKind::ElemRecv { .. } | MsgKind::Wait) | None => {}
+    });
 }
 
 /// A stable structural fingerprint of a unit (names + declarations +

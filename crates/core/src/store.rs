@@ -19,7 +19,7 @@
 
 use crate::model::{DynDecompSummary, Residual};
 use fortrand_ir::dist::ArrayDist;
-use fortrand_spmd::ir::{SProc, SStmt};
+use fortrand_spmd::ir::{walk_stmts, SProc};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
@@ -49,22 +49,11 @@ impl CachedUnit {
     /// plus the side tables), not an exact measurement: eviction only
     /// needs relative sizes to be sane.
     pub(crate) fn approx_cost(&self) -> usize {
-        fn stmts(body: &[SStmt]) -> usize {
-            body.iter()
-                .map(|s| match s {
-                    SStmt::Do { body, .. } => 1 + stmts(body),
-                    SStmt::If {
-                        then_body,
-                        else_body,
-                        ..
-                    } => 1 + stmts(then_body) + stmts(else_body),
-                    _ => 1,
-                })
-                .sum()
-        }
+        let mut stmts = 0;
+        walk_stmts(&self.proc.body, &mut |_| stmts += 1);
         let names: usize = self.names.iter().map(|n| n.len() + 24).sum();
         let callees: usize = self.callees.iter().map(|n| n.len() + 24).sum();
-        stmts(&self.proc.body) * 96
+        stmts * 96
             + self.proc.decls.len() * 48
             + self.proc.formals.len() * 8
             + self.dists.len() * 64

@@ -43,29 +43,12 @@ pub(crate) fn emit_program(prog: &SpmdProgram) -> String {
 /// tuple) so any caller can pick the ones its own `copy_out` list names.
 fn collect_copy_outs(prog: &SpmdProgram) -> Vec<Vec<Sym>> {
     let mut sets: Vec<BTreeSet<Sym>> = vec![BTreeSet::new(); prog.procs.len()];
-    fn walk(body: &[SStmt], sets: &mut [BTreeSet<Sym>]) {
-        for s in body {
-            match s {
-                SStmt::Call { proc, copy_out, .. } => {
-                    for (f, _) in copy_out {
-                        sets[*proc].insert(*f);
-                    }
-                }
-                SStmt::Do { body, .. } => walk(body, sets),
-                SStmt::If {
-                    then_body,
-                    else_body,
-                    ..
-                } => {
-                    walk(then_body, sets);
-                    walk(else_body, sets);
-                }
-                _ => {}
-            }
-        }
-    }
     for p in &prog.procs {
-        walk(&p.body, &mut sets);
+        walk_operands(&p.body, &mut |op| {
+            if let Operand::CopyOut { callee, formal, .. } = op {
+                sets[callee].insert(formal);
+            }
+        });
     }
     sets.into_iter().map(|s| s.into_iter().collect()).collect()
 }
@@ -107,86 +90,19 @@ struct Emitter<'a> {
 /// has left behind). Such nests are safe to run with their arrays taken
 /// out of the heap into locals.
 fn localizable(body: &[SStmt]) -> bool {
-    body.iter().all(|s| match s {
-        SStmt::Comment(_) => true,
-        SStmt::Assign { lhs, rhs } => {
-            let lv = match lhs {
-                SLval::Scalar(_) => false,
-                SLval::Elem { subs, .. } => subs.iter().any(expr_has_curowner),
-            };
-            !lv && !expr_has_curowner(rhs)
+    let mut ok = true;
+    walk_stmts(body, &mut |s| {
+        ok &= matches!(
+            s,
+            SStmt::Comment(_) | SStmt::Assign { .. } | SStmt::Do { .. } | SStmt::If { .. }
+        );
+    });
+    walk_operands(body, &mut |op| {
+        if let Operand::Expr(e) = op {
+            e.walk(&mut |x| ok &= !matches!(x, SExpr::CurOwner { .. }));
         }
-        SStmt::Do { lo, hi, body, .. } => {
-            !expr_has_curowner(lo) && !expr_has_curowner(hi) && localizable(body)
-        }
-        SStmt::If {
-            cond,
-            then_body,
-            else_body,
-        } => !expr_has_curowner(cond) && localizable(then_body) && localizable(else_body),
-        _ => false,
-    })
-}
-
-fn expr_has_curowner(e: &SExpr) -> bool {
-    match e {
-        SExpr::CurOwner { .. } => true,
-        SExpr::Bin { l, r, .. } => expr_has_curowner(l) || expr_has_curowner(r),
-        SExpr::Neg(x) | SExpr::Not(x) => expr_has_curowner(x),
-        SExpr::Intr { args, .. } => args.iter().any(expr_has_curowner),
-        SExpr::Elem { subs, .. } | SExpr::Owner { subs, .. } => subs.iter().any(expr_has_curowner),
-        SExpr::LocalIdx { sub, .. } => expr_has_curowner(sub),
-        _ => false,
-    }
-}
-
-/// Every array referenced (read or written) anywhere in a loop nest.
-fn nest_arrays(body: &[SStmt], out: &mut BTreeSet<Sym>) {
-    fn in_expr(e: &SExpr, out: &mut BTreeSet<Sym>) {
-        match e {
-            SExpr::Elem { array, subs } => {
-                out.insert(*array);
-                subs.iter().for_each(|s| in_expr(s, out));
-            }
-            SExpr::Bin { l, r, .. } => {
-                in_expr(l, out);
-                in_expr(r, out);
-            }
-            SExpr::Neg(x) | SExpr::Not(x) => in_expr(x, out),
-            SExpr::Intr { args, .. } => args.iter().for_each(|a| in_expr(a, out)),
-            SExpr::Owner { subs, .. } | SExpr::CurOwner { subs, .. } => {
-                subs.iter().for_each(|s| in_expr(s, out));
-            }
-            SExpr::LocalIdx { sub, .. } => in_expr(sub, out),
-            _ => {}
-        }
-    }
-    for s in body {
-        match s {
-            SStmt::Assign { lhs, rhs } => {
-                if let SLval::Elem { array, subs } = lhs {
-                    out.insert(*array);
-                    subs.iter().for_each(|x| in_expr(x, out));
-                }
-                in_expr(rhs, out);
-            }
-            SStmt::Do { lo, hi, body, .. } => {
-                in_expr(lo, out);
-                in_expr(hi, out);
-                nest_arrays(body, out);
-            }
-            SStmt::If {
-                cond,
-                then_body,
-                else_body,
-            } => {
-                in_expr(cond, out);
-                nest_arrays(then_body, out);
-                nest_arrays(else_body, out);
-            }
-            _ => {}
-        }
-    }
+    });
+    ok
 }
 
 impl<'a> Emitter<'a> {
@@ -596,7 +512,9 @@ impl<'a> Emitter<'a> {
                 // reloads the array base and bounds.
                 let arrays: Vec<Sym> = if self.rebound.is_empty() && localizable(body) {
                     let mut set = BTreeSet::new();
-                    nest_arrays(body, &mut set);
+                    walk_array_mentions(body, &mut |name, _| {
+                        set.insert(name);
+                    });
                     set.into_iter().collect()
                 } else {
                     Vec::new()
@@ -1114,168 +1032,10 @@ impl<'a> Emitter<'a> {
     /// uninitialized scalars still need a declaration, defaulting to the
     /// interpreter's `I(0)`).
     fn collect_scalars(&self, idx: usize) -> BTreeSet<Sym> {
-        let mut out: BTreeSet<Sym> = BTreeSet::new();
-        for s in &self.copy_outs[idx] {
-            out.insert(*s);
-        }
-        fn expr_syms(e: &SExpr, out: &mut BTreeSet<Sym>) {
-            match e {
-                SExpr::Var(s) => {
-                    out.insert(*s);
-                }
-                SExpr::Elem { subs, .. } | SExpr::Owner { subs, .. } => {
-                    for s in subs {
-                        expr_syms(s, out);
-                    }
-                }
-                SExpr::CurOwner { subs, .. } => {
-                    for s in subs {
-                        expr_syms(s, out);
-                    }
-                }
-                SExpr::Bin { l, r, .. } => {
-                    expr_syms(l, out);
-                    expr_syms(r, out);
-                }
-                SExpr::Neg(x) | SExpr::Not(x) => expr_syms(x, out),
-                SExpr::Intr { args, .. } => {
-                    for a in args {
-                        expr_syms(a, out);
-                    }
-                }
-                SExpr::LocalIdx { sub, .. } => expr_syms(sub, out),
-                _ => {}
-            }
-        }
-        fn rect_syms(r: &SRect, out: &mut BTreeSet<Sym>) {
-            for (lo, hi, _) in &r.dims {
-                expr_syms(lo, out);
-                expr_syms(hi, out);
-            }
-        }
-        fn lval_syms(l: &SLval, out: &mut BTreeSet<Sym>) {
-            match l {
-                SLval::Scalar(v) => {
-                    out.insert(*v);
-                }
-                SLval::Elem { subs, .. } => {
-                    for s in subs {
-                        expr_syms(s, out);
-                    }
-                }
-            }
-        }
-        fn part_syms(parts: &[BcastPart], out: &mut BTreeSet<Sym>) {
-            for p in parts {
-                match p {
-                    BcastPart::Section {
-                        src_section,
-                        dst_section,
-                        ..
-                    } => {
-                        rect_syms(src_section, out);
-                        rect_syms(dst_section, out);
-                    }
-                    BcastPart::Scalar(v) => {
-                        out.insert(*v);
-                    }
-                }
-            }
-        }
-        fn walk(body: &[SStmt], out: &mut BTreeSet<Sym>) {
-            for s in body {
-                match s {
-                    SStmt::Comment(_)
-                    | SStmt::Return
-                    | SStmt::Stop
-                    | SStmt::WaitSend { .. }
-                    | SStmt::Remap { .. }
-                    | SStmt::RemapGlobal { .. }
-                    | SStmt::MarkDist { .. } => {}
-                    SStmt::Assign { lhs, rhs } => {
-                        expr_syms(rhs, out);
-                        lval_syms(lhs, out);
-                    }
-                    SStmt::Do {
-                        var, lo, hi, body, ..
-                    } => {
-                        out.insert(*var);
-                        expr_syms(lo, out);
-                        expr_syms(hi, out);
-                        walk(body, out);
-                    }
-                    SStmt::If {
-                        cond,
-                        then_body,
-                        else_body,
-                    } => {
-                        expr_syms(cond, out);
-                        walk(then_body, out);
-                        walk(else_body, out);
-                    }
-                    SStmt::Call { args, copy_out, .. } => {
-                        for a in args {
-                            if let SActual::Scalar(e) = a {
-                                expr_syms(e, out);
-                            }
-                        }
-                        for (_, caller_var) in copy_out {
-                            out.insert(*caller_var);
-                        }
-                    }
-                    SStmt::Send { to, section, .. } | SStmt::PostSend { to, section, .. } => {
-                        expr_syms(to, out);
-                        rect_syms(section, out);
-                    }
-                    SStmt::Recv { from, section, .. } => {
-                        expr_syms(from, out);
-                        rect_syms(section, out);
-                    }
-                    SStmt::SendElem { to, value, .. } => {
-                        expr_syms(to, out);
-                        expr_syms(value, out);
-                    }
-                    SStmt::RecvElem { from, lhs, .. } => {
-                        expr_syms(from, out);
-                        lval_syms(lhs, out);
-                    }
-                    SStmt::Bcast {
-                        root,
-                        src_section,
-                        dst_section,
-                        ..
-                    } => {
-                        expr_syms(root, out);
-                        rect_syms(src_section, out);
-                        rect_syms(dst_section, out);
-                    }
-                    SStmt::BcastScalar { root, var } => {
-                        expr_syms(root, out);
-                        out.insert(*var);
-                    }
-                    SStmt::BcastPack { root, parts } | SStmt::PostBcastPack { root, parts, .. } => {
-                        expr_syms(root, out);
-                        part_syms(parts, out);
-                    }
-                    SStmt::PostRecv { from, .. } => expr_syms(from, out),
-                    SStmt::WaitRecv { section, .. } => rect_syms(section, out),
-                    SStmt::PostBcast {
-                        root, src_section, ..
-                    } => {
-                        expr_syms(root, out);
-                        rect_syms(src_section, out);
-                    }
-                    SStmt::WaitBcast { dst_section, .. } => rect_syms(dst_section, out),
-                    SStmt::WaitBcastPack { parts, .. } => part_syms(parts, out),
-                    SStmt::Print { args } => {
-                        for a in args {
-                            expr_syms(a, out);
-                        }
-                    }
-                }
-            }
-        }
-        walk(&self.prog.procs[idx].body, &mut out);
+        let mut out: BTreeSet<Sym> = self.copy_outs[idx].iter().copied().collect();
+        walk_scalar_mentions(&self.prog.procs[idx].body, &mut |s| {
+            out.insert(s);
+        });
         out
     }
 

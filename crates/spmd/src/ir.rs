@@ -10,6 +10,12 @@
 use fortrand_ir::dist::ArrayDist;
 use fortrand_ir::{Interner, Sym};
 
+mod operands;
+pub use operands::{
+    walk_array_mentions, walk_operands, walk_operands_mut, walk_scalar_mentions, walk_stmts,
+    Access, MsgKind, Operand, OperandMut, Role,
+};
+
 /// Index into [`SpmdProgram::dists`] — a compile-time-known distribution.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct DistId(pub u32);

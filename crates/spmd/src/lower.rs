@@ -651,244 +651,9 @@ fn layout_proc(p: &SProc) -> Layout {
         l.array_idx.insert(d.name, next_arr);
         next_arr += 1;
     }
-    collect_scalars_body(&p.body, &mut l);
+    walk_scalar_mentions(&p.body, &mut |s| add_scalar(&mut l, s));
     l.n_slots = Slot::try_from(l.scalar_slots.len()).expect("scalar slot overflow");
     l
-}
-
-fn collect_scalars_expr(e: &SExpr, l: &mut Layout) {
-    match e {
-        SExpr::Var(s) => add_scalar(l, *s),
-        SExpr::Int(_) | SExpr::Real(_) | SExpr::MyP | SExpr::NProcs => {}
-        SExpr::Elem { subs, .. } | SExpr::Owner { subs, .. } | SExpr::CurOwner { subs, .. } => {
-            for s in subs {
-                collect_scalars_expr(s, l);
-            }
-        }
-        SExpr::Bin { l: a, r: b, .. } => {
-            collect_scalars_expr(a, l);
-            collect_scalars_expr(b, l);
-        }
-        SExpr::Neg(x) | SExpr::Not(x) | SExpr::LocalIdx { sub: x, .. } => {
-            collect_scalars_expr(x, l)
-        }
-        SExpr::Intr { args, .. } => {
-            for a in args {
-                collect_scalars_expr(a, l);
-            }
-        }
-    }
-}
-
-fn collect_scalars_rect(r: &SRect, l: &mut Layout) {
-    for (lo, hi, _) in &r.dims {
-        collect_scalars_expr(lo, l);
-        collect_scalars_expr(hi, l);
-    }
-}
-
-fn collect_scalars_lval(lv: &SLval, l: &mut Layout) {
-    match lv {
-        SLval::Scalar(s) => add_scalar(l, *s),
-        SLval::Elem { subs, .. } => {
-            for s in subs {
-                collect_scalars_expr(s, l);
-            }
-        }
-    }
-}
-
-fn collect_scalars_body(body: &[SStmt], l: &mut Layout) {
-    for s in body {
-        match s {
-            SStmt::Comment(_) | SStmt::Return | SStmt::Stop => {}
-            SStmt::Assign { lhs, rhs } => {
-                collect_scalars_expr(rhs, l);
-                collect_scalars_lval(lhs, l);
-            }
-            SStmt::Do {
-                var, lo, hi, body, ..
-            } => {
-                add_scalar(l, *var);
-                collect_scalars_expr(lo, l);
-                collect_scalars_expr(hi, l);
-                collect_scalars_body(body, l);
-            }
-            SStmt::If {
-                cond,
-                then_body,
-                else_body,
-            } => {
-                collect_scalars_expr(cond, l);
-                collect_scalars_body(then_body, l);
-                collect_scalars_body(else_body, l);
-            }
-            SStmt::Call { args, copy_out, .. } => {
-                for a in args {
-                    if let SActual::Scalar(e) = a {
-                        collect_scalars_expr(e, l);
-                    }
-                }
-                for (_, caller_var) in copy_out {
-                    add_scalar(l, *caller_var);
-                }
-            }
-            SStmt::Send { to, section, .. } => {
-                collect_scalars_expr(to, l);
-                collect_scalars_rect(section, l);
-            }
-            SStmt::Recv { from, section, .. } => {
-                collect_scalars_expr(from, l);
-                collect_scalars_rect(section, l);
-            }
-            SStmt::SendElem { to, value, .. } => {
-                collect_scalars_expr(to, l);
-                collect_scalars_expr(value, l);
-            }
-            SStmt::RecvElem { from, lhs, .. } => {
-                collect_scalars_expr(from, l);
-                collect_scalars_lval(lhs, l);
-            }
-            SStmt::Bcast {
-                root,
-                src_section,
-                dst_section,
-                ..
-            } => {
-                collect_scalars_expr(root, l);
-                collect_scalars_rect(src_section, l);
-                collect_scalars_rect(dst_section, l);
-            }
-            SStmt::BcastScalar { root, var } => {
-                collect_scalars_expr(root, l);
-                add_scalar(l, *var);
-            }
-            SStmt::BcastPack { root, parts } => {
-                collect_scalars_expr(root, l);
-                for p in parts {
-                    match p {
-                        BcastPart::Section {
-                            src_section,
-                            dst_section,
-                            ..
-                        } => {
-                            collect_scalars_rect(src_section, l);
-                            collect_scalars_rect(dst_section, l);
-                        }
-                        BcastPart::Scalar(v) => add_scalar(l, *v),
-                    }
-                }
-            }
-            SStmt::PostSend { to, section, .. } => {
-                collect_scalars_expr(to, l);
-                collect_scalars_rect(section, l);
-            }
-            SStmt::WaitSend { .. } => {}
-            SStmt::PostRecv { from, .. } => collect_scalars_expr(from, l),
-            SStmt::WaitRecv { section, .. } => collect_scalars_rect(section, l),
-            SStmt::PostBcast {
-                root, src_section, ..
-            } => {
-                collect_scalars_expr(root, l);
-                collect_scalars_rect(src_section, l);
-            }
-            SStmt::WaitBcast { dst_section, .. } => collect_scalars_rect(dst_section, l),
-            SStmt::PostBcastPack { root, parts, .. } => {
-                collect_scalars_expr(root, l);
-                for p in parts {
-                    match p {
-                        BcastPart::Section { src_section, .. } => {
-                            collect_scalars_rect(src_section, l)
-                        }
-                        BcastPart::Scalar(v) => add_scalar(l, *v),
-                    }
-                }
-            }
-            SStmt::WaitBcastPack { parts, .. } => {
-                for p in parts {
-                    match p {
-                        BcastPart::Section { dst_section, .. } => {
-                            collect_scalars_rect(dst_section, l)
-                        }
-                        BcastPart::Scalar(v) => add_scalar(l, *v),
-                    }
-                }
-            }
-            SStmt::Remap { .. } | SStmt::RemapGlobal { .. } | SStmt::MarkDist { .. } => {}
-            SStmt::Print { args } => {
-                for a in args {
-                    collect_scalars_expr(a, l);
-                }
-            }
-        }
-    }
-}
-
-/// Do-loop variables of `body`, transitively.
-fn collect_do_vars(body: &[SStmt], out: &mut FxHashSet<Sym>) {
-    for s in body {
-        match s {
-            SStmt::Do { var, body, .. } => {
-                out.insert(*var);
-                collect_do_vars(body, out);
-            }
-            SStmt::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                collect_do_vars(then_body, out);
-                collect_do_vars(else_body, out);
-            }
-            _ => {}
-        }
-    }
-}
-
-/// Scalars written by anything other than a loop head: assignments,
-/// call copy-outs, element receives, and broadcast unpacks.
-fn collect_scalar_writes(body: &[SStmt], w: &mut FxHashSet<Sym>) {
-    for s in body {
-        match s {
-            SStmt::Assign {
-                lhs: SLval::Scalar(v),
-                ..
-            } => {
-                w.insert(*v);
-            }
-            SStmt::Do { body, .. } => collect_scalar_writes(body, w),
-            SStmt::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                collect_scalar_writes(then_body, w);
-                collect_scalar_writes(else_body, w);
-            }
-            SStmt::Call { copy_out, .. } => {
-                for (_, caller_var) in copy_out {
-                    w.insert(*caller_var);
-                }
-            }
-            SStmt::RecvElem {
-                lhs: SLval::Scalar(v),
-                ..
-            } => {
-                w.insert(*v);
-            }
-            SStmt::BcastScalar { var, .. } => {
-                w.insert(*var);
-            }
-            SStmt::BcastPack { parts, .. } | SStmt::WaitBcastPack { parts, .. } => {
-                for p in parts {
-                    if let BcastPart::Scalar(v) = p {
-                        w.insert(*v);
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
 }
 
 /// Lowers a whole program: phase A computes every procedure's layout,
@@ -908,14 +673,28 @@ pub(crate) fn lower_with(prog: &SpmdProgram, fuse: bool) -> Lowered {
             // whose only writer is the loop head (formals and any other
             // write could introduce an R).
             let mut do_vars = FxHashSet::default();
-            let mut written = FxHashSet::default();
-            collect_do_vars(&p.body, &mut do_vars);
-            collect_scalar_writes(&p.body, &mut written);
-            for f in &p.formals {
-                if !f.is_array {
-                    written.insert(f.name);
+            let mut written: FxHashSet<Sym> = p
+                .formals
+                .iter()
+                .filter(|f| !f.is_array)
+                .map(|f| f.name)
+                .collect();
+            walk_operands(&p.body, &mut |op| match op {
+                Operand::Scalar {
+                    var,
+                    role: Role::DoHead,
+                } => {
+                    do_vars.insert(var);
                 }
-            }
+                Operand::Scalar {
+                    var,
+                    role: Role::Def,
+                }
+                | Operand::CopyOut { caller: var, .. } => {
+                    written.insert(var);
+                }
+                _ => {}
+            });
             let int_slots: FxHashSet<Slot> = do_vars
                 .difference(&written)
                 .filter_map(|s| layouts[pi].scalar_slots.get(s).copied())

@@ -1,11 +1,11 @@
-use crate::ir::{BcastPart, SExpr, SRect, SStmt, SpmdProgram};
+use crate::ir::{walk_stmts, BcastPart, MsgKind, OperandMut, SExpr, SRect, SStmt, SpmdProgram};
 use fortrand_ir::dist::ArrayDist;
 use fortrand_ir::rsd::{Rsd, Triplet};
 use fortrand_ir::symenv::SymEnv;
 use fortrand_ir::{Affine, Sym};
 use std::collections::{BTreeMap, BTreeSet};
 
-use super::dataflow::{linearize, mentions_any, syn_eq, visit_expr};
+use super::dataflow::{any_node, linearize, mentions_any, syn_eq};
 use super::OptReport;
 
 // ---------------------------------------------------------------------------
@@ -14,14 +14,10 @@ use super::OptReport;
 
 /// True if `e` reads an element (or the current owner) of any array in `w`.
 fn elem_reads_any(e: &SExpr, w: &BTreeSet<Sym>) -> bool {
-    let mut hit = false;
-    visit_expr(e, &mut |x| match x {
-        SExpr::Elem { array, .. } | SExpr::CurOwner { array, .. } if w.contains(array) => {
-            hit = true;
-        }
-        _ => {}
-    });
-    hit
+    any_node(
+        e,
+        |x| matches!(x, SExpr::Elem { array, .. } | SExpr::CurOwner { array, .. } if w.contains(array)),
+    )
 }
 
 /// Converts a section bound to the RSD bound language (affine over plain
@@ -129,25 +125,19 @@ fn merge_pair(a: &SStmt, b: &SStmt, dists: &[ArrayDist]) -> Option<(u64, u64, SS
     }
 }
 
+/// Occurrences of each point-to-point tag, posted forms included.
 fn count_tags(stmts: &[SStmt], occ: &mut BTreeMap<u64, usize>) {
-    for s in stmts {
-        match s {
-            SStmt::Send { tag, .. }
-            | SStmt::Recv { tag, .. }
-            | SStmt::SendElem { tag, .. }
-            | SStmt::RecvElem { tag, .. } => *occ.entry(*tag).or_insert(0) += 1,
-            SStmt::Do { body, .. } => count_tags(body, occ),
-            SStmt::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                count_tags(then_body, occ);
-                count_tags(else_body, occ);
-            }
-            _ => {}
+    walk_stmts(stmts, &mut |s| {
+        if let Some(
+            MsgKind::Send { tag }
+            | MsgKind::Recv { tag }
+            | MsgKind::ElemSend { tag }
+            | MsgKind::ElemRecv { tag },
+        ) = s.msg_kind()
+        {
+            *occ.entry(tag).or_insert(0) += 1;
         }
-    }
+    });
 }
 
 /// One traversal shared by the counting and rewriting passes so both see
@@ -162,32 +152,12 @@ fn pair_walk(
 ) -> Vec<SStmt> {
     let mut out = Vec::with_capacity(stmts.len());
     let mut it = stmts.into_iter().peekable();
-    while let Some(s) = it.next() {
-        let s = match s {
-            SStmt::Do {
-                var,
-                lo,
-                hi,
-                step,
-                body,
-            } => SStmt::Do {
-                var,
-                lo,
-                hi,
-                step,
-                body: pair_walk(body, dists, committed, pair_count, merged_msgs),
-            },
-            SStmt::If {
-                cond,
-                then_body,
-                else_body,
-            } => SStmt::If {
-                cond,
-                then_body: pair_walk(then_body, dists, committed, pair_count, merged_msgs),
-                else_body: pair_walk(else_body, dists, committed, pair_count, merged_msgs),
-            },
-            other => other,
-        };
+    while let Some(mut s) = it.next() {
+        s.operands_mut(&mut |op| {
+            if let OperandMut::Body(b) = op {
+                *b = pair_walk(std::mem::take(b), dists, committed, pair_count, merged_msgs);
+            }
+        });
         let cand = it.peek().and_then(|nxt| merge_pair(&s, nxt, dists));
         match cand {
             Some((t1, t2, m)) => {
@@ -219,34 +189,14 @@ fn pair_walk(
 /// gathers everything up front), but destination sections are unconstrained
 /// because unpacking is sequential in run order on every rank.
 fn pack_bcasts(stmts: Vec<SStmt>, dists: &[ArrayDist], coalesced: &mut usize) -> Vec<SStmt> {
-    let stmts: Vec<SStmt> = stmts
-        .into_iter()
-        .map(|s| match s {
-            SStmt::Do {
-                var,
-                lo,
-                hi,
-                step,
-                body,
-            } => SStmt::Do {
-                var,
-                lo,
-                hi,
-                step,
-                body: pack_bcasts(body, dists, coalesced),
-            },
-            SStmt::If {
-                cond,
-                then_body,
-                else_body,
-            } => SStmt::If {
-                cond,
-                then_body: pack_bcasts(then_body, dists, coalesced),
-                else_body: pack_bcasts(else_body, dists, coalesced),
-            },
-            other => other,
-        })
-        .collect();
+    let mut stmts = stmts;
+    for s in &mut stmts {
+        s.operands_mut(&mut |op| {
+            if let OperandMut::Body(b) = op {
+                *b = pack_bcasts(std::mem::take(b), dists, coalesced);
+            }
+        });
+    }
     let mut out = Vec::with_capacity(stmts.len());
     let mut i = 0;
     while i < stmts.len() {

@@ -1,4 +1,7 @@
-use crate::ir::{BcastPart, SActual, SBinOp, SExpr, SLval, SProc, SRect, SStmt, SpmdProgram};
+use crate::ir::{
+    walk_array_mentions, walk_operands, walk_operands_mut, Access, Operand, OperandMut, Role,
+    SActual, SBinOp, SExpr, SLval, SProc, SRect, SStmt, SpmdProgram,
+};
 use fortrand_analysis::framework::{self, DataflowGraph, DataflowProblem, SolveStats};
 use fortrand_analysis::registry::Direction;
 use fortrand_ir::dist::{ArrayDist, DistKind};
@@ -9,80 +12,27 @@ use std::collections::{BTreeMap, BTreeSet};
 use super::OptReport;
 
 // ---------------------------------------------------------------------------
-// Expression utilities: substitution, linear forms, proofs
+// Expression utilities: linear forms, proofs
 // ---------------------------------------------------------------------------
 
-pub(super) fn map_expr(e: &SExpr, f: &mut dyn FnMut(&SExpr) -> Option<SExpr>) -> SExpr {
-    if let Some(r) = f(e) {
-        return r;
-    }
-    match e {
-        SExpr::Int(_) | SExpr::Real(_) | SExpr::Var(_) | SExpr::MyP | SExpr::NProcs => e.clone(),
-        SExpr::Elem { array, subs } => SExpr::Elem {
-            array: *array,
-            subs: subs.iter().map(|s| map_expr(s, f)).collect(),
-        },
-        SExpr::Bin { op, l, r } => SExpr::Bin {
-            op: *op,
-            l: Box::new(map_expr(l, f)),
-            r: Box::new(map_expr(r, f)),
-        },
-        SExpr::Neg(x) => SExpr::Neg(Box::new(map_expr(x, f))),
-        SExpr::Not(x) => SExpr::Not(Box::new(map_expr(x, f))),
-        SExpr::Intr { name, args } => SExpr::Intr {
-            name: *name,
-            args: args.iter().map(|a| map_expr(a, f)).collect(),
-        },
-        SExpr::Owner { dist, subs } => SExpr::Owner {
-            dist: *dist,
-            subs: subs.iter().map(|s| map_expr(s, f)).collect(),
-        },
-        SExpr::CurOwner { array, subs } => SExpr::CurOwner {
-            array: *array,
-            subs: subs.iter().map(|s| map_expr(s, f)).collect(),
-        },
-        SExpr::LocalIdx { dist, dim, sub } => SExpr::LocalIdx {
-            dist: *dist,
-            dim: *dim,
-            sub: Box::new(map_expr(sub, f)),
-        },
-    }
-}
-
-pub(super) fn visit_expr(e: &SExpr, f: &mut dyn FnMut(&SExpr)) {
-    f(e);
-    match e {
-        SExpr::Int(_) | SExpr::Real(_) | SExpr::Var(_) | SExpr::MyP | SExpr::NProcs => {}
-        SExpr::Elem { subs, .. } | SExpr::Owner { subs, .. } | SExpr::CurOwner { subs, .. } => {
-            for s in subs {
-                visit_expr(s, f);
-            }
-        }
-        SExpr::Bin { l, r, .. } => {
-            visit_expr(l, f);
-            visit_expr(r, f);
-        }
-        SExpr::Neg(x) | SExpr::Not(x) => visit_expr(x, f),
-        SExpr::Intr { args, .. } => {
-            for a in args {
-                visit_expr(a, f);
-            }
-        }
-        SExpr::LocalIdx { sub, .. } => visit_expr(sub, f),
-    }
+/// True if some node of `e` satisfies `pred`.
+pub(super) fn any_node(e: &SExpr, pred: impl Fn(&SExpr) -> bool) -> bool {
+    let mut hit = false;
+    e.walk(&mut |x| hit |= pred(x));
+    hit
 }
 
 /// True if `e` mentions any of the given scalar symbols.
 pub(super) fn mentions_any(e: &SExpr, syms: &BTreeSet<Sym>) -> bool {
-    let mut hit = false;
-    visit_expr(e, &mut |x| {
-        if let SExpr::Var(s) = x {
-            if syms.contains(s) {
-                hit = true;
-            }
-        }
-    });
-    hit
+    any_node(e, |x| matches!(x, SExpr::Var(s) if syms.contains(s)))
+}
+
+/// True if `e` loads from an array (`Elem`) or consults its run-time
+/// owner table (`CurOwner`).
+pub(super) fn reads_memory(e: &SExpr) -> bool {
+    any_node(e, |x| {
+        matches!(x, SExpr::Elem { .. } | SExpr::CurOwner { .. })
+    })
 }
 
 /// True if `e` evaluates to the same value on every rank given that the
@@ -90,17 +40,11 @@ pub(super) fn mentions_any(e: &SExpr, syms: &BTreeSet<Sym>) -> bool {
 /// `owner()`/`local()` of replicated subscripts are (they consult the
 /// shared distribution table).
 fn expr_replicated(e: &SExpr, repl: &BTreeSet<Sym>) -> bool {
-    match e {
-        SExpr::Int(_) | SExpr::Real(_) | SExpr::NProcs => true,
-        SExpr::Var(s) => repl.contains(s),
-        SExpr::MyP | SExpr::Elem { .. } | SExpr::CurOwner { .. } => false,
-        SExpr::Bin { l, r, .. } => expr_replicated(l, repl) && expr_replicated(r, repl),
-        SExpr::Neg(x) | SExpr::Not(x) => expr_replicated(x, repl),
-        SExpr::Intr { args, .. } | SExpr::Owner { subs: args, .. } => {
-            args.iter().all(|a| expr_replicated(a, repl))
-        }
-        SExpr::LocalIdx { sub, .. } => expr_replicated(sub, repl),
-    }
+    !any_node(e, |x| match x {
+        SExpr::Var(s) => !repl.contains(s),
+        SExpr::MyP | SExpr::Elem { .. } | SExpr::CurOwner { .. } => true,
+        _ => false,
+    })
 }
 
 /// A linear form: sum of `coeff * atom` plus a constant, where atoms are
@@ -241,7 +185,7 @@ fn glob_identity(lin: &mut Lin, dists: &[ArrayDist]) {
                 let SExpr::Owner { dist: wd, subs } = wa else {
                     continue;
                 };
-                if wd != dist || subs.len() <= *dim || !syn_eq_raw(&subs[*dim], sub) {
+                if wd != dist || subs.len() <= *dim || subs[*dim] != **sub {
                     continue;
                 }
                 // coefficient pattern: lc = c * factor, wc = c
@@ -267,11 +211,7 @@ fn glob_identity(lin: &mut Lin, dists: &[ArrayDist]) {
                         continue;
                     };
                     if let SExpr::LocalIdx { dist, dim, sub } = la {
-                        if wd == dist
-                            && subs.len() > *dim
-                            && syn_eq_raw(&subs[*dim], sub)
-                            && *wc == c * b
-                        {
+                        if wd == dist && subs.len() > *dim && subs[*dim] == **sub && *wc == c * b {
                             hit = Some((li, wi, (**sub).clone(), c, 0));
                             break 'search;
                         }
@@ -295,11 +235,6 @@ fn glob_identity(lin: &mut Lin, dists: &[ArrayDist]) {
     }
 }
 
-/// Raw structural equality (no normalization).
-fn syn_eq_raw(a: &SExpr, b: &SExpr) -> bool {
-    a == b
-}
-
 /// Simplifies an index expression: recursively linearizes additive subtrees,
 /// applies the globalization identity, and rebuilds a canonical shape.
 pub(super) fn simplify(e: &SExpr, dists: &[ArrayDist]) -> SExpr {
@@ -321,33 +256,9 @@ pub(super) fn simplify(e: &SExpr, dists: &[ArrayDist]) -> SExpr {
 }
 
 fn simplify_children(e: &SExpr, dists: &[ArrayDist]) -> SExpr {
-    match e {
-        SExpr::Int(_) | SExpr::Real(_) | SExpr::Var(_) | SExpr::MyP | SExpr::NProcs => e.clone(),
-        SExpr::Elem { array, subs } => SExpr::Elem {
-            array: *array,
-            subs: subs.iter().map(|s| simplify(s, dists)).collect(),
-        },
-        SExpr::Bin { op, l, r } => SExpr::bin(*op, simplify(l, dists), simplify(r, dists)),
-        SExpr::Neg(x) => SExpr::Neg(Box::new(simplify(x, dists))),
-        SExpr::Not(x) => SExpr::Not(Box::new(simplify(x, dists))),
-        SExpr::Intr { name, args } => SExpr::Intr {
-            name: *name,
-            args: args.iter().map(|a| simplify(a, dists)).collect(),
-        },
-        SExpr::Owner { dist, subs } => SExpr::Owner {
-            dist: *dist,
-            subs: subs.iter().map(|s| simplify(s, dists)).collect(),
-        },
-        SExpr::CurOwner { array, subs } => SExpr::CurOwner {
-            array: *array,
-            subs: subs.iter().map(|s| simplify(s, dists)).collect(),
-        },
-        SExpr::LocalIdx { dist, dim, sub } => SExpr::LocalIdx {
-            dist: *dist,
-            dim: *dim,
-            sub: Box::new(simplify(sub, dists)),
-        },
-    }
+    let mut out = e.clone();
+    out.children_mut(&mut |c| *c = simplify(c, dists));
+    out
 }
 
 /// Symbolic ranges for scalar values, `sym → (lo, hi)` inclusive, with
@@ -466,316 +377,54 @@ pub(super) fn collect_written_arrays(
     wf: &[BTreeSet<usize>],
     out: &mut BTreeSet<Sym>,
 ) {
-    for s in stmts {
-        match s {
-            SStmt::Assign {
-                lhs: SLval::Elem { array, .. },
-                ..
-            } => {
-                out.insert(*array);
-            }
-            SStmt::RecvElem {
-                lhs: SLval::Elem { array, .. },
-                ..
-            } => {
-                out.insert(*array);
-            }
-            SStmt::Recv { array, .. } => {
-                out.insert(*array);
-            }
-            SStmt::Bcast { dst_array, .. } => {
-                out.insert(*dst_array);
-            }
-            SStmt::BcastPack { parts, .. } | SStmt::WaitBcastPack { parts, .. } => {
-                for p in parts {
-                    if let BcastPart::Section { dst_array, .. } = p {
-                        out.insert(*dst_array);
-                    }
-                }
-            }
-            SStmt::WaitRecv { array, .. } => {
-                out.insert(*array);
-            }
-            SStmt::WaitBcast { dst_array, .. } => {
-                out.insert(*dst_array);
-            }
-            SStmt::Remap { array, .. }
-            | SStmt::RemapGlobal { array, .. }
-            | SStmt::MarkDist { array, .. } => {
-                out.insert(*array);
-            }
-            SStmt::Do { body, .. } => collect_written_arrays(body, wf, out),
-            SStmt::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                collect_written_arrays(then_body, wf, out);
-                collect_written_arrays(else_body, wf, out);
-            }
-            SStmt::Call { proc, args, .. } => {
-                for &pos in &wf[*proc] {
-                    if let Some(SActual::Array(a)) = args.get(pos) {
-                        out.insert(*a);
-                    }
-                }
-            }
-            _ => {}
+    walk_operands(stmts, &mut |op| {
+        let Operand::Array { name, access, .. } = op else {
+            return;
+        };
+        let written = match access {
+            Access::Write => true,
+            Access::Actual { callee, pos } => wf[callee].contains(&pos),
+            Access::Read | Access::Unused => false,
+        };
+        if written {
+            out.insert(name);
         }
-    }
+    });
 }
 
 /// Collects scalar symbols that may be assigned by `stmts` (including loop
 /// variables, copy-out targets and received/broadcast scalars).
 pub(super) fn collect_assigned_scalars(stmts: &[SStmt], out: &mut BTreeSet<Sym>) {
-    for s in stmts {
-        match s {
-            SStmt::Assign {
-                lhs: SLval::Scalar(v),
-                ..
-            } => {
-                out.insert(*v);
-            }
-            SStmt::RecvElem {
-                lhs: SLval::Scalar(v),
-                ..
-            } => {
-                out.insert(*v);
-            }
-            SStmt::BcastScalar { var, .. } => {
-                out.insert(*var);
-            }
-            SStmt::BcastPack { parts, .. } | SStmt::WaitBcastPack { parts, .. } => {
-                for p in parts {
-                    if let BcastPart::Scalar(v) = p {
-                        out.insert(*v);
-                    }
-                }
-            }
-            SStmt::Do { var, body, .. } => {
-                out.insert(*var);
-                collect_assigned_scalars(body, out);
-            }
-            SStmt::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                collect_assigned_scalars(then_body, out);
-                collect_assigned_scalars(else_body, out);
-            }
-            SStmt::Call { copy_out, .. } => {
-                for (_, caller) in copy_out {
-                    out.insert(*caller);
-                }
-            }
-            _ => {}
+    walk_operands(stmts, &mut |op| match op {
+        Operand::Scalar {
+            var,
+            role: Role::Def | Role::DoHead,
         }
-    }
+        | Operand::CopyOut { caller: var, .. } => {
+            out.insert(var);
+        }
+        _ => {}
+    });
 }
 
 /// Counts textual occurrences of `array` in any array position of `stmts`
 /// (element reads/writes, sections, call actuals). The mention audit of the
 /// elimination pass compares validated mentions against this total.
 fn count_mentions(stmts: &[SStmt], array: Sym) -> usize {
-    fn in_expr(e: &SExpr, array: Sym) -> usize {
-        let mut n = 0;
-        visit_expr(e, &mut |x| {
-            if let SExpr::Elem { array: a, .. } = x {
-                if *a == array {
-                    n += 1;
-                }
-            }
-            if let SExpr::CurOwner { array: a, .. } = x {
-                if *a == array {
-                    n += 1;
-                }
-            }
-        });
-        n
-    }
-    fn in_rect(r: &SRect, array: Sym) -> usize {
-        r.dims
-            .iter()
-            .map(|(lo, hi, _)| in_expr(lo, array) + in_expr(hi, array))
-            .sum()
-    }
     let mut n = 0;
-    for s in stmts {
-        match s {
-            SStmt::Assign { lhs, rhs } => {
-                n += in_expr(rhs, array);
-                if let SLval::Elem { array: a, subs } = lhs {
-                    if *a == array {
-                        n += 1;
-                    }
-                    n += subs.iter().map(|e| in_expr(e, array)).sum::<usize>();
-                }
-            }
-            SStmt::Do { lo, hi, body, .. } => {
-                n += in_expr(lo, array) + in_expr(hi, array) + count_mentions(body, array);
-            }
-            SStmt::If {
-                cond,
-                then_body,
-                else_body,
-            } => {
-                n += in_expr(cond, array)
-                    + count_mentions(then_body, array)
-                    + count_mentions(else_body, array);
-            }
-            SStmt::Call { args, .. } => {
-                for a in args {
-                    match a {
-                        SActual::Array(s) if *s == array => n += 1,
-                        SActual::Scalar(e) => n += in_expr(e, array),
-                        _ => {}
-                    }
-                }
-            }
-            SStmt::Send {
-                to,
-                array: a,
-                section,
-                ..
-            } => {
-                n += in_expr(to, array) + in_rect(section, array) + usize::from(*a == array);
-            }
-            SStmt::Recv {
-                from,
-                array: a,
-                section,
-                ..
-            } => {
-                n += in_expr(from, array) + in_rect(section, array) + usize::from(*a == array);
-            }
-            SStmt::SendElem { to, value, .. } => n += in_expr(to, array) + in_expr(value, array),
-            SStmt::RecvElem { from, lhs, .. } => {
-                n += in_expr(from, array);
-                if let SLval::Elem { array: a, subs } = lhs {
-                    if *a == array {
-                        n += 1;
-                    }
-                    n += subs.iter().map(|e| in_expr(e, array)).sum::<usize>();
-                }
-            }
-            SStmt::Bcast {
-                root,
-                src_array,
-                src_section,
-                dst_array,
-                dst_section,
-            } => {
-                n += in_expr(root, array)
-                    + in_rect(src_section, array)
-                    + in_rect(dst_section, array)
-                    + usize::from(*src_array == array)
-                    + usize::from(*dst_array == array);
-            }
-            SStmt::BcastScalar { root, .. } => n += in_expr(root, array),
-            SStmt::BcastPack { root, parts } => {
-                n += in_expr(root, array);
-                for p in parts {
-                    if let BcastPart::Section {
-                        src_array,
-                        src_section,
-                        dst_array,
-                        dst_section,
-                    } = p
-                    {
-                        n += in_rect(src_section, array)
-                            + in_rect(dst_section, array)
-                            + usize::from(*src_array == array)
-                            + usize::from(*dst_array == array);
-                    }
-                }
-            }
-            SStmt::PostSend {
-                to,
-                array: a,
-                section,
-                ..
-            } => {
-                n += in_expr(to, array) + in_rect(section, array) + usize::from(*a == array);
-            }
-            SStmt::WaitSend { .. } => {}
-            SStmt::PostRecv { from, .. } => n += in_expr(from, array),
-            SStmt::WaitRecv {
-                array: a, section, ..
-            } => {
-                n += in_rect(section, array) + usize::from(*a == array);
-            }
-            SStmt::PostBcast {
-                root,
-                src_array,
-                src_section,
-                ..
-            } => {
-                n += in_expr(root, array)
-                    + in_rect(src_section, array)
-                    + usize::from(*src_array == array);
-            }
-            SStmt::WaitBcast {
-                dst_array,
-                dst_section,
-                ..
-            } => {
-                n += in_rect(dst_section, array) + usize::from(*dst_array == array);
-            }
-            SStmt::PostBcastPack { root, parts, .. } => {
-                n += in_expr(root, array);
-                for p in parts {
-                    if let BcastPart::Section {
-                        src_array,
-                        src_section,
-                        ..
-                    } = p
-                    {
-                        n += in_rect(src_section, array) + usize::from(*src_array == array);
-                    }
-                }
-            }
-            SStmt::WaitBcastPack { parts, .. } => {
-                for p in parts {
-                    if let BcastPart::Section {
-                        dst_array,
-                        dst_section,
-                        ..
-                    } = p
-                    {
-                        n += in_rect(dst_section, array) + usize::from(*dst_array == array);
-                    }
-                }
-            }
-            SStmt::Remap { array: a, .. }
-            | SStmt::RemapGlobal { array: a, .. }
-            | SStmt::MarkDist { array: a, .. } => n += usize::from(*a == array),
-            SStmt::Print { args } => {
-                n += args.iter().map(|e| in_expr(e, array)).sum::<usize>();
-            }
-            SStmt::Comment(_) | SStmt::Return | SStmt::Stop => {}
-        }
-    }
+    walk_array_mentions(stmts, &mut |name, access| {
+        n += usize::from(name == array && access != Access::Unused);
+    });
     n
 }
 
 /// Finds the call sites (callee proc indices) anywhere inside `stmts`.
 pub(super) fn collect_callees(stmts: &[SStmt], out: &mut Vec<usize>) {
-    for s in stmts {
-        match s {
-            SStmt::Call { proc, .. } => out.push(*proc),
-            SStmt::Do { body, .. } => collect_callees(body, out),
-            SStmt::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                collect_callees(then_body, out);
-                collect_callees(else_body, out);
-            }
-            _ => {}
+    walk_operands(stmts, &mut |op| {
+        if let Operand::Callee(c) = op {
+            out.push(c);
         }
-    }
+    });
 }
 
 /// Orders procedures callers-before-callees (Kahn). Procedures on call
@@ -983,18 +632,19 @@ impl<'a> Scan<'a> {
     /// Validates element reads of live fact buffers inside `e`: each
     /// in-region read is accounted toward the mention audit.
     fn validate_expr(&mut self, e: &SExpr, st: &State) {
-        let mut reads: Vec<(Sym, Vec<SExpr>)> = Vec::new();
-        visit_expr(e, &mut |x| {
-            if let SExpr::Elem { array, subs } = x {
-                reads.push((*array, subs.clone()));
-            }
-        });
-        for (array, subs) in reads {
-            if let Some(f) = st.facts.iter().find(|f| f.buf == array) {
-                if self.subs_in_region(&subs, f, &st.ranges) {
-                    *self.validated.entry(array).or_insert(0) += 1;
+        let mut inside = Vec::new();
+        e.walk(&mut |x| {
+            let SExpr::Elem { array, subs } = x else {
+                return;
+            };
+            if let Some(f) = st.facts.iter().find(|f| f.buf == *array) {
+                if self.subs_in_region(subs, f, &st.ranges) {
+                    inside.push(*array);
                 }
             }
+        });
+        for array in inside {
+            *self.validated.entry(array).or_insert(0) += 1;
         }
     }
 
@@ -1225,73 +875,44 @@ impl<'a> Scan<'a> {
     }
 }
 
+/// Substitutes every variable of `e` through `lookup`. Fails (None) on a
+/// variable `lookup` does not know and on anything rank-local (`my$p`,
+/// array elements, current-owner queries); constants and the other
+/// run-time resolution nodes pass through.
+fn subst_vars(e: &SExpr, lookup: impl Fn(Sym) -> Option<SExpr>) -> Option<SExpr> {
+    let mut out = e.clone();
+    let mut ok = true;
+    out.walk_mut(&mut |x| match x {
+        SExpr::Var(s) => match lookup(*s) {
+            Some(v) => *x = v,
+            None => ok = false,
+        },
+        SExpr::MyP | SExpr::Elem { .. } | SExpr::CurOwner { .. } => ok = false,
+        _ => {}
+    });
+    ok.then_some(out)
+}
+
 /// Rewrites a caller-term expression into callee formal terms: plain-`Var`
-/// scalar actuals map to their formals, constants and run-time resolution
-/// nodes pass through. Fails (None) on anything rank- or caller-local.
+/// scalar actuals map to their formals.
 fn rewrite_to_callee(e: &SExpr, smap: &BTreeMap<Sym, Sym>) -> Option<SExpr> {
-    match e {
-        SExpr::Int(_) | SExpr::Real(_) | SExpr::NProcs => Some(e.clone()),
-        SExpr::Var(s) => smap.get(s).map(|f| SExpr::Var(*f)),
-        SExpr::MyP | SExpr::Elem { .. } | SExpr::CurOwner { .. } => None,
-        SExpr::Bin { op, l, r } => Some(SExpr::bin(
-            *op,
-            rewrite_to_callee(l, smap)?,
-            rewrite_to_callee(r, smap)?,
-        )),
-        SExpr::Neg(x) => Some(SExpr::Neg(Box::new(rewrite_to_callee(x, smap)?))),
-        SExpr::Not(x) => Some(SExpr::Not(Box::new(rewrite_to_callee(x, smap)?))),
-        SExpr::Intr { name, args } => Some(SExpr::Intr {
-            name: *name,
-            args: args
-                .iter()
-                .map(|a| rewrite_to_callee(a, smap))
-                .collect::<Option<Vec<_>>>()?,
-        }),
-        SExpr::Owner { dist, subs } => Some(SExpr::Owner {
-            dist: *dist,
-            subs: subs
-                .iter()
-                .map(|a| rewrite_to_callee(a, smap))
-                .collect::<Option<Vec<_>>>()?,
-        }),
-        SExpr::LocalIdx { dist, dim, sub } => Some(SExpr::LocalIdx {
-            dist: *dist,
-            dim: *dim,
-            sub: Box::new(rewrite_to_callee(sub, smap)?),
-        }),
-    }
+    subst_vars(e, |s| smap.get(&s).map(|f| SExpr::Var(*f)))
 }
 
 fn rewrite_rect_to_callee(r: &SRect, smap: &BTreeMap<Sym, Sym>) -> Option<SRect> {
-    Some(SRect {
-        dims: r
-            .dims
-            .iter()
-            .map(|(lo, hi, st)| {
-                Some((
-                    rewrite_to_callee(lo, smap)?,
-                    rewrite_to_callee(hi, smap)?,
-                    *st,
-                ))
-            })
-            .collect::<Option<Vec<_>>>()?,
-    })
+    let mut out = r.clone();
+    for e in out.bounds_mut() {
+        *e = rewrite_to_callee(e, smap)?;
+    }
+    Some(out)
 }
 
 fn expr_rank_dependent_value(e: &SExpr) -> bool {
-    let mut hit = false;
-    visit_expr(e, &mut |x| {
-        if matches!(x, SExpr::MyP | SExpr::Elem { .. } | SExpr::CurOwner { .. }) {
-            hit = true;
-        }
-    });
-    hit
+    reads_memory(e) || any_node(e, |x| matches!(x, SExpr::MyP))
 }
 
 fn mentions_sym(e: &SExpr, s: Sym) -> bool {
-    let mut set = BTreeSet::new();
-    set.insert(s);
-    mentions_any(e, &set)
+    any_node(e, |x| *x == SExpr::Var(s))
 }
 
 impl<'a> Scan<'a> {
@@ -1524,29 +1145,6 @@ impl<'a> Scan<'a> {
                     st.repl.insert(var);
                     out.push(SStmt::BcastScalar { root, var });
                 }
-                SStmt::BcastPack { root, parts } => {
-                    // Conservative: produced only by later passes, but keep
-                    // the state sound if encountered.
-                    let mut writes = BTreeSet::new();
-                    let mut assigned = BTreeSet::new();
-                    for p in &parts {
-                        match p {
-                            BcastPart::Section { dst_array, .. } => {
-                                writes.insert(*dst_array);
-                            }
-                            BcastPart::Scalar(v) => {
-                                assigned.insert(*v);
-                            }
-                        }
-                    }
-                    self.kill_facts_writing(st, &writes);
-                    self.kill_facts_mentioning(st, &assigned);
-                    self.drop_ranges_mentioning(st, &assigned);
-                    for v in assigned {
-                        st.repl.insert(v);
-                    }
-                    out.push(SStmt::BcastPack { root, parts });
-                }
                 SStmt::Send {
                     to,
                     tag,
@@ -1602,59 +1200,31 @@ impl<'a> Scan<'a> {
                     }
                     out.push(SStmt::RecvElem { from, tag, lhs });
                 }
-                SStmt::Remap { array, to_dist }
-                | SStmt::RemapGlobal { array, to_dist }
-                | SStmt::MarkDist { array, to_dist } => {
-                    let mut w = BTreeSet::new();
-                    w.insert(array);
-                    self.kill_facts_writing(st, &w);
-                    // Re-box the exact variant unchanged.
-                    out.push(match s {
-                        SStmt::Remap { .. } => SStmt::Remap { array, to_dist },
-                        SStmt::RemapGlobal { .. } => SStmt::RemapGlobal { array, to_dist },
-                        _ => SStmt::MarkDist { array, to_dist },
-                    });
-                }
-                s @ (SStmt::PostSend { .. }
+                s @ (SStmt::BcastPack { .. }
+                | SStmt::PostSend { .. }
                 | SStmt::WaitSend { .. }
                 | SStmt::PostRecv { .. }
                 | SStmt::WaitRecv { .. }
                 | SStmt::PostBcast { .. }
                 | SStmt::WaitBcast { .. }
                 | SStmt::PostBcastPack { .. }
-                | SStmt::WaitBcastPack { .. }) => {
-                    // Post/wait forms are produced only by the overlap pass,
-                    // which runs after elimination; keep the state sound if
-                    // ever encountered by killing everything they write.
+                | SStmt::WaitBcastPack { .. }
+                | SStmt::Remap { .. }
+                | SStmt::RemapGlobal { .. }
+                | SStmt::MarkDist { .. }) => {
+                    // Nothing to learn from these (packs and post/wait
+                    // forms come from later passes): keep the state sound
+                    // by killing what they write; a scalar a pack delivers
+                    // is replicated afterwards.
+                    let one = std::slice::from_ref(&s);
                     let mut writes = BTreeSet::new();
+                    collect_written_arrays(one, self.wf, &mut writes);
                     let mut assigned = BTreeSet::new();
-                    match &s {
-                        SStmt::WaitRecv { array, .. } => {
-                            writes.insert(*array);
-                        }
-                        SStmt::WaitBcast { dst_array, .. } => {
-                            writes.insert(*dst_array);
-                        }
-                        SStmt::WaitBcastPack { parts, .. } => {
-                            for p in parts {
-                                match p {
-                                    BcastPart::Section { dst_array, .. } => {
-                                        writes.insert(*dst_array);
-                                    }
-                                    BcastPart::Scalar(v) => {
-                                        assigned.insert(*v);
-                                    }
-                                }
-                            }
-                        }
-                        _ => {}
-                    }
+                    collect_assigned_scalars(one, &mut assigned);
                     self.kill_facts_writing(st, &writes);
                     self.kill_facts_mentioning(st, &assigned);
                     self.drop_ranges_mentioning(st, &assigned);
-                    for v in assigned {
-                        st.repl.insert(v);
-                    }
+                    st.repl.extend(assigned);
                     out.push(s);
                 }
                 SStmt::Do {
@@ -2615,265 +2185,34 @@ impl<'a> Scan<'a> {
 }
 
 /// Substitutes scalar formals by actual expressions and renames arrays,
-/// recursively. Loop variables and callee locals pass through unchanged
-/// (the mirror gives them fresh names anyway).
+/// recursively. Scalars named outside expressions (assignment targets,
+/// loop variables, broadcast scalars, copy-outs) and callee locals pass
+/// through unchanged: the mirror gives them fresh names anyway. So do the
+/// bounds a posted pack carries without evaluating (`Access::Unused`):
+/// the mirror refuses communication before it could look at them.
 fn subst_stmts(
     stmts: &[SStmt],
     smap: &BTreeMap<Sym, SExpr>,
     amap: &BTreeMap<Sym, Sym>,
 ) -> Vec<SStmt> {
-    let se = |e: &SExpr| subst_expr(e, smap, amap);
-    let sl = |l: &SLval| match l {
-        SLval::Scalar(s) => SLval::Scalar(*s),
-        SLval::Elem { array, subs } => SLval::Elem {
-            array: *amap.get(array).unwrap_or(array),
-            subs: subs.iter().map(se).collect(),
-        },
+    let node = &mut |x: &mut SExpr| match x {
+        SExpr::Var(s) => {
+            if let Some(actual) = smap.get(s) {
+                *x = actual.clone();
+            }
+        }
+        SExpr::Elem { array, .. } | SExpr::CurOwner { array, .. } => {
+            *array = *amap.get(array).unwrap_or(array);
+        }
+        _ => {}
     };
-    let sr = |r: &SRect| SRect {
-        dims: r
-            .dims
-            .iter()
-            .map(|(lo, hi, st)| (se(lo), se(hi), *st))
-            .collect(),
-    };
-    stmts
-        .iter()
-        .map(|s| match s {
-            SStmt::Comment(c) => SStmt::Comment(c.clone()),
-            SStmt::Assign { lhs, rhs } => SStmt::Assign {
-                lhs: sl(lhs),
-                rhs: se(rhs),
-            },
-            SStmt::Do {
-                var,
-                lo,
-                hi,
-                step,
-                body,
-            } => SStmt::Do {
-                var: *var,
-                lo: se(lo),
-                hi: se(hi),
-                step: *step,
-                body: subst_stmts(body, smap, amap),
-            },
-            SStmt::If {
-                cond,
-                then_body,
-                else_body,
-            } => SStmt::If {
-                cond: se(cond),
-                then_body: subst_stmts(then_body, smap, amap),
-                else_body: subst_stmts(else_body, smap, amap),
-            },
-            SStmt::Call {
-                proc,
-                args,
-                copy_out,
-            } => SStmt::Call {
-                proc: *proc,
-                args: args
-                    .iter()
-                    .map(|a| match a {
-                        SActual::Array(s) => SActual::Array(*amap.get(s).unwrap_or(s)),
-                        SActual::Scalar(x) => SActual::Scalar(se(x)),
-                    })
-                    .collect(),
-                copy_out: copy_out.clone(),
-            },
-            SStmt::Return => SStmt::Return,
-            SStmt::Stop => SStmt::Stop,
-            SStmt::Send {
-                to,
-                tag,
-                array,
-                section,
-            } => SStmt::Send {
-                to: se(to),
-                tag: *tag,
-                array: *amap.get(array).unwrap_or(array),
-                section: sr(section),
-            },
-            SStmt::Recv {
-                from,
-                tag,
-                array,
-                section,
-            } => SStmt::Recv {
-                from: se(from),
-                tag: *tag,
-                array: *amap.get(array).unwrap_or(array),
-                section: sr(section),
-            },
-            SStmt::SendElem { to, tag, value } => SStmt::SendElem {
-                to: se(to),
-                tag: *tag,
-                value: se(value),
-            },
-            SStmt::RecvElem { from, tag, lhs } => SStmt::RecvElem {
-                from: se(from),
-                tag: *tag,
-                lhs: sl(lhs),
-            },
-            SStmt::Bcast {
-                root,
-                src_array,
-                src_section,
-                dst_array,
-                dst_section,
-            } => SStmt::Bcast {
-                root: se(root),
-                src_array: *amap.get(src_array).unwrap_or(src_array),
-                src_section: sr(src_section),
-                dst_array: *amap.get(dst_array).unwrap_or(dst_array),
-                dst_section: sr(dst_section),
-            },
-            SStmt::BcastScalar { root, var } => SStmt::BcastScalar {
-                root: se(root),
-                var: *var,
-            },
-            SStmt::BcastPack { root, parts } => SStmt::BcastPack {
-                root: se(root),
-                parts: parts
-                    .iter()
-                    .map(|p| match p {
-                        BcastPart::Scalar(v) => BcastPart::Scalar(*v),
-                        BcastPart::Section {
-                            src_array,
-                            src_section,
-                            dst_array,
-                            dst_section,
-                        } => BcastPart::Section {
-                            src_array: *amap.get(src_array).unwrap_or(src_array),
-                            src_section: sr(src_section),
-                            dst_array: *amap.get(dst_array).unwrap_or(dst_array),
-                            dst_section: sr(dst_section),
-                        },
-                    })
-                    .collect(),
-            },
-            SStmt::PostSend {
-                handle,
-                to,
-                tag,
-                array,
-                section,
-            } => SStmt::PostSend {
-                handle: *handle,
-                to: se(to),
-                tag: *tag,
-                array: *amap.get(array).unwrap_or(array),
-                section: sr(section),
-            },
-            SStmt::WaitSend { handle } => SStmt::WaitSend { handle: *handle },
-            SStmt::PostRecv { handle, from, tag } => SStmt::PostRecv {
-                handle: *handle,
-                from: se(from),
-                tag: *tag,
-            },
-            SStmt::WaitRecv {
-                handle,
-                array,
-                section,
-            } => SStmt::WaitRecv {
-                handle: *handle,
-                array: *amap.get(array).unwrap_or(array),
-                section: sr(section),
-            },
-            SStmt::PostBcast {
-                handle,
-                root,
-                src_array,
-                src_section,
-            } => SStmt::PostBcast {
-                handle: *handle,
-                root: se(root),
-                src_array: *amap.get(src_array).unwrap_or(src_array),
-                src_section: sr(src_section),
-            },
-            SStmt::WaitBcast {
-                handle,
-                dst_array,
-                dst_section,
-            } => SStmt::WaitBcast {
-                handle: *handle,
-                dst_array: *amap.get(dst_array).unwrap_or(dst_array),
-                dst_section: sr(dst_section),
-            },
-            SStmt::PostBcastPack {
-                handle,
-                root,
-                parts,
-            } => SStmt::PostBcastPack {
-                handle: *handle,
-                root: se(root),
-                parts: parts
-                    .iter()
-                    .map(|p| subst_part(p, smap, amap, &sr))
-                    .collect(),
-            },
-            SStmt::WaitBcastPack { handle, parts } => SStmt::WaitBcastPack {
-                handle: *handle,
-                parts: parts
-                    .iter()
-                    .map(|p| subst_part(p, smap, amap, &sr))
-                    .collect(),
-            },
-            SStmt::Remap { array, to_dist } => SStmt::Remap {
-                array: *amap.get(array).unwrap_or(array),
-                to_dist: *to_dist,
-            },
-            SStmt::RemapGlobal { array, to_dist } => SStmt::RemapGlobal {
-                array: *amap.get(array).unwrap_or(array),
-                to_dist: *to_dist,
-            },
-            SStmt::MarkDist { array, to_dist } => SStmt::MarkDist {
-                array: *amap.get(array).unwrap_or(array),
-                to_dist: *to_dist,
-            },
-            SStmt::Print { args } => SStmt::Print {
-                args: args.iter().map(se).collect(),
-            },
-        })
-        .collect()
-}
-
-fn subst_part(
-    p: &BcastPart,
-    _smap: &BTreeMap<Sym, SExpr>,
-    amap: &BTreeMap<Sym, Sym>,
-    sr: &dyn Fn(&SRect) -> SRect,
-) -> BcastPart {
-    match p {
-        BcastPart::Scalar(v) => BcastPart::Scalar(*v),
-        BcastPart::Section {
-            src_array,
-            src_section,
-            dst_array,
-            dst_section,
-        } => BcastPart::Section {
-            src_array: *amap.get(src_array).unwrap_or(src_array),
-            src_section: sr(src_section),
-            dst_array: *amap.get(dst_array).unwrap_or(dst_array),
-            dst_section: sr(dst_section),
-        },
-    }
-}
-
-fn subst_expr(e: &SExpr, smap: &BTreeMap<Sym, SExpr>, amap: &BTreeMap<Sym, Sym>) -> SExpr {
-    map_expr(e, &mut |x| match x {
-        SExpr::Var(s) => smap.get(s).cloned(),
-        SExpr::Elem { array, subs } => amap.get(array).map(|na| SExpr::Elem {
-            array: *na,
-            subs: subs.iter().map(|q| subst_expr(q, smap, amap)).collect(),
-        }),
-        SExpr::CurOwner { array, subs } => amap.get(array).map(|na| SExpr::CurOwner {
-            array: *na,
-            subs: subs.iter().map(|q| subst_expr(q, smap, amap)).collect(),
-        }),
-        _ => None,
-    })
+    let mut out = stmts.to_vec();
+    walk_operands_mut(&mut out, &mut |op| match op {
+        OperandMut::Expr(e) => e.walk_mut(node),
+        OperandMut::Array { name, .. } => *name = *amap.get(name).unwrap_or(name),
+        _ => {}
+    });
+    out
 }
 
 // ---------------------------------------------------------------------------
@@ -2922,37 +2261,7 @@ struct AbsWalk<'b> {
 impl<'b> AbsWalk<'b> {
     /// Caller-term value of a callee expression via `val` substitution.
     fn to_caller(&self, e: &SExpr, env: &BTreeMap<Sym, AbsVal>) -> Option<SExpr> {
-        match e {
-            SExpr::Int(_) | SExpr::Real(_) | SExpr::NProcs => Some(e.clone()),
-            SExpr::Var(s) => env.get(s).and_then(|v| v.val.clone()),
-            SExpr::MyP | SExpr::Elem { .. } | SExpr::CurOwner { .. } => None,
-            SExpr::Bin { op, l, r } => Some(SExpr::bin(
-                *op,
-                self.to_caller(l, env)?,
-                self.to_caller(r, env)?,
-            )),
-            SExpr::Neg(x) => Some(SExpr::Neg(Box::new(self.to_caller(x, env)?))),
-            SExpr::Not(x) => Some(SExpr::Not(Box::new(self.to_caller(x, env)?))),
-            SExpr::Intr { name, args } => Some(SExpr::Intr {
-                name: *name,
-                args: args
-                    .iter()
-                    .map(|a| self.to_caller(a, env))
-                    .collect::<Option<Vec<_>>>()?,
-            }),
-            SExpr::Owner { dist, subs } => Some(SExpr::Owner {
-                dist: *dist,
-                subs: subs
-                    .iter()
-                    .map(|a| self.to_caller(a, env))
-                    .collect::<Option<Vec<_>>>()?,
-            }),
-            SExpr::LocalIdx { dist, dim, sub } => Some(SExpr::LocalIdx {
-                dist: *dist,
-                dim: *dim,
-                sub: Box::new(self.to_caller(sub, env)?),
-            }),
-        }
+        subst_vars(e, |s| env.get(&s).and_then(|v| v.val.clone()))
     }
 
     /// True if the callee subscript provably lies in `[lo, hi]` (caller
@@ -2979,25 +2288,27 @@ impl<'b> AbsWalk<'b> {
     /// an unprovable access. Returns false if any array access blocks
     /// replication of the value.
     fn scan_reads(&mut self, e: &SExpr, env: &BTreeMap<Sym, AbsVal>) {
-        let mut accesses: Vec<(Sym, Vec<SExpr>)> = Vec::new();
-        visit_expr(e, &mut |x| match x {
-            SExpr::Elem { array, subs } => accesses.push((*array, subs.clone())),
-            SExpr::CurOwner { array, .. } => accesses.push((*array, vec![])),
-            _ => {}
-        });
-        for (af, subs) in accesses {
-            let Some(f) = self.mapped.get(&af) else {
-                continue;
+        let mut outside = Vec::new();
+        e.walk(&mut |x| {
+            let (af, subs) = match x {
+                SExpr::Elem { array, subs } => (array, subs.as_slice()),
+                SExpr::CurOwner { array, .. } => (array, &[][..]),
+                _ => return,
             };
-            let caller = self.fmap[&af];
+            let Some(f) = self.mapped.get(af) else {
+                return;
+            };
             let inside = subs.len() == f.dst_sec.dims.len()
                 && subs
                     .iter()
-                    .zip(f.dst_sec.dims.clone().iter())
+                    .zip(&f.dst_sec.dims)
                     .all(|(s, (lo, hi, _))| self.sub_in(s, lo, hi, env));
             if !inside {
-                self.buf_ok.insert(caller, false);
+                outside.push(self.fmap[af]);
             }
+        });
+        for caller in outside {
+            self.buf_ok.insert(caller, false);
         }
     }
 
@@ -3234,27 +2545,23 @@ impl<'b> AbsWalk<'b> {
                     // Any mention of a mapped buffer inside communication is
                     // beyond the region prover: de-validate bluntly.
                     let one = std::slice::from_ref(s);
-                    let bufs: Vec<Sym> = self.mapped.keys().copied().collect();
-                    for af in bufs {
-                        if count_mentions(one, af) > 0 {
-                            let caller = self.fmap[&af];
-                            self.buf_ok.insert(caller, false);
+                    walk_array_mentions(one, &mut |af, access| {
+                        if access != Access::Unused && self.mapped.contains_key(&af) {
+                            self.buf_ok.insert(self.fmap[&af], false);
                         }
-                    }
+                    });
                     // Scalar effects of packs (blocking and posted forms).
-                    if let SStmt::BcastPack { parts, .. } | SStmt::WaitBcastPack { parts, .. } = s {
-                        for p in parts {
-                            if let BcastPart::Scalar(v) = p {
-                                env.insert(
-                                    *v,
-                                    AbsVal {
-                                        repl: true,
-                                        range: None,
-                                        val: None,
-                                    },
-                                );
-                            }
-                        }
+                    let mut delivered = BTreeSet::new();
+                    collect_assigned_scalars(one, &mut delivered);
+                    for v in delivered {
+                        env.insert(
+                            v,
+                            AbsVal {
+                                repl: true,
+                                range: None,
+                                val: None,
+                            },
+                        );
                     }
                 }
             }

@@ -4,7 +4,7 @@ use std::collections::BTreeSet;
 
 use super::dataflow::{
     collect_assigned_scalars, collect_callees, collect_written_arrays, const_of, mentions_any,
-    visit_expr, written_formals,
+    reads_memory, written_formals,
 };
 use super::OptReport;
 
@@ -65,18 +65,7 @@ fn hoist_stmts(
                 let mut assigned = BTreeSet::new();
                 assigned.insert(var);
                 collect_assigned_scalars(&body, &mut assigned);
-                let invariant = |e: &SExpr| -> bool {
-                    if mentions_any(e, &assigned) {
-                        return false;
-                    }
-                    let mut memory = false;
-                    visit_expr(e, &mut |x| {
-                        if matches!(x, SExpr::Elem { .. } | SExpr::CurOwner { .. }) {
-                            memory = true;
-                        }
-                    });
-                    !memory
-                };
+                let invariant = |e: &SExpr| !mentions_any(e, &assigned) && !reads_memory(e);
                 let mut lifted = 0usize;
                 while lifted < body.len() {
                     let rest = &body[lifted + 1..];

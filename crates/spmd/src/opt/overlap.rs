@@ -38,14 +38,17 @@
 //! that completes its payload), and waits scatter them at the original
 //! program point (or later, past statements that provably do not look).
 
-use crate::ir::{BcastPart, SBinOp, SExpr, SLval, SProc, SRect, SStmt, SpmdProgram};
+use crate::ir::{
+    walk_array_mentions, walk_operands_mut, walk_stmts, BcastPart, OperandMut, SBinOp, SExpr,
+    SLval, SProc, SRect, SStmt, SpmdProgram,
+};
 use fortrand_ir::dist::ArrayDist;
 use fortrand_ir::{Interner, Sym};
 use std::collections::{BTreeMap, BTreeSet};
 
 use super::dataflow::{
-    collect_assigned_scalars, collect_written_arrays, const_of, map_expr, mentions_any, syn_eq,
-    visit_expr, written_formals,
+    collect_assigned_scalars, collect_written_arrays, const_of, mentions_any, reads_memory, syn_eq,
+    written_formals,
 };
 use super::OptReport;
 
@@ -126,33 +129,6 @@ impl Cx<'_> {
 // Communication summaries
 // ---------------------------------------------------------------------------
 
-/// Communication (and decomposition-state) statements: barriers for every
-/// kind of code motion this pass performs. Posted forms are included so a
-/// second motion never reorders already-moved communication.
-fn stmt_is_comm(s: &SStmt) -> bool {
-    matches!(
-        s,
-        SStmt::Send { .. }
-            | SStmt::Recv { .. }
-            | SStmt::SendElem { .. }
-            | SStmt::RecvElem { .. }
-            | SStmt::Bcast { .. }
-            | SStmt::BcastScalar { .. }
-            | SStmt::BcastPack { .. }
-            | SStmt::PostSend { .. }
-            | SStmt::WaitSend { .. }
-            | SStmt::PostRecv { .. }
-            | SStmt::WaitRecv { .. }
-            | SStmt::PostBcast { .. }
-            | SStmt::WaitBcast { .. }
-            | SStmt::PostBcastPack { .. }
-            | SStmt::WaitBcastPack { .. }
-            | SStmt::Remap { .. }
-            | SStmt::RemapGlobal { .. }
-            | SStmt::MarkDist { .. }
-    )
-}
-
 /// Fixpoint "does this procedure (transitively) communicate".
 fn procs_with_comm(procs: &[SProc]) -> Vec<bool> {
     let mut comm = vec![false; procs.len()];
@@ -170,171 +146,40 @@ fn procs_with_comm(procs: &[SProc]) -> Vec<bool> {
     }
 }
 
+/// True if anything in `stmts` communicates or touches decomposition
+/// state, directly or through a call: the barrier for every kind of code
+/// motion this pass performs. Posted forms are included so a second motion
+/// never reorders already-moved communication.
 fn body_has_comm(stmts: &[SStmt], proc_comm: &[bool]) -> bool {
-    stmts.iter().any(|s| match s {
-        SStmt::Do { body, .. } => body_has_comm(body, proc_comm),
-        SStmt::If {
-            then_body,
-            else_body,
-            ..
-        } => body_has_comm(then_body, proc_comm) || body_has_comm(else_body, proc_comm),
-        SStmt::Call { proc, .. } => proc_comm[*proc],
-        s => stmt_is_comm(s),
-    })
+    let mut hit = false;
+    walk_stmts(stmts, &mut |s| {
+        hit |= s.is_comm() || matches!(s, SStmt::Call { proc, .. } if proc_comm[*proc]);
+    });
+    hit
 }
 
 fn contains_return(stmts: &[SStmt]) -> bool {
-    stmts.iter().any(|s| match s {
-        SStmt::Return | SStmt::Stop => true,
-        SStmt::Do { body, .. } => contains_return(body),
-        SStmt::If {
-            then_body,
-            else_body,
-            ..
-        } => contains_return(then_body) || contains_return(else_body),
-        _ => false,
-    })
+    let mut hit = false;
+    walk_stmts(stmts, &mut |s| {
+        hit |= matches!(s, SStmt::Return | SStmt::Stop)
+    });
+    hit
 }
 
 /// True if any statement mentions `array` at all (element access, section
 /// communication, actual argument, remap target — reads *or* writes).
 fn mentions_array(stmts: &[SStmt], array: Sym) -> bool {
     let mut hit = false;
-    let expr_hits = |e: &SExpr| {
-        let mut h = false;
-        visit_expr(e, &mut |x| match x {
-            SExpr::Elem { array: a, .. } | SExpr::CurOwner { array: a, .. } if *a == array => {
-                h = true;
-            }
-            _ => {}
-        });
-        h
-    };
-    let rect_hits = |r: &SRect| r.dims.iter().any(|(a, b, _)| expr_hits(a) || expr_hits(b));
-    for s in stmts {
-        if hit {
-            return true;
-        }
-        hit |= match s {
-            SStmt::Comment(_) | SStmt::Return | SStmt::Stop | SStmt::WaitSend { .. } => false,
-            SStmt::Assign { lhs, rhs } => {
-                expr_hits(rhs)
-                    || match lhs {
-                        SLval::Elem { array: a, subs } => *a == array || subs.iter().any(expr_hits),
-                        SLval::Scalar(_) => false,
-                    }
-            }
-            SStmt::Do { lo, hi, body, .. } => {
-                expr_hits(lo) || expr_hits(hi) || mentions_array(body, array)
-            }
-            SStmt::If {
-                cond,
-                then_body,
-                else_body,
-            } => {
-                expr_hits(cond)
-                    || mentions_array(then_body, array)
-                    || mentions_array(else_body, array)
-            }
-            SStmt::Call { args, .. } => args.iter().any(|a| match a {
-                crate::ir::SActual::Array(s) => *s == array,
-                crate::ir::SActual::Scalar(e) => expr_hits(e),
-            }),
-            SStmt::Send {
-                to: e,
-                array: a,
-                section,
-                ..
-            }
-            | SStmt::Recv {
-                from: e,
-                array: a,
-                section,
-                ..
-            }
-            | SStmt::PostSend {
-                to: e,
-                array: a,
-                section,
-                ..
-            } => *a == array || expr_hits(e) || rect_hits(section),
-            SStmt::PostRecv { from: e, .. } => expr_hits(e),
-            SStmt::WaitRecv {
-                array: a, section, ..
-            } => *a == array || rect_hits(section),
-            SStmt::SendElem { to, value, .. } => expr_hits(to) || expr_hits(value),
-            SStmt::RecvElem { from, lhs, .. } => {
-                expr_hits(from)
-                    || match lhs {
-                        SLval::Elem { array: a, subs } => *a == array || subs.iter().any(expr_hits),
-                        SLval::Scalar(_) => false,
-                    }
-            }
-            SStmt::Bcast {
-                root,
-                src_array,
-                src_section,
-                dst_array,
-                dst_section,
-            } => {
-                *src_array == array
-                    || *dst_array == array
-                    || expr_hits(root)
-                    || rect_hits(src_section)
-                    || rect_hits(dst_section)
-            }
-            SStmt::BcastScalar { root, .. } => expr_hits(root),
-            SStmt::BcastPack { root, parts } | SStmt::PostBcastPack { root, parts, .. } => {
-                expr_hits(root) || parts_mention(parts, array, &expr_hits)
-            }
-            SStmt::WaitBcastPack { parts, .. } => parts_mention(parts, array, &expr_hits),
-            SStmt::PostBcast {
-                root,
-                src_array,
-                src_section,
-                ..
-            } => *src_array == array || expr_hits(root) || rect_hits(src_section),
-            SStmt::WaitBcast {
-                dst_array,
-                dst_section,
-                ..
-            } => *dst_array == array || rect_hits(dst_section),
-            SStmt::Remap { array: a, .. }
-            | SStmt::RemapGlobal { array: a, .. }
-            | SStmt::MarkDist { array: a, .. } => *a == array,
-            SStmt::Print { args } => args.iter().any(expr_hits),
-        };
-    }
+    walk_array_mentions(stmts, &mut |name, _| hit |= name == array);
     hit
-}
-
-fn parts_mention(parts: &[BcastPart], array: Sym, expr_hits: &dyn Fn(&SExpr) -> bool) -> bool {
-    parts.iter().any(|p| match p {
-        BcastPart::Section {
-            src_array,
-            src_section,
-            dst_array,
-            dst_section,
-        } => {
-            *src_array == array
-                || *dst_array == array
-                || src_section
-                    .dims
-                    .iter()
-                    .chain(dst_section.dims.iter())
-                    .any(|(a, b, _)| expr_hits(a) || expr_hits(b))
-        }
-        BcastPart::Scalar(_) => false,
-    })
 }
 
 /// Arrays an expression reads through (`Elem` / `CurOwner`).
 fn expr_read_arrays(e: &SExpr, out: &mut BTreeSet<Sym>) {
-    visit_expr(e, &mut |x| match x {
-        SExpr::Elem { array, .. } | SExpr::CurOwner { array, .. } => {
+    e.walk(&mut |x| {
+        if let SExpr::Elem { array, .. } | SExpr::CurOwner { array, .. } = x {
             out.insert(*array);
         }
-        _ => {}
     });
 }
 
@@ -499,7 +344,7 @@ fn overlap_stmts(stmts: Vec<SStmt>, cx: &mut Cx<'_>, interner: &mut Interner) ->
                 let mut read_arrays = BTreeSet::new();
                 for (lo, hi, _) in &section.dims {
                     for e in [lo, hi] {
-                        visit_expr(e, &mut |x| {
+                        e.walk(&mut |x| {
                             if let SExpr::Var(v) = x {
                                 scalars.insert(*v);
                             }
@@ -657,15 +502,7 @@ fn try_pipeline(
     if body_assigned.contains(&var) {
         return Err((lo, hi, body));
     }
-    let pure = |e: &SExpr| -> bool {
-        let mut memory = false;
-        visit_expr(e, &mut |x| {
-            if matches!(x, SExpr::Elem { .. } | SExpr::CurOwner { .. }) {
-                memory = true;
-            }
-        });
-        !memory && !mentions_any(e, &body_assigned)
-    };
+    let pure = |e: &SExpr| !reads_memory(e) && !mentions_any(e, &body_assigned);
     if !pure(root) || !src_section.dims.iter().all(|(a, b, _)| pure(a) && pure(b)) {
         return Err((lo, hi, body));
     }
@@ -767,17 +604,18 @@ fn try_pipeline(
     let mid = overlap_stmts(body, cx, interner);
 
     let subst_k = |e: &SExpr, with: &SExpr| {
-        map_expr(e, &mut |x| match x {
-            SExpr::Var(s) if *s == var => Some(with.clone()),
-            _ => None,
-        })
+        let mut out = e.clone();
+        out.walk_mut(&mut |x| {
+            if *x == SExpr::Var(var) {
+                *x = with.clone();
+            }
+        });
+        out
     };
-    let subst_rect = |r: &SRect, with: &SExpr| SRect {
-        dims: r
-            .dims
-            .iter()
-            .map(|(a, b, st)| (subst_k(a, with), subst_k(b, with), *st))
-            .collect(),
+    let subst_rect = |r: &SRect, with: &SExpr| {
+        let mut out = r.clone();
+        out.bounds_mut().for_each(|e| *e = subst_k(e, with));
+        out
     };
 
     // Prologue: post the first iteration's broadcast before the loop.
@@ -887,100 +725,14 @@ fn try_pipeline(
 /// targets (caller side only — the formal side names the callee's scope).
 /// Array symbols are never in `m`, so array references pass through.
 fn rename_stmts(stmts: &mut [SStmt], m: &BTreeMap<Sym, Sym>) {
-    let get = |s: Sym| *m.get(&s).unwrap_or(&s);
-    for s in stmts {
-        match s {
-            SStmt::Comment(_) | SStmt::Return | SStmt::Stop => {}
-            SStmt::Assign { lhs, rhs } => {
-                rename_lval(lhs, m);
-                rename_expr(rhs, m);
+    let rename = |s: &mut Sym| *s = *m.get(s).unwrap_or(s);
+    walk_operands_mut(stmts, &mut |op| match op {
+        OperandMut::Expr(e) => e.walk_mut(&mut |x| {
+            if let SExpr::Var(s) = x {
+                rename(s);
             }
-            SStmt::Do {
-                var,
-                lo,
-                hi,
-                step: _,
-                body,
-            } => {
-                *var = get(*var);
-                rename_expr(lo, m);
-                rename_expr(hi, m);
-                rename_stmts(body, m);
-            }
-            SStmt::If {
-                cond,
-                then_body,
-                else_body,
-            } => {
-                rename_expr(cond, m);
-                rename_stmts(then_body, m);
-                rename_stmts(else_body, m);
-            }
-            SStmt::Call {
-                proc: _,
-                args,
-                copy_out,
-            } => {
-                for a in args {
-                    if let crate::ir::SActual::Scalar(e) = a {
-                        rename_expr(e, m);
-                    }
-                }
-                for (_formal, caller) in copy_out {
-                    *caller = get(*caller);
-                }
-            }
-            SStmt::Print { args } => {
-                for e in args {
-                    rename_expr(e, m);
-                }
-            }
-            // The pipelining pattern admits only comm-free update bodies.
-            other => unreachable!("rename in comm-free update body: {other:?}"),
-        }
-    }
-}
-
-fn rename_lval(l: &mut SLval, m: &BTreeMap<Sym, Sym>) {
-    match l {
-        SLval::Scalar(s) => {
-            if let Some(n) = m.get(s) {
-                *s = *n;
-            }
-        }
-        SLval::Elem { array: _, subs } => {
-            for e in subs {
-                rename_expr(e, m);
-            }
-        }
-    }
-}
-
-fn rename_expr(e: &mut SExpr, m: &BTreeMap<Sym, Sym>) {
-    match e {
-        SExpr::Int(_) | SExpr::Real(_) | SExpr::MyP | SExpr::NProcs => {}
-        SExpr::Var(s) => {
-            if let Some(n) = m.get(s) {
-                *s = *n;
-            }
-        }
-        SExpr::Elem { array: _, subs }
-        | SExpr::Owner { subs, .. }
-        | SExpr::CurOwner { subs, .. } => {
-            for x in subs {
-                rename_expr(x, m);
-            }
-        }
-        SExpr::Bin { l, r, .. } => {
-            rename_expr(l, m);
-            rename_expr(r, m);
-        }
-        SExpr::Neg(x) | SExpr::Not(x) => rename_expr(x, m),
-        SExpr::Intr { args, .. } => {
-            for a in args {
-                rename_expr(a, m);
-            }
-        }
-        SExpr::LocalIdx { sub, .. } => rename_expr(sub, m),
-    }
+        }),
+        OperandMut::Scalar { var: s, .. } | OperandMut::CopyOut { caller: s, .. } => rename(s),
+        _ => {}
+    });
 }

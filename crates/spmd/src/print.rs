@@ -495,31 +495,11 @@ impl Printer<'_> {
 }
 
 fn is_simple(s: &SStmt) -> bool {
-    matches!(
-        s,
-        SStmt::Assign { .. }
-            | SStmt::Send { .. }
-            | SStmt::Recv { .. }
-            | SStmt::SendElem { .. }
-            | SStmt::RecvElem { .. }
-            | SStmt::Bcast { .. }
-            | SStmt::BcastScalar { .. }
-            | SStmt::BcastPack { .. }
-            | SStmt::PostSend { .. }
-            | SStmt::WaitSend { .. }
-            | SStmt::PostRecv { .. }
-            | SStmt::WaitRecv { .. }
-            | SStmt::PostBcast { .. }
-            | SStmt::WaitBcast { .. }
-            | SStmt::PostBcastPack { .. }
-            | SStmt::WaitBcastPack { .. }
-            | SStmt::Remap { .. }
-            | SStmt::RemapGlobal { .. }
-            | SStmt::MarkDist { .. }
-            | SStmt::Return
-            | SStmt::Stop
-            | SStmt::Call { .. }
-    )
+    s.is_comm()
+        || matches!(
+            s,
+            SStmt::Assign { .. } | SStmt::Return | SStmt::Stop | SStmt::Call { .. }
+        )
 }
 
 fn dist_spelling(d: &fortrand_ir::dist::ArrayDist) -> String {

@@ -10,7 +10,7 @@
 //! incremental driver reuses the same traversal to graft cached procedures
 //! from a previous compilation into a fresh program.
 
-use crate::ir::{DistId, SActual, SDecl, SExpr, SLval, SProc, SRect, SStmt};
+use crate::ir::{walk_operands_mut, Access, DistId, OperandMut, SExpr, SProc};
 use fortrand_ir::Sym;
 
 /// The three id maps a remap applies. Each is total over the ids appearing
@@ -31,392 +31,44 @@ pub fn remap_proc(p: &mut SProc, m: &ProcRemap) {
         f.name = (m.sym)(f.name);
     }
     for d in &mut p.decls {
-        remap_decl(d, m);
+        d.name = (m.sym)(d.name);
+        d.dist = (m.dist)(d.dist);
+        d.owner_dist = d.owner_dist.map(m.dist);
     }
-    remap_body(&mut p.body, m);
-}
-
-fn remap_decl(d: &mut SDecl, m: &ProcRemap) {
-    d.name = (m.sym)(d.name);
-    d.dist = (m.dist)(d.dist);
-    if let Some(od) = &mut d.owner_dist {
-        *od = (m.dist)(*od);
-    }
-}
-
-fn remap_body(body: &mut [SStmt], m: &ProcRemap) {
-    for s in body {
-        remap_stmt(s, m);
-    }
-}
-
-fn remap_stmt(s: &mut SStmt, m: &ProcRemap) {
-    match s {
-        SStmt::Comment(_) | SStmt::Return | SStmt::Stop => {}
-        SStmt::Assign { lhs, rhs } => {
-            remap_lval(lhs, m);
-            remap_expr(rhs, m);
+    let node = &mut |e: &mut SExpr| match e {
+        SExpr::Var(s) | SExpr::Elem { array: s, .. } | SExpr::CurOwner { array: s, .. } => {
+            *s = (m.sym)(*s)
         }
-        SStmt::Do {
-            var,
-            lo,
-            hi,
-            step: _,
-            body,
-        } => {
-            *var = (m.sym)(*var);
-            remap_expr(lo, m);
-            remap_expr(hi, m);
-            remap_body(body, m);
-        }
-        SStmt::If {
-            cond,
-            then_body,
-            else_body,
-        } => {
-            remap_expr(cond, m);
-            remap_body(then_body, m);
-            remap_body(else_body, m);
-        }
-        SStmt::Call {
-            proc,
-            args,
-            copy_out,
-        } => {
-            *proc = (m.proc)(*proc);
-            for a in args {
-                match a {
-                    SActual::Array(s) => *s = (m.sym)(*s),
-                    SActual::Scalar(e) => remap_expr(e, m),
-                }
-            }
-            for (a, b) in copy_out {
-                *a = (m.sym)(*a);
-                *b = (m.sym)(*b);
-            }
-        }
-        SStmt::Send {
-            to,
-            tag: _,
-            array,
+        SExpr::Owner { dist, .. } | SExpr::LocalIdx { dist, .. } => *dist = (m.dist)(*dist),
+        SExpr::Int(_)
+        | SExpr::Real(_)
+        | SExpr::MyP
+        | SExpr::NProcs
+        | SExpr::Bin { .. }
+        | SExpr::Neg(_)
+        | SExpr::Not(_)
+        | SExpr::Intr { .. } => {}
+    };
+    walk_operands_mut(&mut p.body, &mut |op| match op {
+        OperandMut::Expr(e) => e.walk_mut(node),
+        OperandMut::Scalar { var: s, .. } => *s = (m.sym)(*s),
+        OperandMut::Array {
+            name,
+            access,
             section,
         } => {
-            remap_expr(to, m);
-            *array = (m.sym)(*array);
-            remap_rect(section, m);
-        }
-        SStmt::Recv {
-            from,
-            tag: _,
-            array,
-            section,
-        } => {
-            remap_expr(from, m);
-            *array = (m.sym)(*array);
-            remap_rect(section, m);
-        }
-        SStmt::SendElem { to, tag: _, value } => {
-            remap_expr(to, m);
-            remap_expr(value, m);
-        }
-        SStmt::RecvElem { from, tag: _, lhs } => {
-            remap_expr(from, m);
-            remap_lval(lhs, m);
-        }
-        SStmt::Bcast {
-            root,
-            src_array,
-            src_section,
-            dst_array,
-            dst_section,
-        } => {
-            remap_expr(root, m);
-            *src_array = (m.sym)(*src_array);
-            remap_rect(src_section, m);
-            *dst_array = (m.sym)(*dst_array);
-            remap_rect(dst_section, m);
-        }
-        SStmt::BcastScalar { root, var } => {
-            remap_expr(root, m);
-            *var = (m.sym)(*var);
-        }
-        SStmt::BcastPack { root, parts } => {
-            remap_expr(root, m);
-            for p in parts {
-                match p {
-                    crate::ir::BcastPart::Section {
-                        src_array,
-                        src_section,
-                        dst_array,
-                        dst_section,
-                    } => {
-                        *src_array = (m.sym)(*src_array);
-                        remap_rect(src_section, m);
-                        *dst_array = (m.sym)(*dst_array);
-                        remap_rect(dst_section, m);
-                    }
-                    crate::ir::BcastPart::Scalar(v) => *v = (m.sym)(*v),
-                }
+            *name = (m.sym)(*name);
+            // The walker expands the bounds of every section but these.
+            if let (Access::Unused, Some(r)) = (access, section) {
+                r.bounds_mut().for_each(|e| e.walk_mut(node));
             }
         }
-        SStmt::PostSend {
-            to,
-            tag: _,
-            array,
-            section,
-            handle: _,
-        } => {
-            remap_expr(to, m);
-            *array = (m.sym)(*array);
-            remap_rect(section, m);
+        OperandMut::Dist(d) => *d = (m.dist)(*d),
+        OperandMut::Callee(c) => *c = (m.proc)(*c),
+        OperandMut::CopyOut { formal, caller, .. } => {
+            *formal = (m.sym)(*formal);
+            *caller = (m.sym)(*caller);
         }
-        SStmt::WaitSend { .. } => {}
-        SStmt::PostRecv {
-            from,
-            tag: _,
-            handle: _,
-        } => remap_expr(from, m),
-        SStmt::WaitRecv {
-            array,
-            section,
-            handle: _,
-        } => {
-            *array = (m.sym)(*array);
-            remap_rect(section, m);
-        }
-        SStmt::PostBcast {
-            root,
-            src_array,
-            src_section,
-            handle: _,
-        } => {
-            remap_expr(root, m);
-            *src_array = (m.sym)(*src_array);
-            remap_rect(src_section, m);
-        }
-        SStmt::WaitBcast {
-            dst_array,
-            dst_section,
-            handle: _,
-        } => {
-            *dst_array = (m.sym)(*dst_array);
-            remap_rect(dst_section, m);
-        }
-        SStmt::PostBcastPack { root, parts, .. } => {
-            remap_expr(root, m);
-            for p in parts {
-                match p {
-                    crate::ir::BcastPart::Section {
-                        src_array,
-                        src_section,
-                        dst_array,
-                        dst_section,
-                    } => {
-                        *src_array = (m.sym)(*src_array);
-                        remap_rect(src_section, m);
-                        *dst_array = (m.sym)(*dst_array);
-                        remap_rect(dst_section, m);
-                    }
-                    crate::ir::BcastPart::Scalar(v) => *v = (m.sym)(*v),
-                }
-            }
-        }
-        SStmt::WaitBcastPack { parts, .. } => {
-            for p in parts {
-                match p {
-                    crate::ir::BcastPart::Section {
-                        src_array,
-                        src_section,
-                        dst_array,
-                        dst_section,
-                    } => {
-                        *src_array = (m.sym)(*src_array);
-                        remap_rect(src_section, m);
-                        *dst_array = (m.sym)(*dst_array);
-                        remap_rect(dst_section, m);
-                    }
-                    crate::ir::BcastPart::Scalar(v) => *v = (m.sym)(*v),
-                }
-            }
-        }
-        SStmt::Remap { array, to_dist }
-        | SStmt::RemapGlobal { array, to_dist }
-        | SStmt::MarkDist { array, to_dist } => {
-            *array = (m.sym)(*array);
-            *to_dist = (m.dist)(*to_dist);
-        }
-        SStmt::Print { args } => {
-            for e in args {
-                remap_expr(e, m);
-            }
-        }
-    }
-}
-
-fn remap_lval(l: &mut SLval, m: &ProcRemap) {
-    match l {
-        SLval::Scalar(s) => *s = (m.sym)(*s),
-        SLval::Elem { array, subs } => {
-            *array = (m.sym)(*array);
-            for e in subs {
-                remap_expr(e, m);
-            }
-        }
-    }
-}
-
-fn remap_rect(r: &mut SRect, m: &ProcRemap) {
-    for (lo, hi, _step) in &mut r.dims {
-        remap_expr(lo, m);
-        remap_expr(hi, m);
-    }
-}
-
-fn remap_expr(e: &mut SExpr, m: &ProcRemap) {
-    match e {
-        SExpr::Int(_) | SExpr::Real(_) | SExpr::MyP | SExpr::NProcs => {}
-        SExpr::Var(s) => *s = (m.sym)(*s),
-        SExpr::Elem { array, subs } => {
-            *array = (m.sym)(*array);
-            for sub in subs {
-                remap_expr(sub, m);
-            }
-        }
-        SExpr::Bin { op: _, l, r } => {
-            remap_expr(l, m);
-            remap_expr(r, m);
-        }
-        SExpr::Neg(inner) | SExpr::Not(inner) => remap_expr(inner, m),
-        SExpr::Intr { name: _, args } => {
-            for a in args {
-                remap_expr(a, m);
-            }
-        }
-        SExpr::Owner { dist, subs } => {
-            *dist = (m.dist)(*dist);
-            for sub in subs {
-                remap_expr(sub, m);
-            }
-        }
-        SExpr::CurOwner { array, subs } => {
-            *array = (m.sym)(*array);
-            for sub in subs {
-                remap_expr(sub, m);
-            }
-        }
-        SExpr::LocalIdx { dist, dim: _, sub } => {
-            *dist = (m.dist)(*dist);
-            remap_expr(sub, m);
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::ir::SFormal;
-
-    #[test]
-    fn remap_touches_every_id_site() {
-        let bump_sym = |s: Sym| Sym(s.0 + 100);
-        let bump_dist = |d: DistId| DistId(d.0 + 50);
-        let bump_proc = |p: usize| p + 7;
-        let m = ProcRemap {
-            sym: &bump_sym,
-            dist: &bump_dist,
-            proc: &bump_proc,
-        };
-
-        let mut p = SProc {
-            name: Sym(1),
-            formals: vec![SFormal {
-                name: Sym(2),
-                is_array: true,
-            }],
-            decls: vec![SDecl {
-                name: Sym(3),
-                bounds: vec![(1, 4)],
-                dist: DistId(0),
-                owner_dist: Some(DistId(1)),
-            }],
-            body: vec![
-                SStmt::Assign {
-                    lhs: SLval::Elem {
-                        array: Sym(3),
-                        subs: vec![SExpr::Var(Sym(4))],
-                    },
-                    rhs: SExpr::Owner {
-                        dist: DistId(2),
-                        subs: vec![SExpr::MyP],
-                    },
-                },
-                SStmt::Do {
-                    var: Sym(5),
-                    lo: SExpr::int(1),
-                    hi: SExpr::LocalIdx {
-                        dist: DistId(3),
-                        dim: 0,
-                        sub: Box::new(SExpr::Var(Sym(6))),
-                    },
-                    step: 1,
-                    body: vec![SStmt::Call {
-                        proc: 2,
-                        args: vec![SActual::Array(Sym(7)), SActual::Scalar(SExpr::Var(Sym(8)))],
-                        copy_out: vec![(Sym(9), Sym(10))],
-                    }],
-                },
-                SStmt::Remap {
-                    array: Sym(11),
-                    to_dist: DistId(4),
-                },
-            ],
-        };
-        remap_proc(&mut p, &m);
-        assert_eq!(p.name, Sym(101));
-        assert_eq!(p.formals[0].name, Sym(102));
-        assert_eq!(p.decls[0].dist, DistId(50));
-        assert_eq!(p.decls[0].owner_dist, Some(DistId(51)));
-        match &p.body[0] {
-            SStmt::Assign {
-                lhs: SLval::Elem { array, subs },
-                rhs: SExpr::Owner { dist, .. },
-            } => {
-                assert_eq!(*array, Sym(103));
-                assert_eq!(subs[0], SExpr::Var(Sym(104)));
-                assert_eq!(*dist, DistId(52));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        match &p.body[1] {
-            SStmt::Do {
-                var,
-                hi: SExpr::LocalIdx { dist, .. },
-                body,
-                ..
-            } => {
-                assert_eq!(*var, Sym(105));
-                assert_eq!(*dist, DistId(53));
-                match &body[0] {
-                    SStmt::Call {
-                        proc,
-                        args,
-                        copy_out,
-                    } => {
-                        assert_eq!(*proc, 9);
-                        assert_eq!(args[0], SActual::Array(Sym(107)));
-                        assert_eq!(copy_out[0], (Sym(109), Sym(110)));
-                    }
-                    other => panic!("unexpected {other:?}"),
-                }
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        match &p.body[2] {
-            SStmt::Remap { array, to_dist } => {
-                assert_eq!(*array, Sym(111));
-                assert_eq!(*to_dist, DistId(54));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
+        OperandMut::Body(_) => {}
+    });
 }

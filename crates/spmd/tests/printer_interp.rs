@@ -1,7 +1,10 @@
 //! Integration tests for the SPMD crate: printer stability and
 //! interpreter edge cases that the compiler relies on.
 
-use fortrand_ir::dist::{Alignment, ArrayDist, DistKind, Distribution};
+mod common;
+
+use common::dist_1d;
+use fortrand_ir::dist::{ArrayDist, DistKind};
 use fortrand_ir::Interner;
 use fortrand_machine::{CostModel, Machine};
 use fortrand_spmd::ir::*;
@@ -24,15 +27,7 @@ fn run_spmd(
 }
 
 fn block_dist(n: i64, p: usize) -> ArrayDist {
-    ArrayDist::new(
-        &[n],
-        &Alignment::identity(1),
-        &[n],
-        &Distribution {
-            kinds: vec![DistKind::Block],
-            nprocs: p,
-        },
-    )
+    dist_1d(DistKind::Block, n, p)
 }
 
 /// Builds a trivial program skeleton.
@@ -257,77 +252,37 @@ fn stop_terminates_whole_program() {
 
 #[test]
 fn printer_renders_every_statement_kind() {
-    let mut int = Interner::new();
-    let main = int.intern("main");
-    let a = int.intern("a");
-    let b = int.intern("buf");
-    let v = int.intern("v");
-    let mut prog = SpmdProgram {
-        interner: int,
-        nprocs: 2,
-        procs: vec![],
-        main: 0,
-        dists: vec![],
-    };
-    let did = prog.add_dist(block_dist(8, 2));
-    let rep = prog.add_dist(ArrayDist::replicated(&[8]));
-    prog.procs.push(SProc {
-        name: main,
-        formals: vec![],
-        decls: vec![
-            SDecl {
-                name: a,
-                bounds: vec![(1, 4)],
-                dist: did,
-                owner_dist: None,
-            },
-            SDecl {
-                name: b,
-                bounds: vec![(1, 8)],
-                dist: rep,
-                owner_dist: None,
-            },
-        ],
-        body: vec![
-            SStmt::Comment("phase banner".into()),
-            SStmt::Assign {
-                lhs: SLval::Scalar(v),
-                rhs: SExpr::NProcs,
-            },
-            SStmt::Bcast {
-                root: SExpr::int(0),
-                src_array: a,
-                src_section: SRect::one(SExpr::int(1), SExpr::int(4)),
-                dst_array: b,
-                dst_section: SRect::one(SExpr::int(1), SExpr::int(4)),
-            },
-            SStmt::BcastScalar {
-                root: SExpr::int(0),
-                var: v,
-            },
-            SStmt::Remap {
-                array: a,
-                to_dist: did,
-            },
-            SStmt::MarkDist {
-                array: a,
-                to_dist: did,
-            },
-            SStmt::Print {
-                args: vec![SExpr::Var(v)],
-            },
-            SStmt::Stop,
-        ],
-    });
+    let (prog, _) = common::every_kind();
     let text = pretty(&prog, 0);
     for needle in [
         "{ phase banner }",
-        "n$proc",
+        "v = n$proc",
+        "A(i+1) = -A(i)*2.5+abs(local(j))",
+        "do i = 1,owner(j)",
+        "if (.not. (my$p .eq. owner(a(i)))) then",
+        "call SUB(A,v+1)",
+        "return",
+        "else",
+        "send A(1:4) to 1",
+        "recv A(1:A(1)) from 0",
+        "send A(2) to 1",
+        "recv A(3) from 0",
+        "recv w from 0",
         "broadcast A(1:4) from 0",
         "broadcast v from 0",
+        "broadcast [A(1:2), v] from 0",
+        "post send A(1:2) to 1",
+        "wait send",
+        "post recv from 0",
+        "wait recv A(3:4)",
+        "post broadcast A(1:4) from 0",
+        "wait broadcast BUF(1:4)",
+        "post broadcast [BUF(1:2), v] from 0",
+        "wait broadcast [A(A(1):2), v]",
         "remap A to (block)",
+        "remap A to (cyclic)",
         "mark-as-(block) A",
-        "print *, v",
+        "print *, v, A(4)",
         "stop",
     ] {
         assert!(text.contains(needle), "missing `{needle}` in:\n{text}");

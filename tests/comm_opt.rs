@@ -337,3 +337,32 @@ fig15 coalesce: elim=0 coal=0 hoist=0 ovl=0 posts=0 waits=0 pipe=0\n\
 fig15 full: elim=0 coal=0 hoist=0 ovl=0 posts=0 waits=0 pipe=0\n\
 fig15 overlap: elim=0 coal=0 hoist=0 ovl=0 posts=0 waits=0 pipe=0\n\
 ";
+
+/// The static message counts describe the program, not the form its
+/// communication takes: splitting a send or a broadcast into a post/wait
+/// pair must leave them alone.
+#[test]
+fn static_counts_survive_overlap() {
+    let levels = [
+        CommOpt::Off,
+        CommOpt::Coalesce,
+        CommOpt::Full,
+        CommOpt::Overlap,
+    ];
+    let relax = relax_source(32, 2, 3, 4);
+    for level in levels {
+        let out = compile(&relax, &CompileOptions::builder().comm_opt(level).build()).unwrap();
+        assert_eq!(out.report.static_sends, 2, "relax at {level:?}");
+    }
+    let dgefa = dgefa_source(64, 4);
+    let out = compile(
+        &dgefa,
+        &CompileOptions::builder().comm_opt(CommOpt::Overlap).build(),
+    )
+    .unwrap();
+    let emitted = fortrand_spmd::codegen::emit(&out.spmd);
+    let initiated =
+        emitted.matches("cx.bcast(").count() + emitted.matches("cx.post_bcast(").count();
+    assert!(initiated > 0);
+    assert_eq!(out.report.static_bcasts, initiated);
+}
