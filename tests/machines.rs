@@ -449,6 +449,109 @@ fn event_machine_runs_relax_at_p1024() {
     assert!(run.stats.time_us > 0.0);
 }
 
+/// The scheduler's observables, pinned: dispatch and queue counters, the
+/// VM's instruction counts, the simulated clock, idle time, overlap
+/// bookkeeping and traffic of the event machine on both engines. The
+/// differential tests above compare two substrates built from the same
+/// code; this table compares the event machine against what it computed
+/// when the table was generated, so a change of dispatch order, of wake
+/// times or of what counts as a switch shows up here even when both
+/// substrates move together.
+#[test]
+fn scheduler_observables_are_pinned() {
+    use fortrand::corpus::{adi_source, fig15_source, wide_corpus};
+    let mut cases: Vec<(String, String, CompileOptions)> = Vec::new();
+    let plain = CompileOptions::builder().build();
+    cases.push(("relax".into(), relax_source(256, 1, 8, 16), plain.clone()));
+    for level in [
+        CommOpt::Off,
+        CommOpt::Coalesce,
+        CommOpt::Full,
+        CommOpt::Overlap,
+    ] {
+        cases.push((
+            format!("dgefa {}", level.as_str()),
+            dgefa_source(64, 4),
+            CompileOptions::builder().comm_opt(level).build(),
+        ));
+    }
+    cases.push(("adi".into(), adi_source(32, 2, 4), plain.clone()));
+    for lvl in [
+        DynOptLevel::None,
+        DynOptLevel::Live,
+        DynOptLevel::Hoist,
+        DynOptLevel::Kills,
+    ] {
+        cases.push((
+            format!("fig15 {lvl:?}"),
+            fig15_source(4, 4),
+            CompileOptions::builder().dyn_opt(lvl).build(),
+        ));
+    }
+    cases.push(("wide".into(), wide_corpus(8, 64, 4), plain));
+
+    let mut table = String::new();
+    for (what, src, opts) in &cases {
+        let out = compile(src, opts).unwrap_or_else(|e| panic!("{what}: {e}"));
+        let mut init = BTreeMap::new();
+        for (name, data) in default_init(src) {
+            init.insert(out.spmd.interner.get(&name).unwrap(), data);
+        }
+        for (engine, exec) in [("tree", tree_opts()), ("vm", vm_opts())] {
+            let machine = Machine::new(out.spmd.nprocs);
+            let s = try_run_spmd(&out.spmd, &machine, &init, &exec)
+                .unwrap_or_else(|e| panic!("{what}/{engine}: {e}"))
+                .stats;
+            let wait: f64 = s.per_node.iter().map(|n| n.wait_us).sum();
+            table.push_str(&format!(
+                "{what} {engine}: sw={} smsgs={} rpeak={} qpeak={} instrs={} fused={} \
+                 time={:016x} wait={:016x} posts={} waits={} msgs={} bytes={}\n",
+                s.sched_switches,
+                s.sched_msgs,
+                s.sched_ready_peak,
+                s.sched_queue_peak,
+                s.engine_instrs,
+                s.fused_instrs,
+                s.time_us.to_bits(),
+                wait.to_bits(),
+                s.overlap_posts,
+                s.overlap_waits,
+                s.total_msgs,
+                s.total_bytes
+            ));
+        }
+    }
+    assert_eq!(
+        table, SCHED_OBSERVABLES,
+        "scheduler observables changed:\n{table}"
+    );
+}
+
+const SCHED_OBSERVABLES: &str = "\
+relax tree: sw=136 smsgs=240 rpeak=16 qpeak=30 instrs=0 fused=0 time=4094ac7ae147ae14 wait=40937bcccccccccd posts=0 waits=0 msgs=240 bytes=1920\n\
+relax vm: sw=136 smsgs=240 rpeak=16 qpeak=30 instrs=39056 fused=0 time=4094ac7ae147ae14 wait=40937bcccccccccd posts=0 waits=0 msgs=240 bytes=1920\n\
+dgefa off tree: sw=382 smsgs=0 rpeak=4 qpeak=4 instrs=0 fused=0 time=40e927e8a3d70a3b wait=4105343970a3d703 posts=0 waits=0 msgs=378 bytes=98280\n\
+dgefa off vm: sw=382 smsgs=0 rpeak=4 qpeak=4 instrs=248808 fused=521404 time=40e927e8a3d70a3b wait=4105343970a3d703 posts=0 waits=0 msgs=378 bytes=98280\n\
+dgefa coalesce tree: sw=382 smsgs=0 rpeak=4 qpeak=4 instrs=0 fused=0 time=40e927e8a3d70a3b wait=4105343970a3d703 posts=0 waits=0 msgs=378 bytes=98280\n\
+dgefa coalesce vm: sw=382 smsgs=0 rpeak=4 qpeak=4 instrs=248808 fused=521404 time=40e927e8a3d70a3b wait=4105343970a3d703 posts=0 waits=0 msgs=378 bytes=98280\n\
+dgefa full tree: sw=193 smsgs=0 rpeak=4 qpeak=4 instrs=0 fused=0 time=40dd6079999999a1 wait=40f501068f5c28f8 posts=0 waits=0 msgs=189 bytes=49896\n\
+dgefa full vm: sw=193 smsgs=0 rpeak=4 qpeak=4 instrs=253505 fused=586380 time=40dd6079999999a1 wait=40f501068f5c28f8 posts=0 waits=0 msgs=189 bytes=49896\n\
+dgefa overlap tree: sw=66 smsgs=0 rpeak=4 qpeak=3 instrs=0 fused=0 time=40d7303ffffffffd wait=40eb3f2947ae1476 posts=252 waits=252 msgs=189 bytes=49896\n\
+dgefa overlap vm: sw=66 smsgs=0 rpeak=4 qpeak=3 instrs=263193 fused=586380 time=40d7303ffffffffd wait=40eb3f2947ae1476 posts=252 waits=252 msgs=189 bytes=49896\n\
+adi tree: sw=16 smsgs=48 rpeak=4 qpeak=12 instrs=0 fused=0 time=40acade147ae147d wait=0000000000000000 posts=0 waits=0 msgs=48 bytes=24576\n\
+adi vm: sw=16 smsgs=48 rpeak=4 qpeak=12 instrs=1120 fused=23808 time=40acade147ae147d wait=0000000000000000 posts=0 waits=0 msgs=48 bytes=24576\n\
+fig15 None tree: sw=52 smsgs=192 rpeak=4 qpeak=12 instrs=0 fused=0 time=40b48f3851eb8521 wait=0000000000000000 posts=0 waits=0 msgs=192 bytes=9216\n\
+fig15 None vm: sw=52 smsgs=192 rpeak=4 qpeak=12 instrs=752 fused=4300 time=40b48f3851eb8521 wait=0000000000000000 posts=0 waits=0 msgs=192 bytes=9216\n\
+fig15 Live tree: sw=28 smsgs=96 rpeak=4 qpeak=12 instrs=0 fused=0 time=40a4b10000000001 wait=0000000000000000 posts=0 waits=0 msgs=96 bytes=4608\n\
+fig15 Live vm: sw=28 smsgs=96 rpeak=4 qpeak=12 instrs=720 fused=4300 time=40a4b10000000001 wait=0000000000000000 posts=0 waits=0 msgs=96 bytes=4608\n\
+fig15 Hoist tree: sw=10 smsgs=24 rpeak=4 qpeak=11 instrs=0 fused=0 time=40857bae147ae147 wait=0000000000000000 posts=0 waits=0 msgs=24 bytes=1152\n\
+fig15 Hoist vm: sw=10 smsgs=24 rpeak=4 qpeak=11 instrs=696 fused=4300 time=40857bae147ae147 wait=0000000000000000 posts=0 waits=0 msgs=24 bytes=1152\n\
+fig15 Kills tree: sw=7 smsgs=12 rpeak=4 qpeak=9 instrs=0 fused=0 time=40768a6666666667 wait=0000000000000000 posts=0 waits=0 msgs=12 bytes=576\n\
+fig15 Kills vm: sw=7 smsgs=12 rpeak=4 qpeak=9 instrs=696 fused=4300 time=40768a6666666667 wait=0000000000000000 posts=0 waits=0 msgs=12 bytes=576\n\
+wide tree: sw=10 smsgs=48 rpeak=4 qpeak=18 instrs=0 fused=0 time=409697851eb851eb wait=409564ae147ae146 posts=0 waits=0 msgs=48 bytes=1392\n\
+wide vm: sw=10 smsgs=48 rpeak=4 qpeak=18 instrs=9070 fused=0 time=409697851eb851eb wait=409564ae147ae146 posts=0 waits=0 msgs=48 bytes=1392\n\
+";
+
 /// Renders a compact stencil-sweep program (same generator space as
 /// `tests/engines.rs`).
 fn render(
