@@ -13,7 +13,9 @@
 //! ([`SharedCollectives`]), and the event-driven scheduler
 //! ([`crate::sched`]) drives the same core under its own lock, which is
 //! what keeps collective completion times bit-identical between the two
-//! machines.
+//! machines. Either way entering is separate from waiting: `contribute`
+//! never blocks, so a rank that is not the last arriver can return to its
+//! machine and come back for the result.
 
 use crate::cost::CostModel;
 use crate::node::{Payload, PayloadBuf};
@@ -267,6 +269,11 @@ impl PostedCore {
         debug_assert!(prev.is_none(), "posted bcast #{seq} inserted twice");
     }
 
+    /// Whether the root has deposited posted broadcast `seq`.
+    pub(crate) fn contains(&self, seq: u64) -> bool {
+        self.map.contains_key(&seq)
+    }
+
     /// One rank takes its copy of posted broadcast `seq`; `None` while the
     /// root has not deposited it yet. The entry is retired after the
     /// `nprocs`-th take — the returned flag is `true` on that final take,
@@ -310,34 +317,47 @@ impl SharedPosted {
         self.cv.notify_all();
     }
 
-    /// Blocks until posted broadcast `seq` is available, then takes this
-    /// rank's copy. The bounded wait turns a crashed root into a
-    /// diagnosable panic (mirrors [`SharedCollectives::rendezvous`]).
-    pub(crate) fn wait(&self, seq: u64) -> (f64, Payload) {
+    /// Takes this rank's copy of posted broadcast `seq`, if the root has
+    /// deposited it.
+    pub(crate) fn try_take(&self, seq: u64) -> Option<(f64, Payload)> {
         let mut g = self.state.lock().expect("posted lock poisoned");
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-        loop {
-            if let Some((time, data, _retired)) = g.try_take(seq) {
-                return (time, data);
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                panic!("posted-bcast timeout: root never posted #{seq} (crashed rank?)");
-            }
-            // On timeout the next iteration re-checks the table and then
-            // hits the deadline panic above if the entry is still absent.
-            let (g2, _res) = self
-                .cv
-                .wait_timeout(g, deadline - now)
-                .expect("posted lock poisoned");
-            g = g2;
-        }
+        g.try_take(seq).map(|(time, data, _retired)| (time, data))
     }
+
+    /// Blocks until the root has deposited posted broadcast `seq`.
+    pub(crate) fn wait(&self, seq: u64) {
+        let g = self.state.lock().expect("posted lock poisoned");
+        let timeout = || format!("posted-bcast timeout: root never posted #{seq} (crashed rank?)");
+        drop(wait_while(
+            &self.cv,
+            g,
+            |posted| !posted.contains(seq),
+            timeout,
+        ));
+    }
+}
+
+/// Sleeps on `cv` while `pending(state)`, for at most 30 s: the bounded
+/// wait turns a peer's crash (which would otherwise strand this thread
+/// forever) into a diagnosable panic with `timeout()`'s message.
+fn wait_while<'a, T>(
+    cv: &Condvar,
+    guard: std::sync::MutexGuard<'a, T>,
+    pending: impl Fn(&mut T) -> bool,
+    timeout: impl FnOnce() -> String,
+) -> std::sync::MutexGuard<'a, T> {
+    let limit = std::time::Duration::from_secs(30);
+    let (guard, res) = cv
+        .wait_timeout_while(guard, limit, pending)
+        .expect("collective lock poisoned");
+    if res.timed_out() {
+        panic!("{}", timeout());
+    }
+    guard
 }
 
 /// Shared state for all collectives of one threaded machine run.
 pub struct SharedCollectives {
-    nprocs: usize,
     state: Mutex<CollCore>,
     cv: Condvar,
 }
@@ -346,104 +366,36 @@ impl SharedCollectives {
     /// Creates rendezvous state for `nprocs` participants under `cost`.
     pub fn new(nprocs: usize, cost: CostModel) -> Self {
         SharedCollectives {
-            nprocs,
             state: Mutex::new(CollCore::new(nprocs, cost)),
             cv: Condvar::new(),
         }
     }
 
-    /// Blocking rendezvous: folds this rank's contribution in, and either
-    /// completes the collective (last arriver) or waits for a peer to.
-    pub(crate) fn rendezvous(&self, c: Contribution) -> CollOut {
+    /// Folds this rank's contribution in. The last arriver completes the
+    /// collective and gets its result; an earlier one gets the generation
+    /// to [`SharedCollectives::wait`] for.
+    pub(crate) fn contribute(&self, c: Contribution) -> Result<CollOut, u64> {
         let mut g = self.state.lock().expect("collective lock poisoned");
         let gen = g.generation();
-        if g.contribute(c) {
-            let out = g.finish();
-            self.cv.notify_all();
-            return out;
+        if !g.contribute(c) {
+            return Err(gen);
         }
-        // A bounded wait turns a peer's crash (which would otherwise
-        // strand this thread in the rendezvous forever) into a
-        // diagnosable panic.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-        while g.generation() == gen {
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                panic!("collective timeout: a peer never arrived (crashed rank?)");
-            }
-            let (g2, res) = self
-                .cv
-                .wait_timeout(g, deadline - now)
-                .expect("collective lock poisoned");
-            g = g2;
-            if res.timed_out() && g.generation() == gen {
-                panic!("collective timeout: a peer never arrived (crashed rank?)");
-            }
-        }
-        g.result(gen)
+        let out = g.finish();
+        self.cv.notify_all();
+        Ok(out)
     }
 
-    /// Barrier: returns the common exit clock
-    /// `max(entry clocks) + sync_cost`.
-    pub fn barrier(&self, my_clock: f64, sync_cost: f64) -> f64 {
-        self.rendezvous(Contribution::Barrier {
-            clock: my_clock,
-            sync_cost,
-        })
-        .time
+    /// The result of generation `gen`, once it has completed.
+    pub(crate) fn result(&self, gen: u64) -> Option<CollOut> {
+        let g = self.state.lock().expect("collective lock poisoned");
+        (g.generation() > gen).then(|| g.result(gen))
     }
 
-    /// Broadcast: the root passes `Some(data)`; everyone receives
-    /// `(arrival_time, data)` where arrival is the root's entry clock plus
-    /// `levels` tree hops of `α + β·bytes`. Callers clamp with their own
-    /// clock. The payload is shared: each participant gets a clone of the
-    /// root's `Arc`.
-    pub fn bcast(&self, my_clock: f64, payload: Option<Payload>, levels: u32) -> (f64, Payload) {
-        let out = self.rendezvous(Contribution::Bcast {
-            clock: my_clock,
-            payload,
-            levels,
-        });
-        (out.time, out.data.expect("bcast result payload"))
-    }
-
-    /// Sum all-reduce: returns `(completion_time, sum)` where completion is
-    /// `max(entry clocks) + max(extra_cost)`. The sum is folded in rank
-    /// order, so it is bit-exact regardless of arrival order.
-    pub fn allreduce(&self, my_clock: f64, rank: usize, v: f64, extra_cost: f64) -> (f64, f64) {
-        let out = self.rendezvous(Contribution::Sum {
-            clock: my_clock,
-            rank,
-            value: v,
-            extra_cost,
-        });
-        (out.time, out.sum)
-    }
-
-    /// Maxloc all-reduce: returns `(completion_time, max value, payload of
-    /// the max contributor)`; ties break toward the lower rank.
-    pub fn maxloc(
-        &self,
-        my_clock: f64,
-        rank: usize,
-        v: f64,
-        payload: Vec<f64>,
-        extra_cost: f64,
-    ) -> (f64, f64, Vec<f64>) {
-        let out = self.rendezvous(Contribution::MaxLoc {
-            clock: my_clock,
-            rank,
-            value: v,
-            payload,
-            extra_cost,
-        });
-        let data = out.data.expect("maxloc result payload").to_vec();
-        (out.time, out.sum, data)
-    }
-
-    /// Participant count this rendezvous was built for.
-    pub fn nprocs(&self) -> usize {
-        self.nprocs
+    /// Blocks until generation `gen` has completed; returns its result.
+    pub(crate) fn wait(&self, gen: u64) -> CollOut {
+        let g = self.state.lock().expect("collective lock poisoned");
+        let timeout = || "collective timeout: a peer never arrived (crashed rank?)".to_string();
+        wait_while(&self.cv, g, |coll| coll.generation() == gen, timeout).result(gen)
     }
 }
 
@@ -452,18 +404,27 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
+    /// Contributes and, unless last, sleeps until the collective is done.
+    fn rendezvous(c: &SharedCollectives, x: Contribution) -> CollOut {
+        c.contribute(x).unwrap_or_else(|gen| c.wait(gen))
+    }
+
     #[test]
     fn barrier_twice_in_a_row() {
         // Reusability across generations: two consecutive barriers from
         // multiple threads must not hang or cross-talk.
         let c = Arc::new(SharedCollectives::new(4, CostModel::ipsc860()));
+        let barrier = |c: &SharedCollectives, clock| {
+            let sync_cost = 1.0;
+            rendezvous(c, Contribution::Barrier { clock, sync_cost }).time
+        };
         std::thread::scope(|s| {
             for r in 0..4 {
                 let c = Arc::clone(&c);
                 s.spawn(move || {
-                    let t1 = c.barrier(r as f64, 1.0);
+                    let t1 = barrier(&c, r as f64);
                     assert_eq!(t1, 4.0); // max(0..=3) + 1
-                    let t2 = c.barrier(t1 + r as f64, 1.0);
+                    let t2 = barrier(&c, t1 + r as f64);
                     assert_eq!(t2, 8.0); // max(4..=7) + 1
                 });
             }
@@ -474,12 +435,21 @@ mod tests {
     fn maxloc_tie_breaks_low_rank() {
         let c = Arc::new(SharedCollectives::new(3, CostModel::ipsc860()));
         std::thread::scope(|s| {
-            for r in 0..3 {
+            for rank in 0..3 {
                 let c = Arc::clone(&c);
                 s.spawn(move || {
-                    let (_, v, p) = c.maxloc(0.0, r, 5.0, vec![r as f64], 0.0);
-                    assert_eq!(v, 5.0);
-                    assert_eq!(p, vec![0.0]); // rank 0 wins ties
+                    let out = rendezvous(
+                        &c,
+                        Contribution::MaxLoc {
+                            clock: 0.0,
+                            rank,
+                            value: 5.0,
+                            payload: vec![rank as f64],
+                            extra_cost: 0.0,
+                        },
+                    );
+                    assert_eq!(out.sum, 5.0);
+                    assert_eq!(out.data.unwrap().to_vec(), vec![0.0]); // rank 0 wins ties
                 });
             }
         });
@@ -493,11 +463,19 @@ mod tests {
         let expect: f64 = vals.iter().sum(); // ((1e16 + 1) - 1e16) = 0.0
         let c = Arc::new(SharedCollectives::new(3, CostModel::ipsc860()));
         std::thread::scope(|s| {
-            for (r, &v) in vals.iter().enumerate() {
+            for (rank, &value) in vals.iter().enumerate() {
                 let c = Arc::clone(&c);
                 s.spawn(move || {
-                    let (_, sum) = c.allreduce(0.0, r, v, 0.0);
-                    assert_eq!(sum.to_bits(), expect.to_bits());
+                    let out = rendezvous(
+                        &c,
+                        Contribution::Sum {
+                            clock: 0.0,
+                            rank,
+                            value,
+                            extra_cost: 0.0,
+                        },
+                    );
+                    assert_eq!(out.sum.to_bits(), expect.to_bits());
                 });
             }
         });

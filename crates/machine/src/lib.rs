@@ -5,19 +5,28 @@
 //! compiler. It stands in for the Intel iPSC/860 the paper evaluated on
 //! (see DESIGN.md §2 for the substitution argument).
 //!
-//! Each simulated processor runs as a real OS thread with its own *virtual
-//! clock*. Communication uses pairwise FIFO channels; costs follow a
-//! LogGP-style model ([`CostModel`]): a message of `m` bytes costs the
-//! sender `α + β·m` and arrives at the receiver no earlier than the
-//! sender's post-send clock. The receiver's clock advances to
+//! Each simulated processor is a [`Node`] with its own *virtual clock*.
+//! Costs follow a LogGP-style model ([`CostModel`]): a message of `m` bytes
+//! costs the sender `α + β·m` and arrives at the receiver no earlier than
+//! the sender's post-send clock. The receiver's clock advances to
 //! `max(own clock, arrival time)`. Computation is charged explicitly by the
 //! interpreter via [`Node::charge_flops`] / [`Node::charge_ops`].
 //!
-//! Because every receive names its source and channels are FIFO, execution
-//! is deterministic: simulated times, message counts and message volumes
-//! are exactly reproducible run to run, which is what lets the benchmark
-//! harness regenerate the paper's performance comparisons stably.
+//! What runs on a node is a [`RankTask`]: a struct whose `step` advances
+//! the rank to its next communication point and returns. The default
+//! machine ([`MachineKind::Event`]) is a discrete-event loop on the calling
+//! thread that steps `p` such structs in virtual-time order over per-rank
+//! mailboxes — no thread per rank (see `sched.rs`). The reference machine
+//! ([`MachineKind::Threaded`]) gives every rank an OS thread and a FIFO
+//! channel per pair. Rank bodies written as closures ([`Machine::run`])
+//! ride either machine through the adapters in `closure.rs`.
+//!
+//! Because every receive names its source and delivery is FIFO per pair,
+//! execution is deterministic: simulated times, message counts and message
+//! volumes are exactly reproducible run to run, which is what lets the
+//! benchmark harness regenerate the paper's performance comparisons stably.
 
+mod closure;
 mod collective;
 mod cost;
 mod node;
@@ -27,11 +36,13 @@ mod stats;
 pub use collective::{SharedCollectives, SharedPosted};
 pub use cost::{CostModel, DirectNet, HypercubeNet, NetworkModel, TorusNet};
 pub use node::{BufferPool, Msg, Node, Payload, PayloadBuf};
+pub use sched::{RankTask, Wait, Yield};
 pub use stats::{size_bucket, NodeStats, RunStats, HIST_BUCKETS, HIST_LABELS};
 
+use closure::ClosureTask;
 use fortrand_trace::{Trace, PID_MACHINE};
 use std::sync::mpsc::channel as unbounded;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Which execution substrate simulates the ranks.
 ///
@@ -46,15 +57,17 @@ pub enum MachineKind {
     /// state and real thread contention make it impractical past tens of
     /// ranks.
     Threaded,
-    /// Deterministic discrete-event scheduler: ranks are cooperatively
-    /// scheduled tasks advanced by a central virtual-clock event loop
-    /// (see [`sched`]); scales to thousands of ranks.
+    /// Deterministic discrete-event scheduler: ranks are [`RankTask`]
+    /// structs stepped by one virtual-clock event loop on the calling
+    /// thread (see [`sched`]); scales to thousands of ranks.
     #[default]
     Event,
 }
 
-/// One simulated processor's body panicked during a [`Machine::try_run`].
-/// Carries the lowest failing rank and that rank's panic message.
+/// One simulated processor's body panicked during a [`Machine::try_run`],
+/// or the run deadlocked. Carries the lowest failing rank and that rank's
+/// panic message (for a deadlock: the lowest waiting rank and the
+/// diagnostic naming every waiting rank).
 #[derive(Clone, Debug)]
 pub struct RankFailure {
     /// The lowest-numbered rank whose body panicked.
@@ -94,7 +107,7 @@ pub struct Machine {
     net: Arc<dyn NetworkModel>,
     /// Real-time budget a node may block on a receive before the run is
     /// declared deadlocked (default 30 s; see [`Node::recv`]). Only the
-    /// threaded machine needs it — the event scheduler *detects* deadlock
+    /// threaded machine needs it — the event loop *detects* deadlock
     /// instead of timing out.
     deadlock_timeout: std::time::Duration,
     /// Trace handle shared with every node (off by default).
@@ -157,10 +170,13 @@ impl Machine {
         &self.net
     }
 
-    /// Overrides the receive deadlock timeout. Intended for tests that
-    /// exercise the deadlock diagnostic without the 30-second stall; the
-    /// default is generous because simulation work is microseconds.
-    /// No-op for the event machine, which detects deadlock structurally.
+    /// Overrides the receive deadlock timeout of the threaded machine,
+    /// whose free-running threads can only suspect a deadlock from a
+    /// receive that stays empty. Intended for tests that exercise that
+    /// diagnostic without the 30-second stall; the default is generous
+    /// because simulation work is microseconds. The event machine never
+    /// reads it: when its ready queue runs empty with ranks still waiting
+    /// it has proved the deadlock, and reports it at once.
     pub fn with_deadlock_timeout(mut self, timeout: std::time::Duration) -> Self {
         self.deadlock_timeout = timeout;
         self
@@ -180,22 +196,22 @@ impl Machine {
         &self.trace
     }
 
-    /// Runs one SPMD program: `body` is executed once per node, in parallel,
-    /// each invocation receiving that node's [`Node`] handle. Returns the
+    /// Runs one SPMD program: `body` is executed once per node, each
+    /// invocation receiving that node's [`Node`] handle. Returns the
     /// aggregated [`RunStats`] (program time = max over nodes of the final
     /// virtual clock).
     ///
     /// # Panics
-    /// Propagates panics from node bodies (e.g. a receive that would
-    /// deadlock times out and panics with a diagnostic). Use
-    /// [`Machine::try_run`] to get the failure as a value instead.
+    /// Propagates panics from node bodies, and panics with the deadlock
+    /// diagnostic when the ranks deadlock. Use [`Machine::try_run`] to get
+    /// the failure as a value instead.
     pub fn run<F>(&self, body: F) -> RunStats
     where
         F: Fn(&mut Node) + Send + Sync,
     {
-        match self.run_inner(body) {
+        match self.run_closures(&body) {
             Ok(stats) => stats,
-            Err(mut failures) => std::panic::resume_unwind(failures.remove(0).payload),
+            Err(failure) => std::panic::resume_unwind(failure.payload),
         }
     }
 
@@ -206,97 +222,82 @@ impl Machine {
     where
         F: Fn(&mut Node) + Send + Sync,
     {
-        self.run_inner(body).map_err(|failures| {
-            let first = &failures[0];
-            RankFailure {
-                rank: first.rank,
-                message: panic_message(first.payload.as_ref()),
-            }
-        })
+        self.run_closures(&body).map_err(RankFailure::from)
     }
 
-    fn run_inner<F>(&self, body: F) -> Result<RunStats, Vec<Failure>>
+    /// Runs one SPMD program given as one [`RankTask`] per rank
+    /// (`tasks[r]` is rank `r`) and hands the tasks back with the
+    /// statistics, so whatever they computed can be read out of them. On
+    /// the event machine the tasks are stepped on the calling thread; on
+    /// the threaded machine each is driven on a thread of its own, which
+    /// blocks wherever `step` reports a [`Wait`].
+    pub fn try_run_tasks<T>(&self, tasks: Vec<T>) -> Result<(RunStats, Vec<T>), RankFailure>
+    where
+        T: RankTask + Send,
+    {
+        self.drive(tasks).map_err(RankFailure::from)
+    }
+
+    /// Closure bodies as tasks (see [`closure`]).
+    fn run_closures<F>(&self, body: &F) -> Result<RunStats, Failure>
     where
         F: Fn(&mut Node) + Send + Sync,
     {
-        assert!(self.nprocs >= 1, "machine needs at least one processor");
-        let wall_t0 = std::time::Instant::now();
-        let pool = BufferPool::new();
-        let result = match self.kind {
-            MachineKind::Threaded => self.run_threaded(&body, &pool),
-            MachineKind::Event => self.run_event(&body, &pool),
-        };
-        match result {
-            Ok((node_stats, sched)) => {
-                let mut stats = RunStats::aggregate(node_stats);
-                if let Some(shared) = sched {
-                    shared.export_counters(&mut stats);
-                }
-                let (reuses, allocs, bytes_reused) = pool.counters();
-                stats.pool_reuses = reuses;
-                stats.pool_allocs = allocs;
-                stats.pool_bytes_reused = bytes_reused;
-                stats.wall_us = wall_t0.elapsed().as_secs_f64() * 1e6;
-                if self.trace.on() {
-                    let t = stats.time_us;
-                    self.trace
-                        .counter(PID_MACHINE, 0, "pool_reuses", t, reuses as f64);
-                    self.trace
-                        .counter(PID_MACHINE, 0, "pool_allocs", t, allocs as f64);
-                    self.trace
-                        .counter(PID_MACHINE, 0, "pool_bytes_reused", t, bytes_reused as f64);
-                    if stats.sched_switches > 0 {
-                        self.trace.counter(
-                            PID_MACHINE,
-                            0,
-                            "sched_switches",
-                            t,
-                            stats.sched_switches as f64,
-                        );
-                        self.trace.counter(
-                            PID_MACHINE,
-                            0,
-                            "sched_msgs",
-                            t,
-                            stats.sched_msgs as f64,
-                        );
-                        self.trace.counter(
-                            PID_MACHINE,
-                            0,
-                            "sched_ready_peak",
-                            t,
-                            stats.sched_ready_peak as f64,
-                        );
-                        self.trace.counter(
-                            PID_MACHINE,
-                            0,
-                            "sched_queue_peak",
-                            t,
-                            stats.sched_queue_peak as f64,
-                        );
-                    }
-                }
-                Ok(stats)
-            }
-            Err(mut failures) => {
-                // Genuine body panics outrank scheduler-induced unwinds
-                // (a peer blocked on a crashed rank), lowest rank first —
-                // so the reported failure is the root cause.
-                failures.sort_by_key(|f| (f.induced, f.rank));
-                Err(failures)
-            }
+        let ranks = 0..self.nprocs;
+        match self.kind {
+            MachineKind::Threaded => self
+                .drive(ranks.map(|_| closure::Direct(body)).collect())
+                .map(|(stats, _)| stats),
+            MachineKind::Event => std::thread::scope(|scope| {
+                self.drive(ranks.map(|_| ClosureTask::new(scope, body)).collect())
+                    .map(|(stats, _)| stats)
+            }),
         }
     }
 
-    /// Thread-per-rank substrate: pairwise channels, free-running threads.
-    #[allow(clippy::type_complexity)]
-    fn run_threaded<F>(
-        &self,
-        body: &F,
-        pool: &Arc<BufferPool>,
-    ) -> Result<(Vec<NodeStats>, Option<Arc<sched::EventShared>>), Vec<Failure>>
+    fn drive<T>(&self, tasks: Vec<T>) -> Result<(RunStats, Vec<T>), Failure>
     where
-        F: Fn(&mut Node) + Send + Sync,
+        T: RankTask + Send,
+    {
+        assert!(self.nprocs >= 1, "machine needs at least one processor");
+        assert_eq!(tasks.len(), self.nprocs, "one task per rank");
+        let wall_t0 = std::time::Instant::now();
+        let pool = BufferPool::new();
+        let (mut stats, tasks) = match self.kind {
+            MachineKind::Threaded => self.run_threaded(tasks, &pool)?,
+            MachineKind::Event => self.run_event(tasks, &pool)?,
+        };
+        let (reuses, allocs, bytes_reused) = pool.counters();
+        stats.pool_reuses = reuses;
+        stats.pool_allocs = allocs;
+        stats.pool_bytes_reused = bytes_reused;
+        stats.wall_us = wall_t0.elapsed().as_secs_f64() * 1e6;
+        if self.trace.on() {
+            let t = stats.time_us;
+            let counter =
+                |name, value: u64| self.trace.counter(PID_MACHINE, 0, name, t, value as f64);
+            counter("pool_reuses", reuses);
+            counter("pool_allocs", allocs);
+            counter("pool_bytes_reused", bytes_reused);
+            if stats.sched_switches > 0 {
+                counter("sched_switches", stats.sched_switches);
+                counter("sched_msgs", stats.sched_msgs);
+                counter("sched_ready_peak", stats.sched_ready_peak);
+                counter("sched_queue_peak", stats.sched_queue_peak);
+            }
+        }
+        Ok((stats, tasks))
+    }
+
+    /// Thread-per-rank substrate: pairwise channels, free-running threads,
+    /// each driving its task with `loop { step; block_on(wait) }`.
+    fn run_threaded<T>(
+        &self,
+        tasks: Vec<T>,
+        pool: &Arc<BufferPool>,
+    ) -> Result<(RunStats, Vec<T>), Failure>
+    where
+        T: RankTask + Send,
     {
         let p = self.nprocs;
         // Pairwise FIFO channels: index [src * p + dst].
@@ -312,125 +313,99 @@ impl Machine {
         let senders = Arc::new(senders);
         let collectives = Arc::new(SharedCollectives::new(p, self.cost.clone()));
         let posted = Arc::new(SharedPosted::new(p));
-        let mut node_stats: Vec<Option<NodeStats>> = (0..p).map(|_| None).collect();
-        let mut failures: Vec<Failure> = Vec::new();
 
-        std::thread::scope(|scope| {
+        let joined: Vec<_> = std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(p);
-            for (rank, my_receivers) in receivers.into_iter().enumerate() {
-                let senders = Arc::clone(&senders);
-                let collectives = Arc::clone(&collectives);
-                let posted = Arc::clone(&posted);
-                let pool = Arc::clone(pool);
-                let cost = self.cost.clone();
-                let net = Arc::clone(&self.net);
-                let timeout = self.deadlock_timeout;
-                let trace = self.trace.clone();
+            for (rank, (my_receivers, mut task)) in receivers.into_iter().zip(tasks).enumerate() {
+                let comm = node::CommBackend::Threaded {
+                    senders: Arc::clone(&senders),
+                    receivers: my_receivers,
+                    early: None,
+                    coll_done: None,
+                    collectives: Arc::clone(&collectives),
+                    posted: Arc::clone(&posted),
+                    deadlock_timeout: self.deadlock_timeout,
+                };
+                let mut node = self.node(rank, comm, pool);
                 handles.push(scope.spawn(move || {
-                    let comm = node::CommBackend::Threaded {
-                        senders,
-                        receivers: my_receivers,
-                        collectives,
-                        posted,
-                        deadlock_timeout: timeout,
-                    };
-                    let mut node = Node::new(rank, p, cost, net, comm, pool, trace);
                     // Catch here (not at join) so the panic payload is
                     // carried out as a value; `run` re-raises it verbatim.
                     std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-                        body(&mut node);
-                        node.into_stats()
+                        while let Yield::Blocked(wait) = task.step(&mut node) {
+                            node.block_on(wait);
+                        }
+                        (node.into_stats(), task)
                     }))
                 }));
             }
-            for (rank, h) in handles.into_iter().enumerate() {
-                match h.join().expect("machine worker thread died outside body") {
-                    Ok(s) => node_stats[rank] = Some(s),
-                    Err(payload) => failures.push(Failure {
-                        induced: false,
-                        rank,
-                        payload,
-                    }),
-                }
-            }
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("machine worker thread died outside body"))
+                .collect()
         });
 
-        if !failures.is_empty() {
-            return Err(failures);
+        let (mut node_stats, mut tasks) = (Vec::with_capacity(p), Vec::with_capacity(p));
+        for (rank, result) in joined.into_iter().enumerate() {
+            // Ranks are visited in order, so the first failure met is the
+            // lowest failing rank.
+            let (stats, task) = result.map_err(|payload| Failure { rank, payload })?;
+            node_stats.push(stats);
+            tasks.push(task);
         }
-        Ok((node_stats.into_iter().map(Option::unwrap).collect(), None))
+        Ok((RunStats::aggregate(node_stats), tasks))
     }
 
-    /// Event-driven substrate: cooperatively scheduled rank tasks under a
-    /// central deterministic event loop (see [`sched`]).
-    #[allow(clippy::type_complexity)]
-    fn run_event<F>(
+    /// Event-driven substrate: the tasks are stepped on this thread by the
+    /// deterministic event loop (see [`sched`]).
+    fn run_event<T: RankTask>(
         &self,
-        body: &F,
+        mut tasks: Vec<T>,
         pool: &Arc<BufferPool>,
-    ) -> Result<(Vec<NodeStats>, Option<Arc<sched::EventShared>>), Vec<Failure>>
-    where
-        F: Fn(&mut Node) + Send + Sync,
-    {
-        let p = self.nprocs;
-        let shared = Arc::new(sched::EventShared::new(p, self.cost.clone()));
-        let node_stats: Mutex<Vec<Option<NodeStats>>> = Mutex::new((0..p).map(|_| None).collect());
-        let failures: Mutex<Vec<Failure>> = Mutex::new(Vec::new());
-
-        std::thread::scope(|scope| {
-            let carriers = sched::spawn_tasks(scope, p, |rank| {
-                let shared = Arc::clone(&shared);
-                let pool = Arc::clone(pool);
-                let cost = self.cost.clone();
-                let net = Arc::clone(&self.net);
-                let trace = self.trace.clone();
-                let node_stats = &node_stats;
-                let failures = &failures;
-                move || {
-                    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        shared.wait_for_start(rank);
-                        let comm = node::CommBackend::Event(Arc::clone(&shared));
-                        let mut node = Node::new(rank, p, cost, net, comm, pool, trace);
-                        body(&mut node);
-                        node.into_stats()
-                    }));
-                    match result {
-                        Ok(stats) => {
-                            node_stats.lock().expect("stats lock")[rank] = Some(stats);
-                            shared.finish_task(rank, None);
-                        }
-                        Err(payload) => {
-                            let induced = shared.finish_task(rank, Some(payload.as_ref()));
-                            failures.lock().expect("failures lock").push(Failure {
-                                induced,
-                                rank,
-                                payload,
-                            });
-                        }
-                    }
-                }
-            });
-            shared.run_scheduler(carriers);
-        });
-
-        let failures = failures.into_inner().expect("failures lock");
-        if !failures.is_empty() {
-            return Err(failures);
+    ) -> Result<(RunStats, Vec<T>), Failure> {
+        let shared = Arc::new(sched::EventShared::new(self.nprocs, self.cost.clone()));
+        let mut nodes: Vec<Node> = (0..self.nprocs)
+            .map(|rank| self.node(rank, node::CommBackend::Event(Arc::clone(&shared)), pool))
+            .collect();
+        if let Some(failure) = shared.run(&mut tasks, &mut nodes) {
+            return Err(failure);
         }
-        let node_stats = node_stats.into_inner().expect("stats lock");
-        Ok((
-            node_stats.into_iter().map(Option::unwrap).collect(),
-            Some(shared),
-        ))
+        let mut stats = RunStats::aggregate(nodes.into_iter().map(Node::into_stats).collect());
+        shared.export_counters(&mut stats);
+        Ok((stats, tasks))
+    }
+
+    /// Rank `rank`'s node for a run, its trace track named.
+    fn node(&self, rank: usize, comm: node::CommBackend, pool: &Arc<BufferPool>) -> Node {
+        if self.trace.on() {
+            let name = format!("rank {rank}");
+            self.trace.name_track(PID_MACHINE, rank as u32, &name);
+        }
+        Node::new(
+            rank,
+            self.nprocs,
+            self.cost.clone(),
+            Arc::clone(&self.net),
+            comm,
+            Arc::clone(pool),
+            self.trace.clone(),
+        )
     }
 }
 
-/// One rank's panic, tagged with whether the scheduler induced it (a
-/// deadlock-poison unwind) or the body failed on its own.
-struct Failure {
-    induced: bool,
+/// Why a run failed: the panic of the rank that is its root cause (or the
+/// deadlock diagnostic, attributed to the lowest waiting rank).
+pub(crate) struct Failure {
     rank: usize,
     payload: Box<dyn std::any::Any + Send>,
+}
+
+impl From<Failure> for RankFailure {
+    fn from(f: Failure) -> RankFailure {
+        RankFailure {
+            rank: f.rank,
+            message: panic_message(f.payload.as_ref()),
+        }
+    }
 }
 
 // Compile-time thread-safety audit: the threaded substrate shares the

@@ -2,7 +2,7 @@
 
 use crate::collective::{CollOut, Contribution, SharedCollectives, SharedPosted};
 use crate::cost::{CostModel, NetworkModel};
-use crate::sched::EventShared;
+use crate::sched::{EventShared, Wait};
 use crate::stats::NodeStats;
 use fortrand_trace::{Trace, PID_MACHINE};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -134,16 +134,25 @@ pub struct Msg {
 }
 
 /// How a [`Node`] talks to its peers: free-running threads over pairwise
-/// channels, or cooperatively scheduled tasks over the event scheduler's
-/// mailboxes. All cost accounting lives in [`Node`] itself, outside this
-/// enum — which is what makes the two machines' observables identical by
-/// construction.
+/// channels, or scheduled tasks over the event scheduler's mailboxes. Each
+/// offers the same non-blocking primitives (take a message, enter a
+/// collective, read its result, take a posted broadcast) plus a way to
+/// block on a [`Wait`]; all cost accounting lives in [`Node`] itself,
+/// outside this enum — which is what makes the two machines' observables
+/// identical by construction.
 pub(crate) enum CommBackend {
     Threaded {
         /// Pairwise FIFO channels, indexed `[src * nprocs + dst]`.
         senders: Arc<Vec<Sender<Msg>>>,
         /// This rank's receive ends, indexed by source.
         receivers: Vec<Receiver<Msg>>,
+        /// The message [`Node::block_on`] waited for: a channel cannot be
+        /// waited on without taking from it, so the next receive from that
+        /// source finds it here.
+        early: Option<Msg>,
+        /// Likewise the result of the collective `block_on` waited for, read
+        /// under the lock the wait already held.
+        coll_done: Option<CollOut>,
         collectives: Arc<SharedCollectives>,
         posted: Arc<SharedPosted>,
         deadlock_timeout: Duration,
@@ -169,6 +178,9 @@ pub struct Node {
     /// under replicated guards), so these agree across ranks and key the
     /// shared in-flight table without a rendezvous.
     posted_seq: u64,
+    /// Generation of the collective this rank has entered and not yet read
+    /// the result of: a retried `try_*` collective contributes only once.
+    in_coll: Option<u64>,
 }
 
 impl Node {
@@ -182,9 +194,6 @@ impl Node {
         pool: Arc<BufferPool>,
         trace: Trace,
     ) -> Self {
-        if trace.on() {
-            trace.name_track(PID_MACHINE, rank as u32, &format!("rank {rank}"));
-        }
         Node {
             rank,
             nprocs,
@@ -196,16 +205,118 @@ impl Node {
             stats: NodeStats::default(),
             trace,
             posted_seq: 0,
+            in_coll: None,
         }
     }
 
-    /// Runs this rank's collective contribution through whichever backend
-    /// is in effect; both paths share [`crate::collective::CollCore`], so
-    /// completion times agree bit-for-bit.
-    fn coll(&self, c: Contribution) -> CollOut {
+    /// A fresh event-machine node with this node's identity (rank, models,
+    /// scheduler, pool, trace) and none of its history: what the closure
+    /// adapter leaves in place of a node that is away (see
+    /// [`crate::closure`]).
+    pub(crate) fn twin(&self) -> Node {
+        let CommBackend::Event(shared) = &self.comm else {
+            panic!("only event-machine nodes have twins");
+        };
+        Node::new(
+            self.rank,
+            self.nprocs,
+            self.cost.clone(),
+            Arc::clone(&self.net),
+            CommBackend::Event(Arc::clone(shared)),
+            Arc::clone(&self.pool),
+            self.trace.clone(),
+        )
+    }
+
+    /// The blocking form of a `try_*` operation: retry, blocking on the
+    /// [`Wait`] each failed attempt reports.
+    fn blocking<T>(&mut self, mut attempt: impl FnMut(&mut Node) -> Result<T, Wait>) -> T {
+        loop {
+            match attempt(self) {
+                Ok(done) => return done,
+                Err(wait) => self.block_on(wait),
+            }
+        }
+    }
+
+    /// Blocks this rank, in real time, until `wait` — which a `try_*` call
+    /// just reported — may have been satisfied. A thread of the threaded
+    /// machine sleeps on its channel or condition variable (and panics with
+    /// the deadlock diagnostic when the timeout expires); a closure rank of
+    /// the event machine hands control back to the event loop.
+    pub(crate) fn block_on(&mut self, wait: Wait) {
+        let CommBackend::Threaded {
+            receivers,
+            early,
+            coll_done,
+            collectives,
+            posted,
+            deadlock_timeout,
+            ..
+        } = &mut self.comm
+        else {
+            return crate::closure::suspend(self, wait);
+        };
+        match wait {
+            Wait::Recv { src, tag } => {
+                let msg = receivers[src].recv_timeout(*deadlock_timeout);
+                *early = Some(msg.unwrap_or_else(|_| {
+                    panic!(
+                        "deadlock: rank {} waited >{:?} for a message from {} (tag {})",
+                        self.rank, deadlock_timeout, src, tag
+                    )
+                }));
+            }
+            Wait::Coll => {
+                let gen = self.in_coll.expect("waiting outside a collective");
+                *coll_done = Some(collectives.wait(gen));
+            }
+            Wait::Posted { seq } => posted.wait(seq),
+        }
+    }
+
+    /// One attempt at a collective; both backends share
+    /// [`crate::collective::CollCore`], so completion times agree
+    /// bit-for-bit. The first attempt enters with `contribution(self)` and,
+    /// unless this rank is the last to arrive, reports [`Wait::Coll`]; so
+    /// does every later attempt until one finds the collective complete
+    /// and returns the result.
+    fn try_coll(
+        &mut self,
+        contribution: impl FnOnce(&Node) -> Contribution,
+    ) -> Result<CollOut, Wait> {
+        let gen = match self.in_coll {
+            Some(gen) => gen,
+            None => {
+                let c = contribution(self);
+                let entered = match &self.comm {
+                    CommBackend::Threaded { collectives, .. } => collectives.contribute(c),
+                    CommBackend::Event(shared) => shared.contribute(c),
+                };
+                self.in_coll = entered.as_ref().err().copied();
+                return entered.map_err(|_| Wait::Coll);
+            }
+        };
+        let out = match &mut self.comm {
+            CommBackend::Threaded {
+                collectives,
+                coll_done,
+                ..
+            } => coll_done.take().or_else(|| collectives.result(gen)),
+            CommBackend::Event(shared) => shared.coll_result(gen),
+        };
+        let out = out.ok_or(Wait::Coll)?;
+        self.in_coll = None;
+        Ok(out)
+    }
+
+    /// Hands `msg` to the backend for delivery to `dst`.
+    fn deliver(&self, dst: usize, msg: Msg) {
         match &self.comm {
-            CommBackend::Threaded { collectives, .. } => collectives.rendezvous(c),
-            CommBackend::Event(shared) => shared.collective(self.rank, self.clock_us, c),
+            CommBackend::Threaded { senders, .. } => senders[self.rank * self.nprocs + dst]
+                .send(msg)
+                .expect("machine channel closed while sending"),
+            CommBackend::Event(shared) => shared.send_msg(dst, msg),
         }
     }
 
@@ -311,12 +422,7 @@ impl Node {
             avail_at_us: self.clock_us
                 + self.net.extra_latency_us(self.rank, dst, bytes, &self.cost),
         };
-        match &self.comm {
-            CommBackend::Threaded { senders, .. } => senders[self.rank * self.nprocs + dst]
-                .send(msg)
-                .expect("machine channel closed while sending"),
-            CommBackend::Event(shared) => shared.send_msg(dst, msg),
-        }
+        self.deliver(dst, msg);
     }
 
     /// Receives the next message from `src`, asserting its tag. Blocks (in
@@ -327,34 +433,44 @@ impl Node {
     /// Panics on tag mismatch or if no message arrives within the deadlock
     /// timeout.
     pub fn recv(&mut self, src: usize, tag: u64) -> Vec<f64> {
-        let p = self.recv_payload(src, tag);
-        match Arc::try_unwrap(p) {
+        self.blocking(|n| n.try_recv(src, tag))
+    }
+
+    /// [`Node::recv`] that reports [`Wait::Recv`] instead of blocking when
+    /// no message from `src` is queued.
+    pub fn try_recv(&mut self, src: usize, tag: u64) -> Result<Vec<f64>, Wait> {
+        let p = self.try_recv_payload(src, tag)?;
+        Ok(match Arc::try_unwrap(p) {
             // Sole owner (the common point-to-point case): hand the buffer
             // to the caller without copying (it leaves pool custody).
             Ok(mut buf) => buf.take_data(),
             Err(shared) => shared.to_vec(),
-        }
+        })
     }
 
     /// [`Node::recv`] returning the shared [`Payload`] — zero-copy: the
     /// buffer is recycled into the pool when the caller drops it.
     pub fn recv_payload(&mut self, src: usize, tag: u64) -> Payload {
+        self.blocking(|n| n.try_recv_payload(src, tag))
+    }
+
+    /// [`Node::recv_payload`] that reports [`Wait::Recv`] instead of
+    /// blocking when no message from `src` is queued.
+    pub fn try_recv_payload(&mut self, src: usize, tag: u64) -> Result<Payload, Wait> {
         assert!(src < self.nprocs, "recv from rank {src} of {}", self.nprocs);
-        let msg = match &self.comm {
+        let msg = match &mut self.comm {
             CommBackend::Threaded {
-                receivers,
-                deadlock_timeout,
-                ..
-            } => receivers[src]
-                .recv_timeout(*deadlock_timeout)
-                .unwrap_or_else(|_| {
-                    panic!(
-                        "deadlock: rank {} waited >{:?} for a message from {} (tag {})",
-                        self.rank, deadlock_timeout, src, tag
-                    )
-                }),
-            CommBackend::Event(shared) => shared.recv_msg(self.rank, src, tag, self.clock_us),
+                receivers, early, ..
+            } => {
+                if early.as_ref().is_some_and(|m| m.src == src) {
+                    early.take()
+                } else {
+                    receivers[src].try_recv().ok()
+                }
+            }
+            CommBackend::Event(shared) => shared.take_msg(self.rank, src),
         };
+        let msg = msg.ok_or(Wait::Recv { src, tag })?;
         assert_eq!(
             msg.tag, tag,
             "tag mismatch on rank {} receiving from {}: expected {}, got {}",
@@ -380,19 +496,25 @@ impl Node {
                 ],
             );
         }
-        msg.data
+        Ok(msg.data)
     }
 
     /// Global barrier. Advances every node's clock to
     /// `max(entry clocks) + α·⌈log₂ P⌉`.
     pub fn barrier(&mut self) {
+        self.blocking(Node::try_barrier)
+    }
+
+    /// [`Node::barrier`] that reports [`Wait::Coll`] instead of blocking
+    /// while other ranks have yet to arrive.
+    pub fn try_barrier(&mut self) -> Result<(), Wait> {
         let levels = log2_ceil(self.nprocs);
         let t0 = self.clock_us;
         let t = self
-            .coll(Contribution::Barrier {
-                clock: self.clock_us,
-                sync_cost: self.cost.alpha_us * levels as f64,
-            })
+            .try_coll(|n| Contribution::Barrier {
+                clock: n.clock_us,
+                sync_cost: n.cost.alpha_us * levels as f64,
+            })?
             .time;
         if t > self.clock_us {
             self.stats.wait_us += t - self.clock_us;
@@ -409,6 +531,7 @@ impl Node {
                 Vec::new(),
             );
         }
+        Ok(())
     }
 
     /// Broadcast from `root`: every node returns the root's `data`.
@@ -445,19 +568,31 @@ impl Node {
         data: Option<Vec<f64>>,
         tag: Option<u64>,
     ) -> Payload {
+        let mut data = data;
+        self.blocking(|n| n.try_bcast_payload(root, data.take(), tag))
+    }
+
+    /// [`Node::bcast_payload`] that reports [`Wait::Coll`] instead of
+    /// blocking while other ranks have yet to arrive. The root's `data`
+    /// goes in with the first attempt; retries pass `None`.
+    pub fn try_bcast_payload(
+        &mut self,
+        root: usize,
+        data: Option<Vec<f64>>,
+        tag: Option<u64>,
+    ) -> Result<Payload, Wait> {
         assert!(root < self.nprocs);
         if self.nprocs == 1 {
-            return self.pool.wrap(data.expect("bcast: no root payload"));
+            return Ok(self.pool.wrap(data.expect("bcast: no root payload")));
         }
         let is_root = self.rank == root;
-        let payload = data.map(|d| self.pool.wrap(d));
         let levels = log2_ceil(self.nprocs);
         let t0 = self.clock_us;
-        let res = self.coll(Contribution::Bcast {
-            clock: self.clock_us,
-            payload,
+        let res = self.try_coll(|n| Contribution::Bcast {
+            clock: n.clock_us,
+            payload: data.map(|d| n.pool.wrap(d)),
             levels,
-        });
+        })?;
         let (t, out) = (res.time, res.data.expect("bcast result payload"));
         if is_root {
             self.stats
@@ -486,7 +621,7 @@ impl Node {
                 args,
             );
         }
-        out
+        Ok(out)
     }
 
     /// All-reduce (sum) of one value; every node returns the global sum.
@@ -494,18 +629,24 @@ impl Node {
     /// trees of 8-byte messages); the `2(P−1)` messages are attributed to
     /// rank 0.
     pub fn allreduce_sum(&mut self, v: f64) -> f64 {
+        self.blocking(|n| n.try_allreduce_sum(v))
+    }
+
+    /// [`Node::allreduce_sum`] that reports [`Wait::Coll`] instead of
+    /// blocking while other ranks have yet to arrive.
+    pub fn try_allreduce_sum(&mut self, v: f64) -> Result<f64, Wait> {
         if self.nprocs == 1 {
-            return v;
+            return Ok(v);
         }
         let levels = log2_ceil(self.nprocs);
         let extra = 2.0 * levels as f64 * self.cost.send_cost(8);
         let t0 = self.clock_us;
-        let res = self.coll(Contribution::Sum {
-            clock: self.clock_us,
-            rank: self.rank,
+        let res = self.try_coll(|n| Contribution::Sum {
+            clock: n.clock_us,
+            rank: n.rank,
             value: v,
             extra_cost: extra,
-        });
+        })?;
         let (t, sum) = (res.time, res.sum);
         if self.rank == 0 {
             self.stats
@@ -526,27 +667,37 @@ impl Node {
                 Vec::new(),
             );
         }
-        sum
+        Ok(sum)
     }
 
     /// All-reduce computing `(max value, payload of the max contributor)` —
     /// the pattern dgefa's pivot search needs (`idamax` across the owners).
     /// Ties break toward the lower rank, keeping results deterministic.
     pub fn allreduce_maxloc(&mut self, v: f64, payload: &[f64]) -> (f64, Vec<f64>) {
+        self.blocking(|n| n.try_allreduce_maxloc(v, payload))
+    }
+
+    /// [`Node::allreduce_maxloc`] that reports [`Wait::Coll`] instead of
+    /// blocking while other ranks have yet to arrive.
+    pub fn try_allreduce_maxloc(
+        &mut self,
+        v: f64,
+        payload: &[f64],
+    ) -> Result<(f64, Vec<f64>), Wait> {
         if self.nprocs == 1 {
-            return (v, payload.to_vec());
+            return Ok((v, payload.to_vec()));
         }
         let levels = log2_ceil(self.nprocs);
         let bytes = (payload.len() * 8 + 8) as u64;
         let extra = 2.0 * levels as f64 * self.cost.send_cost(bytes);
         let t0 = self.clock_us;
-        let res = self.coll(Contribution::MaxLoc {
-            clock: self.clock_us,
-            rank: self.rank,
+        let res = self.try_coll(|n| Contribution::MaxLoc {
+            clock: n.clock_us,
+            rank: n.rank,
             value: v,
             payload: payload.to_vec(),
             extra_cost: extra,
-        });
+        })?;
         let (t, value, data) = (
             res.time,
             res.sum,
@@ -571,7 +722,7 @@ impl Node {
                 vec![("bytes", (bytes as i64).into())],
             );
         }
-        (value, data)
+        Ok((value, data))
     }
 
     /// Nonblocking send (overlap comm level): the payload leaves now, but
@@ -611,12 +762,7 @@ impl Node {
             data: self.pool.wrap(data),
             avail_at_us: t0 + full + self.net.extra_latency_us(self.rank, dst, bytes, &self.cost),
         };
-        match &self.comm {
-            CommBackend::Threaded { senders, .. } => senders[self.rank * self.nprocs + dst]
-                .send(msg)
-                .expect("machine channel closed while sending"),
-            CommBackend::Event(shared) => shared.send_msg(dst, msg),
-        }
+        self.deliver(dst, msg);
     }
 
     /// Completion point of a [`Node::post_send`]. The payload was captured
@@ -655,8 +801,15 @@ impl Node {
     /// Completion point of a posted receive: identical to
     /// [`Node::recv_payload`] except for the overlap accounting.
     pub fn wait_recv(&mut self, src: usize, tag: u64) -> Payload {
+        self.blocking(|n| n.try_wait_recv(src, tag))
+    }
+
+    /// [`Node::wait_recv`] that reports [`Wait::Recv`] instead of blocking
+    /// when the posted message has not been sent yet.
+    pub fn try_wait_recv(&mut self, src: usize, tag: u64) -> Result<Payload, Wait> {
+        let data = self.try_recv_payload(src, tag)?;
         self.stats.overlap_waits += 1;
-        self.recv_payload(src, tag)
+        Ok(data)
     }
 
     /// Nonblocking broadcast post (overlap comm level). The root gathers
@@ -731,11 +884,18 @@ impl Node {
     /// since `posted_at` hid. Every rank — root included — takes its copy
     /// here.
     pub fn wait_bcast(&mut self, seq: u64, posted_at: f64) -> Payload {
-        self.stats.overlap_waits += 1;
-        let (time, data) = match &self.comm {
-            CommBackend::Threaded { posted, .. } => posted.wait(seq),
-            CommBackend::Event(shared) => shared.posted_wait(self.rank, seq, self.clock_us),
+        self.blocking(|n| n.try_wait_bcast(seq, posted_at))
+    }
+
+    /// [`Node::wait_bcast`] that reports [`Wait::Posted`] instead of
+    /// blocking while the root has not posted broadcast `seq`.
+    pub fn try_wait_bcast(&mut self, seq: u64, posted_at: f64) -> Result<Payload, Wait> {
+        let taken = match &self.comm {
+            CommBackend::Threaded { posted, .. } => posted.try_take(seq),
+            CommBackend::Event(shared) => shared.posted_take(seq),
         };
+        let (time, data) = taken.ok_or(Wait::Posted { seq })?;
+        self.stats.overlap_waits += 1;
         let t0 = self.clock_us;
         // Latency hidden: the part of the in-flight window covered by this
         // rank's compute since the post (a blocking broadcast would have
@@ -759,7 +919,7 @@ impl Node {
                 ],
             );
         }
-        data
+        Ok(data)
     }
 
     /// Final per-node statistics (consumes the node at the end of a run).

@@ -1,72 +1,98 @@
 //! Deterministic discrete-event scheduler for the event-driven machine.
 //!
 //! Instead of one free-running OS thread per rank racing over channels,
-//! the event machine runs rank bodies as *cooperatively scheduled tasks*:
-//! exactly one task executes at a time, and a central scheduler picks the
-//! next runnable task by least `(virtual ready time, rank)`. Tasks run
-//! until their next communication point — a receive with no matching
-//! message queued, or a collective they are not the last to enter — then
-//! yield back to the scheduler. Message delivery goes through per-rank
-//! mailboxes rather than O(p²) channel pairs, so the machine scales to
-//! thousands of ranks.
+//! the event machine runs ranks as *tasks*: a [`RankTask`] is a plain
+//! struct whose [`RankTask::step`] runs the rank up to its next
+//! communication point and returns — [`Yield::Blocked`] with the [`Wait`]
+//! it could not get past (a receive with no matching message queued, a
+//! collective it is not the last to enter, a posted broadcast the root has
+//! not deposited), or [`Yield::Done`]. The event loop ([`EventShared::run`])
+//! is an ordinary loop on the calling thread: pop the least
+//! `(virtual ready time, rank)`, call `step`, file the task under the wait
+//! it returned. There is no thread, stack or baton per rank; a run of `p`
+//! ranks is `p` structs and one heap.
 //!
-//! Rank bodies are arbitrary re-entrant Rust closures (the tree walker
-//! and the bytecode VM), so each task needs a real call stack. Tasks are
-//! therefore carried by parked OS threads handing a baton around: at any
-//! instant either the scheduler or exactly one task is running, and
-//! everyone else is parked. The OS never makes a scheduling decision that
-//! matters — order is fixed by the ready queue alone, which is what makes
-//! runs bit-for-bit reproducible (see `tests/machines.rs`).
+//! A blocked task is woken by whoever completes what it waits for, at the
+//! moment they do: [`EventShared::send_msg`] when the message's source
+//! matches, the last arriver of a collective, the root depositing a posted
+//! broadcast. It becomes ready at `max(its clock when it blocked, the
+//! virtual time the thing became available)`. Dispatch order is a function
+//! of the ready queue alone, which is what makes runs bit-for-bit
+//! reproducible (see `tests/machines.rs`). Message delivery goes through
+//! per-rank mailboxes rather than O(p²) channel pairs.
 //!
-//! Deadlock needs no wall-clock timeout here: if no task is runnable and
-//! some are still blocked, the scheduler *proves* the deadlock, reports
-//! every waiting rank and what it waits for, and poisons the run so all
-//! blocked tasks unwind.
+//! Deadlock needs no wall-clock timeout: if nothing is runnable and some
+//! task is still blocked, the loop has *proved* the deadlock and returns
+//! the diagnostic — every waiting rank and what it waits for — as a value.
+//!
+//! Rank bodies given as closures ([`crate::Machine::run`]) cannot return
+//! in the middle of a call, so they ride the adapter in [`crate::closure`];
+//! that is the only place a thread per rank still exists.
 
 use crate::collective::{CollCore, CollOut, Contribution, PostedCore};
-use crate::node::{Msg, Payload};
+use crate::node::{Msg, Node, Payload};
 use crate::stats::RunStats;
+use crate::Failure;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use std::sync::{Arc, Mutex, MutexGuard};
-use std::thread::Thread;
+use std::sync::{Mutex, MutexGuard};
 
-/// Stack size for rank task threads. Rank bodies are interpreter loops
-/// with shallow recursion; 2 MiB keeps thousands of ranks affordable.
-const TASK_STACK: usize = 2 << 20;
-
-/// `EvState::current` value meaning "the scheduler holds the baton".
-const SCHED: isize = -1;
-
-/// Why a task is not runnable.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum Wait {
-    /// Blocked in `recv` for a message from `src` with `tag`.
-    Recv { src: usize, tag: u64 },
-    /// Blocked in a collective, waiting for the last participant.
+/// What a rank that cannot proceed is waiting for. Reported by the
+/// non-blocking [`Node`] operations (`try_*`) and handed back to the
+/// machine in [`Yield::Blocked`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Wait {
+    /// A message from `src` with `tag`.
+    Recv {
+        /// Sending rank.
+        src: usize,
+        /// Expected tag (diagnostic only: matching is per source, FIFO).
+        tag: u64,
+    },
+    /// The last participant of the collective this rank has entered.
     Coll,
-    /// Blocked waiting for posted broadcast `seq` (the root has not
-    /// deposited it yet).
-    Posted { seq: u64 },
+    /// Posted broadcast `seq`, which the root has not deposited yet.
+    Posted {
+        /// The posted-sequence number [`Node::post_bcast`] returned.
+        seq: u64,
+    },
+}
+
+/// How one [`RankTask::step`] ended.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Yield {
+    /// The rank cannot proceed until `Wait` is satisfied. The wait must be
+    /// the one a `Node::try_*` call of this step just reported: the machine
+    /// wakes the task when that very thing arrives, and `step` is then
+    /// expected to retry the same operation.
+    Blocked(Wait),
+    /// The rank's program has finished.
+    Done,
+}
+
+/// One rank of an SPMD run, as a resumable task: the unit the machines
+/// schedule (see [`crate::Machine::try_run_tasks`]).
+pub trait RankTask {
+    /// Runs the rank until it finishes or reaches a communication point it
+    /// cannot get past. On the event machine `step` must not call the
+    /// blocking [`Node`] operations — use the `try_*` forms and return the
+    /// [`Wait`] they report. A panic inside `step` fails this rank only.
+    fn step(&mut self, node: &mut Node) -> Yield;
 }
 
 #[derive(Clone, Copy, Debug)]
 enum Status {
     /// In the ready queue (or about to be dispatched for the first time).
     Ready,
-    /// Holds the baton.
+    /// Inside `step`.
     Running,
-    /// Parked at a communication point.
+    /// Returned `Yield::Blocked`.
     Blocked(Wait),
-    /// Body returned normally.
-    Done,
-    /// Body panicked.
-    Failed,
+    /// Returned `Yield::Done`, or `step` panicked.
+    Finished,
 }
 
 struct Task {
-    /// Parked carrier thread; registered right after spawn.
-    thread: Option<Thread>,
     status: Status,
     /// Virtual clock at the task's last yield.
     clock: f64,
@@ -103,8 +129,6 @@ impl Ord for ReadyKey {
 }
 
 struct EvState {
-    /// Baton holder: a rank, or [`SCHED`].
-    current: isize,
     tasks: Vec<Task>,
     /// Per-destination message queues; FIFO per (src, dst) pair.
     mailbox: Vec<VecDeque<Msg>>,
@@ -114,13 +138,6 @@ struct EvState {
     coll: CollCore,
     /// In-flight posted broadcasts (overlap comm level).
     posted: PostedCore,
-    /// Set when the scheduler proves a deadlock; blocked tasks observe it
-    /// and unwind with the diagnostic.
-    poison: Option<Arc<String>>,
-    /// Tasks not yet Done/Failed.
-    live: usize,
-    /// The scheduler's own thread handle, for handing the baton back.
-    sched: Thread,
     // Scheduler counters, surfaced as `RunStats::sched_*`.
     switches: u64,
     msgs: u64,
@@ -130,7 +147,9 @@ struct EvState {
 }
 
 /// Shared state of one event-machine run; every [`crate::Node`] of the
-/// run holds an `Arc` to it.
+/// run holds an `Arc` to it. The lock is uncontended — exactly one rank
+/// (or the loop) runs at any instant — and exists because a closure rank
+/// calls in from its own thread.
 pub(crate) struct EventShared {
     nprocs: usize,
     state: Mutex<EvState>,
@@ -140,7 +159,6 @@ impl EventShared {
     pub(crate) fn new(nprocs: usize, cost: crate::cost::CostModel) -> Self {
         let tasks = (0..nprocs)
             .map(|_| Task {
-                thread: None,
                 status: Status::Ready,
                 clock: 0.0,
                 epoch: 0,
@@ -157,16 +175,12 @@ impl EventShared {
         EventShared {
             nprocs,
             state: Mutex::new(EvState {
-                current: SCHED,
                 tasks,
                 mailbox: (0..nprocs).map(|_| VecDeque::new()).collect(),
                 ready,
                 ready_count: nprocs,
                 coll: CollCore::new(nprocs, cost),
                 posted: PostedCore::new(nprocs),
-                poison: None,
-                live: nprocs,
-                sched: std::thread::current(),
                 switches: 0,
                 msgs: 0,
                 ready_peak: nprocs as u64,
@@ -177,7 +191,9 @@ impl EventShared {
     }
 
     fn lock(&self) -> MutexGuard<'_, EvState> {
-        self.state.lock().expect("event scheduler lock poisoned")
+        self.state
+            .lock()
+            .expect("a rank panicked while holding the scheduler lock")
     }
 
     /// Marks `rank` runnable at virtual time `at`.
@@ -191,43 +207,8 @@ impl EventShared {
         st.ready_peak = st.ready_peak.max(st.ready_count as u64);
     }
 
-    /// Hands the baton to the scheduler and wakes it. Consumes the guard:
-    /// the handoff must be the lock's last action.
-    fn yield_to_sched(st: MutexGuard<'_, EvState>) {
-        let mut st = st;
-        st.current = SCHED;
-        let sched = st.sched.clone();
-        drop(st);
-        sched.unpark();
-    }
-
-    /// Parks until this task holds the baton (or the run is poisoned, in
-    /// which case it unwinds with the deadlock diagnostic).
-    fn wait_for_baton(&self, me: usize) -> MutexGuard<'_, EvState> {
-        loop {
-            let st = self.lock();
-            if st.current == me as isize {
-                return st;
-            }
-            if let Some(p) = &st.poison {
-                let diag = String::clone(p);
-                drop(st);
-                panic!("{diag}");
-            }
-            drop(st);
-            std::thread::park();
-        }
-    }
-
-    /// First dispatch: parks until the scheduler hands this task the
-    /// baton for the first time.
-    pub(crate) fn wait_for_start(&self, me: usize) {
-        let st = self.wait_for_baton(me);
-        drop(st);
-    }
-
     /// Queues `msg` for `dst`, waking `dst` if it is blocked on exactly
-    /// this source. Called by the sending task (which holds the baton).
+    /// this source.
     pub(crate) fn send_msg(&self, dst: usize, msg: Msg) {
         let mut st = self.lock();
         if let Status::Blocked(Wait::Recv { src, .. }) = st.tasks[dst].status {
@@ -242,28 +223,21 @@ impl EventShared {
         st.queue_peak = st.queue_peak.max(st.queued as u64);
     }
 
-    /// Takes the next message from `src`, yielding to the scheduler until
-    /// one is queued. Per-(src, dst) FIFO order is preserved because the
-    /// mailbox scan takes the *first* match.
-    pub(crate) fn recv_msg(&self, me: usize, src: usize, tag: u64, my_clock: f64) -> Msg {
+    /// Takes the next queued message from `src`, if any. Per-(src, dst)
+    /// FIFO order is preserved because the mailbox scan takes the *first*
+    /// match.
+    pub(crate) fn take_msg(&self, me: usize, src: usize) -> Option<Msg> {
         let mut st = self.lock();
-        loop {
-            if let Some(pos) = st.mailbox[me].iter().position(|m| m.src == src) {
-                let msg = st.mailbox[me].remove(pos).expect("scanned position");
-                st.queued -= 1;
-                return msg;
-            }
-            st.tasks[me].status = Status::Blocked(Wait::Recv { src, tag });
-            st.tasks[me].clock = my_clock;
-            Self::yield_to_sched(st);
-            st = self.wait_for_baton(me);
-        }
+        let pos = st.mailbox[me].iter().position(|m| m.src == src)?;
+        st.queued -= 1;
+        st.mailbox[me].remove(pos)
     }
 
-    /// Enters a collective. The last arriver computes the result and
-    /// makes every waiter runnable at `max(result time, its own clock)`;
-    /// earlier arrivers yield and read the stored result on wake.
-    pub(crate) fn collective(&self, me: usize, my_clock: f64, c: Contribution) -> CollOut {
+    /// Enters a collective. The last arriver computes the result, makes
+    /// every waiter runnable at `max(result time, its own clock)` and gets
+    /// the result; an earlier arriver gets the generation to ask
+    /// [`EventShared::coll_result`] for once it has been woken.
+    pub(crate) fn contribute(&self, c: Contribution) -> Result<CollOut, u64> {
         let mut st = self.lock();
         let gen = st.coll.generation();
         let last = st.coll.contribute(c);
@@ -272,33 +246,34 @@ impl EventShared {
         // toward the queue high-water mark like a mailbox message.
         st.queued += 1;
         st.queue_peak = st.queue_peak.max(st.queued as u64);
-        if last {
-            let out = st.coll.finish();
-            st.queued -= self.nprocs;
-            for rank in 0..self.nprocs {
-                if matches!(st.tasks[rank].status, Status::Blocked(Wait::Coll)) {
-                    let at = st.tasks[rank].clock.max(out.time);
-                    Self::make_ready(&mut st, rank, at);
-                }
-            }
-            return out;
+        if !last {
+            return Err(gen);
         }
-        st.tasks[me].status = Status::Blocked(Wait::Coll);
-        st.tasks[me].clock = my_clock;
-        Self::yield_to_sched(st);
-        let st = self.wait_for_baton(me);
-        st.coll.result(gen)
+        let out = st.coll.finish();
+        st.queued -= self.nprocs;
+        for rank in 0..self.nprocs {
+            if matches!(st.tasks[rank].status, Status::Blocked(Wait::Coll)) {
+                let at = st.tasks[rank].clock.max(out.time);
+                Self::make_ready(&mut st, rank, at);
+            }
+        }
+        Ok(out)
+    }
+
+    /// The result of collective generation `gen`, once it has completed.
+    pub(crate) fn coll_result(&self, gen: u64) -> Option<CollOut> {
+        let st = self.lock();
+        (st.coll.generation() > gen).then(|| st.coll.result(gen))
     }
 
     /// Root-side deposit of posted broadcast `seq`, complete at virtual
     /// time `time`. Wakes any rank already blocked on it (runnable at
-    /// `max(completion, its own clock)`). Called by the posting task,
-    /// which holds the baton and never blocks here.
+    /// `max(completion, its own clock)`).
     pub(crate) fn post_insert(&self, seq: u64, time: f64, data: Payload) {
         let mut st = self.lock();
         st.posted.insert(seq, time, data);
         // An in-flight posted broadcast is one undelivered message until
-        // the last rank takes its copy (see `posted_wait`).
+        // the last rank takes its copy (see `posted_take`).
         st.queued += 1;
         st.queue_peak = st.queue_peak.max(st.queued as u64);
         for rank in 0..self.nprocs {
@@ -310,119 +285,68 @@ impl EventShared {
         }
     }
 
-    /// Takes this rank's copy of posted broadcast `seq`, yielding to the
-    /// scheduler until the root deposits it.
-    pub(crate) fn posted_wait(&self, me: usize, seq: u64, my_clock: f64) -> (f64, Payload) {
+    /// Takes this rank's copy of posted broadcast `seq`, if the root has
+    /// deposited it.
+    pub(crate) fn posted_take(&self, seq: u64) -> Option<(f64, Payload)> {
         let mut st = self.lock();
-        loop {
-            if let Some((time, data, retired)) = st.posted.try_take(seq) {
-                if retired {
-                    st.queued -= 1;
-                }
-                return (time, data);
+        let (time, data, retired) = st.posted.try_take(seq)?;
+        if retired {
+            st.queued -= 1;
+        }
+        Some((time, data))
+    }
+
+    /// Next runnable rank: least `(ready_at, rank)`, skipping stale heap
+    /// entries. Counts as one scheduler switch.
+    fn dispatch(&self) -> Option<usize> {
+        let mut st = self.lock();
+        while let Some(Reverse(key)) = st.ready.pop() {
+            let t = &st.tasks[key.rank];
+            if t.epoch == key.epoch && matches!(t.status, Status::Ready) {
+                st.ready_count -= 1;
+                st.switches += 1;
+                st.tasks[key.rank].status = Status::Running;
+                return Some(key.rank);
             }
-            st.tasks[me].status = Status::Blocked(Wait::Posted { seq });
-            st.tasks[me].clock = my_clock;
-            Self::yield_to_sched(st);
-            st = self.wait_for_baton(me);
         }
+        None
     }
 
-    /// Records the task's terminal state and hands the baton back if this
-    /// task held it. `induced` is true when the panic payload *is* the
-    /// scheduler's own deadlock diagnostic (as opposed to a genuine body
-    /// panic).
-    pub(crate) fn finish_task(
-        &self,
-        me: usize,
-        payload: Option<&(dyn std::any::Any + Send)>,
-    ) -> bool {
-        let mut st = self.lock();
-        let induced = match (payload, &st.poison) {
-            (Some(p), Some(diag)) => p
-                .downcast_ref::<String>()
-                .is_some_and(|s| s == diag.as_ref()),
-            _ => false,
-        };
-        st.tasks[me].status = if payload.is_some() {
-            Status::Failed
-        } else {
-            Status::Done
-        };
-        st.live -= 1;
-        if st.current == me as isize {
-            Self::yield_to_sched(st);
-        }
-        induced
-    }
-
-    /// Registers the carrier threads, then runs the event loop until every
-    /// task is Done or Failed (possibly via deadlock poisoning). Must be
-    /// called from the thread that created this `EventShared`.
-    pub(crate) fn run_scheduler(&self, carriers: Vec<Thread>) {
-        {
+    /// The event loop: runs `tasks[r]` against `nodes[r]` in ready-queue
+    /// order until every task is done or none can run. A panic inside a
+    /// `step` fails that rank and the rest run on. Returns the failure that
+    /// is the run's root cause, if it failed: the panic of the lowest rank
+    /// that genuinely failed, ahead of ranks that merely deadlocked on it;
+    /// or, when nothing is runnable but tasks remain blocked, the deadlock
+    /// diagnostic attributed to the lowest waiting rank.
+    pub(crate) fn run<T: RankTask>(&self, tasks: &mut [T], nodes: &mut [Node]) -> Option<Failure> {
+        let mut failed: Option<Failure> = None;
+        while let Some(rank) = self.dispatch() {
+            let (task, node) = (&mut tasks[rank], &mut nodes[rank]);
+            let step = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| task.step(node)));
             let mut st = self.lock();
-            for (task, th) in st.tasks.iter_mut().zip(carriers) {
-                task.thread = Some(th);
-            }
-        }
-        loop {
-            // Wait for the baton.
-            let mut st = loop {
-                let st = self.lock();
-                if st.current == SCHED {
-                    break st;
+            let t = &mut st.tasks[rank];
+            t.status = match step {
+                Ok(Yield::Blocked(wait)) => {
+                    t.clock = nodes[rank].clock();
+                    Status::Blocked(wait)
                 }
-                drop(st);
-                std::thread::park();
-            };
-            if st.live == 0 {
-                return;
-            }
-            // Next runnable task: least (ready_at, rank), skipping stale
-            // heap entries.
-            let next = loop {
-                match st.ready.pop() {
-                    Some(Reverse(key)) => {
-                        let t = &st.tasks[key.rank];
-                        if t.epoch == key.epoch && matches!(t.status, Status::Ready) {
-                            break Some(key.rank);
-                        }
+                Ok(Yield::Done) => Status::Finished,
+                Err(payload) => {
+                    if failed.as_ref().is_none_or(|f| rank < f.rank) {
+                        failed = Some(Failure { rank, payload });
                     }
-                    None => break None,
+                    Status::Finished
                 }
             };
-            match next {
-                Some(rank) => {
-                    st.ready_count -= 1;
-                    st.switches += 1;
-                    st.tasks[rank].status = Status::Running;
-                    st.current = rank as isize;
-                    let th = st.tasks[rank]
-                        .thread
-                        .clone()
-                        .expect("carrier thread registered");
-                    drop(st);
-                    th.unpark();
-                }
-                None => {
-                    // Nothing runnable but tasks remain: a true deadlock.
-                    let diag = deadlock_diag(&st);
-                    st.poison = Some(Arc::new(diag));
-                    let blocked: Vec<Thread> = st
-                        .tasks
-                        .iter()
-                        .filter(|t| matches!(t.status, Status::Blocked(_)))
-                        .filter_map(|t| t.thread.clone())
-                        .collect();
-                    drop(st);
-                    for th in blocked {
-                        th.unpark();
-                    }
-                    return;
-                }
-            }
         }
+        failed.or_else(|| {
+            let (rank, diag) = deadlock_diag(&self.lock())?;
+            Some(Failure {
+                rank,
+                payload: Box::new(diag),
+            })
+        })
     }
 
     /// Copies the scheduler counters into `stats`.
@@ -435,63 +359,34 @@ impl EventShared {
     }
 }
 
-/// Renders the deadlock diagnostic: one clause per waiting rank, then the
-/// waiting rank set. The per-rank clause matches the threaded machine's
-/// timeout message closely enough that diagnostics stay grep-compatible.
-fn deadlock_diag(st: &EvState) -> String {
+/// Renders the deadlock diagnostic — one clause per waiting rank, then the
+/// waiting rank set — with the lowest waiting rank; `None` when no rank
+/// waits. The per-rank clause matches the threaded machine's timeout
+/// message closely enough that diagnostics stay grep-compatible.
+fn deadlock_diag(st: &EvState) -> Option<(usize, String)> {
     let mut clauses = Vec::new();
     let mut waiting = Vec::new();
-    let mut failed = Vec::new();
     for (rank, task) in st.tasks.iter().enumerate() {
-        match task.status {
-            Status::Blocked(Wait::Recv { src, tag }) => {
-                waiting.push(rank);
-                clauses.push(format!(
-                    "rank {rank} waited for a message from {src} (tag {tag})"
-                ));
+        let Status::Blocked(wait) = task.status else {
+            continue;
+        };
+        waiting.push(rank);
+        clauses.push(match wait {
+            Wait::Recv { src, tag } => {
+                format!("rank {rank} waited for a message from {src} (tag {tag})")
             }
-            Status::Blocked(Wait::Coll) => {
-                waiting.push(rank);
-                clauses.push(format!("rank {rank} waited in a collective"));
+            Wait::Coll => format!("rank {rank} waited in a collective"),
+            Wait::Posted { seq } => {
+                format!("rank {rank} waited for posted broadcast #{seq} (never posted)")
             }
-            Status::Blocked(Wait::Posted { seq }) => {
-                waiting.push(rank);
-                clauses.push(format!(
-                    "rank {rank} waited for posted broadcast #{seq} (never posted)"
-                ));
-            }
-            Status::Failed => failed.push(rank),
-            _ => {}
-        }
+        });
     }
-    let mut diag = format!(
-        "deadlock: {}; event queue empty with blocked ranks {waiting:?}",
-        clauses.join("; ")
-    );
-    if !failed.is_empty() {
-        diag.push_str(&format!(" (ranks {failed:?} previously panicked)"));
-    }
-    diag
-}
-
-/// Spawns one carrier thread per rank with a task-sized stack.
-pub(crate) fn spawn_tasks<'scope, 'env, F>(
-    scope: &'scope std::thread::Scope<'scope, 'env>,
-    nprocs: usize,
-    mut task: impl FnMut(usize) -> F,
-) -> Vec<Thread>
-where
-    F: FnOnce() + Send + 'scope,
-{
-    let mut carriers = Vec::with_capacity(nprocs);
-    for rank in 0..nprocs {
-        let body = task(rank);
-        let handle = std::thread::Builder::new()
-            .name(format!("ev-rank{rank}"))
-            .stack_size(TASK_STACK)
-            .spawn_scoped(scope, body)
-            .expect("spawn event-machine task");
-        carriers.push(handle.thread().clone());
-    }
-    carriers
+    let first = *waiting.first()?;
+    Some((
+        first,
+        format!(
+            "deadlock: {}; event queue empty with blocked ranks {waiting:?}",
+            clauses.join("; ")
+        ),
+    ))
 }

@@ -4,7 +4,10 @@
 //! surfacing as `RankFailure`, topology-model latency, and scheduler
 //! counters.
 
-use fortrand_machine::{CostModel, HypercubeNet, Machine, MachineKind, NetworkModel, TorusNet};
+use fortrand_machine::{
+    CostModel, HypercubeNet, Machine, MachineKind, NetworkModel, Node, RankFailure, RankTask,
+    TorusNet, Yield,
+};
 use std::time::{Duration, Instant};
 
 /// Runs `f` with the default panic-to-stderr printer silenced (the tests
@@ -221,4 +224,184 @@ fn event_machine_scales_past_the_threaded_channel_limit() {
     assert_eq!(stats.total_msgs, (p - 1) as u64);
     assert_eq!(stats.per_node.len(), p);
     assert!(stats.sched_switches >= p as u64);
+}
+
+// ---- The same semantics without a thread per rank: ranks as `RankTask`s ----
+
+/// One step of a hand-written rank program.
+#[derive(Clone)]
+enum Op {
+    Send(usize, u64, f64),
+    Recv(usize, u64),
+    Barrier,
+    Panic(&'static str),
+}
+
+/// A hand-written resumable rank: runs its operations in order and
+/// returns to the machine at the first one that cannot complete; the next
+/// `step` retries that same operation.
+struct Script {
+    ops: Vec<Op>,
+    at: usize,
+}
+
+impl RankTask for Script {
+    fn step(&mut self, node: &mut Node) -> Yield {
+        while let Some(op) = self.ops.get(self.at) {
+            let tried = match *op {
+                Op::Send(dst, tag, v) => {
+                    node.send(dst, tag, &[v]);
+                    Ok(())
+                }
+                Op::Recv(src, tag) => node.try_recv(src, tag).map(drop),
+                Op::Barrier => node.try_barrier(),
+                Op::Panic(msg) => panic!("{msg}"),
+            };
+            if let Err(wait) = tried {
+                return Yield::Blocked(wait);
+            }
+            self.at += 1;
+        }
+        Yield::Done
+    }
+}
+
+/// Runs one script per rank on `machine`, and the same scripts as blocking
+/// closures; both must fail, and fail identically.
+fn both_fail(machine: &Machine, scripts: &[Vec<Op>]) -> RankFailure {
+    let tasks = scripts
+        .iter()
+        .map(|ops| Script {
+            ops: ops.clone(),
+            at: 0,
+        })
+        .collect();
+    let as_tasks = quiet(|| machine.try_run_tasks(tasks))
+        .err()
+        .expect("task run must fail");
+    let as_closures = quiet(|| {
+        machine.try_run(|node| {
+            for op in &scripts[node.rank()] {
+                match *op {
+                    Op::Send(dst, tag, v) => node.send(dst, tag, &[v]),
+                    Op::Recv(src, tag) => drop(node.recv(src, tag)),
+                    Op::Barrier => node.barrier(),
+                    Op::Panic(msg) => panic!("{msg}"),
+                }
+            }
+        })
+    })
+    .expect_err("closure run must fail");
+    assert_eq!(as_tasks.rank, as_closures.rank);
+    assert_eq!(as_tasks.message, as_closures.message);
+    as_tasks
+}
+
+#[test]
+fn task_deadlock_reports_every_waiting_rank() {
+    let err = both_fail(
+        &Machine::new(3),
+        &[vec![Op::Recv(2, 9)], vec![Op::Barrier], vec![Op::Barrier]],
+    );
+    assert_eq!(err.rank, 0);
+    for clause in [
+        "deadlock: rank 0 waited for a message from 2 (tag 9)",
+        "rank 1 waited in a collective",
+        "rank 2 waited in a collective",
+        "event queue empty with blocked ranks [0, 1, 2]",
+    ] {
+        assert!(err.message.contains(clause), "diagnostic: {}", err.message);
+    }
+}
+
+#[test]
+fn task_panic_surfaces_as_rank_failure() {
+    // The panic is caught at the step; ranks 0, 1 and 3 then deadlock in
+    // the barrier, and the genuine failure outranks them.
+    let mut scripts = vec![vec![Op::Barrier]; 4];
+    scripts[2] = vec![Op::Panic("boom on rank 2")];
+    let err = both_fail(&Machine::new(4), &scripts);
+    assert_eq!(err.rank, 2);
+    assert_eq!(err.message, "boom on rank 2");
+}
+
+#[test]
+fn task_blocked_on_dead_rank_reports_the_dead_rank() {
+    let err = both_fail(
+        &Machine::new(2),
+        &[vec![Op::Panic("sender died")], vec![Op::Recv(0, 7)]],
+    );
+    assert_eq!(err.rank, 0);
+    assert_eq!(err.message, "sender died");
+}
+
+#[test]
+fn lowest_genuinely_failing_rank_wins_over_dispatch_order() {
+    // Rank 3 fails at its first dispatch, rank 1 only after a receive that
+    // completes later: the report still names rank 1.
+    let scripts = [
+        vec![Op::Barrier],
+        vec![Op::Recv(2, 1), Op::Panic("rank 1 down")],
+        vec![Op::Send(1, 1, 0.0), Op::Barrier],
+        vec![Op::Panic("rank 3 down")],
+    ];
+    let err = both_fail(&Machine::new(4), &scripts);
+    assert_eq!((err.rank, err.message.as_str()), (1, "rank 1 down"));
+}
+
+#[test]
+fn tasks_run_identically_on_both_machines() {
+    // A token ring plus barriers: on the event machine the scripts are
+    // stepped on this thread, on the threaded machine each is driven by
+    // `loop { step; block_on(wait) }` on a thread of its own.
+    let p = 5;
+    let scripts = || -> Vec<Script> {
+        (0..p)
+            .map(|r| {
+                let (prev, next) = ((r + p - 1) % p, (r + 1) % p);
+                let ring = if r == 0 {
+                    vec![Op::Send(next, 3, 1.0), Op::Recv(prev, 3)]
+                } else {
+                    vec![Op::Recv(prev, 3), Op::Send(next, 3, 1.0)]
+                };
+                let ops = [vec![Op::Barrier], ring.clone(), vec![Op::Barrier], ring].concat();
+                Script { ops, at: 0 }
+            })
+            .collect()
+    };
+    let (ev, done) = Machine::new(p).try_run_tasks(scripts()).unwrap();
+    assert!(done.iter().all(|s| s.at == s.ops.len()));
+    let (th, _) = Machine::threaded(p).try_run_tasks(scripts()).unwrap();
+    assert_eq!(ev.time_us.to_bits(), th.time_us.to_bits());
+    assert_eq!(ev.total_msgs, th.total_msgs);
+    assert_eq!(ev.total_msgs, 2 * p as u64);
+    for (a, b) in ev.per_node.iter().zip(&th.per_node) {
+        assert_eq!(a.time_us.to_bits(), b.time_us.to_bits());
+        assert_eq!(a.wait_us.to_bits(), b.wait_us.to_bits());
+    }
+    assert!(ev.sched_switches > p as u64, "ranks must have blocked");
+}
+
+#[test]
+fn blocking_call_inside_a_step_is_diagnosed() {
+    // A `RankTask` on the event machine has no stack of its own to block
+    // on: the blocking forms belong to closure ranks.
+    struct Blocks;
+    impl RankTask for Blocks {
+        fn step(&mut self, node: &mut Node) -> Yield {
+            if node.rank() == 0 {
+                node.recv(1, 0);
+            }
+            Yield::Done
+        }
+    }
+    let err = quiet(|| Machine::new(2).try_run_tasks(vec![Blocks, Blocks]))
+        .err()
+        .expect("must fail");
+    assert_eq!(err.rank, 0);
+    assert!(
+        err.message.contains("use the try_* forms"),
+        "{}",
+        err.message
+    );
 }

@@ -20,8 +20,8 @@
 
 use crate::ir::*;
 use crate::runtime::{
-    apply_bin, apply_intr, mark_dist_store, remap_global_store, remap_store, run_harness,
-    scalar_from_wire, scatter_init_store, ArrayStore, FinalArray, Value,
+    apply_bin, apply_intr, mark_dist_store, run_harness, scalar_from_wire, scatter_init_store,
+    ArrayStore, FinalArray, Remap, Value,
 };
 pub use crate::runtime::{
     global_extents, try_run_spmd, ExecOptions, ExecOutput, RankFailure, TAG_BCAST, TAG_BCAST_PACK,
@@ -746,7 +746,11 @@ impl<'a> Exec<'a> {
         let prog = self.prog;
         let d0 = &prog.dists[from_dist_id.0 as usize];
         let d1 = &prog.dists[to_dist.0 as usize];
-        self.heap[id] = remap_store(self.node, &self.heap[id], d0, d1, to_dist);
+        Remap::begin(self.node, &self.heap[id], d0, d1, to_dist).complete(
+            self.node,
+            &mut self.heap[id],
+            d1,
+        );
     }
 
     /// Run-time resolution remap: storage stays global-shaped; the
@@ -764,7 +768,11 @@ impl<'a> Exec<'a> {
         let prog = self.prog;
         let d0 = &prog.dists[from.0 as usize];
         let d1 = &prog.dists[to_dist.0 as usize];
-        remap_global_store(self.node, &mut self.heap[id], d0, d1);
+        Remap::begin_global(self.node, &self.heap[id], d0, d1).complete(
+            self.node,
+            &mut self.heap[id],
+            d1,
+        );
         self.heap[id].owner_dist = Some(to_dist);
     }
 }

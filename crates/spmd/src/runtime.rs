@@ -264,16 +264,28 @@ pub(crate) fn run_harness(
     })?;
 
     let finals = finals.into_inner().unwrap_or_else(|p| p.into_inner());
-    let per_rank: Vec<Vec<FinalArray>> = finals
+    let per_rank = finals
         .into_iter()
         .map(|f| f.expect("rank finished without recording finals"))
         .collect();
-    Ok(RunOutcome {
+    let printed = printed.into_inner().unwrap_or_else(|p| p.into_inner());
+    Ok(assemble_outcome(prog, stats, per_rank, printed))
+}
+
+/// The outcome of a simulator run: `per_rank[r]` are rank `r`'s final
+/// arrays, `printed` rank 0's output.
+pub(crate) fn assemble_outcome(
+    prog: &SpmdProgram,
+    stats: RunStats,
+    per_rank: Vec<Vec<FinalArray>>,
+    printed: Vec<String>,
+) -> RunOutcome {
+    RunOutcome {
         stats,
         arrays: assemble_arrays(prog, &per_rank),
-        printed: printed.into_inner().unwrap_or_else(|p| p.into_inner()),
+        printed,
         artifact: None,
-    })
+    }
 }
 
 /// Assembles global arrays from per-rank finals, reading each element from
@@ -650,126 +662,171 @@ fn scatter_owned_fast(
     }
 }
 
-/// Full dynamic remap with data motion (library routine of §6): moves the
-/// contents of `old` (distributed as `d0`) into a fresh store distributed
-/// as `d1`. The caller has already flushed charges and charged the remap
-/// call; this routine only moves data (charged as messages).
-pub(crate) fn remap_store(
-    node: &mut Node,
-    old: &ArrayStore,
-    d0: &ArrayDist,
-    d1: &ArrayDist,
-    to_dist: DistId,
-) -> ArrayStore {
-    let shape = RowMajor::new(global_extents(d0));
-    assert_eq!(
-        shape.extents,
-        global_extents(d1),
-        "remap changes array shape"
-    );
-    let my = node.rank();
-    let p = node.nprocs();
-
-    let bounds: Vec<(i64, i64)> = d1.local_extents().iter().map(|&e| (1, e)).collect();
-    let mut new_store = ArrayStore::alloc(old.name, bounds, to_dist);
-
-    // Outgoing: group my old elements by new owner, row-major order.
-    let mut outgoing: Vec<Vec<f64>> = vec![Vec::new(); p];
-    let mut pt = vec![1i64; shape.extents.len()];
-    for flat in 0..shape.total {
-        shape.decode_into(flat, &mut pt);
-        if d0.owner_of(&pt) != my {
-            continue;
-        }
-        let v = old.get(&d0.local_of_global(&pt));
-        let dst = d1.owner_of(&pt);
-        if dst == my {
-            new_store.set(&d1.local_of_global(&pt), v);
-        } else {
-            outgoing[dst].push(v);
-        }
-    }
-    for (dst, buf) in outgoing.iter().enumerate() {
-        if dst != my && !buf.is_empty() {
-            node.send(dst, REMAP_TAG_BASE + dst as u64, buf);
-        }
-    }
-    // Incoming: my new elements whose old owner differs, in the sender's
-    // row-major order (same global order, so a simple fill works).
-    let mut incoming_pts: Vec<Vec<Vec<i64>>> = vec![Vec::new(); p];
-    for flat in 0..shape.total {
-        shape.decode_into(flat, &mut pt);
-        if d1.owner_of(&pt) != my {
-            continue;
-        }
-        let src = d0.owner_of(&pt);
-        if src != my {
-            incoming_pts[src].push(pt.clone());
-        }
-    }
-    for (src, pts) in incoming_pts.iter().enumerate() {
-        if src == my || pts.is_empty() {
-            continue;
-        }
-        let data = node.recv(src, REMAP_TAG_BASE + my as u64);
-        assert_eq!(data.len(), pts.len(), "remap message size mismatch");
-        for (pt, &v) in pts.iter().zip(&data) {
-            new_store.set(&d1.local_of_global(pt), v);
-        }
-    }
-    new_store
+/// A dynamic remap (library routine of §6) between its two halves. The
+/// first half ([`Remap::begin`], [`Remap::begin_global`]) enumerates the
+/// array once, sends everything this rank has to send and lists what it
+/// will be sent; it never blocks. The second half accepts one source's
+/// message at a time ([`Remap::expects`] / [`Remap::accept`]), which is the
+/// routine's only blocking point: the tree walker drives it with a blocking
+/// receive ([`Remap::complete`]), the VM suspends between sources. The
+/// caller has already flushed charges and charged the remap call; the
+/// routine only moves data (charged as messages).
+pub(crate) struct Remap {
+    /// The store being filled under the new distribution; `None` for
+    /// run-time resolution storage, which is updated in place.
+    new_store: Option<ArrayStore>,
+    /// Per source, the global points its message carries, in the sender's
+    /// row-major order (same global order, so a simple fill works).
+    incoming: Vec<Vec<Vec<i64>>>,
+    /// The source accepted next.
+    src: usize,
 }
 
-/// Run-time resolution remap: storage stays global-shaped; the
-/// authoritative values move from old owners (`d0`) to new owners (`d1`)
-/// in place. The caller updates `owner_dist` afterwards.
-pub(crate) fn remap_global_store(
-    node: &mut Node,
-    store: &mut ArrayStore,
-    d0: &ArrayDist,
-    d1: &ArrayDist,
-) {
-    let shape = RowMajor::new(global_extents(d0));
-    let my = node.rank();
-    let p = node.nprocs();
-    let mut outgoing: Vec<Vec<f64>> = vec![Vec::new(); p];
-    let mut pt = vec![1i64; shape.extents.len()];
-    for flat in 0..shape.total {
-        shape.decode_into(flat, &mut pt);
-        if d0.owner_of(&pt) != my {
-            continue;
+impl Remap {
+    /// First half of a full remap: moves the contents of `old`
+    /// (distributed as `d0`) towards a fresh store distributed as `d1`.
+    pub fn begin(
+        node: &mut Node,
+        old: &ArrayStore,
+        d0: &ArrayDist,
+        d1: &ArrayDist,
+        to_dist: DistId,
+    ) -> Remap {
+        let shape = RowMajor::new(global_extents(d0));
+        assert_eq!(
+            shape.extents,
+            global_extents(d1),
+            "remap changes array shape"
+        );
+        let my = node.rank();
+        let bounds: Vec<(i64, i64)> = d1.local_extents().iter().map(|&e| (1, e)).collect();
+        let mut new_store = ArrayStore::alloc(old.name, bounds, to_dist);
+
+        // Outgoing: group my old elements by new owner, row-major order.
+        let mut outgoing: Vec<Vec<f64>> = vec![Vec::new(); node.nprocs()];
+        let mut pt = vec![1i64; shape.extents.len()];
+        for flat in 0..shape.total {
+            shape.decode_into(flat, &mut pt);
+            if d0.owner_of(&pt) != my {
+                continue;
+            }
+            let v = old.get(&d0.local_of_global(&pt));
+            let dst = d1.owner_of(&pt);
+            if dst == my {
+                new_store.set(&d1.local_of_global(&pt), v);
+            } else {
+                outgoing[dst].push(v);
+            }
         }
-        let dst = d1.owner_of(&pt);
-        if dst != my {
-            let v = store.get(&pt);
-            outgoing[dst].push(v);
+        Remap::send(node, &shape, d0, d1, &outgoing, Some(new_store))
+    }
+
+    /// First half of a run-time resolution remap: storage stays
+    /// global-shaped; the authoritative values move from old owners (`d0`)
+    /// to new owners (`d1`) in place. The caller updates `owner_dist`
+    /// afterwards.
+    pub fn begin_global(
+        node: &mut Node,
+        store: &ArrayStore,
+        d0: &ArrayDist,
+        d1: &ArrayDist,
+    ) -> Remap {
+        let shape = RowMajor::new(global_extents(d0));
+        let my = node.rank();
+        let mut outgoing: Vec<Vec<f64>> = vec![Vec::new(); node.nprocs()];
+        let mut pt = vec![1i64; shape.extents.len()];
+        for flat in 0..shape.total {
+            shape.decode_into(flat, &mut pt);
+            if d0.owner_of(&pt) != my {
+                continue;
+            }
+            let dst = d1.owner_of(&pt);
+            if dst != my {
+                let v = store.get(&pt);
+                outgoing[dst].push(v);
+            }
+        }
+        Remap::send(node, &shape, d0, d1, &outgoing, None)
+    }
+
+    /// Sends `outgoing[dst]` to every `dst` it is non-empty for, then lists
+    /// this rank's new elements whose old owner differs, by that owner.
+    fn send(
+        node: &mut Node,
+        shape: &RowMajor,
+        d0: &ArrayDist,
+        d1: &ArrayDist,
+        outgoing: &[Vec<f64>],
+        new_store: Option<ArrayStore>,
+    ) -> Remap {
+        let my = node.rank();
+        for (dst, buf) in outgoing.iter().enumerate() {
+            if dst != my && !buf.is_empty() {
+                node.send(dst, REMAP_TAG_BASE + dst as u64, buf);
+            }
+        }
+        let mut incoming: Vec<Vec<Vec<i64>>> = vec![Vec::new(); node.nprocs()];
+        let mut pt = vec![1i64; shape.extents.len()];
+        for flat in 0..shape.total {
+            shape.decode_into(flat, &mut pt);
+            if d1.owner_of(&pt) != my {
+                continue;
+            }
+            let src = d0.owner_of(&pt);
+            if src != my {
+                incoming[src].push(pt.clone());
+            }
+        }
+        Remap {
+            new_store,
+            incoming,
+            src: 0,
         }
     }
-    for (dst, buf) in outgoing.iter().enumerate() {
-        if dst != my && !buf.is_empty() {
-            node.send(dst, REMAP_TAG_BASE + dst as u64, buf);
+
+    /// The next source that sends rank `my` anything and the tag its
+    /// message carries; `None` once every message has been accepted.
+    pub fn expects(&mut self, my: usize) -> Option<(usize, u64)> {
+        while self.incoming.get(self.src)?.is_empty() {
+            self.src += 1;
+        }
+        Some((self.src, REMAP_TAG_BASE + my as u64))
+    }
+
+    /// Accepts the message of the source [`Remap::expects`] named. `store`
+    /// is the array being remapped, `d1` its new distribution.
+    pub fn accept(&mut self, store: &mut ArrayStore, d1: &ArrayDist, data: &[f64]) {
+        let pts = &self.incoming[self.src];
+        assert_eq!(data.len(), pts.len(), "remap message size mismatch");
+        match &mut self.new_store {
+            Some(new_store) => {
+                for (pt, &v) in pts.iter().zip(data) {
+                    new_store.set(&d1.local_of_global(pt), v);
+                }
+            }
+            None => {
+                for (pt, &v) in pts.iter().zip(data) {
+                    store.set(pt, v);
+                }
+            }
+        }
+        self.src += 1;
+    }
+
+    /// Every message is in: a full remap replaces `store` with the new one.
+    pub fn finish(self, store: &mut ArrayStore) {
+        if let Some(new_store) = self.new_store {
+            *store = new_store;
         }
     }
-    let mut incoming_pts: Vec<Vec<Vec<i64>>> = vec![Vec::new(); p];
-    for flat in 0..shape.total {
-        shape.decode_into(flat, &mut pt);
-        if d1.owner_of(&pt) != my {
-            continue;
+
+    /// The second half with a blocking receive per source.
+    pub fn complete(mut self, node: &mut Node, store: &mut ArrayStore, d1: &ArrayDist) {
+        while let Some((src, tag)) = self.expects(node.rank()) {
+            let data = node.recv(src, tag);
+            self.accept(store, d1, &data);
         }
-        let src = d0.owner_of(&pt);
-        if src != my {
-            incoming_pts[src].push(pt.clone());
-        }
-    }
-    for (src, pts) in incoming_pts.iter().enumerate() {
-        if src == my || pts.is_empty() {
-            continue;
-        }
-        let data = node.recv(src, REMAP_TAG_BASE + my as u64);
-        assert_eq!(data.len(), pts.len(), "remap_global size mismatch");
-        for (pt, &v) in pts.iter().zip(&data) {
-            store.set(pt, v);
-        }
+        self.finish(store);
     }
 }
 

@@ -20,13 +20,13 @@ use crate::lower::{
     NO_SLOT, N_OPCODES, OPCODE_NAMES,
 };
 use crate::runtime::{
-    apply_bin, apply_intr, mark_dist_store, remap_global_store, remap_store, run_harness,
-    scalar_from_wire, scatter_init_store, ArrayStore, ExecOutput, FinalArray, Value,
+    apply_bin, apply_intr, assemble_outcome, mark_dist_store, scalar_from_wire, scatter_init_store,
+    ArrayStore, ExecOutput, FinalArray, Remap, Value,
 };
+use fortrand_ir::dist::ArrayDist;
 use fortrand_ir::Sym;
-use fortrand_machine::{Machine, Node, Payload};
+use fortrand_machine::{Machine, Node, Payload, RankTask, Wait, Yield};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Runs `prog` under the bytecode engine. Lowering happens once; the
 /// resulting program is shared read-only by every rank's VM. `kernels`
@@ -39,9 +39,6 @@ pub(crate) fn run_bytecode(
     kernels: bool,
 ) -> Result<ExecOutput, crate::runtime::RankFailure> {
     let lowered = lower_with(prog, kernels);
-    let instr_total = AtomicU64::new(0);
-    let fused_total = AtomicU64::new(0);
-    let mix_total: Vec<AtomicU64> = (0..N_OPCODES).map(|_| AtomicU64::new(0)).collect();
     // Resolved once per run, only when tracing: per-call spans need
     // procedure names and the hot path must not touch the interner.
     let proc_names: Vec<String> = if machine.trace().on() {
@@ -52,29 +49,27 @@ pub(crate) fn run_bytecode(
     } else {
         Vec::new()
     };
-    let mut out = run_harness(prog, machine, |node| {
-        let mut vm = Vm::new(prog, &lowered, node, &proc_names);
-        vm.enter_main(init);
-        exec(&mut vm);
-        vm.close_open_spans();
-        instr_total.fetch_add(vm.instrs, Ordering::Relaxed);
-        fused_total.fetch_add(vm.fused, Ordering::Relaxed);
-        for (k, v) in vm.mix.iter().enumerate() {
-            if *v > 0 {
-                mix_total[k].fetch_add(*v, Ordering::Relaxed);
-            }
+    // One VM per rank, each a resumable task: the machine steps them.
+    let vms = (0..machine.nprocs)
+        .map(|_| Vm::new(prog, &lowered, init, &proc_names))
+        .collect();
+    let (stats, mut vms) = machine.try_run_tasks(vms)?;
+    let printed = std::mem::take(&mut vms[0].printed);
+    let finals = vms.iter().map(Vm::finish).collect();
+    let mut out = assemble_outcome(prog, stats, finals, printed);
+    let mut mix = vec![0u64; N_OPCODES];
+    for vm in &vms {
+        out.stats.engine_instrs += vm.instrs;
+        out.stats.fused_instrs += vm.fused;
+        for (total, n) in mix.iter_mut().zip(&vm.mix) {
+            *total += n;
         }
-        (vm.finish(), std::mem::take(&mut vm.printed))
-    })?;
-    out.stats.engine_instrs = instr_total.load(Ordering::Relaxed);
-    out.stats.fused_instrs = fused_total.load(Ordering::Relaxed);
-    out.stats.instr_mix = mix_total
+    }
+    out.stats.instr_mix = mix
         .iter()
         .enumerate()
-        .filter_map(|(k, v)| {
-            let n = v.load(Ordering::Relaxed);
-            (n > 0).then(|| (OPCODE_NAMES[k].to_string(), n))
-        })
+        .filter(|&(_, &n)| n > 0)
+        .map(|(k, &n)| (OPCODE_NAMES[k].to_string(), n))
         .collect();
     Ok(out)
 }
@@ -100,10 +95,17 @@ struct FrameMark {
     heap_mark: usize,
 }
 
-struct Vm<'a, 'n> {
+/// One rank's interpreter state. Everything a suspended rank needs to
+/// resume lives here — frames, `pc`, a remap in flight — so the VM needs
+/// no host stack between steps: it is a [`RankTask`] the machine steps.
+struct Vm<'a> {
     prog: &'a SpmdProgram,
     lowered: &'a Lowered,
-    node: &'n mut Node,
+    /// Initial global array contents, scattered at the first step.
+    init: &'a BTreeMap<Sym, Vec<f64>>,
+    /// Where the dispatch loop resumes (it keeps `pc` in a local while it
+    /// runs and writes it back only when it suspends).
+    pc: usize,
     /// Scalar slots of every live frame, contiguous.
     scalars: Vec<Value>,
     /// Array table: heap id per frame-local array index.
@@ -121,6 +123,9 @@ struct Vm<'a, 'n> {
     posted_recv: Vec<Option<(usize, u64)>>,
     /// `(seq, posted_at)` latched by `PostBcastMsg`, keyed by handle.
     posted_bcast: Vec<Option<(u64, f64)>>,
+    /// The remap a suspended `Remap`/`RemapGlobal` is in the middle of:
+    /// everything sent, some sources' messages still to come.
+    remap: Option<Remap>,
     sec_cache: Vec<Option<SecEntry>>,
     /// Scratch for subscript evaluation (avoids per-access allocation).
     subs_buf: Vec<i64>,
@@ -139,24 +144,36 @@ struct Vm<'a, 'n> {
     /// Dynamic opcode histogram, indexed by [`op_idx`].
     mix: Vec<u64>,
     main_arrays: Vec<usize>,
-    /// Cached `node.trace().on()` so the dispatch loop pays one bool test.
-    trace_on: bool,
-    /// Procedure names for per-call spans (empty unless tracing).
+    /// Procedure names for per-call spans; empty unless tracing, which is
+    /// what switches the spans off.
     proc_names: &'a [String],
 }
 
-impl<'a, 'n> Vm<'a, 'n> {
+impl RankTask for Vm<'_> {
+    fn step(&mut self, node: &mut Node) -> Yield {
+        if self.frames.is_empty() {
+            self.enter_main(node);
+        }
+        let y = exec(self, node);
+        if y == Yield::Done {
+            self.close_open_spans(node);
+        }
+        y
+    }
+}
+
+impl<'a> Vm<'a> {
     fn new(
         prog: &'a SpmdProgram,
         lowered: &'a Lowered,
-        node: &'n mut Node,
+        init: &'a BTreeMap<Sym, Vec<f64>>,
         proc_names: &'a [String],
     ) -> Self {
-        let trace_on = node.trace().on();
         Vm {
             prog,
             lowered,
-            node,
+            init,
+            pc: 0,
             scalars: Vec::new(),
             atab: Vec::new(),
             regs: Vec::new(),
@@ -167,6 +184,7 @@ impl<'a, 'n> Vm<'a, 'n> {
             in_off: 0,
             posted_recv: Vec::new(),
             posted_bcast: Vec::new(),
+            remap: None,
             sec_cache: (0..lowered.n_sites).map(|_| None).collect(),
             subs_buf: Vec::new(),
             dims_buf: Vec::new(),
@@ -177,55 +195,38 @@ impl<'a, 'n> Vm<'a, 'n> {
             fused: 0,
             mix: vec![0; N_OPCODES],
             main_arrays: Vec::new(),
-            trace_on,
             proc_names,
         }
     }
 
     /// Opens an execution-slice span for `proc` on this rank's track at
     /// the current simulated clock.
-    fn trace_enter(&mut self, proc: usize) {
-        if self.trace_on {
-            let rank = self.node.rank() as u32;
-            let ts = self.node.clock();
-            self.node.trace().begin_at(
-                fortrand_trace::PID_MACHINE,
-                rank,
-                "vm",
-                &self.proc_names[proc],
-                ts,
-                Vec::new(),
-            );
+    fn trace_enter(&self, node: &Node, proc: usize) {
+        if let Some(name) = self.proc_names.get(proc) {
+            let (rank, ts) = (node.rank() as u32, node.clock());
+            let pid = fortrand_trace::PID_MACHINE;
+            node.trace().begin_at(pid, rank, "vm", name, ts, Vec::new());
         }
     }
 
     /// Closes the innermost execution-slice span at the current clock.
-    fn trace_exit(&mut self, proc: usize) {
-        if self.trace_on {
-            let rank = self.node.rank() as u32;
-            let ts = self.node.clock();
-            self.node.trace().end_at(
-                fortrand_trace::PID_MACHINE,
-                rank,
-                "vm",
-                &self.proc_names[proc],
-                ts,
-            );
+    fn trace_exit(&self, node: &Node, proc: usize) {
+        if let Some(name) = self.proc_names.get(proc) {
+            let (rank, ts) = (node.rank() as u32, node.clock());
+            node.trace()
+                .end_at(fortrand_trace::PID_MACHINE, rank, "vm", name, ts);
         }
     }
 
     /// Closes spans for frames still live after execution stops (a `STOP`
     /// inside a callee leaves the stack deep), keeping B/E balanced.
-    fn close_open_spans(&mut self) {
-        if self.trace_on {
-            for i in (0..self.frames.len()).rev() {
-                let proc = self.frames[i].proc;
-                self.trace_exit(proc);
-            }
+    fn close_open_spans(&self, node: &Node) {
+        for fr in self.frames.iter().rev() {
+            self.trace_exit(node, fr.proc);
         }
     }
 
-    fn flush(&mut self) {
+    fn flush(&mut self, node: &mut Node) {
         // Every communication instruction flushes before installing a new
         // incoming payload, and the scatters that consume one never
         // flush, so the previous message is fully consumed here. Dropping
@@ -236,16 +237,16 @@ impl<'a, 'n> Vm<'a, 'n> {
         // in-flight window, forcing the root's gathers to allocate.
         self.incoming = None;
         if self.pending_flops > 0 {
-            self.node.charge_flops(self.pending_flops);
+            node.charge_flops(self.pending_flops);
             self.pending_flops = 0;
         }
         if self.pending_ops > 0 {
-            self.node.charge_ops(self.pending_ops);
+            node.charge_ops(self.pending_ops);
             self.pending_ops = 0;
         }
     }
 
-    fn enter_main(&mut self, init: &BTreeMap<Sym, Vec<f64>>) {
+    fn enter_main(&mut self, node: &Node) {
         let lowered = self.lowered;
         let main = self.prog.main;
         let lp = &lowered.procs[main];
@@ -259,8 +260,8 @@ impl<'a, 'n> Vm<'a, 'n> {
             self.heap.push(store);
             self.atab.push(id);
             self.main_arrays.push(id);
-            if let Some(global) = init.get(&d.name) {
-                self.scatter_init(id, global);
+            if let Some(global) = self.init.get(&d.name) {
+                self.scatter_init(id, global, node.rank());
             }
         }
         self.frames.push(FrameMark {
@@ -272,10 +273,10 @@ impl<'a, 'n> Vm<'a, 'n> {
             r_base: 0,
             heap_mark: 0,
         });
-        self.trace_enter(main);
+        self.trace_enter(node, main);
     }
 
-    fn scatter_init(&mut self, id: usize, global: &[f64]) {
+    fn scatter_init(&mut self, id: usize, global: &[f64], my: usize) {
         if self.heap[id].owner_dist.is_some() {
             assert_eq!(self.heap[id].data.len(), global.len(), "rtr init size");
             self.heap[id].data.copy_from_slice(global);
@@ -283,11 +284,10 @@ impl<'a, 'n> Vm<'a, 'n> {
         }
         let prog = self.prog;
         let dist = &prog.dists[self.heap[id].dist.0 as usize];
-        let my = self.node.rank();
         scatter_init_store(&mut self.heap[id], dist, global, my);
     }
 
-    fn finish(&mut self) -> Vec<FinalArray> {
+    fn finish(&self) -> Vec<FinalArray> {
         self.main_arrays
             .iter()
             .map(|&id| {
@@ -305,6 +305,7 @@ impl<'a, 'n> Vm<'a, 'n> {
 
     fn do_call(
         &mut self,
+        node: &Node,
         ca: &CallArgs,
         caller_r_base: usize,
         caller_a_base: usize,
@@ -343,18 +344,15 @@ impl<'a, 'n> Vm<'a, 'n> {
             r_base,
             heap_mark,
         });
-        self.trace_enter(ca.callee);
+        self.trace_enter(node, ca.callee);
     }
 
     /// Pops the current frame, applies scalar copy-out, and returns the
     /// caller's resume pc. Frame storage (including callee-local arrays)
     /// is reclaimed.
-    fn do_return(&mut self) -> usize {
-        if self.trace_on {
-            let proc = self.frames.last().unwrap().proc;
-            self.trace_exit(proc);
-        }
+    fn do_return(&mut self, node: &Node) -> usize {
         let fr = self.frames.pop().unwrap();
+        self.trace_exit(node, fr.proc);
         let caller = self.frames.last().unwrap();
         let caller_s_base = caller.s_base;
         let lowered = self.lowered;
@@ -620,6 +618,26 @@ impl<'a, 'n> Vm<'a, 'n> {
         true
     }
 
+    /// Second half of the remap in flight on array `id` (if one is):
+    /// accepts the remaining sources' messages in order. `Err` leaves the
+    /// remap in flight where it stopped, to be resumed by the same call.
+    fn remap_accept(&mut self, node: &mut Node, id: usize, d1: &ArrayDist) -> Result<(), Wait> {
+        let Some(mut remap) = self.remap.take() else {
+            return Ok(());
+        };
+        while let Some((src, tag)) = remap.expects(node.rank()) {
+            match node.try_recv(src, tag) {
+                Ok(data) => remap.accept(&mut self.heap[id], d1, &data),
+                Err(wait) => {
+                    self.remap = Some(remap);
+                    return Err(wait);
+                }
+            }
+        }
+        remap.finish(&mut self.heap[id]);
+        Ok(())
+    }
+
     /// Evaluates a section's bounds from registers and returns its point
     /// count, (re)building the site's cached enumeration when the bounds
     /// or the target array's local bounds changed.
@@ -678,10 +696,14 @@ impl<'a, 'n> Vm<'a, 'n> {
 /// always in bounds (debug builds assert it). The pointers are re-derived
 /// at each use, so frame switches and arms that call `&mut Vm` methods
 /// never hold a stale pointer.
-fn exec(vm: &mut Vm) {
+///
+/// Returns when the program halts ([`Yield::Done`]) or a communication
+/// instruction cannot complete ([`Yield::Blocked`]); `pc` and the frame
+/// bases live in locals in between and `Vm::pc` is written only then.
+fn exec(vm: &mut Vm, node: &mut Node) -> Yield {
     let lowered = vm.lowered;
     let prog = vm.prog;
-    let mut pc = 0usize;
+    let mut pc = vm.pc;
     loop {
         let fr = vm.frames.last().unwrap();
         let (s_base, a_base, r_base) = (fr.s_base, fr.a_base, fr.r_base);
@@ -768,6 +790,19 @@ fn exec(vm: &mut Vm) {
                 }
             }};
         }
+        /// Leaves the loop at communication instruction `$instr`, which
+        /// cannot complete until `$wait` is satisfied, un-dispatching it
+        /// (`pc` and the counters rewound): the next step executes it again
+        /// from the top, so everything it does before its `try_*` call must
+        /// be harmless to repeat.
+        macro_rules! suspend {
+            ($instr:expr, $wait:expr) => {{
+                vm.pc = pc - 1;
+                vm.instrs -= 1;
+                vm.mix[op_idx($instr)] -= 1;
+                return Yield::Blocked($wait);
+            }};
+        }
         let switched = 'frame: loop {
             let instr = &code[pc];
             vm.instrs += 1;
@@ -795,10 +830,10 @@ fn exec(vm: &mut Vm) {
                     reg_set!(*dst, Value::I(reg!(*src).as_i()));
                 }
                 Instr::MyP { dst } => {
-                    reg_set!(*dst, Value::I(vm.node.rank() as i64));
+                    reg_set!(*dst, Value::I(node.rank() as i64));
                 }
                 Instr::NProcs { dst } => {
-                    reg_set!(*dst, Value::I(vm.node.nprocs() as i64));
+                    reg_set!(*dst, Value::I(node.nprocs() as i64));
                 }
                 Instr::Bin { op, dst, l, r } => {
                     let a = reg!(*l);
@@ -961,12 +996,12 @@ fn exec(vm: &mut Vm) {
                     }
                 }
                 Instr::BrNotRank { root, to } => {
-                    if vm.node.rank() as i64 != reg!(*root).as_i() {
+                    if node.rank() as i64 != reg!(*root).as_i() {
                         pc = *to as usize;
                     }
                 }
                 Instr::BrNotRank0 { to } => {
-                    if vm.node.rank() != 0 {
+                    if node.rank() != 0 {
                         pc = *to as usize;
                     }
                 }
@@ -1079,27 +1114,26 @@ fn exec(vm: &mut Vm) {
                     pc += 1; // skip the replaced StVar
                 }
                 Instr::Call(ca) => {
-                    vm.do_call(ca, r_base, a_base, pc);
+                    vm.do_call(node, ca, r_base, a_base, pc);
                     pc = 0;
                     break 'frame true;
                 }
                 Instr::Return => {
                     if vm.frames.len() == 1 {
-                        vm.flush();
+                        vm.flush(node);
                         break 'frame false;
                     }
-                    pc = vm.do_return();
+                    pc = vm.do_return(node);
                     break 'frame true;
                 }
                 Instr::Stop => {
-                    vm.flush();
+                    vm.flush(node);
                     break 'frame false;
                 }
                 Instr::Gather { arr, sec } => {
                     let id = vm.atab[a_base + *arr as usize];
                     let n = vm.ensure_section(sec, id, r_base);
                     vm.pending_ops += n as u64; // pack cost
-                    let node = &mut *vm.node;
                     let msg = vm.msg.get_or_insert_with(|| node.acquire_buf());
                     let entry = vm.sec_cache[sec.site as usize].as_ref().unwrap();
                     let store = &vm.heap[id];
@@ -1123,7 +1157,6 @@ fn exec(vm: &mut Vm) {
                 }
                 Instr::PackVar { slot } => {
                     let v = vm.scalars[s_base + *slot as usize].as_r();
-                    let node = &mut *vm.node;
                     vm.msg.get_or_insert_with(|| node.acquire_buf()).push(v);
                 }
                 Instr::UnpackVar { slot } => {
@@ -1135,115 +1168,141 @@ fn exec(vm: &mut Vm) {
                 Instr::SendMsg { to, tag } => {
                     let dst = vm.regs[r_base + *to as usize].as_i();
                     assert!(dst >= 0, "negative send destination");
-                    vm.flush();
+                    vm.flush(node);
                     let data = vm.msg.take().expect("send without gathered message");
-                    vm.node.send_buf(dst as usize, *tag, data);
+                    node.send_buf(dst as usize, *tag, data);
                 }
                 Instr::RecvMsg { from, tag } => {
                     let src = vm.regs[r_base + *from as usize].as_i();
                     assert!(src >= 0, "negative recv source");
-                    vm.flush();
-                    vm.incoming = Some(vm.node.recv_payload(src as usize, *tag));
+                    vm.flush(node);
+                    match node.try_recv_payload(src as usize, *tag) {
+                        Ok(data) => vm.incoming = Some(data),
+                        Err(wait) => suspend!(instr, wait),
+                    }
                     vm.in_off = 0;
                 }
                 Instr::SendElem { to, val, tag } => {
                     let dst = vm.regs[r_base + *to as usize].as_i() as usize;
                     let v = vm.regs[r_base + *val as usize].as_r();
-                    vm.flush();
-                    let mut buf = vm.node.acquire_buf();
+                    vm.flush(node);
+                    let mut buf = node.acquire_buf();
                     buf.push(v);
-                    vm.node.send_buf(dst, *tag, buf);
+                    node.send_buf(dst, *tag, buf);
                 }
                 Instr::RecvElem { from, dst, tag } => {
                     let src = vm.regs[r_base + *from as usize].as_i() as usize;
-                    vm.flush();
-                    let p = vm.node.recv_payload(src, *tag);
-                    vm.regs[r_base + *dst as usize] = Value::R(p[0]);
+                    vm.flush(node);
+                    match node.try_recv_payload(src, *tag) {
+                        Ok(p) => vm.regs[r_base + *dst as usize] = Value::R(p[0]),
+                        Err(wait) => suspend!(instr, wait),
+                    }
                 }
                 Instr::Bcast { root, tag } => {
                     let root = vm.regs[r_base + *root as usize].as_i() as usize;
-                    vm.flush();
-                    let data = if vm.node.rank() == root {
-                        // The guarded gather/pack ran; an empty section
-                        // still acquired a buffer.
-                        Some(vm.msg.take().expect("bcast root without payload"))
+                    vm.flush(node);
+                    // The guarded gather/pack ran (an empty section still
+                    // acquired a buffer), so the root has a payload — once:
+                    // a resumed broadcast handed it over before suspending.
+                    let data = if node.rank() == root {
+                        vm.msg.take()
                     } else {
                         None
                     };
-                    let out = vm.node.bcast_payload(root, data, Some(*tag));
-                    vm.incoming = Some(out);
+                    match node.try_bcast_payload(root, data, Some(*tag)) {
+                        Ok(out) => vm.incoming = Some(out),
+                        Err(wait) => suspend!(instr, wait),
+                    }
                     vm.in_off = 0;
                 }
                 Instr::PostSendMsg { to, tag } => {
                     let dst = vm.regs[r_base + *to as usize].as_i();
                     assert!(dst >= 0, "negative send destination");
-                    vm.flush();
+                    vm.flush(node);
                     let data = vm.msg.take().expect("post-send without gathered message");
-                    vm.node.post_send(dst as usize, *tag, data);
+                    node.post_send(dst as usize, *tag, data);
                 }
                 Instr::WaitSendMsg => {
-                    vm.flush();
-                    vm.node.wait_send();
+                    vm.flush(node);
+                    node.wait_send();
                 }
                 Instr::PostRecvMsg { from, tag, handle } => {
                     let src = vm.regs[r_base + *from as usize].as_i();
                     assert!(src >= 0, "negative recv source");
-                    vm.flush();
-                    vm.node.post_recv(src as usize, *tag);
+                    vm.flush(node);
+                    node.post_recv(src as usize, *tag);
                     *slot(&mut vm.posted_recv, *handle) = Some((src as usize, *tag));
                 }
                 Instr::WaitRecvMsg { handle } => {
-                    let (src, tag) = slot(&mut vm.posted_recv, *handle)
-                        .take()
-                        .expect("wait-recv without matching post");
-                    vm.flush();
-                    vm.incoming = Some(vm.node.wait_recv(src, tag));
+                    // The handle is consumed by the attempt that completes.
+                    let posted = slot(&mut vm.posted_recv, *handle);
+                    let (src, tag) = posted.expect("wait-recv without matching post");
+                    vm.flush(node);
+                    match node.try_wait_recv(src, tag) {
+                        Ok(data) => vm.incoming = Some(data),
+                        Err(wait) => suspend!(instr, wait),
+                    }
+                    *slot(&mut vm.posted_recv, *handle) = None;
                     vm.in_off = 0;
                 }
                 Instr::PostBcastMsg { root, tag, handle } => {
                     let root = vm.regs[r_base + *root as usize].as_i() as usize;
-                    vm.flush();
-                    let data = if vm.node.rank() == root {
+                    vm.flush(node);
+                    let data = if node.rank() == root {
                         Some(vm.msg.take().expect("posted bcast root without payload"))
                     } else {
                         None
                     };
-                    let seq = vm.node.post_bcast(root, data, Some(*tag));
-                    let at = vm.node.clock();
+                    let seq = node.post_bcast(root, data, Some(*tag));
+                    let at = node.clock();
                     *slot(&mut vm.posted_bcast, *handle) = Some((seq, at));
                 }
                 Instr::WaitBcastMsg { handle } => {
-                    let (seq, posted_at) = slot(&mut vm.posted_bcast, *handle)
-                        .take()
-                        .expect("wait-bcast without matching post");
-                    vm.flush();
-                    vm.incoming = Some(vm.node.wait_bcast(seq, posted_at));
+                    let posted = slot(&mut vm.posted_bcast, *handle);
+                    let (seq, posted_at) = posted.expect("wait-bcast without matching post");
+                    vm.flush(node);
+                    match node.try_wait_bcast(seq, posted_at) {
+                        Ok(data) => vm.incoming = Some(data),
+                        Err(wait) => suspend!(instr, wait),
+                    }
+                    *slot(&mut vm.posted_bcast, *handle) = None;
                     vm.in_off = 0;
                 }
                 Instr::Remap { arr, to } => {
                     let id = vm.atab[a_base + *arr as usize];
-                    let from = vm.heap[id].dist;
-                    vm.flush();
-                    vm.node.charge_remap();
-                    if from != *to {
-                        let d0 = &prog.dists[from.0 as usize];
-                        let d1 = &prog.dists[to.0 as usize];
-                        vm.heap[id] = remap_store(vm.node, &vm.heap[id], d0, d1, *to);
+                    let d1 = &prog.dists[to.0 as usize];
+                    // First half, once: a resumed remap is already in flight.
+                    if vm.remap.is_none() {
+                        let from = vm.heap[id].dist;
+                        vm.flush(node);
+                        node.charge_remap();
+                        if from != *to {
+                            let d0 = &prog.dists[from.0 as usize];
+                            vm.remap = Some(Remap::begin(node, &vm.heap[id], d0, d1, *to));
+                        }
+                    }
+                    if let Err(wait) = vm.remap_accept(node, id, d1) {
+                        suspend!(instr, wait);
                     }
                 }
                 Instr::RemapGlobal { arr, to } => {
                     let id = vm.atab[a_base + *arr as usize];
-                    let from = vm.heap[id]
-                        .owner_dist
-                        .expect("remap_global on non-rtr array");
-                    vm.flush();
-                    vm.node.charge_remap();
-                    if from != *to {
-                        let d0 = &prog.dists[from.0 as usize];
-                        let d1 = &prog.dists[to.0 as usize];
-                        remap_global_store(vm.node, &mut vm.heap[id], d0, d1);
-                        vm.heap[id].owner_dist = Some(*to);
+                    let d1 = &prog.dists[to.0 as usize];
+                    if vm.remap.is_none() {
+                        let from = vm.heap[id]
+                            .owner_dist
+                            .expect("remap_global on non-rtr array");
+                        vm.flush(node);
+                        node.charge_remap();
+                        if from != *to {
+                            let d0 = &prog.dists[from.0 as usize];
+                            vm.remap = Some(Remap::begin_global(node, &vm.heap[id], d0, d1));
+                        }
                     }
+                    if let Err(wait) = vm.remap_accept(node, id, d1) {
+                        suspend!(instr, wait);
+                    }
+                    vm.heap[id].owner_dist = Some(*to);
                 }
                 Instr::MarkDist { arr, to } => {
                     let id = vm.atab[a_base + *arr as usize];
@@ -1265,7 +1324,7 @@ fn exec(vm: &mut Vm) {
             }
         };
         if !switched {
-            return;
+            return Yield::Done;
         }
     }
 }

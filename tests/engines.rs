@@ -221,6 +221,76 @@ fn dgefa_every_strategy() {
     }
 }
 
+/// A rank that fails on its own is the run's failure, ahead of the ranks
+/// it leaves waiting: rank 2 indexes out of its local bounds while ranks
+/// 0, 1 and 3 sit in a broadcast it never enters. The VM catches the panic
+/// at the rank's step and keeps stepping the others until nothing can run;
+/// the tree walker unwinds rank 2's thread of the closure adapter. Both
+/// report rank 2 with the subscript diagnostic, not the deadlock it caused.
+#[test]
+fn out_of_bounds_rank_outranks_peers_left_in_a_broadcast() {
+    use fortrand_ir::dist::ArrayDist;
+    use fortrand_spmd::ir::*;
+    use fortrand_spmd::ExecError;
+    let mut interner = fortrand_ir::Interner::new();
+    let main = interner.intern("main");
+    let a = interner.intern("a");
+    let at = |k| SLval::Elem {
+        array: a,
+        subs: vec![SExpr::Int(k)],
+    };
+    let whole = SRect::one(SExpr::Int(1), SExpr::Int(4));
+    let prog = SpmdProgram {
+        interner,
+        nprocs: 4,
+        procs: vec![SProc {
+            name: main,
+            formals: vec![],
+            decls: vec![SDecl {
+                name: a,
+                bounds: vec![(1, 4)],
+                dist: DistId(0),
+                owner_dist: None,
+            }],
+            body: vec![
+                SStmt::If {
+                    cond: SExpr::bin(SBinOp::Eq, SExpr::MyP, SExpr::Int(2)),
+                    then_body: vec![SStmt::Assign {
+                        lhs: at(7),
+                        rhs: SExpr::Real(1.0),
+                    }],
+                    else_body: vec![],
+                },
+                SStmt::Bcast {
+                    root: SExpr::Int(0),
+                    src_array: a,
+                    src_section: whole.clone(),
+                    dst_array: a,
+                    dst_section: whole,
+                },
+            ],
+        }],
+        main: 0,
+        dists: vec![ArrayDist::replicated(&[4])],
+    };
+    let failure = |opts: ExecOptions| {
+        let backend = opts.backend.name();
+        match try_run_spmd(&prog, &Machine::new(4), &BTreeMap::new(), &opts) {
+            Err(ExecError::Rank(f)) => f,
+            Err(e) => panic!("{backend}: wrong error kind: {e}"),
+            Ok(_) => panic!("{backend}: run unexpectedly succeeded"),
+        }
+    };
+    let vm = failure(ExecOptions::new().backend(Bytecode));
+    let tree = failure(ExecOptions::new().backend(Tree));
+    assert_eq!(vm.rank, 2);
+    assert_eq!(
+        vm.message,
+        "subscript 7 out of local bounds 1:4 (dim 0) of array"
+    );
+    assert_eq!((tree.rank, &tree.message), (vm.rank, &vm.message));
+}
+
 /// Renders a compact stencil-sweep program (a reduced version of the
 /// `proptest_e2e` generator's space: distribution, shifts, partial
 /// bounds, optional call indirection).

@@ -449,6 +449,101 @@ fn event_machine_runs_relax_at_p1024() {
     assert!(run.stats.time_us > 0.0);
 }
 
+/// Compiles `relax_source(16p, 1, 2, p)`-shaped stencils for the scaling
+/// tests below and runs them on the event machine under the VM.
+fn run_relax_vm(n: i64, p: usize) -> RunStats {
+    let src = relax_source(n, 1, 2, p);
+    let out = compile(&src, &CompileOptions::builder().nprocs(p).build()).unwrap();
+    let mut init = BTreeMap::new();
+    for (name, data) in default_init(&src) {
+        init.insert(out.spmd.interner.get(&name).unwrap(), data);
+    }
+    let machine = Machine::new(p);
+    assert_eq!(machine.kind, MachineKind::Event);
+    let run = try_run_spmd(&out.spmd, &machine, &init, &vm_opts()).unwrap();
+    // Two double sweeps, one boundary message per neighbour pair each.
+    assert_eq!(run.stats.total_msgs, 4 * (p as u64 - 1));
+    run.stats
+}
+
+/// A VM run on the event machine has no thread per rank. The probe counts
+/// the threads of its whole process, so it gets a process of its own: this
+/// test binary again, running only [`thread_probe`].
+#[test]
+#[cfg(target_os = "linux")]
+fn vm_run_has_no_thread_per_rank() {
+    let probe = std::process::Command::new(std::env::current_exe().unwrap())
+        .args([
+            "--ignored",
+            "--exact",
+            "thread_probe",
+            "--test-threads",
+            "1",
+        ])
+        .output()
+        .unwrap();
+    assert!(
+        probe.status.success(),
+        "{}{}",
+        String::from_utf8_lossy(&probe.stdout),
+        String::from_utf8_lossy(&probe.stderr)
+    );
+}
+
+/// While 512 ranks run, a watcher samples `Threads:` from
+/// `/proc/self/status` and must never see more than were there before the
+/// run plus itself (a thread per rank would show as +512).
+#[test]
+#[ignore = "counts the process's threads: run alone, by vm_run_has_no_thread_per_rank"]
+#[cfg(target_os = "linux")]
+fn thread_probe() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    fn threads() -> usize {
+        let status = std::fs::read_to_string("/proc/self/status").unwrap();
+        let line = status.lines().find(|l| l.starts_with("Threads:")).unwrap();
+        line["Threads:".len()..].trim().parse().unwrap()
+    }
+    let before = threads();
+    let (running, mut samples, mut peak) = (AtomicBool::new(false), 0, 0);
+    // Run again until the watcher has looked often enough mid-run.
+    while samples < 20 {
+        let seen = std::thread::scope(|s| {
+            let watcher = s.spawn(|| {
+                let mut seen = Vec::new();
+                while !running.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+                while running.load(Ordering::SeqCst) {
+                    seen.push(threads());
+                }
+                seen
+            });
+            running.store(true, Ordering::SeqCst);
+            run_relax_vm(8192, 512);
+            running.store(false, Ordering::SeqCst);
+            watcher.join().unwrap()
+        });
+        samples += seen.len();
+        peak = peak.max(seen.into_iter().max().unwrap_or(0));
+    }
+    assert!(
+        peak <= before + 1,
+        "{peak} threads during a 512-rank run, {before} before it"
+    );
+}
+
+/// 8 192 ranks — a shape that needed 8 192 threads and 16 GiB of stack
+/// reservations while every rank rode a carrier thread — with the flat
+/// per-rank message count the `tables scale` gate checks at p ≤ 4 096.
+#[test]
+fn event_machine_runs_relax_at_p8192() {
+    let p = 8192;
+    let stats = run_relax_vm(16 * p as i64, p);
+    assert_eq!(stats.per_node.len(), p);
+    assert!(stats.per_node.iter().all(|n| n.msgs_sent <= 4));
+    assert!(stats.sched_switches >= p as u64);
+}
+
 /// The scheduler's observables, pinned: dispatch and queue counters, the
 /// VM's instruction counts, the simulated clock, idle time, overlap
 /// bookkeeping and traffic of the event machine on both engines. The
