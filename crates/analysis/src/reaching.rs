@@ -34,7 +34,7 @@ use crate::framework::{self, AcgGraph, DataflowProblem, SolveStats};
 use crate::registry::Direction;
 use fortrand_frontend::ast::{Expr, SourceProgram, Stmt, StmtId, StmtKind};
 use fortrand_frontend::sema::ProgramInfo;
-use fortrand_ir::dist::{Alignment, ArrayDist, DistKind, Distribution};
+use fortrand_ir::dist::{self, Alignment, ArrayDist, DistKind, Distribution};
 use fortrand_ir::Sym;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -60,7 +60,7 @@ impl DecompSpec {
     /// Builds the effective [`ArrayDist`] for an array with these extents
     /// on `nprocs` processors.
     pub fn array_dist(&self, array_extents: &[i64], nprocs: usize) -> ArrayDist {
-        ArrayDist::new(
+        dist::array_dist(
             array_extents,
             &self.align,
             &self.extents,

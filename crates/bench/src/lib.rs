@@ -14,7 +14,7 @@ use fortrand::corpus::{dgefa_matrix, dgefa_source, fig15_source, fig4_source, re
 use fortrand::json::Json;
 use fortrand::{CommOpt, CompileOptions, DynOptLevel, Strategy};
 use fortrand_machine::{Machine, RunStats, HIST_LABELS};
-use fortrand_spmd::{try_run_spmd, Bytecode, ExecOptions, ExecOutput, Native, SpmdProgram, Tree};
+use fortrand_spmd::{try_run_spmd, Bytecode, ExecOptions, Native, RunOutcome, SpmdProgram, Tree};
 use std::collections::BTreeMap;
 use std::time::Instant;
 
@@ -30,7 +30,7 @@ pub fn run_spmd_opts(
     machine: &Machine,
     init: &BTreeMap<fortrand_ir::Sym, Vec<f64>>,
     opts: &ExecOptions,
-) -> ExecOutput {
+) -> RunOutcome {
     try_run_spmd(prog, machine, init, opts).unwrap_or_else(|f| panic!("{f}"))
 }
 
@@ -345,7 +345,7 @@ impl EngineTiming {
 /// True iff two runs agree on every *simulated* observable. Host-side
 /// measurements (`wall_us`, pool counters, `engine_instrs`) are excluded:
 /// they are nondeterministic or engine-specific by design.
-pub fn outputs_identical(a: &ExecOutput, b: &ExecOutput) -> bool {
+pub fn outputs_identical(a: &RunOutcome, b: &RunOutcome) -> bool {
     a.stats.time_us == b.stats.time_us
         && a.stats.total_msgs == b.stats.total_msgs
         && a.stats.total_bytes == b.stats.total_bytes
@@ -388,7 +388,7 @@ pub fn engine_experiment(
             init.insert(s, data.clone());
         }
     }
-    let run = |opts: &ExecOptions| -> (ExecOutput, u64) {
+    let run = |opts: &ExecOptions| -> (RunOutcome, u64) {
         let mut best = u64::MAX;
         let mut result = None;
         for _ in 0..reps.max(1) {
@@ -556,7 +556,7 @@ impl NativeTiming {
 /// True iff a simulator run and a native run agree on every observable
 /// the two worlds share (traffic, arrays, printed output — not the
 /// simulated clock, which the native process does not model).
-pub fn native_outputs_identical(sim: &ExecOutput, nat: &ExecOutput) -> bool {
+pub fn native_outputs_identical(sim: &RunOutcome, nat: &RunOutcome) -> bool {
     sim.stats.total_msgs == nat.stats.total_msgs
         && sim.stats.total_bytes == nat.stats.total_bytes
         && sim.stats.total_remaps == nat.stats.total_remaps

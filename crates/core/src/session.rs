@@ -41,7 +41,7 @@ use fortrand_machine::{Machine, RankFailure};
 use fortrand_spmd::ir::SpmdProgram;
 use fortrand_spmd::opt::CommOpt;
 use fortrand_spmd::print::pretty_all;
-use fortrand_spmd::{try_run_spmd, ExecError, ExecOptions, ExecOutput};
+use fortrand_spmd::{try_run_spmd, ExecError, ExecOptions, RunOutcome};
 use fortrand_trace::{Trace, TraceSink};
 use std::collections::BTreeMap;
 
@@ -280,7 +280,7 @@ impl Compiled {
     /// Runs the program on a simulated machine with default execution
     /// options. `init` supplies initial global values for arrays declared
     /// in the entry unit.
-    pub fn run(&self, init: &BTreeMap<Sym, Vec<f64>>) -> Result<ExecOutput, Error> {
+    pub fn run(&self, init: &BTreeMap<Sym, Vec<f64>>) -> Result<RunOutcome, Error> {
         self.run_with(init, &ExecOptions::new())
     }
 
@@ -293,7 +293,7 @@ impl Compiled {
         &self,
         init: &BTreeMap<Sym, Vec<f64>>,
         opts: &ExecOptions,
-    ) -> Result<ExecOutput, Error> {
+    ) -> Result<RunOutcome, Error> {
         let mut machine = Machine::new(self.out.spmd.nprocs).with_trace(self.trace.clone());
         if let Some(kind) = opts.machine {
             machine = machine.with_kind(kind);

@@ -15,41 +15,17 @@
 //! resolution library all share. All global indices are 1-based
 //! (Fortran convention); processor ranks are 0-based, matching the paper's
 //! `my$p` between `0` and `n$proc-1`.
+//!
+//! The arithmetic itself — [`DistKind`], [`DimPartition`], [`ProcGrid`],
+//! [`ArrayDist`] — is run-time library code and lives in `fortrand-rt`,
+//! re-exported here; this module keeps what needs the compiler's own
+//! types: building an [`ArrayDist`] from an [`Alignment`] and a
+//! [`Distribution`], and owned sets as symbolic [`Triplet`]s and [`Rsd`]s.
 
 use crate::affine::Affine;
 use crate::intern::Sym;
 use crate::rsd::{Rsd, Triplet};
-
-/// How one decomposition dimension is mapped to processors.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
-pub enum DistKind {
-    /// Contiguous blocks of size ⌈N/P⌉.
-    Block,
-    /// Round-robin single elements.
-    Cyclic,
-    /// Round-robin blocks of the given size.
-    BlockCyclic(i64),
-    /// Not distributed (the `:` marker); every processor holds the whole
-    /// extent of this dimension.
-    Serial,
-}
-
-impl DistKind {
-    /// True for `BLOCK`, `CYCLIC` and `BLOCK_CYCLIC`.
-    pub fn is_distributed(self) -> bool {
-        !matches!(self, DistKind::Serial)
-    }
-
-    /// Source-level spelling.
-    pub fn spelling(self) -> String {
-        match self {
-            DistKind::Block => "BLOCK".into(),
-            DistKind::Cyclic => "CYCLIC".into(),
-            DistKind::BlockCyclic(k) => format!("BLOCK_CYCLIC({k})"),
-            DistKind::Serial => ":".into(),
-        }
-    }
-}
+pub use fortrand_rt::dist::{ArrayDist, DimPartition, DistKind, ProcGrid};
 
 /// An abstract index domain, `DECOMPOSITION D(e1, …, ek)`.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
@@ -118,391 +94,93 @@ impl Distribution {
     }
 }
 
-/// The processor arrangement over the distributed dimensions.
+/// Builds the effective distribution of an array.
 ///
-/// With one distributed dimension the grid is simply `[P]`; with two it is a
-/// near-square factorization of `P`, and so on. Rank 0 holds grid
-/// coordinate (0,…,0); linearization is row-major over grid axes.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
-pub struct ProcGrid {
-    /// Processors along each grid axis; the product is the total count.
-    pub shape: Vec<usize>,
-}
-
-impl ProcGrid {
-    /// Factorizes `nprocs` over `naxes` axes, as squarely as possible while
-    /// keeping earlier axes at least as large as later ones.
-    pub fn new(nprocs: usize, naxes: usize) -> Self {
-        assert!(nprocs >= 1);
-        if naxes == 0 {
-            return ProcGrid { shape: vec![] };
+/// * `array_extents` — declared extents of the array;
+/// * `align` — its alignment onto the decomposition;
+/// * `decomp_extents` — the decomposition extents;
+/// * `dist` — the decomposition's distribution.
+pub fn array_dist(
+    array_extents: &[i64],
+    align: &Alignment,
+    decomp_extents: &[i64],
+    dist: &Distribution,
+) -> ArrayDist {
+    let rank = array_extents.len();
+    assert_eq!(align.perm.len(), rank, "alignment rank mismatch");
+    // Assign grid axes to distributed decomposition dims in order.
+    let mut axis_of_ddim = vec![None; dist.kinds.len()];
+    let mut next_axis = 0;
+    for (d, k) in dist.kinds.iter().enumerate() {
+        if k.is_distributed() {
+            axis_of_ddim[d] = Some(next_axis);
+            next_axis += 1;
         }
-        let mut shape = vec![1usize; naxes];
-        let mut rem = nprocs;
-        for (axis, slot) in shape.iter_mut().enumerate() {
-            let axes_left = naxes - axis;
-            // Largest divisor of rem that is ≤ ceil(rem^(1/axes_left)).
-            let target = (rem as f64).powf(1.0 / axes_left as f64).round() as usize;
-            let mut best = 1;
-            for d in 1..=rem {
-                if rem.is_multiple_of(d) && d <= target.max(1) {
-                    best = d;
-                }
-            }
-            // Put the larger factor first.
-            let d = rem / best;
-            *slot = d.max(best);
-            rem /= *slot;
-        }
-        // Distribute any remainder (only if factorization failed) onto axis 0.
-        shape[0] *= rem.max(1);
-        ProcGrid { shape }
     }
-
-    /// Total number of processors.
-    pub fn nprocs(&self) -> usize {
-        self.shape.iter().product::<usize>().max(1)
+    let grid = ProcGrid::new(dist.nprocs, next_axis);
+    let mut dims = Vec::with_capacity(rank);
+    let mut grid_axis = Vec::with_capacity(rank);
+    for (d, &array_extent) in array_extents.iter().enumerate() {
+        let ddim = align.perm[d];
+        let kind = dist.kinds.get(ddim).copied().unwrap_or(DistKind::Serial);
+        let axis = if kind.is_distributed() {
+            axis_of_ddim[ddim]
+        } else {
+            None
+        };
+        let nprocs = axis.map(|a| grid.shape[a]).unwrap_or(1);
+        // Partition over the *decomposition* extent so that aligned
+        // arrays (possibly smaller, offset) agree on owners.
+        let extent = decomp_extents.get(ddim).copied().unwrap_or(array_extent);
+        dims.push(DimPartition {
+            kind,
+            extent,
+            nprocs,
+        });
+        grid_axis.push(axis);
     }
-
-    /// Row-major linear rank of grid coordinates.
-    pub fn rank_of(&self, coords: &[usize]) -> usize {
-        debug_assert_eq!(coords.len(), self.shape.len());
-        let mut r = 0;
-        for (c, s) in coords.iter().zip(&self.shape) {
-            debug_assert!(c < s);
-            r = r * s + c;
-        }
-        r
-    }
-
-    /// Grid coordinates of a linear rank.
-    pub fn coords_of(&self, mut rank: usize) -> Vec<usize> {
-        let mut out = vec![0; self.shape.len()];
-        for axis in (0..self.shape.len()).rev() {
-            out[axis] = rank % self.shape[axis];
-            rank /= self.shape[axis];
-        }
-        out
+    ArrayDist {
+        dims,
+        offsets: align.offset.clone(),
+        grid,
+        grid_axis,
     }
 }
 
-/// One array dimension's share of a distribution.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
-pub struct DimPartition {
-    /// Mapping kind.
-    pub kind: DistKind,
-    /// Global extent of this dimension (after alignment offset).
-    pub extent: i64,
-    /// Processors along the grid axis this dimension maps to (1 if serial).
-    pub nprocs: usize,
-}
-
-impl DimPartition {
-    /// Block size ⌈N/P⌉ for `Block`; the parameter for `BlockCyclic`; 1 for
-    /// `Cyclic`; the whole extent for `Serial`.
-    pub fn block_size(&self) -> i64 {
-        match self.kind {
-            DistKind::Block => (self.extent + self.nprocs as i64 - 1) / self.nprocs as i64,
-            DistKind::Cyclic => 1,
-            DistKind::BlockCyclic(k) => k,
-            DistKind::Serial => self.extent,
-        }
-    }
-
-    /// Owner coordinate (along this grid axis) of global index `g` (1-based).
-    pub fn owner(&self, g: i64) -> usize {
-        debug_assert!(
-            g >= 1 && g <= self.extent,
-            "index {g} out of [1,{}]",
-            self.extent
-        );
-        let p = self.nprocs as i64;
-        match self.kind {
-            DistKind::Serial => 0,
-            DistKind::Block => ((g - 1) / self.block_size()).min(p - 1) as usize,
-            DistKind::Cyclic => ((g - 1) % p) as usize,
-            DistKind::BlockCyclic(k) => (((g - 1) / k) % p) as usize,
-        }
-    }
-
-    /// Local (1-based) index of global `g` on its owner.
-    pub fn local_of_global(&self, g: i64) -> i64 {
-        let p = self.nprocs as i64;
-        match self.kind {
-            DistKind::Serial => g,
-            DistKind::Block => g - self.owner(g) as i64 * self.block_size(),
-            DistKind::Cyclic => (g - 1) / p + 1,
-            DistKind::BlockCyclic(k) => {
-                let blk = (g - 1) / k; // global block number
-                let local_blk = blk / p; // block number on the owner
-                local_blk * k + (g - 1) % k + 1
-            }
-        }
-    }
-
-    /// Global index of local index `l` (1-based) on processor coordinate `q`.
-    pub fn global_of_local(&self, q: usize, l: i64) -> i64 {
-        let p = self.nprocs as i64;
-        let q = q as i64;
-        match self.kind {
-            DistKind::Serial => l,
-            DistKind::Block => q * self.block_size() + l,
-            DistKind::Cyclic => (l - 1) * p + q + 1,
-            DistKind::BlockCyclic(k) => {
-                let local_blk = (l - 1) / k;
-                (local_blk * p + q) * k + (l - 1) % k + 1
-            }
-        }
-    }
-
-    /// Number of elements owned by processor coordinate `q`.
-    pub fn local_count(&self, q: usize) -> i64 {
-        let p = self.nprocs as i64;
-        let q = q as i64;
-        match self.kind {
-            DistKind::Serial => self.extent,
-            DistKind::Block => {
-                let b = self.block_size();
-                (self.extent - q * b).clamp(0, b)
-            }
-            DistKind::Cyclic => {
-                if q < self.extent % p || self.extent % p == 0 && q < p.min(self.extent) {
-                    (self.extent + p - 1 - q) / p
-                } else {
-                    (self.extent - q + p - 1) / p
-                }
-            }
-            DistKind::BlockCyclic(k) => {
-                // Count l with global_of_local(q,l) ≤ extent.
-                let full_cycles = self.extent / (k * p);
-                let rem = self.extent - full_cycles * k * p;
-                let mine = (rem - q * k).clamp(0, k);
-                full_cycles * k + mine
-            }
-        }
-    }
-
-    /// Maximum local count over all processors (the local declared extent).
-    pub fn local_extent(&self) -> i64 {
-        (0..self.nprocs)
-            .map(|q| self.local_count(q))
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// The set of *global* indices owned by coordinate `q`, as a triplet.
-    pub fn owned_triplet(&self, q: usize) -> Triplet {
-        let p = self.nprocs as i64;
-        let q_i = q as i64;
-        match self.kind {
-            DistKind::Serial => Triplet::lit(1, self.extent),
-            DistKind::Block => {
-                let b = self.block_size();
-                Triplet::lit(q_i * b + 1, (q_i * b + b).min(self.extent))
-            }
-            DistKind::Cyclic => Triplet {
-                lo: Affine::konst(q_i + 1),
-                hi: Affine::konst(self.extent),
-                step: p.max(1),
-            },
-            DistKind::BlockCyclic(_) => {
-                // Not a single triplet in general; give the bounding stride-1
-                // hull only when P == 1.
-                if self.nprocs == 1 {
-                    Triplet::lit(1, self.extent)
-                } else {
-                    // Conservative: callers that need exact sets for
-                    // BLOCK_CYCLIC enumerate blocks instead.
-                    Triplet::lit(1, self.extent)
-                }
-            }
-        }
-    }
-
-    /// True when `owned_triplet` is exact (everything except multi-processor
-    /// `BLOCK_CYCLIC`).
-    pub fn owned_triplet_exact(&self) -> bool {
-        !matches!(self.kind, DistKind::BlockCyclic(_)) || self.nprocs == 1
+/// The set of *global* indices of `dim` owned by coordinate `q`, as a
+/// triplet: exact except for multi-processor `BLOCK_CYCLIC`, whose owned
+/// set is not one triplet and is over-approximated by the whole extent.
+pub fn owned_triplet(dim: &DimPartition, q: usize) -> Triplet {
+    let (lo, hi, step) = dim.owned_range(q).unwrap_or((1, dim.extent, 1));
+    Triplet {
+        lo: Affine::konst(lo),
+        hi: Affine::konst(hi),
+        step,
     }
 }
 
-/// Effective distribution of one array: the composition of its alignment
-/// and its decomposition's distribution.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
-pub struct ArrayDist {
-    /// Per-array-dimension partitions (alignment already applied).
-    pub dims: Vec<DimPartition>,
-    /// Alignment offsets per array dimension (global array index + offset =
-    /// decomposition index). Owner queries apply these before partitioning.
-    pub offsets: Vec<i64>,
-    /// The processor grid.
-    pub grid: ProcGrid,
-    /// `grid_axis[d]` = grid axis for array dimension `d` (None if serial).
-    pub grid_axis: Vec<Option<usize>>,
-}
-
-impl ArrayDist {
-    /// Builds the effective distribution of an array.
-    ///
-    /// * `array_extents` — declared extents of the array;
-    /// * `align` — its alignment onto the decomposition;
-    /// * `decomp_extents` — the decomposition extents;
-    /// * `dist` — the decomposition's distribution.
-    pub fn new(
-        array_extents: &[i64],
-        align: &Alignment,
-        decomp_extents: &[i64],
-        dist: &Distribution,
-    ) -> Self {
-        let rank = array_extents.len();
-        assert_eq!(align.perm.len(), rank, "alignment rank mismatch");
-        // Assign grid axes to distributed decomposition dims in order.
-        let mut axis_of_ddim = vec![None; dist.kinds.len()];
-        let mut next_axis = 0;
-        for (d, k) in dist.kinds.iter().enumerate() {
-            if k.is_distributed() {
-                axis_of_ddim[d] = Some(next_axis);
-                next_axis += 1;
+/// Set of global indices owned by processor `rank` under `dist`, as an
+/// RSD (exact except multi-processor `BLOCK_CYCLIC` dims).
+pub fn owned_rsd(dist: &ArrayDist, rank: usize) -> Rsd {
+    let coords = dist.grid.coords_of(rank);
+    let dims = dist
+        .dims
+        .iter()
+        .enumerate()
+        .map(|(d, dp)| match dist.grid_axis[d] {
+            Some(axis) => {
+                let t = owned_triplet(dp, coords[axis]);
+                // Undo alignment offset to express in array indices.
+                Triplet {
+                    lo: t.lo.plus_const(-dist.offsets[d]),
+                    hi: t.hi.plus_const(-dist.offsets[d]),
+                    step: t.step,
+                }
             }
-        }
-        let grid = ProcGrid::new(dist.nprocs, next_axis);
-        let mut dims = Vec::with_capacity(rank);
-        let mut grid_axis = Vec::with_capacity(rank);
-        for (d, &array_extent) in array_extents.iter().enumerate() {
-            let ddim = align.perm[d];
-            let kind = dist.kinds.get(ddim).copied().unwrap_or(DistKind::Serial);
-            let axis = if kind.is_distributed() {
-                axis_of_ddim[ddim]
-            } else {
-                None
-            };
-            let nprocs = axis.map(|a| grid.shape[a]).unwrap_or(1);
-            // Partition over the *decomposition* extent so that aligned
-            // arrays (possibly smaller, offset) agree on owners.
-            let extent = decomp_extents.get(ddim).copied().unwrap_or(array_extent);
-            dims.push(DimPartition {
-                kind,
-                extent,
-                nprocs,
-            });
-            grid_axis.push(axis);
-        }
-        ArrayDist {
-            dims,
-            offsets: align.offset.clone(),
-            grid,
-            grid_axis,
-        }
-    }
-
-    /// A fully serial (replicated) distribution — used for scalars and
-    /// arrays with no reaching decomposition.
-    pub fn replicated(array_extents: &[i64]) -> Self {
-        ArrayDist {
-            dims: array_extents
-                .iter()
-                .map(|&e| DimPartition {
-                    kind: DistKind::Serial,
-                    extent: e,
-                    nprocs: 1,
-                })
-                .collect(),
-            offsets: vec![0; array_extents.len()],
-            grid: ProcGrid::new(1, 0),
-            grid_axis: vec![None; array_extents.len()],
-        }
-    }
-
-    /// Array rank.
-    pub fn rank(&self) -> usize {
-        self.dims.len()
-    }
-
-    /// True if no dimension is distributed.
-    pub fn is_replicated(&self) -> bool {
-        self.dims.iter().all(|d| !d.kind.is_distributed())
-    }
-
-    /// Owning processor (linear rank) of the element at `point` (1-based
-    /// global indices).
-    pub fn owner_of(&self, point: &[i64]) -> usize {
-        let mut coords = vec![0usize; self.grid.shape.len()];
-        for (d, &x) in point.iter().enumerate() {
-            if let Some(axis) = self.grid_axis[d] {
-                coords[axis] = self.dims[d].owner(x + self.offsets[d]);
-            }
-        }
-        self.grid.rank_of(&coords)
-    }
-
-    /// Local (1-based) indices of a global point on its owner.
-    pub fn local_of_global(&self, point: &[i64]) -> Vec<i64> {
-        point
-            .iter()
-            .enumerate()
-            .map(|(d, &x)| {
-                if self.grid_axis[d].is_some() {
-                    self.dims[d].local_of_global(x + self.offsets[d])
-                } else {
-                    x
-                }
-            })
-            .collect()
-    }
-
-    /// Set of global indices owned by processor `rank`, as an RSD
-    /// (exact except multi-processor `BLOCK_CYCLIC` dims).
-    pub fn owned_rsd(&self, rank: usize) -> Rsd {
-        let coords = self.grid.coords_of(rank);
-        let dims = self
-            .dims
-            .iter()
-            .enumerate()
-            .map(|(d, dp)| match self.grid_axis[d] {
-                Some(axis) => {
-                    let t = dp.owned_triplet(coords[axis]);
-                    // Undo alignment offset to express in array indices.
-                    if self.offsets[d] != 0 {
-                        Triplet {
-                            lo: t.lo.plus_const(-self.offsets[d]),
-                            hi: t.hi.plus_const(-self.offsets[d]),
-                            step: t.step,
-                        }
-                    } else {
-                        t
-                    }
-                }
-                None => Triplet::lit(1, dp.extent),
-            })
-            .collect();
-        Rsd::new(dims)
-    }
-
-    /// Declared local extents (maximum local counts) per dimension — the
-    /// reduced array bounds the code generator emits.
-    pub fn local_extents(&self) -> Vec<i64> {
-        self.dims
-            .iter()
-            .enumerate()
-            .map(|(d, dp)| {
-                if self.grid_axis[d].is_some() {
-                    dp.local_extent()
-                } else {
-                    dp.extent
-                }
-            })
-            .collect()
-    }
-
-    /// Total processors.
-    pub fn nprocs(&self) -> usize {
-        self.grid.nprocs()
-    }
-
-    /// Index of the (first) distributed array dimension, if any.
-    pub fn first_dist_dim(&self) -> Option<usize> {
-        self.dims.iter().position(|d| d.kind.is_distributed())
-    }
+            None => Triplet::lit(1, dp.extent),
+        })
+        .collect();
+    Rsd::new(dims)
 }
 
 #[cfg(test)]
@@ -523,13 +201,6 @@ mod tests {
             nprocs: p,
         }
     }
-    fn bc(extent: i64, k: i64, p: usize) -> DimPartition {
-        DimPartition {
-            kind: DistKind::BlockCyclic(k),
-            extent,
-            nprocs: p,
-        }
-    }
 
     #[test]
     fn block_paper_example() {
@@ -545,7 +216,7 @@ mod tests {
         for q in 0..4 {
             assert_eq!(d.local_count(q), 25);
         }
-        assert_eq!(d.owned_triplet(1), Triplet::lit(26, 50));
+        assert_eq!(owned_triplet(&d, 1), Triplet::lit(26, 50));
     }
 
     #[test]
@@ -555,19 +226,8 @@ mod tests {
         assert_eq!(d.local_count(0), 3);
         assert_eq!(d.local_count(3), 1);
         assert_eq!(d.owner(10), 3);
-        assert_eq!(d.owned_triplet(3), Triplet::lit(10, 10));
+        assert_eq!(owned_triplet(&d, 3), Triplet::lit(10, 10));
         assert_eq!(d.local_extent(), 3);
-    }
-
-    #[test]
-    fn block_roundtrip() {
-        let d = block(103, 7);
-        for g in 1..=103 {
-            let q = d.owner(g);
-            let l = d.local_of_global(g);
-            assert_eq!(d.global_of_local(q, l), g);
-            assert!(l >= 1 && l <= d.local_count(q));
-        }
     }
 
     #[test]
@@ -587,53 +247,11 @@ mod tests {
             assert_eq!(d.global_of_local(q, l), g);
         }
         // Owned set of proc 1 is 2:10:4.
-        let t = d.owned_triplet(1);
+        let t = owned_triplet(&d, 1);
         assert_eq!(
             (t.lo.as_const(), t.hi.as_const(), t.step),
             (Some(2), Some(10), 4)
         );
-    }
-
-    #[test]
-    fn block_cyclic_roundtrip() {
-        let d = bc(37, 3, 4);
-        let mut total = 0;
-        for q in 0..4 {
-            total += d.local_count(q);
-        }
-        assert_eq!(total, 37);
-        for g in 1..=37 {
-            let q = d.owner(g);
-            let l = d.local_of_global(g);
-            assert_eq!(d.global_of_local(q, l), g, "g={g} q={q} l={l}");
-            assert!(l >= 1 && l <= d.local_count(q));
-        }
-    }
-
-    #[test]
-    fn serial_is_identity() {
-        let d = DimPartition {
-            kind: DistKind::Serial,
-            extent: 50,
-            nprocs: 1,
-        };
-        assert_eq!(d.owner(17), 0);
-        assert_eq!(d.local_of_global(17), 17);
-        assert_eq!(d.local_count(0), 50);
-    }
-
-    #[test]
-    fn grid_factorization() {
-        assert_eq!(ProcGrid::new(4, 1).shape, vec![4]);
-        assert_eq!(ProcGrid::new(16, 2).nprocs(), 16);
-        assert_eq!(ProcGrid::new(12, 2).nprocs(), 12);
-        assert_eq!(ProcGrid::new(1, 0).nprocs(), 1);
-        let g = ProcGrid::new(6, 2);
-        assert_eq!(g.nprocs(), 6);
-        // coords/rank roundtrip
-        for r in 0..g.nprocs() {
-            assert_eq!(g.rank_of(&g.coords_of(r)), r);
-        }
     }
 
     #[test]
@@ -643,11 +261,11 @@ mod tests {
             kinds: vec![DistKind::Block, DistKind::Serial],
             nprocs: 4,
         };
-        let ad = ArrayDist::new(&[100, 100], &Alignment::identity(2), &[100, 100], &dist);
+        let ad = array_dist(&[100, 100], &Alignment::identity(2), &[100, 100], &dist);
         assert_eq!(ad.owner_of(&[25, 99]), 0);
         assert_eq!(ad.owner_of(&[26, 1]), 1);
         assert_eq!(ad.local_extents(), vec![25, 100]);
-        let owned = ad.owned_rsd(2);
+        let owned = owned_rsd(&ad, 2);
         assert_eq!(
             owned,
             Rsd::new(vec![Triplet::lit(51, 75), Triplet::lit(1, 100)])
@@ -662,11 +280,11 @@ mod tests {
             kinds: vec![DistKind::Block, DistKind::Serial],
             nprocs: 4,
         };
-        let ad = ArrayDist::new(&[100, 100], &Alignment::transpose2(), &[100, 100], &dist);
+        let ad = array_dist(&[100, 100], &Alignment::transpose2(), &[100, 100], &dist);
         assert_eq!(ad.local_extents(), vec![100, 25]);
         assert_eq!(ad.owner_of(&[1, 25]), 0);
         assert_eq!(ad.owner_of(&[1, 26]), 1);
-        let owned = ad.owned_rsd(1);
+        let owned = owned_rsd(&ad, 1);
         assert_eq!(
             owned,
             Rsd::new(vec![Triplet::lit(1, 100), Triplet::lit(26, 50)])
@@ -685,18 +303,14 @@ mod tests {
             perm: vec![0],
             offset: vec![10],
         };
-        let ad = ArrayDist::new(&[100], &al, &[110], &dist);
+        let ad = array_dist(&[100], &al, &[110], &dist);
         assert_eq!(ad.owner_of(&[1]), 1);
         // Owned RSD of proc 1 expressed in X's indices: D[11:20] -> X[1:10].
-        assert_eq!(ad.owned_rsd(1), Rsd::new(vec![Triplet::lit(1, 10)]));
-    }
-
-    #[test]
-    fn replicated_owner_is_zero() {
-        let ad = ArrayDist::replicated(&[100]);
-        assert!(ad.is_replicated());
-        assert_eq!(ad.owner_of(&[57]), 0);
-        assert_eq!(ad.local_extents(), vec![100]);
+        assert_eq!(owned_rsd(&ad, 1), Rsd::new(vec![Triplet::lit(1, 10)]));
+        // The numeric form clamps to the array: proc 0 owns D[1:10], none
+        // of X; proc 10 owns D[101:110] -> X[91:100].
+        assert_eq!(ad.owned_ranges(0), Some(vec![(1, 0, 1)]));
+        assert_eq!(ad.owned_ranges(10), Some(vec![(91, 100, 1)]));
     }
 
     #[test]
@@ -706,7 +320,7 @@ mod tests {
             kinds: vec![DistKind::Serial, DistKind::Cyclic],
             nprocs: 4,
         };
-        let ad = ArrayDist::new(&[8, 8], &Alignment::identity(2), &[8, 8], &dist);
+        let ad = array_dist(&[8, 8], &Alignment::identity(2), &[8, 8], &dist);
         assert_eq!(ad.owner_of(&[3, 1]), 0);
         assert_eq!(ad.owner_of(&[3, 2]), 1);
         assert_eq!(ad.owner_of(&[3, 6]), 1);
@@ -720,52 +334,7 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
 
-    fn kind_strategy() -> impl Strategy<Value = DistKind> {
-        prop_oneof![
-            Just(DistKind::Block),
-            Just(DistKind::Cyclic),
-            (1i64..6).prop_map(DistKind::BlockCyclic),
-        ]
-    }
-
     proptest! {
-        /// Every global index has exactly one owner/local pair and the
-        /// mapping round-trips, for every distribution kind.
-        #[test]
-        fn owner_local_roundtrip(kind in kind_strategy(), extent in 1i64..200, p in 1usize..9) {
-            let d = DimPartition { kind, extent, nprocs: p };
-            for g in 1..=extent {
-                let q = d.owner(g);
-                prop_assert!(q < p);
-                let l = d.local_of_global(g);
-                prop_assert!(l >= 1);
-                prop_assert_eq!(d.global_of_local(q, l), g);
-            }
-        }
-
-        /// Local counts sum to the extent (the partition is exact).
-        #[test]
-        fn counts_partition_extent(kind in kind_strategy(), extent in 1i64..200, p in 1usize..9) {
-            let d = DimPartition { kind, extent, nprocs: p };
-            let total: i64 = (0..p).map(|q| d.local_count(q)).sum();
-            prop_assert_eq!(total, extent);
-            // And local_count agrees with brute-force ownership.
-            for q in 0..p {
-                let brute = (1..=extent).filter(|&g| d.owner(g) == q).count() as i64;
-                prop_assert_eq!(d.local_count(q), brute);
-            }
-        }
-
-        /// local_extent bounds every local index.
-        #[test]
-        fn local_extent_is_max(kind in kind_strategy(), extent in 1i64..200, p in 1usize..9) {
-            let d = DimPartition { kind, extent, nprocs: p };
-            let le = d.local_extent();
-            for g in 1..=extent {
-                prop_assert!(d.local_of_global(g) <= le);
-            }
-        }
-
         /// owned_triplet is exact for Block and Cyclic: membership in the
         /// triplet coincides with ownership.
         #[test]
@@ -774,7 +343,7 @@ mod proptests {
             let kind = if blockish { DistKind::Block } else { DistKind::Cyclic };
             let d = DimPartition { kind, extent, nprocs: p };
             for q in 0..p {
-                let t = d.owned_triplet(q);
+                let t = owned_triplet(&d, q);
                 let (lo, hi, step) =
                     (t.lo.as_const().unwrap(), t.hi.as_const().unwrap(), t.step);
                 for g in 1..=extent {

@@ -40,6 +40,7 @@ pub use sched::{RankTask, Wait, Yield};
 pub use stats::{size_bucket, NodeStats, RunStats, HIST_BUCKETS, HIST_LABELS};
 
 use closure::ClosureTask;
+use fortrand_rt::panic_message;
 use fortrand_trace::{Trace, PID_MACHINE};
 use std::sync::mpsc::channel as unbounded;
 use std::sync::Arc;
@@ -83,16 +84,6 @@ impl std::fmt::Display for RankFailure {
 }
 
 impl std::error::Error for RankFailure {}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
 
 /// A simulated distributed-memory machine with `nprocs` nodes.
 #[derive(Clone)]

@@ -2,23 +2,11 @@
 
 use std::collections::BTreeMap;
 
-/// Number of message-size histogram buckets (see [`size_bucket`]).
-pub const HIST_BUCKETS: usize = 5;
+pub use fortrand_rt::{size_bucket, HIST_BUCKETS};
 
 /// Human-readable labels for the histogram buckets, aligned with
 /// [`size_bucket`].
 pub const HIST_LABELS: [&str; HIST_BUCKETS] = ["<=64B", "<=512B", "<=4KB", "<=32KB", ">32KB"];
-
-/// Histogram bucket index for a message of `bytes` payload bytes.
-pub fn size_bucket(bytes: u64) -> usize {
-    match bytes {
-        0..=64 => 0,
-        65..=512 => 1,
-        513..=4096 => 2,
-        4097..=32768 => 3,
-        _ => 4,
-    }
-}
 
 /// Statistics for one simulated node.
 #[derive(Clone, Debug, Default)]
@@ -122,8 +110,8 @@ pub struct RunStats {
     pub pool_allocs: u64,
     /// Bytes of buffer capacity served from the pool free list.
     pub pool_bytes_reused: u64,
-    /// Event-machine scheduler: task dispatches (baton handoffs). 0 under
-    /// the threaded machine.
+    /// Event-machine scheduler: task dispatches (calls of a rank's
+    /// `step`). 0 under the threaded machine.
     pub sched_switches: u64,
     /// Event-machine scheduler: point-to-point messages routed through
     /// the mailboxes. 0 under the threaded machine.

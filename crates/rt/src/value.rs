@@ -1,0 +1,232 @@
+//! The run-time scalar and its operators.
+
+/// Run-time scalar. The distinction between `I` and `R` is semantic, not
+/// just representational: integer division truncates, `Pow` clamps its
+/// exponent, a scalar that crossed the wire is re-integerized when exact,
+/// and the simulator charges a flop when either operand of a binary
+/// operation is `R` and an integer op otherwise — so every engine carries
+/// it dynamically.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Value {
+    I(i64),
+    R(f64),
+}
+
+impl Value {
+    #[inline]
+    pub fn as_i(self) -> i64 {
+        match self {
+            Value::I(v) => v,
+            Value::R(v) => v as i64,
+        }
+    }
+    #[inline]
+    pub fn as_r(self) -> f64 {
+        match self {
+            Value::I(v) => v as f64,
+            Value::R(v) => v,
+        }
+    }
+    #[inline]
+    pub fn truthy(self) -> bool {
+        self.as_i() != 0
+    }
+}
+
+/// How `print *` renders a scalar on every back end.
+impl std::fmt::Display for Value {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Value::I(v) => write!(f, "{v}"),
+            Value::R(v) => write!(f, "{v}"),
+        }
+    }
+}
+
+/// Binary operators (arithmetic on simulated REALs, integer arithmetic on
+/// loop/index values, comparisons, logical connectives).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum SBinOp {
+    Add,
+    Sub,
+    Mul,
+    Div,
+    Pow,
+    Lt,
+    Le,
+    Gt,
+    Ge,
+    Eq,
+    Ne,
+    And,
+    Or,
+}
+
+/// Intrinsics available to node programs.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum SIntr {
+    Abs,
+    Min,
+    Max,
+    Mod,
+    Sqrt,
+    Sign,
+}
+
+/// Integer exponentiation; the exponent is clamped to `0..=62`.
+#[inline]
+pub fn ipow(x: i64, y: i64) -> i64 {
+    x.pow(y.clamp(0, 62) as u32)
+}
+
+/// Kind-preserving negation. (`Sub(0, x)` would be wrong for `-0.0`.)
+#[inline]
+pub fn neg(v: Value) -> Value {
+    match v {
+        Value::I(x) => Value::I(-x),
+        Value::R(x) => Value::R(-x),
+    }
+}
+
+/// `SIGN(a, b)` on floats.
+#[inline]
+pub fn fsign(a: f64, b: f64) -> f64 {
+    if b >= 0.0 {
+        a.abs()
+    } else {
+        -a.abs()
+    }
+}
+
+/// Fold-min over floats, seeded at `INFINITY` (one fold order, and with it
+/// one treatment of NaNs and signed zeros, on every back end).
+#[inline]
+pub fn fmin(vals: impl IntoIterator<Item = f64>) -> f64 {
+    vals.into_iter().fold(f64::INFINITY, f64::min)
+}
+
+/// Fold-max over floats, seeded at `NEG_INFINITY`.
+#[inline]
+pub fn fmax(vals: impl IntoIterator<Item = f64>) -> f64 {
+    vals.into_iter().fold(f64::NEG_INFINITY, f64::max)
+}
+
+/// Converts a scalar that traveled over the wire as `f64` back to a
+/// [`Value`]: integrality is preserved when exact (broadcast scalars are
+/// pivot indices in practice).
+#[inline]
+pub fn scalar_from_wire(v: f64) -> Value {
+    if v == v.trunc() {
+        Value::I(v as i64)
+    } else {
+        Value::R(v)
+    }
+}
+
+/// Applies a binary operator. Integer op when both operands are `I`;
+/// otherwise both promote to `f64`. Comparisons and logicals yield `I(0|1)`.
+#[inline]
+pub fn apply_bin(op: SBinOp, a: Value, b: Value) -> Value {
+    use SBinOp::*;
+    let bool_v = |c: bool| Value::I(c as i64);
+    match (a, b) {
+        (Value::I(x), Value::I(y)) => match op {
+            Add => Value::I(x + y),
+            Sub => Value::I(x - y),
+            Mul => Value::I(x * y),
+            Div => Value::I(x / y),
+            Pow => Value::I(ipow(x, y)),
+            Lt => bool_v(x < y),
+            Le => bool_v(x <= y),
+            Gt => bool_v(x > y),
+            Ge => bool_v(x >= y),
+            Eq => bool_v(x == y),
+            Ne => bool_v(x != y),
+            And => bool_v(x != 0 && y != 0),
+            Or => bool_v(x != 0 || y != 0),
+        },
+        _ => {
+            let x = a.as_r();
+            let y = b.as_r();
+            match op {
+                Add => Value::R(x + y),
+                Sub => Value::R(x - y),
+                Mul => Value::R(x * y),
+                Div => Value::R(x / y),
+                Pow => Value::R(x.powf(y)),
+                Lt => bool_v(x < y),
+                Le => bool_v(x <= y),
+                Gt => bool_v(x > y),
+                Ge => bool_v(x >= y),
+                Eq => bool_v(x == y),
+                Ne => bool_v(x != y),
+                And => bool_v(x != 0.0 && y != 0.0),
+                Or => bool_v(x != 0.0 || y != 0.0),
+            }
+        }
+    }
+}
+
+/// Applies an intrinsic to already-evaluated arguments.
+#[inline]
+pub fn apply_intr(name: SIntr, vals: &[Value]) -> Value {
+    let all_int = || vals.iter().all(|v| matches!(v, Value::I(_)));
+    let reals = || vals.iter().map(|v| v.as_r());
+    match name {
+        SIntr::Abs => match vals[0] {
+            Value::I(v) => Value::I(v.abs()),
+            Value::R(v) => Value::R(v.abs()),
+        },
+        SIntr::Min if all_int() => Value::I(vals.iter().map(|v| v.as_i()).min().unwrap()),
+        SIntr::Min => Value::R(fmin(reals())),
+        SIntr::Max if all_int() => Value::I(vals.iter().map(|v| v.as_i()).max().unwrap()),
+        SIntr::Max => Value::R(fmax(reals())),
+        SIntr::Mod => match (vals[0], vals[1]) {
+            (Value::I(a), Value::I(b)) => Value::I(a % b),
+            (a, b) => Value::R(a.as_r() % b.as_r()),
+        },
+        SIntr::Sqrt => Value::R(vals[0].as_r().sqrt()),
+        SIntr::Sign => Value::R(fsign(vals[0].as_r(), vals[1].as_r())),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn integer_and_mixed_operands() {
+        // Integer division truncates; Pow clamps; mixed promotes.
+        assert_eq!(
+            apply_bin(SBinOp::Div, Value::I(7), Value::I(2)),
+            Value::I(3)
+        );
+        assert_eq!(
+            apply_bin(SBinOp::Pow, Value::I(2), Value::I(-3)),
+            Value::I(1)
+        );
+        assert_eq!(
+            apply_bin(SBinOp::Div, Value::I(7), Value::R(2.0)),
+            Value::R(3.5)
+        );
+        assert_eq!(
+            apply_bin(SBinOp::Lt, Value::R(1.5), Value::I(2)),
+            Value::I(1)
+        );
+        assert_eq!(
+            apply_intr(SIntr::Min, &[Value::I(3), Value::R(2.5)]),
+            Value::R(2.5)
+        );
+        assert_eq!(
+            apply_intr(SIntr::Min, &[Value::I(3), Value::I(2)]),
+            Value::I(2)
+        );
+        assert_eq!(
+            apply_intr(SIntr::Sign, &[Value::I(3), Value::I(-1)]),
+            Value::R(-3.0)
+        );
+        assert_eq!(scalar_from_wire(4.0), Value::I(4));
+        assert_eq!(scalar_from_wire(4.5), Value::R(4.5));
+        assert!(neg(Value::R(0.0)).as_r().is_sign_negative());
+    }
+}

@@ -1,24 +1,23 @@
 //! Runtime shim linked into natively compiled SPMD node programs.
 //!
 //! The native backend (`fortrand_spmd::codegen`) pretty-prints a compiled
-//! [`SpmdProgram`] as a standalone Rust source file and builds it with a
-//! bare `rustc` invocation against this crate (compiled once to an `rlib`
-//! and cached). Everything the emitted program needs at run time lives
-//! here: thread-per-rank execution over typed FIFO channels, rank-ordered
-//! collectives whose payload handling matches the simulator's `CollCore`
-//! bit for bit, the distribution arithmetic ported from
-//! `fortrand_ir::dist`, per-rank array storage, the remap library
-//! routines, and the message-statistics protocol the driver parses back
-//! into `RunStats`.
+//! `SpmdProgram` as a standalone Rust source file and builds it with a
+//! bare `rustc` invocation against this crate and `fortrand-rt`, each
+//! compiled once to an `rlib` and cached. `fortrand-rt` is the run-time
+//! library proper — scalars, distribution arithmetic, the ownership walks
+//! and the remap routine, the same code the simulator engines run — and is
+//! re-exported here whole, so an emitted program sees one `shim::`
+//! namespace. This crate adds only what is native: thread-per-rank
+//! execution over typed FIFO channels, rank-ordered collectives whose
+//! payload handling matches the simulator's `CollCore` bit for bit,
+//! column-major per-rank array storage, and the message-statistics
+//! protocol the driver parses back into `RunStats`.
 //!
-//! This crate is deliberately **std-only with zero dependencies** — it is
-//! compiled outside cargo — and must mirror the simulator's observable
-//! semantics exactly: same message counts, byte volumes, size-histogram
-//! buckets, per-tag tallies, and bit-identical floating-point results.
-//! Every numeric routine here is a line-for-line port of its simulator
-//! counterpart (`fortrand_spmd::runtime`, `fortrand_machine::stats`);
-//! differential tests at the bottom (and `tests/native.rs` at the
-//! workspace root) keep the two from drifting.
+//! Like `fortrand-rt` it is **std-only** — it is compiled outside cargo —
+//! and a native run must agree with a simulated one on every
+//! program-defined observable: message counts, byte volumes,
+//! size-histogram buckets, per-tag tallies, and bit-identical
+//! floating-point results (`tests/native.rs` at the workspace root).
 //!
 //! # Stats-on-stdout protocol (v1)
 //!
@@ -44,55 +43,7 @@ use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
-/// Accounting tag for plain broadcasts (mirrors `fortrand_spmd::TAG_BCAST`).
-pub const TAG_BCAST: u64 = 1 << 32;
-/// Accounting tag for coalesced broadcasts (`TAG_BCAST_PACK`).
-pub const TAG_BCAST_PACK: u64 = (1 << 32) + 1;
-/// Tag space reserved for remap traffic (compiler tags stay below this).
-pub const REMAP_TAG_BASE: u64 = 1 << 40;
-
-// ---------------------------------------------------------------------------
-// Runtime values
-// ---------------------------------------------------------------------------
-
-/// Runtime scalar. The `I`/`R` distinction is semantic (integer division,
-/// `Pow` clamping, wire re-integerization), so mixed-type scalars carry it
-/// dynamically just like the simulator's `Value`.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum Val {
-    I(i64),
-    R(f64),
-}
-
-impl Val {
-    #[inline]
-    pub fn as_i(self) -> i64 {
-        match self {
-            Val::I(v) => v,
-            Val::R(v) => v as i64,
-        }
-    }
-    #[inline]
-    pub fn as_r(self) -> f64 {
-        match self {
-            Val::I(v) => v as f64,
-            Val::R(v) => v,
-        }
-    }
-    #[inline]
-    pub fn truthy(self) -> bool {
-        self.as_i() != 0
-    }
-}
-
-impl std::fmt::Display for Val {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Val::I(v) => write!(f, "{v}"),
-            Val::R(v) => write!(f, "{v}"),
-        }
-    }
-}
+pub use fortrand_rt::*;
 
 /// Statement-level control flow of an emitted procedure.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -101,413 +52,14 @@ pub enum Flow {
     Stop,
 }
 
-/// Binary operators (mirrors `SBinOp`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BinOp {
-    Add,
-    Sub,
-    Mul,
-    Div,
-    Pow,
-    Lt,
-    Le,
-    Gt,
-    Ge,
-    Eq,
-    Ne,
-    And,
-    Or,
-}
-
-/// Intrinsics (mirrors `SIntr`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Intr {
-    Abs,
-    Min,
-    Max,
-    Mod,
-    Sqrt,
-    Sign,
-}
-
-/// Integer exponentiation with the simulator's exponent clamp.
-#[inline]
-pub fn ipow(x: i64, y: i64) -> i64 {
-    x.pow(y.clamp(0, 62) as u32)
-}
-
-/// Kind-preserving negation. (`Sub(0, x)` would be wrong for `-0.0`.)
-#[inline]
-pub fn neg(v: Val) -> Val {
-    match v {
-        Val::I(x) => Val::I(-x),
-        Val::R(x) => Val::R(-x),
-    }
-}
-
-/// `SIGN(a, b)` on floats (always yields `R` in the simulator).
-#[inline]
-pub fn fsign(a: f64, b: f64) -> f64 {
-    if b >= 0.0 {
-        a.abs()
-    } else {
-        -a.abs()
-    }
-}
-
-/// Fold-min over floats, matching the simulator's `INFINITY`-seeded fold.
-pub fn fmin(vals: &[f64]) -> f64 {
-    vals.iter().copied().fold(f64::INFINITY, f64::min)
-}
-
-/// Fold-max over floats (seeded at `NEG_INFINITY`).
-pub fn fmax(vals: &[f64]) -> f64 {
-    vals.iter().copied().fold(f64::NEG_INFINITY, f64::max)
-}
-
-/// Converts a scalar that traveled over the wire as `f64` back to a
-/// [`Val`], preserving integrality when exact.
-#[inline]
-pub fn scalar_from_wire(v: f64) -> Val {
-    if v == v.trunc() {
-        Val::I(v as i64)
-    } else {
-        Val::R(v)
-    }
-}
-
-/// Applies a binary operator: integer op when both operands are `I`,
-/// otherwise both promote to `f64`. Comparisons/logicals yield `I(0|1)`.
-/// Line-for-line port of the simulator's `apply_bin`.
-#[inline]
-pub fn bin(op: BinOp, a: Val, b: Val) -> Val {
-    use BinOp::*;
-    let bool_v = |c: bool| Val::I(c as i64);
-    match (a, b) {
-        (Val::I(x), Val::I(y)) => match op {
-            Add => Val::I(x + y),
-            Sub => Val::I(x - y),
-            Mul => Val::I(x * y),
-            Div => Val::I(x / y),
-            Pow => Val::I(ipow(x, y)),
-            Lt => bool_v(x < y),
-            Le => bool_v(x <= y),
-            Gt => bool_v(x > y),
-            Ge => bool_v(x >= y),
-            Eq => bool_v(x == y),
-            Ne => bool_v(x != y),
-            And => bool_v(x != 0 && y != 0),
-            Or => bool_v(x != 0 || y != 0),
-        },
-        _ => {
-            let x = a.as_r();
-            let y = b.as_r();
-            match op {
-                Add => Val::R(x + y),
-                Sub => Val::R(x - y),
-                Mul => Val::R(x * y),
-                Div => Val::R(x / y),
-                Pow => Val::R(x.powf(y)),
-                Lt => bool_v(x < y),
-                Le => bool_v(x <= y),
-                Gt => bool_v(x > y),
-                Ge => bool_v(x >= y),
-                Eq => bool_v(x == y),
-                Ne => bool_v(x != y),
-                And => bool_v(x != 0.0 && y != 0.0),
-                Or => bool_v(x != 0.0 || y != 0.0),
-            }
-        }
-    }
-}
-
-/// Applies an intrinsic to already-evaluated arguments (port of
-/// `apply_intr`).
-pub fn intr(name: Intr, vals: &[Val]) -> Val {
-    match name {
-        Intr::Abs => match vals[0] {
-            Val::I(v) => Val::I(v.abs()),
-            Val::R(v) => Val::R(v.abs()),
-        },
-        Intr::Min => {
-            if vals.iter().all(|v| matches!(v, Val::I(_))) {
-                Val::I(vals.iter().map(|v| v.as_i()).min().unwrap())
-            } else {
-                Val::R(fmin(&vals.iter().map(|v| v.as_r()).collect::<Vec<_>>()))
-            }
-        }
-        Intr::Max => {
-            if vals.iter().all(|v| matches!(v, Val::I(_))) {
-                Val::I(vals.iter().map(|v| v.as_i()).max().unwrap())
-            } else {
-                Val::R(fmax(&vals.iter().map(|v| v.as_r()).collect::<Vec<_>>()))
-            }
-        }
-        Intr::Mod => match (vals[0], vals[1]) {
-            (Val::I(a), Val::I(b)) => Val::I(a % b),
-            (a, b) => Val::R(a.as_r() % b.as_r()),
-        },
-        Intr::Sqrt => Val::R(vals[0].as_r().sqrt()),
-        Intr::Sign => Val::R(fsign(vals[0].as_r(), vals[1].as_r())),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Distribution arithmetic (port of fortrand_ir::dist)
-// ---------------------------------------------------------------------------
-
-/// Mapping kind of one array dimension (mirrors `DistKind`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RtKind {
-    Block,
-    Cyclic,
-    BlockCyclic(i64),
-    Serial,
-}
-
-/// One array dimension's share of a distribution (mirrors `DimPartition`).
-#[derive(Clone, Debug)]
-pub struct RtDim {
-    pub kind: RtKind,
-    pub extent: i64,
-    pub nprocs: usize,
-}
-
-impl RtDim {
-    #[inline]
-    pub fn block_size(&self) -> i64 {
-        match self.kind {
-            RtKind::Block => (self.extent + self.nprocs as i64 - 1) / self.nprocs as i64,
-            RtKind::Cyclic => 1,
-            RtKind::BlockCyclic(k) => k,
-            RtKind::Serial => self.extent,
-        }
-    }
-
-    #[inline]
-    pub fn owner(&self, g: i64) -> usize {
-        let p = self.nprocs as i64;
-        match self.kind {
-            RtKind::Serial => 0,
-            RtKind::Block => (((g - 1) / self.block_size()).min(p - 1)) as usize,
-            RtKind::Cyclic => ((g - 1) % p) as usize,
-            RtKind::BlockCyclic(k) => (((g - 1) / k) % p) as usize,
-        }
-    }
-
-    #[inline]
-    pub fn local_of_global(&self, g: i64) -> i64 {
-        let p = self.nprocs as i64;
-        match self.kind {
-            RtKind::Serial => g,
-            RtKind::Block => g - self.owner(g) as i64 * self.block_size(),
-            RtKind::Cyclic => (g - 1) / p + 1,
-            RtKind::BlockCyclic(k) => {
-                let blk = (g - 1) / k;
-                let local_blk = blk / p;
-                local_blk * k + (g - 1) % k + 1
-            }
-        }
-    }
-
-    pub fn local_count(&self, q: usize) -> i64 {
-        let p = self.nprocs as i64;
-        let q = q as i64;
-        match self.kind {
-            RtKind::Serial => self.extent,
-            RtKind::Block => {
-                let b = self.block_size();
-                (self.extent - q * b).clamp(0, b)
-            }
-            RtKind::Cyclic => {
-                if q < self.extent % p || self.extent % p == 0 && q < p.min(self.extent) {
-                    (self.extent + p - 1 - q) / p
-                } else {
-                    (self.extent - q + p - 1) / p
-                }
-            }
-            RtKind::BlockCyclic(k) => {
-                let full_cycles = self.extent / (k * p);
-                let rem = self.extent - full_cycles * k * p;
-                let mine = (rem - q * k).clamp(0, k);
-                full_cycles * k + mine
-            }
-        }
-    }
-
-    pub fn local_extent(&self) -> i64 {
-        (0..self.nprocs)
-            .map(|q| self.local_count(q))
-            .max()
-            .unwrap_or(0)
-    }
-}
-
-/// A whole array's distribution (mirrors `ArrayDist` + `ProcGrid`).
-#[derive(Clone, Debug)]
-pub struct RtDist {
-    pub dims: Vec<RtDim>,
-    pub offsets: Vec<i64>,
-    pub grid_shape: Vec<usize>,
-    pub grid_axis: Vec<Option<usize>>,
-}
-
-impl RtDist {
-    pub fn is_replicated(&self) -> bool {
-        self.dims.iter().all(|d| matches!(d.kind, RtKind::Serial))
-    }
-
-    fn rank_of(&self, coords: &[usize]) -> usize {
-        let mut r = 0;
-        for (c, s) in coords.iter().zip(&self.grid_shape) {
-            r = r * s + c;
-        }
-        r
-    }
-
-    /// Allocation-free owner lookup: grid coords live on the stack (Fortran
-    /// arrays have at most 7 dims, so 8 slots always suffice). This runs
-    /// per global point during init scatter and final assembly.
-    #[inline]
-    pub fn owner_of(&self, point: &[i64]) -> usize {
-        assert!(self.grid_shape.len() <= 8, "process grid rank > 8");
-        let mut coords = [0usize; 8];
-        for (d, &x) in point.iter().enumerate() {
-            if let Some(axis) = self.grid_axis[d] {
-                coords[axis] = self.dims[d].owner(x + self.offsets[d]);
-            }
-        }
-        self.rank_of(&coords[..self.grid_shape.len()])
-    }
-
-    /// Writes the local subscripts of `point` into `out` without
-    /// allocating (the per-point path of init scatter and assembly).
-    #[inline]
-    pub fn local_of_global_into(&self, point: &[i64], out: &mut [i64]) {
-        for (d, &x) in point.iter().enumerate() {
-            out[d] = if self.grid_axis[d].is_some() {
-                self.dims[d].local_of_global(x + self.offsets[d])
-            } else {
-                x
-            };
-        }
-    }
-
-    pub fn local_of_global(&self, point: &[i64]) -> Vec<i64> {
-        let mut out = vec![0i64; point.len()];
-        self.local_of_global_into(point, &mut out);
-        out
-    }
-
-    pub fn local_extents(&self) -> Vec<i64> {
-        self.dims
-            .iter()
-            .enumerate()
-            .map(|(d, dp)| {
-                if self.grid_axis[d].is_some() {
-                    dp.local_extent()
-                } else {
-                    dp.extent
-                }
-            })
-            .collect()
-    }
-
-    /// Global (pre-partitioning) extents in array index space.
-    pub fn global_extents(&self) -> Vec<i64> {
-        self.dims
-            .iter()
-            .enumerate()
-            .map(|(d, p)| p.extent - self.offsets[d])
-            .collect()
-    }
-
-    /// Local index of `g` along dimension `dim` (identity on serial dims) —
-    /// the `LocalIdx` expression of run-time resolution.
-    pub fn local_idx(&self, dim: usize, g: i64) -> i64 {
-        if self.grid_axis[dim].is_some() {
-            self.dims[dim].local_of_global(g + self.offsets[dim])
-        } else {
-            g
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Row-major index space + section odometer
-// ---------------------------------------------------------------------------
-
-/// Row-major index space over `extents` (port of the simulator's helper).
-pub struct RowMajor {
-    pub extents: Vec<i64>,
-    strides: Vec<i64>,
-    pub total: i64,
-}
-
-impl RowMajor {
-    pub fn new(extents: Vec<i64>) -> Self {
-        let n = extents.len();
-        let mut strides = vec![1i64; n];
-        for d in (0..n.saturating_sub(1)).rev() {
-            strides[d] = strides[d + 1] * extents[d + 1];
-        }
-        let total = extents.iter().product();
-        RowMajor {
-            extents,
-            strides,
-            total,
-        }
-    }
-
-    pub fn decode_into(&self, flat: i64, pt: &mut [i64]) {
-        let mut rem = flat;
-        for (p, stride) in pt.iter_mut().zip(&self.strides) {
-            *p = rem / stride + 1;
-            rem %= stride;
-        }
-    }
-}
-
-/// Number of points in a rect section (`(lo, hi, step)` per dim); empty if
-/// any `hi < lo`.
-pub fn rect_len(dims: &[(i64, i64, i64)]) -> usize {
-    if dims.iter().any(|&(lo, hi, _)| hi < lo) {
-        return 0;
-    }
-    dims.iter()
-        .map(|&(lo, hi, step)| ((hi - lo) / step + 1) as usize)
-        .product()
-}
-
-/// Visits a rect's points in row-major order (rightmost dim fastest) —
-/// identical enumeration order to the simulator's `rect_points`.
-fn rect_for_each(dims: &[(i64, i64, i64)], mut f: impl FnMut(&[i64])) {
-    if dims.iter().any(|&(lo, hi, _)| hi < lo) {
-        return;
-    }
-    let mut pt: Vec<i64> = dims.iter().map(|&(lo, _, _)| lo).collect();
-    loop {
-        f(&pt);
-        let mut d = dims.len();
-        loop {
-            if d == 0 {
-                return;
-            }
-            d -= 1;
-            pt[d] += dims[d].2;
-            if pt[d] <= dims[d].1 {
-                break;
-            }
-            pt[d] = dims[d].0;
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Array storage
 // ---------------------------------------------------------------------------
 
-/// Array storage on one rank (port of `ArrayStore`).
+/// Array storage on one rank. Where the simulator's `ArrayStore` is
+/// row-major (the VM's fused kernels stride it that way), this one is
+/// column-major: emitted loops are the source program's Fortran loops,
+/// whose stride-1 inner subscript is the first.
 ///
 /// `Default` is an empty placeholder: the emitted code `mem::take`s hot
 /// arrays out of the heap around compute-only loops (so the optimizer
@@ -578,9 +130,15 @@ impl Arr {
         }
         flat
     }
+}
+
+impl LocalStore for Arr {
+    fn bounds(&self) -> &[(i64, i64)] {
+        &self.bounds
+    }
 
     #[inline]
-    pub fn get(&self, subs: &[i64]) -> f64 {
+    fn get(&self, subs: &[i64]) -> f64 {
         let f = self.flat(subs);
         match self.data.get(f) {
             Some(v) => *v,
@@ -589,29 +147,13 @@ impl Arr {
     }
 
     #[inline]
-    pub fn set(&mut self, subs: &[i64], v: f64) {
+    fn set(&mut self, subs: &[i64], v: f64) {
         let f = self.flat(subs);
         let len = self.data.len();
         match self.data.get_mut(f) {
             Some(slot) => *slot = v,
             None => bad_flat(f, len),
         }
-    }
-
-    /// Bounds-checked read for final-array assembly (`None` off-store).
-    /// Same column-major order as [`Arr::flat`].
-    fn read(&self, local: &[i64]) -> Option<f64> {
-        let mut flat = 0usize;
-        let mut mult = 1usize;
-        for (d, &x) in local.iter().enumerate() {
-            let (lo, hi) = self.bounds[d];
-            if x < lo || x > hi {
-                return None;
-            }
-            flat += (x - lo) as usize * mult;
-            mult *= (hi - lo + 1) as usize;
-        }
-        self.data.get(flat).copied()
     }
 }
 
@@ -653,41 +195,37 @@ impl Heap {
     /// Packs a section into a message buffer (row-major order).
     pub fn gather(&self, id: usize, dims: &[(i64, i64, i64)]) -> Vec<f64> {
         let mut out = Vec::with_capacity(rect_len(dims));
-        let a = &self.arrs[id];
-        rect_for_each(dims, |pt| out.push(a.get(pt)));
+        pack(&self.arrs[id], dims, &mut out);
         out
     }
 
     /// Unpacks a message buffer into a section (row-major order).
     pub fn scatter(&mut self, id: usize, dims: &[(i64, i64, i64)], data: &[f64]) {
-        assert_eq!(rect_len(dims), data.len(), "section/message size mismatch");
+        unpack(&mut self.arrs[id], dims, data);
+    }
+
+    /// Fills the local part of array `id` on rank `my` from a row-major
+    /// global buffer. Run-time resolution storage is global-shaped and
+    /// takes a full copy — unpacked like a message, since the buffer is
+    /// row-major and the store is not.
+    pub fn init(&mut self, id: usize, dists: &[ArrayDist], global: &[f64], my: usize) {
         let a = &mut self.arrs[id];
-        let mut i = 0usize;
-        rect_for_each(dims, |pt| {
-            a.set(pt, data[i]);
-            i += 1;
-        });
+        if a.owner_dist.is_none() {
+            return scatter_init(a, &dists[a.dist as usize], global, my);
+        }
+        let whole: Vec<(i64, i64, i64)> = a.bounds.iter().map(|&(lo, hi)| (lo, hi, 1)).collect();
+        self.scatter(id, &whole, global);
     }
 }
 
 // ---------------------------------------------------------------------------
-// Message statistics (port of NodeStats accounting)
+// Message statistics
 // ---------------------------------------------------------------------------
 
-/// Histogram bucket for a message of `bytes` payload bytes (port of
-/// `fortrand_machine::stats::size_bucket`).
-pub fn size_bucket(bytes: u64) -> usize {
-    match bytes {
-        0..=64 => 0,
-        65..=512 => 1,
-        513..=4096 => 2,
-        4097..=32768 => 3,
-        _ => 4,
-    }
-}
-
-/// Per-rank message statistics, accounted exactly like the simulator's
-/// `NodeStats` (which also charges sends at the sender only).
+/// Per-rank message tally: the slice of the simulator's `NodeStats` that
+/// exists without a virtual clock (no times, flops or ops), recorded by
+/// the same rule — a message is charged to its sender, a broadcast's
+/// `p - 1` messages to the root — and printed by [`drive`].
 #[derive(Clone, Debug, Default)]
 pub struct Stats {
     pub msgs: u64,
@@ -695,7 +233,7 @@ pub struct Stats {
     pub remaps: u64,
     pub posts: u64,
     pub waits: u64,
-    pub hist: [u64; 5],
+    pub hist: [u64; HIST_BUCKETS],
     pub by_tag: BTreeMap<u64, (u64, u64)>,
 }
 
@@ -809,14 +347,6 @@ pub struct Ctx {
     posted_bcast: Vec<Option<u64>>,
     pub stats: Stats,
     printed: Vec<String>,
-}
-
-fn slot<T>(v: &mut Vec<Option<T>>, h: u32) -> &mut Option<T> {
-    let h = h as usize;
-    if v.len() <= h {
-        v.resize_with(h + 1, || None);
-    }
-    &mut v[h]
 }
 
 impl Ctx {
@@ -936,77 +466,28 @@ impl Ctx {
 }
 
 // ---------------------------------------------------------------------------
-// Remap library routines (port of fortrand_spmd::runtime)
+// Remap library routines: `fortrand_rt::Remap` over this rank's channels
 // ---------------------------------------------------------------------------
 
 /// Full dynamic remap with data motion (§6 library routine). Always
 /// charges one remap call; data moves only when the distribution changes.
-pub fn remap(cx: &mut Ctx, h: &mut Heap, id: usize, dists: &[RtDist], to_dist: u32) {
+pub fn remap(cx: &mut Ctx, h: &mut Heap, id: usize, dists: &[ArrayDist], to_dist: u32) {
     cx.stats.remaps += 1;
     let from = h.arrs[id].dist;
     if from == to_dist {
         return;
     }
-    let d0 = &dists[from as usize];
-    let d1 = &dists[to_dist as usize];
-    let shape = RowMajor::new(d0.global_extents());
-    assert_eq!(
-        shape.extents,
-        d1.global_extents(),
-        "remap changes array shape"
-    );
-    let my = cx.rank();
-    let p = cx.nprocs();
-    let bounds: Vec<(i64, i64)> = d1.local_extents().iter().map(|&e| (1, e)).collect();
-    let mut new_store = Arr::alloc(bounds, to_dist, None);
-
-    let mut outgoing: Vec<Vec<f64>> = vec![Vec::new(); p];
-    let mut pt = vec![1i64; shape.extents.len()];
-    for flat in 0..shape.total {
-        shape.decode_into(flat, &mut pt);
-        if d0.owner_of(&pt) != my {
-            continue;
-        }
-        let v = h.arrs[id].get(&d0.local_of_global(&pt));
-        let dst = d1.owner_of(&pt);
-        if dst == my {
-            new_store.set(&d1.local_of_global(&pt), v);
-        } else {
-            outgoing[dst].push(v);
-        }
-    }
-    for (dst, buf) in outgoing.into_iter().enumerate() {
-        if dst != my && !buf.is_empty() {
-            cx.send(dst, REMAP_TAG_BASE + dst as u64, buf);
-        }
-    }
-    let mut incoming_pts: Vec<Vec<Vec<i64>>> = vec![Vec::new(); p];
-    for flat in 0..shape.total {
-        shape.decode_into(flat, &mut pt);
-        if d1.owner_of(&pt) != my {
-            continue;
-        }
-        let src = d0.owner_of(&pt);
-        if src != my {
-            incoming_pts[src].push(pt.clone());
-        }
-    }
-    for (src, pts) in incoming_pts.iter().enumerate() {
-        if src == my || pts.is_empty() {
-            continue;
-        }
-        let data = cx.recv(src, REMAP_TAG_BASE + my as u64);
-        assert_eq!(data.len(), pts.len(), "remap message size mismatch");
-        for (pt, &v) in pts.iter().zip(data.iter()) {
-            new_store.set(&d1.local_of_global(pt), v);
-        }
-    }
-    h.arrs[id] = new_store;
+    let (d0, d1) = (&dists[from as usize], &dists[to_dist as usize]);
+    let new = Arr::alloc(d1.local_bounds(), to_dist, None);
+    let (my, p) = (cx.rank(), cx.nprocs());
+    let send = |dst, tag, buf| cx.send(dst, tag, buf);
+    let walk = Remap::begin(d0, d1, my, p, &h.arrs[id], new, send);
+    receive(cx, walk, d1, &mut h.arrs[id]);
 }
 
 /// Run-time resolution remap: storage stays global-shaped; authoritative
 /// values move from old owners to new owners in place.
-pub fn remap_global(cx: &mut Ctx, h: &mut Heap, id: usize, dists: &[RtDist], to_dist: u32) {
+pub fn remap_global(cx: &mut Ctx, h: &mut Heap, id: usize, dists: &[ArrayDist], to_dist: u32) {
     cx.stats.remaps += 1;
     let from = h.arrs[id]
         .owner_dist
@@ -1014,146 +495,45 @@ pub fn remap_global(cx: &mut Ctx, h: &mut Heap, id: usize, dists: &[RtDist], to_
     if from == to_dist {
         return;
     }
-    let d0 = &dists[from as usize];
-    let d1 = &dists[to_dist as usize];
-    let shape = RowMajor::new(d0.global_extents());
-    let my = cx.rank();
-    let p = cx.nprocs();
-
-    let mut outgoing: Vec<Vec<f64>> = vec![Vec::new(); p];
-    let mut pt = vec![1i64; shape.extents.len()];
-    for flat in 0..shape.total {
-        shape.decode_into(flat, &mut pt);
-        if d0.owner_of(&pt) != my {
-            continue;
-        }
-        let dst = d1.owner_of(&pt);
-        if dst != my {
-            let v = h.arrs[id].get(&pt);
-            outgoing[dst].push(v);
-        }
-    }
-    for (dst, buf) in outgoing.into_iter().enumerate() {
-        if dst != my && !buf.is_empty() {
-            cx.send(dst, REMAP_TAG_BASE + dst as u64, buf);
-        }
-    }
-    let mut incoming_pts: Vec<Vec<Vec<i64>>> = vec![Vec::new(); p];
-    for flat in 0..shape.total {
-        shape.decode_into(flat, &mut pt);
-        if d1.owner_of(&pt) != my {
-            continue;
-        }
-        let src = d0.owner_of(&pt);
-        if src != my {
-            incoming_pts[src].push(pt.clone());
-        }
-    }
-    for (src, pts) in incoming_pts.iter().enumerate() {
-        if src == my || pts.is_empty() {
-            continue;
-        }
-        let data = cx.recv(src, REMAP_TAG_BASE + my as u64);
-        assert_eq!(data.len(), pts.len(), "remap_global size mismatch");
-        for (pt, &v) in pts.iter().zip(data.iter()) {
-            h.arrs[id].set(pt, v);
-        }
-    }
+    let (d0, d1) = (&dists[from as usize], &dists[to_dist as usize]);
+    let (my, p) = (cx.rank(), cx.nprocs());
+    let send = |dst, tag, buf| cx.send(dst, tag, buf);
+    let walk = Remap::begin_global(d0, d1, my, p, &h.arrs[id], send);
+    receive(cx, walk, d1, &mut h.arrs[id]);
     h.arrs[id].owner_dist = Some(to_dist);
 }
 
-/// Array-kill optimized remap (§6.3): swap descriptors, zero contents, no
-/// data motion and no remap charge (matches `MarkDist`).
-pub fn mark_dist(h: &mut Heap, id: usize, dists: &[RtDist], to_dist: u32) {
-    let bounds: Vec<(i64, i64)> = dists[to_dist as usize]
-        .local_extents()
-        .iter()
-        .map(|&e| (1, e))
-        .collect();
-    h.arrs[id] = Arr::alloc(bounds, to_dist, None);
+/// Second half of a remap: a blocking receive per source, in rank order.
+fn receive(cx: &mut Ctx, mut walk: Remap<Arr>, d1: &ArrayDist, store: &mut Arr) {
+    while let Some((src, tag)) = walk.expects() {
+        let data = cx.recv(src, tag);
+        walk.accept(d1, &data, store);
+    }
+    walk.finish(store);
 }
 
-// ---------------------------------------------------------------------------
-// Initial scatter / final assembly
-// ---------------------------------------------------------------------------
-
-/// Fills the local part of array `id` from a row-major global buffer.
-/// Run-time resolution storage takes a full copy; replicated arrays store
-/// everywhere; otherwise only the owner's points land.
-pub fn scatter_init(h: &mut Heap, id: usize, dists: &[RtDist], global: &[f64], my: usize) {
-    if h.arrs[id].owner_dist.is_some() {
-        assert_eq!(h.arrs[id].data.len(), global.len(), "rtr init size");
-        // The incoming buffer is row-major over the full bounds while
-        // local storage is column-major, so copy subscript-by-subscript.
-        let bounds = h.arrs[id].bounds.clone();
-        let shape = RowMajor::new(bounds.iter().map(|&(lo, hi)| hi - lo + 1).collect());
-        let mut pt = vec![1i64; bounds.len()];
-        let mut subs = vec![0i64; bounds.len()];
-        for flat in 0..shape.total {
-            shape.decode_into(flat, &mut pt);
-            for (s, (&x, &(lo, _))) in subs.iter_mut().zip(pt.iter().zip(&bounds)) {
-                *s = lo + x - 1;
-            }
-            h.arrs[id].set(&subs, global[flat as usize]);
-        }
-        return;
-    }
-    let dist = &dists[h.arrs[id].dist as usize];
-    let shape = RowMajor::new(dist.global_extents());
-    assert_eq!(
-        shape.total as usize,
-        global.len(),
-        "initial data size mismatch"
-    );
-    let replicated = dist.is_replicated();
-    let mut pt = vec![1i64; shape.extents.len()];
-    let mut local = vec![0i64; shape.extents.len()];
-    for flat in 0..shape.total {
-        shape.decode_into(flat, &mut pt);
-        let owner = dist.owner_of(&pt);
-        if replicated || owner == my {
-            dist.local_of_global_into(&pt, &mut local);
-            let ok = local
-                .iter()
-                .zip(&h.arrs[id].bounds)
-                .all(|(&x, &(lo, hi))| x >= lo && x <= hi);
-            if ok {
-                h.arrs[id].set(&local, global[flat as usize]);
-            }
-        }
-    }
+/// Array-kill optimized remap (§6.3): swap descriptors, zero contents, no
+/// data motion and no remap charge.
+pub fn mark_dist(h: &mut Heap, id: usize, dists: &[ArrayDist], to_dist: u32) {
+    h.arrs[id] = Arr::alloc(dists[to_dist as usize].local_bounds(), to_dist, None);
 }
 
 /// Assembles the global contents of each final array (same position in
 /// every rank's finals vector), reading each element from its owner under
-/// the array's final distribution — port of `assemble_arrays`.
-pub fn assemble(dists: &[RtDist], per_rank: &[Vec<Arr>]) -> Vec<Vec<f64>> {
-    let mut out = Vec::new();
+/// the array's final distribution.
+fn assemble_finals(dists: &[ArrayDist], per_rank: &[Vec<Arr>]) -> Vec<Vec<f64>> {
     let Some(rank0) = per_rank.first() else {
-        return out;
+        return Vec::new();
     };
-    for (idx, fa) in rank0.iter().enumerate() {
-        let dist = &dists[fa.owner_dist.unwrap_or(fa.dist) as usize];
-        let shape = RowMajor::new(dist.global_extents());
-        let mut global = vec![0.0f64; shape.total as usize];
-        let mut pt = vec![1i64; shape.extents.len()];
-        let mut local = vec![0i64; shape.extents.len()];
-        for flat in 0..shape.total {
-            shape.decode_into(flat, &mut pt);
-            let owner = dist.owner_of(&pt);
-            let src = &per_rank[owner][idx];
-            if fa.owner_dist.is_some() {
-                local.copy_from_slice(&pt);
-            } else {
-                dist.local_of_global_into(&pt, &mut local);
-            }
-            if let Some(v) = src.read(&local) {
-                global[flat as usize] = v;
-            }
-        }
-        out.push(global);
-    }
-    out
+    rank0
+        .iter()
+        .enumerate()
+        .map(|(idx, fa)| {
+            let dist = &dists[fa.owner_dist.unwrap_or(fa.dist) as usize];
+            let stores: Vec<&Arr> = per_rank.iter().map(|finals| &finals[idx]).collect();
+            assemble(dist, fa.owner_dist.is_some(), &stores)
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -1167,16 +547,6 @@ impl Drop for PanicGuard {
         if std::thread::panicking() {
             self.0.set();
         }
-    }
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&'static str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "unknown panic".to_string()
     }
 }
 
@@ -1219,7 +589,7 @@ fn write_out(path: &str, arrays: &[Vec<f64>]) {
 /// the final global arrays into the out file (`argv[2]`), and prints the
 /// stats protocol on stdout. A rank panic prints a `FAIL` line and exits
 /// nonzero; blocked peers are woken through the shared failure flag.
-pub fn drive<F>(p: usize, dists: &[RtDist], body: F) -> !
+pub fn drive<F>(p: usize, dists: &[ArrayDist], body: F) -> !
 where
     F: Fn(&mut Ctx, &[Option<Vec<f64>>]) -> Vec<Arr> + Sync,
 {
@@ -1308,7 +678,7 @@ where
     let per_rank: Vec<(Vec<Arr>, Vec<String>, Stats)> =
         results.into_iter().map(|r| r.unwrap()).collect();
     let finals: Vec<Vec<Arr>> = per_rank.iter().map(|(f, _, _)| f.clone()).collect();
-    write_out(&args[2], &assemble(dists, &finals));
+    write_out(&args[2], &assemble_finals(dists, &finals));
 
     println!("FORTRAND-NATIVE-STATS v1");
     println!("nprocs {p}");
@@ -1320,176 +690,12 @@ where
             "node {rank} {} {} {} {} {}",
             st.msgs, st.bytes, st.remaps, st.posts, st.waits
         );
-        println!(
-            "hist {rank} {} {} {} {} {}",
-            st.hist[0], st.hist[1], st.hist[2], st.hist[3], st.hist[4]
-        );
+        let hist: Vec<String> = st.hist.iter().map(u64::to_string).collect();
+        println!("hist {rank} {}", hist.join(" "));
         for (tag, (m, b)) in &st.by_tag {
             println!("tag {rank} {tag} {m} {b}");
         }
     }
     println!("END");
     std::process::exit(0);
-}
-
-// ---------------------------------------------------------------------------
-// Differential tests against the authoritative implementations
-// ---------------------------------------------------------------------------
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use fortrand_ir::dist::{ArrayDist, DimPartition, DistKind, ProcGrid};
-
-    fn mirror(ad: &ArrayDist) -> RtDist {
-        RtDist {
-            dims: ad
-                .dims
-                .iter()
-                .map(|d| RtDim {
-                    kind: match d.kind {
-                        DistKind::Block => RtKind::Block,
-                        DistKind::Cyclic => RtKind::Cyclic,
-                        DistKind::BlockCyclic(k) => RtKind::BlockCyclic(k),
-                        DistKind::Serial => RtKind::Serial,
-                    },
-                    extent: d.extent,
-                    nprocs: d.nprocs,
-                })
-                .collect(),
-            offsets: ad.offsets.clone(),
-            grid_shape: ad.grid.shape.clone(),
-            grid_axis: ad.grid_axis.clone(),
-        }
-    }
-
-    fn dist_1d(kind: DistKind, extent: i64, p: usize, offset: i64) -> ArrayDist {
-        let distributed = kind.is_distributed();
-        ArrayDist {
-            dims: vec![DimPartition {
-                kind,
-                extent: extent + offset,
-                nprocs: if distributed { p } else { 1 },
-            }],
-            offsets: vec![offset],
-            grid: ProcGrid {
-                shape: vec![if distributed { p } else { 1 }],
-            },
-            grid_axis: vec![if distributed { Some(0) } else { None }],
-        }
-    }
-
-    #[test]
-    fn dist_arithmetic_matches_fortrand_ir() {
-        for kind in [
-            DistKind::Block,
-            DistKind::Cyclic,
-            DistKind::BlockCyclic(3),
-            DistKind::Serial,
-        ] {
-            for p in [1usize, 2, 3, 4, 7] {
-                for extent in [1i64, 5, 16, 33] {
-                    for offset in [0i64, 2] {
-                        let ad = dist_1d(kind, extent, p, offset);
-                        let rt = mirror(&ad);
-                        assert_eq!(rt.global_extents(), vec![extent]);
-                        assert_eq!(rt.local_extents(), ad.local_extents());
-                        assert_eq!(rt.is_replicated(), ad.is_replicated());
-                        for g in 1..=extent {
-                            let pt = [g];
-                            assert_eq!(
-                                rt.owner_of(&pt),
-                                ad.owner_of(&pt),
-                                "{kind:?} p={p} n={extent} off={offset} g={g}"
-                            );
-                            assert_eq!(rt.local_of_global(&pt), ad.local_of_global(&pt));
-                            assert_eq!(rt.local_idx(0, g), {
-                                let off = ad.offsets[0];
-                                if ad.grid_axis[0].is_some() {
-                                    ad.dims[0].local_of_global(g + off)
-                                } else {
-                                    g
-                                }
-                            });
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn two_dim_owner_matches() {
-        let ad = ArrayDist {
-            dims: vec![
-                DimPartition {
-                    kind: DistKind::Block,
-                    extent: 12,
-                    nprocs: 2,
-                },
-                DimPartition {
-                    kind: DistKind::Cyclic,
-                    extent: 9,
-                    nprocs: 3,
-                },
-            ],
-            offsets: vec![0, 0],
-            grid: ProcGrid { shape: vec![2, 3] },
-            grid_axis: vec![Some(0), Some(1)],
-        };
-        let rt = mirror(&ad);
-        for i in 1..=12 {
-            for j in 1..=9 {
-                let pt = [i, j];
-                assert_eq!(rt.owner_of(&pt), ad.owner_of(&pt));
-                assert_eq!(rt.local_of_global(&pt), ad.local_of_global(&pt));
-            }
-        }
-        assert_eq!(rt.local_extents(), ad.local_extents());
-    }
-
-    #[test]
-    fn bin_and_intr_match_reference_semantics() {
-        // Integer division truncates; Pow clamps; mixed promotes.
-        assert_eq!(bin(BinOp::Div, Val::I(7), Val::I(2)), Val::I(3));
-        assert_eq!(bin(BinOp::Pow, Val::I(2), Val::I(-3)), Val::I(1));
-        assert_eq!(bin(BinOp::Div, Val::I(7), Val::R(2.0)), Val::R(3.5));
-        assert_eq!(bin(BinOp::Lt, Val::R(1.5), Val::I(2)), Val::I(1));
-        assert_eq!(intr(Intr::Min, &[Val::I(3), Val::R(2.5)]), Val::R(2.5));
-        assert_eq!(intr(Intr::Min, &[Val::I(3), Val::I(2)]), Val::I(2));
-        assert_eq!(intr(Intr::Sign, &[Val::I(3), Val::I(-1)]), Val::R(-3.0));
-        assert_eq!(scalar_from_wire(4.0), Val::I(4));
-        assert_eq!(scalar_from_wire(4.5), Val::R(4.5));
-    }
-
-    #[test]
-    fn rect_enumeration_is_row_major_rightmost_fastest() {
-        let mut pts = Vec::new();
-        rect_for_each(&[(1, 2, 1), (5, 9, 2)], |p| pts.push(p.to_vec()));
-        assert_eq!(
-            pts,
-            vec![
-                vec![1, 5],
-                vec![1, 7],
-                vec![1, 9],
-                vec![2, 5],
-                vec![2, 7],
-                vec![2, 9]
-            ]
-        );
-        assert_eq!(rect_len(&[(1, 2, 1), (5, 9, 2)]), 6);
-        assert_eq!(rect_len(&[(3, 2, 1)]), 0);
-    }
-
-    #[test]
-    fn stats_record_matches_node_stats() {
-        let mut s = Stats::default();
-        s.record(3, 8, Some(7));
-        s.record(1, 1000, None);
-        assert_eq!(s.msgs, 4);
-        assert_eq!(s.bytes, 3 * 8 + 1000);
-        assert_eq!(s.hist[0], 3);
-        assert_eq!(s.hist[2], 1);
-        assert_eq!(s.by_tag.get(&7), Some(&(3, 24)));
-    }
 }

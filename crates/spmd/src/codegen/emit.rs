@@ -1,5 +1,6 @@
 //! Pretty-prints a compiled [`SpmdProgram`] as a standalone Rust node
-//! program linked against the `fortrand-shim` runtime crate.
+//! program linked against the `fortrand-shim` runtime crate (and, through
+//! it, the `fortrand-rt` library the simulator engines run).
 //!
 //! The emitted program is the *same* SPMD computation the simulators run:
 //! one `fn p{i}_{name}` per procedure (parameterized by the per-rank
@@ -144,7 +145,7 @@ impl<'a> Emitter<'a> {
         match t {
             Ty::I => "i64",
             Ty::R => "f64",
-            Ty::V => "shim::Val",
+            Ty::V => "shim::Value",
         }
     }
 
@@ -152,7 +153,7 @@ impl<'a> Emitter<'a> {
         match t {
             Ty::I => "0i64",
             Ty::R => "0.0f64",
-            Ty::V => "shim::Val::I(0i64)",
+            Ty::V => "shim::Value::I(0i64)",
         }
     }
 
@@ -191,8 +192,8 @@ impl<'a> Emitter<'a> {
             (a, b) if a == b => s,
             (Ty::I, Ty::R) => format!("(({s}) as f64)"),
             (Ty::R, Ty::I) => format!("(({s}) as i64)"),
-            (Ty::I, Ty::V) => format!("shim::Val::I({s})"),
-            (Ty::R, Ty::V) => format!("shim::Val::R({s})"),
+            (Ty::I, Ty::V) => format!("shim::Value::I({s})"),
+            (Ty::R, Ty::V) => format!("shim::Value::R({s})"),
             (Ty::V, Ty::I) => format!("({s}).as_i()"),
             (Ty::V, Ty::R) => format!("({s}).as_r()"),
             _ => unreachable!(),
@@ -296,7 +297,10 @@ impl<'a> Emitter<'a> {
         if lt == Ty::V || rt == Ty::V {
             let lv = Self::coerce(ls, lt, Ty::V);
             let rv = Self::coerce(rs, rt, Ty::V);
-            return (format!("shim::bin(shim::BinOp::{op:?}, {lv}, {rv})"), Ty::V);
+            return (
+                format!("shim::apply_bin(shim::SBinOp::{op:?}, {lv}, {rv})"),
+                Ty::V,
+            );
         }
         let both_i = lt == Ty::I && rt == Ty::I;
         match op {
@@ -364,7 +368,7 @@ impl<'a> Emitter<'a> {
                 let (s, t) = typed.into_iter().next().unwrap();
                 match t {
                     Ty::I | Ty::R => (format!("({s}).abs()"), t),
-                    Ty::V => (format!("shim::intr(shim::Intr::Abs, &[{s}])"), Ty::V),
+                    Ty::V => (format!("shim::apply_intr(shim::SIntr::Abs, &[{s}])"), Ty::V),
                 }
             }
             SIntr::Min | SIntr::Max if any_v => {
@@ -373,7 +377,10 @@ impl<'a> Emitter<'a> {
                     .map(|(s, t)| Self::coerce(s, t, Ty::V))
                     .collect();
                 (
-                    format!("shim::intr(shim::Intr::{name:?}, &[{}])", vals.join(", ")),
+                    format!(
+                        "shim::apply_intr(shim::SIntr::{name:?}, &[{}])",
+                        vals.join(", ")
+                    ),
                     Ty::V,
                 )
             }
@@ -400,7 +407,7 @@ impl<'a> Emitter<'a> {
                     .into_iter()
                     .map(|(s, t)| Self::coerce(s, t, Ty::R))
                     .collect();
-                (format!("{f}(&[{}])", vals.join(", ")), Ty::R)
+                (format!("{f}([{}])", vals.join(", ")), Ty::R)
             }
             SIntr::Mod if any_v => {
                 let vals: Vec<String> = typed
@@ -408,7 +415,7 @@ impl<'a> Emitter<'a> {
                     .map(|(s, t)| Self::coerce(s, t, Ty::V))
                     .collect();
                 (
-                    format!("shim::intr(shim::Intr::Mod, &[{}])", vals.join(", ")),
+                    format!("shim::apply_intr(shim::SIntr::Mod, &[{}])", vals.join(", ")),
                     Ty::V,
                 )
             }
@@ -1045,7 +1052,8 @@ impl<'a> Emitter<'a> {
         let proc = self.prog.procs[idx].clone();
         let is_main = idx == self.prog.main;
 
-        let mut params = String::from("cx: &mut shim::Ctx, h: &mut shim::Heap, d: &[shim::RtDist]");
+        let mut params =
+            String::from("cx: &mut shim::Ctx, h: &mut shim::Heap, d: &[shim::ArrayDist]");
         if is_main {
             params.push_str(", init: &[Option<Vec<f64>>]");
         }
@@ -1099,7 +1107,7 @@ impl<'a> Emitter<'a> {
                 let arr = self.aname(decl.name);
                 self.w(&format!("if let Some(g) = &init[{k}usize] {{"));
                 self.indent += 1;
-                self.w(&format!("shim::scatter_init(h, {arr}, d, g, cx.rank());"));
+                self.w(&format!("h.init({arr}, d, g, cx.rank());"));
                 self.indent -= 1;
                 self.w("}");
             }
@@ -1136,11 +1144,11 @@ impl<'a> Emitter<'a> {
         self.w("// the emitter re-prints this file deterministically from the SPMD IR.");
         self.w("#![allow(warnings)]");
         self.w("");
-        self.w("use fortrand_shim as shim;");
+        self.w("use fortrand_shim::{self as shim, LocalStore as _};");
         self.w("");
 
         // Distribution table (same indexing as SpmdProgram::dists).
-        self.w("fn dists() -> Vec<shim::RtDist> {");
+        self.w("fn dists() -> Vec<shim::ArrayDist> {");
         self.indent += 1;
         self.w("vec![");
         self.indent += 1;
@@ -1149,17 +1157,10 @@ impl<'a> Emitter<'a> {
                 .dims
                 .iter()
                 .map(|dp| {
-                    let kind = match dp.kind {
-                        fortrand_ir::dist::DistKind::Block => "shim::RtKind::Block".to_string(),
-                        fortrand_ir::dist::DistKind::Cyclic => "shim::RtKind::Cyclic".to_string(),
-                        fortrand_ir::dist::DistKind::BlockCyclic(b) => {
-                            format!("shim::RtKind::BlockCyclic({b}i64)")
-                        }
-                        fortrand_ir::dist::DistKind::Serial => "shim::RtKind::Serial".to_string(),
-                    };
+                    // `DistKind`'s `Debug` form is its Rust expression.
                     format!(
-                        "shim::RtDim {{ kind: {kind}, extent: {}i64, nprocs: {}usize }}",
-                        dp.extent, dp.nprocs
+                        "shim::DimPartition {{ kind: shim::DistKind::{:?}, extent: {}i64, nprocs: {}usize }}",
+                        dp.kind, dp.extent, dp.nprocs
                     )
                 })
                 .collect();
@@ -1174,7 +1175,7 @@ impl<'a> Emitter<'a> {
                 })
                 .collect();
             self.w(&format!(
-                "shim::RtDist {{ dims: vec![{}], offsets: vec![{}], grid_shape: vec![{}], grid_axis: vec![{}] }},",
+                "shim::ArrayDist {{ dims: vec![{}], offsets: vec![{}], grid: shim::ProcGrid {{ shape: vec![{}] }}, grid_axis: vec![{}] }},",
                 dims.join(", "),
                 offsets.join(", "),
                 shape.join(", "),
@@ -1195,7 +1196,7 @@ impl<'a> Emitter<'a> {
         let entry = self.pname(self.prog.main);
         self.w("fn main() {");
         self.indent += 1;
-        self.w("let ds: Vec<shim::RtDist> = dists();");
+        self.w("let ds: Vec<shim::ArrayDist> = dists();");
         self.w(&format!(
             "shim::drive({}usize, &ds, |cx, init| {{",
             self.prog.nprocs

@@ -8,12 +8,14 @@
 //!    [`types`]), RSD loops as counted `while` loops, and every
 //!    communication statement as a call into the `fortrand-shim` runtime
 //!    crate (thread-per-rank typed channels, rank-ordered collectives
-//!    matching the simulator's `CollCore`, the remap library, and the
-//!    message-statistics accounting);
-//! 2. **build**: drive `rustc` directly (no cargo) — the shim is built
-//!    once per (source, rustc) pair into a content-addressed rlib cache
-//!    under the system temp dir, then the node program is compiled
-//!    against it at the backend's `opt_level`;
+//!    matching the simulator's `CollCore`, and the message-statistics
+//!    accounting) or, through it, into `fortrand-rt` — the scalar
+//!    arithmetic, distribution arithmetic and remap library the simulator
+//!    engines themselves run;
+//! 2. **build**: drive `rustc` directly (no cargo) — `fortrand-rt` and the
+//!    shim are built once per (sources, rustc) pair into a
+//!    content-addressed rlib cache under the system temp dir, then the
+//!    node program is compiled against them at the backend's `opt_level`;
 //! 3. **run**: execute the binary with the initial arrays serialized to
 //!    an init file; the program writes the assembled global arrays to an
 //!    out file and prints the stats protocol below on stdout, which is
@@ -35,9 +37,10 @@
 //! nonzero; the driver surfaces it as [`ExecError::Rank`], exactly like
 //! the simulators surface a panicking rank.
 //!
-//! Because the shim replicates the simulator's distribution arithmetic,
-//! collective ordering, and FP evaluation order, a native run is
-//! **bit-identical** to a simulated one in every program-defined
+//! Because the node program links the simulator's own run-time library
+//! and the shim keeps its collective ordering and FP evaluation order, a
+//! native run is **bit-identical** to a simulated one in every
+//! program-defined
 //! observable: final arrays, printed lines, message/byte/remap counts,
 //! the size histogram, and per-tag traffic (`tests/native.rs` enforces
 //! this differentially). Virtual-clock metrics have no native analog and
@@ -58,10 +61,18 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-/// The shim runtime's source, baked into this crate so the backend can
-/// build node programs on machines that only have the `fortrand` binary
-/// and a `rustc` (no checkout, no cargo, no registry).
-const SHIM_SRC: &str = include_str!(concat!(env!("CARGO_MANIFEST_DIR"), "/../shim/src/lib.rs"));
+/// The run-time library's and the shim's sources, baked into this crate so
+/// the backend can build node programs on machines that only have the
+/// `fortrand` binary and a `rustc` (no checkout, no cargo, no registry).
+/// `(file name, contents)`; each crate's root is its `lib.rs`.
+const RT_SRC: &[(&str, &str)] = &[
+    ("lib.rs", include_str!("../../../rt/src/lib.rs")),
+    ("dist.rs", include_str!("../../../rt/src/dist.rs")),
+    ("space.rs", include_str!("../../../rt/src/space.rs")),
+    ("value.rs", include_str!("../../../rt/src/value.rs")),
+    ("walk.rs", include_str!("../../../rt/src/walk.rs")),
+];
+const SHIM_SRC: &[(&str, &str)] = &[("lib.rs", include_str!("../../../shim/src/lib.rs"))];
 
 /// Pretty-prints `prog` as the complete source of a native node program
 /// (what the [`Native`] backend feeds to `rustc`). Deterministic: equal
@@ -78,8 +89,9 @@ pub fn emit(prog: &SpmdProgram) -> String {
 /// ```
 #[derive(Clone, Copy, Debug)]
 pub struct Native {
-    /// `rustc -C opt-level` for the node program (the shim rlib is always
-    /// built at opt-level 2 and cached). Use 0 in tests for build speed.
+    /// `rustc -C opt-level` for the node program (the runtime rlibs are
+    /// always built at opt-level 2 and cached). Use 0 in tests for build
+    /// speed.
     pub opt_level: u8,
     /// Keep the build directory (emitted source, binary, IO files) and
     /// return it in [`RunOutcome::artifact`] instead of deleting it.
@@ -161,47 +173,61 @@ fn run_rustc(args: &[&str]) -> Result<(), String> {
     }
 }
 
-/// Builds (or reuses) the shim rlib in a content-addressed cache keyed by
-/// the shim source and the rustc version, so stale toolchain or source
-/// changes never link. A process-wide mutex plus write-to-temp-then-rename
-/// keeps concurrent builds (parallel tests, the serve daemon) safe.
-fn shim_rlib() -> Result<PathBuf, String> {
+/// Builds (or reuses) the `fortrand-rt` and `fortrand-shim` rlibs in a
+/// content-addressed cache — one directory per key, the key covering both
+/// crates' sources and the rustc version, so stale toolchain or source
+/// changes never link — and returns that directory. A process-wide mutex
+/// plus build-in-a-temp-directory-then-rename keeps concurrent builds
+/// (parallel tests, the serve daemon) safe.
+fn runtime_rlibs() -> Result<PathBuf, String> {
     static LOCK: Mutex<()> = Mutex::new(());
     let version = rustc_version().ok_or_else(|| "no rustc toolchain available".to_string())?;
-    let mut keyed = SHIM_SRC.as_bytes().to_vec();
+    let mut keyed = Vec::new();
+    for (name, text) in RT_SRC.iter().chain(SHIM_SRC) {
+        keyed.extend_from_slice(name.as_bytes());
+        keyed.extend_from_slice(text.as_bytes());
+    }
     keyed.extend_from_slice(version.as_bytes());
     let key = fnv1a(&keyed);
     let cache = std::env::temp_dir().join("fortrand-shim-cache");
-    let rlib = cache.join(format!("libfortrand_shim-{key:016x}.rlib"));
-    if rlib.exists() {
-        return Ok(rlib);
+    let dir = cache.join(format!("{key:016x}"));
+    if dir.exists() {
+        return Ok(dir);
     }
     let _g = LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    if rlib.exists() {
-        return Ok(rlib);
+    if dir.exists() {
+        return Ok(dir);
     }
-    std::fs::create_dir_all(&cache).map_err(|e| format!("creating {}: {e}", cache.display()))?;
-    let src = cache.join(format!("shim-{key:016x}.rs"));
-    std::fs::write(&src, SHIM_SRC).map_err(|e| format!("writing {}: {e}", src.display()))?;
-    let tmp = cache.join(format!(
-        "libfortrand_shim-{key:016x}.rlib.tmp{}",
-        std::process::id()
-    ));
-    run_rustc(&[
-        "--edition",
-        "2021",
-        "--crate-name",
-        "fortrand_shim",
-        "--crate-type",
-        "rlib",
-        "-C",
-        "opt-level=2",
-        "-o",
-        tmp.to_str().unwrap(),
-        src.to_str().unwrap(),
-    ])?;
-    std::fs::rename(&tmp, &rlib).map_err(|e| format!("installing shim rlib: {e}"))?;
-    Ok(rlib)
+    let tmp = cache.join(format!("{key:016x}.tmp{}", std::process::id()));
+    let io = |e: std::io::Error| format!("preparing {}: {e}", tmp.display());
+    let build = |krate: &str, files: &[(&str, &str)], rt: Option<&Path>| {
+        let src = tmp.join(krate);
+        std::fs::create_dir_all(&src).map_err(io)?;
+        for (name, text) in files {
+            std::fs::write(src.join(name), text).map_err(io)?;
+        }
+        let rlib = tmp.join(format!("lib{krate}.rlib"));
+        let root = src.join("lib.rs");
+        let rt = rt.map(|rt| format!("fortrand_rt={}", rt.display()));
+        let mut args = vec!["--edition", "2021", "--crate-name", krate];
+        args.extend(["--crate-type", "rlib", "-C", "opt-level=2"]);
+        if let Some(rt) = &rt {
+            args.extend(["--extern", rt]);
+        }
+        args.extend(["-o", rlib.to_str().unwrap(), root.to_str().unwrap()]);
+        run_rustc(&args).map(|()| rlib)
+    };
+    let rt = build("fortrand_rt", RT_SRC, None)?;
+    build("fortrand_shim", SHIM_SRC, Some(&rt))?;
+    match std::fs::rename(&tmp, &dir) {
+        Ok(()) => Ok(dir),
+        // Another process installed the same key first; use its copy.
+        Err(_) if dir.exists() => {
+            let _ = std::fs::remove_dir_all(&tmp);
+            Ok(dir)
+        }
+        Err(e) => Err(format!("installing runtime rlibs: {e}")),
+    }
 }
 
 /// Init-file format: one record per entry-procedure array declaration, in
@@ -358,7 +384,7 @@ fn run_native(
         std::fs::write(&src_path, emit::emit_program(prog))
             .map_err(|e| backend_err(format!("writing {}: {e}", src_path.display())))?;
 
-        let rlib = shim_rlib().map_err(backend_err)?;
+        let rlibs = runtime_rlibs().map_err(backend_err)?;
         let bin_path = dir.join("prog");
         run_rustc(&[
             "--edition",
@@ -369,8 +395,13 @@ fn run_native(
             &format!("opt-level={}", cfg.opt_level),
             "-C",
             "debug-assertions=off",
+            "-L",
+            &format!("dependency={}", rlibs.display()),
             "--extern",
-            &format!("fortrand_shim={}", rlib.display()),
+            &format!(
+                "fortrand_shim={}",
+                rlibs.join("libfortrand_shim.rlib").display()
+            ),
             "-o",
             bin_path.to_str().unwrap(),
             src_path.to_str().unwrap(),
@@ -444,7 +475,7 @@ mod tests {
     use super::*;
     use crate::ir::*;
     use crate::runtime::{try_run_spmd, ExecOptions};
-    use fortrand_ir::dist::{Alignment, ArrayDist, DistKind, Distribution};
+    use fortrand_ir::dist::{array_dist, Alignment, DistKind, Distribution};
     use fortrand_ir::Interner;
     use fortrand_machine::Machine;
 
@@ -469,7 +500,7 @@ mod tests {
         let v = interner.intern("v");
         let sub = interner.intern("addone");
         let main = interner.intern("main");
-        let dist = ArrayDist::new(
+        let dist = array_dist(
             &[n],
             &Alignment::identity(1),
             &[n],

@@ -7,7 +7,7 @@
 //! scalar, a three-point lattice
 //!
 //! ```text
-//!        V            (dynamically I or R — emitted as shim::Val)
+//!        V            (dynamically I or R — emitted as shim::Value)
 //!       / \
 //!      I   R          (always integer / always real)
 //!       \ /
@@ -32,7 +32,7 @@ pub(crate) enum Ty {
     I,
     /// Always `Value::R` at run time.
     R,
-    /// Either, decided dynamically — carried as `shim::Val`.
+    /// Either, decided dynamically — carried as `shim::Value`.
     V,
 }
 

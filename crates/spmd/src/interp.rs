@@ -20,14 +20,16 @@
 
 use crate::ir::*;
 use crate::runtime::{
-    apply_bin, apply_intr, mark_dist_store, run_harness, scalar_from_wire, scatter_init_store,
-    ArrayStore, FinalArray, Remap, Value,
+    apply_bin, apply_intr, begin_remap, begin_remap_global, mark_dist_store, run_harness,
+    scalar_from_wire, scatter_init_store, ArrayStore, LocalStore, Remap, Value,
 };
 pub use crate::runtime::{
-    global_extents, try_run_spmd, ExecOptions, ExecOutput, RankFailure, TAG_BCAST, TAG_BCAST_PACK,
+    try_run_spmd, ExecOptions, RankFailure, RunOutcome, TAG_BCAST, TAG_BCAST_PACK,
 };
+use fortrand_ir::dist::ArrayDist;
 use fortrand_ir::Sym;
 use fortrand_machine::{Machine, Node};
+use fortrand_rt::{pack, rect_len, slot, unpack};
 use rustc_hash::FxHashMap;
 use std::collections::BTreeMap;
 
@@ -36,7 +38,7 @@ pub(crate) fn run_tree(
     prog: &SpmdProgram,
     machine: &Machine,
     init: &BTreeMap<Sym, Vec<f64>>,
-) -> Result<ExecOutput, RankFailure> {
+) -> Result<RunOutcome, RankFailure> {
     run_harness(prog, machine, |node| {
         let mut exec = Exec::new(prog, node);
         exec.enter_main(init);
@@ -70,16 +72,6 @@ struct Exec<'a> {
     posted_recv: Vec<Option<(usize, u64)>>,
     /// Posted-broadcast handle slots: `(sequence number, clock at post)`.
     posted_bcast: Vec<Option<(u64, f64)>>,
-}
-
-/// Grow-on-demand handle slot access (handles are dense small integers
-/// assigned program-wide by the overlap pass).
-pub(crate) fn slot<T>(v: &mut Vec<Option<T>>, h: u32) -> &mut Option<T> {
-    let h = h as usize;
-    if v.len() <= h {
-        v.resize_with(h + 1, || None);
-    }
-    &mut v[h]
 }
 
 impl<'a> Exec<'a> {
@@ -123,7 +115,8 @@ impl<'a> Exec<'a> {
             frame.arrays.insert(d.name, id);
             self.main_arrays.push(id);
             if let Some(global) = init.get(&d.name) {
-                self.scatter_init(id, global);
+                let my = self.node.rank();
+                scatter_init_store(&mut self.heap[id], &self.prog.dists, global, my);
             }
         }
         self.frames.push(frame);
@@ -132,33 +125,10 @@ impl<'a> Exec<'a> {
         self.flush_charges();
     }
 
-    /// Fills the local part of array `id` from a row-major global buffer.
-    /// Run-time resolution storage (owner_dist set) takes a full copy.
-    fn scatter_init(&mut self, id: usize, global: &[f64]) {
-        if self.heap[id].owner_dist.is_some() {
-            assert_eq!(self.heap[id].data.len(), global.len(), "rtr init size");
-            self.heap[id].data.copy_from_slice(global);
-            return;
-        }
-        let prog = self.prog;
-        let dist = &prog.dists[self.heap[id].dist.0 as usize];
-        let my = self.node.rank();
-        scatter_init_store(&mut self.heap[id], dist, global, my);
-    }
-
-    fn finish(&mut self) -> Vec<FinalArray> {
+    fn finish(&mut self) -> Vec<ArrayStore> {
         self.main_arrays
             .iter()
-            .map(|&id| {
-                let s = &self.heap[id];
-                FinalArray {
-                    name: s.name,
-                    bounds: s.bounds.clone(),
-                    data: s.data.clone(),
-                    dist: s.dist,
-                    owner_dist: s.owner_dist,
-                }
-            })
+            .map(|&id| self.heap[id].clone())
             .collect()
     }
 
@@ -446,7 +416,7 @@ impl<'a> Exec<'a> {
                             dst_section,
                             ..
                         } => {
-                            let n = self.rect_points(dst_section).len();
+                            let n = rect_len(&self.rect_dims(dst_section));
                             self.scatter_section(*dst_array, dst_section, &out[off..off + n]);
                             off += n;
                         }
@@ -542,7 +512,7 @@ impl<'a> Exec<'a> {
                             dst_section,
                             ..
                         } => {
-                            let n = self.rect_points(dst_section).len();
+                            let n = rect_len(&self.rect_dims(dst_section));
                             self.scatter_section(*dst_array, dst_section, &out[off..off + n]);
                             off += n;
                         }
@@ -573,13 +543,7 @@ impl<'a> Exec<'a> {
             }
             SStmt::Print { args } => {
                 if self.node.rank() == 0 {
-                    let vals: Vec<String> = args
-                        .iter()
-                        .map(|a| match self.eval(a) {
-                            Value::I(v) => format!("{v}"),
-                            Value::R(v) => format!("{v}"),
-                        })
-                        .collect();
+                    let vals: Vec<String> = args.iter().map(|a| self.eval(a).to_string()).collect();
                     self.printed.push(vals.join(" "));
                 }
                 Flow::Normal
@@ -665,13 +629,7 @@ impl<'a> Exec<'a> {
             SExpr::LocalIdx { dist, dim, sub } => {
                 let g = self.eval(sub).as_i();
                 self.pending_ops += 2;
-                let d = &self.prog.dists[dist.0 as usize];
-                let off = d.offsets[*dim];
-                Value::I(if d.grid_axis[*dim].is_some() {
-                    d.dims[*dim].local_of_global(g + off)
-                } else {
-                    g
-                })
+                Value::I(self.prog.dists[dist.0 as usize].local_idx(*dim, g))
             }
         }
     }
@@ -684,54 +642,39 @@ impl<'a> Exec<'a> {
         }
     }
 
-    /// Enumerates a rect's points (local index space) in row-major order.
-    fn rect_points(&mut self, section: &SRect) -> Vec<Vec<i64>> {
-        let dims: Vec<(i64, i64, i64)> = section
+    /// Evaluates a rect's per-dimension `(lo, hi, step)` (local index space).
+    fn rect_dims(&mut self, section: &SRect) -> Vec<(i64, i64, i64)> {
+        section
             .dims
             .iter()
             .map(|(lo, hi, step)| (self.eval(lo).as_i(), self.eval(hi).as_i(), *step))
-            .collect();
-        let mut out = Vec::new();
-        let mut pt: Vec<i64> = dims.iter().map(|&(lo, _, _)| lo).collect();
-        if dims.iter().any(|&(lo, hi, _)| hi < lo) {
-            return out;
-        }
-        loop {
-            out.push(pt.clone());
-            // Increment last dimension first.
-            let mut d = dims.len();
-            loop {
-                if d == 0 {
-                    return out;
-                }
-                d -= 1;
-                pt[d] += dims[d].2;
-                if pt[d] <= dims[d].1 {
-                    break;
-                }
-                pt[d] = dims[d].0;
-            }
-        }
+            .collect()
     }
 
     /// Gathers a section into a pooled message buffer.
     fn gather_section(&mut self, array: Sym, section: &SRect) -> Vec<f64> {
-        let pts = self.rect_points(section);
+        let dims = self.rect_dims(section);
         let id = self.array_id(array);
-        self.pending_ops += pts.len() as u64; // pack cost
+        self.pending_ops += rect_len(&dims) as u64; // pack cost
         let mut buf = self.node.acquire_buf();
-        buf.extend(pts.iter().map(|p| self.heap[id].get(p)));
+        pack(&self.heap[id], &dims, &mut buf);
         buf
     }
 
     fn scatter_section(&mut self, array: Sym, section: &SRect, data: &[f64]) {
-        let pts = self.rect_points(section);
-        assert_eq!(pts.len(), data.len(), "section/message size mismatch");
+        let dims = self.rect_dims(section);
         let id = self.array_id(array);
-        self.pending_ops += pts.len() as u64; // unpack cost
-        for (p, &v) in pts.iter().zip(data) {
-            self.heap[id].set(p, v);
+        unpack(&mut self.heap[id], &dims, data);
+        self.pending_ops += data.len() as u64; // unpack cost
+    }
+
+    /// Second half of a remap of array `id`: a blocking receive per source.
+    fn complete(&mut self, mut remap: Remap, id: usize, d1: &ArrayDist) {
+        while let Some((src, tag)) = remap.expects() {
+            let data = self.node.recv(src, tag);
+            remap.accept(d1, &data, &mut self.heap[id]);
         }
+        remap.finish(&mut self.heap[id]);
     }
 
     /// Full dynamic remap with data motion (library routine of §6).
@@ -746,11 +689,8 @@ impl<'a> Exec<'a> {
         let prog = self.prog;
         let d0 = &prog.dists[from_dist_id.0 as usize];
         let d1 = &prog.dists[to_dist.0 as usize];
-        Remap::begin(self.node, &self.heap[id], d0, d1, to_dist).complete(
-            self.node,
-            &mut self.heap[id],
-            d1,
-        );
+        let remap = begin_remap(self.node, &self.heap[id], d0, d1, to_dist);
+        self.complete(remap, id, d1);
     }
 
     /// Run-time resolution remap: storage stays global-shaped; the
@@ -768,11 +708,8 @@ impl<'a> Exec<'a> {
         let prog = self.prog;
         let d0 = &prog.dists[from.0 as usize];
         let d1 = &prog.dists[to_dist.0 as usize];
-        Remap::begin_global(self.node, &self.heap[id], d0, d1).complete(
-            self.node,
-            &mut self.heap[id],
-            d1,
-        );
+        let remap = begin_remap_global(self.node, &self.heap[id], d0, d1);
+        self.complete(remap, id, d1);
         self.heap[id].owner_dist = Some(to_dist);
     }
 }
@@ -780,12 +717,12 @@ impl<'a> Exec<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fortrand_ir::dist::{Alignment, ArrayDist, DistKind, Distribution};
+    use fortrand_ir::dist::{array_dist, Alignment, ArrayDist, DistKind, Distribution};
     use fortrand_ir::Interner;
     use fortrand_machine::CostModel;
 
     fn block_dist(n: i64, p: usize) -> ArrayDist {
-        ArrayDist::new(
+        array_dist(
             &[n],
             &Alignment::identity(1),
             &[n],
@@ -797,7 +734,7 @@ mod tests {
     }
 
     fn cyclic_dist(n: i64, p: usize) -> ArrayDist {
-        ArrayDist::new(
+        array_dist(
             &[n],
             &Alignment::identity(1),
             &[n],
@@ -814,7 +751,7 @@ mod tests {
         prog: &SpmdProgram,
         machine: &Machine,
         init: &BTreeMap<Sym, Vec<f64>>,
-    ) -> ExecOutput {
+    ) -> RunOutcome {
         let run = |opts: ExecOptions| {
             try_run_spmd(prog, machine, init, &opts).unwrap_or_else(|f| panic!("{f}"))
         };

@@ -9,6 +9,7 @@
 
 use fortrand_ir::dist::ArrayDist;
 use fortrand_ir::{Interner, Sym};
+pub use fortrand_rt::{SBinOp, SIntr};
 
 mod operands;
 pub use operands::{
@@ -93,38 +94,6 @@ pub struct SDecl {
     /// Initial scatter fills every rank; the final gather reads each
     /// element from its owner at *global* indices.
     pub owner_dist: Option<DistId>,
-}
-
-/// Binary operators (arithmetic on simulated REALs, integer arithmetic on
-/// loop/index values, comparisons, logical connectives).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-#[allow(missing_docs)]
-pub enum SBinOp {
-    Add,
-    Sub,
-    Mul,
-    Div,
-    Pow,
-    Lt,
-    Le,
-    Gt,
-    Ge,
-    Eq,
-    Ne,
-    And,
-    Or,
-}
-
-/// Intrinsics available to node programs.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-#[allow(missing_docs)]
-pub enum SIntr {
-    Abs,
-    Min,
-    Max,
-    Mod,
-    Sqrt,
-    Sign,
 }
 
 /// Expressions.

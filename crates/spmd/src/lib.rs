@@ -44,8 +44,8 @@ pub use ir::{
 pub use opt::{optimize, CommOpt, OptReport};
 pub use print::pretty;
 pub use runtime::{
-    try_run_spmd, Bytecode, ExecBackend, ExecError, ExecOptions, ExecOutput, MachineKind,
-    RankFailure, RunOutcome, Tree,
+    try_run_spmd, Bytecode, ExecBackend, ExecError, ExecOptions, MachineKind, RankFailure,
+    RunOutcome, Tree,
 };
 
 // Compile-time thread-safety audit: compiled node programs are cached in

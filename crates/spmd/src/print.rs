@@ -514,7 +514,7 @@ fn dist_spelling(d: &fortrand_ir::dist::ArrayDist) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fortrand_ir::dist::{Alignment, ArrayDist, DistKind, Distribution};
+    use fortrand_ir::dist::{array_dist, Alignment, DistKind, Distribution};
     use fortrand_ir::Interner;
 
     /// Builds the paper's Figure 2 output by hand and checks the rendering.
@@ -529,7 +529,7 @@ mod tests {
             kinds: vec![DistKind::Block],
             nprocs: 4,
         };
-        let ad = ArrayDist::new(&[100], &Alignment::identity(1), &[100], &dist);
+        let ad = array_dist(&[100], &Alignment::identity(1), &[100], &dist);
         let mut prog = SpmdProgram {
             interner: int,
             nprocs: 4,

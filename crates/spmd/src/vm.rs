@@ -13,19 +13,19 @@
 //! every simulated observable — virtual clocks, message counts, bytes,
 //! final arrays, printed lines — is bit-identical between engines.
 
-use crate::interp::slot;
 use crate::ir::{SBinOp, SpmdProgram};
 use crate::lower::{
     lower_with, op_idx, CallArgs, Instr, KAcc, KBody, KLoop, KSrc, Lowered, SecInstr, Slot,
     NO_SLOT, N_OPCODES, OPCODE_NAMES,
 };
 use crate::runtime::{
-    apply_bin, apply_intr, assemble_outcome, mark_dist_store, scalar_from_wire, scatter_init_store,
-    ArrayStore, ExecOutput, FinalArray, Remap, Value,
+    apply_bin, apply_intr, assemble_outcome, begin_remap, begin_remap_global, mark_dist_store,
+    scalar_from_wire, scatter_init_store, ArrayStore, Remap, RunOutcome, Value,
 };
 use fortrand_ir::dist::ArrayDist;
 use fortrand_ir::Sym;
 use fortrand_machine::{Machine, Node, Payload, RankTask, Wait, Yield};
+use fortrand_rt::{rect_for_each, slot};
 use std::collections::BTreeMap;
 
 /// Runs `prog` under the bytecode engine. Lowering happens once; the
@@ -37,7 +37,7 @@ pub(crate) fn run_bytecode(
     machine: &Machine,
     init: &BTreeMap<Sym, Vec<f64>>,
     kernels: bool,
-) -> Result<ExecOutput, crate::runtime::RankFailure> {
+) -> Result<RunOutcome, crate::runtime::RankFailure> {
     let lowered = lower_with(prog, kernels);
     // Resolved once per run, only when tracing: per-call spans need
     // procedure names and the hot path must not touch the interner.
@@ -261,7 +261,7 @@ impl<'a> Vm<'a> {
             self.atab.push(id);
             self.main_arrays.push(id);
             if let Some(global) = self.init.get(&d.name) {
-                self.scatter_init(id, global, node.rank());
+                scatter_init_store(&mut self.heap[id], &self.prog.dists, global, node.rank());
             }
         }
         self.frames.push(FrameMark {
@@ -276,30 +276,10 @@ impl<'a> Vm<'a> {
         self.trace_enter(node, main);
     }
 
-    fn scatter_init(&mut self, id: usize, global: &[f64], my: usize) {
-        if self.heap[id].owner_dist.is_some() {
-            assert_eq!(self.heap[id].data.len(), global.len(), "rtr init size");
-            self.heap[id].data.copy_from_slice(global);
-            return;
-        }
-        let prog = self.prog;
-        let dist = &prog.dists[self.heap[id].dist.0 as usize];
-        scatter_init_store(&mut self.heap[id], dist, global, my);
-    }
-
-    fn finish(&self) -> Vec<FinalArray> {
+    fn finish(&self) -> Vec<ArrayStore> {
         self.main_arrays
             .iter()
-            .map(|&id| {
-                let s = &self.heap[id];
-                FinalArray {
-                    name: s.name,
-                    bounds: s.bounds.clone(),
-                    data: s.data.clone(),
-                    dist: s.dist,
-                    owner_dist: s.owner_dist,
-                }
-            })
+            .map(|&id| self.heap[id].clone())
             .collect()
     }
 
@@ -625,9 +605,9 @@ impl<'a> Vm<'a> {
         let Some(mut remap) = self.remap.take() else {
             return Ok(());
         };
-        while let Some((src, tag)) = remap.expects(node.rank()) {
+        while let Some((src, tag)) = remap.expects() {
             match node.try_recv(src, tag) {
-                Ok(data) => remap.accept(&mut self.heap[id], d1, &data),
+                Ok(data) => remap.accept(d1, &data, &mut self.heap[id]),
                 Err(wait) => {
                     self.remap = Some(remap);
                     return Err(wait);
@@ -656,25 +636,7 @@ impl<'a> Vm<'a> {
         }
         let dims = &self.dims_buf;
         let mut flats: Vec<u32> = Vec::new();
-        if !dims.iter().any(|&(lo, hi, _)| hi < lo) {
-            let mut pt: Vec<i64> = dims.iter().map(|&(lo, _, _)| lo).collect();
-            'points: loop {
-                flats.push(store.flat(&pt) as u32);
-                // Increment last dimension first (row-major order).
-                let mut d = dims.len();
-                loop {
-                    if d == 0 {
-                        break 'points;
-                    }
-                    d -= 1;
-                    pt[d] += dims[d].2;
-                    if pt[d] <= dims[d].1 {
-                        break;
-                    }
-                    pt[d] = dims[d].0;
-                }
-            }
-        }
+        rect_for_each(dims, |pt| flats.push(store.flat(pt) as u32));
         let n = flats.len();
         self.sec_cache[sec.site as usize] = Some(SecEntry {
             dims: self.dims_buf.clone(),
@@ -974,17 +936,8 @@ fn exec(vm: &mut Vm, node: &mut Node) -> Yield {
                 } => {
                     let g = reg!(*src).as_i();
                     vm.pending_ops += 2;
-                    let dim = *dim as usize;
                     let d = &prog.dists[dist.0 as usize];
-                    let off = d.offsets[dim];
-                    reg_set!(
-                        *dst,
-                        Value::I(if d.grid_axis[dim].is_some() {
-                            d.dims[dim].local_of_global(g + off)
-                        } else {
-                            g
-                        })
-                    );
+                    reg_set!(*dst, Value::I(d.local_idx(*dim as usize, g)));
                 }
                 Instr::Jmp { to } => {
                     pc = *to as usize;
@@ -1278,7 +1231,7 @@ fn exec(vm: &mut Vm, node: &mut Node) -> Yield {
                         node.charge_remap();
                         if from != *to {
                             let d0 = &prog.dists[from.0 as usize];
-                            vm.remap = Some(Remap::begin(node, &vm.heap[id], d0, d1, *to));
+                            vm.remap = Some(begin_remap(node, &vm.heap[id], d0, d1, *to));
                         }
                     }
                     if let Err(wait) = vm.remap_accept(node, id, d1) {
@@ -1296,7 +1249,7 @@ fn exec(vm: &mut Vm, node: &mut Node) -> Yield {
                         node.charge_remap();
                         if from != *to {
                             let d0 = &prog.dists[from.0 as usize];
-                            vm.remap = Some(Remap::begin_global(node, &vm.heap[id], d0, d1));
+                            vm.remap = Some(begin_remap_global(node, &vm.heap[id], d0, d1));
                         }
                     }
                     if let Err(wait) = vm.remap_accept(node, id, d1) {
@@ -1314,10 +1267,7 @@ fn exec(vm: &mut Vm, node: &mut Node) -> Yield {
                     let lo = r_base + *first as usize;
                     let parts: Vec<String> = vm.regs[lo..lo + *n as usize]
                         .iter()
-                        .map(|v| match v {
-                            Value::I(x) => format!("{x}"),
-                            Value::R(x) => format!("{x}"),
-                        })
+                        .map(Value::to_string)
                         .collect();
                     vm.printed.push(parts.join(" "));
                 }

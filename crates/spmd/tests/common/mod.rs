@@ -2,12 +2,12 @@
 //! by the printer test and the operand-walker tests.
 #![allow(dead_code)]
 
-use fortrand_ir::dist::{Alignment, ArrayDist, DistKind, Distribution};
+use fortrand_ir::dist::{array_dist, Alignment, ArrayDist, DistKind, Distribution};
 use fortrand_ir::{Interner, Sym};
 use fortrand_spmd::ir::*;
 
 pub fn dist_1d(kind: DistKind, n: i64, p: usize) -> ArrayDist {
-    ArrayDist::new(
+    array_dist(
         &[n],
         &Alignment::identity(1),
         &[n],

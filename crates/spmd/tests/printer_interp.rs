@@ -10,7 +10,7 @@ use fortrand_machine::{CostModel, Machine};
 use fortrand_spmd::ir::*;
 use fortrand_spmd::print::pretty;
 use fortrand_spmd::ExecOptions;
-use fortrand_spmd::{try_run_spmd, ExecOutput, SpmdProgram};
+use fortrand_spmd::{try_run_spmd, RunOutcome, SpmdProgram};
 use std::collections::BTreeMap;
 
 /// Panic-on-failure runner (the retired `run_spmd` wrapper, local to
@@ -19,7 +19,7 @@ fn run_spmd(
     prog: &SpmdProgram,
     machine: &Machine,
     init: &BTreeMap<fortrand_ir::Sym, Vec<f64>>,
-) -> ExecOutput {
+) -> RunOutcome {
     match try_run_spmd(prog, machine, init, &ExecOptions::default()) {
         Ok(out) => out,
         Err(f) => panic!("{f}"),

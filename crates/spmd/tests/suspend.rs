@@ -18,7 +18,7 @@ use fortrand_ir::dist::DistKind;
 use fortrand_ir::{Interner, Sym};
 use fortrand_machine::Machine;
 use fortrand_spmd::ir::*;
-use fortrand_spmd::{try_run_spmd, Bytecode, ExecOptions, ExecOutput, SpmdProgram, Tree};
+use fortrand_spmd::{try_run_spmd, Bytecode, ExecOptions, RunOutcome, SpmdProgram, Tree};
 use std::collections::BTreeMap;
 
 /// Local extent of the test arrays on every rank.
@@ -89,7 +89,7 @@ fn all() -> SRect {
 /// Runs the fixture on the event machine under the VM and under the tree
 /// walker, checks they agree on everything simulated and that the VM's
 /// dispatch counters are consistent, and returns the VM run.
-fn run(f: &Fixture, ctx: &str) -> ExecOutput {
+fn run(f: &Fixture, ctx: &str) -> RunOutcome {
     let go = |opts: ExecOptions| {
         try_run_spmd(&f.prog, &Machine::new(f.prog.nprocs), &f.init, &opts)
             .unwrap_or_else(|e| panic!("{ctx}: {e}"))
@@ -116,13 +116,13 @@ fn run(f: &Fixture, ctx: &str) -> ExecOutput {
 }
 
 /// How often the VM dispatched opcode `name`.
-fn dispatched(out: &ExecOutput, name: &str) -> u64 {
+fn dispatched(out: &RunOutcome, name: &str) -> u64 {
     let hit = out.stats.instr_mix.iter().find(|(n, _)| n == name);
     hit.map_or(0, |&(_, n)| n)
 }
 
 /// At least one rank was dispatched a second time: something blocked.
-fn blocked(out: &ExecOutput) -> bool {
+fn blocked(out: &RunOutcome) -> bool {
     out.stats.sched_switches > out.stats.per_node.len() as u64
 }
 
@@ -134,7 +134,7 @@ fn blocked_and_unblocked(
     what: &str,
     opcode: &str,
     make: impl Fn(i64, i64) -> Fixture,
-    check: impl Fn(&Fixture, &ExecOutput, usize),
+    check: impl Fn(&Fixture, &RunOutcome, usize),
 ) {
     let waiting = make(1, 0);
     let ready = make(0, 1);
@@ -152,7 +152,7 @@ fn blocked_and_unblocked(
 }
 
 /// Rank `r`'s block of a final global array.
-fn block(out: &ExecOutput, array: Sym, r: usize) -> &[f64] {
+fn block(out: &RunOutcome, array: Sym, r: usize) -> &[f64] {
     &out.arrays[&array][r * W as usize..(r + 1) * W as usize]
 }
 
@@ -273,7 +273,7 @@ fn bcast_suspends_root_and_non_roots() {
     // Ranks enter in rank order: with root 0 the root arrives first and
     // suspends holding the payload, with root 2 it arrives last and the
     // non-roots suspend; rank 1 is a non-root that is neither.
-    let runs: Vec<ExecOutput> = [0, 2]
+    let runs: Vec<RunOutcome> = [0, 2]
         .into_iter()
         .map(|root| {
             let f = fixture(3, |a, b, _, _| {

@@ -6,7 +6,7 @@
 use fortrand::recompile::ModuleDb;
 use fortrand::{ArtifactStore, CompileOutput};
 use fortrand_machine::Machine;
-use fortrand_spmd::{try_run_spmd, ExecOptions, ExecOutput, SpmdProgram};
+use fortrand_spmd::{try_run_spmd, ExecOptions, RunOutcome, SpmdProgram};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -33,7 +33,7 @@ pub fn run_spmd(
     prog: &SpmdProgram,
     machine: &Machine,
     init: &BTreeMap<fortrand_ir::Sym, Vec<f64>>,
-) -> ExecOutput {
+) -> RunOutcome {
     try_run_spmd(prog, machine, init, &ExecOptions::new()).unwrap_or_else(|f| panic!("{f}"))
 }
 

@@ -17,12 +17,12 @@ use fortrand::corpus::{dgefa_matrix, dgefa_source};
 use fortrand::{CommOpt, CompileOptions, DynOptLevel, Strategy};
 use fortrand_analysis::fixtures::{FIG1, FIG15, FIG4};
 use fortrand_machine::Machine;
-use fortrand_spmd::{try_run_spmd, Bytecode, ExecOptions, ExecOutput, Tree};
+use fortrand_spmd::{try_run_spmd, Bytecode, ExecOptions, RunOutcome, Tree};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
 /// Asserts every simulated observable matches between the two outputs.
-fn assert_identical(t: &ExecOutput, b: &ExecOutput, ctx: &str) {
+fn assert_identical(t: &RunOutcome, b: &RunOutcome, ctx: &str) {
     assert_eq!(
         t.stats.time_us.to_bits(),
         b.stats.time_us.to_bits(),

@@ -25,13 +25,13 @@ use fortrand::corpus::{dgefa_matrix, dgefa_source, relax_source};
 use fortrand::{CommOpt, CompileOptions, DynOptLevel, Strategy};
 use fortrand_analysis::fixtures::{FIG1, FIG15, FIG4};
 use fortrand_machine::{HypercubeNet, Machine, MachineKind, RunStats, TorusNet};
-use fortrand_spmd::{try_run_spmd, Bytecode, ExecOptions, ExecOutput, Tree};
+use fortrand_spmd::{try_run_spmd, Bytecode, ExecOptions, RunOutcome, Tree};
 use fortrand_trace::{MemorySink, Trace, PID_MACHINE};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
 /// Asserts every simulated observable matches between two outputs.
-fn assert_identical(r: &ExecOutput, c: &ExecOutput, ctx: &str) {
+fn assert_identical(r: &RunOutcome, c: &RunOutcome, ctx: &str) {
     assert_eq!(
         r.stats.time_us.to_bits(),
         c.stats.time_us.to_bits(),

@@ -18,11 +18,11 @@
 mod common;
 
 use common::compile;
-use fortrand::corpus::{dgefa_matrix, dgefa_source, relax_source};
+use fortrand::corpus::{adi_source, dgefa_matrix, dgefa_source, relax_source};
 use fortrand::{rustc_available, CommOpt, CompileOptions, DynOptLevel, Strategy};
 use fortrand_analysis::fixtures::{FIG1, FIG15, FIG4};
 use fortrand_machine::Machine;
-use fortrand_spmd::{try_run_spmd, ExecError, ExecOptions, ExecOutput, Native};
+use fortrand_spmd::{try_run_spmd, ExecError, ExecOptions, Native, RunOutcome};
 use std::collections::BTreeMap;
 
 fn native_opts() -> ExecOptions {
@@ -37,7 +37,7 @@ fn native_opts() -> ExecOptions {
 /// Asserts every shared observable matches between a simulator run and
 /// a native run. Simulated time / flops / ops are excluded: the native
 /// program measures host wall time, not the paper's machine model.
-fn assert_native_matches(sim: &ExecOutput, nat: &ExecOutput, ctx: &str) {
+fn assert_native_matches(sim: &RunOutcome, nat: &RunOutcome, ctx: &str) {
     assert_eq!(
         sim.stats.total_msgs, nat.stats.total_msgs,
         "{ctx}: total_msgs"
@@ -156,9 +156,9 @@ fn fig4_comm_opt_matrix() {
     }
 }
 
-/// FIG15's dynamic decomposition exercises `Remap`/`RemapGlobal`
-/// traffic through the shim's all-to-all repartitioner, both with the
-/// comm optimizer off and on.
+/// Dynamic decomposition: `Remap`/`RemapGlobal` traffic through the
+/// remap routine over the shim's channels, with the comm optimizer off
+/// and on.
 #[test]
 fn fig15_remap_traffic() {
     skip_without_rustc!();
@@ -176,6 +176,22 @@ fn fig15_remap_traffic() {
         Strategy::Interprocedural,
         4,
         DynOptLevel::Kills,
+        CommOpt::Full,
+    );
+    // `remap_global`: global-shaped storage, ownership moved in place.
+    check(
+        FIG15,
+        Strategy::RuntimeResolution,
+        4,
+        DynOptLevel::None,
+        CommOpt::Full,
+    );
+    // A 2-D BLOCK row <-> column remap, twice per time step.
+    check(
+        &adi_source(16, 2, 4),
+        Strategy::Interprocedural,
+        4,
+        DynOptLevel::None,
         CommOpt::Full,
     );
 }
@@ -240,12 +256,12 @@ fn relax_matches_simulator() {
 #[test]
 fn rank_failure_propagates() {
     skip_without_rustc!();
-    use fortrand_ir::dist::{Alignment, ArrayDist, DistKind, Distribution};
+    use fortrand_ir::dist::{array_dist, Alignment, DistKind, Distribution};
     use fortrand_spmd::ir::*;
     let mut interner = fortrand_ir::Interner::new();
     let main = interner.intern("main");
     let a = interner.intern("a");
-    let dist = ArrayDist::new(
+    let dist = array_dist(
         &[8],
         &Alignment::identity(1),
         &[8],
