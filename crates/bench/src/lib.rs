@@ -2,21 +2,22 @@
 //!
 //! Experiment harness: every table and figure of the paper maps to a
 //! function here (see DESIGN.md §5 for the index). The `tables` binary
-//! prints the artifacts; the Criterion benches under `benches/` measure
-//! the compiler and simulator themselves.
+//! prints the artifacts, and [`counters_report`] collects the exact
+//! counters into `BENCH.json`.
 //!
 //! Quantitative experiments report *simulated* machine metrics
 //! (LogGP-model time, message counts, bytes) — the quantities the paper's
-//! iPSC/860 measurements correspond to. See EXPERIMENTS.md for the
-//! paper-vs-measured record.
+//! iPSC/860 measurements correspond to — and dispatch, fusion and
+//! scheduler counts, all deterministic. Host wall clock is measured and
+//! judged in one place, `benchmark/`; nothing here records or compares
+//! it. See EXPERIMENTS.md for the paper-vs-measured record.
 
 use fortrand::corpus::{dgefa_matrix, dgefa_source, fig15_source, fig4_source, relax_source};
 use fortrand::json::Json;
 use fortrand::{CommOpt, CompileOptions, DynOptLevel, Strategy};
 use fortrand_machine::{Machine, RunStats, HIST_LABELS};
-use fortrand_spmd::{try_run_spmd, Bytecode, ExecOptions, Native, RunOutcome, SpmdProgram, Tree};
+use fortrand_spmd::{try_run_spmd, Bytecode, ExecOptions, RunOutcome, SpmdProgram};
 use std::collections::BTreeMap;
-use std::time::Instant;
 
 /// The compile/run call shapes shared with the root integration tests —
 /// one definition for both (`tests/common/mod.rs`).
@@ -304,365 +305,6 @@ pub fn ablation_alpha(alphas_us: &[f64], nprocs: usize) -> Vec<(f64, f64, f64)> 
         .collect()
 }
 
-/// Host wall-clock comparison of the two execution engines on one
-/// program, plus the shared simulated metrics (identical by construction
-/// — [`EngineTiming::identical`] records whether they actually were).
-#[derive(Debug, Clone)]
-pub struct EngineTiming {
-    /// Experiment label.
-    pub label: String,
-    /// Tree-walker wall-clock, min over reps (µs, host time).
-    pub tree_wall_us: u64,
-    /// Bytecode-VM wall-clock, min over reps (µs, host time, includes
-    /// lowering — charged against the VM to keep the comparison honest).
-    pub bytecode_wall_us: u64,
-    /// Simulated LogGP time (identical across engines).
-    pub model_time_us: f64,
-    /// Total simulated messages.
-    pub msgs: u64,
-    /// Total simulated bytes.
-    pub bytes: u64,
-    /// VM instructions dispatched across all ranks.
-    pub bytecode_instrs: u64,
-    /// Pooled message buffers reused (from the bytecode run; varies with
-    /// thread interleaving).
-    pub pool_reuses: u64,
-    /// Pooled message buffers allocated fresh (bytecode run).
-    pub pool_allocs: u64,
-    /// Whether every simulated observable (model time, message totals,
-    /// histograms, per-tag counts, final arrays, printed output) was
-    /// bit-identical between the engines.
-    pub identical: bool,
-}
-
-impl EngineTiming {
-    /// Wall-clock speedup of the bytecode engine over the tree-walker.
-    pub fn speedup(&self) -> f64 {
-        self.tree_wall_us as f64 / self.bytecode_wall_us.max(1) as f64
-    }
-}
-
-/// True iff two runs agree on every *simulated* observable. Host-side
-/// measurements (`wall_us`, pool counters, `engine_instrs`) are excluded:
-/// they are nondeterministic or engine-specific by design.
-pub fn outputs_identical(a: &RunOutcome, b: &RunOutcome) -> bool {
-    a.stats.time_us == b.stats.time_us
-        && a.stats.total_msgs == b.stats.total_msgs
-        && a.stats.total_bytes == b.stats.total_bytes
-        && a.stats.total_flops == b.stats.total_flops
-        && a.stats.total_ops == b.stats.total_ops
-        && a.stats.total_remaps == b.stats.total_remaps
-        && a.stats.msg_hist == b.stats.msg_hist
-        && a.stats.msgs_by_tag == b.stats.msgs_by_tag
-        && a.arrays == b.arrays
-        && a.printed == b.printed
-}
-
-/// Compiles `src` once, then runs it `reps` times under each engine,
-/// timing each run with host wall-clock and keeping the minimum (the
-/// usual benchmarking guard against scheduler noise).
-#[allow(clippy::too_many_arguments)]
-pub fn engine_experiment(
-    label: &str,
-    src: &str,
-    strategy: Strategy,
-    dyn_opt: DynOptLevel,
-    comm_opt: CommOpt,
-    nprocs: usize,
-    init_named: &BTreeMap<&str, Vec<f64>>,
-    reps: usize,
-) -> EngineTiming {
-    let out = compile(
-        src,
-        &CompileOptions::builder()
-            .strategy(strategy)
-            .dyn_opt(dyn_opt)
-            .comm_opt(comm_opt)
-            .nprocs(nprocs)
-            .build(),
-    )
-    .unwrap_or_else(|e| panic!("compile ({strategy:?}): {e}"));
-    let mut init = BTreeMap::new();
-    for (name, data) in init_named {
-        if let Some(s) = out.spmd.interner.get(name) {
-            init.insert(s, data.clone());
-        }
-    }
-    let run = |opts: &ExecOptions| -> (RunOutcome, u64) {
-        let mut best = u64::MAX;
-        let mut result = None;
-        for _ in 0..reps.max(1) {
-            let machine = Machine::new(nprocs);
-            let t0 = Instant::now();
-            let r = run_spmd_opts(&out.spmd, &machine, &init, opts);
-            best = best.min(t0.elapsed().as_micros() as u64);
-            result = Some(r);
-        }
-        (result.unwrap(), best.max(1))
-    };
-    let (tree, tree_wall_us) = run(&ExecOptions::new().backend(Tree));
-    let (vm, bytecode_wall_us) = run(&ExecOptions::new().backend(Bytecode));
-    EngineTiming {
-        label: label.into(),
-        tree_wall_us,
-        bytecode_wall_us,
-        model_time_us: vm.stats.time_us,
-        msgs: vm.stats.total_msgs,
-        bytes: vm.stats.total_bytes,
-        bytecode_instrs: vm.stats.engine_instrs,
-        pool_reuses: vm.stats.pool_reuses,
-        pool_allocs: vm.stats.pool_allocs,
-        identical: outputs_identical(&tree, &vm),
-    }
-}
-
-/// One [`EngineTiming`] as a JSON object (one entry of the
-/// `BENCH_sim.json` artifact; format documented in EXPERIMENTS.md).
-fn timing_json(t: &EngineTiming) -> Json {
-    Json::Obj(vec![
-        ("experiment".into(), Json::str(&t.label)),
-        ("tree_wall_us".into(), Json::Int(t.tree_wall_us as i128)),
-        (
-            "bytecode_wall_us".into(),
-            Json::Int(t.bytecode_wall_us as i128),
-        ),
-        (
-            "speedup_x100".into(),
-            Json::Int((t.speedup() * 100.0) as i128),
-        ),
-        ("speedup".into(), Json::str(format!("{:.2}", t.speedup()))),
-        (
-            "model_time_us".into(),
-            Json::str(format!("{:.3}", t.model_time_us)),
-        ),
-        ("msgs".into(), Json::Int(t.msgs as i128)),
-        ("bytes".into(), Json::Int(t.bytes as i128)),
-        (
-            "bytecode_instrs".into(),
-            Json::Int(t.bytecode_instrs as i128),
-        ),
-        ("pool_reuses".into(), Json::Int(t.pool_reuses as i128)),
-        ("pool_allocs".into(), Json::Int(t.pool_allocs as i128)),
-        ("identical".into(), Json::Bool(t.identical)),
-    ])
-}
-
-/// The experiments behind `BENCH_sim.json`: the dgefa case study at two
-/// scales (the large one both blocking and overlapped, so the engines'
-/// agreement is also checked on posted operations) plus the Fig. 4
-/// delayed-instantiation program (call-heavy, so it stresses frame
-/// push/pop rather than array loops).
-pub fn sim_experiments(reps: usize) -> Vec<EngineTiming> {
-    let mut init = BTreeMap::new();
-    init.insert("a", dgefa_matrix(64));
-    let mut init256 = BTreeMap::new();
-    init256.insert("a", dgefa_matrix(256));
-    vec![
-        engine_experiment(
-            "dgefa n=64 p=4",
-            &dgefa_source(64, 4),
-            Strategy::Interprocedural,
-            DynOptLevel::Kills,
-            CommOpt::Full,
-            4,
-            &init,
-            reps,
-        ),
-        engine_experiment(
-            "dgefa n=256 p=8",
-            &dgefa_source(256, 8),
-            Strategy::Interprocedural,
-            DynOptLevel::Kills,
-            CommOpt::Full,
-            8,
-            &init256,
-            reps,
-        ),
-        engine_experiment(
-            "dgefa n=256 p=8 overlap",
-            &dgefa_source(256, 8),
-            Strategy::Interprocedural,
-            DynOptLevel::Kills,
-            CommOpt::Overlap,
-            8,
-            &init256,
-            reps,
-        ),
-        engine_experiment(
-            "fig4 trips=100 p=4",
-            &fig4_source(100, 4),
-            Strategy::Interprocedural,
-            DynOptLevel::Kills,
-            CommOpt::Full,
-            4,
-            &BTreeMap::new(),
-            reps,
-        ),
-    ]
-}
-
-/// The `BENCH_sim.json` document: wall-clock of both execution engines,
-/// the speedup of the bytecode VM, and the shared simulated metrics.
-pub fn sim_report(reps: usize) -> Json {
-    sim_report_of(&sim_experiments(reps))
-}
-
-/// [`sim_report`] over already-measured timings (so callers that need the
-/// timings for gating don't run the experiments twice).
-pub fn sim_report_of(timings: &[EngineTiming]) -> Json {
-    Json::Obj(vec![
-        ("version".into(), Json::Int(1)),
-        (
-            "experiments".into(),
-            Json::Arr(timings.iter().map(timing_json).collect()),
-        ),
-    ])
-}
-
-/// Host wall-clock comparison of the bytecode VM against the native
-/// codegen backend on one program (the `tables native` report). The VM
-/// wall includes bytecode lowering; the native wall is the child
-/// process's run time only — the `rustc` build is a compile-time cost
-/// and is reported separately.
-#[derive(Debug, Clone)]
-pub struct NativeTiming {
-    /// Experiment label.
-    pub label: String,
-    /// Bytecode-VM wall-clock, min over reps (µs, host time).
-    pub vm_wall_us: u64,
-    /// Native-process run wall-clock, min over reps (µs, host time,
-    /// excludes the `rustc` build).
-    pub native_wall_us: u64,
-    /// Wall-clock of one emit + `rustc` build + run round trip (µs).
-    pub build_wall_us: u64,
-    /// Total messages (identical across backends by construction).
-    pub msgs: u64,
-    /// Total bytes.
-    pub bytes: u64,
-    /// Whether every shared observable (message totals, histogram,
-    /// per-tag counts, final arrays bit for bit, printed output) matched
-    /// between the VM and the native process. Simulated clock, flop and
-    /// op counts are simulator-only and excluded.
-    pub identical: bool,
-}
-
-impl NativeTiming {
-    /// Wall-clock speedup of the native process over the bytecode VM.
-    pub fn speedup(&self) -> f64 {
-        self.vm_wall_us as f64 / self.native_wall_us.max(1) as f64
-    }
-}
-
-/// True iff a simulator run and a native run agree on every observable
-/// the two worlds share (traffic, arrays, printed output — not the
-/// simulated clock, which the native process does not model).
-pub fn native_outputs_identical(sim: &RunOutcome, nat: &RunOutcome) -> bool {
-    sim.stats.total_msgs == nat.stats.total_msgs
-        && sim.stats.total_bytes == nat.stats.total_bytes
-        && sim.stats.total_remaps == nat.stats.total_remaps
-        && sim.stats.msg_hist == nat.stats.msg_hist
-        && sim.stats.msgs_by_tag == nat.stats.msgs_by_tag
-        && sim.arrays.len() == nat.arrays.len()
-        && sim.arrays.iter().all(|(name, sv)| {
-            nat.arrays.get(name).is_some_and(|nv| {
-                sv.len() == nv.len() && sv.iter().zip(nv).all(|(x, y)| x.to_bits() == y.to_bits())
-            })
-        })
-        && sim.printed == nat.printed
-}
-
-/// Compiles `src` once, then runs it `reps` times under the bytecode VM
-/// (timed externally, minimum kept) and `reps` times as a native
-/// process (run time from the backend's own wall clock, which excludes
-/// the `rustc` build; minimum kept).
-pub fn native_experiment(
-    label: &str,
-    src: &str,
-    nprocs: usize,
-    init_named: &BTreeMap<&str, Vec<f64>>,
-    reps: usize,
-) -> NativeTiming {
-    let out = compile(
-        src,
-        &CompileOptions::builder()
-            .strategy(Strategy::Interprocedural)
-            .dyn_opt(DynOptLevel::Kills)
-            .comm_opt(CommOpt::Full)
-            .nprocs(nprocs)
-            .build(),
-    )
-    .unwrap_or_else(|e| panic!("compile: {e}"));
-    let mut init = BTreeMap::new();
-    for (name, data) in init_named {
-        if let Some(s) = out.spmd.interner.get(name) {
-            init.insert(s, data.clone());
-        }
-    }
-    let mut vm_wall_us = u64::MAX;
-    let mut vm = None;
-    for _ in 0..reps.max(1) {
-        let machine = Machine::new(nprocs);
-        let t0 = Instant::now();
-        let r = run_spmd_opts(
-            &out.spmd,
-            &machine,
-            &init,
-            &ExecOptions::new().backend(Bytecode),
-        );
-        vm_wall_us = vm_wall_us.min(t0.elapsed().as_micros() as u64);
-        vm = Some(r);
-    }
-    let native_opts = ExecOptions::new().backend(Native {
-        opt_level: 2,
-        keep_artifacts: false,
-    });
-    let mut native_wall_us = u64::MAX;
-    let mut build_wall_us = u64::MAX;
-    let mut nat = None;
-    for _ in 0..reps.max(1) {
-        let machine = Machine::new(nprocs);
-        let t0 = Instant::now();
-        let r = run_spmd_opts(&out.spmd, &machine, &init, &native_opts);
-        build_wall_us = build_wall_us.min(t0.elapsed().as_micros() as u64);
-        native_wall_us = native_wall_us.min(r.stats.wall_us as u64);
-        nat = Some(r);
-    }
-    let (vm, nat) = (vm.unwrap(), nat.unwrap());
-    NativeTiming {
-        label: label.into(),
-        vm_wall_us: vm_wall_us.max(1),
-        native_wall_us: native_wall_us.max(1),
-        build_wall_us: build_wall_us.max(1),
-        msgs: nat.stats.total_msgs,
-        bytes: nat.stats.total_bytes,
-        identical: native_outputs_identical(&vm, &nat),
-    }
-}
-
-/// The `BENCH_native.json` document: dgefa n=256 p=8 under the bytecode
-/// VM and as a compiled native process.
-pub fn native_report(t: &NativeTiming) -> Json {
-    Json::Obj(vec![
-        ("version".into(), Json::Int(1)),
-        ("experiment".into(), Json::str(&t.label)),
-        ("vm_wall_us".into(), Json::Int(t.vm_wall_us as i128)),
-        ("native_wall_us".into(), Json::Int(t.native_wall_us as i128)),
-        ("build_wall_us".into(), Json::Int(t.build_wall_us as i128)),
-        (
-            "speedup_x100".into(),
-            Json::Int((t.speedup() * 100.0) as i128),
-        ),
-        ("speedup".into(), Json::str(format!("{:.2}", t.speedup()))),
-        ("msgs".into(), Json::Int(t.msgs as i128)),
-        ("bytes".into(), Json::Int(t.bytes as i128)),
-        ("arrays_match".into(), Json::Bool(t.identical)),
-        (
-            "rustc".into(),
-            Json::str(fortrand_spmd::codegen::rustc_version().unwrap_or_default()),
-        ),
-    ])
-}
-
 /// Opcode-mix profile of one bytecode run (the `tables vmprof` report):
 /// dynamic dispatch counts per opcode plus the dispatches that fused
 /// kernels retired without entering the dispatch loop.
@@ -729,10 +371,9 @@ pub fn vmprof_dgefa(n: i64, p: usize) -> VmProfile {
     }
 }
 
-/// The `BENCH_vmprof.json` document for one profile.
+/// The `vmprof` entry of `BENCH.json` for one profile.
 pub fn vmprof_report(p: &VmProfile) -> Json {
     Json::Obj(vec![
-        ("version".into(), Json::Int(1)),
         ("experiment".into(), Json::str(&p.label)),
         ("engine_instrs".into(), Json::Int(p.engine_instrs as i128)),
         ("fused_instrs".into(), Json::Int(p.fused_instrs as i128)),
@@ -753,7 +394,7 @@ pub fn vmprof_report(p: &VmProfile) -> Json {
 }
 
 /// Communication metrics for one simulated run as a JSON object (one
-/// entry of the `BENCH_comm.json` artifact; format documented in
+/// `experiments` entry of `BENCH.json`; format documented in
 /// EXPERIMENTS.md).
 fn stats_json(experiment: &str, level: CommOpt, s: &RunStats) -> Json {
     let hist = Json::Obj(
@@ -799,35 +440,10 @@ fn stats_json(experiment: &str, level: CommOpt, s: &RunStats) -> Json {
     ])
 }
 
-/// Runs dgefa at `Full` and `Overlap` and returns both stat sets — the
-/// input of the overlap-ratio entry in `BENCH_comm.json` and of the CI
-/// `sec9-gate` improvement check.
-pub fn overlap_comparison(n: i64, p: usize) -> (RunStats, RunStats) {
-    let src = dgefa_source(n, p);
-    let mut init = BTreeMap::new();
-    init.insert("a", dgefa_matrix(n));
-    let run = |level| {
-        simulate_comm(
-            &src,
-            Strategy::Interprocedural,
-            DynOptLevel::Kills,
-            p,
-            &init,
-            level,
-        )
-    };
-    (run(CommOpt::Full), run(CommOpt::Overlap))
-}
-
-/// Percentage of `Full`'s modeled time that `Overlap` shaves off.
-pub fn overlap_improve_pct(full: &RunStats, ov: &RunStats) -> f64 {
-    100.0 * (full.time_us - ov.time_us) / full.time_us
-}
-
-/// The overlap-ratio entry of `BENCH_comm.json` (integer fields are
-/// fixed-point ×100 like the sim report's `speedup_x100`).
+/// The `overlap` entry of `BENCH.json`: what `Overlap` shaves off
+/// `Full`'s modelled time (integer fields are fixed-point ×100).
 fn overlap_json(experiment: &str, full: &RunStats, ov: &RunStats) -> Json {
-    let pct = overlap_improve_pct(full, ov);
+    let pct = 100.0 * (full.time_us - ov.time_us) / full.time_us;
     Json::Obj(vec![
         ("experiment".into(), Json::str(experiment)),
         (
@@ -847,56 +463,63 @@ fn overlap_json(experiment: &str, full: &RunStats, ov: &RunStats) -> Json {
     ])
 }
 
-/// The `BENCH_comm.json` document: message counts, volumes and model
-/// times for the communication-optimizer experiments — dgefa at each
-/// processor count and the Fig. 4 delayed-instantiation program, each at
-/// every [`CommOpt`] level — plus the `Overlap`-vs-`Full` modeled-time
-/// ratio at the benchmark scale (dgefa n=256 p=8), the figure CI's
-/// `sec9-gate` enforces.
-pub fn comm_report(n: i64, procs: &[usize]) -> Json {
+/// The `BENCH.json` document — every exact counter this harness reports,
+/// and no host time: message counts, volumes and model times of dgefa
+/// n=64 at p = 1, 2, 4, 8 and the Fig. 4 delayed-instantiation program at
+/// every [`CommOpt`] level; the `Overlap`-vs-`Full` modelled-time ratio
+/// at the benchmark scale (dgefa n=256 p=8); the VM's opcode mix on dgefa
+/// n=64 p=4; and the weak-scaling curves up to the sizes that run in
+/// under a second. `tests/bench_json.rs` holds the committed copy to it
+/// byte for byte.
+pub fn counters_report() -> Json {
     const LEVELS: [CommOpt; 4] = [
         CommOpt::Off,
         CommOpt::Coalesce,
         CommOpt::Full,
         CommOpt::Overlap,
     ];
+    let run = |src: &str, p: usize, init: &BTreeMap<&str, Vec<f64>>, level: CommOpt| {
+        let (strategy, dyn_opt) = (Strategy::Interprocedural, DynOptLevel::Kills);
+        simulate_comm(src, strategy, dyn_opt, p, init, level)
+    };
+    let dgefa = |n: i64, p: usize, level: CommOpt| {
+        let init = BTreeMap::from([("a", dgefa_matrix(n))]);
+        run(&dgefa_source(n, p), p, &init, level)
+    };
     let mut experiments = Vec::new();
-    for &p in procs {
-        let src = dgefa_source(n, p);
-        let mut init = BTreeMap::new();
-        init.insert("a", dgefa_matrix(n));
+    for p in [1, 2, 4, 8] {
         for level in LEVELS {
-            let s = simulate_comm(
-                &src,
-                Strategy::Interprocedural,
-                DynOptLevel::Kills,
-                p,
-                &init,
-                level,
-            );
-            experiments.push(stats_json(&format!("dgefa n={n} p={p}"), level, &s));
+            let s = dgefa(64, p, level);
+            experiments.push(stats_json(&format!("dgefa n=64 p={p}"), level, &s));
         }
     }
-    let src = fig4_source(100, 4);
+    let fig4 = fig4_source(100, 4);
     for level in LEVELS {
-        let s = simulate_comm(
-            &src,
-            Strategy::Interprocedural,
-            DynOptLevel::Kills,
-            4,
-            &BTreeMap::new(),
-            level,
-        );
+        let s = run(&fig4, 4, &BTreeMap::new(), level);
         experiments.push(stats_json("fig4 trips=100 p=4", level, &s));
     }
-    let (full, ov) = overlap_comparison(256, 8);
+    let overlap = overlap_json(
+        "dgefa n=256 p=8",
+        &dgefa(256, 8, CommOpt::Full),
+        &dgefa(256, 8, CommOpt::Overlap),
+    );
+    let mut scale = Vec::new();
+    scale.extend(
+        weakscale_dgefa(&SCALE_DGEFA_PROCS[..2])
+            .iter()
+            .map(|pt| scale_json("dgefa n=p cyclic", pt)),
+    );
+    scale.extend(
+        weakscale_relax(&SCALE_RELAX_PROCS)
+            .iter()
+            .map(|pt| scale_json("relax n=16p block", pt)),
+    );
     Json::Obj(vec![
         ("version".into(), Json::Int(2)),
         ("experiments".into(), Json::Arr(experiments)),
-        (
-            "overlap".into(),
-            Json::Arr(vec![overlap_json("dgefa n=256 p=8", &full, &ov)]),
-        ),
+        ("overlap".into(), Json::Arr(vec![overlap])),
+        ("vmprof".into(), vmprof_report(&vmprof_dgefa(64, 4))),
+        ("scale".into(), Json::Arr(scale)),
     ])
 }
 
@@ -917,8 +540,9 @@ pub struct ScalePoint {
     pub sched_switches: u64,
     /// Peak undelivered messages across all mailboxes.
     pub sched_queue_peak: u64,
-    /// Host wall-clock of the simulated run (ms; compile excluded). The
-    /// only nondeterministic field — it is what the scale gate budgets.
+    /// Host wall-clock of the simulated run (ms; compile excluded): one
+    /// unrepeated sample, printed by `tables weakscale` and recorded
+    /// nowhere.
     pub wall_ms: u64,
 }
 
@@ -964,7 +588,8 @@ fn scale_point(
 
 /// Default processor counts for the dgefa weak-scaling curve. dgefa at
 /// n=p keeps one cyclic column per rank, so total simulated work grows
-/// as p³ — the curve stops at 1024 to stay inside CI budgets.
+/// as p³ — the curve stops at 1024 (seconds of host time); `BENCH.json`
+/// keeps the first two points.
 pub const SCALE_DGEFA_PROCS: [usize; 4] = [128, 256, 512, 1024];
 
 /// Default processor counts for the stencil weak-scaling curve
@@ -999,8 +624,8 @@ pub fn weakscale_relax(procs: &[usize]) -> Vec<ScalePoint> {
         .collect()
 }
 
-/// One [`ScalePoint`] as a JSON object (one entry of the
-/// `BENCH_scale.json` artifact; format documented in EXPERIMENTS.md).
+/// The exact columns of one [`ScalePoint`] as a JSON object (one `scale`
+/// entry of `BENCH.json`; format documented in EXPERIMENTS.md).
 fn scale_json(experiment: &str, pt: &ScalePoint) -> Json {
     Json::Obj(vec![
         ("experiment".into(), Json::str(experiment)),
@@ -1020,20 +645,6 @@ fn scale_json(experiment: &str, pt: &ScalePoint) -> Json {
             "sched_queue_peak".into(),
             Json::Int(pt.sched_queue_peak as i128),
         ),
-        ("wall_ms".into(), Json::Int(pt.wall_ms as i128)),
-    ])
-}
-
-/// The `BENCH_scale.json` document: both weak-scaling curves under the
-/// event-driven machine.
-pub fn scale_report(dgefa: &[ScalePoint], relax: &[ScalePoint]) -> Json {
-    let mut experiments = Vec::new();
-    experiments.extend(dgefa.iter().map(|pt| scale_json("dgefa n=p cyclic", pt)));
-    experiments.extend(relax.iter().map(|pt| scale_json("relax n=16p block", pt)));
-    Json::Obj(vec![
-        ("version".into(), Json::Int(1)),
-        ("machine".into(), Json::str("event")),
-        ("experiments".into(), Json::Arr(experiments)),
     ])
 }
 

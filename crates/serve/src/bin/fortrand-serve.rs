@@ -9,7 +9,7 @@
 //! With no subcommand, binds the address (default `127.0.0.1:7377`) and
 //! serves the line-delimited JSON protocol until killed. The `load`
 //! subcommand runs the in-process load generator and prints the report
-//! as JSON on stdout (the same payload `tables serve` gates on).
+//! as JSON on stdout (the same report `tables serve` prints as text).
 
 use fortrand_serve::{run_load, LoadConfig, Server, ServerConfig};
 

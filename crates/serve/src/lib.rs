@@ -26,7 +26,7 @@
 //! session, and every other session stay live.
 //!
 //! The [`loadgen`] module is the load-generator harness behind
-//! `tables serve` / `tables serve-gate` and `BENCH_serve.json`.
+//! `tables serve` and `fortrand-serve load`.
 
 pub mod loadgen;
 pub mod protocol;

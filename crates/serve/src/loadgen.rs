@@ -16,7 +16,7 @@
 //!    a *fresh* server (the single-client sequential reference).
 //!
 //! All report numbers are integers (µs, or ratios ×100) so they ride the
-//! float-free JSON layer into `BENCH_serve.json` and the CI serve gate.
+//! float-free JSON layer (`fortrand-serve load` prints them as JSON).
 
 use crate::server::{Server, ServerConfig};
 use fortrand::corpus::wide_corpus;
@@ -77,7 +77,7 @@ pub struct LoadReport {
     /// both phases do the same work).
     pub compiles: u64,
     /// Requests that returned `{"ok":false}` or failed at the IO layer
-    /// in the multi phase. The gate requires zero.
+    /// in the multi phase. `tables serve` exits nonzero unless it is zero.
     pub failures: u64,
     /// Multi-phase wall time.
     pub wall_us: u64,
@@ -100,7 +100,7 @@ pub struct LoadReport {
 }
 
 impl LoadReport {
-    /// The report as a JSON object (the `BENCH_serve.json` payload).
+    /// The report as a JSON object (what `fortrand-serve load` prints).
     pub fn to_json(&self) -> Json {
         Json::Obj(vec![
             ("clients".into(), Json::Int(self.clients as i128)),

@@ -13,7 +13,7 @@
 mod common;
 
 use common::compile;
-use fortrand::corpus::{dgefa_matrix, dgefa_source};
+use fortrand::corpus::{dgefa_matrix, dgefa_source, fig4_source};
 use fortrand::{CommOpt, CompileOptions, DynOptLevel, Strategy};
 use fortrand_analysis::fixtures::{FIG1, FIG15, FIG4};
 use fortrand_machine::Machine;
@@ -142,6 +142,15 @@ fn fig1_and_fig4_every_strategy() {
             check(src, strategy, 4, DynOptLevel::Kills, CommOpt::Full);
         }
     }
+    // The delayed-instantiation experiment's program: 100 trips around
+    // the call, so frame push/pop rather than array loops.
+    check(
+        &fig4_source(100, 4),
+        Strategy::Interprocedural,
+        4,
+        DynOptLevel::Kills,
+        CommOpt::Full,
+    );
 }
 
 #[test]
@@ -207,7 +216,9 @@ fn every_comm_opt_level() {
 }
 
 /// dgefa's pivoting broadcasts (`BcastPack`) and triangular loop nests
-/// on a real matrix, under every strategy.
+/// on a real matrix, under every strategy — and, in release builds, at
+/// the benchmark scale (n=256 p=8) both blocking and overlapped, so the
+/// engines' agreement is also checked on posted operations.
 #[test]
 fn dgefa_every_strategy() {
     for strategy in STRATEGIES {
@@ -219,6 +230,51 @@ fn dgefa_every_strategy() {
         let named = vec![("a".to_string(), dgefa_matrix(32))];
         engines_agree(&dgefa_source(32, 4), &opts, &named, &ctx);
     }
+    if cfg!(debug_assertions) {
+        eprintln!("skipping dgefa n=256 p=8 in debug build");
+        return;
+    }
+    for comm_opt in [CommOpt::Full, CommOpt::Overlap] {
+        let ctx = format!("dgefa n=256 p=8 {comm_opt:?}");
+        let opts = CompileOptions::builder()
+            .nprocs(8)
+            .comm_opt(comm_opt)
+            .build();
+        let named = vec![("a".to_string(), dgefa_matrix(256))];
+        engines_agree(&dgefa_source(256, 8), &opts, &named, &ctx);
+    }
+}
+
+/// The VM's profile on the case study (dgefa n=64 p=4): the opcode mix
+/// counts every dispatch exactly once, and superinstruction fusion
+/// retires at least 70 % of what would otherwise be dispatched — a
+/// fusion pattern that stops firing on dgefa shows up here.
+#[test]
+fn dgefa_opcode_mix_sums_and_fusion_covers() {
+    let out = compile(
+        &dgefa_source(64, 4),
+        &CompileOptions::builder().nprocs(4).build(),
+    )
+    .unwrap();
+    let init = BTreeMap::from([(out.spmd.interner.get("a").unwrap(), dgefa_matrix(64))]);
+    let s = try_run_spmd(
+        &out.spmd,
+        &Machine::new(4),
+        &init,
+        &ExecOptions::new().backend(Bytecode),
+    )
+    .unwrap_or_else(|f| panic!("{f}"))
+    .stats;
+    let mix: u64 = s.instr_mix.iter().map(|(_, n)| n).sum();
+    assert_eq!(mix, s.engine_instrs, "opcode mix sums to engine_instrs");
+    let coverage = s.fused_instrs as f64 / (s.engine_instrs + s.fused_instrs) as f64;
+    assert!(
+        coverage >= 0.70,
+        "fusion coverage {:.1}% below 70% ({} fused, {} dispatched)",
+        100.0 * coverage,
+        s.fused_instrs,
+        s.engine_instrs
+    );
 }
 
 /// A rank that fails on its own is the run's failure, ahead of the ranks

@@ -533,8 +533,10 @@ fn thread_probe() {
 }
 
 /// 8 192 ranks — a shape that needed 8 192 threads and 16 GiB of stack
-/// reservations while every rank rode a carrier thread — with the flat
-/// per-rank message count the `tables scale` gate checks at p ≤ 4 096.
+/// reservations while every rank rode a carrier thread. Weak scaling
+/// keeps the stencil's per-rank traffic flat: every point communicates
+/// (`run_relax_vm` holds the count to 4·(p−1)), and a rank at p = 8 192
+/// sends no more than twice what one at p = 128 does.
 #[test]
 fn event_machine_runs_relax_at_p8192() {
     let p = 8192;
@@ -542,6 +544,15 @@ fn event_machine_runs_relax_at_p8192() {
     assert_eq!(stats.per_node.len(), p);
     assert!(stats.per_node.iter().all(|n| n.msgs_sent <= 4));
     assert!(stats.sched_switches >= p as u64);
+    let small = run_relax_vm(16 * 128, 128);
+    assert!(small.total_msgs > 0 && stats.total_msgs > 0);
+    let per_rank = |s: &RunStats| s.total_msgs as f64 / s.per_node.len() as f64;
+    assert!(
+        per_rank(&stats) <= 2.0 * per_rank(&small),
+        "per-rank messages grew {:.2} -> {:.2} from p=128 to p={p}",
+        per_rank(&small),
+        per_rank(&stats)
+    );
 }
 
 /// The scheduler's observables, pinned: dispatch and queue counters, the
