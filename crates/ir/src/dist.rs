@@ -151,7 +151,15 @@ pub fn array_dist(
 /// triplet: exact except for multi-processor `BLOCK_CYCLIC`, whose owned
 /// set is not one triplet and is over-approximated by the whole extent.
 pub fn owned_triplet(dim: &DimPartition, q: usize) -> Triplet {
-    let (lo, hi, step) = dim.owned_range(q).unwrap_or((1, dim.extent, 1));
+    let q = q as i64;
+    let (lo, hi, step) = match dim.kind {
+        DistKind::Block => {
+            let b = dim.block_size();
+            (q * b + 1, (q * b + b).min(dim.extent), 1)
+        }
+        DistKind::Cyclic => (q + 1, dim.extent, dim.nprocs as i64),
+        DistKind::Serial | DistKind::BlockCyclic(_) => (1, dim.extent, 1),
+    };
     Triplet {
         lo: Affine::konst(lo),
         hi: Affine::konst(hi),
@@ -307,10 +315,11 @@ mod tests {
         assert_eq!(ad.owner_of(&[1]), 1);
         // Owned RSD of proc 1 expressed in X's indices: D[11:20] -> X[1:10].
         assert_eq!(owned_rsd(&ad, 1), Rsd::new(vec![Triplet::lit(1, 10)]));
-        // The numeric form clamps to the array: proc 0 owns D[1:10], none
-        // of X; proc 10 owns D[101:110] -> X[91:100].
-        assert_eq!(ad.owned_ranges(0), Some(vec![(1, 0, 1)]));
-        assert_eq!(ad.owned_ranges(10), Some(vec![(91, 100, 1)]));
+        // The run-time lists clamp to the array: proc 0 owns D[1:10], none
+        // of X; proc 10 owns D[101:110] -> X[91:100], stored at 1:10.
+        assert_eq!(ad.owned_along(0, &[0]).count(), 0);
+        let last: Vec<(i64, i64)> = ad.owned_along(0, &[10]).collect();
+        assert_eq!(last, (1..=10).map(|l| (90 + l, l)).collect::<Vec<_>>());
     }
 
     #[test]

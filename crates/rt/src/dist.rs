@@ -191,13 +191,7 @@ impl DimPartition {
                 let b = self.block_size();
                 (self.extent - q * b).clamp(0, b)
             }
-            DistKind::Cyclic => {
-                if q < self.extent % p || self.extent % p == 0 && q < p.min(self.extent) {
-                    (self.extent + p - 1 - q) / p
-                } else {
-                    (self.extent - q + p - 1) / p
-                }
-            }
+            DistKind::Cyclic => (self.extent + p - 1 - q) / p,
             DistKind::BlockCyclic(k) => {
                 // Count l with global_of_local(q,l) ≤ extent.
                 let full_cycles = self.extent / (k * p);
@@ -216,20 +210,11 @@ impl DimPartition {
             .unwrap_or(0)
     }
 
-    /// The set of *global* indices owned by coordinate `q` as
-    /// `(lo, hi, step)` (empty when `hi < lo`); `None` when the set is not
-    /// one such lattice (multi-processor `BLOCK_CYCLIC`).
-    pub fn owned_range(&self, q: usize) -> Option<(i64, i64, i64)> {
-        let q = q as i64;
-        match self.kind {
-            DistKind::Serial => Some((1, self.extent, 1)),
-            DistKind::Block => {
-                let b = self.block_size();
-                Some((q * b + 1, (q * b + b).min(self.extent), 1))
-            }
-            DistKind::Cyclic => Some((q + 1, self.extent, (self.nprocs as i64).max(1))),
-            DistKind::BlockCyclic(_) => (self.nprocs == 1).then_some((1, self.extent, 1)),
-        }
+    /// The global indices coordinate `q` owns, ascending: the `l`-th is
+    /// the one stored at local index `l`. O(owned) for every kind, so no
+    /// walk has to test ownership point by point.
+    pub fn owned(&self, q: usize) -> impl Iterator<Item = i64> + '_ {
+        (1..=self.local_count(q)).map(move |l| self.global_of_local(q, l))
     }
 }
 
@@ -279,8 +264,8 @@ impl ArrayDist {
 
     /// Owning processor (linear rank) of the element at `point` (1-based
     /// global indices). Grid coordinates live on the stack (Fortran arrays
-    /// have at most 7 dimensions): this runs per point in every ownership
-    /// walk and per reference under run-time resolution.
+    /// have at most 7 dimensions): this runs per reference under run-time
+    /// resolution.
     #[inline]
     pub fn owner_of(&self, point: &[i64]) -> usize {
         let naxes = self.grid.shape.len();
@@ -352,29 +337,40 @@ impl ArrayDist {
             .collect()
     }
 
-    /// The global points whose owner has `rank`'s coordinate on every grid
-    /// axis the array is mapped to, as one `(lo, hi, step)` per dimension
-    /// in array index space (alignment offsets undone, clamped to the
-    /// array on the step lattice). `None` when some dimension's owned set
-    /// is not one lattice (see [`DimPartition::owned_range`]).
-    pub fn owned_ranges(&self, rank: usize) -> Option<Vec<(i64, i64, i64)>> {
+    /// Grid coordinates of `rank` if it owns any of the array: a rank
+    /// beyond the grid, or off coordinate 0 of a grid axis no dimension is
+    /// mapped to, owns nothing (so an all-serial array has rank 0 as its
+    /// one owner).
+    pub fn owner_coords(&self, rank: usize) -> Option<Vec<usize>> {
         let coords = self.grid.coords_of(rank);
-        self.dims
-            .iter()
-            .enumerate()
-            .map(|(d, dp)| {
-                let off = self.offsets[d];
-                let Some(axis) = self.grid_axis[d] else {
-                    return Some((1, dp.extent - off, 1));
-                };
-                let (lo, hi, step) = dp.owned_range(coords[axis])?;
-                let mut lo = lo - off;
-                if lo < 1 {
-                    lo += (1 - lo + step - 1) / step * step;
-                }
-                Some((lo, hi - off, step))
-            })
-            .collect()
+        let mapped = |axis| self.grid_axis.contains(&Some(axis));
+        let on_mapped = coords.iter().enumerate().all(|(a, &c)| c == 0 || mapped(a));
+        (rank < self.nprocs() && on_mapped).then_some(coords)
+    }
+
+    /// Owner coordinate of array index `x` along dimension `dim`, on the
+    /// grid axis the dimension is mapped to (0 on a serial dimension).
+    #[inline]
+    pub fn owner_along(&self, dim: usize, x: i64) -> usize {
+        match self.grid_axis[dim] {
+            Some(_) => self.dims[dim].owner(x + self.offsets[dim]),
+            None => 0,
+        }
+    }
+
+    /// The array indices along dimension `dim` that a rank at grid
+    /// coordinates `coords` stores, ascending, each with its local index:
+    /// the decomposition indices its coordinate owns with the alignment
+    /// offset undone, clamped to the array; a serial dimension whole.
+    pub fn owned_along<'a>(
+        &'a self,
+        dim: usize,
+        coords: &[usize],
+    ) -> impl Iterator<Item = (i64, i64)> + 'a {
+        let q = self.grid_axis[dim].map_or(0, |axis| coords[axis]);
+        let xs = self.dims[dim].owned(q).map(move |g| g - self.offsets[dim]);
+        xs.filter(|&x| x >= 1)
+            .map(move |x| (x, self.local_idx(dim, x)))
     }
 
     /// Total processors.
@@ -434,6 +430,34 @@ mod tests {
         }
     }
 
+    /// `local_count` is exact for every kind, down to empty extents and
+    /// coordinates that own nothing: the owned-index lists are generated
+    /// from it.
+    #[test]
+    fn local_count_matches_brute_force() {
+        let kinds = [
+            DistKind::Block,
+            DistKind::Cyclic,
+            DistKind::BlockCyclic(1),
+            DistKind::BlockCyclic(3),
+        ];
+        for kind in kinds {
+            for extent in 0..=40 {
+                for nprocs in 1..=7 {
+                    let d = DimPartition {
+                        kind,
+                        extent,
+                        nprocs,
+                    };
+                    for q in 0..nprocs {
+                        let brute = (1..=extent).filter(|&g| d.owner(g) == q).count() as i64;
+                        assert_eq!(d.local_count(q), brute, "{kind:?} {extent} {nprocs} {q}");
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn serial_is_identity() {
         let d = DimPartition {
@@ -483,6 +507,27 @@ mod proptests {
     }
 
     proptest! {
+        /// The owned-index list of a coordinate is its part of the
+        /// partition, in storage order.
+        #[test]
+        fn owned_lists_are_the_partition(
+            kind in prop_oneof![kind_strategy(), Just(DistKind::Serial)],
+            extent in 0i64..200, p in 1usize..9,
+        ) {
+            let p = if kind.is_distributed() { p } else { 1 };
+            let d = DimPartition { kind, extent, nprocs: p };
+            for q in 0..p {
+                let owned: Vec<i64> = d.owned(q).collect();
+                prop_assert_eq!(owned.len() as i64, d.local_count(q));
+                prop_assert!(owned.windows(2).all(|w| w[0] < w[1]));
+                for (l, &g) in (1i64..).zip(&owned) {
+                    prop_assert!(g >= 1 && g <= extent);
+                    prop_assert_eq!(d.owner(g), q);
+                    prop_assert_eq!(d.local_of_global(g), l);
+                }
+            }
+        }
+
         /// Every global index has exactly one owner/local pair and the
         /// mapping round-trips, for every distribution kind.
         #[test]

@@ -8,11 +8,11 @@
 //!   [`apply_intr`]);
 //! * the distribution arithmetic ([`dist`]: who owns a global point, where
 //!   it sits in the owner's local storage);
-//! * the row-major index space and section odometer ([`RowMajor`],
-//!   [`rect_for_each`]);
+//! * the section odometer ([`rect_for_each`]);
 //! * the ownership walks — initial scatter, final assembly and the dynamic
-//!   remap ([`scatter_init`], [`assemble`], [`Remap`]) — over a
-//!   [`LocalStore`] accessor and a `send` callback;
+//!   remap ([`scatter_init`], [`assemble`], [`Remap`]) — nested loops over
+//!   per-dimension ownership lists, between [`LocalStore`] buffers and a
+//!   `send` callback;
 //! * the message accounting every back end must agree on
 //!   ([`size_bucket`], the reserved tags).
 //!
@@ -31,13 +31,11 @@ mod value;
 mod walk;
 
 pub use dist::{ArrayDist, DimPartition, DistKind, ProcGrid};
-pub use space::{in_bounds, rect_for_each, rect_len, RowMajor};
+pub use space::{rect_for_each, rect_len};
 pub use value::{
     apply_bin, apply_intr, fmax, fmin, fsign, ipow, neg, scalar_from_wire, SBinOp, SIntr, Value,
 };
-pub use walk::{
-    assemble, pack, remap_incoming, remap_outgoing, scatter_init, unpack, LocalStore, Remap,
-};
+pub use walk::{assemble, pack, scatter_init, unpack, LocalStore, Remap};
 
 /// Accounting tag under which plain broadcasts are recorded in the
 /// per-tag message statistics. High bits keep it clear of

@@ -1,20 +1,35 @@
 //! The ownership walks: initial scatter, final assembly and the dynamic
-//! remap of §6, written once over a [`LocalStore`] accessor and a `send`
-//! callback. Every walk enumerates global points in row-major order, so a
-//! message's payload order is the same on the sending and the receiving
-//! rank and on every back end.
+//! remap of §6, written once over a [`LocalStore`] and a `send` callback.
+//!
+//! Ownership is decided one dimension at a time, so the points a rank
+//! stores — and the points one rank holds before a remap and another
+//! after it — are a cartesian product of per-dimension index lists
+//! ([`ArrayDist::owned_along`]: ascending, O(owned), every `DistKind`).
+//! Each list entry carries its offset term in the two buffers a walk runs
+//! between, so a walk is nested loops over short lists and touches only
+//! what it moves. The product is visited first dimension outermost, which
+//! is ascending row-major order of the global points: a message's payload
+//! order is the same on the sending and the receiving rank and on every
+//! back end.
 
 use crate::dist::ArrayDist;
-use crate::space::{in_bounds, rect_for_each, rect_len, RowMajor};
+use crate::space::{rect_for_each, rect_len};
 use crate::REMAP_TAG_BASE;
 
 /// One rank's storage of one array as the library routines see it: a box
-/// of per-dimension bounds and an element accessor. The layout behind
-/// `get`/`set` is the back end's own (row-major in the simulator,
-/// column-major in native node programs).
+/// of per-dimension bounds over one dense buffer, in the back end's own
+/// order (row-major in the simulator, column-major in native node
+/// programs).
 pub trait LocalStore {
+    /// Whether `data` runs first subscript fastest (Fortran order) rather
+    /// than last subscript fastest.
+    const COLUMN_MAJOR: bool;
     /// Per-dimension `(lo, hi)` subscript bounds.
     fn bounds(&self) -> &[(i64, i64)];
+    /// The elements of the box, densely, in the store's order.
+    fn data(&self) -> &[f64];
+    /// The elements of the box, writable.
+    fn data_mut(&mut self) -> &mut [f64];
     /// Reads the element at in-bounds subscripts.
     fn get(&self, subs: &[i64]) -> f64;
     /// Writes the element at in-bounds subscripts.
@@ -35,47 +50,110 @@ pub fn unpack<S: LocalStore>(store: &mut S, dims: &[(i64, i64, i64)], data: &[f6
     });
 }
 
-/// Visits every point of `shape` that `my` owns under `dist`, in row-major
-/// order, with its flat index.
-fn for_each_owned(dist: &ArrayDist, shape: &RowMajor, my: usize, mut f: impl FnMut(&[i64], usize)) {
-    let full: Vec<(i64, i64, i64)> = shape.extents.iter().map(|&e| (1, e, 1)).collect();
-    let mut flat = 0usize;
-    rect_for_each(&full, |pt| {
-        if dist.owner_of(pt) == my {
-            f(pt, flat);
+/// Where a box of subscripts sits in a dense buffer: a point's offset is
+/// the sum of one term per dimension.
+struct Layout {
+    /// Per dimension, the subscript bounds `lo`, `hi` and the stride.
+    dims: Vec<(i64, i64, usize)>,
+    len: usize,
+}
+
+impl Layout {
+    fn new(bounds: impl Iterator<Item = (i64, i64)>, column_major: bool) -> Layout {
+        let mut dims: Vec<_> = bounds.map(|(lo, hi)| (lo, hi, 0)).collect();
+        let (n, mut len) = (dims.len(), 1);
+        for i in 0..n {
+            // Strides grow from the fastest-varying dimension.
+            let d = if column_major { i } else { n - 1 - i };
+            dims[d].2 = len;
+            len *= (dims[d].1 - dims[d].0 + 1).max(0) as usize;
         }
-        flat += 1;
-    });
+        Layout { dims, len }
+    }
+
+    fn of<S: LocalStore>(store: &S) -> Layout {
+        Layout::new(store.bounds().iter().copied(), S::COLUMN_MAJOR)
+    }
+
+    /// The row-major global buffer of an array distributed as `dist`.
+    fn global(dist: &ArrayDist) -> Layout {
+        let extents = dist
+            .dims
+            .iter()
+            .zip(&dist.offsets)
+            .map(|(dp, off)| dp.extent - off);
+        Layout::new(extents.map(|e| (1, e)), false)
+    }
+
+    /// Offset term of subscript `x` along dimension `d`; `None` outside
+    /// the box.
+    fn term(&self, d: usize, x: i64) -> Option<usize> {
+        let (lo, hi, stride) = self.dims[d];
+        let inside = lo <= x && x <= hi;
+        inside.then(|| (x - lo) as usize * stride)
+    }
+
+    /// [`Layout::term`] of a subscript the box must hold.
+    fn at(&self, d: usize, x: i64) -> usize {
+        self.term(d, x).expect("owned index outside the store")
+    }
+}
+
+/// One dimension of a walk: per index, ascending, its offset term in each
+/// of the two buffers the walk runs between.
+type Terms = Vec<(usize, usize)>;
+
+/// Visits the cartesian product of per-dimension term lists, first
+/// dimension outermost, with the two offsets summed onto `a` and `b`.
+fn for_each_pair<L: AsRef<[(usize, usize)]>>(
+    lists: &[L],
+    a: usize,
+    b: usize,
+    f: &mut impl FnMut(usize, usize),
+) {
+    match lists {
+        [] => f(a, b),
+        [last] => last.as_ref().iter().for_each(|&(x, y)| f(a + x, b + y)),
+        [first, rest @ ..] => {
+            for &(x, y) in first.as_ref() {
+                for_each_pair(rest, a + x, b + y, f);
+            }
+        }
+    }
+}
+
+/// Refills `lists` with, per dimension, the indices a rank at grid
+/// coordinates `coords` stores under `dist` and the terms
+/// `term(d, x, local)` gives them (an index it gives none is left out).
+fn stored_terms(
+    lists: &mut [Terms],
+    dist: &ArrayDist,
+    coords: &[usize],
+    term: impl Fn(usize, i64, i64) -> Option<(usize, usize)>,
+) {
+    for (d, list) in lists.iter_mut().enumerate() {
+        list.clear();
+        let stored = dist.owned_along(d, coords);
+        // Sized up front: grown by doubling, the lists of p ranks' scatters
+        // leave freed blocks among allocations that outlive them.
+        list.reserve_exact(stored.size_hint().1.unwrap_or(0));
+        list.extend(stored.filter_map(|(x, l)| term(d, x, l)));
+    }
 }
 
 /// Fills the local part of `store` (distributed as `dist` on rank `my`)
 /// from a row-major global buffer. Replicated (serial) dimensions store on
 /// every rank; distributed dimensions only on the owner. Run-time
-/// resolution storage is the caller's business (a full copy).
-///
-/// O(local): walks only this rank's owned lattice instead of
-/// ownership-testing every global point (O(p · global) aggregate —
-/// prohibitive at p ≥ 1024), except under multi-processor `BLOCK_CYCLIC`,
-/// whose owned set is not one lattice.
+/// resolution storage is the caller's business (a full copy). Overlap
+/// bounds cannot exclude an owned point; one they did would be skipped.
 pub fn scatter_init<S: LocalStore>(store: &mut S, dist: &ArrayDist, global: &[f64], my: usize) {
-    let shape = RowMajor::new(dist.global_extents());
-    assert_eq!(
-        shape.total as usize,
-        global.len(),
-        "initial data size mismatch"
-    );
-    let mut local = vec![0i64; shape.extents.len()];
-    let mut put = |pt: &[i64], flat: usize| {
-        dist.local_of_global_into(pt, &mut local);
-        // Overlap bounds cannot exclude an owned point; stay defensive.
-        if in_bounds(&local, store.bounds()) {
-            store.set(&local, global[flat]);
-        }
-    };
-    match dist.owned_ranges(my) {
-        Some(ranges) => rect_for_each(&ranges, |pt| put(pt, shape.encode(pt) as usize)),
-        None => for_each_owned(dist, &shape, my, put),
-    }
+    let (from, to) = (Layout::global(dist), Layout::of(store));
+    assert_eq!(from.len, global.len(), "initial data size mismatch");
+    let mut lists = vec![Terms::new(); dist.rank()];
+    let term = |d, x, l| Some((from.at(d, x), to.term(d, l)?));
+    stored_terms(&mut lists, dist, &dist.grid.coords_of(my), term);
+    let data = store.data_mut();
+    for_each_pair(&lists, 0, 0, &mut |g, s| data[s] = global[g]);
 }
 
 /// Assembles the row-major global contents of an array from its final
@@ -88,62 +166,95 @@ pub fn assemble<S: LocalStore>(
     global_indexed: bool,
     per_rank: &[&S],
 ) -> Vec<f64> {
-    let shape = RowMajor::new(dist.global_extents());
-    let full: Vec<(i64, i64, i64)> = shape.extents.iter().map(|&e| (1, e, 1)).collect();
-    let mut global = Vec::with_capacity(shape.total as usize);
-    let mut local = vec![0i64; shape.extents.len()];
-    rect_for_each(&full, |pt| {
-        let src = per_rank[dist.owner_of(pt)];
-        let subs = if global_indexed {
-            pt
-        } else {
-            dist.local_of_global_into(pt, &mut local);
-            &local
+    let to = Layout::global(dist);
+    let mut global = vec![0.0; to.len];
+    // One set of lists for every rank: with many small arrays their
+    // allocation is what an assembly costs.
+    let mut lists = vec![Terms::new(); dist.rank()];
+    for (rank, src) in per_rank.iter().enumerate() {
+        let Some(coords) = dist.owner_coords(rank) else {
+            continue;
         };
-        global.push(if in_bounds(subs, src.bounds()) {
-            src.get(subs)
-        } else {
-            0.0
-        });
-    });
+        let (from, data) = (Layout::of(*src), src.data());
+        let stored_at = |x, l| if global_indexed { x } else { l };
+        let term = |d, x, l| Some((from.term(d, stored_at(x, l))?, to.at(d, x)));
+        stored_terms(&mut lists, dist, &coords, term);
+        for_each_pair(&lists, 0, 0, &mut |s, g| global[g] = data[s]);
+    }
     global
 }
 
-/// The sending side of a remap `d0 → d1` on rank `my`: every global point
-/// `my` owns under `d0`, in row-major order, with its owner under `d1`
-/// (`my` itself for the points it keeps).
-pub fn remap_outgoing(d0: &ArrayDist, d1: &ArrayDist, my: usize, mut f: impl FnMut(&[i64], usize)) {
-    let shape = RowMajor::new(d0.global_extents());
-    assert_eq!(
-        shape.extents,
-        d1.global_extents(),
-        "remap changes array shape"
-    );
-    for_each_owned(d0, &shape, my, |pt, _| f(pt, d1.owner_of(pt)));
+/// The points rank `my` owns under `mine`, split by their owner under
+/// `theirs`: what it exchanges with one peer is the product of one list
+/// per dimension.
+struct Split {
+    my: usize,
+    theirs: ArrayDist,
+    /// `buckets[d][c]`: the terms of the indices along dimension `d` that
+    /// `my` owns under `mine` and coordinate `c` of `d`'s grid axis owns
+    /// under `theirs` (`c` = 0 where `theirs` leaves `d` serial).
+    buckets: Vec<Vec<Terms>>,
 }
 
-/// The receiving side of a remap `d0 → d1` on rank `my`: per old owner
-/// `src != my`, the flat row-major indices of the points `my` owns under
-/// `d1` and `src` owned under `d0`, in row-major order — the order
-/// [`remap_outgoing`] lists them in on `src`.
-pub fn remap_incoming(d0: &ArrayDist, d1: &ArrayDist, my: usize, nprocs: usize) -> Vec<Vec<i64>> {
-    let shape = RowMajor::new(d1.global_extents());
-    let mut incoming = vec![Vec::new(); nprocs];
-    for_each_owned(d1, &shape, my, |pt, flat| {
-        let src = d0.owner_of(pt);
-        if src != my {
-            incoming[src].push(flat as i64);
+impl Split {
+    /// `term(d, x, local)` gives the terms of index `x` along `d`, stored
+    /// at `local` under `mine`.
+    fn new(
+        mine: &ArrayDist,
+        theirs: &ArrayDist,
+        my: usize,
+        term: impl Fn(usize, i64, i64) -> (usize, usize),
+    ) -> Split {
+        let shape = mine.global_extents();
+        assert_eq!(shape, theirs.global_extents(), "remap changes array shape");
+        let coords = mine.owner_coords(my);
+        let bucket = |d: usize| {
+            let width = theirs.grid_axis[d].map_or(1, |axis| theirs.grid.shape[axis]);
+            let mut by = vec![Terms::new(); width];
+            for (x, l) in coords.iter().flat_map(|c| mine.owned_along(d, c)) {
+                by[theirs.owner_along(d, x)].push(term(d, x, l));
+            }
+            by
+        };
+        Split {
+            my,
+            theirs: theirs.clone(),
+            buckets: (0..mine.rank()).map(bucket).collect(),
         }
-    });
-    incoming
+    }
+
+    /// The per-dimension lists of the points `peer` owns under `theirs`;
+    /// `None` when there are none.
+    fn with(&self, peer: usize) -> Option<Vec<&[(usize, usize)]>> {
+        let coords = self.theirs.owner_coords(peer)?;
+        let per_dim = self.buckets.iter().zip(&self.theirs.grid_axis);
+        per_dim
+            .map(|(by, axis)| {
+                let terms = by[axis.map_or(0, |a| coords[a])].as_slice();
+                (!terms.is_empty()).then_some(terms)
+            })
+            .collect()
+    }
+
+    /// Sends every other rank of `nprocs`, in rank order, what `data`
+    /// holds for it.
+    fn post(&self, nprocs: usize, data: &[f64], mut send: impl FnMut(usize, u64, Vec<f64>)) {
+        for dst in (0..nprocs).filter(|&dst| dst != self.my) {
+            if let Some(lists) = self.with(dst) {
+                let mut buf = Vec::with_capacity(lists.iter().map(|l| l.len()).product());
+                for_each_pair(&lists, 0, 0, &mut |from, _| buf.push(data[from]));
+                send(dst, REMAP_TAG_BASE + dst as u64, buf);
+            }
+        }
+    }
 }
 
 /// A dynamic remap (library routine of §6) of one array on one rank,
 /// between its two halves. The first half ([`Remap::begin`],
-/// [`Remap::begin_global`]) enumerates the array, sends everything this
-/// rank has to send through the `send` callback and lists what it will be
-/// sent; it never blocks. The second half takes one source's message at a
-/// time ([`Remap::expects`] / [`Remap::accept`]) — receiving it is the
+/// [`Remap::begin_global`]) sends everything this rank has to send through
+/// the `send` callback and lists what it will be sent; it never blocks.
+/// The second half takes one source's message at a time
+/// ([`Remap::expects`] / [`Remap::accept`]) — receiving it is the
 /// routine's only blocking point and stays with the caller, which may
 /// block in place or suspend between sources. Charging the remap call is
 /// the caller's too; the routine only moves data.
@@ -152,10 +263,9 @@ pub struct Remap<S> {
     /// run-time resolution, whose global-shaped storage is updated in
     /// place and subscripted by the global point.
     new: Option<S>,
-    shape: RowMajor,
-    my: usize,
-    /// Per source, the points its message carries ([`remap_incoming`]).
-    incoming: Vec<Vec<i64>>,
+    /// What this rank owns afterwards, by old owner; the first term of an
+    /// entry is its offset in the store being filled.
+    incoming: Split,
     /// The source accepted next.
     src: usize,
 }
@@ -173,20 +283,20 @@ impl<S: LocalStore> Remap<S> {
         mut new: S,
         send: impl FnMut(usize, u64, Vec<f64>),
     ) -> Remap<S> {
-        let mut outgoing: Vec<Vec<f64>> = vec![Vec::new(); nprocs];
-        let mut from = vec![0i64; d0.rank()];
-        let mut to = vec![0i64; d0.rank()];
-        remap_outgoing(d0, d1, my, |pt, dst| {
-            d0.local_of_global_into(pt, &mut from);
-            let v = old.get(&from);
-            if dst == my {
-                d1.local_of_global_into(pt, &mut to);
-                new.set(&to, v);
-            } else {
-                outgoing[dst].push(v);
-            }
-        });
-        Remap::post(d0, d1, my, nprocs, Some(new), outgoing, send)
+        let (from, to) = (Layout::of(old), Layout::of(&new));
+        let moved = |d, x, l| (from.at(d, l), to.at(d, d1.local_idx(d, x)));
+        let outgoing = Split::new(d0, d1, my, moved);
+        outgoing.post(nprocs, old.data(), send);
+        if let Some(kept) = outgoing.with(my) {
+            let (old, new) = (old.data(), new.data_mut());
+            for_each_pair(&kept, 0, 0, &mut |from, to| new[to] = old[from]);
+        }
+        let incoming = Split::new(d1, d0, my, |d, _, l| (to.at(d, l), 0));
+        Remap {
+            new: Some(new),
+            incoming,
+            src: 0,
+        }
     }
 
     /// First half of a run-time resolution remap: `store` stays
@@ -201,36 +311,12 @@ impl<S: LocalStore> Remap<S> {
         store: &S,
         send: impl FnMut(usize, u64, Vec<f64>),
     ) -> Remap<S> {
-        let mut outgoing: Vec<Vec<f64>> = vec![Vec::new(); nprocs];
-        remap_outgoing(d0, d1, my, |pt, dst| {
-            if dst != my {
-                outgoing[dst].push(store.get(pt));
-            }
-        });
-        Remap::post(d0, d1, my, nprocs, None, outgoing, send)
-    }
-
-    /// Sends `outgoing[dst]` to every `dst` it is non-empty for, in rank
-    /// order, then lists what this rank will be sent.
-    fn post(
-        d0: &ArrayDist,
-        d1: &ArrayDist,
-        my: usize,
-        nprocs: usize,
-        new: Option<S>,
-        outgoing: Vec<Vec<f64>>,
-        mut send: impl FnMut(usize, u64, Vec<f64>),
-    ) -> Remap<S> {
-        for (dst, buf) in outgoing.into_iter().enumerate() {
-            if dst != my && !buf.is_empty() {
-                send(dst, REMAP_TAG_BASE + dst as u64, buf);
-            }
-        }
+        let at = Layout::of(store);
+        let term = |d: usize, x: i64, _: i64| (at.at(d, x), 0);
+        Split::new(d0, d1, my, term).post(nprocs, store.data(), send);
         Remap {
-            new,
-            shape: RowMajor::new(d1.global_extents()),
-            my,
-            incoming: remap_incoming(d0, d1, my, nprocs),
+            new: None,
+            incoming: Split::new(d1, d0, my, term),
             src: 0,
         }
     }
@@ -238,29 +324,28 @@ impl<S: LocalStore> Remap<S> {
     /// The next source that sends this rank anything and the tag its
     /// message carries; `None` once every message has been accepted.
     pub fn expects(&mut self) -> Option<(usize, u64)> {
-        while self.incoming.get(self.src)?.is_empty() {
+        let Split { my, theirs, .. } = &self.incoming;
+        while self.src < theirs.nprocs() {
+            if self.src != *my && self.incoming.with(self.src).is_some() {
+                return Some((self.src, REMAP_TAG_BASE + *my as u64));
+            }
             self.src += 1;
         }
-        Some((self.src, REMAP_TAG_BASE + self.my as u64))
+        None
     }
 
     /// Unpacks the message of the source [`Remap::expects`] named. `store`
-    /// is the array being remapped, `d1` its new distribution.
-    pub fn accept(&mut self, d1: &ArrayDist, data: &[f64], store: &mut S) {
-        let flats = &self.incoming[self.src];
-        assert_eq!(data.len(), flats.len(), "remap message size mismatch");
-        let mut pt = vec![0i64; self.shape.extents.len()];
-        let mut local = vec![0i64; pt.len()];
-        for (&flat, &v) in flats.iter().zip(data) {
-            self.shape.decode_into(flat, &mut pt);
-            match &mut self.new {
-                Some(new) => {
-                    d1.local_of_global_into(&pt, &mut local);
-                    new.set(&local, v);
-                }
-                None => store.set(&pt, v),
-            }
-        }
+    /// is the array being remapped; its new distribution is not consulted
+    /// again (every offset was fixed when the remap began).
+    pub fn accept(&mut self, _d1: &ArrayDist, data: &[f64], store: &mut S) {
+        let lists = (self.incoming.with(self.src)).expect("accept follows expects");
+        let len: usize = lists.iter().map(|l| l.len()).product();
+        assert_eq!(data.len(), len, "remap message size mismatch");
+        let into = self.new.as_mut().unwrap_or(store).data_mut();
+        let mut values = data.iter();
+        for_each_pair(&lists, 0, 0, &mut |to, _| {
+            into[to] = *values.next().expect("sized above")
+        });
         self.src += 1;
     }
 
@@ -279,28 +364,84 @@ mod proptests {
     use proptest::prelude::*;
     use std::collections::BTreeMap;
 
-    /// A row-major box of `f64`s.
-    struct Store {
+    // The oracle: the point-by-point walks the per-dimension lists
+    // replaced. Every rank tests every global point for ownership.
+
+    /// Visits every point of the `extents` box that `my` owns under
+    /// `dist`, in row-major order, with its flat row-major index.
+    fn for_each_owned(dist: &ArrayDist, my: usize, mut f: impl FnMut(&[i64], usize)) {
+        let full: Vec<(i64, i64, i64)> =
+            (dist.global_extents().iter().map(|&e| (1, e, 1))).collect();
+        let mut flat = 0usize;
+        rect_for_each(&full, |pt| {
+            if dist.owner_of(pt) == my {
+                f(pt, flat);
+            }
+            flat += 1;
+        });
+    }
+
+    /// The sending side of a remap `d0 → d1` on rank `my`: per owner under
+    /// `d1` (`my` itself for the points it keeps), the flat indices of the
+    /// points `my` owns under `d0`, in row-major order.
+    fn remap_outgoing(d0: &ArrayDist, d1: &ArrayDist, my: usize, nprocs: usize) -> Vec<Vec<usize>> {
+        let mut outgoing = vec![Vec::new(); nprocs];
+        for_each_owned(d0, my, |pt, flat| outgoing[d1.owner_of(pt)].push(flat));
+        outgoing
+    }
+
+    /// The receiving side on rank `my`: per old owner `src != my`, the flat
+    /// indices of the points `my` owns under `d1` and `src` owned under
+    /// `d0`, in row-major order.
+    fn remap_incoming(d0: &ArrayDist, d1: &ArrayDist, my: usize, nprocs: usize) -> Vec<Vec<usize>> {
+        let mut incoming = vec![Vec::new(); nprocs];
+        for_each_owned(d1, my, |pt, flat| {
+            let src = d0.owner_of(pt);
+            if src != my {
+                incoming[src].push(flat);
+            }
+        });
+        incoming
+    }
+
+    /// A dense box of `f64`s in either storage order.
+    struct Store<const COLUMN_MAJOR: bool> {
         bounds: Vec<(i64, i64)>,
         data: Vec<f64>,
     }
 
-    impl Store {
-        fn new(extents: &[i64]) -> Store {
+    impl<const COLUMN_MAJOR: bool> Store<COLUMN_MAJOR> {
+        fn new(extents: &[i64]) -> Self {
             Store {
                 bounds: extents.iter().map(|&e| (1, e)).collect(),
                 data: vec![0.0; extents.iter().product::<i64>() as usize],
             }
         }
+        /// Written out longhand, independent of [`Layout`].
         fn flat(&self, subs: &[i64]) -> usize {
-            assert!(in_bounds(subs, &self.bounds), "{subs:?} out of bounds");
-            RowMajor::new(self.bounds.iter().map(|&(_, hi)| hi).collect()).encode(subs) as usize
+            assert_eq!(subs.len(), self.bounds.len());
+            let mut dims: Vec<usize> = (0..subs.len()).collect();
+            if COLUMN_MAJOR {
+                dims.reverse();
+            }
+            dims.into_iter().fold(0, |flat, d| {
+                let (lo, hi) = self.bounds[d];
+                assert!((lo..=hi).contains(&subs[d]), "{subs:?} out of bounds");
+                flat * (hi - lo + 1) as usize + (subs[d] - lo) as usize
+            })
         }
     }
 
-    impl LocalStore for Store {
+    impl<const COLUMN_MAJOR: bool> LocalStore for Store<COLUMN_MAJOR> {
+        const COLUMN_MAJOR: bool = COLUMN_MAJOR;
         fn bounds(&self) -> &[(i64, i64)] {
             &self.bounds
+        }
+        fn data(&self) -> &[f64] {
+            &self.data
+        }
+        fn data_mut(&mut self) -> &mut [f64] {
+            &mut self.data
         }
         fn get(&self, subs: &[i64]) -> f64 {
             self.data[self.flat(subs)]
@@ -357,89 +498,162 @@ mod proptests {
         }
     }
 
-    /// `d0 → d1` on every rank: the two enumerations agree message by
-    /// message, and both remap routines leave every element with its new
-    /// owner.
-    fn check(extents: &[i64], dims0: &[Dim], dims1: &[Dim], p: usize) -> Result<(), TestCaseError> {
-        let (d0, d1) = (dist(extents, dims0, p), dist(extents, dims1, p));
-        let shape = RowMajor::new(extents.to_vec());
+    /// Per peer of `p`, the flat global indices of the points `my`'s
+    /// [`Split`] shares with it, in the order its walks visit them.
+    fn flats(mine: &ArrayDist, theirs: &ArrayDist, my: usize, p: usize) -> Vec<Vec<usize>> {
+        let global = Layout::global(mine);
+        let split = Split::new(mine, theirs, my, |d, x, _| (global.at(d, x), 0));
+        let shared = |peer| {
+            let mut flats = Vec::new();
+            if let Some(lists) = split.with(peer) {
+                for_each_pair(&lists, 0, 0, &mut |flat, _| flats.push(flat));
+            }
+            flats
+        };
+        (0..p).map(shared).collect()
+    }
 
-        // What each rank keeps or sends, as flat indices per destination.
-        let mut seen = vec![0u32; shape.total as usize];
-        let mut outgoing: Vec<Vec<Vec<i64>>> = Vec::new();
-        for src in 0..p {
-            let mut by_dst = vec![Vec::new(); p];
-            remap_outgoing(&d0, &d1, src, |pt, dst| {
-                let flat = shape.encode(pt);
-                seen[flat as usize] += 1;
-                by_dst[dst].push(flat);
-            });
-            outgoing.push(by_dst);
+    /// `d0 → d1` on every rank of `p`, against the oracle: the lists name
+    /// the oracle's points in the oracle's order for every rank pair, both
+    /// remap routines send the oracle's messages and leave every element
+    /// with its new owner, and assembly returns what was scattered.
+    fn check_dists<const COLUMN_MAJOR: bool>(
+        d0: &ArrayDist,
+        d1: &ArrayDist,
+        p: usize,
+    ) -> Result<(), TestCaseError> {
+        let extents = d0.global_extents();
+        let total = extents.iter().product::<i64>() as usize;
+
+        let mut seen = vec![0u32; total];
+        let outgoing: Vec<Vec<Vec<usize>>> =
+            (0..p).map(|src| remap_outgoing(d0, d1, src, p)).collect();
+        for flat in outgoing.iter().flatten().flatten() {
+            seen[*flat] += 1;
         }
         prop_assert!(
             seen.iter().all(|&n| n == 1),
             "a point is kept or sent exactly once"
         );
-        for dst in 0..p {
-            let incoming = remap_incoming(&d0, &d1, dst, p);
-            prop_assert!(incoming[dst].is_empty());
-            for src in (0..p).filter(|&s| s != dst) {
-                // Same points, same order, and that order is row-major.
-                prop_assert_eq!(&outgoing[src][dst], &incoming[src], "{} -> {}", src, dst);
-                prop_assert!(incoming[src].windows(2).all(|w| w[0] < w[1]));
+        for (my, oracle) in outgoing.iter().enumerate() {
+            prop_assert_eq!(&flats(d0, d1, my, p), oracle, "from {}", my);
+            // The receiving side lists the same points in the same order
+            // (the oracle's excludes what a rank keeps).
+            let mut incoming = flats(d1, d0, my, p);
+            incoming[my].clear();
+            prop_assert_eq!(&incoming, &remap_incoming(d0, d1, my, p), "to {}", my);
+            for (src, received) in incoming.iter().enumerate().filter(|&(src, _)| src != my) {
+                prop_assert_eq!(received, &outgoing[src][my], "{} -> {}", src, my);
             }
         }
 
         // The routines themselves, all ranks in lock step over a mailbox.
         for global_indexed in [false, true] {
             let value = |flat: usize| flat as f64 + 0.5;
-            let global: Vec<f64> = (0..shape.total as usize).map(value).collect();
+            let global: Vec<f64> = (0..total).map(value).collect();
             let local_extents = |d: &ArrayDist| {
                 if global_indexed {
-                    extents.to_vec()
+                    extents.clone()
                 } else {
                     d.local_extents()
                 }
             };
             let mut mail: BTreeMap<(usize, usize), Vec<f64>> = BTreeMap::new();
-            let mut ranks: Vec<(Remap<Store>, Store)> = Vec::new();
-            for my in 0..p {
-                let mut old = Store::new(&local_extents(&d0));
-                let send = |dst: usize, tag: u64, buf: Vec<f64>| {
-                    assert_eq!(tag, REMAP_TAG_BASE + dst as u64);
-                    assert!(mail.insert((my, dst), buf).is_none());
-                };
-                if global_indexed {
+            let mut ranks = Vec::new();
+            for (my, by_dst) in outgoing.iter().enumerate() {
+                let mut old = Store::<COLUMN_MAJOR>::new(&local_extents(d0));
+                let mut sent = Vec::new();
+                let send = |dst: usize, tag: u64, buf: Vec<f64>| sent.push((dst, tag, buf));
+                let remap = if global_indexed {
                     // Every rank holds the whole box; only what it owns is
                     // authoritative.
-                    for_each_owned(&d0, &shape, my, |pt, flat| old.set(pt, global[flat]));
-                    let remap = Remap::begin_global(&d0, &d1, my, p, &old, send);
-                    ranks.push((remap, old));
+                    for_each_owned(d0, my, |pt, flat| old.set(pt, global[flat]));
+                    Remap::begin_global(d0, d1, my, p, &old, send)
                 } else {
-                    scatter_init(&mut old, &d0, &global, my);
-                    let new = Store::new(&local_extents(&d1));
-                    let remap = Remap::begin(&d0, &d1, my, p, &old, new, send);
-                    ranks.push((remap, old));
+                    scatter_init(&mut old, d0, &global, my);
+                    let new = Store::new(&local_extents(d1));
+                    Remap::begin(d0, d1, my, p, &old, new, send)
+                };
+                let expected: Vec<(usize, u64, Vec<f64>)> = (by_dst.iter().enumerate())
+                    .filter(|&(dst, flats)| dst != my && !flats.is_empty())
+                    .map(|(dst, flats)| {
+                        let payload = flats.iter().map(|&f| value(f)).collect();
+                        (dst, REMAP_TAG_BASE + dst as u64, payload)
+                    })
+                    .collect();
+                prop_assert_eq!(&sent, &expected, "messages of rank {}", my);
+                for (dst, _, buf) in sent {
+                    mail.insert((my, dst), buf);
                 }
+                ranks.push((remap, old));
             }
-            let mut stores: Vec<Store> = Vec::new();
+            let mut stores = Vec::new();
             for (my, (mut remap, mut store)) in ranks.into_iter().enumerate() {
                 while let Some((src, tag)) = remap.expects() {
                     prop_assert_eq!(tag, REMAP_TAG_BASE + my as u64);
                     let data = mail.remove(&(src, my)).expect("expected message was sent");
-                    remap.accept(&d1, &data, &mut store);
+                    remap.accept(d1, &data, &mut store);
                 }
                 remap.finish(&mut store);
                 stores.push(store);
             }
             prop_assert!(mail.is_empty(), "every message sent is expected");
-            let stores: Vec<&Store> = stores.iter().collect();
-            prop_assert_eq!(assemble(&d1, global_indexed, &stores), global);
+            let stores: Vec<&Store<COLUMN_MAJOR>> = stores.iter().collect();
+            prop_assert_eq!(assemble(d1, global_indexed, &stores), global);
         }
         Ok(())
     }
 
+    /// [`check_dists`] on generated distributions, in both storage orders.
+    fn check(extents: &[i64], dims0: &[Dim], dims1: &[Dim], p: usize) -> Result<(), TestCaseError> {
+        let (d0, d1) = (dist(extents, dims0, p), dist(extents, dims1, p));
+        check_dists::<false>(&d0, &d1, p)?;
+        check_dists::<true>(&d0, &d1, p)
+    }
+
+    /// The shapes the generators may not hit often enough to count on.
+    #[test]
+    fn remap_walks_agree_on_named_shapes() {
+        use DistKind::{Block, BlockCyclic, Cyclic, Serial};
+        let ok = |extents: &[i64], dims0: &[Dim], dims1: &[Dim], p| {
+            check(extents, dims0, dims1, p).unwrap()
+        };
+        let (block, cyclic, serial) = ((Block, 0), (Cyclic, 0), (Serial, 0));
+        // Two-axis grid against one axis.
+        ok(&[7, 5], &[block, block], &[cyclic, serial], 6);
+        // Multi-processor BLOCK_CYCLIC on both sides, with offsets.
+        ok(&[23], &[(BlockCyclic(2), 1)], &[(BlockCyclic(3), 2)], 4);
+        // Extent smaller than p: ranks that own nothing.
+        ok(&[3], &[block], &[cyclic], 5);
+        // All-serial source, then target: rank 0 is the one owner.
+        ok(&[4, 3], &[serial, serial], &[block, serial], 3);
+        ok(&[4, 3], &[(Serial, 1), cyclic], &[serial, serial], 3);
+        // The adi shape, unevenly: (BLOCK,:) <-> (:,BLOCK).
+        ok(&[13, 13], &[block, serial], &[serial, block], 3);
+        ok(
+            &[3, 4, 5],
+            &[block, serial, (Cyclic, 2)],
+            &[serial, (BlockCyclic(2), 1), block],
+            4,
+        );
+        // A 1-D array aligned into a decomposition distributed on two
+        // axes: only coordinate 0 of the axis it is not mapped to owns.
+        let on_two_axes = |kind| ArrayDist {
+            dims: vec![DimPartition {
+                kind,
+                extent: 9,
+                nprocs: 3,
+            }],
+            offsets: vec![0],
+            grid: ProcGrid { shape: vec![3, 2] },
+            grid_axis: vec![Some(0)],
+        };
+        check_dists::<false>(&on_two_axes(Block), &on_two_axes(Cyclic), 6).unwrap();
+    }
+
     proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
         #[test]
         fn remap_walks_agree_1d(
             n in 1i64..40, p in 1usize..7, a in dim_strategy(), b in dim_strategy(),
@@ -453,6 +667,15 @@ mod proptests {
             a in (dim_strategy(), dim_strategy()), b in (dim_strategy(), dim_strategy()),
         ) {
             check(&[n, m], &[a.0, a.1], &[b.0, b.1], p)?;
+        }
+
+        #[test]
+        fn remap_walks_agree_3d(
+            e in (1i64..6, 1i64..6, 1i64..6), p in 1usize..9,
+            a in (dim_strategy(), dim_strategy(), dim_strategy()),
+            b in (dim_strategy(), dim_strategy(), dim_strategy()),
+        ) {
+            check(&[e.0, e.1, e.2], &[a.0, a.1, a.2], &[b.0, b.1, b.2], p)?;
         }
     }
 }

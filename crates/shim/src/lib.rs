@@ -133,8 +133,18 @@ impl Arr {
 }
 
 impl LocalStore for Arr {
+    const COLUMN_MAJOR: bool = true;
+
     fn bounds(&self) -> &[(i64, i64)] {
         &self.bounds
+    }
+
+    fn data(&self) -> &[f64] {
+        &self.data
+    }
+
+    fn data_mut(&mut self) -> &mut [f64] {
+        &mut self.data
     }
 
     #[inline]

@@ -352,8 +352,15 @@ impl ArrayStore {
 }
 
 impl LocalStore for ArrayStore {
+    const COLUMN_MAJOR: bool = false;
     fn bounds(&self) -> &[(i64, i64)] {
         &self.bounds
+    }
+    fn data(&self) -> &[f64] {
+        &self.data
+    }
+    fn data_mut(&mut self) -> &mut [f64] {
+        &mut self.data
     }
     fn get(&self, subs: &[i64]) -> f64 {
         self.data[self.flat(subs)]
@@ -384,7 +391,7 @@ pub(crate) fn scatter_init_store(
 
 /// A dynamic remap (library routine of §6) of one array on one simulated
 /// rank, between its two halves. The first half ([`begin_remap`],
-/// [`begin_remap_global`]) sends through `node.send` and never blocks; the
+/// [`begin_remap_global`]) sends through `node.send_buf` and never blocks; the
 /// second accepts one source's message at a time — the tree walker drives
 /// it with a blocking receive per source, the VM suspends between sources.
 /// The caller has already flushed charges and charged the remap call; the
@@ -402,7 +409,7 @@ pub(crate) fn begin_remap(
 ) -> Remap {
     let new = ArrayStore::alloc(old.name, d1.local_bounds(), to_dist);
     let (my, p) = (node.rank(), node.nprocs());
-    let send = |dst, tag, buf: Vec<f64>| node.send(dst, tag, &buf);
+    let send = |dst, tag, buf| node.send_buf(dst, tag, buf);
     Remap::begin(d0, d1, my, p, old, new, send)
 }
 
@@ -416,7 +423,7 @@ pub(crate) fn begin_remap_global(
     d1: &ArrayDist,
 ) -> Remap {
     let (my, p) = (node.rank(), node.nprocs());
-    let send = |dst, tag, buf: Vec<f64>| node.send(dst, tag, &buf);
+    let send = |dst, tag, buf| node.send_buf(dst, tag, buf);
     Remap::begin_global(d0, d1, my, p, store, send)
 }
 

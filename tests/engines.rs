@@ -190,6 +190,14 @@ fn fig15_every_dyn_opt_level() {
         DynOptLevel::None,
         CommOpt::Full,
     );
+    // 2-D remaps on uneven blocks, BLOCK and CYCLIC rows against BLOCK
+    // columns, through both remap routines.
+    let uneven = fortrand::corpus::adi_source(13, 3, 3);
+    for src in [&uneven, &uneven.replace("a(BLOCK,:)", "a(CYCLIC,:)")] {
+        for strategy in [Strategy::Interprocedural, Strategy::RuntimeResolution] {
+            check(src, strategy, 3, DynOptLevel::None, CommOpt::Full);
+        }
+    }
 }
 
 /// The communication optimizer reshapes message traffic (coalescing,

@@ -194,6 +194,14 @@ fn fig15_remap_traffic() {
         DynOptLevel::None,
         CommOpt::Full,
     );
+    // Uneven blocks, and CYCLIC rows against BLOCK columns, through both
+    // remap routines into the shim's column-major stores.
+    let uneven = adi_source(13, 3, 3);
+    for src in [&uneven, &uneven.replace("a(BLOCK,:)", "a(CYCLIC,:)")] {
+        for strategy in [Strategy::Interprocedural, Strategy::RuntimeResolution] {
+            check(src, strategy, 3, DynOptLevel::None, CommOpt::Full);
+        }
+    }
 }
 
 /// Runtime resolution emits per-element ownership tests and element

@@ -358,14 +358,25 @@ fn deep_call_chain_with_constant() {
 #[test]
 fn adi_dynamic_phases() {
     let src = fortrand::corpus::adi_source(16, 2, 4);
-    check(&src, Strategy::Interprocedural, 4, DynOptLevel::Kills);
-    check(&src, Strategy::Immediate, 4, DynOptLevel::Kills);
-    check(&src, Strategy::RuntimeResolution, 4, DynOptLevel::Kills);
+    check_all_strategies(&src, 4);
+    check_all_strategies(&adi_cyclic_rows(16, 2, 4), 4);
 }
 
-/// ADI at an uneven block size and a different processor count.
+/// ADI whose row phase is `(CYCLIC,:)`: the remaps run between a strided
+/// and a contiguous ownership.
+fn adi_cyclic_rows(n: i64, steps: i64, nprocs: usize) -> String {
+    fortrand::corpus::adi_source(n, steps, nprocs).replace("a(BLOCK,:)", "a(CYCLIC,:)")
+}
+
+/// ADI at an uneven block size and a different processor count, through
+/// the full remap and (run-time resolution) the in-place one.
 #[test]
 fn adi_uneven_blocks() {
-    let src = fortrand::corpus::adi_source(13, 3, 3);
-    check(&src, Strategy::Interprocedural, 3, DynOptLevel::Kills);
+    for src in [
+        fortrand::corpus::adi_source(13, 3, 3),
+        adi_cyclic_rows(13, 3, 3),
+    ] {
+        check(&src, Strategy::Interprocedural, 3, DynOptLevel::Kills);
+        check(&src, Strategy::RuntimeResolution, 3, DynOptLevel::Kills);
+    }
 }
