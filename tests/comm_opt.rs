@@ -286,12 +286,19 @@ fn opt_report_reflects_elimination() {
     assert_eq!(off.report.comm.level, CommOpt::Off);
 }
 
-/// What the optimizer decided, per program and level, pinned as a table.
-/// The goldens catch a change in printed code; this catches an
-/// optimization that silently stops firing on a program no golden prints.
+/// What the optimizer decided and what the result does when run, per
+/// program and level, pinned as a table. The goldens catch a change in
+/// printed code; this catches an optimization that silently stops firing
+/// on a program no golden prints, and a broadcast whose lowering, tag or
+/// buffer handling drifts: per row the `OptReport` counters, then the
+/// broadcast traffic by accounting tag (messages/bytes), the VM's
+/// dispatched instructions and the pooled buffers each engine allocated
+/// and reused, then the VM's opcode mix.
 #[test]
 fn opt_report_counters_are_pinned() {
     use fortrand_analysis::fixtures::{FIG1, FIG15};
+    use fortrand_spmd::interp::{TAG_BCAST, TAG_BCAST_PACK};
+    use fortrand_spmd::{try_run_spmd, Bytecode, ExecOptions, Tree};
     let programs = [
         ("dgefa", dgefa_source(64, 4)),
         ("relax", relax_source(32, 2, 3, 4)),
@@ -323,6 +330,35 @@ fn opt_report_counters_are_pinned() {
                 c.waits_sunk,
                 c.pipelined_loops
             ));
+            let mut init = BTreeMap::new();
+            if *what == "dgefa" {
+                init.insert(out.spmd.interner.get("a").unwrap(), dgefa_matrix(64));
+            }
+            let run = |opts: ExecOptions| {
+                try_run_spmd(&out.spmd, &Machine::new(out.spmd.nprocs), &init, &opts)
+                    .unwrap_or_else(|f| panic!("{what} at {level:?}: {f}"))
+                    .stats
+            };
+            let vm = run(ExecOptions::new().backend(Bytecode));
+            let tree = run(ExecOptions::new().backend(Tree));
+            assert_eq!(vm.msgs_by_tag, tree.msgs_by_tag, "{what} at {level:?}");
+            let tag = |t| vm.msgs_by_tag.get(&t).copied().unwrap_or((0, 0));
+            let (bm, bb) = tag(TAG_BCAST);
+            let (pm, pb) = tag(TAG_BCAST_PACK);
+            table.push_str(&format!(
+                "+ run: bcast={bm}/{bb} pack={pm}/{pb} instrs={} vm-pool={}+{} tree-pool={}+{}\n",
+                vm.engine_instrs,
+                vm.pool_allocs,
+                vm.pool_reuses,
+                tree.pool_allocs,
+                tree.pool_reuses
+            ));
+            let mix: Vec<String> = vm
+                .instr_mix
+                .iter()
+                .map(|(op, n)| format!("{op}={n}"))
+                .collect();
+            table.push_str(&format!("+ mix: {}\n", mix.join(" ")));
         }
     }
     assert_eq!(table, OPT_COUNTERS, "optimizer decisions changed:\n{table}");
@@ -330,33 +366,89 @@ fn opt_report_counters_are_pinned() {
 
 const OPT_COUNTERS: &str = "\
 dgefa off: elim=0 coal=0 hoist=0 ovl=0 posts=0 waits=0 pipe=0\n\
++ run: bcast=378/98280 pack=0/0 instrs=158560 vm-pool=2+124 tree-pool=2+124\n\
++ mix: LdI=35615 LdVar=31500 StVar=4284 MovI=5174 MyP=6363 Bin=45742 Intr=252 Load=2016 LoadS=2268 StoreS=2272 Owner=756 LocalIdx=315 BrFalse=4536 BrNotRank=504 LoopHead=319 LoopNext=6300 Call=2335 Return=2339 Gather=126 Scatter=504 Bcast=504 KLoop=2268 MovVar=252 LdElemVar=2016\n\
 dgefa coalesce: elim=0 coal=0 hoist=0 ovl=0 posts=0 waits=0 pipe=0\n\
++ run: bcast=378/98280 pack=0/0 instrs=158560 vm-pool=2+124 tree-pool=2+124\n\
++ mix: LdI=35615 LdVar=31500 StVar=4284 MovI=5174 MyP=6363 Bin=45742 Intr=252 Load=2016 LoadS=2268 StoreS=2272 Owner=756 LocalIdx=315 BrFalse=4536 BrNotRank=504 LoopHead=319 LoopNext=6300 Call=2335 Return=2339 Gather=126 Scatter=504 Bcast=504 KLoop=2268 MovVar=252 LdElemVar=2016\n\
 dgefa full: elim=1 coal=0 hoist=0 ovl=0 posts=0 waits=0 pipe=0\n\
++ run: bcast=189/49896 pack=0/0 instrs=160009 vm-pool=2+61 tree-pool=2+61\n\
++ mix: LdI=35741 LdVar=31815 StVar=4284 MovI=6182 MyP=6363 Bin=46183 Intr=252 Load=2016 LoadS=2268 StoreS=2272 Owner=504 LocalIdx=189 BrFalse=4788 BrNotRank=252 LoopHead=319 LoopNext=6300 Call=2335 Return=2339 Gather=63 Scatter=252 Bcast=252 KLoop=2772 MovVar=252 LdElemVar=2016\n\
 dgefa overlap: elim=1 coal=0 hoist=0 ovl=0 posts=0 waits=0 pipe=1\n\
++ run: bcast=189/49896 pack=0/0 instrs=169697 vm-pool=3+60 tree-pool=3+60\n\
++ mix: LdI=38513 LdVar=33320 StVar=4599 MovI=6182 MyP=6678 Bin=49641 Intr=252 Load=2016 LoadS=2268 StoreS=2272 Owner=756 LocalIdx=441 BrFalse=5355 BrNotRank=252 LoopHead=319 LoopNext=6300 Call=2335 Return=2339 Gather=63 Scatter=252 PostBcastMsg=252 WaitBcastMsg=252 KLoop=2772 MovVar=252 LdElemVar=2016\n\
 relax off: elim=0 coal=0 hoist=0 ovl=0 posts=0 waits=0 pipe=0\n\
++ run: bcast=0/0 pack=0/0 instrs=2196 vm-pool=8+10 tree-pool=18+0\n\
++ mix: LdI=308 LdR=180 LdVar=24 StVar=24 MovI=56 MyP=132 Bin=492 Fma=24 Intr=24 LoadS=360 StoreS=180 BrFalse=48 LoopHead=28 LoopNext=192 Call=24 Return=28 Gather=18 Scatter=18 SendMsg=18 RecvMsg=18\n\
 relax coalesce: elim=0 coal=0 hoist=0 ovl=0 posts=0 waits=0 pipe=0\n\
++ run: bcast=0/0 pack=0/0 instrs=2196 vm-pool=8+10 tree-pool=18+0\n\
++ mix: LdI=308 LdR=180 LdVar=24 StVar=24 MovI=56 MyP=132 Bin=492 Fma=24 Intr=24 LoadS=360 StoreS=180 BrFalse=48 LoopHead=28 LoopNext=192 Call=24 Return=28 Gather=18 Scatter=18 SendMsg=18 RecvMsg=18\n\
 relax full: elim=0 coal=0 hoist=0 ovl=0 posts=0 waits=0 pipe=0\n\
++ run: bcast=0/0 pack=0/0 instrs=2196 vm-pool=8+10 tree-pool=18+0\n\
++ mix: LdI=308 LdR=180 LdVar=24 StVar=24 MovI=56 MyP=132 Bin=492 Fma=24 Intr=24 LoadS=360 StoreS=180 BrFalse=48 LoopHead=28 LoopNext=192 Call=24 Return=28 Gather=18 Scatter=18 SendMsg=18 RecvMsg=18\n\
 relax overlap: elim=0 coal=0 hoist=0 ovl=4 posts=0 waits=0 pipe=0\n\
++ run: bcast=0/0 pack=0/0 instrs=2232 vm-pool=8+10 tree-pool=8+10\n\
++ mix: LdI=308 LdR=180 LdVar=24 StVar=24 MovI=56 MyP=132 Bin=492 Fma=24 Intr=24 LoadS=360 StoreS=180 BrFalse=48 LoopHead=28 LoopNext=192 Call=24 Return=28 Gather=18 Scatter=18 PostSendMsg=18 WaitSendMsg=18 PostRecvMsg=18 WaitRecvMsg=18\n\
 adi off: elim=0 coal=0 hoist=0 ovl=0 posts=0 waits=0 pipe=0\n\
++ run: bcast=0/0 pack=0/0 instrs=640 vm-pool=0+0 tree-pool=0+0\n\
++ mix: LdI=200 LdVar=16 StVar=16 MovI=136 MyP=32 Bin=32 Fma=16 Intr=16 LoopHead=20 LoopNext=56 Call=16 Return=20 Remap=16 KLoop=48\n\
 adi coalesce: elim=0 coal=0 hoist=0 ovl=0 posts=0 waits=0 pipe=0\n\
++ run: bcast=0/0 pack=0/0 instrs=640 vm-pool=0+0 tree-pool=0+0\n\
++ mix: LdI=200 LdVar=16 StVar=16 MovI=136 MyP=32 Bin=32 Fma=16 Intr=16 LoopHead=20 LoopNext=56 Call=16 Return=20 Remap=16 KLoop=48\n\
 adi full: elim=0 coal=0 hoist=0 ovl=0 posts=0 waits=0 pipe=0\n\
++ run: bcast=0/0 pack=0/0 instrs=640 vm-pool=0+0 tree-pool=0+0\n\
++ mix: LdI=200 LdVar=16 StVar=16 MovI=136 MyP=32 Bin=32 Fma=16 Intr=16 LoopHead=20 LoopNext=56 Call=16 Return=20 Remap=16 KLoop=48\n\
 adi overlap: elim=0 coal=0 hoist=0 ovl=0 posts=0 waits=0 pipe=0\n\
++ run: bcast=0/0 pack=0/0 instrs=640 vm-pool=0+0 tree-pool=0+0\n\
++ mix: LdI=200 LdVar=16 StVar=16 MovI=136 MyP=32 Bin=32 Fma=16 Intr=16 LoopHead=20 LoopNext=56 Call=16 Return=20 Remap=16 KLoop=48\n\
 wide off: elim=0 coal=0 hoist=0 ovl=0 posts=0 waits=0 pipe=0\n\
++ run: bcast=0/0 pack=0/0 instrs=9070 vm-pool=18+30 tree-pool=48+0\n\
++ mix: LdI=768 LdR=966 LdVar=64 StVar=64 MovI=128 MyP=352 Bin=2284 Fma=64 Intr=64 LoadS=1932 StoreS=966 BrFalse=128 LoopHead=64 LoopNext=966 Call=32 Return=36 Gather=48 Scatter=48 SendMsg=48 RecvMsg=48\n\
 wide coalesce: elim=0 coal=0 hoist=0 ovl=0 posts=0 waits=0 pipe=0\n\
++ run: bcast=0/0 pack=0/0 instrs=9070 vm-pool=18+30 tree-pool=48+0\n\
++ mix: LdI=768 LdR=966 LdVar=64 StVar=64 MovI=128 MyP=352 Bin=2284 Fma=64 Intr=64 LoadS=1932 StoreS=966 BrFalse=128 LoopHead=64 LoopNext=966 Call=32 Return=36 Gather=48 Scatter=48 SendMsg=48 RecvMsg=48\n\
 wide full: elim=0 coal=0 hoist=0 ovl=0 posts=0 waits=0 pipe=0\n\
++ run: bcast=0/0 pack=0/0 instrs=9070 vm-pool=18+30 tree-pool=48+0\n\
++ mix: LdI=768 LdR=966 LdVar=64 StVar=64 MovI=128 MyP=352 Bin=2284 Fma=64 Intr=64 LoadS=1932 StoreS=966 BrFalse=128 LoopHead=64 LoopNext=966 Call=32 Return=36 Gather=48 Scatter=48 SendMsg=48 RecvMsg=48\n\
 wide overlap: elim=0 coal=0 hoist=0 ovl=32 posts=0 waits=0 pipe=0\n\
++ run: bcast=0/0 pack=0/0 instrs=9166 vm-pool=18+30 tree-pool=18+30\n\
++ mix: LdI=768 LdR=966 LdVar=64 StVar=64 MovI=128 MyP=352 Bin=2284 Fma=64 Intr=64 LoadS=1932 StoreS=966 BrFalse=128 LoopHead=64 LoopNext=966 Call=32 Return=36 Gather=48 Scatter=48 PostSendMsg=48 WaitSendMsg=48 PostRecvMsg=48 WaitRecvMsg=48\n\
 fig1 off: elim=0 coal=0 hoist=0 ovl=0 posts=0 waits=0 pipe=0\n\
++ run: bcast=0/0 pack=0/0 instrs=150 vm-pool=3+0 tree-pool=3+0\n\
++ mix: LdI=46 LdVar=4 StVar=4 MovI=8 MyP=22 Bin=22 Fma=4 Intr=4 BrFalse=8 Call=4 Return=8 Gather=3 Scatter=3 SendMsg=3 RecvMsg=3 KLoop=4\n\
 fig1 coalesce: elim=0 coal=0 hoist=0 ovl=0 posts=0 waits=0 pipe=0\n\
++ run: bcast=0/0 pack=0/0 instrs=150 vm-pool=3+0 tree-pool=3+0\n\
++ mix: LdI=46 LdVar=4 StVar=4 MovI=8 MyP=22 Bin=22 Fma=4 Intr=4 BrFalse=8 Call=4 Return=8 Gather=3 Scatter=3 SendMsg=3 RecvMsg=3 KLoop=4\n\
 fig1 full: elim=0 coal=0 hoist=0 ovl=0 posts=0 waits=0 pipe=0\n\
++ run: bcast=0/0 pack=0/0 instrs=150 vm-pool=3+0 tree-pool=3+0\n\
++ mix: LdI=46 LdVar=4 StVar=4 MovI=8 MyP=22 Bin=22 Fma=4 Intr=4 BrFalse=8 Call=4 Return=8 Gather=3 Scatter=3 SendMsg=3 RecvMsg=3 KLoop=4\n\
 fig1 overlap: elim=0 coal=0 hoist=0 ovl=2 posts=0 waits=0 pipe=0\n\
++ run: bcast=0/0 pack=0/0 instrs=156 vm-pool=3+0 tree-pool=3+0\n\
++ mix: LdI=46 LdVar=4 StVar=4 MovI=8 MyP=22 Bin=22 Fma=4 Intr=4 BrFalse=8 Call=4 Return=8 Gather=3 Scatter=3 PostSendMsg=3 WaitSendMsg=3 PostRecvMsg=3 WaitRecvMsg=3 KLoop=4\n\
 fig4 off: elim=0 coal=0 hoist=0 ovl=0 posts=0 waits=0 pipe=0\n\
++ run: bcast=0/0 pack=0/0 instrs=10574 vm-pool=3+0 tree-pool=3+0\n\
++ mix: LdI=2266 LdVar=1404 StVar=404 MovI=1016 MyP=822 Bin=822 Fma=404 Intr=404 BrFalse=8 LoopHead=8 LoopNext=500 Call=1000 Return=1004 Gather=3 Scatter=3 SendMsg=3 RecvMsg=3 KLoop=500\n\
 fig4 coalesce: elim=0 coal=0 hoist=0 ovl=0 posts=0 waits=0 pipe=0\n\
++ run: bcast=0/0 pack=0/0 instrs=10574 vm-pool=3+0 tree-pool=3+0\n\
++ mix: LdI=2266 LdVar=1404 StVar=404 MovI=1016 MyP=822 Bin=822 Fma=404 Intr=404 BrFalse=8 LoopHead=8 LoopNext=500 Call=1000 Return=1004 Gather=3 Scatter=3 SendMsg=3 RecvMsg=3 KLoop=500\n\
 fig4 full: elim=0 coal=0 hoist=0 ovl=0 posts=0 waits=0 pipe=0\n\
++ run: bcast=0/0 pack=0/0 instrs=10574 vm-pool=3+0 tree-pool=3+0\n\
++ mix: LdI=2266 LdVar=1404 StVar=404 MovI=1016 MyP=822 Bin=822 Fma=404 Intr=404 BrFalse=8 LoopHead=8 LoopNext=500 Call=1000 Return=1004 Gather=3 Scatter=3 SendMsg=3 RecvMsg=3 KLoop=500\n\
 fig4 overlap: elim=0 coal=0 hoist=0 ovl=2 posts=0 waits=0 pipe=0\n\
++ run: bcast=0/0 pack=0/0 instrs=10580 vm-pool=3+0 tree-pool=3+0\n\
++ mix: LdI=2266 LdVar=1404 StVar=404 MovI=1016 MyP=822 Bin=822 Fma=404 Intr=404 BrFalse=8 LoopHead=8 LoopNext=500 Call=1000 Return=1004 Gather=3 Scatter=3 PostSendMsg=3 WaitSendMsg=3 PostRecvMsg=3 WaitRecvMsg=3 KLoop=500\n\
 fig15 off: elim=0 coal=0 hoist=0 ovl=0 posts=0 waits=0 pipe=0\n\
++ run: bcast=0/0 pack=0/0 instrs=696 vm-pool=0+0 tree-pool=0+0\n\
++ mix: LdI=188 LdVar=36 StVar=36 MovI=80 MyP=72 Bin=72 Fma=36 Intr=36 LoopHead=4 LoopNext=16 Call=36 Return=40 Remap=4 MarkDist=4 KLoop=36\n\
 fig15 coalesce: elim=0 coal=0 hoist=0 ovl=0 posts=0 waits=0 pipe=0\n\
++ run: bcast=0/0 pack=0/0 instrs=696 vm-pool=0+0 tree-pool=0+0\n\
++ mix: LdI=188 LdVar=36 StVar=36 MovI=80 MyP=72 Bin=72 Fma=36 Intr=36 LoopHead=4 LoopNext=16 Call=36 Return=40 Remap=4 MarkDist=4 KLoop=36\n\
 fig15 full: elim=0 coal=0 hoist=0 ovl=0 posts=0 waits=0 pipe=0\n\
++ run: bcast=0/0 pack=0/0 instrs=696 vm-pool=0+0 tree-pool=0+0\n\
++ mix: LdI=188 LdVar=36 StVar=36 MovI=80 MyP=72 Bin=72 Fma=36 Intr=36 LoopHead=4 LoopNext=16 Call=36 Return=40 Remap=4 MarkDist=4 KLoop=36\n\
 fig15 overlap: elim=0 coal=0 hoist=0 ovl=0 posts=0 waits=0 pipe=0\n\
++ run: bcast=0/0 pack=0/0 instrs=696 vm-pool=0+0 tree-pool=0+0\n\
++ mix: LdI=188 LdVar=36 StVar=36 MovI=80 MyP=72 Bin=72 Fma=36 Intr=36 LoopHead=4 LoopNext=16 Call=36 Return=40 Remap=4 MarkDist=4 KLoop=36\n\
 ";
 
 /// The static message counts describe the program, not the form its
