@@ -41,7 +41,7 @@ use fortrand_ir::dist::{ArrayDist, DimPartition, DistKind};
 use fortrand_ir::rsd::{Rsd, Triplet};
 use fortrand_ir::{Affine, Interner, Sym, SymEnv};
 use fortrand_spmd::ir::{
-    DistId, SActual, SDecl, SExpr, SFormal, SLval, SProc, SRect, SStmt, SpmdProgram,
+    BcastPart, DistId, SActual, SDecl, SExpr, SFormal, SLval, SProc, SRect, SStmt, SpmdProgram,
 };
 use fortrand_spmd::{SBinOp, SIntr};
 use std::collections::BTreeMap;

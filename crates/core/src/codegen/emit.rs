@@ -785,10 +785,12 @@ impl UnitCompiler<'_, '_> {
         }
         Ok(vec![SStmt::Bcast {
             root,
-            src_array: array,
-            src_section: SRect { dims: src },
-            dst_array: buffer,
-            dst_section: SRect { dims: dst },
+            parts: vec![BcastPart {
+                src_array: array,
+                src_section: SRect { dims: src },
+                dst_array: buffer,
+                dst_section: SRect { dims: dst },
+            }],
         }])
     }
 

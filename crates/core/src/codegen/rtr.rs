@@ -313,10 +313,12 @@ impl UnitCompiler<'_, '_> {
                     };
                     out.push(SStmt::Bcast {
                         root: owner_r,
-                        src_array: *ra,
-                        src_section: sect.clone(),
-                        dst_array: *ra,
-                        dst_section: sect,
+                        parts: vec![BcastPart {
+                            src_array: *ra,
+                            src_section: sect.clone(),
+                            dst_array: *ra,
+                            dst_section: sect,
+                        }],
                     });
                 }
                 let r = self.rtr_expr(rhs, st.id, out)?;
@@ -360,10 +362,12 @@ impl UnitCompiler<'_, '_> {
             };
             out.push(SStmt::Bcast {
                 root: owner_r,
-                src_array: ra,
-                src_section: sect.clone(),
-                dst_array: ra,
-                dst_section: sect,
+                parts: vec![BcastPart {
+                    src_array: ra,
+                    src_section: sect.clone(),
+                    dst_array: ra,
+                    dst_section: sect,
+                }],
             });
         }
         Ok(())

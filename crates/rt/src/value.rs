@@ -2,10 +2,9 @@
 
 /// Run-time scalar. The distinction between `I` and `R` is semantic, not
 /// just representational: integer division truncates, `Pow` clamps its
-/// exponent, a scalar that crossed the wire is re-integerized when exact,
-/// and the simulator charges a flop when either operand of a binary
-/// operation is `R` and an integer op otherwise — so every engine carries
-/// it dynamically.
+/// exponent, and the simulator charges a flop when either operand of a
+/// binary operation is `R` and an integer op otherwise — so every engine
+/// carries it dynamically.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Value {
     I(i64),
@@ -111,18 +110,6 @@ pub fn fmax(vals: impl IntoIterator<Item = f64>) -> f64 {
     vals.into_iter().fold(f64::NEG_INFINITY, f64::max)
 }
 
-/// Converts a scalar that traveled over the wire as `f64` back to a
-/// [`Value`]: integrality is preserved when exact (broadcast scalars are
-/// pivot indices in practice).
-#[inline]
-pub fn scalar_from_wire(v: f64) -> Value {
-    if v == v.trunc() {
-        Value::I(v as i64)
-    } else {
-        Value::R(v)
-    }
-}
-
 /// Applies a binary operator. Integer op when both operands are `I`;
 /// otherwise both promote to `f64`. Comparisons and logicals yield `I(0|1)`.
 #[inline]
@@ -225,8 +212,6 @@ mod tests {
             apply_intr(SIntr::Sign, &[Value::I(3), Value::I(-1)]),
             Value::R(-3.0)
         );
-        assert_eq!(scalar_from_wire(4.0), Value::I(4));
-        assert_eq!(scalar_from_wire(4.5), Value::R(4.5));
         assert!(neg(Value::R(0.0)).as_r().is_sign_negative());
     }
 }

@@ -10,7 +10,7 @@ use crate::protocol::{err_response, ok_response, parse_request, Request};
 use fortrand::json::Json;
 use fortrand::{ArtifactStore, CompileOptions, CompilePool, Compiled, Session};
 use std::collections::{BTreeMap, HashMap};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -269,21 +269,40 @@ impl Drop for ServerHandle {
     }
 }
 
+/// Longest request line accepted, newline excluded. The largest request a
+/// client of this repository sends is an `open` carrying the 105 kB
+/// `wide_corpus(300)` source; a client that never sends a newline must not
+/// be able to grow the line buffer until the host runs out of memory.
+const MAX_REQUEST_LINE: usize = 8 << 20;
+
 fn handle_connection(server: &Server, stream: TcpStream, conn_id: u64) {
     if let Ok(w) = stream.try_clone() {
         let mut writer = w;
-        let reader = BufReader::new(stream);
-        for line in reader.lines() {
-            let line = match line {
-                Ok(l) => l,
-                Err(_) => break,
-            };
-            if line.trim().is_empty() {
-                continue;
+        let mut reader = BufReader::new(stream);
+        let mut line = Vec::new();
+        loop {
+            line.clear();
+            // One byte past the cap tells a line that fits from one that
+            // does not.
+            let limit = MAX_REQUEST_LINE as u64 + 1;
+            match (&mut reader).take(limit).read_until(b'\n', &mut line) {
+                Ok(0) | Err(_) => break,
+                Ok(_) => {}
             }
-            let mut resp = server.handle_line(&line);
+            let too_long = line.len() > MAX_REQUEST_LINE && !line.ends_with(b"\n");
+            let mut resp = if too_long {
+                server.fail(format!(
+                    "request line exceeds {MAX_REQUEST_LINE} bytes; closing the connection"
+                ))
+            } else {
+                match std::str::from_utf8(&line) {
+                    Ok(text) if text.trim().is_empty() => continue,
+                    Ok(text) => server.handle_line(text),
+                    Err(_) => break,
+                }
+            };
             resp.push('\n');
-            if writer.write_all(resp.as_bytes()).is_err() {
+            if writer.write_all(resp.as_bytes()).is_err() || too_long {
                 break;
             }
         }
@@ -359,14 +378,17 @@ mod tests {
         fortrand::corpus::wide_corpus(4, 64, 4)
     }
 
-    fn open(server: &Server, sid: &str, source: &str) {
-        let req = Json::Obj(vec![
+    fn open_request(sid: &str, source: &str) -> String {
+        Json::Obj(vec![
             ("cmd".into(), Json::str("open")),
             ("session".into(), Json::str(sid)),
             ("source".into(), Json::str(source)),
         ])
-        .compact();
-        let resp = server.handle_line(&req);
+        .compact()
+    }
+
+    fn open(server: &Server, sid: &str, source: &str) {
+        let resp = server.handle_line(&open_request(sid, source));
         assert!(resp.contains("\"ok\":true"), "{resp}");
     }
 
@@ -408,12 +430,7 @@ mod tests {
         let stream = TcpStream::connect(handle.addr).unwrap();
         let mut writer = stream.try_clone().unwrap();
         let mut reader = BufReader::new(stream);
-        let open = Json::Obj(vec![
-            ("cmd".into(), Json::str("open")),
-            ("session".into(), Json::str("t")),
-            ("source".into(), Json::str(source())),
-        ])
-        .compact();
+        let open = open_request("t", &source());
         for req in [
             open.as_str(),
             r#"{"cmd":"compile","session":"t"}"#,
@@ -421,6 +438,45 @@ mod tests {
             r#"{"cmd":"stats"}"#,
             r#"{"cmd":"close","session":"t"}"#,
         ] {
+            writer.write_all(req.as_bytes()).unwrap();
+            writer.write_all(b"\n").unwrap();
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            assert!(line.contains("\"ok\":true"), "{req} -> {line}");
+        }
+        handle.shutdown();
+    }
+
+    #[test]
+    fn oversized_request_line_is_refused_and_the_daemon_lives() {
+        let server = Server::new(ServerConfig::default());
+        let handle = server.spawn("127.0.0.1:0").unwrap();
+        let mut hostile = TcpStream::connect(handle.addr).unwrap();
+        // The daemon may answer and close before the last chunk is
+        // written, so a write error here is as good as success.
+        let chunk = vec![b'x'; 1 << 20];
+        let mut left = MAX_REQUEST_LINE + 1;
+        while left > 0 {
+            let n = left.min(chunk.len());
+            if hostile.write_all(&chunk[..n]).is_err() {
+                break;
+            }
+            left -= n;
+        }
+        let mut answer = String::new();
+        BufReader::new(&hostile).read_line(&mut answer).unwrap();
+        assert!(answer.contains("\"ok\":false"), "{answer}");
+        assert!(answer.contains("exceeds"), "{answer}");
+        // Closed: nothing follows the refusal.
+        let mut rest = Vec::new();
+        let _ = (&hostile).read_to_end(&mut rest);
+        assert!(rest.is_empty());
+
+        let stream = TcpStream::connect(handle.addr).unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = BufReader::new(stream);
+        let open = open_request("t", &source());
+        for req in [open.as_str(), r#"{"cmd":"compile","session":"t"}"#] {
             writer.write_all(req.as_bytes()).unwrap();
             writer.write_all(b"\n").unwrap();
             let mut line = String::new();

@@ -60,6 +60,15 @@ fn sanitize(name: &str) -> String {
         .collect()
 }
 
+/// The shim's name for the tag [`crate::runtime::bcast_tag`] selects.
+fn bcast_tag_name(parts: usize) -> &'static str {
+    if parts > 1 {
+        "shim::TAG_BCAST_PACK"
+    } else {
+        "shim::TAG_BCAST"
+    }
+}
+
 /// `f64` literal that reparses to the exact same bits.
 fn flit(v: f64) -> String {
     if v.is_finite() {
@@ -727,71 +736,18 @@ impl<'a> Emitter<'a> {
                 self.indent -= 1;
                 self.w("}");
             }
-            SStmt::Bcast {
-                root,
-                src_array,
-                src_section,
-                dst_array,
-                dst_section,
-            } => {
-                let n = self.fresh();
-                let root_s = self.ei(root);
-                let gather = format!(
-                    "Some(h.gather({}, &{}))",
-                    self.aname(*src_array),
-                    self.rect(src_section)
-                );
-                let ddims = self.rect(dst_section);
-                let darr = self.aname(*dst_array);
-                self.w("{");
-                self.indent += 1;
-                self.w(&format!("let root_t{n}: usize = ({root_s}) as usize;"));
-                // Source section dimensions evaluate on the root only.
-                self.w(&format!(
-                    "let data_t{n} = if cx.rank() == root_t{n} {{ {gather} }} else {{ None }};"
-                ));
-                self.w(&format!(
-                    "let buf_t{n} = cx.bcast(root_t{n}, data_t{n}, shim::TAG_BCAST);"
-                ));
-                self.w(&format!("let dims_t{n}: Vec<(i64, i64, i64)> = {ddims};"));
-                self.w(&format!("h.scatter({darr}, &dims_t{n}, &buf_t{n});"));
-                self.indent -= 1;
-                self.w("}");
-            }
-            SStmt::BcastScalar { root, var } => {
-                let n = self.fresh();
-                let root_s = self.ei(root);
-                let t = self.ty_of(*var);
-                let name = self.sname(*var);
-                let payload = Self::coerce(name.clone(), t, Ty::R);
-                self.w("{");
-                self.indent += 1;
-                self.w(&format!("let root_t{n}: usize = ({root_s}) as usize;"));
-                self.w(&format!(
-                    "let data_t{n} = if cx.rank() == root_t{n} {{ Some(vec![{payload}]) }} else {{ None }};"
-                ));
-                self.w(&format!(
-                    "let buf_t{n} = cx.bcast(root_t{n}, data_t{n}, shim::TAG_BCAST);"
-                ));
-                // The wire re-integerizes exact values (pivot indices).
-                self.w(&format!(
-                    "{name} = {};",
-                    Self::coerce(format!("shim::scalar_from_wire(buf_t{n}[0])"), Ty::V, t)
-                ));
-                self.indent -= 1;
-                self.w("}");
-            }
-            SStmt::BcastPack { root, parts } => {
+            SStmt::Bcast { root, parts } => {
                 let n = self.fresh();
                 let root_s = self.ei(root);
                 self.w("{");
                 self.indent += 1;
                 self.w(&format!("let root_t{n}: usize = ({root_s}) as usize;"));
-                self.emit_pack(n, parts);
+                self.emit_pack(n, parts.iter().map(BcastPart::src));
                 self.w(&format!(
-                    "let buf_t{n} = cx.bcast(root_t{n}, data_t{n}, shim::TAG_BCAST_PACK);"
+                    "let buf_t{n} = cx.bcast(root_t{n}, data_t{n}, {});",
+                    bcast_tag_name(parts.len())
                 ));
-                self.emit_unpack(n, parts);
+                self.emit_unpack(n, parts.iter().map(BcastPart::dst));
                 self.indent -= 1;
                 self.w("}");
             }
@@ -854,70 +810,26 @@ impl<'a> Emitter<'a> {
                 self.indent -= 1;
                 self.w("}");
             }
-            SStmt::PostBcast {
-                handle,
-                root,
-                src_array,
-                src_section,
-            } => {
-                let n = self.fresh();
-                let root_s = self.ei(root);
-                let gather = format!(
-                    "Some(h.gather({}, &{}))",
-                    self.aname(*src_array),
-                    self.rect(src_section)
-                );
-                self.w("{");
-                self.indent += 1;
-                self.w(&format!("let root_t{n}: usize = ({root_s}) as usize;"));
-                self.w(&format!(
-                    "let data_t{n} = if cx.rank() == root_t{n} {{ {gather} }} else {{ None }};"
-                ));
-                self.w(&format!(
-                    "cx.post_bcast({handle}u32, root_t{n}, data_t{n}, shim::TAG_BCAST);"
-                ));
-                self.indent -= 1;
-                self.w("}");
-            }
-            SStmt::WaitBcast {
-                handle,
-                dst_array,
-                dst_section,
-            } => {
-                let n = self.fresh();
-                let ddims = self.rect(dst_section);
-                let darr = self.aname(*dst_array);
-                self.w("{");
-                self.indent += 1;
-                self.w(&format!("let buf_t{n} = cx.wait_bcast({handle}u32);"));
-                self.w(&format!("let dims_t{n}: Vec<(i64, i64, i64)> = {ddims};"));
-                self.w(&format!("h.scatter({darr}, &dims_t{n}, &buf_t{n});"));
-                self.indent -= 1;
-                self.w("}");
-            }
-            SStmt::PostBcastPack {
-                handle,
-                root,
-                parts,
-            } => {
+            SStmt::PostBcast { handle, root, src } => {
                 let n = self.fresh();
                 let root_s = self.ei(root);
                 self.w("{");
                 self.indent += 1;
                 self.w(&format!("let root_t{n}: usize = ({root_s}) as usize;"));
-                self.emit_pack(n, parts);
+                self.emit_pack(n, src.iter().map(|(a, s)| (*a, s)));
                 self.w(&format!(
-                    "cx.post_bcast({handle}u32, root_t{n}, data_t{n}, shim::TAG_BCAST_PACK);"
+                    "cx.post_bcast({handle}u32, root_t{n}, data_t{n}, {});",
+                    bcast_tag_name(src.len())
                 ));
                 self.indent -= 1;
                 self.w("}");
             }
-            SStmt::WaitBcastPack { handle, parts } => {
+            SStmt::WaitBcast { handle, dst } => {
                 let n = self.fresh();
                 self.w("{");
                 self.indent += 1;
                 self.w(&format!("let buf_t{n} = cx.wait_bcast({handle}u32);"));
-                self.emit_unpack(n, parts);
+                self.emit_unpack(n, dst.iter().map(|(a, s)| (*a, s)));
                 self.indent -= 1;
                 self.w("}");
             }
@@ -959,77 +871,64 @@ impl<'a> Emitter<'a> {
         }
     }
 
-    /// Root-side packing of a coalesced broadcast: `data_t{n}` is
-    /// `Some(buffer)` on the root (sections gathered, scalars pushed, in
-    /// part order) and `None` elsewhere.
-    fn emit_pack(&mut self, n: u32, parts: &[BcastPart]) {
+    /// Root side of a broadcast: `data_t{n}` is `Some(payload)` on the root
+    /// (source bounds evaluate there only) and `None` elsewhere. A single
+    /// section is its gathered buffer; several are appended in order.
+    fn emit_pack<'s>(&mut self, n: u32, mut src: impl ExactSizeIterator<Item = (Sym, &'s SRect)>) {
+        if src.len() == 1 {
+            let (array, section) = src.next().unwrap();
+            let gather = format!("h.gather({}, &{})", self.aname(array), self.rect(section));
+            self.w(&format!(
+                "let data_t{n} = if cx.rank() == root_t{n} {{ Some({gather}) }} else {{ None }};"
+            ));
+            return;
+        }
         self.w(&format!("let data_t{n} = if cx.rank() == root_t{n} {{"));
         self.indent += 1;
         self.w(&format!("let mut pk_t{n}: Vec<f64> = Vec::new();"));
-        for p in parts {
-            match p {
-                BcastPart::Section {
-                    src_array,
-                    src_section,
-                    ..
-                } => {
-                    let g = format!(
-                        "pk_t{n}.extend_from_slice(&h.gather({}, &{}));",
-                        self.aname(*src_array),
-                        self.rect(src_section)
-                    );
-                    self.w(&g);
-                }
-                BcastPart::Scalar(v) => {
-                    let t = self.ty_of(*v);
-                    let name = self.sname(*v);
-                    self.w(&format!("pk_t{n}.push({});", Self::coerce(name, t, Ty::R)));
-                }
-            }
+        for (array, section) in src {
+            let g = format!(
+                "pk_t{n}.extend_from_slice(&h.gather({}, &{}));",
+                self.aname(array),
+                self.rect(section)
+            );
+            self.w(&g);
         }
         self.w(&format!("Some(pk_t{n})"));
         self.indent -= 1;
         self.w("} else { None };");
     }
 
-    /// All-ranks unpacking of a coalesced broadcast from `buf_t{n}`, with
-    /// a running offset cursor (sections first compute their rect length).
-    fn emit_unpack(&mut self, n: u32, parts: &[BcastPart]) {
+    /// All-ranks side of a broadcast: `buf_t{n}` scattered into each
+    /// destination in order. A single section takes the whole payload;
+    /// several advance an offset cursor by their rect lengths.
+    fn emit_unpack<'s>(
+        &mut self,
+        n: u32,
+        mut dst: impl ExactSizeIterator<Item = (Sym, &'s SRect)>,
+    ) {
+        if dst.len() == 1 {
+            let (array, section) = dst.next().unwrap();
+            let dims = self.rect(section);
+            let arr = self.aname(array);
+            self.w(&format!("let dims_t{n}: Vec<(i64, i64, i64)> = {dims};"));
+            self.w(&format!("h.scatter({arr}, &dims_t{n}, &buf_t{n});"));
+            return;
+        }
         self.w(&format!("let mut off_t{n}: usize = 0;"));
-        for p in parts {
-            match p {
-                BcastPart::Section {
-                    dst_array,
-                    dst_section,
-                    ..
-                } => {
-                    let dims = self.rect(dst_section);
-                    let arr = self.aname(*dst_array);
-                    self.w("{");
-                    self.indent += 1;
-                    self.w(&format!("let dims_t{n}: Vec<(i64, i64, i64)> = {dims};"));
-                    self.w(&format!("let len_t{n} = shim::rect_len(&dims_t{n});"));
-                    self.w(&format!(
-                        "h.scatter({arr}, &dims_t{n}, &buf_t{n}[off_t{n}..off_t{n} + len_t{n}]);"
-                    ));
-                    self.w(&format!("off_t{n} += len_t{n};"));
-                    self.indent -= 1;
-                    self.w("}");
-                }
-                BcastPart::Scalar(v) => {
-                    let t = self.ty_of(*v);
-                    let name = self.sname(*v);
-                    self.w(&format!(
-                        "{name} = {};",
-                        Self::coerce(
-                            format!("shim::scalar_from_wire(buf_t{n}[off_t{n}])"),
-                            Ty::V,
-                            t
-                        )
-                    ));
-                    self.w(&format!("off_t{n} += 1;"));
-                }
-            }
+        for (array, section) in dst {
+            let dims = self.rect(section);
+            let arr = self.aname(array);
+            self.w("{");
+            self.indent += 1;
+            self.w(&format!("let dims_t{n}: Vec<(i64, i64, i64)> = {dims};"));
+            self.w(&format!("let len_t{n} = shim::rect_len(&dims_t{n});"));
+            self.w(&format!(
+                "h.scatter({arr}, &dims_t{n}, &buf_t{n}[off_t{n}..off_t{n} + len_t{n}]);"
+            ));
+            self.w(&format!("off_t{n} += len_t{n};"));
+            self.indent -= 1;
+            self.w("}");
         }
     }
 

@@ -544,6 +544,13 @@ mod tests {
                 },
             ],
         };
+        // `a(from)` on the root into `a(to)` everywhere.
+        let part = |from: i64, to: i64| BcastPart {
+            src_array: a,
+            src_section: SRect::one(SExpr::Int(from), SExpr::Int(from)),
+            dst_array: a,
+            dst_section: SRect::one(SExpr::Int(to), SExpr::Int(to)),
+        };
         let body = vec![
             SStmt::Do {
                 var: i,
@@ -604,9 +611,14 @@ mod tests {
                 lhs: SLval::Scalar(t),
                 rhs: SExpr::Int(3),
             },
-            SStmt::BcastScalar {
+            // One section, then two packed into one message.
+            SStmt::Bcast {
                 root: SExpr::Int(0),
-                var: t,
+                parts: vec![part(1, 1)],
+            },
+            SStmt::Bcast {
+                root: SExpr::Int(1),
+                parts: vec![part(2, 3), part(lb, 2)],
             },
             SStmt::Call {
                 proc: 1,

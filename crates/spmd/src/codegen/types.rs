@@ -1,10 +1,10 @@
 //! Static scalar typing for the native backend.
 //!
 //! The simulators carry every scalar as a dynamic `Value::{I, R}` because
-//! the I/R distinction is *semantic* (integer division, `Pow` clamping,
-//! wire re-integerization). The emitted Rust program wants typed locals
-//! (`i64`/`f64`) on the hot paths, so this pass infers, per procedure and
-//! scalar, a three-point lattice
+//! the I/R distinction is *semantic* (integer division, `Pow` clamping).
+//! The emitted Rust program wants typed locals (`i64`/`f64`) on the hot
+//! paths, so this pass infers, per procedure and scalar, a three-point
+//! lattice
 //!
 //! ```text
 //!        V            (dynamically I or R — emitted as shim::Value)
@@ -16,10 +16,10 @@
 //!
 //! by a monotone interprocedural fixpoint over assignments, loop
 //! variables, call bindings (actual → formal), Fortran copy-out
-//! (formal → caller variable), and the wire sinks that re-integerize
-//! (`BcastScalar` and packed-broadcast scalars force `V`; `RecvElem`
-//! forces at least `R`). The lattice has height 2, so the fixpoint is
-//! cheap and trivially terminating.
+//! (formal → caller variable) and `RecvElem` (an element off the wire is
+//! `R`). Nothing forces `V`: it arises only where an `I` and an `R`
+//! definition of one scalar join. The lattice has height 2, so the
+//! fixpoint is cheap and trivially terminating.
 
 use crate::ir::*;
 use fortrand_ir::Sym;
@@ -122,6 +122,9 @@ impl ScalarTypes {
         }
     }
 
+    /// Exhaustive, so a statement kind that defines a scalar cannot be
+    /// added without being typed here.
+    #[deny(clippy::wildcard_enum_match_arm)]
     fn walk_stmt(&mut self, prog: &SpmdProgram, proc: usize, s: &SStmt) {
         match s {
             SStmt::Assign {
@@ -168,20 +171,23 @@ impl ScalarTypes {
                 self.set(proc, *v, Ty::R);
             }
             SStmt::RecvElem { .. } => {}
-            SStmt::BcastScalar { var, .. } => {
-                // `scalar_from_wire` re-integerizes dynamically.
-                self.set(proc, *var, Ty::V);
-            }
-            SStmt::BcastPack { parts, .. }
-            | SStmt::PostBcastPack { parts, .. }
-            | SStmt::WaitBcastPack { parts, .. } => {
-                for p in parts {
-                    if let BcastPart::Scalar(v) = p {
-                        self.set(proc, *v, Ty::V);
-                    }
-                }
-            }
-            _ => {}
+            SStmt::Comment(_)
+            | SStmt::Return
+            | SStmt::Send { .. }
+            | SStmt::Recv { .. }
+            | SStmt::SendElem { .. }
+            | SStmt::Bcast { .. }
+            | SStmt::PostSend { .. }
+            | SStmt::WaitSend { .. }
+            | SStmt::PostRecv { .. }
+            | SStmt::WaitRecv { .. }
+            | SStmt::PostBcast { .. }
+            | SStmt::WaitBcast { .. }
+            | SStmt::Remap { .. }
+            | SStmt::RemapGlobal { .. }
+            | SStmt::MarkDist { .. }
+            | SStmt::Print { .. }
+            | SStmt::Stop => {}
         }
     }
 }

@@ -20,8 +20,8 @@
 
 use crate::ir::*;
 use crate::runtime::{
-    apply_bin, apply_intr, begin_remap, begin_remap_global, mark_dist_store, run_harness,
-    scalar_from_wire, scatter_init_store, ArrayStore, LocalStore, Remap, Value,
+    apply_bin, apply_intr, bcast_tag, begin_remap, begin_remap_global, mark_dist_store,
+    run_harness, scatter_init_store, ArrayStore, LocalStore, Remap, Value,
 };
 pub use crate::runtime::{
     try_run_spmd, ExecOptions, RankFailure, RunOutcome, TAG_BCAST, TAG_BCAST_PACK,
@@ -333,196 +333,30 @@ impl<'a> Exec<'a> {
                 self.scatter_section(*array, section, &data);
                 Flow::Normal
             }
-            SStmt::PostBcast {
-                handle,
-                root,
-                src_array,
-                src_section,
-            } => {
+            SStmt::PostBcast { handle, root, src } => {
                 let root = self.eval(root).as_i() as usize;
-                let is_root = self.node.rank() == root;
-                let data = if is_root {
-                    Some(self.gather_section(*src_array, src_section))
-                } else {
-                    None
-                };
+                let data = self.gather_parts(root, src.iter().map(|(a, s)| (*a, s)));
                 self.flush_charges();
-                let seq = self.node.post_bcast(root, data, Some(TAG_BCAST));
+                let seq = self.node.post_bcast(root, data, Some(bcast_tag(src.len())));
                 *slot(&mut self.posted_bcast, *handle) = Some((seq, self.node.clock()));
                 Flow::Normal
             }
-            SStmt::WaitBcast {
-                handle,
-                dst_array,
-                dst_section,
-            } => {
+            SStmt::WaitBcast { handle, dst } => {
                 let (seq, posted_at) = slot(&mut self.posted_bcast, *handle)
                     .take()
                     .expect("wait_bcast without matching post");
                 self.flush_charges();
                 let out = self.node.wait_bcast(seq, posted_at);
-                self.scatter_section(*dst_array, dst_section, &out);
+                self.scatter_parts(dst.iter().map(|(a, s)| (*a, s)), &out);
                 Flow::Normal
             }
-            SStmt::PostBcastPack {
-                handle,
-                root,
-                parts,
-            } => {
+            SStmt::Bcast { root, parts } => {
                 let root = self.eval(root).as_i() as usize;
-                let is_root = self.node.rank() == root;
-                let data = if is_root {
-                    let mut buf = self.node.acquire_buf();
-                    for p in parts {
-                        match p {
-                            BcastPart::Section {
-                                src_array,
-                                src_section,
-                                ..
-                            } => {
-                                let part = self.gather_section(*src_array, src_section);
-                                buf.extend_from_slice(&part);
-                            }
-                            BcastPart::Scalar(v) => buf.push(
-                                self.frame()
-                                    .scalars
-                                    .get(v)
-                                    .copied()
-                                    .map(|v| v.as_r())
-                                    .unwrap_or(0.0),
-                            ),
-                        }
-                    }
-                    Some(buf)
-                } else {
-                    None
-                };
+                let data = self.gather_parts(root, parts.iter().map(BcastPart::src));
                 self.flush_charges();
-                let seq = self.node.post_bcast(root, data, Some(TAG_BCAST_PACK));
-                *slot(&mut self.posted_bcast, *handle) = Some((seq, self.node.clock()));
-                Flow::Normal
-            }
-            SStmt::WaitBcastPack { handle, parts } => {
-                let (seq, posted_at) = slot(&mut self.posted_bcast, *handle)
-                    .take()
-                    .expect("wait_bcast without matching post");
-                self.flush_charges();
-                let out = self.node.wait_bcast(seq, posted_at);
-                let mut off = 0usize;
-                for p in parts {
-                    match p {
-                        BcastPart::Section {
-                            dst_array,
-                            dst_section,
-                            ..
-                        } => {
-                            let n = rect_len(&self.rect_dims(dst_section));
-                            self.scatter_section(*dst_array, dst_section, &out[off..off + n]);
-                            off += n;
-                        }
-                        BcastPart::Scalar(v) => {
-                            let val = scalar_from_wire(out[off]);
-                            self.frames.last_mut().unwrap().scalars.insert(*v, val);
-                            off += 1;
-                        }
-                    }
-                }
-                Flow::Normal
-            }
-            SStmt::Bcast {
-                root,
-                src_array,
-                src_section,
-                dst_array,
-                dst_section,
-            } => {
-                let root = self.eval(root).as_i() as usize;
-                let is_root = self.node.rank() == root;
-                let data = if is_root {
-                    Some(self.gather_section(*src_array, src_section))
-                } else {
-                    None
-                };
-                self.flush_charges();
-                let out = self.node.bcast_payload(root, data, Some(TAG_BCAST));
-                self.scatter_section(*dst_array, dst_section, &out);
-                Flow::Normal
-            }
-            SStmt::BcastScalar { root, var } => {
-                let root = self.eval(root).as_i() as usize;
-                let is_root = self.node.rank() == root;
-                let data = if is_root {
-                    let mut buf = self.node.acquire_buf();
-                    buf.push(
-                        self.frame()
-                            .scalars
-                            .get(var)
-                            .copied()
-                            .map(|v| v.as_r())
-                            .unwrap_or(0.0),
-                    );
-                    Some(buf)
-                } else {
-                    None
-                };
-                self.flush_charges();
-                let out = self.node.bcast_payload(root, data, Some(TAG_BCAST));
-                // Scalars broadcast this way are integers in practice
-                // (pivot indices); preserve integrality when exact.
-                let val = scalar_from_wire(out[0]);
-                self.frames.last_mut().unwrap().scalars.insert(*var, val);
-                Flow::Normal
-            }
-            SStmt::BcastPack { root, parts } => {
-                let root = self.eval(root).as_i() as usize;
-                let is_root = self.node.rank() == root;
-                let data = if is_root {
-                    let mut buf = self.node.acquire_buf();
-                    for p in parts {
-                        match p {
-                            BcastPart::Section {
-                                src_array,
-                                src_section,
-                                ..
-                            } => {
-                                let part = self.gather_section(*src_array, src_section);
-                                buf.extend_from_slice(&part);
-                            }
-                            BcastPart::Scalar(v) => buf.push(
-                                self.frame()
-                                    .scalars
-                                    .get(v)
-                                    .copied()
-                                    .map(|v| v.as_r())
-                                    .unwrap_or(0.0),
-                            ),
-                        }
-                    }
-                    Some(buf)
-                } else {
-                    None
-                };
-                self.flush_charges();
-                let out = self.node.bcast_payload(root, data, Some(TAG_BCAST_PACK));
-                let mut off = 0usize;
-                for p in parts {
-                    match p {
-                        BcastPart::Section {
-                            dst_array,
-                            dst_section,
-                            ..
-                        } => {
-                            let n = rect_len(&self.rect_dims(dst_section));
-                            self.scatter_section(*dst_array, dst_section, &out[off..off + n]);
-                            off += n;
-                        }
-                        BcastPart::Scalar(v) => {
-                            let val = scalar_from_wire(out[off]);
-                            self.frames.last_mut().unwrap().scalars.insert(*v, val);
-                            off += 1;
-                        }
-                    }
-                }
+                let tag = bcast_tag(parts.len());
+                let out = self.node.bcast_payload(root, data, Some(tag));
+                self.scatter_parts(parts.iter().map(BcastPart::dst), &out);
                 Flow::Normal
             }
             SStmt::RemapGlobal { array, to_dist } => {
@@ -666,6 +500,49 @@ impl<'a> Exec<'a> {
         let id = self.array_id(array);
         unpack(&mut self.heap[id], &dims, data);
         self.pending_ops += data.len() as u64; // unpack cost
+    }
+
+    /// The root's payload of a broadcast (`None` on every other rank): a
+    /// single section is its gathered buffer, several are appended to one
+    /// further buffer in order.
+    fn gather_parts<'s>(
+        &mut self,
+        root: usize,
+        mut src: impl ExactSizeIterator<Item = (Sym, &'s SRect)>,
+    ) -> Option<Vec<f64>> {
+        if self.node.rank() != root {
+            return None;
+        }
+        if src.len() == 1 {
+            let (array, section) = src.next().unwrap();
+            return Some(self.gather_section(array, section));
+        }
+        let mut buf = self.node.acquire_buf();
+        for (array, section) in src {
+            let part = self.gather_section(array, section);
+            buf.extend_from_slice(&part);
+        }
+        Some(buf)
+    }
+
+    /// Scatters a broadcast payload into its destinations in order. A
+    /// single section takes the whole payload; each of several evaluates
+    /// its bounds once more to size its slice.
+    fn scatter_parts<'s>(
+        &mut self,
+        mut dst: impl ExactSizeIterator<Item = (Sym, &'s SRect)>,
+        data: &[f64],
+    ) {
+        if dst.len() == 1 {
+            let (array, section) = dst.next().unwrap();
+            return self.scatter_section(array, section, data);
+        }
+        let mut off = 0usize;
+        for (array, section) in dst {
+            let n = rect_len(&self.rect_dims(section));
+            self.scatter_section(array, section, &data[off..off + n]);
+            off += n;
+        }
     }
 
     /// Second half of a remap of array `id`: a blocking receive per source.

@@ -245,24 +245,31 @@ pub enum SActual {
     Scalar(SExpr),
 }
 
-/// One constituent of a packed broadcast ([`SStmt::BcastPack`]).
+/// One section of a broadcast ([`SStmt::Bcast`]): the root gathers
+/// `src_array[src_section]`; every rank scatters that slice of the payload
+/// into `dst_array[dst_section]`.
 #[derive(Clone, Debug, PartialEq)]
-pub enum BcastPart {
-    /// A section broadcast: the root gathers `src_array[src_section]`;
-    /// every rank scatters that slice of the payload into
-    /// `dst_array[dst_section]`.
-    Section {
-        /// Source array (root side).
-        src_array: Sym,
-        /// Source section, local index space of the root.
-        src_section: SRect,
-        /// Destination array (all ranks).
-        dst_array: Sym,
-        /// Destination section.
-        dst_section: SRect,
-    },
-    /// A scalar broadcast: one payload element.
-    Scalar(Sym),
+pub struct BcastPart {
+    /// Source array (root side).
+    pub src_array: Sym,
+    /// Source section, local index space of the root.
+    pub src_section: SRect,
+    /// Destination array (all ranks).
+    pub dst_array: Sym,
+    /// Destination section.
+    pub dst_section: SRect,
+}
+
+impl BcastPart {
+    /// The half a [`SStmt::PostBcast`] carries.
+    pub fn src(&self) -> (Sym, &SRect) {
+        (self.src_array, &self.src_section)
+    }
+
+    /// The half a [`SStmt::WaitBcast`] carries.
+    pub fn dst(&self) -> (Sym, &SRect) {
+        (self.dst_array, &self.dst_section)
+    }
 }
 
 /// Statements.
@@ -352,38 +359,20 @@ pub enum SStmt {
         /// Where the value lands.
         lhs: SLval,
     },
-    /// Collective broadcast: the root gathers `src_array[src_section]`
-    /// (evaluated on the root only) and every rank — root included —
-    /// scatters the payload into `dst_array[dst_section]`. Used for pinned
-    /// column/row broadcasts (dgefa's pivot column) and run-time
-    /// resolution of replicated reads.
+    /// Collective broadcast: the root gathers every part's source section
+    /// (evaluated on the root only) into one message, in order, and every
+    /// rank — root included — scatters the payload into the parts'
+    /// destinations, in order. Codegen emits one part (pinned column/row
+    /// broadcasts such as dgefa's pivot column, run-time resolution of
+    /// replicated reads); the communication optimizer ([`crate::opt`])
+    /// concatenates the part lists of same-root runs (one α instead of
+    /// several). A message of several parts travels under
+    /// [`crate::interp::TAG_BCAST_PACK`], a single part under
+    /// [`crate::interp::TAG_BCAST`].
     Bcast {
-        /// Root rank.
-        root: SExpr,
-        /// Source array (root side).
-        src_array: Sym,
-        /// Source section, local index space of the root.
-        src_section: SRect,
-        /// Destination array (all ranks).
-        dst_array: Sym,
-        /// Destination section.
-        dst_section: SRect,
-    },
-    /// Broadcast one scalar variable from `root` to every rank.
-    BcastScalar {
-        /// Root rank.
-        root: SExpr,
-        /// The scalar.
-        var: Sym,
-    },
-    /// Coalesced broadcast: the payloads of several broadcasts with the same
-    /// root are packed into one message (one α instead of several). Produced
-    /// by the communication optimizer ([`crate::opt`]); never emitted
-    /// directly by codegen.
-    BcastPack {
         /// Root rank (shared by every part).
         root: SExpr,
-        /// Constituent broadcasts, packed in order.
+        /// Sections broadcast, packed in order; never empty.
         parts: Vec<BcastPart>,
     },
     /// Nonblocking half of [`SStmt::Send`]: gathers `array[section]` and
@@ -431,52 +420,29 @@ pub enum SStmt {
         /// Section (local index space).
         section: SRect,
     },
-    /// Nonblocking half of [`SStmt::Bcast`]: the root gathers
-    /// `src_array[src_section]` and posts the broadcast (charged α on the
-    /// root; the tree latency overlaps with compute on every rank). The
-    /// matching [`SStmt::WaitBcast`] scatters on all ranks. Executed by
-    /// every rank (the post advances each rank's collective sequence
-    /// number), so the optimizer only emits it under replicated guards.
+    /// Nonblocking half of [`SStmt::Bcast`]: the root gathers the source
+    /// half of every part and posts the broadcast (charged α on the root;
+    /// the tree latency overlaps with compute on every rank). The matching
+    /// [`SStmt::WaitBcast`] scatters on all ranks. Executed by every rank
+    /// (the post advances each rank's collective sequence number), so the
+    /// optimizer only emits it under replicated guards.
     PostBcast {
         /// Static handle pairing this post with its wait.
         handle: u32,
         /// Root rank.
         root: SExpr,
-        /// Source array (root side).
-        src_array: Sym,
-        /// Source section, local index space of the root.
-        src_section: SRect,
+        /// Source array and section (local index space of the root) of
+        /// each part, packed in order.
+        src: Vec<(Sym, SRect)>,
     },
     /// Completion point of a [`SStmt::PostBcast`]: every rank blocks until
-    /// the posted payload is complete, then scatters it into
-    /// `dst_array[dst_section]`.
+    /// the posted payload is complete, then scatters it into the
+    /// destination half of every part.
     WaitBcast {
         /// Handle of the matching post.
         handle: u32,
-        /// Destination array (all ranks).
-        dst_array: Sym,
-        /// Destination section.
-        dst_section: SRect,
-    },
-    /// Nonblocking half of [`SStmt::BcastPack`]: the root packs every
-    /// part's source payload and posts one message. `parts` is shared with
-    /// the matching wait (the post reads the `src_*` fields only).
-    PostBcastPack {
-        /// Static handle pairing this post with its wait.
-        handle: u32,
-        /// Root rank (shared by every part).
-        root: SExpr,
-        /// Constituent broadcasts, packed in order.
-        parts: Vec<BcastPart>,
-    },
-    /// Completion point of a [`SStmt::PostBcastPack`]: every rank blocks
-    /// for the packed payload and unpacks each part into its destination
-    /// (the wait reads the `dst_*` fields only).
-    WaitBcastPack {
-        /// Handle of the matching post.
-        handle: u32,
-        /// Constituent broadcasts, unpacked in order.
-        parts: Vec<BcastPart>,
+        /// Destination array and section of each part, unpacked in order.
+        dst: Vec<(Sym, SRect)>,
     },
     /// Dynamic data decomposition: remap `array` to `to_dist`, moving data
     /// between nodes (charged as messages + a remap call).

@@ -10,7 +10,7 @@
 //! silently in a `_ => {}` arm of some collector.
 #![deny(clippy::wildcard_enum_match_arm)]
 
-use super::{BcastPart, DistId, SActual, SExpr, SLval, SRect, SStmt};
+use super::{DistId, SActual, SExpr, SLval, SRect, SStmt};
 use fortrand_ir::Sym;
 
 /// How a statement uses an array it names in array position.
@@ -30,31 +30,22 @@ pub enum Access {
         /// Position in the formal list.
         pos: usize,
     },
-    /// The half of a packed broadcast's `parts` this statement carries
-    /// but never looks at: a post's destinations, a wait's sources. It is
-    /// renamed with everything else and is neither a read nor a write;
-    /// its section bounds are not evaluated, so they are *not* reported
-    /// as [`Operand::Expr`] — a pass that renames identifiers handles the
-    /// carried `section` itself.
-    Unused,
 }
 
 /// What a statement does with a scalar it names outside any expression.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Role {
-    /// Assigned, received or broadcast into.
+    /// Assigned or received into.
     Def,
     /// The index of a `DO`: defined by the loop head only.
     DoHead,
-    /// Read by name (the scalar payload of a posted packed broadcast).
-    Use,
 }
 
 /// One syntactic position of a statement, as reported by
 /// [`SStmt::operands`].
 #[derive(Clone, Copy, Debug)]
 pub enum Operand<'a> {
-    /// An expression the statement evaluates (subscripts and live section
+    /// An expression the statement evaluates (subscripts and section
     /// bounds included), reported once at its outermost node; descend
     /// with [`SExpr::walk`].
     Expr(&'a SExpr),
@@ -146,7 +137,7 @@ pub enum MsgKind {
         /// Message tag.
         tag: u64,
     },
-    /// A broadcast starts (blocking, packed, scalar or posted).
+    /// A broadcast starts (blocking or posted).
     Bcast,
     /// Completion of a posted operation.
     Wait,
@@ -226,9 +217,7 @@ fn array_operand<'a>(
         access,
         section: Some(section),
     });
-    if access != Access::Unused {
-        section.bounds().for_each(|e| f(Operand::Expr(e)));
-    }
+    section.bounds().for_each(|e| f(Operand::Expr(e)));
 }
 
 fn array_operand_mut(
@@ -242,9 +231,7 @@ fn array_operand_mut(
         access,
         section: Some(&mut *section),
     });
-    if access != Access::Unused {
-        section.bounds_mut().for_each(|e| f(OperandMut::Expr(e)));
-    }
+    section.bounds_mut().for_each(|e| f(OperandMut::Expr(e)));
 }
 
 fn lval_operands<'a>(l: &'a SLval, f: &mut dyn FnMut(Operand<'a>)) {
@@ -280,57 +267,6 @@ fn lval_operands_mut(l: &mut SLval, f: &mut dyn FnMut(OperandMut<'_>)) {
         }
     }
 }
-
-/// The parts of a packed broadcast as seen by one of its three statement
-/// forms, which differ only in what they do with each half.
-fn part_operands<'a>(
-    parts: &'a [BcastPart],
-    (src, dst, scalar): (Access, Access, Role),
-    f: &mut dyn FnMut(Operand<'a>),
-) {
-    for p in parts {
-        match p {
-            BcastPart::Section {
-                src_array,
-                src_section,
-                dst_array,
-                dst_section,
-            } => {
-                array_operand(*src_array, src, src_section, f);
-                array_operand(*dst_array, dst, dst_section, f);
-            }
-            BcastPart::Scalar(v) => f(Operand::Scalar {
-                var: *v,
-                role: scalar,
-            }),
-        }
-    }
-}
-
-fn part_operands_mut(
-    parts: &mut [BcastPart],
-    (src, dst, scalar): (Access, Access, Role),
-    f: &mut dyn FnMut(OperandMut<'_>),
-) {
-    for p in parts {
-        match p {
-            BcastPart::Section {
-                src_array,
-                src_section,
-                dst_array,
-                dst_section,
-            } => {
-                array_operand_mut(src_array, src, src_section, f);
-                array_operand_mut(dst_array, dst, dst_section, f);
-            }
-            BcastPart::Scalar(var) => f(OperandMut::Scalar { var, role: scalar }),
-        }
-    }
-}
-
-const PACK: (Access, Access, Role) = (Access::Read, Access::Write, Role::Def);
-const POST_PACK: (Access, Access, Role) = (Access::Read, Access::Unused, Role::Use);
-const WAIT_PACK: (Access, Access, Role) = (Access::Unused, Access::Write, Role::Def);
 
 impl SStmt {
     /// Reports every syntactic position of this statement, in source
@@ -425,27 +361,12 @@ impl SStmt {
                 f(Operand::Expr(from));
                 lval_operands(lhs, f);
             }
-            SStmt::Bcast {
-                root,
-                src_array,
-                src_section,
-                dst_array,
-                dst_section,
-            } => {
+            SStmt::Bcast { root, parts } => {
                 f(Operand::Expr(root));
-                array_operand(*src_array, Access::Read, src_section, f);
-                array_operand(*dst_array, Access::Write, dst_section, f);
-            }
-            SStmt::BcastScalar { root, var } => {
-                f(Operand::Expr(root));
-                f(Operand::Scalar {
-                    var: *var,
-                    role: Role::Def,
-                });
-            }
-            SStmt::BcastPack { root, parts } => {
-                f(Operand::Expr(root));
-                part_operands(parts, PACK, f);
+                for p in parts {
+                    array_operand(p.src_array, Access::Read, &p.src_section, f);
+                    array_operand(p.dst_array, Access::Write, &p.dst_section, f);
+                }
             }
             SStmt::PostRecv {
                 handle: _,
@@ -460,26 +381,18 @@ impl SStmt {
             SStmt::PostBcast {
                 handle: _,
                 root,
-                src_array,
-                src_section,
+                src,
             } => {
                 f(Operand::Expr(root));
-                array_operand(*src_array, Access::Read, src_section, f);
+                for (array, section) in src {
+                    array_operand(*array, Access::Read, section, f);
+                }
             }
-            SStmt::WaitBcast {
-                handle: _,
-                dst_array,
-                dst_section,
-            } => array_operand(*dst_array, Access::Write, dst_section, f),
-            SStmt::PostBcastPack {
-                handle: _,
-                root,
-                parts,
-            } => {
-                f(Operand::Expr(root));
-                part_operands(parts, POST_PACK, f);
+            SStmt::WaitBcast { handle: _, dst } => {
+                for (array, section) in dst {
+                    array_operand(*array, Access::Write, section, f);
+                }
             }
-            SStmt::WaitBcastPack { handle: _, parts } => part_operands(parts, WAIT_PACK, f),
             SStmt::Remap { array, to_dist }
             | SStmt::RemapGlobal { array, to_dist }
             | SStmt::MarkDist { array, to_dist } => {
@@ -587,27 +500,12 @@ impl SStmt {
                 f(OperandMut::Expr(from));
                 lval_operands_mut(lhs, f);
             }
-            SStmt::Bcast {
-                root,
-                src_array,
-                src_section,
-                dst_array,
-                dst_section,
-            } => {
+            SStmt::Bcast { root, parts } => {
                 f(OperandMut::Expr(root));
-                array_operand_mut(src_array, Access::Read, src_section, f);
-                array_operand_mut(dst_array, Access::Write, dst_section, f);
-            }
-            SStmt::BcastScalar { root, var } => {
-                f(OperandMut::Expr(root));
-                f(OperandMut::Scalar {
-                    var,
-                    role: Role::Def,
-                });
-            }
-            SStmt::BcastPack { root, parts } => {
-                f(OperandMut::Expr(root));
-                part_operands_mut(parts, PACK, f);
+                for p in parts {
+                    array_operand_mut(&mut p.src_array, Access::Read, &mut p.src_section, f);
+                    array_operand_mut(&mut p.dst_array, Access::Write, &mut p.dst_section, f);
+                }
             }
             SStmt::PostRecv {
                 handle: _,
@@ -622,26 +520,18 @@ impl SStmt {
             SStmt::PostBcast {
                 handle: _,
                 root,
-                src_array,
-                src_section,
+                src,
             } => {
                 f(OperandMut::Expr(root));
-                array_operand_mut(src_array, Access::Read, src_section, f);
+                for (array, section) in src {
+                    array_operand_mut(array, Access::Read, section, f);
+                }
             }
-            SStmt::WaitBcast {
-                handle: _,
-                dst_array,
-                dst_section,
-            } => array_operand_mut(dst_array, Access::Write, dst_section, f),
-            SStmt::PostBcastPack {
-                handle: _,
-                root,
-                parts,
-            } => {
-                f(OperandMut::Expr(root));
-                part_operands_mut(parts, POST_PACK, f);
+            SStmt::WaitBcast { handle: _, dst } => {
+                for (array, section) in dst {
+                    array_operand_mut(array, Access::Write, section, f);
+                }
             }
-            SStmt::WaitBcastPack { handle: _, parts } => part_operands_mut(parts, WAIT_PACK, f),
             SStmt::Remap { array, to_dist }
             | SStmt::RemapGlobal { array, to_dist }
             | SStmt::MarkDist { array, to_dist } => {
@@ -668,15 +558,10 @@ impl SStmt {
             }
             SStmt::SendElem { tag, .. } => Some(MsgKind::ElemSend { tag: *tag }),
             SStmt::RecvElem { tag, .. } => Some(MsgKind::ElemRecv { tag: *tag }),
-            SStmt::Bcast { .. }
-            | SStmt::BcastScalar { .. }
-            | SStmt::BcastPack { .. }
-            | SStmt::PostBcast { .. }
-            | SStmt::PostBcastPack { .. } => Some(MsgKind::Bcast),
-            SStmt::WaitSend { .. }
-            | SStmt::WaitRecv { .. }
-            | SStmt::WaitBcast { .. }
-            | SStmt::WaitBcastPack { .. } => Some(MsgKind::Wait),
+            SStmt::Bcast { .. } | SStmt::PostBcast { .. } => Some(MsgKind::Bcast),
+            SStmt::WaitSend { .. } | SStmt::WaitRecv { .. } | SStmt::WaitBcast { .. } => {
+                Some(MsgKind::Wait)
+            }
             SStmt::Remap { .. } | SStmt::RemapGlobal { .. } => Some(MsgKind::Remap),
             SStmt::MarkDist { .. } => Some(MsgKind::Mark),
             SStmt::Comment(_)

@@ -23,7 +23,7 @@
 //! bit-identical simulated clocks (DESIGN.md).
 
 use crate::ir::*;
-use crate::runtime::{TAG_BCAST, TAG_BCAST_PACK};
+use crate::runtime::bcast_tag;
 use fortrand_ir::Sym;
 use rustc_hash::{FxHashMap, FxHashSet};
 
@@ -362,14 +362,6 @@ pub(crate) enum Instr {
         sec: Box<SecInstr>,
         exact: bool,
     },
-    /// Appends one scalar slot (as f64) to the outgoing buffer.
-    PackVar {
-        slot: Slot,
-    },
-    /// Pops one f64 from the incoming message into a scalar slot.
-    UnpackVar {
-        slot: Slot,
-    },
     SendMsg {
         to: Reg,
         tag: u64,
@@ -463,7 +455,7 @@ pub(crate) enum Instr {
 }
 
 /// Number of distinct opcodes (sizes the VM's dynamic-mix histogram).
-pub(crate) const N_OPCODES: usize = 51;
+pub(crate) const N_OPCODES: usize = 49;
 
 /// Display names indexed by [`op_idx`].
 pub(crate) const OPCODE_NAMES: [&str; N_OPCODES] = [
@@ -497,8 +489,6 @@ pub(crate) const OPCODE_NAMES: [&str; N_OPCODES] = [
     "Stop",
     "Gather",
     "Scatter",
-    "PackVar",
-    "UnpackVar",
     "SendMsg",
     "RecvMsg",
     "SendElem",
@@ -553,27 +543,25 @@ pub(crate) fn op_idx(i: &Instr) -> usize {
         Instr::Stop => 27,
         Instr::Gather { .. } => 28,
         Instr::Scatter { .. } => 29,
-        Instr::PackVar { .. } => 30,
-        Instr::UnpackVar { .. } => 31,
-        Instr::SendMsg { .. } => 32,
-        Instr::RecvMsg { .. } => 33,
-        Instr::SendElem { .. } => 34,
-        Instr::RecvElem { .. } => 35,
-        Instr::Bcast { .. } => 36,
-        Instr::PostSendMsg { .. } => 37,
-        Instr::WaitSendMsg => 38,
-        Instr::PostRecvMsg { .. } => 39,
-        Instr::WaitRecvMsg { .. } => 40,
-        Instr::PostBcastMsg { .. } => 41,
-        Instr::WaitBcastMsg { .. } => 42,
-        Instr::Remap { .. } => 43,
-        Instr::RemapGlobal { .. } => 44,
-        Instr::MarkDist { .. } => 45,
-        Instr::Print { .. } => 46,
-        Instr::KLoop(_) => 47,
-        Instr::MovVar { .. } => 48,
-        Instr::BinSS { .. } => 49,
-        Instr::LdElemVar { .. } => 50,
+        Instr::SendMsg { .. } => 30,
+        Instr::RecvMsg { .. } => 31,
+        Instr::SendElem { .. } => 32,
+        Instr::RecvElem { .. } => 33,
+        Instr::Bcast { .. } => 34,
+        Instr::PostSendMsg { .. } => 35,
+        Instr::WaitSendMsg => 36,
+        Instr::PostRecvMsg { .. } => 37,
+        Instr::WaitRecvMsg { .. } => 38,
+        Instr::PostBcastMsg { .. } => 39,
+        Instr::WaitBcastMsg { .. } => 40,
+        Instr::Remap { .. } => 41,
+        Instr::RemapGlobal { .. } => 42,
+        Instr::MarkDist { .. } => 43,
+        Instr::Print { .. } => 44,
+        Instr::KLoop(_) => 45,
+        Instr::MovVar { .. } => 46,
+        Instr::BinSS { .. } => 47,
+        Instr::LdElemVar { .. } => 48,
     }
 }
 
@@ -1001,6 +989,47 @@ impl ProcLowerer<'_> {
         }
     }
 
+    /// The root's side of a broadcast: every source section gathered into
+    /// the outgoing buffer, in order, under one branch the other ranks
+    /// take (the bounds evaluate on the root only).
+    fn lower_bcast_gather<'s>(&mut self, root: Reg, src: impl Iterator<Item = (Sym, &'s SRect)>) {
+        let br = self.code.len();
+        self.code.push(Instr::BrNotRank { root, to: 0 });
+        for (array, section) in src {
+            let mark = self.next_reg;
+            let arr = self.layout.arr_of(array, self.prog);
+            let sec = self.lower_section(section);
+            self.code.push(Instr::Gather { arr, sec });
+            self.free_to(mark);
+        }
+        let after = self.here();
+        self.patch(br, after);
+    }
+
+    /// Every rank's side of a broadcast: the incoming payload scattered
+    /// into each destination, in order. A single section spans the whole
+    /// message; each of several is a slice the tree engine sizes by
+    /// enumerating the section once before it scatters, so its bounds are
+    /// evaluated twice to keep charge totals equal (the first set is dead).
+    fn lower_bcast_scatter<'s>(&mut self, dst: impl ExactSizeIterator<Item = (Sym, &'s SRect)>) {
+        let whole = dst.len() == 1;
+        for (array, section) in dst {
+            let mark = self.next_reg;
+            if !whole {
+                self.lower_section(section);
+                self.free_to(mark);
+            }
+            let arr = self.layout.arr_of(array, self.prog);
+            let sec = self.lower_section(section);
+            self.code.push(Instr::Scatter {
+                arr,
+                sec,
+                exact: whole,
+            });
+            self.free_to(mark);
+        }
+    }
+
     /// Lowers a section's bound expressions (kept live until the consuming
     /// Gather/Scatter executes) into a [`SecInstr`] with a fresh site id.
     fn lower_section(&mut self, r: &SRect) -> Box<SecInstr> {
@@ -1230,108 +1259,14 @@ impl ProcLowerer<'_> {
                     }
                 }
             }
-            SStmt::Bcast {
-                root,
-                src_array,
-                src_section,
-                dst_array,
-                dst_section,
-            } => {
+            SStmt::Bcast { root, parts } => {
                 let r = self.lower_expr(root);
-                let br = self.code.len();
-                self.code.push(Instr::BrNotRank { root: r, to: 0 });
-                let gather_mark = self.next_reg;
-                let src_arr = self.layout.arr_of(*src_array, self.prog);
-                let sec = self.lower_section(src_section);
-                self.code.push(Instr::Gather { arr: src_arr, sec });
-                self.free_to(gather_mark);
-                let after = self.here();
-                self.patch(br, after);
+                self.lower_bcast_gather(r, parts.iter().map(BcastPart::src));
                 self.code.push(Instr::Bcast {
                     root: r,
-                    tag: TAG_BCAST,
+                    tag: bcast_tag(parts.len()),
                 });
-                let dst_arr = self.layout.arr_of(*dst_array, self.prog);
-                let sec = self.lower_section(dst_section);
-                self.code.push(Instr::Scatter {
-                    arr: dst_arr,
-                    sec,
-                    exact: true,
-                });
-            }
-            SStmt::BcastScalar { root, var } => {
-                let r = self.lower_expr(root);
-                let slot = self.layout.slot_of(*var, self.prog);
-                let br = self.code.len();
-                self.code.push(Instr::BrNotRank { root: r, to: 0 });
-                self.code.push(Instr::PackVar { slot });
-                let after = self.here();
-                self.patch(br, after);
-                self.code.push(Instr::Bcast {
-                    root: r,
-                    tag: TAG_BCAST,
-                });
-                self.code.push(Instr::UnpackVar { slot });
-            }
-            SStmt::BcastPack { root, parts } => {
-                let r = self.lower_expr(root);
-                let br = self.code.len();
-                self.code.push(Instr::BrNotRank { root: r, to: 0 });
-                for p in parts {
-                    let pmark = self.next_reg;
-                    match p {
-                        BcastPart::Section {
-                            src_array,
-                            src_section,
-                            ..
-                        } => {
-                            let arr = self.layout.arr_of(*src_array, self.prog);
-                            let sec = self.lower_section(src_section);
-                            self.code.push(Instr::Gather { arr, sec });
-                        }
-                        BcastPart::Scalar(v) => {
-                            let slot = self.layout.slot_of(*v, self.prog);
-                            self.code.push(Instr::PackVar { slot });
-                        }
-                    }
-                    self.free_to(pmark);
-                }
-                let after = self.here();
-                self.patch(br, after);
-                self.code.push(Instr::Bcast {
-                    root: r,
-                    tag: TAG_BCAST_PACK,
-                });
-                for p in parts {
-                    let pmark = self.next_reg;
-                    match p {
-                        BcastPart::Section {
-                            dst_array,
-                            dst_section,
-                            ..
-                        } => {
-                            // The tree engine enumerates the destination
-                            // section once to size the slice and again to
-                            // scatter; evaluate the bounds twice so charge
-                            // totals match (the first set is dead).
-                            let dead = self.lower_section(dst_section);
-                            drop(dead);
-                            self.free_to(pmark);
-                            let arr = self.layout.arr_of(*dst_array, self.prog);
-                            let sec = self.lower_section(dst_section);
-                            self.code.push(Instr::Scatter {
-                                arr,
-                                sec,
-                                exact: false,
-                            });
-                        }
-                        BcastPart::Scalar(v) => {
-                            let slot = self.layout.slot_of(*v, self.prog);
-                            self.code.push(Instr::UnpackVar { slot });
-                        }
-                    }
-                    self.free_to(pmark);
-                }
+                self.lower_bcast_scatter(parts.iter().map(BcastPart::dst));
             }
             SStmt::PostSend {
                 handle: _,
@@ -1373,108 +1308,18 @@ impl ProcLowerer<'_> {
                     exact: true,
                 });
             }
-            SStmt::PostBcast {
-                handle,
-                root,
-                src_array,
-                src_section,
-            } => {
+            SStmt::PostBcast { handle, root, src } => {
                 let r = self.lower_expr(root);
-                let br = self.code.len();
-                self.code.push(Instr::BrNotRank { root: r, to: 0 });
-                let gather_mark = self.next_reg;
-                let src_arr = self.layout.arr_of(*src_array, self.prog);
-                let sec = self.lower_section(src_section);
-                self.code.push(Instr::Gather { arr: src_arr, sec });
-                self.free_to(gather_mark);
-                let after = self.here();
-                self.patch(br, after);
+                self.lower_bcast_gather(r, src.iter().map(|(a, s)| (*a, s)));
                 self.code.push(Instr::PostBcastMsg {
                     root: r,
-                    tag: TAG_BCAST,
+                    tag: bcast_tag(src.len()),
                     handle: *handle,
                 });
             }
-            SStmt::WaitBcast {
-                handle,
-                dst_array,
-                dst_section,
-            } => {
+            SStmt::WaitBcast { handle, dst } => {
                 self.code.push(Instr::WaitBcastMsg { handle: *handle });
-                let dst_arr = self.layout.arr_of(*dst_array, self.prog);
-                let sec = self.lower_section(dst_section);
-                self.code.push(Instr::Scatter {
-                    arr: dst_arr,
-                    sec,
-                    exact: true,
-                });
-            }
-            SStmt::PostBcastPack {
-                handle,
-                root,
-                parts,
-            } => {
-                let r = self.lower_expr(root);
-                let br = self.code.len();
-                self.code.push(Instr::BrNotRank { root: r, to: 0 });
-                for p in parts {
-                    let pmark = self.next_reg;
-                    match p {
-                        BcastPart::Section {
-                            src_array,
-                            src_section,
-                            ..
-                        } => {
-                            let arr = self.layout.arr_of(*src_array, self.prog);
-                            let sec = self.lower_section(src_section);
-                            self.code.push(Instr::Gather { arr, sec });
-                        }
-                        BcastPart::Scalar(v) => {
-                            let slot = self.layout.slot_of(*v, self.prog);
-                            self.code.push(Instr::PackVar { slot });
-                        }
-                    }
-                    self.free_to(pmark);
-                }
-                let after = self.here();
-                self.patch(br, after);
-                self.code.push(Instr::PostBcastMsg {
-                    root: r,
-                    tag: TAG_BCAST_PACK,
-                    handle: *handle,
-                });
-            }
-            SStmt::WaitBcastPack { handle, parts } => {
-                self.code.push(Instr::WaitBcastMsg { handle: *handle });
-                for p in parts {
-                    let pmark = self.next_reg;
-                    match p {
-                        BcastPart::Section {
-                            dst_array,
-                            dst_section,
-                            ..
-                        } => {
-                            // Same dead-evaluation as `BcastPack`: the tree
-                            // engine sizes the slice and then scatters, so
-                            // the bounds charge twice.
-                            let dead = self.lower_section(dst_section);
-                            drop(dead);
-                            self.free_to(pmark);
-                            let arr = self.layout.arr_of(*dst_array, self.prog);
-                            let sec = self.lower_section(dst_section);
-                            self.code.push(Instr::Scatter {
-                                arr,
-                                sec,
-                                exact: false,
-                            });
-                        }
-                        BcastPart::Scalar(v) => {
-                            let slot = self.layout.slot_of(*v, self.prog);
-                            self.code.push(Instr::UnpackVar { slot });
-                        }
-                    }
-                    self.free_to(pmark);
-                }
+                self.lower_bcast_scatter(dst.iter().map(|(a, s)| (*a, s)));
             }
             SStmt::Remap { array, to_dist } => {
                 let arr = self.layout.arr_of(*array, self.prog);

@@ -1,11 +1,11 @@
-use crate::ir::{walk_stmts, BcastPart, MsgKind, OperandMut, SExpr, SRect, SStmt, SpmdProgram};
+use crate::ir::{walk_stmts, MsgKind, OperandMut, SExpr, SRect, SStmt, SpmdProgram};
 use fortrand_ir::dist::ArrayDist;
 use fortrand_ir::rsd::{Rsd, Triplet};
 use fortrand_ir::symenv::SymEnv;
 use fortrand_ir::{Affine, Sym};
 use std::collections::{BTreeMap, BTreeSet};
 
-use super::dataflow::{any_node, linearize, mentions_any, syn_eq};
+use super::dataflow::{any_node, linearize, syn_eq};
 use super::OptReport;
 
 // ---------------------------------------------------------------------------
@@ -184,10 +184,11 @@ fn pair_walk(
     out
 }
 
-/// Packs runs of same-root broadcasts into one [`SStmt::BcastPack`]. A run
-/// member must not read data a previous member of the run wrote (the pack
-/// gathers everything up front), but destination sections are unconstrained
-/// because unpacking is sequential in run order on every rank.
+/// Packs a run of same-root broadcasts into one by concatenating their
+/// part lists. A run member must not read data a previous member of the
+/// run wrote (the pack gathers everything up front), but destination
+/// sections are unconstrained because unpacking is sequential in run order
+/// on every rank.
 fn pack_bcasts(stmts: Vec<SStmt>, dists: &[ArrayDist], coalesced: &mut usize) -> Vec<SStmt> {
     let mut stmts = stmts;
     for s in &mut stmts {
@@ -197,70 +198,34 @@ fn pack_bcasts(stmts: Vec<SStmt>, dists: &[ArrayDist], coalesced: &mut usize) ->
             }
         });
     }
-    let mut out = Vec::with_capacity(stmts.len());
-    let mut i = 0;
-    while i < stmts.len() {
-        let root = match &stmts[i] {
-            SStmt::Bcast { root, .. } | SStmt::BcastScalar { root, .. } => root.clone(),
-            _ => {
-                out.push(stmts[i].clone());
-                i += 1;
+    let mut out: Vec<SStmt> = Vec::with_capacity(stmts.len());
+    // Arrays written so far by the run that ends at `out.last()`.
+    let mut w_arrays: BTreeSet<Sym> = BTreeSet::new();
+    for s in stmts {
+        let SStmt::Bcast { root, parts } = s else {
+            out.push(s);
+            continue;
+        };
+        if let Some(SStmt::Bcast {
+            root: r0,
+            parts: run,
+        }) = out.last_mut()
+        {
+            let fresh = |e: &SExpr| !elem_reads_any(e, &w_arrays);
+            let joins = syn_eq(r0, &root, dists)
+                && fresh(&root)
+                && parts
+                    .iter()
+                    .all(|p| !w_arrays.contains(&p.src_array) && p.src_section.bounds().all(fresh));
+            if joins {
+                *coalesced += 1;
+                w_arrays.extend(parts.iter().map(|p| p.dst_array));
+                run.extend(parts);
                 continue;
             }
-        };
-        let mut w_arrays: BTreeSet<Sym> = BTreeSet::new();
-        let mut w_scalars: BTreeSet<Sym> = BTreeSet::new();
-        let mut parts: Vec<BcastPart> = Vec::new();
-        let mut j = i;
-        while j < stmts.len() {
-            match &stmts[j] {
-                SStmt::Bcast {
-                    root: r2,
-                    src_array,
-                    src_section,
-                    dst_array,
-                    dst_section,
-                } => {
-                    let fresh = !w_arrays.contains(src_array)
-                        && !mentions_any(r2, &w_scalars)
-                        && !elem_reads_any(r2, &w_arrays)
-                        && src_section.dims.iter().all(|(a, b, _)| {
-                            !mentions_any(a, &w_scalars)
-                                && !mentions_any(b, &w_scalars)
-                                && !elem_reads_any(a, &w_arrays)
-                                && !elem_reads_any(b, &w_arrays)
-                        });
-                    if !syn_eq(&root, r2, dists) || !fresh {
-                        break;
-                    }
-                    parts.push(BcastPart::Section {
-                        src_array: *src_array,
-                        src_section: src_section.clone(),
-                        dst_array: *dst_array,
-                        dst_section: dst_section.clone(),
-                    });
-                    w_arrays.insert(*dst_array);
-                    j += 1;
-                }
-                SStmt::BcastScalar { root: r2, var } => {
-                    if !syn_eq(&root, r2, dists) || w_scalars.contains(var) {
-                        break;
-                    }
-                    parts.push(BcastPart::Scalar(*var));
-                    w_scalars.insert(*var);
-                    j += 1;
-                }
-                _ => break,
-            }
         }
-        if parts.len() >= 2 {
-            *coalesced += parts.len() - 1;
-            out.push(SStmt::BcastPack { root, parts });
-            i = j;
-        } else {
-            out.push(stmts[i].clone());
-            i += 1;
-        }
+        w_arrays = parts.iter().map(|p| p.dst_array).collect();
+        out.push(SStmt::Bcast { root, parts });
     }
     out
 }

@@ -1,6 +1,6 @@
 use crate::ir::{
-    walk_array_mentions, walk_operands, walk_operands_mut, Access, Operand, OperandMut, Role,
-    SActual, SBinOp, SExpr, SLval, SProc, SRect, SStmt, SpmdProgram,
+    walk_array_mentions, walk_operands, walk_operands_mut, Access, BcastPart, Operand, OperandMut,
+    Role, SActual, SBinOp, SExpr, SLval, SProc, SRect, SStmt, SpmdProgram,
 };
 use fortrand_analysis::framework::{self, DataflowGraph, DataflowProblem, SolveStats};
 use fortrand_analysis::registry::Direction;
@@ -384,7 +384,7 @@ pub(super) fn collect_written_arrays(
         let written = match access {
             Access::Write => true,
             Access::Actual { callee, pos } => wf[callee].contains(&pos),
-            Access::Read | Access::Unused => false,
+            Access::Read => false,
         };
         if written {
             out.insert(name);
@@ -412,9 +412,7 @@ pub(super) fn collect_assigned_scalars(stmts: &[SStmt], out: &mut BTreeSet<Sym>)
 /// elimination pass compares validated mentions against this total.
 fn count_mentions(stmts: &[SStmt], array: Sym) -> usize {
     let mut n = 0;
-    walk_array_mentions(stmts, &mut |name, access| {
-        n += usize::from(name == array && access != Access::Unused);
-    });
+    walk_array_mentions(stmts, &mut |name, _| n += usize::from(name == array));
     n
 }
 
@@ -729,23 +727,15 @@ impl<'a> Scan<'a> {
         });
     }
 
-    /// Handles one `Bcast`: tries elimination against the live facts, else
-    /// performs kills and (re-)establishment. Pushes the replacement
-    /// statements onto `out`.
-    #[allow(clippy::too_many_arguments)]
-    fn scan_bcast(
-        &mut self,
-        st: &mut State,
-        out: &mut Vec<SStmt>,
-        root: SExpr,
-        src_array: Sym,
-        src_section: SRect,
-        dst_array: Sym,
-        dst_section: SRect,
-    ) {
-        self.validate_section_read(src_array, &src_section, st);
+    /// Handles one single-section `Bcast`: tries elimination against the
+    /// live facts, else performs kills and (re-)establishment. Pushes the
+    /// replacement statements onto `out`.
+    fn scan_bcast(&mut self, st: &mut State, out: &mut Vec<SStmt>, root: SExpr, part: BcastPart) {
+        let (src_array, src_section) = (part.src_array, &part.src_section);
+        let (dst_array, dst_section) = (part.dst_array, &part.dst_section);
+        self.validate_section_read(src_array, src_section, st);
         if let Some((rep, buf)) =
-            self.try_eliminate(st, &root, src_array, &src_section, dst_array, &dst_section)
+            self.try_eliminate(st, &root, src_array, src_section, dst_array, dst_section)
         {
             out.extend(rep);
             self.eliminated += 1;
@@ -756,20 +746,17 @@ impl<'a> Scan<'a> {
                 // The copy writes dst exactly as the broadcast would have.
                 st.facts
                     .retain(|f| f.buf != dst_array && f.src != dst_array);
-                self.establish(st, &root, src_array, &src_section, dst_array, &dst_section);
+                self.establish(st, &root, src_array, src_section, dst_array, dst_section);
             }
             return;
         }
         let mut w = BTreeSet::new();
         w.insert(dst_array);
         self.kill_facts_writing(st, &w);
-        self.establish(st, &root, src_array, &src_section, dst_array, &dst_section);
+        self.establish(st, &root, src_array, src_section, dst_array, dst_section);
         out.push(SStmt::Bcast {
             root,
-            src_array,
-            src_section,
-            dst_array,
-            dst_section,
+            parts: vec![part],
         });
     }
 
@@ -1119,31 +1106,9 @@ impl<'a> Scan<'a> {
                         }
                     }
                 }
-                SStmt::Bcast {
-                    root,
-                    src_array,
-                    src_section,
-                    dst_array,
-                    dst_section,
-                } => {
-                    self.scan_bcast(
-                        st,
-                        &mut out,
-                        root,
-                        src_array,
-                        src_section,
-                        dst_array,
-                        dst_section,
-                    );
-                }
-                SStmt::BcastScalar { root, var } => {
-                    self.validate_expr(&root, st);
-                    let mut killed = BTreeSet::new();
-                    killed.insert(var);
-                    self.drop_ranges_mentioning(st, &killed);
-                    self.kill_facts_mentioning(st, &killed);
-                    st.repl.insert(var);
-                    out.push(SStmt::BcastScalar { root, var });
+                SStmt::Bcast { root, mut parts } if parts.len() == 1 => {
+                    let part = parts.pop().expect("one part");
+                    self.scan_bcast(st, &mut out, root, part);
                 }
                 SStmt::Send {
                     to,
@@ -1200,31 +1165,22 @@ impl<'a> Scan<'a> {
                     }
                     out.push(SStmt::RecvElem { from, tag, lhs });
                 }
-                s @ (SStmt::BcastPack { .. }
+                s @ (SStmt::Bcast { .. }
                 | SStmt::PostSend { .. }
                 | SStmt::WaitSend { .. }
                 | SStmt::PostRecv { .. }
                 | SStmt::WaitRecv { .. }
                 | SStmt::PostBcast { .. }
                 | SStmt::WaitBcast { .. }
-                | SStmt::PostBcastPack { .. }
-                | SStmt::WaitBcastPack { .. }
                 | SStmt::Remap { .. }
                 | SStmt::RemapGlobal { .. }
                 | SStmt::MarkDist { .. }) => {
                     // Nothing to learn from these (packs and post/wait
                     // forms come from later passes): keep the state sound
-                    // by killing what they write; a scalar a pack delivers
-                    // is replicated afterwards.
-                    let one = std::slice::from_ref(&s);
+                    // by killing what they write.
                     let mut writes = BTreeSet::new();
-                    collect_written_arrays(one, self.wf, &mut writes);
-                    let mut assigned = BTreeSet::new();
-                    collect_assigned_scalars(one, &mut assigned);
+                    collect_written_arrays(std::slice::from_ref(&s), self.wf, &mut writes);
                     self.kill_facts_writing(st, &writes);
-                    self.kill_facts_mentioning(st, &assigned);
-                    self.drop_ranges_mentioning(st, &assigned);
-                    st.repl.extend(assigned);
                     out.push(s);
                 }
                 SStmt::Do {
@@ -2043,16 +1999,12 @@ impl<'a> Scan<'a> {
                 | SStmt::SendElem { .. }
                 | SStmt::RecvElem { .. }
                 | SStmt::Bcast { .. }
-                | SStmt::BcastScalar { .. }
-                | SStmt::BcastPack { .. }
                 | SStmt::PostSend { .. }
                 | SStmt::WaitSend { .. }
                 | SStmt::PostRecv { .. }
                 | SStmt::WaitRecv { .. }
                 | SStmt::PostBcast { .. }
                 | SStmt::WaitBcast { .. }
-                | SStmt::PostBcastPack { .. }
-                | SStmt::WaitBcastPack { .. }
                 | SStmt::Remap { .. }
                 | SStmt::RemapGlobal { .. }
                 | SStmt::MarkDist { .. } => return None,
@@ -2186,10 +2138,8 @@ impl<'a> Scan<'a> {
 
 /// Substitutes scalar formals by actual expressions and renames arrays,
 /// recursively. Scalars named outside expressions (assignment targets,
-/// loop variables, broadcast scalars, copy-outs) and callee locals pass
-/// through unchanged: the mirror gives them fresh names anyway. So do the
-/// bounds a posted pack carries without evaluating (`Access::Unused`):
-/// the mirror refuses communication before it could look at them.
+/// loop variables, copy-outs) and callee locals pass through unchanged:
+/// the mirror gives them fresh names anyway.
 fn subst_stmts(
     stmts: &[SStmt],
     smap: &BTreeMap<Sym, SExpr>,
@@ -2501,17 +2451,6 @@ impl<'b> AbsWalk<'b> {
                     *env = joined;
                 }
                 SStmt::Call { .. } => return None,
-                SStmt::BcastScalar { root, var } => {
-                    self.scan_reads(root, env);
-                    env.insert(
-                        *var,
-                        AbsVal {
-                            repl: true,
-                            range: None,
-                            val: None,
-                        },
-                    );
-                }
                 SStmt::RecvElem { from, lhs, .. } => {
                     self.scan_reads(from, env);
                     match lhs {
@@ -2530,39 +2469,22 @@ impl<'b> AbsWalk<'b> {
                 | SStmt::Recv { .. }
                 | SStmt::SendElem { .. }
                 | SStmt::Bcast { .. }
-                | SStmt::BcastPack { .. }
                 | SStmt::PostSend { .. }
                 | SStmt::WaitSend { .. }
                 | SStmt::PostRecv { .. }
                 | SStmt::WaitRecv { .. }
                 | SStmt::PostBcast { .. }
                 | SStmt::WaitBcast { .. }
-                | SStmt::PostBcastPack { .. }
-                | SStmt::WaitBcastPack { .. }
                 | SStmt::Remap { .. }
                 | SStmt::RemapGlobal { .. }
                 | SStmt::MarkDist { .. } => {
                     // Any mention of a mapped buffer inside communication is
                     // beyond the region prover: de-validate bluntly.
-                    let one = std::slice::from_ref(s);
-                    walk_array_mentions(one, &mut |af, access| {
-                        if access != Access::Unused && self.mapped.contains_key(&af) {
+                    walk_array_mentions(std::slice::from_ref(s), &mut |af, _| {
+                        if self.mapped.contains_key(&af) {
                             self.buf_ok.insert(self.fmap[&af], false);
                         }
                     });
-                    // Scalar effects of packs (blocking and posted forms).
-                    let mut delivered = BTreeSet::new();
-                    collect_assigned_scalars(one, &mut delivered);
-                    for v in delivered {
-                        env.insert(
-                            v,
-                            AbsVal {
-                                repl: true,
-                                range: None,
-                                val: None,
-                            },
-                        );
-                    }
                 }
             }
         }

@@ -13,7 +13,7 @@ use super::OptReport;
 // ---------------------------------------------------------------------------
 
 /// Lifts loop-invariant broadcasts out of `Do` loops: a leading prefix of
-/// `Bcast`/`BcastScalar` statements whose operands are invariant and whose
+/// one-section `Bcast` statements whose operands are invariant and whose
 /// data is not redefined later in the body executes identically on every
 /// iteration, so one pre-loop transfer suffices. Only loops with a provably
 /// positive constant trip count are touched (hoisting out of a zero-trip
@@ -71,28 +71,17 @@ fn hoist_stmts(
                     let rest = &body[lifted + 1..];
                     let mut rest_arrays = BTreeSet::new();
                     collect_written_arrays(rest, wf, &mut rest_arrays);
-                    let mut rest_scalars = BTreeSet::new();
-                    collect_assigned_scalars(rest, &mut rest_scalars);
                     let ok = match &body[lifted] {
-                        SStmt::Bcast {
-                            root,
-                            src_array,
-                            src_section,
-                            dst_array,
-                            dst_section,
-                        } => {
-                            src_array != dst_array
+                        SStmt::Bcast { root, parts } if parts.len() == 1 => {
+                            let p = &parts[0];
+                            p.src_array != p.dst_array
                                 && invariant(root)
-                                && src_section
-                                    .dims
-                                    .iter()
-                                    .chain(dst_section.dims.iter())
-                                    .all(|(a, b, _)| invariant(a) && invariant(b))
-                                && !rest_arrays.contains(src_array)
-                                && !rest_arrays.contains(dst_array)
-                        }
-                        SStmt::BcastScalar { root, var: v } => {
-                            invariant(root) && !rest_scalars.contains(v)
+                                && p.src_section
+                                    .bounds()
+                                    .chain(p.dst_section.bounds())
+                                    .all(invariant)
+                                && !rest_arrays.contains(&p.src_array)
+                                && !rest_arrays.contains(&p.dst_array)
                         }
                         _ => false,
                     };

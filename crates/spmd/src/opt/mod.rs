@@ -20,7 +20,7 @@
 //!    (and tag-paired send/recv couples) are lifted out of loops with
 //!    provably positive constant trip counts.
 //! 3. **Message coalescing**: adjacent broadcasts with the same root fuse
-//!    into one packed message ([`SStmt::BcastPack`]); adjacent send/send and
+//!    into one [`SStmt::Bcast`] of several parts; adjacent send/send and
 //!    recv/recv pairs over adjacent sections of the same array merge via
 //!    [`Rsd::merge_adjacent`] when the pairing is provably symmetric.
 //!

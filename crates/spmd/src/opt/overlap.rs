@@ -7,8 +7,8 @@
 //!    [`SStmt::PostSend`]+[`SStmt::WaitSend`] (the sender is charged the
 //!    message startup α at the post; the per-byte cost overlaps with
 //!    whatever follows), every [`SStmt::Recv`] becomes
-//!    [`SStmt::PostRecv`]+[`SStmt::WaitRecv`], and every [`SStmt::Bcast`] /
-//!    [`SStmt::BcastPack`] becomes its posted form.
+//!    [`SStmt::PostRecv`]+[`SStmt::WaitRecv`], and every [`SStmt::Bcast`]
+//!    becomes [`SStmt::PostBcast`]+[`SStmt::WaitBcast`].
 //! 2. **Post hoisting**: a post moves backward over preceding statements
 //!    that provably do not write the gathered array, do not assign a scalar
 //!    its operands mention, and perform no communication (keeping per-rank
@@ -361,58 +361,25 @@ fn overlap_stmts(stmts: Vec<SStmt>, cx: &mut Cx<'_>, interner: &mut Interner) ->
                     origin: out.len(),
                 });
             }
-            SStmt::Bcast {
-                root,
-                src_array,
-                src_section,
-                dst_array,
-                dst_section,
-            } => {
+            SStmt::Bcast { root, parts } => {
                 cx.overlapped += 1;
                 let h = cx.fresh_handle();
                 let mut reads = PostReads::new();
-                reads.arrays.insert(src_array);
                 reads.add_expr(&root);
-                reads.add_rect(&src_section);
+                let (mut src, mut dst) = (Vec::new(), Vec::new());
+                for p in parts {
+                    reads.arrays.insert(p.src_array);
+                    reads.add_rect(&p.src_section);
+                    src.push((p.src_array, p.src_section));
+                    dst.push((p.dst_array, p.dst_section));
+                }
                 let post = SStmt::PostBcast {
                     handle: h,
                     root,
-                    src_array,
-                    src_section,
+                    src,
                 };
                 hoist_post(&mut out, post, &reads, cx);
-                out.push(SStmt::WaitBcast {
-                    handle: h,
-                    dst_array,
-                    dst_section,
-                });
-            }
-            SStmt::BcastPack { root, parts } => {
-                cx.overlapped += 1;
-                let h = cx.fresh_handle();
-                let mut reads = PostReads::new();
-                reads.add_expr(&root);
-                for p in &parts {
-                    match p {
-                        BcastPart::Section {
-                            src_array,
-                            src_section,
-                            ..
-                        } => {
-                            reads.arrays.insert(*src_array);
-                            reads.add_rect(src_section);
-                        }
-                        // Scalar payloads are read at the post.
-                        BcastPart::Scalar(v) => reads.add_expr(&SExpr::Var(*v)),
-                    }
-                }
-                let post = SStmt::PostBcastPack {
-                    handle: h,
-                    root,
-                    parts: parts.clone(),
-                };
-                hoist_post(&mut out, post, &reads, cx);
-                out.push(SStmt::WaitBcastPack { handle: h, parts });
+                out.push(SStmt::WaitBcast { handle: h, dst });
             }
             SStmt::Do {
                 var,
@@ -480,14 +447,16 @@ fn try_pipeline(
     if cl > ch {
         return Err((lo, hi, body));
     }
-    // Leading broadcast of a section indexed by the loop variable...
-    let SStmt::Bcast {
-        root,
+    // Leading broadcast of one section indexed by the loop variable...
+    let SStmt::Bcast { root, parts } = &body[0] else {
+        return Err((lo, hi, body));
+    };
+    let [BcastPart {
         src_array,
         src_section,
         dst_array,
         dst_section: _,
-    } = &body[0]
+    }] = parts.as_slice()
     else {
         return Err((lo, hi, body));
     };
@@ -591,16 +560,15 @@ fn try_pipeline(
         unreachable!()
     };
     let (tvar, tlo, thi) = (tvar2, tlo2, thi2);
-    let Some(SStmt::Bcast {
-        root,
+    let SStmt::Bcast { root, mut parts } = body.remove(0) else {
+        unreachable!()
+    };
+    let BcastPart {
         src_array,
         src_section,
         dst_array,
         dst_section,
-    }) = Some(body.remove(0))
-    else {
-        unreachable!()
-    };
+    } = parts.pop().expect("one part");
     let mid = overlap_stmts(body, cx, interner);
 
     let subst_k = |e: &SExpr, with: &SExpr| {
@@ -623,8 +591,7 @@ fn try_pipeline(
     let prologue = SStmt::PostBcast {
         handle,
         root: subst_k(&root, &lo_e),
-        src_array,
-        src_section: subst_rect(&src_section, &lo_e),
+        src: vec![(src_array, subst_rect(&src_section, &lo_e))],
     };
 
     // Peel: on the next section's owner, run the update point that
@@ -672,8 +639,7 @@ fn try_pipeline(
         then_body: vec![SStmt::PostBcast {
             handle,
             root: root_kp1,
-            src_array,
-            src_section: subst_rect(&src_section, &kp1),
+            src: vec![(src_array, subst_rect(&src_section, &kp1))],
         }],
         else_body: Vec::new(),
     };
@@ -691,8 +657,7 @@ fn try_pipeline(
 
     let mut new_body = vec![SStmt::WaitBcast {
         handle,
-        dst_array,
-        dst_section,
+        dst: vec![(dst_array, dst_section)],
     }];
     new_body.extend(mid);
     new_body.extend(peel);

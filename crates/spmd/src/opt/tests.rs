@@ -1,7 +1,7 @@
 use super::coalesce::merge_rects;
 use super::dataflow::{prove_ge, simplify, syn_eq, Ranges};
 use super::*;
-use crate::ir::{SBinOp, SExpr, SLval, SProc, SRect, SStmt};
+use crate::ir::{BcastPart, SBinOp, SExpr, SLval, SProc, SRect, SStmt};
 use fortrand_ir::{Interner, Sym};
 
 fn prog(body: Vec<SStmt>) -> (SpmdProgram, Interner) {
@@ -24,6 +24,19 @@ fn prog(body: Vec<SStmt>) -> (SpmdProgram, Interner) {
 
 fn rect(lo: i64, hi: i64) -> SRect {
     SRect::one(SExpr::Int(lo), SExpr::Int(hi))
+}
+
+/// `src(lo:hi)` broadcast from rank 0 into `dst(1:hi-lo+1)`.
+fn bcast(src: Sym, dst: Sym, lo: i64, hi: i64) -> SStmt {
+    SStmt::Bcast {
+        root: SExpr::Int(0),
+        parts: vec![BcastPart {
+            src_array: src,
+            src_section: rect(lo, hi),
+            dst_array: dst,
+            dst_section: rect(1, hi - lo + 1),
+        }],
+    }
 }
 
 #[test]
@@ -84,23 +97,25 @@ fn merge_rects_2d_needs_degenerate_outer_dims() {
     assert_eq!(merge_rects(&wide(1, 4), &wide(5, 8), &[]), None);
 }
 
+/// A one-element section is how a scalar travels (dgefa's pivot index).
 #[test]
 fn hoist_lifts_invariant_scalar_broadcast() {
     let mut i = Interner::new();
     let s = i.intern("s");
+    let t = i.intern("t");
     let x = i.intern("x");
     let iv = i.intern("i");
     let loop_body = vec![
-        SStmt::BcastScalar {
-            root: SExpr::Int(0),
-            var: s,
-        },
+        bcast(s, t, 1, 1),
         SStmt::Assign {
             lhs: SLval::Elem {
                 array: x,
                 subs: vec![SExpr::Var(iv)],
             },
-            rhs: SExpr::Var(s),
+            rhs: SExpr::Elem {
+                array: t,
+                subs: vec![SExpr::Int(1)],
+            },
         },
     ];
     let (mut p, _) = prog(vec![SStmt::Do {
@@ -112,16 +127,19 @@ fn hoist_lifts_invariant_scalar_broadcast() {
     }]);
     let report = optimize(&mut p, CommOpt::Coalesce);
     assert_eq!(report.hoisted, 1);
-    assert!(matches!(p.procs[0].body[0], SStmt::BcastScalar { .. }));
+    assert_eq!(p.procs[0].body[0], loop_body[0]);
     match &p.procs[0].body[1] {
         SStmt::Do { body, .. } => assert_eq!(body.len(), 1),
         other => panic!("expected Do, got {other:?}"),
     }
 
-    // Redefining the scalar later in the body pins the broadcast.
+    // Redefining the element later in the body pins the broadcast.
     let mut pinned = loop_body;
     pinned.push(SStmt::Assign {
-        lhs: SLval::Scalar(s),
+        lhs: SLval::Elem {
+            array: s,
+            subs: vec![SExpr::Int(1)],
+        },
         rhs: SExpr::Int(0),
     });
     let (mut p2, _) = prog(vec![SStmt::Do {
@@ -140,6 +158,7 @@ fn hoist_lifts_invariant_scalar_broadcast() {
 fn hoist_refuses_possibly_zero_trip_loops() {
     let mut i = Interner::new();
     let s = i.intern("s");
+    let t = i.intern("t");
     let iv = i.intern("i");
     let n = i.intern("n");
     for (lo, hi) in [
@@ -151,10 +170,7 @@ fn hoist_refuses_possibly_zero_trip_loops() {
             lo,
             hi,
             step: 1,
-            body: vec![SStmt::BcastScalar {
-                root: SExpr::Int(0),
-                var: s,
-            }],
+            body: vec![bcast(s, t, 1, 1)],
         }]);
         let report = optimize(&mut p, CommOpt::Coalesce);
         assert_eq!(report.hoisted, 0);
@@ -168,20 +184,13 @@ fn pack_fuses_same_root_broadcast_runs() {
     let a = i.intern("a");
     let b = i.intern("b");
     let c = i.intern("c");
-    let bcast = |src: Sym, dst: Sym, lo: i64, hi: i64| SStmt::Bcast {
-        root: SExpr::Int(0),
-        src_array: src,
-        src_section: rect(lo, hi),
-        dst_array: dst,
-        dst_section: rect(1, hi - lo + 1),
-    };
     let (mut p, _) = prog(vec![bcast(a, b, 1, 2), bcast(a, c, 3, 4)]);
     let report = optimize(&mut p, CommOpt::Coalesce);
     assert_eq!(report.coalesced, 1);
     assert_eq!(p.procs[0].body.len(), 1);
     match &p.procs[0].body[0] {
-        SStmt::BcastPack { parts, .. } => assert_eq!(parts.len(), 2),
-        other => panic!("expected BcastPack, got {other:?}"),
+        SStmt::Bcast { parts, .. } => assert_eq!(parts.len(), 2),
+        other => panic!("expected a two-part Bcast, got {other:?}"),
     }
 
     // The second broadcast reads what the first wrote: packing would
@@ -291,13 +300,7 @@ fn overlap_splits_bcast_and_hoists_post() {
             },
             rhs: SExpr::Real(1.0),
         },
-        SStmt::Bcast {
-            root: SExpr::Int(0),
-            src_array: a,
-            src_section: rect(1, 4),
-            dst_array: b,
-            dst_section: rect(1, 4),
-        },
+        bcast(a, b, 1, 4),
     ]);
     let report = optimize(&mut p, CommOpt::Overlap);
     assert_eq!(report.overlapped, 1, "{report:?}");
@@ -363,13 +366,7 @@ fn full_level_emits_no_posted_operations() {
     let mut i = Interner::new();
     let a = i.intern("a");
     let b = i.intern("b");
-    let (mut p, _) = prog(vec![SStmt::Bcast {
-        root: SExpr::Int(0),
-        src_array: a,
-        src_section: rect(1, 4),
-        dst_array: b,
-        dst_section: rect(1, 4),
-    }]);
+    let (mut p, _) = prog(vec![bcast(a, b, 1, 4)]);
     let report = optimize(&mut p, CommOpt::Full);
     assert_eq!(report.overlapped, 0);
     assert_eq!(report.pipelined_loops, 0);
@@ -381,9 +378,7 @@ fn full_level_emits_no_posted_operations() {
                 | SStmt::PostRecv { .. }
                 | SStmt::WaitRecv { .. }
                 | SStmt::PostBcast { .. }
-                | SStmt::WaitBcast { .. }
-                | SStmt::PostBcastPack { .. }
-                | SStmt::WaitBcastPack { .. } => panic!("posted op at Full: {s:?}"),
+                | SStmt::WaitBcast { .. } => panic!("posted op at Full: {s:?}"),
                 SStmt::Do { body, .. } => no_posts(body),
                 SStmt::If {
                     then_body,

@@ -150,16 +150,12 @@ impl Printer<'_> {
             | SStmt::SendElem { .. }
             | SStmt::RecvElem { .. }
             | SStmt::Bcast { .. }
-            | SStmt::BcastScalar { .. }
-            | SStmt::BcastPack { .. }
             | SStmt::PostSend { .. }
             | SStmt::WaitSend { .. }
             | SStmt::PostRecv { .. }
             | SStmt::WaitRecv { .. }
             | SStmt::PostBcast { .. }
             | SStmt::WaitBcast { .. }
-            | SStmt::PostBcastPack { .. }
-            | SStmt::WaitBcastPack { .. }
             | SStmt::Remap { .. }
             | SStmt::RemapGlobal { .. }
             | SStmt::MarkDist { .. }
@@ -213,21 +209,12 @@ impl Printer<'_> {
             SStmt::RecvElem { from, lhs, .. } => {
                 format!("recv {} from {}", self.lval(lhs), self.expr(from, 0))
             }
-            SStmt::Bcast {
-                root,
-                src_array,
-                src_section,
-                ..
-            } => {
+            SStmt::Bcast { root, parts } => {
                 format!(
-                    "broadcast {}{} from {}",
-                    self.name(*src_array).to_uppercase(),
-                    self.rect(src_section),
+                    "broadcast {} from {}",
+                    self.sections(parts.iter().map(BcastPart::src)),
                     self.expr(root, 0)
                 )
-            }
-            SStmt::BcastScalar { root, var } => {
-                format!("broadcast {} from {}", self.name(*var), self.expr(root, 0))
             }
             SStmt::PostSend {
                 to, array, section, ..
@@ -250,96 +237,17 @@ impl Printer<'_> {
                     self.rect(section)
                 )
             }
-            SStmt::PostBcast {
-                root,
-                src_array,
-                src_section,
-                ..
-            } => {
+            SStmt::PostBcast { root, src, .. } => {
                 format!(
-                    "post broadcast {}{} from {}",
-                    self.name(*src_array).to_uppercase(),
-                    self.rect(src_section),
+                    "post broadcast {} from {}",
+                    self.sections(src.iter().map(|(a, s)| (*a, s))),
                     self.expr(root, 0)
                 )
             }
-            SStmt::WaitBcast {
-                dst_array,
-                dst_section,
-                ..
-            } => {
+            SStmt::WaitBcast { dst, .. } => {
                 format!(
-                    "wait broadcast {}{}",
-                    self.name(*dst_array).to_uppercase(),
-                    self.rect(dst_section)
-                )
-            }
-            SStmt::PostBcastPack { root, parts, .. } => {
-                let items: Vec<String> = parts
-                    .iter()
-                    .map(|p| match p {
-                        BcastPart::Section {
-                            src_array,
-                            src_section,
-                            ..
-                        } => {
-                            format!(
-                                "{}{}",
-                                self.name(*src_array).to_uppercase(),
-                                self.rect(src_section)
-                            )
-                        }
-                        BcastPart::Scalar(v) => self.name(*v),
-                    })
-                    .collect();
-                format!(
-                    "post broadcast [{}] from {}",
-                    items.join(", "),
-                    self.expr(root, 0)
-                )
-            }
-            SStmt::WaitBcastPack { parts, .. } => {
-                let items: Vec<String> = parts
-                    .iter()
-                    .map(|p| match p {
-                        BcastPart::Section {
-                            dst_array,
-                            dst_section,
-                            ..
-                        } => {
-                            format!(
-                                "{}{}",
-                                self.name(*dst_array).to_uppercase(),
-                                self.rect(dst_section)
-                            )
-                        }
-                        BcastPart::Scalar(v) => self.name(*v),
-                    })
-                    .collect();
-                format!("wait broadcast [{}]", items.join(", "))
-            }
-            SStmt::BcastPack { root, parts } => {
-                let items: Vec<String> = parts
-                    .iter()
-                    .map(|p| match p {
-                        BcastPart::Section {
-                            src_array,
-                            src_section,
-                            ..
-                        } => {
-                            format!(
-                                "{}{}",
-                                self.name(*src_array).to_uppercase(),
-                                self.rect(src_section)
-                            )
-                        }
-                        BcastPart::Scalar(v) => self.name(*v),
-                    })
-                    .collect();
-                format!(
-                    "broadcast [{}] from {}",
-                    items.join(", "),
-                    self.expr(root, 0)
+                    "wait broadcast {}",
+                    self.sections(dst.iter().map(|(a, s)| (*a, s)))
                 )
             }
             SStmt::RemapGlobal { array, to_dist } => {
@@ -384,6 +292,17 @@ impl Printer<'_> {
                 )
             }
             _ => "<block>".into(),
+        }
+    }
+
+    /// The sections of a broadcast: `A(..)` alone, `[A(..), B(..)]` packed.
+    fn sections<'s>(&mut self, items: impl Iterator<Item = (Sym, &'s SRect)>) -> String {
+        let items: Vec<String> = items
+            .map(|(a, r)| format!("{}{}", self.name(a).to_uppercase(), self.rect(r)))
+            .collect();
+        match items.as_slice() {
+            [one] => one.clone(),
+            _ => format!("[{}]", items.join(", ")),
         }
     }
 

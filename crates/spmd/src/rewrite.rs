@@ -10,7 +10,7 @@
 //! incremental driver reuses the same traversal to graft cached procedures
 //! from a previous compilation into a fresh program.
 
-use crate::ir::{walk_operands_mut, Access, DistId, OperandMut, SExpr, SProc};
+use crate::ir::{walk_operands_mut, DistId, OperandMut, SExpr, SProc};
 use fortrand_ir::Sym;
 
 /// The three id maps a remap applies. Each is total over the ids appearing
@@ -52,17 +52,7 @@ pub fn remap_proc(p: &mut SProc, m: &ProcRemap) {
     walk_operands_mut(&mut p.body, &mut |op| match op {
         OperandMut::Expr(e) => e.walk_mut(node),
         OperandMut::Scalar { var: s, .. } => *s = (m.sym)(*s),
-        OperandMut::Array {
-            name,
-            access,
-            section,
-        } => {
-            *name = (m.sym)(*name);
-            // The walker expands the bounds of every section but these.
-            if let (Access::Unused, Some(r)) = (access, section) {
-                r.bounds_mut().for_each(|e| e.walk_mut(node));
-            }
-        }
+        OperandMut::Array { name, .. } => *name = (m.sym)(*name),
         OperandMut::Dist(d) => *d = (m.dist)(*d),
         OperandMut::Callee(c) => *c = (m.proc)(*c),
         OperandMut::CopyOut { formal, caller, .. } => {

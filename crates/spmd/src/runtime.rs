@@ -17,12 +17,22 @@ use fortrand_ir::dist::ArrayDist;
 use fortrand_ir::Sym;
 use fortrand_machine::{Machine, Node, RunStats};
 pub use fortrand_machine::{MachineKind, RankFailure};
-pub(crate) use fortrand_rt::{apply_bin, apply_intr, scalar_from_wire, LocalStore, Value};
+pub(crate) use fortrand_rt::{apply_bin, apply_intr, LocalStore, Value};
 use fortrand_rt::{assemble, scatter_init};
 pub use fortrand_rt::{TAG_BCAST, TAG_BCAST_PACK};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
+
+/// The accounting tag of a broadcast of `parts` sections: several sections
+/// in one message are a packed broadcast.
+pub(crate) fn bcast_tag(parts: usize) -> u64 {
+    if parts > 1 {
+        TAG_BCAST_PACK
+    } else {
+        TAG_BCAST
+    }
+}
 
 /// Unified result of running a node program under any [`ExecBackend`].
 #[derive(Debug)]

@@ -20,7 +20,7 @@ use crate::lower::{
 };
 use crate::runtime::{
     apply_bin, apply_intr, assemble_outcome, begin_remap, begin_remap_global, mark_dist_store,
-    scalar_from_wire, scatter_init_store, ArrayStore, Remap, RunOutcome, Value,
+    scatter_init_store, ArrayStore, Remap, RunOutcome, Value,
 };
 use fortrand_ir::dist::ArrayDist;
 use fortrand_ir::Sym;
@@ -1107,16 +1107,6 @@ fn exec(vm: &mut Vm, node: &mut Node) -> Yield {
                         store.data[f as usize] = data[k];
                     }
                     vm.in_off += n;
-                }
-                Instr::PackVar { slot } => {
-                    let v = vm.scalars[s_base + *slot as usize].as_r();
-                    vm.msg.get_or_insert_with(|| node.acquire_buf()).push(v);
-                }
-                Instr::UnpackVar { slot } => {
-                    let inc = vm.incoming.as_ref().expect("unpack without message");
-                    let v = inc[vm.in_off];
-                    vm.in_off += 1;
-                    vm.scalars[s_base + *slot as usize] = scalar_from_wire(v);
                 }
                 Instr::SendMsg { to, tag } => {
                     let dst = vm.regs[r_base + *to as usize].as_i();

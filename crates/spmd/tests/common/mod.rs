@@ -49,16 +49,12 @@ pub fn every_kind() -> (SpmdProgram, Sym) {
         array,
         subs: vec![sub],
     };
-    // Source and destination swap roles between the post and the wait.
-    let posted_parts = vec![
-        BcastPart::Section {
-            src_array: buf,
-            src_section: rect(int_(1), int_(2)),
-            dst_array: a,
-            dst_section: rect(elem(a, int_(1)), int_(2)),
-        },
-        BcastPart::Scalar(v),
-    ];
+    let part = |src_array, src_section, dst_array, dst_section| BcastPart {
+        src_array,
+        src_section,
+        dst_array,
+        dst_section,
+    };
 
     let body = vec![
         SStmt::Comment("phase banner".into()),
@@ -147,26 +143,15 @@ pub fn every_kind() -> (SpmdProgram, Sym) {
         // 1
         SStmt::Bcast {
             root: int_(0),
-            src_array: a,
-            src_section: rect(int_(1), int_(4)),
-            dst_array: buf,
-            dst_section: rect(int_(1), int_(4)),
+            parts: vec![part(a, rect(int_(1), int_(4)), buf, rect(int_(1), int_(4)))],
         },
-        SStmt::BcastScalar {
-            root: int_(0),
-            var: v,
-        },
-        // 1
-        SStmt::BcastPack {
+        // 2: two of the three sources.
+        SStmt::Bcast {
             root: int_(0),
             parts: vec![
-                BcastPart::Section {
-                    src_array: a,
-                    src_section: rect(int_(1), int_(2)),
-                    dst_array: buf,
-                    dst_section: rect(int_(1), int_(2)),
-                },
-                BcastPart::Scalar(v),
+                part(a, rect(int_(1), int_(2)), buf, rect(int_(1), int_(2))),
+                part(a, rect(int_(3), int_(3)), buf, rect(int_(3), int_(3))),
+                part(buf, rect(int_(5), int_(6)), buf, rect(int_(7), int_(8))),
             ],
         },
         // 1
@@ -193,25 +178,30 @@ pub fn every_kind() -> (SpmdProgram, Sym) {
         SStmt::PostBcast {
             handle: 2,
             root: int_(0),
-            src_array: a,
-            src_section: rect(int_(1), int_(4)),
+            src: vec![(a, rect(int_(1), int_(4)))],
         },
         SStmt::WaitBcast {
             handle: 2,
-            dst_array: buf,
-            dst_section: rect(int_(1), int_(4)),
+            dst: vec![(buf, rect(int_(1), int_(4)))],
         },
-        // 0: the post carries its destinations (`a` and the bound reading
-        // it) without using them.
-        SStmt::PostBcastPack {
+        // 1: the last of the three sources.
+        SStmt::PostBcast {
             handle: 3,
             root: int_(0),
-            parts: posted_parts.clone(),
+            src: vec![
+                (buf, rect(int_(1), int_(2))),
+                (buf, rect(int_(3), int_(3))),
+                (a, rect(int_(4), int_(4))),
+            ],
         },
-        // 2: the destination and the read in its bound.
-        SStmt::WaitBcastPack {
+        // 3: two of the three destinations and the read in a bound.
+        SStmt::WaitBcast {
             handle: 3,
-            parts: posted_parts,
+            dst: vec![
+                (a, rect(elem(a, int_(1)), int_(2))),
+                (a, rect(int_(3), int_(3))),
+                (buf, rect(int_(4), int_(4))),
+            ],
         },
         // 1 each.
         SStmt::Remap {
@@ -270,4 +260,4 @@ pub fn every_kind() -> (SpmdProgram, Sym) {
 }
 
 /// Sum of the per-statement counts above.
-pub const MENTIONS_OF_A: usize = 20;
+pub const MENTIONS_OF_A: usize = 23;

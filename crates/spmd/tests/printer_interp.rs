@@ -269,16 +269,15 @@ fn printer_renders_every_statement_kind() {
         "recv A(3) from 0",
         "recv w from 0",
         "broadcast A(1:4) from 0",
-        "broadcast v from 0",
-        "broadcast [A(1:2), v] from 0",
+        "broadcast [A(1:2), A(3), BUF(5:6)] from 0",
         "post send A(1:2) to 1",
         "wait send",
         "post recv from 0",
         "wait recv A(3:4)",
         "post broadcast A(1:4) from 0",
         "wait broadcast BUF(1:4)",
-        "post broadcast [BUF(1:2), v] from 0",
-        "wait broadcast [A(A(1):2), v]",
+        "post broadcast [BUF(1:2), BUF(3), A(4)] from 0",
+        "wait broadcast [A(A(1):2), A(3), BUF(4)]",
         "remap A to (block)",
         "remap A to (cyclic)",
         "mark-as-(block) A",

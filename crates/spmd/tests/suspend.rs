@@ -268,57 +268,76 @@ fn wait_recv_msg_suspends_and_resumes() {
     });
 }
 
+/// The whole block as one section, or as its two halves in order (a
+/// two-part broadcast moves the same data under the packed tag).
+fn sections(halves: bool) -> Vec<SRect> {
+    if halves {
+        let mid = W / 2;
+        vec![
+            SRect::one(SExpr::int(1), SExpr::int(mid)),
+            SRect::one(SExpr::int(mid + 1), SExpr::int(W)),
+        ]
+    } else {
+        vec![all()]
+    }
+}
+
 #[test]
 fn bcast_suspends_root_and_non_roots() {
-    // Ranks enter in rank order: with root 0 the root arrives first and
-    // suspends holding the payload, with root 2 it arrives last and the
-    // non-roots suspend; rank 1 is a non-root that is neither.
-    let runs: Vec<RunOutcome> = [0, 2]
-        .into_iter()
-        .map(|root| {
-            let f = fixture(3, |a, b, _, _| {
-                vec![SStmt::Bcast {
-                    root: SExpr::int(root),
-                    src_array: a,
-                    src_section: all(),
-                    dst_array: b,
-                    dst_section: all(),
-                }]
-            });
-            let out = run(&f, &format!("Bcast root {root}"));
-            assert!(blocked(&out));
-            assert_eq!(out.stats.sched_switches, 3 + 2, "two ranks suspend once");
-            assert_eq!(dispatched(&out, "Bcast"), 3, "one Bcast a rank");
-            for r in 0..3 {
-                assert_eq!(block(&out, f.b, r), block(&out, f.a, root as usize));
-            }
-            out
-        })
-        .collect();
-    assert_eq!(runs[0].stats.instr_mix, runs[1].stats.instr_mix);
+    for halves in [false, true] {
+        // Ranks enter in rank order: with root 0 the root arrives first and
+        // suspends holding the payload, with root 2 it arrives last and the
+        // non-roots suspend; rank 1 is a non-root that is neither.
+        let runs: Vec<RunOutcome> = [0, 2]
+            .into_iter()
+            .map(|root| {
+                let f = fixture(3, |a, b, _, _| {
+                    let parts = sections(halves).into_iter().map(|s| BcastPart {
+                        src_array: a,
+                        src_section: s.clone(),
+                        dst_array: b,
+                        dst_section: s,
+                    });
+                    vec![SStmt::Bcast {
+                        root: SExpr::int(root),
+                        parts: parts.collect(),
+                    }]
+                });
+                let out = run(&f, &format!("Bcast root {root} halves {halves}"));
+                assert!(blocked(&out));
+                assert_eq!(out.stats.sched_switches, 3 + 2, "two ranks suspend once");
+                assert_eq!(dispatched(&out, "Bcast"), 3, "one Bcast a rank");
+                assert_eq!(dispatched(&out, "Scatter"), 3 * (1 + halves as u64));
+                for r in 0..3 {
+                    assert_eq!(block(&out, f.b, r), block(&out, f.a, root as usize));
+                }
+                out
+            })
+            .collect();
+        assert_eq!(runs[0].stats.instr_mix, runs[1].stats.instr_mix);
+    }
 }
 
 #[test]
 fn wait_bcast_msg_suspends_and_resumes() {
     // Root 2 posts last, so ranks 0 and 1 reach the wait before the
     // payload exists; root 0 posts first and nobody blocks.
-    let go = |root: i64| {
+    let go = |root: i64, halves: bool| {
         let f = fixture(3, |a, b, _, _| {
+            let of = |array| sections(halves).into_iter().map(|s| (array, s)).collect();
             vec![
                 SStmt::PostBcast {
                     handle: 0,
                     root: SExpr::int(root),
-                    src_array: a,
-                    src_section: all(),
+                    src: of(a),
                 },
                 SStmt::WaitBcast {
                     handle: 0,
-                    dst_array: b,
-                    dst_section: all(),
+                    dst: of(b),
                 },
             ]
         });
-        let out = run(&f, &format!("WaitBcastMsg root {root}"));
+        let out = run(&f, &format!("WaitBcastMsg root {root} halves {halves}"));
         for r in 0..3 {
             assert_eq!(block(&out, f.b, r), block(&out, f.a, root as usize));
         }
@@ -327,10 +346,12 @@ fn wait_bcast_msg_suspends_and_resumes() {
         assert_eq!(dispatched(&out, "WaitBcastMsg"), 3);
         out
     };
-    let (waiting, ready) = (go(2), go(0));
-    assert!(blocked(&waiting) && !blocked(&ready));
-    assert_eq!(waiting.stats.engine_instrs, ready.stats.engine_instrs);
-    assert_eq!(waiting.stats.instr_mix, ready.stats.instr_mix);
+    for halves in [false, true] {
+        let (waiting, ready) = (go(2, halves), go(0, halves));
+        assert!(blocked(&waiting) && !blocked(&ready));
+        assert_eq!(waiting.stats.engine_instrs, ready.stats.engine_instrs);
+        assert_eq!(waiting.stats.instr_mix, ready.stats.instr_mix);
+    }
 }
 
 #[test]

@@ -223,7 +223,7 @@ fn every_comm_opt_level() {
     }
 }
 
-/// dgefa's pivoting broadcasts (`BcastPack`) and triangular loop nests
+/// dgefa's pivoting broadcasts and triangular loop nests
 /// on a real matrix, under every strategy — and, in release builds, at
 /// the benchmark scale (n=256 p=8) both blocking and overlapped, so the
 /// engines' agreement is also checked on posted operations.
@@ -327,10 +327,12 @@ fn out_of_bounds_rank_outranks_peers_left_in_a_broadcast() {
                 },
                 SStmt::Bcast {
                     root: SExpr::Int(0),
-                    src_array: a,
-                    src_section: whole.clone(),
-                    dst_array: a,
-                    dst_section: whole,
+                    parts: vec![BcastPart {
+                        src_array: a,
+                        src_section: whole.clone(),
+                        dst_array: a,
+                        dst_section: whole,
+                    }],
                 },
             ],
         }],

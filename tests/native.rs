@@ -226,7 +226,7 @@ fn fig1_runtime_resolution() {
     );
 }
 
-/// dgefa's pivoting broadcasts (`BcastPack`) and triangular loop nests
+/// dgefa's pivoting broadcasts and triangular loop nests
 /// on a real matrix, up to the acceptance point p = 8.
 #[test]
 fn dgefa_matches_simulator() {
