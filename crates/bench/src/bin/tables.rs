@@ -525,39 +525,44 @@ fn main() {
     }
     if want("vmprof") {
         banner("VM PROFILE — opcode mix and fusion coverage");
-        let prof = fortrand_bench::vmprof_dgefa(64, 4);
-        println!("{}:", prof.label);
-        println!("{:<14} {:>12} {:>7}", "opcode", "dispatches", "%");
-        for (op, count) in &prof.mix {
+        for prof in [
+            fortrand_bench::vmprof_dgefa(64, 4),
+            fortrand_bench::vmprof_relax(256, 8, 16),
+        ] {
+            println!("{}:", prof.label);
+            println!("{:<14} {:>12} {:>7}", "opcode", "dispatches", "%");
+            for (op, count) in &prof.mix {
+                println!(
+                    "{:<14} {:>12} {:>6.1}%",
+                    op,
+                    count,
+                    100.0 * *count as f64 / prof.engine_instrs.max(1) as f64
+                );
+            }
             println!(
-                "{:<14} {:>12} {:>6.1}%",
-                op,
-                count,
-                100.0 * *count as f64 / prof.engine_instrs.max(1) as f64
+                "dispatched {} + fused {} = {} retired; fusion coverage {:.1}%",
+                prof.engine_instrs,
+                prof.fused_instrs,
+                prof.engine_instrs + prof.fused_instrs,
+                100.0 * prof.coverage()
             );
-        }
-        println!(
-            "dispatched {} + fused {} = {} retired; fusion coverage {:.1}%",
-            prof.engine_instrs,
-            prof.fused_instrs,
-            prof.engine_instrs + prof.fused_instrs,
-            100.0 * prof.coverage()
-        );
-        // Self-validation: the profiler counts every dispatch exactly
-        // once, so the mix must sum to the engine's dispatch counter.
-        if prof.mix_total() != prof.engine_instrs {
-            eprintln!(
-                "VMPROF SELF-CHECK FAIL: opcode mix sums to {} but the \
-                 engine dispatched {}",
-                prof.mix_total(),
+            // Self-validation: the profiler counts every dispatch exactly
+            // once, so the mix must sum to the engine's dispatch counter.
+            if prof.mix_total() != prof.engine_instrs {
+                eprintln!(
+                    "VMPROF SELF-CHECK FAIL ({}): opcode mix sums to {} but the \
+                     engine dispatched {}",
+                    prof.label,
+                    prof.mix_total(),
+                    prof.engine_instrs
+                );
+                std::process::exit(1);
+            }
+            println!(
+                "self-check passed: mix sums to engine_instrs ({})\n",
                 prof.engine_instrs
             );
-            std::process::exit(1);
         }
-        println!(
-            "self-check passed: mix sums to engine_instrs ({})",
-            prof.engine_instrs
-        );
     }
     if want("weakscale") {
         banner("WEAK SCALING — event machine, p=128..4096");

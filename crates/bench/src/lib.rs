@@ -340,19 +340,22 @@ impl VmProfile {
     }
 }
 
-/// Runs dgefa under the bytecode engine and returns its opcode profile.
-pub fn vmprof_dgefa(n: i64, p: usize) -> VmProfile {
+/// Runs `src` under the bytecode engine (interprocedural, `Kills`) with
+/// `init` as the named initial arrays and returns its opcode profile.
+fn vmprof(label: String, src: &str, p: usize, init: &[(&str, Vec<f64>)]) -> VmProfile {
     let out = compile(
-        &dgefa_source(n, p),
+        src,
         &CompileOptions::builder()
             .strategy(Strategy::Interprocedural)
             .nprocs(p)
             .dyn_opt(DynOptLevel::Kills)
             .build(),
     )
-    .unwrap_or_else(|e| panic!("vmprof dgefa n={n} p={p}: {e}"));
-    let mut init = BTreeMap::new();
-    init.insert(out.spmd.interner.get("a").unwrap(), dgefa_matrix(n));
+    .unwrap_or_else(|e| panic!("vmprof {label}: {e}"));
+    let init = init
+        .iter()
+        .map(|(name, data)| (out.spmd.interner.get(name).unwrap(), data.clone()))
+        .collect();
     let machine = Machine::new(p);
     let run = try_run_spmd(
         &out.spmd,
@@ -360,15 +363,33 @@ pub fn vmprof_dgefa(n: i64, p: usize) -> VmProfile {
         &init,
         &ExecOptions::new().backend(Bytecode),
     )
-    .unwrap_or_else(|f| panic!("vmprof dgefa n={n} p={p}: {f}"));
+    .unwrap_or_else(|f| panic!("vmprof {label}: {f}"));
     let mut mix = run.stats.instr_mix.clone();
     mix.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
     VmProfile {
-        label: format!("dgefa n={n} p={p}"),
+        label,
         mix,
         engine_instrs: run.stats.engine_instrs,
         fused_instrs: run.stats.fused_instrs,
     }
+}
+
+/// The opcode profile of dgefa on an `n × n` matrix over `p` ranks.
+pub fn vmprof_dgefa(n: i64, p: usize) -> VmProfile {
+    let src = dgefa_source(n, p);
+    vmprof(
+        format!("dgefa n={n} p={p}"),
+        &src,
+        p,
+        &[("a", dgefa_matrix(n))],
+    )
+}
+
+/// The opcode profile of the relax stencil (shift 1, `steps` double
+/// sweeps, zero arrays) on `n` points over `p` ranks.
+pub fn vmprof_relax(n: i64, steps: i64, p: usize) -> VmProfile {
+    let src = relax_source(n, 1, steps, p);
+    vmprof(format!("relax n={n} steps={steps} p={p}"), &src, p, &[])
 }
 
 /// The `vmprof` entry of `BENCH.json` for one profile.

@@ -32,7 +32,9 @@ mod walk;
 
 pub use dist::{ArrayDist, DimPartition, DistKind, ProcGrid};
 pub use space::{rect_for_each, rect_len};
-pub use value::{apply_bin, apply_intr, fmax, fmin, fsign, ipow, neg, SBinOp, SIntr, Value};
+pub use value::{
+    apply_bin, apply_bin_r, apply_intr, fmax, fmin, fsign, ipow, neg, SBinOp, SIntr, Value,
+};
 pub use walk::{assemble, pack, scatter_init, unpack, LocalStore, Remap};
 
 /// Accounting tag under which plain broadcasts are recorded in the

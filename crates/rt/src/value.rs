@@ -110,8 +110,21 @@ pub fn fmax(vals: impl IntoIterator<Item = f64>) -> f64 {
     vals.into_iter().fold(f64::NEG_INFINITY, f64::max)
 }
 
+impl SBinOp {
+    /// True for the operators whose result is a truth value `I(0|1)`
+    /// whatever the operand kinds (comparisons and logicals).
+    #[inline]
+    pub fn is_boolean(self) -> bool {
+        !matches!(
+            self,
+            SBinOp::Add | SBinOp::Sub | SBinOp::Mul | SBinOp::Div | SBinOp::Pow
+        )
+    }
+}
+
 /// Applies a binary operator. Integer op when both operands are `I`;
-/// otherwise both promote to `f64`. Comparisons and logicals yield `I(0|1)`.
+/// otherwise both promote to `f64` ([`apply_bin_r`]). Comparisons and
+/// logicals yield `I(0|1)`.
 #[inline]
 pub fn apply_bin(op: SBinOp, a: Value, b: Value) -> Value {
     use SBinOp::*;
@@ -133,24 +146,36 @@ pub fn apply_bin(op: SBinOp, a: Value, b: Value) -> Value {
             Or => bool_v(x != 0 || y != 0),
         },
         _ => {
-            let x = a.as_r();
-            let y = b.as_r();
-            match op {
-                Add => Value::R(x + y),
-                Sub => Value::R(x - y),
-                Mul => Value::R(x * y),
-                Div => Value::R(x / y),
-                Pow => Value::R(x.powf(y)),
-                Lt => bool_v(x < y),
-                Le => bool_v(x <= y),
-                Gt => bool_v(x > y),
-                Ge => bool_v(x >= y),
-                Eq => bool_v(x == y),
-                Ne => bool_v(x != y),
-                And => bool_v(x != 0.0 && y != 0.0),
-                Or => bool_v(x != 0.0 || y != 0.0),
+            let v = apply_bin_r(op, a.as_r(), b.as_r());
+            if op.is_boolean() {
+                Value::I(v as i64)
+            } else {
+                Value::R(v)
             }
         }
+    }
+}
+
+/// [`apply_bin`]'s mixed arm on plain `f64`s, a truth value as 0.0 or
+/// 1.0: `apply_bin(op, a, b).as_r()` whenever `a` or `b` is `R`.
+#[inline]
+pub fn apply_bin_r(op: SBinOp, x: f64, y: f64) -> f64 {
+    use SBinOp::*;
+    let bool_r = |c: bool| c as i64 as f64;
+    match op {
+        Add => x + y,
+        Sub => x - y,
+        Mul => x * y,
+        Div => x / y,
+        Pow => x.powf(y),
+        Lt => bool_r(x < y),
+        Le => bool_r(x <= y),
+        Gt => bool_r(x > y),
+        Ge => bool_r(x >= y),
+        Eq => bool_r(x == y),
+        Ne => bool_r(x != y),
+        And => bool_r(x != 0.0 && y != 0.0),
+        Or => bool_r(x != 0.0 || y != 0.0),
     }
 }
 
@@ -213,5 +238,30 @@ mod tests {
             Value::R(-3.0)
         );
         assert!(neg(Value::R(0.0)).as_r().is_sign_negative());
+    }
+
+    #[test]
+    fn real_arm_is_the_mixed_arm() {
+        use SBinOp::*;
+        let ops = [Add, Sub, Mul, Div, Pow, Lt, Le, Gt, Ge, Eq, Ne, And, Or];
+        let vals = [-2.5, -0.0, 0.0, 1.0, 3.0, f64::NAN, f64::INFINITY];
+        for op in ops {
+            for x in vals {
+                for y in vals {
+                    for (a, b) in [
+                        (Value::R(x), Value::R(y)),
+                        (Value::I(x as i64), Value::R(y)),
+                        (Value::R(x), Value::I(y as i64)),
+                    ] {
+                        let want = apply_bin(op, a, b).as_r();
+                        let got = apply_bin_r(op, a.as_r(), b.as_r());
+                        assert!(
+                            want.to_bits() == got.to_bits() || (want.is_nan() && got.is_nan()),
+                            "{op:?} {a:?} {b:?}: {want} vs {got}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

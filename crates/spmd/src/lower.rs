@@ -111,6 +111,22 @@ impl KSrc {
     }
 }
 
+/// One node of a [`KBody::Expr`] postfix program.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum KOp {
+    /// Pushes an operand.
+    Leaf(KSrc),
+    /// Pops `r`, then `l`; pushes `l op r`.
+    Bin(SBinOp),
+    /// Negates the top of the stack.
+    Neg,
+}
+
+/// Most nodes in a [`KBody::Expr`] program.
+pub(crate) const EXPR_NODES: usize = 16;
+/// Deepest evaluation stack a [`KBody::Expr`] program may need.
+pub(crate) const EXPR_DEPTH: usize = 8;
+
 /// Recognized whole-loop-body kernels. Each variant names the exact
 /// instruction shape it replaced; the executor replays that shape's
 /// per-element semantics (including `Value` promotion via `apply_bin`/
@@ -121,14 +137,13 @@ pub(crate) enum KBody {
     Fill { dst: KAcc, v: KSrc },
     /// `a(...) = b(...)` — strided copy.
     Copy { dst: KAcc, src: KAcc },
-    /// `a(...) = l op r` with at least one always-real operand
-    /// (covers `Scal`-style `a(i) = a(i)/x` and friends).
-    EBin {
-        op: SBinOp,
-        dst: KAcc,
-        l: KSrc,
-        r: KSrc,
-    },
+    /// `a(...) = expr` — any tree of leaves, `Bin` and `Neg` (an `Fma`
+    /// as its `Mul` then its add/sub) in which every operator has a
+    /// statically real operand: each operator then takes `apply_bin`'s
+    /// mixed arm and charges one flop, so the program runs on plain
+    /// `f64`s (a truth value as 0.0 or 1.0). Covers the stencil
+    /// `v(i) = 0.5*(u(i)+u(i+1))` and `Scal`'s `a(i) = a(i)/x`.
+    Expr { dst: KAcc, code: Box<[KOp]> },
     /// `a(...) = acc op (ml*mr)` — the Axpy/daxpy inner loop.
     Fma {
         op: SBinOp,
@@ -1468,41 +1483,121 @@ fn m_fill_copy(body: &[Instr], var: Slot) -> Option<(KBody, KCharges)> {
     }
 }
 
-/// EBin: `[leaf, leaf, Bin, StoreS]` with a guaranteed-real operand so
-/// the per-iteration flop charge is statically constant.
-fn m_ebin(body: &[Instr], var: Slot) -> Option<(KBody, KCharges)> {
-    let [a, b, Instr::Bin { op, dst, l, r }, st] = body else {
+/// Expr: `[(leaf | Bin | Neg | Fma)+, StoreS]` whose registers are used
+/// as a stack, every operator with a statically real operand (so each
+/// charges one flop every iteration) and no slot operand the loop
+/// variable. Each stack entry carries its register, its postfix code
+/// and whether it is statically real.
+fn m_expr(body: &[Instr], var: Slot) -> Option<(KBody, KCharges)> {
+    let (st, window) = body.split_last()?;
+    let (dst, src) = acc_of_store(st)?;
+    let mut stack: Vec<(Reg, Vec<KOp>, bool)> = Vec::new();
+    let mut ops = dst.ops();
+    let mut flops = 0u64;
+    let mut leaf = |s: KSrc| -> Option<(Vec<KOp>, bool)> {
+        if matches!(s, KSrc::Slot(sl) if sl == var) {
+            return None;
+        }
+        ops += s.elem_ops();
+        Some((vec![KOp::Leaf(s)], s.always_real()))
+    };
+    fn pop(stack: &mut Vec<(Reg, Vec<KOp>, bool)>, r: Reg) -> Option<(Vec<KOp>, bool)> {
+        let (top, code, real) = stack.pop()?;
+        (top == r).then_some((code, real))
+    }
+    for ins in window {
+        let (r, code, real) = if let Some((r, s)) = leaf_of(ins) {
+            let (code, real) = leaf(s)?;
+            (r, code, real)
+        } else {
+            match *ins {
+                Instr::Bin { op, dst, l, r } => {
+                    let (rc, rr) = pop(&mut stack, r)?;
+                    let (mut code, lr) = pop(&mut stack, l)?;
+                    if !lr && !rr {
+                        return None;
+                    }
+                    flops += 1;
+                    code.extend(rc);
+                    code.push(KOp::Bin(op));
+                    (dst, code, !op.is_boolean())
+                }
+                Instr::Neg { dst, src } => {
+                    let (mut code, real) = pop(&mut stack, src)?;
+                    if !real {
+                        return None;
+                    }
+                    flops += 1;
+                    code.push(KOp::Neg);
+                    (dst, code, true)
+                }
+                Instr::Fma {
+                    op,
+                    dst,
+                    acc,
+                    ml,
+                    mr,
+                } => {
+                    // Register operands are on the stack in `acc, ml, mr`
+                    // order; slot operands become leaves in place.
+                    let mut opnd = |o: Opnd| {
+                        if o.slot == NO_SLOT {
+                            pop(&mut stack, o.reg)
+                        } else {
+                            leaf(KSrc::Slot(o.slot))
+                        }
+                    };
+                    let (mr, mr_real) = opnd(mr)?;
+                    let (ml, ml_real) = opnd(ml)?;
+                    let (mut code, _) = opnd(acc)?;
+                    if !ml_real && !mr_real {
+                        return None;
+                    }
+                    flops += 2;
+                    code.extend(ml);
+                    code.extend(mr);
+                    code.extend([KOp::Bin(SBinOp::Mul), KOp::Bin(op)]);
+                    (dst, code, true)
+                }
+                _ => return None,
+            }
+        };
+        if stack.iter().any(|e| e.0 == r) {
+            return None;
+        }
+        stack.push((r, code, real));
+    }
+    let [(top, code, _)] = &stack[..] else {
         return None;
     };
-    let (ra, la) = leaf_of(a)?;
-    let (rb, lb) = leaf_of(b)?;
-    let (dacc, src) = acc_of_store(st)?;
-    if *l != ra || *r != rb || *dst != ra || src != ra {
-        return None;
-    }
-    for s in [&la, &lb] {
-        if let KSrc::Slot(sl) = s {
-            if *sl == var {
-                return None;
-            }
-        }
-    }
-    if !la.always_real() && !lb.always_real() {
+    if *top != src || flops == 0 || code.len() > EXPR_NODES || expr_depth(code) > EXPR_DEPTH {
         return None;
     }
     Some((
-        KBody::EBin {
-            op: *op,
-            dst: dacc,
-            l: la,
-            r: lb,
+        KBody::Expr {
+            dst,
+            code: code.as_slice().into(),
         },
         KCharges {
-            ops: la.elem_ops() + lb.elem_ops() + dacc.ops(),
-            flops: 1,
+            ops,
+            flops,
             ..KCharges::default()
         },
     ))
+}
+
+/// Deepest stack a postfix program reaches.
+fn expr_depth(code: &[KOp]) -> usize {
+    let (mut d, mut max) = (0usize, 0usize);
+    for op in code {
+        match op {
+            KOp::Leaf(_) => d += 1,
+            KOp::Bin(_) => d -= 1,
+            KOp::Neg => {}
+        }
+        max = max.max(d);
+    }
+    max
 }
 
 /// Fma/Axpy: `[leaf*, Fma, StoreS]` — up to three leaves feeding the
@@ -1727,10 +1822,12 @@ fn m_argmax(body: &[Instr], var: Slot, next_at: u32) -> Option<(KBody, KCharges)
 }
 
 fn match_kernel(body: &[Instr], var: Slot, next_at: u32) -> Option<(KBody, KCharges)> {
+    // `Fma` ahead of the `Expr` that would also take its shape: it is
+    // dgefa's hot loop, and its specialised executor is the faster one.
     m_fill_copy(body, var)
         .or_else(|| m_redbin(body, var))
-        .or_else(|| m_ebin(body, var))
         .or_else(|| m_fma(body, var))
+        .or_else(|| m_expr(body, var))
         .or_else(|| m_swap(body, var))
         .or_else(|| m_argmax(body, var, next_at))
 }
@@ -2003,18 +2100,129 @@ mod tests {
             ),
         ]);
         let ks = fused_body(p);
+        let [KBody::Expr { code, .. }] = &ks[..] else {
+            panic!("{ks:?}")
+        };
         assert!(
             matches!(
-                ks[..],
-                [KBody::EBin {
-                    op: SBinOp::Div,
-                    l: KSrc::Elem(_),
-                    r: KSrc::Slot(_),
-                    ..
-                }]
+                code[..],
+                [
+                    KOp::Leaf(KSrc::Elem(_)),
+                    KOp::Leaf(KSrc::Slot(_)),
+                    KOp::Bin(SBinOp::Div)
+                ]
             ),
-            "{ks:?}"
+            "{code:?}"
         );
+    }
+
+    /// The one fused loop of `p`.
+    fn one_kloop(p: SpmdProgram) -> (KBody, u64, u64) {
+        let lw = lower_with(&p, true);
+        let [kl] = kloops(&lw)[..] else {
+            panic!("expected one fused loop")
+        };
+        (kl.body.clone(), kl.ops_per_iter, kl.flops_per_iter)
+    }
+
+    fn elem_off(array: Sym, i: Sym, off: i64) -> SExpr {
+        SExpr::Elem {
+            array,
+            subs: vec![SExpr::add(SExpr::Var(i), SExpr::Int(off))],
+        }
+    }
+
+    fn leaves_and_operators(code: &[KOp]) -> (usize, usize) {
+        let leaves = code.iter().filter(|o| matches!(o, KOp::Leaf(_))).count();
+        (leaves, code.len() - leaves)
+    }
+
+    #[test]
+    fn fuses_expr_stencil() {
+        // relax: b(i) = 0.5 * (a(i) + a(i+1))
+        let mut tb = TB::new();
+        let (a, b, i) = (tb.s("a"), tb.s("b"), tb.s("i"));
+        let rhs = SExpr::mul(SExpr::Real(0.5), SExpr::add(elem(a, i), elem_off(a, i, 1)));
+        let (body, ops, flops) = one_kloop(tb.prog(vec![do8(i, vec![st_elem(b, i, rhs)])]));
+        let KBody::Expr { code, .. } = &body else {
+            panic!("{body:?}")
+        };
+        assert_eq!(leaves_and_operators(code), (3, 2), "{code:?}");
+        // Unfused: LoadS a(i) 1 op, LoadS a(i+1) 1 + 1 folded add,
+        // StoreS b(i) 1, LoopNext 1; two real Bins, a flop each.
+        assert_eq!((ops, flops), (5, 2));
+    }
+
+    #[test]
+    fn fuses_expr_with_inner_fma() {
+        // b(i) = 0.25 * (a(i-1) + 2.0*a(i) + a(i+1)): the inner
+        // `a(i-1) + 2.0*a(i)` lowers to an Fma, which becomes Mul, Add.
+        let mut tb = TB::new();
+        let (a, b, i) = (tb.s("a"), tb.s("b"), tb.s("i"));
+        let sum = SExpr::add(
+            SExpr::add(elem_off(a, i, -1), SExpr::mul(SExpr::Real(2.0), elem(a, i))),
+            elem_off(a, i, 1),
+        );
+        let rhs = SExpr::mul(SExpr::Real(0.25), sum);
+        let (body, ops, flops) = one_kloop(tb.prog(vec![do8(i, vec![st_elem(b, i, rhs)])]));
+        let KBody::Expr { code, .. } = &body else {
+            panic!("{body:?}")
+        };
+        assert_eq!(leaves_and_operators(code), (5, 4), "{code:?}");
+        assert!(code
+            .windows(2)
+            .any(|w| matches!(w, [KOp::Bin(SBinOp::Mul), KOp::Bin(SBinOp::Add)])));
+        // LoadS 2 + 1 + 2, StoreS 1, LoopNext 1; Fma 2 flops, 2 Bins.
+        assert_eq!((ops, flops), (7, 4));
+    }
+
+    #[test]
+    fn refuses_expr_integer_subtree() {
+        // b(i) = a(i) + (k+1)*2: `k+1` has no real operand, so its charge
+        // (op or flop) is decided by what `k` holds at run time.
+        let mut tb = TB::new();
+        let (a, b, i, k) = (tb.s("a"), tb.s("b"), tb.s("i"), tb.s("k"));
+        let int = SExpr::mul(SExpr::add(SExpr::Var(k), SExpr::Int(1)), SExpr::Int(2));
+        let p = tb.prog(vec![
+            SStmt::Assign {
+                lhs: SLval::Scalar(k),
+                rhs: SExpr::Int(3),
+            },
+            do8(i, vec![st_elem(b, i, SExpr::add(elem(a, i), int))]),
+        ]);
+        assert!(fused_body(p).is_empty());
+    }
+
+    #[test]
+    fn refuses_expr_loop_var_operand() {
+        // 0.5*(a(i) + i) as a leaf, b(i) + i*a(i) as an Fma slot operand.
+        for with_fma in [false, true] {
+            let mut tb = TB::new();
+            let (a, b, i) = (tb.s("a"), tb.s("b"), tb.s("i"));
+            let rhs = if with_fma {
+                SExpr::add(elem(b, i), SExpr::mul(SExpr::Var(i), elem(a, i)))
+            } else {
+                SExpr::mul(SExpr::Real(0.5), SExpr::add(elem(a, i), SExpr::Var(i)))
+            };
+            let p = tb.prog(vec![do8(i, vec![st_elem(b, i, rhs)])]);
+            assert!(fused_body(p).is_empty(), "with_fma={with_fma}");
+        }
+    }
+
+    #[test]
+    fn refuses_expr_deeper_than_stack() {
+        // a(i) + (a(i) + (... + a(i))): `n` leaves need an `n`-deep stack.
+        let chain = |n: usize| {
+            let mut tb = TB::new();
+            let (a, b, i) = (tb.s("a"), tb.s("b"), tb.s("i"));
+            let mut e = elem(a, i);
+            for _ in 1..n {
+                e = SExpr::add(elem(a, i), e);
+            }
+            fused_body(tb.prog(vec![do8(i, vec![st_elem(b, i, e)])]))
+        };
+        assert!(matches!(chain(EXPR_DEPTH)[..], [KBody::Expr { .. }]));
+        assert!(chain(EXPR_DEPTH + 1).is_empty());
     }
 
     #[test]

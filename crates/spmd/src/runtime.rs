@@ -17,7 +17,7 @@ use fortrand_ir::dist::ArrayDist;
 use fortrand_ir::Sym;
 use fortrand_machine::{Machine, Node, RunStats};
 pub use fortrand_machine::{MachineKind, RankFailure};
-pub(crate) use fortrand_rt::{apply_bin, apply_intr, LocalStore, Value};
+pub(crate) use fortrand_rt::{apply_bin, apply_bin_r, apply_intr, LocalStore, Value};
 use fortrand_rt::{assemble, scatter_init};
 pub use fortrand_rt::{TAG_BCAST, TAG_BCAST_PACK};
 use std::collections::BTreeMap;

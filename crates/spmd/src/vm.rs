@@ -15,12 +15,12 @@
 
 use crate::ir::{SBinOp, SpmdProgram};
 use crate::lower::{
-    lower_with, op_idx, CallArgs, Instr, KAcc, KBody, KLoop, KSrc, Lowered, SecInstr, Slot,
-    NO_SLOT, N_OPCODES, OPCODE_NAMES,
+    lower_with, op_idx, CallArgs, Instr, KAcc, KBody, KLoop, KOp, KSrc, Lowered, SecInstr, Slot,
+    EXPR_DEPTH, EXPR_NODES, NO_SLOT, N_OPCODES, OPCODE_NAMES,
 };
 use crate::runtime::{
-    apply_bin, apply_intr, assemble_outcome, begin_remap, begin_remap_global, mark_dist_store,
-    scatter_init_store, ArrayStore, Remap, RunOutcome, Value,
+    apply_bin, apply_bin_r, apply_intr, assemble_outcome, begin_remap, begin_remap_global,
+    mark_dist_store, scatter_init_store, ArrayStore, Remap, RunOutcome, Value,
 };
 use fortrand_ir::dist::ArrayDist;
 use fortrand_ir::Sym;
@@ -72,6 +72,43 @@ pub(crate) fn run_bytecode(
         .map(|(k, &n)| (OPCODE_NAMES[k].to_string(), n))
         .collect();
     Ok(out)
+}
+
+/// A fused loop's strided walk over one array's storage: iteration `k`
+/// touches `p[f0 + k*st]`. Only [`Vm::kacc_plan`] builds one, after
+/// checking both endpoints against the local bounds, which puts the
+/// index of every iteration `0 <= k < t` below `len`; debug builds check
+/// each index again. A walk lives inside one `run_kloop`, which never
+/// resizes array storage.
+#[derive(Clone, Copy)]
+struct Walk {
+    p: *mut f64,
+    len: usize,
+    f0: i64,
+    st: i64,
+}
+
+impl Walk {
+    #[inline(always)]
+    fn at(&self, k: i64) -> *mut f64 {
+        let idx = (self.f0 + k * self.st) as usize;
+        debug_assert!(idx < self.len, "walk index {idx} outside {}", self.len);
+        // SAFETY: `idx < len` by the endpoint check (see above).
+        unsafe { self.p.add(idx) }
+    }
+
+    #[inline(always)]
+    fn get(&self, k: i64) -> f64 {
+        // SAFETY: in bounds (`at`); walks of one array may alias, which
+        // raw pointers permit.
+        unsafe { *self.at(k) }
+    }
+
+    #[inline(always)]
+    fn set(&self, k: i64, v: f64) {
+        // SAFETY: as `get`.
+        unsafe { *self.at(k) = v }
+    }
 }
 
 /// Cached enumeration of one section site: the evaluated bounds it was
@@ -349,17 +386,17 @@ impl<'a> Vm<'a> {
         fr.ret_pc
     }
 
-    /// Affine access plan for a [`KAcc`]: `(heap id, flat0, stride)`
-    /// such that iteration `t` of the fused loop touches
-    /// `data[flat0 + t*stride]`. Each dimension's subscript is affine
-    /// in `t` (the loop-variable dims advance by `step`, the rest are
-    /// constant), so validating both endpoints validates every
-    /// iteration. Returns `None` when an endpoint leaves the local
-    /// bounds — the caller then runs the intact interpreted body, which
-    /// panics at the exact offending iteration with the exact message.
+    /// Affine access plan for a [`KAcc`]: the [`Walk`] whose iteration
+    /// `k` of the fused loop touches `data[flat0 + k*stride]`. Each
+    /// dimension's subscript is affine in `k` (the loop-variable dims
+    /// advance by `step`, the rest are constant), so validating both
+    /// endpoints validates every iteration. Returns `None` when an
+    /// endpoint leaves the local bounds — the caller then runs the intact
+    /// interpreted body, which panics at the exact offending iteration
+    /// with the exact message.
     #[allow(clippy::too_many_arguments)]
     fn kacc_plan(
-        &self,
+        &mut self,
         acc: &KAcc,
         s_base: usize,
         a_base: usize,
@@ -367,7 +404,7 @@ impl<'a> Vm<'a> {
         i0: i64,
         step: i64,
         t: i64,
-    ) -> Option<(usize, i64, i64)> {
+    ) -> Option<Walk> {
         let id = self.atab[a_base + acc.arr as usize];
         let store = &self.heap[id];
         let mut flat0 = 0i64;
@@ -393,7 +430,13 @@ impl<'a> Vm<'a> {
             flat0 = flat0 * w + (v0 - lo);
             stride = stride * w + delta;
         }
-        Some((id, flat0, stride))
+        let data = &mut self.heap[id].data;
+        Some(Walk {
+            p: data.as_mut_ptr(),
+            len: data.len(),
+            f0: flat0,
+            st: stride,
+        })
     }
 
     /// Reads a non-element kernel operand (loop-invariant by the
@@ -415,73 +458,93 @@ impl<'a> Vm<'a> {
     fn run_kloop(&mut self, kl: &KLoop, s_base: usize, a_base: usize, i0: i64, t: i64) -> bool {
         let var = kl.var;
         let step = kl.step;
+        /// The walk of an element access, or back to the slow path.
+        macro_rules! plan {
+            ($acc:expr) => {
+                match self.kacc_plan($acc, s_base, a_base, var, i0, step, t) {
+                    Some(w) => w,
+                    None => return false,
+                }
+            };
+        }
         /// Resolved per-iteration operand: a constant or a strided walk.
         enum Rop {
             C(Value),
-            M(*const f64, i64, i64),
+            M(Walk),
         }
-        let resolve = |vm: &Self, s: &KSrc| -> Option<Rop> {
-            match s {
-                KSrc::Elem(a) => {
-                    let (id, f0, st) = vm.kacc_plan(a, s_base, a_base, var, i0, step, t)?;
-                    Some(Rop::M(vm.heap[id].data.as_ptr(), f0, st))
+        macro_rules! operand {
+            ($s:expr) => {
+                match $s {
+                    KSrc::Elem(a) => Rop::M(plan!(a)),
+                    other => Rop::C(self.ksrc_val(other, s_base)),
                 }
-                other => Some(Rop::C(vm.ksrc_val(other, s_base))),
-            }
-        };
+            };
+        }
         let rop_val = |r: &Rop, k: i64| -> Value {
             match r {
                 Rop::C(v) => *v,
-                Rop::M(p, f0, st) => Value::R(unsafe { *p.add((f0 + k * st) as usize) }),
+                Rop::M(w) => Value::R(w.get(k)),
             }
         };
         match &kl.body {
             KBody::Fill { dst, v } => {
-                let Some((did, f0, st)) = self.kacc_plan(dst, s_base, a_base, var, i0, step, t)
-                else {
-                    return false;
-                };
+                let d = plan!(dst);
                 let x = self.ksrc_val(v, s_base).as_r();
-                let p = self.heap[did].data.as_mut_ptr();
                 for k in 0..t {
-                    unsafe { *p.add((f0 + k * st) as usize) = x };
+                    d.set(k, x);
                 }
             }
             KBody::Copy { dst, src } => {
-                let Some((sid, sf0, sst)) = self.kacc_plan(src, s_base, a_base, var, i0, step, t)
-                else {
-                    return false;
-                };
-                let Some((did, df0, dstr)) = self.kacc_plan(dst, s_base, a_base, var, i0, step, t)
-                else {
-                    return false;
-                };
-                let sp = self.heap[sid].data.as_ptr();
-                let dp = self.heap[did].data.as_mut_ptr();
+                let s = plan!(src);
+                let d = plan!(dst);
                 for k in 0..t {
-                    unsafe {
-                        let v = *sp.add((sf0 + k * sst) as usize);
-                        *dp.add((df0 + k * dstr) as usize) = v;
-                    }
+                    d.set(k, s.get(k));
                 }
             }
-            KBody::EBin { op, dst, l, r } => {
-                let Some(rl) = resolve(self, l) else {
-                    return false;
-                };
-                let Some(rr) = resolve(self, r) else {
-                    return false;
-                };
-                let Some((did, df0, dstr)) = self.kacc_plan(dst, s_base, a_base, var, i0, step, t)
-                else {
-                    return false;
-                };
-                let dp = self.heap[did].data.as_mut_ptr();
+            KBody::Expr { dst, code } => {
+                /// One planned node: a leaf read once or walked, or an
+                /// operator.
+                #[derive(Clone, Copy)]
+                enum X {
+                    C(f64),
+                    M(Walk),
+                    Bin(SBinOp),
+                    Neg,
+                }
+                let mut nodes = [X::Neg; EXPR_NODES];
+                for (x, op) in nodes.iter_mut().zip(code.iter()) {
+                    *x = match op {
+                        KOp::Leaf(KSrc::Elem(a)) => X::M(plan!(a)),
+                        KOp::Leaf(s) => X::C(self.ksrc_val(s, s_base).as_r()),
+                        KOp::Bin(op) => X::Bin(*op),
+                        KOp::Neg => X::Neg,
+                    };
+                }
+                let nodes = &nodes[..code.len()];
+                let d = plan!(dst);
+                // In iteration order, so a recurrence such as
+                // `v(i) = v(i-1) + ...` reads the value just stored.
                 for k in 0..t {
-                    let a = rop_val(&rl, k);
-                    let b = rop_val(&rr, k);
-                    let out = apply_bin(*op, a, b).as_r();
-                    unsafe { *dp.add((df0 + k * dstr) as usize) = out };
+                    let mut st = [0.0f64; EXPR_DEPTH];
+                    let mut sp = 0;
+                    for x in nodes {
+                        match *x {
+                            X::C(c) => {
+                                st[sp] = c;
+                                sp += 1;
+                            }
+                            X::M(w) => {
+                                st[sp] = w.get(k);
+                                sp += 1;
+                            }
+                            X::Bin(op) => {
+                                sp -= 1;
+                                st[sp - 1] = apply_bin_r(op, st[sp - 1], st[sp]);
+                            }
+                            X::Neg => st[sp - 1] = -st[sp - 1],
+                        }
+                    }
+                    d.set(k, st[0]);
                 }
             }
             KBody::Fma {
@@ -491,27 +554,16 @@ impl<'a> Vm<'a> {
                 ml,
                 mr,
             } => {
-                let Some(racc) = resolve(self, acc) else {
-                    return false;
-                };
-                let Some(rml) = resolve(self, ml) else {
-                    return false;
-                };
-                let Some(rmr) = resolve(self, mr) else {
-                    return false;
-                };
-                let Some((did, df0, dstr)) = self.kacc_plan(dst, s_base, a_base, var, i0, step, t)
-                else {
-                    return false;
-                };
-                let dp = self.heap[did].data.as_mut_ptr();
+                let racc = operand!(acc);
+                let rml = operand!(ml);
+                let rmr = operand!(mr);
+                let d = plan!(dst);
                 for k in 0..t {
                     let x = rop_val(&rml, k);
                     let y = rop_val(&rmr, k);
                     let m = apply_bin(SBinOp::Mul, x, y);
                     let a = rop_val(&racc, k);
-                    let out = apply_bin(*op, a, m).as_r();
-                    unsafe { *dp.add((df0 + k * dstr) as usize) = out };
+                    d.set(k, apply_bin(*op, a, m).as_r());
                 }
             }
             KBody::RedBin {
@@ -520,14 +572,10 @@ impl<'a> Vm<'a> {
                 e,
                 acc_left,
             } => {
-                let Some((eid, f0, st)) = self.kacc_plan(e, s_base, a_base, var, i0, step, t)
-                else {
-                    return false;
-                };
-                let p = self.heap[eid].data.as_ptr();
+                let e = plan!(e);
                 let mut acc = self.scalars[s_base + *slot as usize];
                 for k in 0..t {
-                    let ev = Value::R(unsafe { *p.add((f0 + k * st) as usize) });
+                    let ev = Value::R(e.get(k));
                     acc = if *acc_left {
                         apply_bin(*op, acc, ev)
                     } else {
@@ -537,25 +585,15 @@ impl<'a> Vm<'a> {
                 self.scalars[s_base + *slot as usize] = acc;
             }
             KBody::Swap { x, y, tmp } => {
-                let Some((xid, xf0, xst)) = self.kacc_plan(x, s_base, a_base, var, i0, step, t)
-                else {
-                    return false;
-                };
-                let Some((yid, yf0, yst)) = self.kacc_plan(y, s_base, a_base, var, i0, step, t)
-                else {
-                    return false;
-                };
-                let xp = self.heap[xid].data.as_mut_ptr();
-                let yp = self.heap[yid].data.as_mut_ptr();
+                let x = plan!(x);
+                let y = plan!(y);
                 let mut last_x = 0.0f64;
                 for k in 0..t {
-                    unsafe {
-                        let xv = *xp.add((xf0 + k * xst) as usize);
-                        let yv = *yp.add((yf0 + k * yst) as usize);
-                        *xp.add((xf0 + k * xst) as usize) = yv;
-                        *yp.add((yf0 + k * yst) as usize) = xv;
-                        last_x = xv;
-                    }
+                    let xv = x.get(k);
+                    let yv = y.get(k);
+                    x.set(k, yv);
+                    y.set(k, xv);
+                    last_x = xv;
                 }
                 // The interpreted body leaves the last swapped-out value
                 // in the temporary (t >= 1 here).
@@ -568,16 +606,12 @@ impl<'a> Vm<'a> {
                 dmax,
                 idx,
             } => {
-                let Some((eid, f0, st)) = self.kacc_plan(e, s_base, a_base, var, i0, step, t)
-                else {
-                    return false;
-                };
-                let p = self.heap[eid].data.as_ptr();
+                let e = plan!(e);
                 let mut best = self.scalars[s_base + *dmax as usize];
                 let mut best_i: Option<i64> = None;
                 let mut takes = 0u64;
                 for k in 0..t {
-                    let av = Value::R(unsafe { *p.add((f0 + k * st) as usize) });
+                    let av = Value::R(e.get(k));
                     let m = apply_intr(*intr, &[av]);
                     if apply_bin(*cmp, m, best).truthy() {
                         takes += 1;

@@ -378,17 +378,17 @@ dgefa overlap: elim=1 coal=0 hoist=0 ovl=0 posts=0 waits=0 pipe=1\n\
 + run: bcast=189/49896 pack=0/0 instrs=169697 vm-pool=3+60 tree-pool=3+60\n\
 + mix: LdI=38513 LdVar=33320 StVar=4599 MovI=6182 MyP=6678 Bin=49641 Intr=252 Load=2016 LoadS=2268 StoreS=2272 Owner=756 LocalIdx=441 BrFalse=5355 BrNotRank=252 LoopHead=319 LoopNext=6300 Call=2335 Return=2339 Gather=63 Scatter=252 PostBcastMsg=252 WaitBcastMsg=252 KLoop=2772 MovVar=252 LdElemVar=2016\n\
 relax off: elim=0 coal=0 hoist=0 ovl=0 posts=0 waits=0 pipe=0\n\
-+ run: bcast=0/0 pack=0/0 instrs=2196 vm-pool=8+10 tree-pool=18+0\n\
-+ mix: LdI=308 LdR=180 LdVar=24 StVar=24 MovI=56 MyP=132 Bin=492 Fma=24 Intr=24 LoadS=360 StoreS=180 BrFalse=48 LoopHead=28 LoopNext=192 Call=24 Return=28 Gather=18 Scatter=18 SendMsg=18 RecvMsg=18\n\
++ run: bcast=0/0 pack=0/0 instrs=936 vm-pool=8+10 tree-pool=18+0\n\
++ mix: LdI=308 LdVar=24 StVar=24 MovI=56 MyP=132 Bin=132 Fma=24 Intr=24 BrFalse=48 LoopHead=4 LoopNext=12 Call=24 Return=28 Gather=18 Scatter=18 SendMsg=18 RecvMsg=18 KLoop=24\n\
 relax coalesce: elim=0 coal=0 hoist=0 ovl=0 posts=0 waits=0 pipe=0\n\
-+ run: bcast=0/0 pack=0/0 instrs=2196 vm-pool=8+10 tree-pool=18+0\n\
-+ mix: LdI=308 LdR=180 LdVar=24 StVar=24 MovI=56 MyP=132 Bin=492 Fma=24 Intr=24 LoadS=360 StoreS=180 BrFalse=48 LoopHead=28 LoopNext=192 Call=24 Return=28 Gather=18 Scatter=18 SendMsg=18 RecvMsg=18\n\
++ run: bcast=0/0 pack=0/0 instrs=936 vm-pool=8+10 tree-pool=18+0\n\
++ mix: LdI=308 LdVar=24 StVar=24 MovI=56 MyP=132 Bin=132 Fma=24 Intr=24 BrFalse=48 LoopHead=4 LoopNext=12 Call=24 Return=28 Gather=18 Scatter=18 SendMsg=18 RecvMsg=18 KLoop=24\n\
 relax full: elim=0 coal=0 hoist=0 ovl=0 posts=0 waits=0 pipe=0\n\
-+ run: bcast=0/0 pack=0/0 instrs=2196 vm-pool=8+10 tree-pool=18+0\n\
-+ mix: LdI=308 LdR=180 LdVar=24 StVar=24 MovI=56 MyP=132 Bin=492 Fma=24 Intr=24 LoadS=360 StoreS=180 BrFalse=48 LoopHead=28 LoopNext=192 Call=24 Return=28 Gather=18 Scatter=18 SendMsg=18 RecvMsg=18\n\
++ run: bcast=0/0 pack=0/0 instrs=936 vm-pool=8+10 tree-pool=18+0\n\
++ mix: LdI=308 LdVar=24 StVar=24 MovI=56 MyP=132 Bin=132 Fma=24 Intr=24 BrFalse=48 LoopHead=4 LoopNext=12 Call=24 Return=28 Gather=18 Scatter=18 SendMsg=18 RecvMsg=18 KLoop=24\n\
 relax overlap: elim=0 coal=0 hoist=0 ovl=4 posts=0 waits=0 pipe=0\n\
-+ run: bcast=0/0 pack=0/0 instrs=2232 vm-pool=8+10 tree-pool=8+10\n\
-+ mix: LdI=308 LdR=180 LdVar=24 StVar=24 MovI=56 MyP=132 Bin=492 Fma=24 Intr=24 LoadS=360 StoreS=180 BrFalse=48 LoopHead=28 LoopNext=192 Call=24 Return=28 Gather=18 Scatter=18 PostSendMsg=18 WaitSendMsg=18 PostRecvMsg=18 WaitRecvMsg=18\n\
++ run: bcast=0/0 pack=0/0 instrs=972 vm-pool=8+10 tree-pool=8+10\n\
++ mix: LdI=308 LdVar=24 StVar=24 MovI=56 MyP=132 Bin=132 Fma=24 Intr=24 BrFalse=48 LoopHead=4 LoopNext=12 Call=24 Return=28 Gather=18 Scatter=18 PostSendMsg=18 WaitSendMsg=18 PostRecvMsg=18 WaitRecvMsg=18 KLoop=24\n\
 adi off: elim=0 coal=0 hoist=0 ovl=0 posts=0 waits=0 pipe=0\n\
 + run: bcast=0/0 pack=0/0 instrs=640 vm-pool=0+0 tree-pool=0+0\n\
 + mix: LdI=200 LdVar=16 StVar=16 MovI=136 MyP=32 Bin=32 Fma=16 Intr=16 LoopHead=20 LoopNext=56 Call=16 Return=20 Remap=16 KLoop=48\n\
@@ -402,17 +402,17 @@ adi overlap: elim=0 coal=0 hoist=0 ovl=0 posts=0 waits=0 pipe=0\n\
 + run: bcast=0/0 pack=0/0 instrs=640 vm-pool=0+0 tree-pool=0+0\n\
 + mix: LdI=200 LdVar=16 StVar=16 MovI=136 MyP=32 Bin=32 Fma=16 Intr=16 LoopHead=20 LoopNext=56 Call=16 Return=20 Remap=16 KLoop=48\n\
 wide off: elim=0 coal=0 hoist=0 ovl=0 posts=0 waits=0 pipe=0\n\
-+ run: bcast=0/0 pack=0/0 instrs=9070 vm-pool=18+30 tree-pool=48+0\n\
-+ mix: LdI=768 LdR=966 LdVar=64 StVar=64 MovI=128 MyP=352 Bin=2284 Fma=64 Intr=64 LoadS=1932 StoreS=966 BrFalse=128 LoopHead=64 LoopNext=966 Call=32 Return=36 Gather=48 Scatter=48 SendMsg=48 RecvMsg=48\n\
++ run: bcast=0/0 pack=0/0 instrs=2308 vm-pool=18+30 tree-pool=48+0\n\
++ mix: LdI=768 LdVar=64 StVar=64 MovI=128 MyP=352 Bin=352 Fma=64 Intr=64 BrFalse=128 Call=32 Return=36 Gather=48 Scatter=48 SendMsg=48 RecvMsg=48 KLoop=64\n\
 wide coalesce: elim=0 coal=0 hoist=0 ovl=0 posts=0 waits=0 pipe=0\n\
-+ run: bcast=0/0 pack=0/0 instrs=9070 vm-pool=18+30 tree-pool=48+0\n\
-+ mix: LdI=768 LdR=966 LdVar=64 StVar=64 MovI=128 MyP=352 Bin=2284 Fma=64 Intr=64 LoadS=1932 StoreS=966 BrFalse=128 LoopHead=64 LoopNext=966 Call=32 Return=36 Gather=48 Scatter=48 SendMsg=48 RecvMsg=48\n\
++ run: bcast=0/0 pack=0/0 instrs=2308 vm-pool=18+30 tree-pool=48+0\n\
++ mix: LdI=768 LdVar=64 StVar=64 MovI=128 MyP=352 Bin=352 Fma=64 Intr=64 BrFalse=128 Call=32 Return=36 Gather=48 Scatter=48 SendMsg=48 RecvMsg=48 KLoop=64\n\
 wide full: elim=0 coal=0 hoist=0 ovl=0 posts=0 waits=0 pipe=0\n\
-+ run: bcast=0/0 pack=0/0 instrs=9070 vm-pool=18+30 tree-pool=48+0\n\
-+ mix: LdI=768 LdR=966 LdVar=64 StVar=64 MovI=128 MyP=352 Bin=2284 Fma=64 Intr=64 LoadS=1932 StoreS=966 BrFalse=128 LoopHead=64 LoopNext=966 Call=32 Return=36 Gather=48 Scatter=48 SendMsg=48 RecvMsg=48\n\
++ run: bcast=0/0 pack=0/0 instrs=2308 vm-pool=18+30 tree-pool=48+0\n\
++ mix: LdI=768 LdVar=64 StVar=64 MovI=128 MyP=352 Bin=352 Fma=64 Intr=64 BrFalse=128 Call=32 Return=36 Gather=48 Scatter=48 SendMsg=48 RecvMsg=48 KLoop=64\n\
 wide overlap: elim=0 coal=0 hoist=0 ovl=32 posts=0 waits=0 pipe=0\n\
-+ run: bcast=0/0 pack=0/0 instrs=9166 vm-pool=18+30 tree-pool=18+30\n\
-+ mix: LdI=768 LdR=966 LdVar=64 StVar=64 MovI=128 MyP=352 Bin=2284 Fma=64 Intr=64 LoadS=1932 StoreS=966 BrFalse=128 LoopHead=64 LoopNext=966 Call=32 Return=36 Gather=48 Scatter=48 PostSendMsg=48 WaitSendMsg=48 PostRecvMsg=48 WaitRecvMsg=48\n\
++ run: bcast=0/0 pack=0/0 instrs=2404 vm-pool=18+30 tree-pool=18+30\n\
++ mix: LdI=768 LdVar=64 StVar=64 MovI=128 MyP=352 Bin=352 Fma=64 Intr=64 BrFalse=128 Call=32 Return=36 Gather=48 Scatter=48 PostSendMsg=48 WaitSendMsg=48 PostRecvMsg=48 WaitRecvMsg=48 KLoop=64\n\
 fig1 off: elim=0 coal=0 hoist=0 ovl=0 posts=0 waits=0 pipe=0\n\
 + run: bcast=0/0 pack=0/0 instrs=150 vm-pool=3+0 tree-pool=3+0\n\
 + mix: LdI=46 LdVar=4 StVar=4 MovI=8 MyP=22 Bin=22 Fma=4 Intr=4 BrFalse=8 Call=4 Return=8 Gather=3 Scatter=3 SendMsg=3 RecvMsg=3 KLoop=4\n\

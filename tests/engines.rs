@@ -13,7 +13,7 @@
 mod common;
 
 use common::compile;
-use fortrand::corpus::{dgefa_matrix, dgefa_source, fig4_source};
+use fortrand::corpus::{dgefa_matrix, dgefa_source, fig4_source, relax_source, wide_corpus};
 use fortrand::{CommOpt, CompileOptions, DynOptLevel, Strategy};
 use fortrand_analysis::fixtures::{FIG1, FIG15, FIG4};
 use fortrand_machine::Machine;
@@ -200,6 +200,29 @@ fn fig15_every_dyn_opt_level() {
     }
 }
 
+/// The overlap stencil at the benchmark's shape and the wide compile
+/// corpus — the bodies the `Expr` kernel fuses — on `default_init`'s
+/// non-zero arrays, compared element by element.
+#[test]
+fn relax_and_wide_corpus() {
+    let relax = relax_source(256, 1, 8, 16);
+    check(
+        &relax,
+        Strategy::Interprocedural,
+        16,
+        DynOptLevel::Kills,
+        CommOpt::Full,
+    );
+    let wide = wide_corpus(8, 64, 4);
+    check(
+        &wide,
+        Strategy::Interprocedural,
+        4,
+        DynOptLevel::Kills,
+        CommOpt::Full,
+    );
+}
+
 /// The communication optimizer reshapes message traffic (coalescing,
 /// aggregation, redundancy elimination); both engines must agree on the
 /// reshaped program too.
@@ -253,21 +276,19 @@ fn dgefa_every_strategy() {
     }
 }
 
-/// The VM's profile on the case study (dgefa n=64 p=4): the opcode mix
-/// counts every dispatch exactly once, and superinstruction fusion
-/// retires at least 70 % of what would otherwise be dispatched — a
-/// fusion pattern that stops firing on dgefa shows up here.
-#[test]
-fn dgefa_opcode_mix_sums_and_fusion_covers() {
-    let out = compile(
-        &dgefa_source(64, 4),
-        &CompileOptions::builder().nprocs(4).build(),
-    )
-    .unwrap();
-    let init = BTreeMap::from([(out.spmd.interner.get("a").unwrap(), dgefa_matrix(64))]);
+/// Runs `src` under the VM and checks its profile: the opcode mix counts
+/// every dispatch exactly once, and superinstruction fusion retires at
+/// least `floor` of what would otherwise be dispatched — a fusion
+/// pattern that stops firing shows up here.
+fn mix_sums_and_fusion_covers(src: &str, nprocs: usize, named: &[(&str, Vec<f64>)], floor: f64) {
+    let out = compile(src, &CompileOptions::builder().nprocs(nprocs).build()).unwrap();
+    let init = named
+        .iter()
+        .map(|(name, data)| (out.spmd.interner.get(name).unwrap(), data.clone()))
+        .collect();
     let s = try_run_spmd(
         &out.spmd,
-        &Machine::new(4),
+        &Machine::new(nprocs),
         &init,
         &ExecOptions::new().backend(Bytecode),
     )
@@ -277,12 +298,27 @@ fn dgefa_opcode_mix_sums_and_fusion_covers() {
     assert_eq!(mix, s.engine_instrs, "opcode mix sums to engine_instrs");
     let coverage = s.fused_instrs as f64 / (s.engine_instrs + s.fused_instrs) as f64;
     assert!(
-        coverage >= 0.70,
-        "fusion coverage {:.1}% below 70% ({} fused, {} dispatched)",
+        coverage >= floor,
+        "fusion coverage {:.1}% below {:.0}% ({} fused, {} dispatched)",
         100.0 * coverage,
+        100.0 * floor,
         s.fused_instrs,
         s.engine_instrs
     );
+}
+
+/// The case study (dgefa n=64 p=4): its kernels retire ≥ 70 %.
+#[test]
+fn dgefa_opcode_mix_sums_and_fusion_covers() {
+    mix_sums_and_fusion_covers(&dgefa_source(64, 4), 4, &[("a", dgefa_matrix(64))], 0.70);
+}
+
+/// The overlap stencil at the benchmark's 16 points per rank (p=16): the
+/// `Expr` kernel retires ≥ 65 %; the rest is per-step overhead
+/// (calls, guards, messages).
+#[test]
+fn relax_opcode_mix_sums_and_fusion_covers() {
+    mix_sums_and_fusion_covers(&relax_source(256, 1, 8, 16), 16, &[], 0.65);
 }
 
 /// A rank that fails on its own is the run's failure, ahead of the ranks
@@ -357,62 +393,168 @@ fn out_of_bounds_rank_outranks_peers_left_in_a_broadcast() {
     assert_eq!((tree.rank, &tree.message), (vm.rank, &vm.message));
 }
 
-/// Renders a compact stencil-sweep program (a reduced version of the
-/// `proptest_e2e` generator's space: distribution, shifts, partial
-/// bounds, optional call indirection).
+/// A generated sweep body: an expression tree over `u(i+k)` and
+/// `v(i+k)` (`v(i-1)` is the recurrence on the array being written),
+/// real and integer immediates, the scalar `s`, `+ - * /`, `.gt.` and
+/// negation.
+#[derive(Clone, Debug)]
+enum Expr {
+    U(i64),
+    V(i64),
+    Real(usize),
+    Int(i64),
+    S,
+    Bin(&'static str, Box<Expr>, Box<Expr>),
+    Neg(Box<Expr>),
+}
+
+const COEFFS: [&str; 4] = ["0.5", "0.25", "1.5", "2.0"];
+const OPS: [&str; 5] = ["+", "-", "*", "/", ".gt."];
+
+impl Expr {
+    /// A tree of depth at most `depth` (exactly `depth` down its left
+    /// spine), each node decoded from the next of `picks`. A divisor is
+    /// always a leaf that cannot be an integer zero, so no case dies of
+    /// an integer division by zero.
+    fn grow(depth: u64, picks: &mut impl Iterator<Item = u64>) -> Expr {
+        let p = picks.next().unwrap_or(0);
+        if depth <= 1 {
+            let arg = p / 5;
+            return match p % 5 {
+                0 => Expr::U((arg % 3) as i64),
+                1 => Expr::V((arg % 4) as i64 - 1),
+                2 => Expr::Real(arg as usize % COEFFS.len()),
+                3 => Expr::Int((arg % 3) as i64 + 1),
+                _ => Expr::S,
+            };
+        }
+        let l = Expr::grow(depth - 1, picks);
+        let Some(&op) = OPS.get((p % 6) as usize) else {
+            return Expr::Neg(Box::new(l));
+        };
+        let r = match Expr::grow(1 + p / 6 % (depth - 1), picks) {
+            Expr::Bin(..) | Expr::Neg(_) | Expr::Int(_) if op == "/" => Expr::Real(0),
+            r => r,
+        };
+        Expr::Bin(op, Box::new(l), Box::new(r))
+    }
+
+    /// `(lowest, highest)` element offset the tree reads (0 if none).
+    fn offsets(&self) -> (i64, i64) {
+        match self {
+            Expr::U(k) | Expr::V(k) => ((*k).min(0), (*k).max(0)),
+            Expr::Bin(_, l, r) => {
+                let (a, b) = (l.offsets(), r.offsets());
+                (a.0.min(b.0), a.1.max(b.1))
+            }
+            Expr::Neg(e) => e.offsets(),
+            _ => (0, 0),
+        }
+    }
+
+    /// The tree with every offset 0 (CYCLIC distributions only support
+    /// unshifted sweeps in the compile-time strategies).
+    fn unshifted(&self) -> Expr {
+        match self {
+            Expr::U(_) => Expr::U(0),
+            Expr::V(_) => Expr::V(0),
+            Expr::Bin(op, l, r) => Expr::Bin(op, Box::new(l.unshifted()), Box::new(r.unshifted())),
+            Expr::Neg(e) => Expr::Neg(Box::new(e.unshifted())),
+            e => e.clone(),
+        }
+    }
+
+    fn render(&self, u: &str, v: &str) -> String {
+        let at = |a: &str, k: i64| match k {
+            0 => format!("{a}(i)"),
+            k if k < 0 => format!("{a}(i-{})", -k),
+            k => format!("{a}(i+{k})"),
+        };
+        match self {
+            Expr::U(k) => at(u, *k),
+            Expr::V(k) => at(v, *k),
+            Expr::Real(c) => COEFFS[*c].to_string(),
+            Expr::Int(x) => x.to_string(),
+            Expr::S => "s".to_string(),
+            Expr::Bin(op, l, r) => format!("({} {op} {})", l.render(u, v), r.render(u, v)),
+            Expr::Neg(e) => format!("(-{})", e.render(u, v)),
+        }
+    }
+}
+
+/// Renders a stencil-sweep program: each sweep is `v(i) = expr` over the
+/// distributed pair, inline in the main program or in a subroutine with
+/// `s` a scalar formal (REAL, or INTEGER when `int_s`).
 fn render(
     n: i64,
     nprocs: usize,
     dist: &str,
-    sweeps: &[(i64, i64, usize)],
+    sweeps: &[(Expr, i64)],
     through_call: bool,
+    int_s: bool,
 ) -> String {
-    const COEFFS: [&str; 4] = ["0.5", "0.25", "1.5", "2.0"];
+    let ty = if int_s { "INTEGER" } else { "REAL" };
+    let s0 = if int_s { "2" } else { "0.75" };
     let mut body = String::new();
     let mut subs = String::new();
-    for (si, &(shift, lo_off, ci)) in sweeps.iter().enumerate() {
-        let c = COEFFS[ci % COEFFS.len()];
-        let lo = 1 + lo_off;
-        let hi = n - shift;
+    for (si, (e, lo_off)) in sweeps.iter().enumerate() {
+        let (lo_k, hi_k) = e.offsets();
+        let (lo, hi) = (1 - lo_k + lo_off, n - hi_k);
         if through_call {
-            body.push_str(&format!("      call sweep{si}(x, y)\n"));
+            body.push_str(&format!("      call sweep{si}(x, y, s)\n"));
             subs.push_str(&format!(
-                "      SUBROUTINE sweep{si}(u, v)\n      REAL u({n}), v({n})\n      do i = {lo}, {hi}\n        v(i) = {c} * u(i+{shift}) + v(i)\n      enddo\n      END\n"
+                "      SUBROUTINE sweep{si}(u, v, s)\n      REAL u({n}), v({n})\n      {ty} s\n      do i = {lo}, {hi}\n        v(i) = {}\n      enddo\n      END\n",
+                e.render("u", "v")
             ));
         } else {
             body.push_str(&format!(
-                "      do i = {lo}, {hi}\n        y(i) = {c} * x(i+{shift}) + y(i)\n      enddo\n"
+                "      do i = {lo}, {hi}\n        y(i) = {}\n      enddo\n",
+                e.render("x", "y")
             ));
         }
     }
     format!(
-        "      PROGRAM main\n      PARAMETER (n$proc = {nprocs})\n      REAL x({n}), y({n})\n      DISTRIBUTE x({dist})\n      DISTRIBUTE y({dist})\n{body}      END\n{subs}"
+        "      PROGRAM main\n      PARAMETER (n$proc = {nprocs})\n      REAL x({n}), y({n})\n      {ty} s\n      DISTRIBUTE x({dist})\n      DISTRIBUTE y({dist})\n      s = {s0}\n{body}      END\n{subs}"
     )
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 24, .. ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: 32, .. ProptestConfig::default() })]
 
+    /// Random sweep bodies — the shapes the `Expr` kernel fuses and the
+    /// ones it must refuse (integer-only subtrees, a REAL-or-INTEGER
+    /// scalar, comparisons feeding arithmetic) — agree with the tree
+    /// walker with kernels on and off.
     #[test]
     fn engines_agree_on_generated_programs(
         n in 16i64..64,
         nprocs in 1usize..5,
         cyclic in any::<bool>(),
-        sweeps in prop::collection::vec((0i64..4, 0i64..3, 0usize..4), 1..3),
+        sweeps in prop::collection::vec(
+            (1u64..5, prop::collection::vec(0u64..1 << 20, 15), 0i64..3),
+            1..3,
+        ),
         through_call in any::<bool>(),
+        int_s in any::<bool>(),
         strategy_idx in 0usize..3,
     ) {
         let dist = if cyclic { "CYCLIC" } else { "BLOCK" };
-        // CYCLIC distributions only support shift-0 sweeps in the
-        // compile-time strategies.
         let sweeps: Vec<_> = sweeps
-            .iter()
-            .map(|&(sh, lo, ci)| (if cyclic { 0 } else { sh }, lo, ci))
+            .into_iter()
+            .map(|(depth, picks, lo)| {
+                let e = Expr::grow(depth, &mut picks.into_iter());
+                (if cyclic { e.unshifted() } else { e }, lo)
+            })
             .collect();
-        let src = render(n, nprocs, dist, &sweeps, through_call);
+        let src = render(n, nprocs, dist, &sweeps, through_call, int_s);
+        // Only `v(i-1)` reads below `i`. The compile-time strategies
+        // refuse that carried flow dependence on a distributed dimension
+        // (it needs pipelining), so a recurrence runs under run-time
+        // resolution.
+        let recurs = sweeps.iter().any(|(e, _)| e.offsets().0 < 0);
         check(
             &src,
-            STRATEGIES[strategy_idx],
+            if recurs { Strategy::RuntimeResolution } else { STRATEGIES[strategy_idx] },
             nprocs,
             DynOptLevel::Kills,
             CommOpt::Full,

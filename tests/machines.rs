@@ -635,7 +635,7 @@ fn scheduler_observables_are_pinned() {
 
 const SCHED_OBSERVABLES: &str = "\
 relax tree: sw=136 smsgs=240 rpeak=16 qpeak=30 instrs=0 fused=0 time=4094ac7ae147ae14 wait=40937bcccccccccd posts=0 waits=0 msgs=240 bytes=1920\n\
-relax vm: sw=136 smsgs=240 rpeak=16 qpeak=30 instrs=39056 fused=0 time=4094ac7ae147ae14 wait=40937bcccccccccd posts=0 waits=0 msgs=240 bytes=1920\n\
+relax vm: sw=136 smsgs=240 rpeak=16 qpeak=30 instrs=10496 fused=28560 time=4094ac7ae147ae14 wait=40937bcccccccccd posts=0 waits=0 msgs=240 bytes=1920\n\
 dgefa off tree: sw=382 smsgs=0 rpeak=4 qpeak=4 instrs=0 fused=0 time=40e927e8a3d70a3b wait=4105343970a3d703 posts=0 waits=0 msgs=378 bytes=98280\n\
 dgefa off vm: sw=382 smsgs=0 rpeak=4 qpeak=4 instrs=248808 fused=521404 time=40e927e8a3d70a3b wait=4105343970a3d703 posts=0 waits=0 msgs=378 bytes=98280\n\
 dgefa coalesce tree: sw=382 smsgs=0 rpeak=4 qpeak=4 instrs=0 fused=0 time=40e927e8a3d70a3b wait=4105343970a3d703 posts=0 waits=0 msgs=378 bytes=98280\n\
@@ -655,7 +655,7 @@ fig15 Hoist vm: sw=10 smsgs=24 rpeak=4 qpeak=11 instrs=696 fused=4300 time=40857
 fig15 Kills tree: sw=7 smsgs=12 rpeak=4 qpeak=9 instrs=0 fused=0 time=40768a6666666667 wait=0000000000000000 posts=0 waits=0 msgs=12 bytes=576\n\
 fig15 Kills vm: sw=7 smsgs=12 rpeak=4 qpeak=9 instrs=696 fused=4300 time=40768a6666666667 wait=0000000000000000 posts=0 waits=0 msgs=12 bytes=576\n\
 wide tree: sw=10 smsgs=48 rpeak=4 qpeak=18 instrs=0 fused=0 time=409697851eb851eb wait=409564ae147ae146 posts=0 waits=0 msgs=48 bytes=1392\n\
-wide vm: sw=10 smsgs=48 rpeak=4 qpeak=18 instrs=9070 fused=0 time=409697851eb851eb wait=409564ae147ae146 posts=0 waits=0 msgs=48 bytes=1392\n\
+wide vm: sw=10 smsgs=48 rpeak=4 qpeak=18 instrs=2308 fused=6762 time=409697851eb851eb wait=409564ae147ae146 posts=0 waits=0 msgs=48 bytes=1392\n\
 ";
 
 /// Renders a compact stencil-sweep program (same generator space as
