@@ -11,14 +11,70 @@ mod common;
 
 use common::compile;
 use fortrand::corpus::{adi_source, dgefa_source, relax_source, wide_corpus};
-use fortrand::{ArtifactStore, CompileMode, CompileOptions, MemorySink, Session};
+use fortrand::{ArtifactStore, CompileMode, CompileOptions, MemorySink, Session, Strategy};
+use fortrand_analysis::fixtures::{FIG1, FIG4};
 use fortrand_spmd::print::pretty_all;
 use proptest::prelude::*;
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 fn compiled_text(src: &str, mode: CompileMode) -> String {
     let out = compile(src, &CompileOptions::builder().mode(mode).build())
         .expect("corpus programs compile");
     pretty_all(&out.spmd)
+}
+
+/// Every path a unit can take into the program — generated inline,
+/// generated on the pool, generated and stored, grafted from the store —
+/// gives one node program and one set of fact hashes per (program,
+/// strategy). Run-time resolution is the strategy that adds replicated
+/// distributions and fresh names in the middle of a unit.
+#[test]
+fn every_schedule_and_store_state_gives_one_program_per_strategy() {
+    type Outcome = Result<(String, BTreeMap<String, u64>), String>;
+    let programs = [
+        ("FIG1", FIG1.to_string()),
+        ("FIG4", FIG4.to_string()),
+        ("dgefa", dgefa_source(16, 4)),
+        ("adi", adi_source(16, 2, 4)),
+        ("wide", wide_corpus(8, 64, 4)),
+    ];
+    let strategies = [
+        Strategy::Interprocedural,
+        Strategy::Immediate,
+        Strategy::RuntimeResolution,
+    ];
+    for (label, src) in &programs {
+        for strategy in strategies {
+            let outcome = |mode: CompileMode, store: Option<&Arc<ArtifactStore>>| -> Outcome {
+                let mut session = Session::new(src.as_str()).strategy(strategy).mode(mode);
+                if let Some(store) = store {
+                    session = session.store(Arc::clone(store));
+                }
+                session
+                    .compile()
+                    .map(|c| (c.emit(), c.report().fact_hashes.clone()))
+                    .map_err(|e| e.to_string())
+            };
+            let reference = outcome(CompileMode::Sequential, None);
+            assert!(reference.is_ok(), "{label} {strategy:?}: {reference:?}");
+            for mode in [CompileMode::Sequential, CompileMode::Parallel(3)] {
+                let store = ArtifactStore::shared();
+                let cases = [
+                    ("no store", outcome(mode, None)),
+                    ("fresh store", outcome(mode, Some(&store))),
+                    ("warm store", outcome(mode, Some(&store))),
+                ];
+                for (state, got) in cases {
+                    assert!(
+                        got == reference,
+                        "{label} {strategy:?} {mode:?} {state}: {:?}",
+                        got.as_ref().err()
+                    );
+                }
+            }
+        }
+    }
 }
 
 /// The schedule and the artifact store are independent choices: a
