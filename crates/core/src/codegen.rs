@@ -30,6 +30,7 @@
 use crate::dynamic_decomp::{self, Placements};
 use crate::model::*;
 use crate::overlap::Overlaps;
+use crate::store::CachedUnit;
 use fortrand_analysis::acg::Acg;
 use fortrand_analysis::consts::InterConsts;
 use fortrand_analysis::reaching::{DecompSpec, ReachingDecomps};
@@ -39,11 +40,12 @@ use fortrand_frontend::ast::*;
 use fortrand_frontend::sema::{expr_affine, ProgramInfo, UnitInfo};
 use fortrand_ir::dist::{ArrayDist, DimPartition, DistKind};
 use fortrand_ir::rsd::{Rsd, Triplet};
-use fortrand_ir::{Affine, Interner, Sym, SymEnv};
+use fortrand_ir::{Affine, Sym, SymEnv};
 use fortrand_spmd::ir::{
     BcastPart, DistId, SActual, SDecl, SExpr, SFormal, SLval, SProc, SRect, SStmt, SpmdProgram,
 };
 use fortrand_spmd::{SBinOp, SIntr};
+use rustc_hash::FxHashMap;
 use std::collections::BTreeMap;
 
 /// Code generation failure with a source line and reason.
@@ -119,17 +121,16 @@ pub fn compile_all(
     Ok((sweep.spmd, sweep.compiled))
 }
 
-/// Compiles a single unit into `spmd`, with every callee's record already
-/// present in `compiled`/`dyn_summaries`: straight into the growing
-/// program from the sweep's inline path, into a scratch program from its
-/// pool workers.
+/// Generates a single unit, with every callee's record already present in
+/// `compiled`/`dyn_summaries`, as a position-independent [`CachedUnit`]:
+/// the same value whether the sweep generates it inline or on a pool
+/// worker, and whether it is then grafted only or also stored.
 pub(crate) fn compile_one(
     ctx: &Ctx,
     name: Sym,
-    spmd: &mut SpmdProgram,
     compiled: &BTreeMap<Sym, CompiledUnit>,
     dyn_summaries: &BTreeMap<Sym, DynDecompSummary>,
-) -> R<CompiledUnit> {
+) -> R<CachedUnit> {
     let unit = ctx
         .prog
         .unit(name)
@@ -140,90 +141,11 @@ pub(crate) fn compile_one(
             "FUNCTION units are not supported by SPMD code generation; use a subroutine",
         ));
     }
+    let uc = UnitCompiler::new(ctx, unit, compiled, dyn_summaries)?;
     match ctx.strategy {
-        Strategy::RuntimeResolution => {
-            UnitCompiler::new(ctx, unit, spmd, compiled, dyn_summaries)?.compile_rtr()
-        }
-        _ => UnitCompiler::new(ctx, unit, spmd, compiled, dyn_summaries)?.compile(),
+        Strategy::RuntimeResolution => uc.compile_rtr(),
+        _ => uc.compile(),
     }
-}
-
-/// Compiles one unit into a private scratch program seeded with the merged
-/// program's interner and distribution table.
-pub(crate) fn compile_unit_scratch(
-    ctx: &Ctx,
-    name: Sym,
-    base_interner: &Interner,
-    base_dists: &[ArrayDist],
-    compiled: &BTreeMap<Sym, CompiledUnit>,
-    dyn_summaries: &BTreeMap<Sym, DynDecompSummary>,
-) -> R<(SpmdProgram, CompiledUnit)> {
-    let mut scratch = SpmdProgram {
-        interner: base_interner.clone(),
-        nprocs: ctx.nprocs,
-        procs: Vec::new(),
-        main: usize::MAX,
-        dists: base_dists.to_vec(),
-    };
-    let cu = compile_one(ctx, name, &mut scratch, compiled, dyn_summaries)?;
-    Ok((scratch, cu))
-}
-
-/// Merges one scratch-compiled unit into the growing program: scratch-local
-/// symbols (ids ≥ `l0`) and distributions (ids ≥ `d0`) are re-interned /
-/// deduplicated into `spmd`, and the procedure is appended. Returns the
-/// unit's record with its final procedure index. Merging in flattened
-/// reverse-topo order makes the result identical — not just equivalent —
-/// to compiling inline.
-pub(crate) fn merge_scratch_unit(
-    spmd: &mut SpmdProgram,
-    scratch: SpmdProgram,
-    mut cu: CompiledUnit,
-    l0: usize,
-    d0: usize,
-) -> R<CompiledUnit> {
-    let sym_map: Vec<Sym> = (0..scratch.interner.len() as u32)
-        .map(|i| {
-            if (i as usize) < l0 {
-                Sym(i)
-            } else {
-                spmd.interner.intern(scratch.interner.name(Sym(i)))
-            }
-        })
-        .collect();
-    let dist_map: Vec<DistId> = scratch
-        .dists
-        .iter()
-        .enumerate()
-        .map(|(i, d)| {
-            if i < d0 {
-                DistId(i as u32)
-            } else {
-                spmd.add_dist(d.clone())
-            }
-        })
-        .collect();
-    let mut proc = scratch
-        .procs
-        .into_iter()
-        .next()
-        .ok_or_else(|| CodegenError::at(0, "unit produced no procedure"))?;
-    let sym_f = |s: Sym| sym_map[s.0 as usize];
-    let dist_f = |d: DistId| dist_map[d.0 as usize];
-    // Call targets were merged in earlier levels, so their indices are
-    // already final.
-    let proc_f = |p: usize| p;
-    fortrand_spmd::rewrite::remap_proc(
-        &mut proc,
-        &fortrand_spmd::rewrite::ProcRemap {
-            sym: &sym_f,
-            dist: &dist_f,
-            proc: &proc_f,
-        },
-    );
-    cu.proc = spmd.procs.len();
-    spmd.procs.push(proc);
-    Ok(cu)
 }
 
 /// How a scalar symbol is valued in the current context.
@@ -269,7 +191,14 @@ struct UnitCompiler<'a, 'b> {
     ctx: &'a Ctx<'a>,
     unit: &'a ProcUnit,
     ui: &'a UnitInfo,
-    spmd: &'b mut SpmdProgram,
+    /// The unit's names, distributions and callees, in the order codegen
+    /// first uses them: what its `Sym`s, `DistId`s and callee indices
+    /// index (see [`CachedUnit`]).
+    names: Vec<String>,
+    dist_table: Vec<ArrayDist>,
+    callees: Vec<Sym>,
+    /// Program symbol → the unit's symbol, for the names already taken.
+    syms: FxHashMap<Sym, Sym>,
     compiled: &'b BTreeMap<Sym, CompiledUnit>,
     dyn_summaries: &'b BTreeMap<Sym, DynDecompSummary>,
     params: BTreeMap<Sym, i64>,
@@ -315,7 +244,6 @@ impl<'a, 'b> UnitCompiler<'a, 'b> {
     fn new(
         ctx: &'a Ctx<'a>,
         unit: &'a ProcUnit,
-        spmd: &'b mut SpmdProgram,
         compiled: &'b BTreeMap<Sym, CompiledUnit>,
         dyn_summaries: &'b BTreeMap<Sym, DynDecompSummary>,
     ) -> R<Self> {
@@ -334,7 +262,10 @@ impl<'a, 'b> UnitCompiler<'a, 'b> {
             ctx,
             unit,
             ui,
-            spmd,
+            names: Vec::new(),
+            dist_table: Vec::new(),
+            callees: Vec::new(),
+            syms: FxHashMap::default(),
             compiled,
             dyn_summaries,
             params,
@@ -366,9 +297,62 @@ impl<'a, 'b> UnitCompiler<'a, 'b> {
 
     fn fresh(&mut self, stem: &str) -> Sym {
         self.temp_counter += 1;
-        self.spmd
-            .interner
-            .intern(&format!("{stem}${}", self.temp_counter))
+        self.new_name(format!("{stem}${}", self.temp_counter))
+    }
+
+    /// A unit symbol for a name codegen makes up. Grafting interns it, so
+    /// it is the program's symbol of that name if there already is one.
+    fn new_name(&mut self, name: String) -> Sym {
+        self.names.push(name);
+        Sym(self.names.len() as u32 - 1)
+    }
+
+    /// The unit's symbol for a program symbol.
+    fn sym(&mut self, s: Sym) -> Sym {
+        if let Some(&u) = self.syms.get(&s) {
+            return u;
+        }
+        let u = self.new_name(self.ctx.prog.interner.name(s).to_string());
+        self.syms.insert(s, u);
+        u
+    }
+
+    fn add_dist(&mut self, d: ArrayDist) -> DistId {
+        DistId(index_of(&mut self.dist_table, d) as u32)
+    }
+
+    fn dist(&self, id: DistId) -> &ArrayDist {
+        &self.dist_table[id.0 as usize]
+    }
+
+    /// The unit's callee index for the procedure `name`.
+    fn callee(&mut self, name: Sym) -> usize {
+        index_of(&mut self.callees, name)
+    }
+
+    /// Closes the unit: its residual and summary move into the unit's
+    /// symbol space beside the procedure.
+    fn finish(
+        mut self,
+        proc: SProc,
+        mut residual: Residual,
+        mut dyn_summary: DynDecompSummary,
+    ) -> CachedUnit {
+        residual.remap_syms(&mut |s| self.sym(s));
+        dyn_summary.remap_syms(&mut |s| self.sym(s));
+        let interner = &self.ctx.prog.interner;
+        CachedUnit {
+            proc,
+            residual,
+            dyn_summary,
+            names: self.names,
+            dists: self.dist_table,
+            callees: self
+                .callees
+                .iter()
+                .map(|&c| interner.name(c).to_string())
+                .collect(),
+        }
     }
 
     fn fresh_tag(&mut self) -> u64 {
@@ -458,7 +442,7 @@ impl<'a, 'b> UnitCompiler<'a, 'b> {
                     ));
                 }
             }
-            let id = self.spmd.add_dist(dist);
+            let id = self.add_dist(dist);
             self.specs.insert(a, spec);
             self.dists.insert(a, id);
         }
@@ -498,7 +482,7 @@ impl<'a, 'b> UnitCompiler<'a, 'b> {
                 Some(s) => s.array_dist(&extents, self.ctx.nprocs),
                 None => ArrayDist::replicated(&extents),
             };
-            let id = self.spmd.add_dist(dist);
+            let id = self.add_dist(dist);
             self.specs.insert(a, spec);
             self.dists.insert(a, id);
         }
@@ -521,7 +505,7 @@ impl<'a, 'b> UnitCompiler<'a, 'b> {
     }
 
     fn dist_of(&self, array: Sym) -> &ArrayDist {
-        &self.spmd.dists[self.dists[&array].0 as usize]
+        self.dist(self.dists[&array])
     }
 
     /// Local declaration bounds for an array (reduced + overlap-widened).
@@ -1160,7 +1144,7 @@ impl<'a, 'b> UnitCompiler<'a, 'b> {
             .map(|(_, p)| (1, p.extent))
             .collect();
         let repl = ArrayDist::replicated(&bounds.iter().map(|&(_, h)| h).collect::<Vec<_>>());
-        let repl_id = self.spmd.add_dist(repl);
+        let repl_id = self.add_dist(repl);
         self.buffer_decls.push(SDecl {
             name: buf,
             bounds,
@@ -1282,7 +1266,7 @@ impl<'a, 'b> UnitCompiler<'a, 'b> {
                     .collect();
                 let repl =
                     ArrayDist::replicated(&bounds.iter().map(|&(_, h)| h).collect::<Vec<_>>());
-                let repl_id = self.spmd.add_dist(repl);
+                let repl_id = self.add_dist(repl);
                 self.buffer_decls.push(SDecl {
                     name: buf,
                     bounds,
@@ -1523,6 +1507,14 @@ impl<'a, 'b> UnitCompiler<'a, 'b> {
             .unwrap_or_default();
         Rsd::whole(&dims.iter().map(|&e| Affine::konst(e)).collect::<Vec<_>>())
     }
+}
+
+/// The index of `x` in `table`, appended if absent.
+fn index_of<T: PartialEq>(table: &mut Vec<T>, x: T) -> usize {
+    table.iter().position(|t| *t == x).unwrap_or_else(|| {
+        table.push(x);
+        table.len() - 1
+    })
 }
 
 /// Collects scalar assignment/read positions for the privatization test.

@@ -5,7 +5,7 @@ use super::*;
 
 impl UnitCompiler<'_, '_> {
     /// Full compilation of one unit under a compile-time strategy.
-    pub(super) fn compile(mut self) -> R<CompiledUnit> {
+    pub(super) fn compile(mut self) -> R<CachedUnit> {
         self.resolve_specs()?;
         self.plan_partitioning()?;
         self.plan_comm()?;
@@ -37,20 +37,19 @@ impl UnitCompiler<'_, '_> {
             for (array, spec) in dyn_summary.after.clone() {
                 let extents = self.ui.var(array).unwrap().dims.clone();
                 let dist = spec.array_dist(&extents, self.ctx.nprocs);
-                let id = self.spmd.add_dist(dist);
+                let id = self.add_dist(dist);
+                let array = self.sym(array);
                 body.push(SStmt::Remap { array, to_dist: id });
             }
         }
 
-        let mut formals: Vec<SFormal> = self
-            .unit
-            .formals
-            .iter()
-            .map(|&f| SFormal {
-                name: f,
+        let mut formals: Vec<SFormal> = Vec::new();
+        for &f in &self.unit.formals {
+            formals.push(SFormal {
+                name: self.sym(f),
                 is_array: self.ui.is_array(f),
-            })
-            .collect();
+            });
+        }
         for &b in &self.buffer_formals {
             formals.push(SFormal {
                 name: b,
@@ -61,7 +60,7 @@ impl UnitCompiler<'_, '_> {
         for (&a, vi) in &self.ui.vars {
             if vi.is_array() && !vi.is_formal {
                 decls.push(SDecl {
-                    name: a,
+                    name: self.sym(a),
                     bounds: self.decl_bounds(a),
                     dist: self.dists[&a],
                     owner_dist: None,
@@ -71,18 +70,13 @@ impl UnitCompiler<'_, '_> {
         decls.extend(self.buffer_decls.iter().cloned());
 
         let proc = SProc {
-            name: self.unit.name,
+            name: self.sym(self.unit.name),
             formals,
             decls,
             body,
         };
-        let idx = self.spmd.procs.len();
-        self.spmd.procs.push(proc);
-        Ok(CompiledUnit {
-            proc: idx,
-            residual: self.residual,
-            dyn_summary,
-        })
+        let residual = std::mem::take(&mut self.residual);
+        Ok(self.finish(proc, residual, dyn_summary))
     }
 
     // ------------------------------------------------------------------
@@ -126,17 +120,12 @@ impl UnitCompiler<'_, '_> {
             .dims
             .clone();
         let dist = action.to.array_dist(&extents, self.ctx.nprocs);
-        let id = self.spmd.add_dist(dist);
+        let id = self.add_dist(dist);
+        let array = self.sym(action.array);
         Ok(if action.mark_only {
-            SStmt::MarkDist {
-                array: action.array,
-                to_dist: id,
-            }
+            SStmt::MarkDist { array, to_dist: id }
         } else {
-            SStmt::Remap {
-                array: action.array,
-                to_dist: id,
-            }
+            SStmt::Remap { array, to_dist: id }
         })
     }
 
@@ -240,10 +229,10 @@ impl UnitCompiler<'_, '_> {
         };
         let extents = self.ui.var(target).unwrap().dims.clone();
         let dist = spec.array_dist(&extents, self.ctx.nprocs);
-        let id = self.spmd.add_dist(dist);
+        let id = self.add_dist(dist);
         let _ = st;
         out.push(SStmt::Remap {
-            array: target,
+            array: self.sym(target),
             to_dist: id,
         });
         Ok(())
@@ -274,7 +263,7 @@ impl UnitCompiler<'_, '_> {
             let inner = self.emit_body(body)?;
             self.vkinds.remove(&var);
             out.push(SStmt::Do {
-                var,
+                var: self.sym(var),
                 lo: lo_s,
                 hi: hi_s,
                 step: stepc,
@@ -331,7 +320,7 @@ impl UnitCompiler<'_, '_> {
                 let inner = self.emit_body(body)?;
                 self.vkinds.remove(&var);
                 out.push(SStmt::Do {
-                    var,
+                    var: self.sym(var),
                     lo: lo_s,
                     hi: SExpr::Var(ub),
                     step: 1,
@@ -343,10 +332,7 @@ impl UnitCompiler<'_, '_> {
                 // General local-index loop with a global-range guard
                 // (cyclic distributions and symbolic bounds).
                 let nloc = partn.local_extent();
-                let g = self
-                    .spmd
-                    .interner
-                    .intern(&format!("{}$g", self.ctx.prog.interner.name(var)));
+                let g = self.new_name(format!("{}$g", self.ctx.prog.interner.name(var)));
                 self.vkinds.insert(
                     var,
                     VKind::Local {
@@ -356,7 +342,8 @@ impl UnitCompiler<'_, '_> {
                     },
                 );
                 // g = global index of local var on this processor.
-                let g_expr = global_of_local_expr(&partn, SExpr::Var(var));
+                let local = self.sym(var);
+                let g_expr = global_of_local_expr(&partn, SExpr::Var(local));
                 let lo_s = self.tr_expr(lo, st.id)?;
                 let hi_s = self.tr_expr(hi, st.id)?;
                 // Record the companion symbol so serial-dim uses of the
@@ -380,7 +367,7 @@ impl UnitCompiler<'_, '_> {
                 self.global_companion.remove(&var);
                 self.vkinds.remove(&var);
                 out.push(SStmt::Do {
-                    var,
+                    var: local,
                     lo: SExpr::int(1),
                     hi: SExpr::int(nloc),
                     step: 1,
@@ -396,7 +383,7 @@ impl UnitCompiler<'_, '_> {
             LValue::Scalar(v) => {
                 let r = self.tr_expr(rhs, st.id)?;
                 out.push(SStmt::Assign {
-                    lhs: SLval::Scalar(*v),
+                    lhs: SLval::Scalar(self.sym(*v)),
                     rhs: r,
                 });
                 Ok(())
@@ -412,7 +399,7 @@ impl UnitCompiler<'_, '_> {
                     let r = self.tr_expr(rhs, st.id)?;
                     out.push(SStmt::Assign {
                         lhs: SLval::Elem {
-                            array: *array,
+                            array: self.sym(*array),
                             subs,
                         },
                         rhs: r,
@@ -420,7 +407,7 @@ impl UnitCompiler<'_, '_> {
                     return Ok(());
                 }
                 let dist_id = self.current_dist(st.id, *array)?;
-                let dist = self.spmd.dists[dist_id.0 as usize].clone();
+                let dist = self.dist(dist_id).clone();
                 // Classify each distributed dim: local-var match or pinned.
                 let mut owner_subs: Option<Vec<SExpr>> = None;
                 let mut lhs_subs: Vec<SExpr> = Vec::with_capacity(subs.len());
@@ -440,7 +427,7 @@ impl UnitCompiler<'_, '_> {
                                     "shifted lhs subscript on distributed dimension",
                                 ));
                             }
-                            lhs_subs.push(SExpr::Var(v));
+                            lhs_subs.push(SExpr::Var(self.sym(v)));
                             continue;
                         }
                     }
@@ -464,7 +451,7 @@ impl UnitCompiler<'_, '_> {
                 let r = self.tr_expr(rhs, st.id)?;
                 let assign = SStmt::Assign {
                     lhs: SLval::Elem {
-                        array: *array,
+                        array: self.sym(*array),
                         subs: lhs_subs,
                     },
                     rhs: r,
@@ -536,7 +523,7 @@ impl UnitCompiler<'_, '_> {
             let f = callee_info.formals[i];
             if callee_info.is_array(f) {
                 match a {
-                    Expr::Var(arr) => sargs.push(SActual::Array(*arr)),
+                    Expr::Var(arr) => sargs.push(SActual::Array(self.sym(*arr))),
                     _ => {
                         return Err(CodegenError::at(
                             st.line,
@@ -563,7 +550,7 @@ impl UnitCompiler<'_, '_> {
                 });
                 match a {
                     Expr::Var(v) if self.is_local_valued(*v) => {
-                        sargs.push(SActual::Scalar(SExpr::Var(*v)));
+                        sargs.push(SActual::Scalar(SExpr::Var(self.sym(*v))));
                     }
                     _ => {
                         // General expression: guard the call on ownership
@@ -595,7 +582,7 @@ impl UnitCompiler<'_, '_> {
                 sargs.push(SActual::Scalar(self.tr_expr(a, st.id)?));
                 if let Expr::Var(v) = a {
                     if callee_eff.mod_scalars.contains(&f) && !self.ui.is_array(*v) {
-                        copy_out.push((f, *v));
+                        copy_out.push((self.sym(f), self.sym(*v)));
                     }
                 }
             }
@@ -605,7 +592,7 @@ impl UnitCompiler<'_, '_> {
             sargs.push(SActual::Array(b));
         }
         let call = SStmt::Call {
-            proc: cu.proc,
+            proc: self.callee(name),
             args: sargs,
             copy_out,
         };
@@ -655,7 +642,7 @@ impl UnitCompiler<'_, '_> {
         rsd: &Rsd,
         tag: u64,
     ) -> R<Vec<SStmt>> {
-        let dist = self.spmd.dists[dist_id.0 as usize].clone();
+        let dist = self.dist(dist_id).clone();
         let b = dist.dims[dim].block_size();
         let p = dist.dims[dim].nprocs as i64;
         let c = offset.abs();
@@ -702,6 +689,7 @@ impl UnitCompiler<'_, '_> {
                 }
             }
         }
+        let array = self.sym(array);
         let (send_guard, send_to, recv_guard, recv_from) = if offset > 0 {
             (
                 SExpr::bin(SBinOp::Gt, SExpr::MyP, SExpr::int(0)),
@@ -751,7 +739,7 @@ impl UnitCompiler<'_, '_> {
         rsd: &Rsd,
         buffer: Sym,
     ) -> R<Vec<SStmt>> {
-        let dist = self.spmd.dists[dist_id.0 as usize].clone();
+        let dist = self.dist(dist_id).clone();
         let idx = self.tr_affine(index)?;
         let rank = dist.rank();
         let mut owner_pt = vec![SExpr::int(1); rank];
@@ -786,7 +774,7 @@ impl UnitCompiler<'_, '_> {
         Ok(vec![SStmt::Bcast {
             root,
             parts: vec![BcastPart {
-                src_array: array,
+                src_array: self.sym(array),
                 src_section: SRect { dims: src },
                 dst_array: buffer,
                 dst_section: SRect { dims: dst },
@@ -812,7 +800,7 @@ impl UnitCompiler<'_, '_> {
             Some(s) => s.array_dist(&extents, self.ctx.nprocs),
             None => ArrayDist::replicated(&extents),
         };
-        Ok(self.spmd.add_dist(dist))
+        Ok(self.add_dist(dist))
     }
 
     /// Translates an affine bound into an SExpr under the global-value
@@ -835,10 +823,11 @@ impl UnitCompiler<'_, '_> {
                     ),
                 ));
             }
+            let v = SExpr::Var(self.sym(s));
             let term = if c == 1 {
-                SExpr::Var(s)
+                v
             } else {
-                SExpr::mul(SExpr::int(c), SExpr::Var(s))
+                SExpr::mul(SExpr::int(c), v)
             };
             acc = Some(match acc {
                 None => term,
@@ -863,22 +852,23 @@ impl UnitCompiler<'_, '_> {
                 if let Some(&c) = self.params.get(v) {
                     return Ok(SExpr::Int(c));
                 }
+                let local = SExpr::Var(self.sym(*v));
                 match self.vkinds.get(v) {
                     Some(VKind::Local { part, .. }) => {
                         // Global value of a local loop index.
                         if let Some(&g) = self.global_companion.get(v) {
                             Ok(SExpr::Var(g))
                         } else {
-                            Ok(global_of_local_expr(part, SExpr::Var(*v)))
+                            Ok(global_of_local_expr(part, local))
                         }
                     }
                     _ => {
                         if let Some(&(arr, dim)) = self.local_formals.get(v) {
                             // Global value of an owner-local formal.
                             let part = self.dist_of(arr).dims[dim].clone();
-                            return Ok(global_of_local_expr(&part, SExpr::Var(*v)));
+                            return Ok(global_of_local_expr(&part, local));
                         }
-                        Ok(SExpr::Var(*v))
+                        Ok(local)
                     }
                 }
             }
@@ -947,10 +937,13 @@ impl UnitCompiler<'_, '_> {
                 .iter()
                 .map(|s| self.tr_expr(s, stmt))
                 .collect::<R<Vec<_>>>()?;
-            return Ok(SExpr::Elem { array, subs });
+            return Ok(SExpr::Elem {
+                array: self.sym(array),
+                subs,
+            });
         }
         let dist_id = self.current_dist(stmt, array)?;
-        let dist = self.spmd.dists[dist_id.0 as usize].clone();
+        let dist = self.dist(dist_id).clone();
         let mut out_subs: Vec<SExpr> = Vec::with_capacity(subs.len());
         let mut pinned: Option<(usize, Affine)> = None;
         for (d, sub) in subs.iter().enumerate() {
@@ -962,10 +955,11 @@ impl UnitCompiler<'_, '_> {
                 .ok_or_else(|| CodegenError::at(0, "non-affine distributed subscript"))?;
             if let Some((v, off)) = a.as_sym_plus_const() {
                 if self.is_local_valued(v) {
+                    let v = SExpr::Var(self.sym(v));
                     out_subs.push(if off == 0 {
-                        SExpr::Var(v)
+                        v
                     } else {
-                        SExpr::add(SExpr::Var(v), SExpr::int(off))
+                        SExpr::add(v, SExpr::int(off))
                     });
                     continue;
                 }
@@ -993,7 +987,7 @@ impl UnitCompiler<'_, '_> {
                     }
                 }
                 return Ok(SExpr::Elem {
-                    array,
+                    array: self.sym(array),
                     subs: final_subs,
                 });
             }
@@ -1019,7 +1013,7 @@ impl UnitCompiler<'_, '_> {
             });
         }
         Ok(SExpr::Elem {
-            array,
+            array: self.sym(array),
             subs: out_subs,
         })
     }

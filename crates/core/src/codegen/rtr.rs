@@ -23,7 +23,7 @@ use super::*;
 
 impl UnitCompiler<'_, '_> {
     /// Compiles one unit under run-time resolution.
-    pub(super) fn compile_rtr(mut self) -> R<CompiledUnit> {
+    pub(super) fn compile_rtr(mut self) -> R<CachedUnit> {
         self.resolve_specs_lenient();
         let dyn_summary = dynamic_decomp::summarize(
             self.unit,
@@ -34,15 +34,13 @@ impl UnitCompiler<'_, '_> {
             self.ctx.se,
         );
         let body = self.rtr_body(&self.unit.body)?;
-        let formals: Vec<SFormal> = self
-            .unit
-            .formals
-            .iter()
-            .map(|&f| SFormal {
-                name: f,
+        let mut formals: Vec<SFormal> = Vec::new();
+        for &f in &self.unit.formals {
+            formals.push(SFormal {
+                name: self.sym(f),
                 is_array: self.ui.is_array(f),
-            })
-            .collect();
+            });
+        }
         let mut decls: Vec<SDecl> = Vec::new();
         for (&a, vi) in &self.ui.vars {
             if vi.is_array() && !vi.is_formal {
@@ -55,9 +53,9 @@ impl UnitCompiler<'_, '_> {
                 // Storage is global-shaped; the nominal layout dist is the
                 // replicated one matching the bounds.
                 let repl = ArrayDist::replicated(&vi.dims);
-                let repl_id = self.spmd.add_dist(repl);
+                let repl_id = self.add_dist(repl);
                 decls.push(SDecl {
-                    name: a,
+                    name: self.sym(a),
                     bounds,
                     dist: repl_id,
                     owner_dist,
@@ -65,18 +63,12 @@ impl UnitCompiler<'_, '_> {
             }
         }
         let proc = SProc {
-            name: self.unit.name,
+            name: self.sym(self.unit.name),
             formals,
             decls,
             body,
         };
-        let idx = self.spmd.procs.len();
-        self.spmd.procs.push(proc);
-        Ok(CompiledUnit {
-            proc: idx,
-            residual: Residual::default(),
-            dyn_summary,
-        })
+        Ok(self.finish(proc, Residual::default(), dyn_summary))
     }
 
     fn rtr_body(&mut self, body: &[Stmt]) -> R<Vec<SStmt>> {
@@ -102,7 +94,7 @@ impl UnitCompiler<'_, '_> {
                     let hi = self.rtr_expr(hi, st.id, &mut out)?;
                     let inner = self.rtr_body(body)?;
                     out.push(SStmt::Do {
-                        var: *var,
+                        var: self.sym(*var),
                         lo,
                         hi,
                         step: stepc,
@@ -128,10 +120,9 @@ impl UnitCompiler<'_, '_> {
                     });
                 }
                 StmtKind::Call { name, args } => {
-                    let cu = self
-                        .compiled
-                        .get(name)
-                        .ok_or_else(|| CodegenError::at(st.line, "callee not yet compiled"))?;
+                    if !self.compiled.contains_key(name) {
+                        return Err(CodegenError::at(st.line, "callee not yet compiled"));
+                    }
                     let callee_info = self.ctx.info.unit(*name);
                     let callee_eff = self.ctx.se.unit(*name);
                     let mut sargs = Vec::new();
@@ -140,7 +131,7 @@ impl UnitCompiler<'_, '_> {
                         let f = callee_info.formals[i];
                         if callee_info.is_array(f) {
                             match a {
-                                Expr::Var(arr) => sargs.push(SActual::Array(*arr)),
+                                Expr::Var(arr) => sargs.push(SActual::Array(self.sym(*arr))),
                                 _ => {
                                     return Err(CodegenError::at(
                                         st.line,
@@ -153,13 +144,13 @@ impl UnitCompiler<'_, '_> {
                             sargs.push(SActual::Scalar(self.rtr_expr(a, st.id, &mut out)?));
                             if let Expr::Var(v) = a {
                                 if callee_eff.mod_scalars.contains(&f) && !self.ui.is_array(*v) {
-                                    copy_out.push((f, *v));
+                                    copy_out.push((self.sym(f), self.sym(*v)));
                                 }
                             }
                         }
                     }
                     out.push(SStmt::Call {
-                        proc: cu.proc,
+                        proc: self.callee(*name),
                         args: sargs,
                         copy_out,
                     });
@@ -199,9 +190,9 @@ impl UnitCompiler<'_, '_> {
                         align: fortrand_ir::dist::Alignment::identity(extents.len()),
                     };
                     let dist = spec.array_dist(&extents, self.ctx.nprocs);
-                    let id = self.spmd.add_dist(dist);
+                    let id = self.add_dist(dist);
                     out.push(SStmt::RemapGlobal {
-                        array: *target,
+                        array: self.sym(*target),
                         to_dist: id,
                     });
                 }
@@ -231,8 +222,9 @@ impl UnitCompiler<'_, '_> {
                     .iter()
                     .map(|s| self.rtr_expr(s, st.id, out))
                     .collect::<R<Vec<_>>>()?;
+                let array = self.sym(*array);
                 let owner_l = SExpr::CurOwner {
-                    array: *array,
+                    array,
                     subs: lsubs.clone(),
                 };
                 // Per-reference element messages.
@@ -241,8 +233,9 @@ impl UnitCompiler<'_, '_> {
                         .iter()
                         .map(|s| self.rtr_expr(s, st.id, out))
                         .collect::<R<Vec<_>>>()?;
+                    let ra = self.sym(*ra);
                     let owner_r = SExpr::CurOwner {
-                        array: *ra,
+                        array: ra,
                         subs: rsubs_s.clone(),
                     };
                     let differs = SExpr::bin(SBinOp::Ne, owner_r.clone(), owner_l.clone());
@@ -257,7 +250,7 @@ impl UnitCompiler<'_, '_> {
                             to: owner_l.clone(),
                             tag,
                             value: SExpr::Elem {
-                                array: *ra,
+                                array: ra,
                                 subs: rsubs_s.clone(),
                             },
                         }],
@@ -273,7 +266,7 @@ impl UnitCompiler<'_, '_> {
                             from: owner_r,
                             tag,
                             lhs: SLval::Elem {
-                                array: *ra,
+                                array: ra,
                                 subs: rsubs_s,
                             },
                         }],
@@ -285,10 +278,7 @@ impl UnitCompiler<'_, '_> {
                 out.push(SStmt::If {
                     cond: SExpr::bin(SBinOp::Eq, SExpr::MyP, owner_l),
                     then_body: vec![SStmt::Assign {
-                        lhs: SLval::Elem {
-                            array: *array,
-                            subs: lsubs,
-                        },
+                        lhs: SLval::Elem { array, subs: lsubs },
                         rhs: r,
                     }],
                     else_body: vec![],
@@ -304,8 +294,9 @@ impl UnitCompiler<'_, '_> {
                         .iter()
                         .map(|s| self.rtr_expr(s, st.id, out))
                         .collect::<R<Vec<_>>>()?;
+                    let ra = self.sym(*ra);
                     let owner_r = SExpr::CurOwner {
-                        array: *ra,
+                        array: ra,
                         subs: rsubs_s.clone(),
                     };
                     let sect = SRect {
@@ -314,18 +305,18 @@ impl UnitCompiler<'_, '_> {
                     out.push(SStmt::Bcast {
                         root: owner_r,
                         parts: vec![BcastPart {
-                            src_array: *ra,
+                            src_array: ra,
                             src_section: sect.clone(),
-                            dst_array: *ra,
+                            dst_array: ra,
                             dst_section: sect,
                         }],
                     });
                 }
                 let r = self.rtr_expr(rhs, st.id, out)?;
                 let l = match lhs {
-                    LValue::Scalar(v) => SLval::Scalar(*v),
+                    LValue::Scalar(v) => SLval::Scalar(self.sym(*v)),
                     LValue::Element { array, subs } => SLval::Elem {
-                        array: *array,
+                        array: self.sym(*array),
                         subs: subs
                             .iter()
                             .map(|s| self.rtr_expr(s, st.id, out))
@@ -353,6 +344,7 @@ impl UnitCompiler<'_, '_> {
                 .iter()
                 .map(|s| self.rtr_expr(s, stmt, out))
                 .collect::<R<Vec<_>>>()?;
+            let ra = self.sym(ra);
             let owner_r = SExpr::CurOwner {
                 array: ra,
                 subs: rsubs_s.clone(),
@@ -385,7 +377,7 @@ impl UnitCompiler<'_, '_> {
                 if let Some(&c) = self.params.get(v) {
                     Ok(SExpr::Int(c))
                 } else {
-                    Ok(SExpr::Var(*v))
+                    Ok(SExpr::Var(self.sym(*v)))
                 }
             }
             Expr::Element { array, subs } => {
@@ -394,7 +386,7 @@ impl UnitCompiler<'_, '_> {
                     .map(|s| self.rtr_expr(s, stmt, out))
                     .collect::<R<Vec<_>>>()?;
                 Ok(SExpr::Elem {
-                    array: *array,
+                    array: self.sym(*array),
                     subs,
                 })
             }

@@ -139,6 +139,55 @@ pub struct Residual {
     pub overlaps: Vec<(Sym, usize, i64, i64)>,
 }
 
+impl DynDecompSummary {
+    /// Renames every symbol through `f`.
+    pub(crate) fn remap_syms(&mut self, f: &mut dyn FnMut(Sym) -> Sym) {
+        for set in [&mut self.uses, &mut self.kills, &mut self.value_kills] {
+            *set = set.iter().map(|&s| f(s)).collect();
+        }
+        for (s, _) in self.before.iter_mut().chain(self.after.iter_mut()) {
+            *s = f(*s);
+        }
+    }
+}
+
+impl Residual {
+    /// Renames every symbol through `f`.
+    pub(crate) fn remap_syms(&mut self, f: &mut dyn FnMut(Sym) -> Sym) {
+        for c in &mut self.comms {
+            c.array = f(c.array);
+            if let CommPattern::BroadcastDim { index, .. } = &mut c.pattern {
+                *index = remap_affine(index, f);
+            }
+            for t in &mut c.rsd.dims {
+                t.lo = remap_affine(&t.lo, f);
+                t.hi = remap_affine(&t.hi, f);
+            }
+        }
+        for ic in &mut self.iter_constraints {
+            ic.formal = f(ic.formal);
+            ic.array = f(ic.array);
+        }
+        if let Some(oo) = &mut self.owner_only {
+            oo.array = f(oo.array);
+            oo.index = remap_affine(&oo.index, f);
+            for s in &mut oo.out_scalars {
+                *s = f(*s);
+            }
+        }
+        self.dyn_decomp.remap_syms(f);
+        for (s, _, _, _) in &mut self.overlaps {
+            *s = f(*s);
+        }
+    }
+}
+
+fn remap_affine(a: &Affine, f: &mut dyn FnMut(Sym) -> Sym) -> Affine {
+    a.terms().fold(Affine::konst(a.constant()), |acc, (s, c)| {
+        acc + Affine::term(f(s), c)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -23,23 +23,25 @@ use fortrand_spmd::ir::{walk_stmts, SProc};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-/// One unit's cached compilation artifacts, self-contained: all symbol,
-/// distribution and callee references are dense unit-local indices into
-/// the tables stored here, so the artifact can be grafted into a program
-/// whose interner assigns different ids.
-#[derive(Clone, Debug)]
+/// One compiled unit, position-independent: every symbol, distribution
+/// and callee reference is an index into the tables carried here, so the
+/// unit can be grafted into any program, whichever ids its interner and
+/// distribution table assign. Code generation writes a unit in this form,
+/// numbering names and distributions in the order it first uses them; the
+/// sweep grafts it, and the store keeps the same value.
+#[derive(Debug)]
 pub struct CachedUnit {
-    /// The emitted procedure (dense ids).
+    /// The emitted procedure.
     pub(crate) proc: SProc,
-    /// Residual handed to callers (dense syms).
+    /// Residual handed to callers.
     pub(crate) residual: Residual,
-    /// Dynamic-decomposition summary (dense syms).
+    /// Dynamic-decomposition summary.
     pub(crate) dyn_summary: DynDecompSummary,
-    /// Dense symbol id → name.
+    /// Symbol id → name.
     pub(crate) names: Vec<String>,
-    /// Dense distribution id → distribution.
+    /// Distribution id → distribution.
     pub(crate) dists: Vec<ArrayDist>,
-    /// Dense callee reference → callee procedure name.
+    /// Callee reference → callee procedure name.
     pub(crate) callees: Vec<String>,
 }
 
@@ -118,7 +120,7 @@ impl StoreStats {
 }
 
 struct Entry {
-    unit: CachedUnit,
+    unit: Arc<CachedUnit>,
     cost: usize,
     last_used: u64,
 }
@@ -182,14 +184,14 @@ impl ArtifactStore {
 
     /// Looks up an artifact, bumping its recency. Every call is counted
     /// as a hit or a miss.
-    pub(crate) fn get(&self, key: &ArtifactKey) -> Option<CachedUnit> {
+    pub(crate) fn get(&self, key: &ArtifactKey) -> Option<Arc<CachedUnit>> {
         let mut inner = self.inner.lock().expect("artifact store poisoned");
         inner.tick += 1;
         let tick = inner.tick;
         match inner.map.get_mut(key) {
             Some(e) => {
                 e.last_used = tick;
-                let unit = e.unit.clone();
+                let unit = Arc::clone(&e.unit);
                 inner.hits += 1;
                 Some(unit)
             }
@@ -205,7 +207,7 @@ impl ArtifactStore {
     /// just inserted is the most recent, so it is evicted only if it
     /// exceeds the capacity all by itself — and even then one entry is
     /// always allowed to remain.
-    pub(crate) fn put(&self, key: ArtifactKey, unit: CachedUnit) {
+    pub(crate) fn put(&self, key: ArtifactKey, unit: Arc<CachedUnit>) {
         let cost = unit.approx_cost();
         let mut inner = self.inner.lock().expect("artifact store poisoned");
         inner.tick += 1;
@@ -255,8 +257,8 @@ impl ArtifactStore {
 mod tests {
     use super::*;
 
-    fn unit(tag: &str, pad: usize) -> CachedUnit {
-        CachedUnit {
+    fn unit(tag: &str, pad: usize) -> Arc<CachedUnit> {
+        Arc::new(CachedUnit {
             proc: SProc {
                 name: fortrand_ir::Sym(0),
                 formals: Vec::new(),
@@ -268,7 +270,7 @@ mod tests {
             names: vec![tag.repeat(pad.max(1))],
             dists: Vec::new(),
             callees: Vec::new(),
-        }
+        })
     }
 
     #[test]

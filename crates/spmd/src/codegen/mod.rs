@@ -129,7 +129,8 @@ fn rustc_bin() -> String {
 }
 
 /// `rustc -V` output, probed once per process. `None` when no toolchain
-/// is reachable — callers (tests, the bench gate) skip gracefully.
+/// is reachable — callers (the native tests, the benchmark) skip the
+/// native backend then.
 pub fn rustc_version() -> Option<&'static str> {
     static V: OnceLock<Option<String>> = OnceLock::new();
     V.get_or_init(|| {

@@ -65,8 +65,8 @@ pub(super) fn merge_rects(s1: &SRect, s2: &SRect, dists: &[ArrayDist]) -> Option
 
 /// If statement `a` immediately followed by `b` is a mergeable send or
 /// receive pair, returns `(a.tag, b.tag, merged)`. The merged statement
-/// reuses `a`'s tag; committing the merge is gated on tag accounting so the
-/// matching endpoint merges too.
+/// reuses `a`'s tag; the merge is committed only if tag accounting shows
+/// the matching endpoint merges too.
 fn merge_pair(a: &SStmt, b: &SStmt, dists: &[ArrayDist]) -> Option<(u64, u64, SStmt)> {
     match (a, b) {
         (

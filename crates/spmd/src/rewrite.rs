@@ -1,14 +1,11 @@
 //! Symbol / distribution-id / procedure-index remapping over SPMD
 //! procedures.
 //!
-//! The wavefront-parallel code generator compiles each unit into a private
-//! scratch [`SpmdProgram`] seeded with a snapshot of the merged program's
-//! interner and distribution table. Symbols and distributions created
-//! *during* that unit's compilation get scratch-local ids; when the unit is
-//! merged back (in deterministic reverse-topological order), this module
-//! rewrites its emitted procedure over the scratch→merged maps. The
-//! incremental driver reuses the same traversal to graft cached procedures
-//! from a previous compilation into a fresh program.
+//! The compiler generates each unit position-independent: its symbols,
+//! distributions and callees are indices into tables private to the unit.
+//! Grafting the unit into a program — whether it was just generated, came
+//! back from a pool worker or out of an artifact store — rewrites its
+//! procedure over the unit→program maps with this traversal.
 
 use crate::ir::{walk_operands_mut, DistId, OperandMut, SExpr, SProc};
 use fortrand_ir::Sym;
@@ -16,7 +13,7 @@ use fortrand_ir::Sym;
 /// The three id maps a remap applies. Each is total over the ids appearing
 /// in the procedure being rewritten.
 pub struct ProcRemap<'a> {
-    /// Symbol map (identity for symbols shared with the target program).
+    /// Symbol map.
     pub sym: &'a dyn Fn(Sym) -> Sym,
     /// Distribution-id map.
     pub dist: &'a dyn Fn(DistId) -> DistId,
