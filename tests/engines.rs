@@ -75,8 +75,9 @@ fn assert_identical(t: &RunOutcome, b: &RunOutcome, ctx: &str) {
 /// machines, with `named` as the initial array contents. The bytecode
 /// engine runs twice — superinstruction fusion on and off — and both
 /// runs must match the tree walker bit for bit, so a fused kernel that
-/// drifts from its constituent instructions fails here.
-fn engines_agree(src: &str, opts: &CompileOptions, named: &[(String, Vec<f64>)], ctx: &str) {
+/// drifts from its constituent instructions fails here. Returns the
+/// dispatches the fused run retired inside kernels.
+fn engines_agree(src: &str, opts: &CompileOptions, named: &[(String, Vec<f64>)], ctx: &str) -> u64 {
     let out = compile(src, opts).unwrap_or_else(|e| panic!("{ctx}: compile failed: {e}"));
     let mut init = BTreeMap::new();
     for (name, data) in named {
@@ -94,6 +95,7 @@ fn engines_agree(src: &str, opts: &CompileOptions, named: &[(String, Vec<f64>)],
     assert_identical(&t, &b_plain, &format!("{ctx}/kernels-off"));
     // Fusion must actually be off: no dispatches retired in kernels.
     assert_eq!(b_plain.stats.fused_instrs, 0, "{ctx}: kernels(false) fused");
+    b.stats.fused_instrs
 }
 
 /// Deterministic non-trivial contents for every main-program array
@@ -118,7 +120,14 @@ fn default_init(src: &str) -> Vec<(String, Vec<f64>)> {
     named
 }
 
-fn check(src: &str, strategy: Strategy, nprocs: usize, dyn_opt: DynOptLevel, comm_opt: CommOpt) {
+/// [`engines_agree`] under one compile configuration, on [`default_init`].
+fn check(
+    src: &str,
+    strategy: Strategy,
+    nprocs: usize,
+    dyn_opt: DynOptLevel,
+    comm_opt: CommOpt,
+) -> u64 {
     let ctx = format!("{strategy:?}/{dyn_opt:?}/{comm_opt:?}/{nprocs}p");
     let opts = CompileOptions::builder()
         .strategy(strategy)
@@ -126,7 +135,7 @@ fn check(src: &str, strategy: Strategy, nprocs: usize, dyn_opt: DynOptLevel, com
         .dyn_opt(dyn_opt)
         .comm_opt(comm_opt)
         .build();
-    engines_agree(src, &opts, &default_init(src), &ctx);
+    engines_agree(src, &opts, &default_init(src), &ctx)
 }
 
 const STRATEGIES: [Strategy; 3] = [
@@ -395,12 +404,13 @@ fn out_of_bounds_rank_outranks_peers_left_in_a_broadcast() {
 
 /// A generated sweep body: an expression tree over `u(i+k)` and
 /// `v(i+k)` (`v(i-1)` is the recurrence on the array being written),
-/// real and integer immediates, the scalar `s`, `+ - * /`, `.gt.` and
-/// negation.
+/// `v(c)` at a fixed index, real and integer immediates, the scalar `s`,
+/// `+ - * /`, `.gt.` and negation.
 #[derive(Clone, Debug)]
 enum Expr {
     U(i64),
     V(i64),
+    VAt(i64),
     Real(usize),
     Int(i64),
     S,
@@ -411,6 +421,10 @@ enum Expr {
 const COEFFS: [&str; 4] = ["0.5", "0.25", "1.5", "2.0"];
 const OPS: [&str; 5] = ["+", "-", "*", "/", ".gt."];
 
+fn bin(op: &'static str, l: Expr, r: Expr) -> Expr {
+    Expr::Bin(op, Box::new(l), Box::new(r))
+}
+
 impl Expr {
     /// A tree of depth at most `depth` (exactly `depth` down its left
     /// spine), each node decoded from the next of `picks`. A divisor is
@@ -419,12 +433,13 @@ impl Expr {
     fn grow(depth: u64, picks: &mut impl Iterator<Item = u64>) -> Expr {
         let p = picks.next().unwrap_or(0);
         if depth <= 1 {
-            let arg = p / 5;
-            return match p % 5 {
+            let arg = p / 6;
+            return match p % 6 {
                 0 => Expr::U((arg % 3) as i64),
                 1 => Expr::V((arg % 4) as i64 - 1),
-                2 => Expr::Real(arg as usize % COEFFS.len()),
-                3 => Expr::Int((arg % 3) as i64 + 1),
+                2 => Expr::VAt((arg % 2) as i64 + 1),
+                3 => Expr::Real(arg as usize % COEFFS.len()),
+                4 => Expr::Int((arg % 3) as i64 + 1),
                 _ => Expr::S,
             };
         }
@@ -436,7 +451,7 @@ impl Expr {
             Expr::Bin(..) | Expr::Neg(_) | Expr::Int(_) if op == "/" => Expr::Real(0),
             r => r,
         };
-        Expr::Bin(op, Box::new(l), Box::new(r))
+        bin(op, l, r)
     }
 
     /// `(lowest, highest)` element offset the tree reads (0 if none).
@@ -458,64 +473,202 @@ impl Expr {
         match self {
             Expr::U(_) => Expr::U(0),
             Expr::V(_) => Expr::V(0),
-            Expr::Bin(op, l, r) => Expr::Bin(op, Box::new(l.unshifted()), Box::new(r.unshifted())),
+            Expr::Bin(op, l, r) => bin(op, l.unshifted(), r.unshifted()),
             Expr::Neg(e) => Expr::Neg(Box::new(e.unshifted())),
             e => e.clone(),
         }
     }
 
-    fn render(&self, u: &str, v: &str) -> String {
+    /// The tree in Fortran; `col` follows the row subscript of every
+    /// element reference (`",j"` for a column of a 2-D array, else empty).
+    fn render(&self, u: &str, v: &str, col: &str) -> String {
         let at = |a: &str, k: i64| match k {
-            0 => format!("{a}(i)"),
-            k if k < 0 => format!("{a}(i-{})", -k),
-            k => format!("{a}(i+{k})"),
+            0 => format!("{a}(i{col})"),
+            k if k < 0 => format!("{a}(i-{}{col})", -k),
+            k => format!("{a}(i+{k}{col})"),
         };
         match self {
             Expr::U(k) => at(u, *k),
             Expr::V(k) => at(v, *k),
+            Expr::VAt(c) => format!("{v}({c}{col})"),
             Expr::Real(c) => COEFFS[*c].to_string(),
             Expr::Int(x) => x.to_string(),
             Expr::S => "s".to_string(),
-            Expr::Bin(op, l, r) => format!("({} {op} {})", l.render(u, v), r.render(u, v)),
-            Expr::Neg(e) => format!("(-{})", e.render(u, v)),
+            Expr::Bin(op, l, r) => {
+                format!("({} {op} {})", l.render(u, v, col), r.render(u, v, col))
+            }
+            Expr::Neg(e) => format!("(-{})", e.render(u, v, col)),
         }
     }
 }
 
-/// Renders a stencil-sweep program: each sweep is `v(i) = expr` over the
-/// distributed pair, inline in the main program or in a subroutine with
-/// `s` a scalar formal (REAL, or INTEGER when `int_s`).
+/// One generated loop: `v(i) = e`, or `v(c) = e` when `dst` fixes the
+/// stored element (every iteration stores to it), over the widest range
+/// `e`'s offsets allow, its lower end raised by `lo_off`; descending
+/// when `down`.
+#[derive(Clone, Debug)]
+struct Sweep {
+    e: Expr,
+    lo_off: i64,
+    dst: Option<i64>,
+    down: bool,
+}
+
+impl Sweep {
+    fn new(e: Expr) -> Sweep {
+        Sweep {
+            e,
+            lo_off: 0,
+            dst: None,
+            down: false,
+        }
+    }
+
+    /// True when the compile-time strategies refuse the sweep on a
+    /// distributed dimension: `v(i-1)` is a carried flow dependence (it
+    /// needs pipelining), and a descending loop has a non-unit step.
+    fn needs_rtr(&self) -> bool {
+        self.e.offsets().0 < 0 || self.down
+    }
+
+    fn render(&self, n: i64, u: &str, v: &str, col: &str) -> String {
+        let (lo_k, hi_k) = self.e.offsets();
+        let (lo, hi) = (1 - lo_k + self.lo_off, n - hi_k);
+        let range = if self.down {
+            format!("{hi}, {lo}, -1")
+        } else {
+            format!("{lo}, {hi}")
+        };
+        let dst = match self.dst {
+            Some(c) => format!("{v}({c}{col})"),
+            None => format!("{v}(i{col})"),
+        };
+        format!(
+            "do i = {range}\n        {dst} = {}\n      enddo\n",
+            self.e.render(u, v, col)
+        )
+    }
+}
+
+/// Renders a program of sweeps over the distributed pair, each inline in
+/// the main program or in a subroutine with `s` a scalar formal (REAL, or
+/// INTEGER when `int_s`). With `cols`, the pair is `n` by `cols`,
+/// distributed by columns, and every sweep runs down each column `j` —
+/// dgefa's `a(i,j)`, whose row-major storage puts consecutive `i` a row
+/// apart.
 fn render(
     n: i64,
     nprocs: usize,
     dist: &str,
-    sweeps: &[(Expr, i64)],
+    sweeps: &[Sweep],
     through_call: bool,
     int_s: bool,
+    cols: Option<i64>,
 ) -> String {
     let ty = if int_s { "INTEGER" } else { "REAL" };
     let s0 = if int_s { "2" } else { "0.75" };
+    let (shape, layout, col) = match cols {
+        Some(m) => (format!("{n},{m}"), format!(":,{dist}"), ",j"),
+        None => (n.to_string(), dist.to_string(), ""),
+    };
+    // A column sweep runs inside `do j`.
+    let in_cols = |sweep: String| match cols {
+        Some(m) => format!("do j = 1, {m}\n      {sweep}      enddo\n"),
+        None => sweep,
+    };
     let mut body = String::new();
     let mut subs = String::new();
-    for (si, (e, lo_off)) in sweeps.iter().enumerate() {
-        let (lo_k, hi_k) = e.offsets();
-        let (lo, hi) = (1 - lo_k + lo_off, n - hi_k);
+    for (si, sw) in sweeps.iter().enumerate() {
         if through_call {
             body.push_str(&format!("      call sweep{si}(x, y, s)\n"));
             subs.push_str(&format!(
-                "      SUBROUTINE sweep{si}(u, v, s)\n      REAL u({n}), v({n})\n      {ty} s\n      do i = {lo}, {hi}\n        v(i) = {}\n      enddo\n      END\n",
-                e.render("u", "v")
+                "      SUBROUTINE sweep{si}(u, v, s)\n      REAL u({shape}), v({shape})\n      {ty} s\n      {}      END\n",
+                in_cols(sw.render(n, "u", "v", col))
             ));
         } else {
-            body.push_str(&format!(
-                "      do i = {lo}, {hi}\n        y(i) = {}\n      enddo\n",
-                e.render("x", "y")
-            ));
+            body.push_str(&format!("      {}", in_cols(sw.render(n, "x", "y", col))));
         }
     }
     format!(
-        "      PROGRAM main\n      PARAMETER (n$proc = {nprocs})\n      REAL x({n}), y({n})\n      {ty} s\n      DISTRIBUTE x({dist})\n      DISTRIBUTE y({dist})\n      s = {s0}\n{body}      END\n{subs}"
+        "      PROGRAM main\n      PARAMETER (n$proc = {nprocs})\n      REAL x({shape}), y({shape})\n      {ty} s\n      DISTRIBUTE x({layout})\n      DISTRIBUTE y({layout})\n      s = {s0}\n{body}      END\n{subs}"
     )
+}
+
+/// The loop shapes a fused kernel must judge before it evaluates a
+/// column at a time instead of an iteration at a time, and the `Fma`
+/// operand mixes, each alone in a program. Down the columns of a 2-D
+/// array (dgefa's layout) every shape fuses but one; on a 1-D
+/// distribution they mostly take the interpreted path. Both layouts must
+/// agree across the engines, with kernels on and off.
+#[test]
+fn kernel_operand_shapes() {
+    use Expr::*;
+    let down = |e| Sweep {
+        down: true,
+        ..Sweep::new(e)
+    };
+    // (sweep, INTEGER s, fuses down a column)
+    let cases = [
+        // `v(1) = v(1) + u(i)`: a stride-0 store read back every iteration.
+        (
+            Sweep {
+                dst: Some(1),
+                ..Sweep::new(bin("+", VAt(1), U(0)))
+            },
+            false,
+            true,
+        ),
+        // `v(i) = v(i) / v(2)`: iterations after the second read the
+        // element the second stored.
+        (Sweep::new(bin("/", V(0), VAt(2))), false, true),
+        // `v(i) = v(i) / v(1)` from `i = 2`: dgefa's scaling, the fixed
+        // element outside the stored range.
+        (
+            Sweep {
+                lo_off: 1,
+                ..Sweep::new(bin("/", V(0), VAt(1)))
+            },
+            false,
+            true,
+        ),
+        // Descending: `v(i-1)` is read before it is stored, `v(i+1)` just
+        // after, and `v(i)` itself walks backwards.
+        (down(bin("+", bin("*", U(0), Real(0)), V(-1))), false, true),
+        (down(bin("+", bin("*", V(1), Int(2)), S)), false, true),
+        (down(bin("*", V(0), Real(0))), false, true),
+        // `Fma` with an INTEGER scalar or integer immediates.
+        (Sweep::new(bin("+", V(0), bin("*", S, U(0)))), true, true),
+        (
+            Sweep::new(bin("-", Int(3), bin("*", U(0), Int(2)))),
+            false,
+            true,
+        ),
+        (Sweep::new(bin("+", U(0), bin("*", Real(0), S))), true, true),
+        (Sweep::new(bin("+", V(-1), bin("*", S, U(0)))), false, true),
+        // An integer product: neither `Fma` nor `Expr` may take it.
+        (Sweep::new(bin("+", U(0), bin("*", Int(2), S))), true, false),
+    ];
+    for (sweep, int_s, fuses) in cases {
+        let sweeps = [sweep];
+        for through_call in [false, true] {
+            let src = render(24, 3, "BLOCK", &sweeps, through_call, int_s, Some(4));
+            let fused = check(
+                &src,
+                Strategy::Interprocedural,
+                3,
+                DynOptLevel::Kills,
+                CommOpt::Full,
+            );
+            assert_eq!(fused > 0, fuses, "{src}");
+            let src = render(24, 3, "BLOCK", &sweeps, through_call, int_s, None);
+            let strategy = if sweeps[0].needs_rtr() {
+                Strategy::RuntimeResolution
+            } else {
+                Strategy::Interprocedural
+            };
+            check(&src, strategy, 3, DynOptLevel::Kills, CommOpt::Full);
+        }
+    }
 }
 
 proptest! {
@@ -523,38 +676,46 @@ proptest! {
 
     /// Random sweep bodies — the shapes the `Expr` kernel fuses and the
     /// ones it must refuse (integer-only subtrees, a REAL-or-INTEGER
-    /// scalar, comparisons feeding arithmetic) — agree with the tree
-    /// walker with kernels on and off.
+    /// scalar, comparisons feeding arithmetic) — on 1-D arrays and down
+    /// the columns of 2-D ones, ascending or descending, storing along
+    /// the loop or to one element, agree with the tree walker with
+    /// kernels on and off.
     #[test]
     fn engines_agree_on_generated_programs(
         n in 16i64..64,
         nprocs in 1usize..5,
         cyclic in any::<bool>(),
         sweeps in prop::collection::vec(
-            (1u64..5, prop::collection::vec(0u64..1 << 20, 15), 0i64..3),
+            (1u64..5, prop::collection::vec(0u64..1 << 20, 15), 0i64..3, 0u64..6),
             1..3,
         ),
         through_call in any::<bool>(),
         int_s in any::<bool>(),
+        two_d in any::<bool>(),
         strategy_idx in 0usize..3,
     ) {
         let dist = if cyclic { "CYCLIC" } else { "BLOCK" };
         let sweeps: Vec<_> = sweeps
             .into_iter()
-            .map(|(depth, picks, lo)| {
+            .map(|(depth, picks, lo_off, form)| {
                 let e = Expr::grow(depth, &mut picks.into_iter());
-                (if cyclic { e.unshifted() } else { e }, lo)
+                Sweep {
+                    // Only a distributed dimension needs unshifted sweeps.
+                    e: if cyclic && !two_d { e.unshifted() } else { e },
+                    lo_off,
+                    dst: [None, Some(1), Some(2)][form as usize / 2],
+                    down: form % 2 == 1,
+                }
             })
             .collect();
-        let src = render(n, nprocs, dist, &sweeps, through_call, int_s);
-        // Only `v(i-1)` reads below `i`. The compile-time strategies
-        // refuse that carried flow dependence on a distributed dimension
-        // (it needs pipelining), so a recurrence runs under run-time
-        // resolution.
-        let recurs = sweeps.iter().any(|(e, _)| e.offsets().0 < 0);
+        let cols = two_d.then_some(nprocs as i64 + 1);
+        let src = render(n, nprocs, dist, &sweeps, through_call, int_s, cols);
+        // Down a column the loop runs over an undistributed dimension,
+        // which every strategy takes.
+        let rtr = !two_d && sweeps.iter().any(Sweep::needs_rtr);
         check(
             &src,
-            if recurs { Strategy::RuntimeResolution } else { STRATEGIES[strategy_idx] },
+            if rtr { Strategy::RuntimeResolution } else { STRATEGIES[strategy_idx] },
             nprocs,
             DynOptLevel::Kills,
             CommOpt::Full,
