@@ -20,7 +20,7 @@
 use fortrand_analysis::acg::build_acg;
 use fortrand_analysis::framework::SolveStats;
 use fortrand_analysis::reaching::{self, DecompSpec};
-use fortrand_analysis::side_effects;
+use fortrand_analysis::side_effects::{self, SideEffects};
 use fortrand_analysis::{Acg, ReachingDecomps};
 use fortrand_frontend::ast::{SourceProgram, Stmt, StmtId, StmtKind, UnitKind};
 use fortrand_frontend::sema::{analyze, ProgramInfo};
@@ -42,6 +42,9 @@ pub struct CloneResult {
     /// set to the number of cloning rounds (the analysis is re-solved
     /// from scratch once per round).
     pub reaching_stats: SolveStats,
+    /// Side effects of the final program and their solver statistics
+    /// (the last round's solve, which judged that nothing needs cloning).
+    pub side_effects: (SideEffects, SolveStats),
     /// Clones created: original name → clone names in partition order.
     pub clones: BTreeMap<Sym, Vec<Sym>>,
     /// Units that still have multiple reaching decompositions (cloning
@@ -69,7 +72,7 @@ pub fn clone_for_decompositions(
         let (rd, mut rd_stats) = reaching::compute_with_stats(&prog, &info, &acg);
         rounds += 1;
         rd_stats.iterations = rounds;
-        let se = side_effects::compute(&prog, &info, &acg);
+        let (se, se_stats) = side_effects::compute_with_stats(&prog, &info, &acg);
 
         // Find the first unit (in topological order) needing cloning.
         #[allow(clippy::type_complexity)]
@@ -116,6 +119,7 @@ pub fn clone_for_decompositions(
                 acg,
                 reaching: rd,
                 reaching_stats: rd_stats,
+                side_effects: (se, se_stats),
                 clones,
                 unresolved,
             });

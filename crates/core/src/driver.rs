@@ -24,12 +24,12 @@ use crate::overlap::{self, Overlaps};
 use crate::recompile::{ModuleDb, Reason, UnitRecord};
 use crate::store::ArtifactStore;
 use fortrand_analysis::acg::Acg;
+use fortrand_analysis::consts;
 use fortrand_analysis::consts::InterConsts;
 use fortrand_analysis::framework::{FactStore, SolveStats};
 use fortrand_analysis::reaching::ReachingDecomps;
 use fortrand_analysis::registry::{self, SolverId};
 use fortrand_analysis::side_effects::SideEffects;
-use fortrand_analysis::{consts, side_effects};
 use fortrand_frontend::parse_program;
 use fortrand_frontend::sema::ProgramInfo;
 use fortrand_frontend::SourceProgram;
@@ -327,6 +327,7 @@ pub(crate) fn analyze(
         acg,
         reaching,
         reaching_stats,
+        side_effects,
         clones,
         unresolved,
     } = clone_for_decompositions(parsed, opts.clone_limit).map_err(CompileError::Graph)?;
@@ -349,19 +350,19 @@ pub(crate) fn analyze(
     // Phase 2b: remaining propagation problems, driven through the
     // registry — each Table 1 row carrying a framework solver handle runs
     // here, in registry order (available-sections runs post-codegen in
-    // [`compile`]; reaching was already solved as the cloning fixpoint,
-    // so its row just records the stats).
+    // [`compile`]). Reaching and side effects were already solved by the
+    // cloning fixpoint's last round on the final program — side effects
+    // ahead of the `Consts` row's ACG refinement, as its own row sits —
+    // so their rows just record the stats.
     let mut acg = acg;
     let mut pass_stats: Vec<SolveStats> = Vec::new();
     let mut ic = None;
-    let mut se = None;
+    let (se, se_stats) = side_effects;
     for row in registry::table1() {
         match row.solver {
             Some(SolverId::SideEffects) => {
-                let (r, st) = side_effects::compute_with_stats(&prog, &info, &acg);
-                fortrand_analysis::framework::record_solve(trace, &st);
-                se = Some(r);
-                pass_stats.push(st);
+                fortrand_analysis::framework::record_solve(trace, &se_stats);
+                pass_stats.push(se_stats.clone());
             }
             Some(SolverId::Consts) => {
                 let (r, st) = consts::compute_with_stats(&info, &acg);
@@ -384,7 +385,6 @@ pub(crate) fn analyze(
         }
     }
     let ic = ic.expect("registry carries the constants row");
-    let se = se.expect("registry carries the side-effects row");
     let overlaps = {
         let _span = trace.span(PID_COMPILE, 0, "driver", "overlap offsets");
         overlap::compute(&prog, &info, &acg)

@@ -1587,7 +1587,7 @@ fn m_expr(body: &[Instr], var: Slot) -> Option<(KBody, KCharges)> {
 }
 
 /// Deepest stack a postfix program reaches.
-fn expr_depth(code: &[KOp]) -> usize {
+pub(crate) fn expr_depth(code: &[KOp]) -> usize {
     let (mut d, mut max) = (0usize, 0usize);
     for op in code {
         match op {

@@ -13,10 +13,10 @@
 //! every simulated observable — virtual clocks, message counts, bytes,
 //! final arrays, printed lines — is bit-identical between engines.
 
-use crate::ir::{SBinOp, SpmdProgram};
+use crate::ir::{SBinOp, SIntr, SpmdProgram};
 use crate::lower::{
-    lower_with, op_idx, CallArgs, Instr, KAcc, KBody, KLoop, KOp, KSrc, Lowered, SecInstr, Slot,
-    EXPR_DEPTH, EXPR_NODES, NO_SLOT, N_OPCODES, OPCODE_NAMES,
+    expr_depth, lower_with, op_idx, CallArgs, Instr, KAcc, KBody, KLoop, KOp, KSrc, Lowered,
+    SecInstr, Slot, EXPR_DEPTH, EXPR_NODES, NO_SLOT, N_OPCODES, OPCODE_NAMES,
 };
 use crate::runtime::{
     apply_bin, apply_bin_r, apply_intr, assemble_outcome, begin_remap, begin_remap_global,
@@ -75,11 +75,11 @@ pub(crate) fn run_bytecode(
 }
 
 /// A fused loop's strided walk over one array's storage: iteration `k`
-/// touches `p[f0 + k*st]`. Only [`Vm::kacc_plan`] builds one, after
-/// checking both endpoints against the local bounds, which puts the
-/// index of every iteration `0 <= k < t` below `len`; debug builds check
-/// each index again. A walk lives inside one `run_kloop`, which never
-/// resizes array storage.
+/// touches `p[f0 + k*st]`. Outside this module's tests only
+/// [`Vm::kacc_plan`] builds one, after checking both endpoints against
+/// the local bounds, which puts the index of every iteration `0 <= k < t`
+/// below `len`; debug builds check each index again. A walk lives inside
+/// one `run_kloop`, which never resizes array storage.
 #[derive(Clone, Copy)]
 struct Walk {
     p: *mut f64,
@@ -108,6 +108,199 @@ impl Walk {
     fn set(&self, k: i64, v: f64) {
         // SAFETY: as `get`.
         unsafe { *self.at(k) = v }
+    }
+
+    /// Lowest and highest storage index of iterations `0..t`.
+    fn span(&self, t: i64) -> (i64, i64) {
+        let last = self.f0 + (t - 1) * self.st;
+        (self.f0.min(last), self.f0.max(last))
+    }
+}
+
+/// True when a fused loop of `t` iterations that stores through `dst` can
+/// evaluate its operands for many iterations before storing any: no
+/// iteration's read of `leaf` then returns an earlier iteration's store.
+/// That holds when `leaf` walks other storage, when it is `dst` itself
+/// with a non-zero stride (each iteration reads the element only it
+/// stores), or when the two touch disjoint index ranges (dgefa's
+/// `BUF$1(i)/BUF$1(k)` for `i > k`).
+fn reads_no_store(leaf: &Walk, dst: &Walk, t: i64) -> bool {
+    if leaf.p != dst.p {
+        return true;
+    }
+    if (leaf.f0, leaf.st) == (dst.f0, dst.st) {
+        return leaf.st != 0;
+    }
+    let ((ll, lh), (dl, dh)) = (leaf.span(t), dst.span(t));
+    lh < dl || dh < ll
+}
+
+/// A fused-loop operand on plain `f64`s, resolved once per loop: its
+/// value at iteration `k`.
+trait Lane: Copy {
+    fn lane(self, k: i64) -> f64;
+}
+
+/// A loop-invariant operand.
+impl Lane for f64 {
+    #[inline(always)]
+    fn lane(self, _: i64) -> f64 {
+        self
+    }
+}
+
+impl Lane for Walk {
+    #[inline(always)]
+    fn lane(self, k: i64) -> f64 {
+        self.get(k)
+    }
+}
+
+/// The product of two operands, in their source order.
+#[derive(Clone, Copy)]
+struct Prod<X, Y>(X, Y);
+
+impl<X: Lane, Y: Lane> Lane for Prod<X, Y> {
+    #[inline(always)]
+    fn lane(self, k: i64) -> f64 {
+        self.0.lane(k) * self.1.lane(k)
+    }
+}
+
+/// `dst[k] = f(a[k], b[k])` for `k` in `0..t`, in iteration order: one
+/// monomorphic loop per operand shape and operator.
+#[inline(always)]
+fn store_each(dst: Walk, t: i64, a: impl Lane, b: impl Lane, f: impl Fn(f64, f64) -> f64) {
+    for k in 0..t {
+        dst.set(k, f(a.lane(k), b.lane(k)));
+    }
+}
+
+/// Runs `$body` with `$f` bound to a closure computing `apply_bin_r($op,
+/// x, y)`, chosen once: the arithmetic operators each get a loop of
+/// their own with the operation inlined, the rest share one.
+macro_rules! with_bin_r {
+    ($op:expr, $f:ident => $body:expr) => {
+        match $op {
+            SBinOp::Add => {
+                let $f = |x: f64, y: f64| x + y;
+                $body
+            }
+            SBinOp::Sub => {
+                let $f = |x: f64, y: f64| x - y;
+                $body
+            }
+            SBinOp::Mul => {
+                let $f = |x: f64, y: f64| x * y;
+                $body
+            }
+            SBinOp::Div => {
+                let $f = |x: f64, y: f64| x / y;
+                $body
+            }
+            op => {
+                let $f = move |x: f64, y: f64| apply_bin_r(op, x, y);
+                $body
+            }
+        }
+    };
+}
+
+/// One planned node of a [`KBody::Expr`] program: a leaf read once or
+/// walked, or an operator.
+#[derive(Clone, Copy)]
+enum XNode {
+    C(f64),
+    M(Walk),
+    Bin(SBinOp),
+    Neg,
+}
+
+/// Evaluates `nodes` for iterations `0..t` in iteration order and stores
+/// each result through `dst`, so a recurrence such as
+/// `v(i) = v(i-1) + ...` reads the value just stored.
+fn expr_in_order(nodes: &[XNode], dst: Walk, t: i64) {
+    for k in 0..t {
+        let mut st = [0.0f64; EXPR_DEPTH];
+        let mut sp = 0;
+        for x in nodes {
+            match *x {
+                XNode::C(c) => {
+                    st[sp] = c;
+                    sp += 1;
+                }
+                XNode::M(w) => {
+                    st[sp] = w.get(k);
+                    sp += 1;
+                }
+                XNode::Bin(op) => {
+                    sp -= 1;
+                    st[sp - 1] = apply_bin_r(op, st[sp - 1], st[sp]);
+                }
+                XNode::Neg => st[sp - 1] = -st[sp - 1],
+            }
+        }
+        dst.set(k, st[0]);
+    }
+}
+
+/// True when `nodes` may run column-wise into `dst` for `t` iterations:
+/// every leaf walk [`reads_no_store`].
+fn columns_ok(nodes: &[XNode], dst: &Walk, t: i64) -> bool {
+    nodes.iter().all(|x| match x {
+        XNode::M(leaf) => reads_no_store(leaf, dst, t),
+        _ => true,
+    })
+}
+
+/// Most iterations a column-wise [`KBody::Expr`] evaluates per pass over
+/// its program.
+const CHUNK: usize = 64;
+
+/// Evaluates `nodes` a node at a time over chunks of up to `w`
+/// iterations: stack entry `s` is row `s` of `stack` (rows `w` wide;
+/// `stack` holds one row per entry the program needs). Every element sees
+/// the same f64 operations in the same order as in [`expr_in_order`];
+/// only the order between elements differs, so the two store the same
+/// bits whenever [`columns_ok`] holds.
+fn expr_columns(nodes: &[XNode], dst: Walk, t: i64, w: usize, stack: &mut [f64]) {
+    let mut k0 = 0i64;
+    while k0 < t {
+        let n = w.min((t - k0) as usize);
+        let mut sp = 0;
+        for x in nodes {
+            match *x {
+                XNode::C(c) => {
+                    stack[sp * w..][..n].fill(c);
+                    sp += 1;
+                }
+                XNode::M(walk) => {
+                    for (j, s) in stack[sp * w..][..n].iter_mut().enumerate() {
+                        *s = walk.get(k0 + j as i64);
+                    }
+                    sp += 1;
+                }
+                XNode::Bin(op) => {
+                    sp -= 1;
+                    let (l, r) = stack.split_at_mut(sp * w);
+                    let (l, r) = (&mut l[(sp - 1) * w..][..n], &r[..n]);
+                    with_bin_r!(op, f => {
+                        for (x, &y) in l.iter_mut().zip(r) {
+                            *x = f(*x, y);
+                        }
+                    });
+                }
+                XNode::Neg => {
+                    for s in &mut stack[(sp - 1) * w..][..n] {
+                        *s = -*s;
+                    }
+                }
+            }
+        }
+        for (j, &v) in stack[..n].iter().enumerate() {
+            dst.set(k0 + j as i64, v);
+        }
+        k0 += n as i64;
     }
 }
 
@@ -168,6 +361,8 @@ struct Vm<'a> {
     subs_buf: Vec<i64>,
     /// Scratch for section bound evaluation.
     dims_buf: Vec<(i64, i64, i64)>,
+    /// Evaluation stack of column-wise `Expr` kernels ([`expr_columns`]).
+    kstack: Vec<f64>,
     printed: Vec<String>,
     pending_flops: u64,
     pending_ops: u64,
@@ -225,6 +420,7 @@ impl<'a> Vm<'a> {
             sec_cache: (0..lowered.n_sites).map(|_| None).collect(),
             subs_buf: Vec::new(),
             dims_buf: Vec::new(),
+            kstack: Vec::new(),
             printed: Vec::new(),
             pending_flops: 0,
             pending_ops: 0,
@@ -467,7 +663,7 @@ impl<'a> Vm<'a> {
                 }
             };
         }
-        /// Resolved per-iteration operand: a constant or a strided walk.
+        /// Resolved operand: a loop-invariant value or a strided walk.
         enum Rop {
             C(Value),
             M(Walk),
@@ -480,12 +676,6 @@ impl<'a> Vm<'a> {
                 }
             };
         }
-        let rop_val = |r: &Rop, k: i64| -> Value {
-            match r {
-                Rop::C(v) => *v,
-                Rop::M(w) => Value::R(w.get(k)),
-            }
-        };
         match &kl.body {
             KBody::Fill { dst, v } => {
                 let d = plan!(dst);
@@ -502,49 +692,26 @@ impl<'a> Vm<'a> {
                 }
             }
             KBody::Expr { dst, code } => {
-                /// One planned node: a leaf read once or walked, or an
-                /// operator.
-                #[derive(Clone, Copy)]
-                enum X {
-                    C(f64),
-                    M(Walk),
-                    Bin(SBinOp),
-                    Neg,
-                }
-                let mut nodes = [X::Neg; EXPR_NODES];
+                let mut nodes = [XNode::Neg; EXPR_NODES];
                 for (x, op) in nodes.iter_mut().zip(code.iter()) {
                     *x = match op {
-                        KOp::Leaf(KSrc::Elem(a)) => X::M(plan!(a)),
-                        KOp::Leaf(s) => X::C(self.ksrc_val(s, s_base).as_r()),
-                        KOp::Bin(op) => X::Bin(*op),
-                        KOp::Neg => X::Neg,
+                        KOp::Leaf(KSrc::Elem(a)) => XNode::M(plan!(a)),
+                        KOp::Leaf(s) => XNode::C(self.ksrc_val(s, s_base).as_r()),
+                        KOp::Bin(op) => XNode::Bin(*op),
+                        KOp::Neg => XNode::Neg,
                     };
                 }
                 let nodes = &nodes[..code.len()];
                 let d = plan!(dst);
-                // In iteration order, so a recurrence such as
-                // `v(i) = v(i-1) + ...` reads the value just stored.
-                for k in 0..t {
-                    let mut st = [0.0f64; EXPR_DEPTH];
-                    let mut sp = 0;
-                    for x in nodes {
-                        match *x {
-                            X::C(c) => {
-                                st[sp] = c;
-                                sp += 1;
-                            }
-                            X::M(w) => {
-                                st[sp] = w.get(k);
-                                sp += 1;
-                            }
-                            X::Bin(op) => {
-                                sp -= 1;
-                                st[sp - 1] = apply_bin_r(op, st[sp - 1], st[sp]);
-                            }
-                            X::Neg => st[sp - 1] = -st[sp - 1],
-                        }
+                if columns_ok(nodes, &d, t) {
+                    let w = CHUNK.min(t as usize);
+                    let rows = expr_depth(code) * w;
+                    if self.kstack.len() < rows {
+                        self.kstack.resize(rows, 0.0);
                     }
-                    d.set(k, st[0]);
+                    expr_columns(nodes, d, t, w, &mut self.kstack);
+                } else {
+                    expr_in_order(nodes, d, t);
                 }
             }
             KBody::Fma {
@@ -554,16 +721,32 @@ impl<'a> Vm<'a> {
                 ml,
                 mr,
             } => {
-                let racc = operand!(acc);
-                let rml = operand!(ml);
-                let rmr = operand!(mr);
+                let (a, x, y) = (operand!(acc), operand!(ml), operand!(mr));
                 let d = plan!(dst);
-                for k in 0..t {
-                    let x = rop_val(&rml, k);
-                    let y = rop_val(&rmr, k);
-                    let m = apply_bin(SBinOp::Mul, x, y);
-                    let a = rop_val(&racc, k);
-                    d.set(k, apply_bin(*op, a, m).as_r());
+                // A multiplicand is always real (the matcher's guard), so
+                // the product is, and both operations take `apply_bin`'s
+                // mixed arm: f64 arithmetic on the operands' `as_r`, in
+                // iteration order as the operands may alias `dst`.
+                let sub = match op {
+                    SBinOp::Add => false,
+                    SBinOp::Sub => true,
+                    _ => unreachable!("Fma adds or subtracts its product"),
+                };
+                macro_rules! fma {
+                    ($m:expr) => {
+                        match (a, sub) {
+                            (Rop::C(c), false) => store_each(d, t, c.as_r(), $m, |a, m| a + m),
+                            (Rop::C(c), true) => store_each(d, t, c.as_r(), $m, |a, m| a - m),
+                            (Rop::M(w), false) => store_each(d, t, w, $m, |a, m| a + m),
+                            (Rop::M(w), true) => store_each(d, t, w, $m, |a, m| a - m),
+                        }
+                    };
+                }
+                match (x, y) {
+                    (Rop::M(x), Rop::M(y)) => fma!(Prod(x, y)),
+                    (Rop::M(x), Rop::C(y)) => fma!(Prod(x, y.as_r())),
+                    (Rop::C(x), Rop::M(y)) => fma!(Prod(x.as_r(), y)),
+                    (Rop::C(x), Rop::C(y)) => fma!(apply_bin(SBinOp::Mul, x, y).as_r()),
                 }
             }
             KBody::RedBin {
@@ -573,16 +756,27 @@ impl<'a> Vm<'a> {
                 acc_left,
             } => {
                 let e = plan!(e);
-                let mut acc = self.scalars[s_base + *slot as usize];
-                for k in 0..t {
-                    let ev = Value::R(e.get(k));
-                    acc = if *acc_left {
-                        apply_bin(*op, acc, ev)
+                let acc = &mut self.scalars[s_base + *slot as usize];
+                // The element is real, so every step takes `apply_bin`'s
+                // mixed arm whatever the accumulator holds: f64 arithmetic
+                // on its `as_r`, a truth value kept as 0.0 or 1.0.
+                let mut a = acc.as_r();
+                with_bin_r!(*op, f => {
+                    if *acc_left {
+                        for k in 0..t {
+                            a = f(a, e.get(k));
+                        }
                     } else {
-                        apply_bin(*op, ev, acc)
-                    };
-                }
-                self.scalars[s_base + *slot as usize] = acc;
+                        for k in 0..t {
+                            a = f(e.get(k), a);
+                        }
+                    }
+                });
+                *acc = if op.is_boolean() {
+                    Value::I(a as i64)
+                } else {
+                    Value::R(a)
+                };
             }
             KBody::Swap { x, y, tmp } => {
                 let x = plan!(x);
@@ -607,21 +801,35 @@ impl<'a> Vm<'a> {
                 idx,
             } => {
                 let e = plan!(e);
-                let mut best = self.scalars[s_base + *dmax as usize];
-                let mut best_i: Option<i64> = None;
+                // `intr` of a real is real, and comparing it takes
+                // `apply_bin`'s mixed arm whatever `dmax` holds, truthy
+                // when the f64 result truncates to non-zero.
+                let mut best = self.scalars[s_base + *dmax as usize].as_r();
+                let mut best_k: Option<i64> = None;
                 let mut takes = 0u64;
-                for k in 0..t {
-                    let av = Value::R(e.get(k));
-                    let m = apply_intr(*intr, &[av]);
-                    if apply_bin(*cmp, m, best).truthy() {
-                        takes += 1;
-                        best = m;
-                        best_i = Some(i0 + k * step);
-                    }
+                macro_rules! scan {
+                    ($intr:expr, $takes:expr) => {{
+                        let (intr_r, take) = ($intr, $takes);
+                        for k in 0..t {
+                            let m = intr_r(e.get(k));
+                            if take(m, best) {
+                                takes += 1;
+                                best = m;
+                                best_k = Some(k);
+                            }
+                        }
+                    }};
                 }
-                self.scalars[s_base + *dmax as usize] = best;
-                if let Some(bi) = best_i {
-                    self.scalars[s_base + *idx as usize] = Value::I(bi);
+                match (intr, cmp) {
+                    (SIntr::Abs, SBinOp::Gt) => scan!(|x: f64| x.abs(), |m: f64, b: f64| m > b),
+                    _ => scan!(
+                        |x| apply_intr(*intr, &[Value::R(x)]).as_r(),
+                        |m, b| apply_bin_r(*cmp, m, b) as i64 != 0
+                    ),
+                }
+                if let Some(k) = best_k {
+                    self.scalars[s_base + *dmax as usize] = Value::R(best);
+                    self.scalars[s_base + *idx as usize] = Value::I(i0 + k * step);
                 }
                 self.pending_ops += takes * kl.taken_ops;
                 self.pending_flops += takes * kl.taken_flops;
@@ -1300,5 +1508,120 @@ fn exec(vm: &mut Vm, node: &mut Node) -> Yield {
         if !switched {
             return Yield::Done;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn walk(data: &mut [f64], f0: i64, st: i64) -> Walk {
+        Walk {
+            p: data.as_mut_ptr(),
+            len: data.len(),
+            f0,
+            st,
+        }
+    }
+
+    /// The column-wise precondition, judged for an 8-iteration loop.
+    #[test]
+    fn reads_no_store_judges_each_walk_shape() {
+        let (mut v, mut u) = (vec![0.0; 32], vec![0.0; 32]);
+        let (v, u) = (walk(&mut v, 0, 0), walk(&mut u, 0, 0));
+        let v_at = |f0, st| Walk { f0, st, ..v };
+        let ok = |leaf: Walk, dst: Walk| reads_no_store(&leaf, &dst, 8);
+        // `v(i)` for `i` in 2..=9 (storage indices 2..=9).
+        let dst = v_at(2, 1);
+        // The identical walk: each iteration reads only what it stores.
+        assert!(ok(v_at(2, 1), dst));
+        // Shifted overlap either way: `v(i-1)` reads the previous
+        // iteration's store; `v(i+1)` is refused just the same.
+        assert!(!ok(v_at(1, 1), dst));
+        assert!(!ok(v_at(3, 1), dst));
+        // A fixed index inside the stored range, and outside it (dgefa's
+        // `BUF$1(k)` below `i`); a disjoint walk above the range.
+        assert!(!ok(v_at(5, 0), dst));
+        assert!(ok(v_at(0, 0), dst));
+        assert!(ok(v_at(10, 1), dst));
+        // The identical walk with stride 0: `v(1) = v(1) + u(i)`.
+        assert!(!ok(v_at(1, 0), v_at(1, 0)));
+        // Negative strides: descending over the stored range is identical
+        // or overlapping; one range below it is disjoint.
+        assert!(ok(v_at(17, -1), v_at(17, -1)));
+        assert!(!ok(v_at(9, -1), dst));
+        assert!(ok(v_at(7, -1), v_at(17, -1)));
+        // A column of a row-major 2-D array, width 4, against its
+        // neighbour: interleaved, so refused though no index is shared.
+        assert!(!ok(v_at(0, 4), v_at(1, 4)));
+        // Other storage, however it walks.
+        for (f0, st) in [(2, 1), (1, 1), (2, 0), (9, -1)] {
+            assert!(ok(Walk { f0, st, ..u }, dst));
+        }
+    }
+
+    /// Column-wise evaluation stores what iteration order stores when
+    /// every leaf passes [`reads_no_store`] — over several chunks and a
+    /// ragged last one, at full and odd row widths — and on a recurrence,
+    /// which fails it, would not.
+    #[test]
+    fn columns_match_iteration_order_when_no_leaf_reads_a_store() {
+        let t = 2 * CHUNK as i64 + 5;
+        let len = t as usize + 1;
+        let fresh = || -> Vec<f64> {
+            (0..len)
+                .map(|i| ((i * 37 + 11) % 101) as f64 * 0.5 - 20.0)
+                .collect()
+        };
+        let u = &mut fresh();
+        // `v(i+1) = -(v(i+1)/u(i) - v(0)*0.25)`, and the recurrence
+        // `v(i+1) = v(i)*0.5 + 1.0`; each with its destination.
+        let scaled = |v: &mut [f64], u: &mut [f64]| {
+            let prog = vec![
+                XNode::M(walk(v, 1, 1)),
+                XNode::M(walk(u, 0, 1)),
+                XNode::Bin(SBinOp::Div),
+                XNode::M(walk(v, 0, 0)),
+                XNode::C(0.25),
+                XNode::Bin(SBinOp::Mul),
+                XNode::Bin(SBinOp::Sub),
+                XNode::Neg,
+            ];
+            (prog, walk(v, 1, 1))
+        };
+        let recurrence = |v: &mut [f64], _: &mut [f64]| {
+            let prog = vec![
+                XNode::M(walk(v, 0, 1)),
+                XNode::C(0.5),
+                XNode::Bin(SBinOp::Mul),
+                XNode::C(1.0),
+                XNode::Bin(SBinOp::Add),
+            ];
+            (prog, walk(v, 1, 1))
+        };
+        type Prog<'a> = &'a dyn Fn(&mut [f64], &mut [f64]) -> (Vec<XNode>, Walk);
+        let in_order = |prog: Prog, u: &mut [f64]| {
+            let mut v = fresh();
+            let (nodes, dst) = prog(&mut v, u);
+            expr_in_order(&nodes, dst, t);
+            v
+        };
+        let columns = |prog: Prog, u: &mut [f64], w: usize| {
+            let mut v = fresh();
+            let (nodes, dst) = prog(&mut v, u);
+            let independent = columns_ok(&nodes, &dst, t);
+            expr_columns(&nodes, dst, t, w, &mut vec![0.0; 3 * w]);
+            (independent, v)
+        };
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let want = bits(&in_order(&scaled, u));
+        for w in [CHUNK, 7] {
+            let (independent, got) = columns(&scaled, u, w);
+            assert!(independent);
+            assert_eq!(bits(&got), want, "row width {w}");
+        }
+        let (independent, got) = columns(&recurrence, u, CHUNK);
+        assert!(!independent);
+        assert_ne!(bits(&got), bits(&in_order(&recurrence, u)));
     }
 }
