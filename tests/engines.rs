@@ -722,3 +722,57 @@ proptest! {
         );
     }
 }
+
+/// One `Gather` site packing from two local-bound sets of one array:
+/// FIG15 with a shifted read ahead of the `k` loop, which gives `X` an
+/// overlap cell (`X(0:25)`), and broadcasts of `X(1)` and `X(k)` inside the
+/// loop. Under `DynOptLevel::None` each trip remaps `X` to CYCLIC and back
+/// around each `call F1`, and a remap allocates `X` at its owned bounds
+/// (`1:25`). So the broadcast of `X(1)` packs the same section from
+/// `X(0:25)` on the first trip and from `X(1:25)` on the others, where the
+/// element sits one place lower; the section of `X(k)` moves every trip.
+/// Tree, VM fused and VM unfused agree, buffer-pool counters included. (A
+/// shifted read *inside* the loop would receive into `X(0)` after a
+/// remap, which the remapped store lacks: every engine stops with a
+/// subscript error.)
+#[test]
+fn one_section_site_under_two_local_bound_sets() {
+    let src = FIG15
+        .replace("REAL X(100)\n      PARAMETER", "REAL X(100), Y(100)\n      PARAMETER")
+        .replace(
+            "DISTRIBUTE X(BLOCK)\n",
+            "DISTRIBUTE X(BLOCK)\n      DISTRIBUTE Y(BLOCK)\n      do i = 2,100\n        Y(i) = X(i-1)\n      enddo\n",
+        )
+        .replace(
+            "do k = 1,t\n",
+            "do k = 1,t\n        do i = 1,100\n          Y(i) = X(1) + X(k) + Y(i)\n        enddo\n",
+        );
+    let opts = CompileOptions::builder()
+        .nprocs(4)
+        .dyn_opt(DynOptLevel::None)
+        .build();
+    let out = compile(&src, &opts).unwrap();
+    let listing = fortrand_spmd::print::pretty_all(&out.spmd);
+    assert!(listing.contains("REAL X(0:25)"), "{listing}");
+    for site in ["broadcast X(local(1))", "broadcast X(local(k))"] {
+        assert!(listing.contains(site), "{listing}");
+    }
+    let mut init = BTreeMap::new();
+    for (name, data) in default_init(&src) {
+        init.insert(out.spmd.interner.get(&name).unwrap(), data);
+    }
+    let run = |exec_opts: ExecOptions| {
+        try_run_spmd(&out.spmd, &Machine::new(4), &init, &exec_opts)
+            .unwrap_or_else(|f| panic!("{f}"))
+    };
+    let tree = run(ExecOptions::new().backend(Tree));
+    let fused = run(ExecOptions::new().backend(Bytecode));
+    let plain = run(ExecOptions::new().backend(Bytecode).kernels(false));
+    assert_identical(&tree, &fused, "kernels-on");
+    assert_identical(&tree, &plain, "kernels-off");
+    let pool = |o: &RunOutcome| (o.stats.pool_allocs, o.stats.pool_reuses);
+    assert_eq!(
+        [pool(&tree), pool(&fused), pool(&plain)],
+        [(5, 6), (3, 8), (3, 8)]
+    );
+}
