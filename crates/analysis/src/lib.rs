@@ -24,6 +24,8 @@
 //! computed *during interprocedural code generation* (paper §5), so they
 //! live in the `fortrand` compiler crate; [`registry`] indexes them all.
 
+#![forbid(unsafe_code)]
+
 pub mod acg;
 pub mod consts;
 pub mod depend;

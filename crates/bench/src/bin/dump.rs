@@ -4,6 +4,8 @@
 //! cargo run -p fortrand-bench --bin dump -- dgefa 8 4
 //! ```
 
+#![forbid(unsafe_code)]
+
 use fortrand::corpus::dgefa_source;
 use fortrand::CompileOptions;
 use fortrand_bench::compile;

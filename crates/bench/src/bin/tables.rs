@@ -18,6 +18,8 @@
 //! spans and the per-rank simulated message timeline; the file is
 //! self-validated before exit.
 
+#![forbid(unsafe_code)]
+
 use fortrand::corpus::{dgefa_matrix, dgefa_source};
 use fortrand::recompile::{self, ModuleDb};
 use fortrand::{

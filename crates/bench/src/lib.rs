@@ -12,6 +12,8 @@
 //! judged in one place, `benchmark/`; nothing here records or compares
 //! it. See EXPERIMENTS.md for the paper-vs-measured record.
 
+#![forbid(unsafe_code)]
+
 use fortrand::corpus::{dgefa_matrix, dgefa_source, fig15_source, fig4_source, relax_source};
 use fortrand::json::Json;
 use fortrand::{CommOpt, CompileOptions, DynOptLevel, Strategy};

@@ -39,6 +39,8 @@
 //! [`ChromeTraceSink`] over a file — and the same run additionally yields
 //! a timeline of compile phases and simulated per-rank messages.
 
+#![forbid(unsafe_code)]
+
 pub mod cloning;
 pub mod codegen;
 pub mod corpus;

@@ -17,6 +17,8 @@
 //! 4, 15), the dgefa case study and the benchmark generators need; see
 //! DESIGN.md §2 for the subset argument.
 
+#![forbid(unsafe_code)]
+
 pub mod ast;
 pub mod error;
 pub mod lexer;

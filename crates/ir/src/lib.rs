@@ -20,6 +20,8 @@
 //! and every later phase (dependence analysis, reaching decompositions,
 //! partitioning, communication, overlaps) manipulates only these types.
 
+#![forbid(unsafe_code)]
+
 pub mod affine;
 pub mod dist;
 pub mod intern;

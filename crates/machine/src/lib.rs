@@ -26,6 +26,8 @@
 //! volumes are exactly reproducible run to run, which is what lets the
 //! benchmark harness regenerate the paper's performance comparisons stably.
 
+#![forbid(unsafe_code)]
+
 mod closure;
 mod collective;
 mod cost;

@@ -23,6 +23,8 @@
 //! whole. So the crate is **std-only with zero dependencies**, and what
 //! is hot carries `#[inline]`: neither build links it with LTO.
 
+#![forbid(unsafe_code)]
+
 // A new module file must also be listed in `fortrand_spmd::codegen::RT_SRC`,
 // which embeds this crate's sources for the native backend.
 pub mod dist;

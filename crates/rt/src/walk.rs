@@ -452,6 +452,41 @@ mod proptests {
         }
     }
 
+    /// `pack` appends a strided section of a rank-8 store (above the
+    /// odometer's stack rank) in row-major order, and `unpack` puts it back
+    /// and touches nothing else, in either storage order.
+    #[test]
+    fn pack_unpack_round_trip_rank_8() {
+        fn round_trip<const COLUMN_MAJOR: bool>() {
+            let extents = [2, 3, 2, 2, 1, 2, 2, 3];
+            let mut src = Store::<COLUMN_MAJOR>::new(&extents);
+            for (i, x) in src.data.iter_mut().enumerate() {
+                *x = i as f64 + 0.5;
+            }
+            let dims: Vec<(i64, i64, i64)> = (extents.iter())
+                .map(|&e| if e == 3 { (1, 3, 2) } else { (1, e, 1) })
+                .collect();
+            let mut buf = vec![-1.0];
+            pack(&src, &dims, &mut buf);
+            let mut payload = vec![-1.0];
+            rect_for_each(&dims, |pt| payload.push(src.get(pt)));
+            assert_eq!(buf, payload);
+            let mut dst = Store::<COLUMN_MAJOR>::new(&extents);
+            unpack(&mut dst, &dims, &buf[1..]);
+            let whole: Vec<(i64, i64, i64)> = extents.iter().map(|&e| (1, e, 1)).collect();
+            rect_for_each(&whole, |pt| {
+                let inside = pt
+                    .iter()
+                    .zip(&dims)
+                    .all(|(&x, &(lo, _, st))| (x - lo) % st == 0);
+                let want = if inside { src.get(pt) } else { 0.0 };
+                assert_eq!(dst.get(pt), want, "{pt:?}");
+            });
+        }
+        round_trip::<false>();
+        round_trip::<true>();
+    }
+
     /// One dimension of a generated distribution: mapping kind and
     /// alignment offset.
     type Dim = (DistKind, i64);

@@ -11,6 +11,8 @@
 //! subcommand runs the in-process load generator and prints the report
 //! as JSON on stdout (the same report `tables serve` prints as text).
 
+#![forbid(unsafe_code)]
+
 use fortrand_serve::{run_load, LoadConfig, Server, ServerConfig};
 
 fn arg_value(args: &[String], flag: &str) -> Option<String> {

@@ -28,6 +28,8 @@
 //! The [`loadgen`] module is the load-generator harness behind
 //! `tables serve` and `fortrand-serve load`.
 
+#![forbid(unsafe_code)]
+
 pub mod loadgen;
 pub mod protocol;
 pub mod server;

@@ -37,6 +37,8 @@
 //! exits nonzero; final arrays travel separately through a little-endian
 //! binary file (see [`drive`]).
 
+#![forbid(unsafe_code)]
+
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};

@@ -27,6 +27,8 @@
 //! runs it for real. All three produce identical program-defined
 //! observables; pick one with [`ExecOptions::backend`].
 
+#![deny(unsafe_code)]
+
 pub mod codegen;
 pub mod interp;
 pub mod ir;

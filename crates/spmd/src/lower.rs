@@ -33,10 +33,10 @@ pub(crate) type Reg = u16;
 pub(crate) type Slot = u16;
 
 /// Section operand: per-dimension `(lo, hi)` bound registers and the
-/// static step. `site` indexes the VM's per-site enumeration cache.
+/// static step. The VM evaluates the bounds each time the section runs and
+/// hands them to `fortrand_rt::{pack, unpack}`.
 #[derive(Debug)]
 pub(crate) struct SecInstr {
-    pub site: u32,
     pub dims: Vec<(Reg, Reg, i64)>,
 }
 
@@ -597,8 +597,6 @@ pub(crate) struct LProc {
 /// A lowered program.
 pub(crate) struct Lowered {
     pub procs: Vec<LProc>,
-    /// Number of distinct section sites (sizes the VM's per-site cache).
-    pub n_sites: usize,
 }
 
 /// Per-procedure symbol layout (phase A).
@@ -666,7 +664,6 @@ fn layout_proc(p: &SProc) -> Layout {
 /// scalar windows into `MovVar`/`BinSS`/`LdElemVar`.
 pub(crate) fn lower_with(prog: &SpmdProgram, fuse: bool) -> Lowered {
     let layouts: Vec<Layout> = prog.procs.iter().map(layout_proc).collect();
-    let mut n_sites = 0u32;
     let procs = prog
         .procs
         .iter()
@@ -710,7 +707,6 @@ pub(crate) fn lower_with(prog: &SpmdProgram, fuse: bool) -> Lowered {
                 code: Vec::new(),
                 next_reg: 0,
                 max_reg: 0,
-                n_sites: &mut n_sites,
             };
             lw.lower_body(&p.body);
             lw.code.push(Instr::Return);
@@ -727,10 +723,7 @@ pub(crate) fn lower_with(prog: &SpmdProgram, fuse: bool) -> Lowered {
             }
         })
         .collect();
-    Lowered {
-        procs,
-        n_sites: n_sites as usize,
-    }
+    Lowered { procs }
 }
 
 struct ProcLowerer<'p> {
@@ -743,7 +736,6 @@ struct ProcLowerer<'p> {
     code: Vec<Instr>,
     next_reg: u16,
     max_reg: u16,
-    n_sites: &'p mut u32,
 }
 
 impl ProcLowerer<'_> {
@@ -1046,10 +1038,8 @@ impl ProcLowerer<'_> {
     }
 
     /// Lowers a section's bound expressions (kept live until the consuming
-    /// Gather/Scatter executes) into a [`SecInstr`] with a fresh site id.
+    /// Gather/Scatter executes) into a [`SecInstr`].
     fn lower_section(&mut self, r: &SRect) -> Box<SecInstr> {
-        let site = *self.n_sites;
-        *self.n_sites += 1;
         let dims = r
             .dims
             .iter()
@@ -1059,7 +1049,7 @@ impl ProcLowerer<'_> {
                 (lr, hr, *step)
             })
             .collect();
-        Box::new(SecInstr { site, dims })
+        Box::new(SecInstr { dims })
     }
 
     fn lower_body(&mut self, body: &[SStmt]) {

@@ -343,22 +343,25 @@ impl ArrayStore {
     }
     pub fn flat(&self, subs: &[i64]) -> usize {
         debug_assert_eq!(subs.len(), self.bounds.len());
-        let mut flat = 0usize;
+        let mut flat = 0;
         for (d, &x) in subs.iter().enumerate() {
-            let (lo, hi) = self.bounds[d];
-            assert!(
-                x >= lo && x <= hi,
-                "subscript {} out of local bounds {}:{} (dim {}) of array",
-                x,
-                lo,
-                hi,
-                d
-            );
-            let width = (hi - lo + 1) as usize;
-            flat = flat * width + (x - lo) as usize;
+            flat = flat_step(flat, self.bounds[d], x, d);
         }
         flat
     }
+}
+
+/// One dimension of a row-major storage offset: `flat`, the offset of the
+/// dimensions before `dim`, extended by subscript `x` within `(lo, hi)`.
+/// An `x` outside panics with the subscript diagnostic every engine
+/// reports.
+#[inline]
+pub(crate) fn flat_step(flat: usize, (lo, hi): (i64, i64), x: i64, dim: usize) -> usize {
+    assert!(
+        x >= lo && x <= hi,
+        "subscript {x} out of local bounds {lo}:{hi} (dim {dim}) of array"
+    );
+    flat * (hi - lo + 1) as usize + (x - lo) as usize
 }
 
 impl LocalStore for ArrayStore {

@@ -4,9 +4,10 @@
 //! loop over dense instructions. All state lives in contiguous stacks
 //! shared across frames (scalar slots, array table, registers) indexed by
 //! per-frame bases, so there is no per-statement hashing or allocation on
-//! the hot path. Section enumerations are cached per lowering site
-//! ([`SecEntry`]) keyed by the evaluated bounds and the target array's
-//! current local bounds (remaps invalidate naturally).
+//! the hot path. Message sections are packed and unpacked by
+//! `fortrand_rt::{pack, unpack}`, the routines the tree engine and native
+//! node programs call. Every access is bounds-checked except the strided
+//! walks of fused loops ([`Walk`]), whose endpoints are checked once.
 //!
 //! The VM charges the exact same flop/op inventory as the tree engine
 //! ([`crate::interp`]) and flushes it at the same communication points, so
@@ -20,12 +21,12 @@ use crate::lower::{
 };
 use crate::runtime::{
     apply_bin, apply_bin_r, apply_intr, assemble_outcome, begin_remap, begin_remap_global,
-    mark_dist_store, scatter_init_store, ArrayStore, Remap, RunOutcome, Value,
+    flat_step, mark_dist_store, scatter_init_store, ArrayStore, Remap, RunOutcome, Value,
 };
 use fortrand_ir::dist::ArrayDist;
 use fortrand_ir::Sym;
 use fortrand_machine::{Machine, Node, Payload, RankTask, Wait, Yield};
-use fortrand_rt::{rect_for_each, slot};
+use fortrand_rt::{pack, rect_len, slot, unpack};
 use std::collections::BTreeMap;
 
 /// Runs `prog` under the bytecode engine. Lowering happens once; the
@@ -79,7 +80,9 @@ pub(crate) fn run_bytecode(
 /// [`Vm::kacc_plan`] builds one, after checking both endpoints against
 /// the local bounds, which puts the index of every iteration `0 <= k < t`
 /// below `len`; debug builds check each index again. A walk lives inside
-/// one `run_kloop`, which never resizes array storage.
+/// one `run_kloop`, which never resizes array storage. Its accessors are
+/// the only `unsafe` code in the crate (`lib.rs` denies it elsewhere):
+/// walks of one array may alias, so they hold raw pointers.
 #[derive(Clone, Copy)]
 struct Walk {
     p: *mut f64,
@@ -88,6 +91,7 @@ struct Walk {
     st: i64,
 }
 
+#[allow(unsafe_code)]
 impl Walk {
     #[inline(always)]
     fn at(&self, k: i64) -> *mut f64 {
@@ -304,15 +308,6 @@ fn expr_columns(nodes: &[XNode], dst: Walk, t: i64, w: usize, stack: &mut [f64])
     }
 }
 
-/// Cached enumeration of one section site: the evaluated bounds it was
-/// built for and the flattened storage offsets of its points in row-major
-/// (last dimension fastest) order.
-struct SecEntry {
-    dims: Vec<(i64, i64, i64)>,
-    bounds: Vec<(i64, i64)>,
-    flats: Vec<u32>,
-}
-
 /// Activation record. `ret_pc` resumes the caller after the `Call` at
 /// `call_pc` (whose operand also carries the copy-out plan read on return).
 struct FrameMark {
@@ -356,7 +351,6 @@ struct Vm<'a> {
     /// The remap a suspended `Remap`/`RemapGlobal` is in the middle of:
     /// everything sent, some sources' messages still to come.
     remap: Option<Remap>,
-    sec_cache: Vec<Option<SecEntry>>,
     /// Scratch for subscript evaluation (avoids per-access allocation).
     subs_buf: Vec<i64>,
     /// Scratch for section bound evaluation.
@@ -417,7 +411,6 @@ impl<'a> Vm<'a> {
             posted_recv: Vec::new(),
             posted_bcast: Vec::new(),
             remap: None,
-            sec_cache: (0..lowered.n_sites).map(|_| None).collect(),
             subs_buf: Vec::new(),
             dims_buf: Vec::new(),
             kstack: Vec::new(),
@@ -860,32 +853,16 @@ impl<'a> Vm<'a> {
         Ok(())
     }
 
-    /// Evaluates a section's bounds from registers and returns its point
-    /// count, (re)building the site's cached enumeration when the bounds
-    /// or the target array's local bounds changed.
-    fn ensure_section(&mut self, sec: &SecInstr, store_id: usize, r_base: usize) -> usize {
+    /// Evaluates a section's bounds from registers into `dims_buf` and
+    /// returns its point count.
+    fn section_dims(&mut self, sec: &SecInstr, r_base: usize) -> usize {
         self.dims_buf.clear();
         for &(lo, hi, step) in &sec.dims {
             let l = self.regs[r_base + lo as usize].as_i();
             let h = self.regs[r_base + hi as usize].as_i();
             self.dims_buf.push((l, h, step));
         }
-        let store = &self.heap[store_id];
-        if let Some(e) = &self.sec_cache[sec.site as usize] {
-            if e.dims == self.dims_buf && e.bounds == store.bounds {
-                return e.flats.len();
-            }
-        }
-        let dims = &self.dims_buf;
-        let mut flats: Vec<u32> = Vec::new();
-        rect_for_each(dims, |pt| flats.push(store.flat(pt) as u32));
-        let n = flats.len();
-        self.sec_cache[sec.site as usize] = Some(SecEntry {
-            dims: self.dims_buf.clone(),
-            bounds: store.bounds.clone(),
-            flats,
-        });
-        n
+        rect_len(&self.dims_buf)
     }
 }
 
@@ -893,13 +870,10 @@ impl<'a> Vm<'a> {
 /// code and frame bases after every call/return; the inner loop dispatches
 /// until the frame changes or the program halts.
 ///
-/// Hot arms access the register and scalar files through unchecked raw
-/// pointers: lowering guarantees every operand index is below the frame's
-/// `n_regs`/`n_slots`, and the stacks are resized to exactly
-/// `base + n_regs`/`base + n_slots` on frame entry, so `base + idx` is
-/// always in bounds (debug builds assert it). The pointers are re-derived
-/// at each use, so frame switches and arms that call `&mut Vm` methods
-/// never hold a stale pointer.
+/// Registers, scalar slots and elements are read and written with
+/// checked indexing: a bad operand index or subscript panics, which fails
+/// the rank. Lowering keeps operand indices below the frame's
+/// `n_regs`/`n_slots`, so in a well-formed program only subscripts fail.
 ///
 /// Returns when the program halts ([`Yield::Done`]) or a communication
 /// instruction cannot complete ([`Yield::Blocked`]); `pc` and the frame
@@ -912,43 +886,26 @@ fn exec(vm: &mut Vm, node: &mut Node) -> Yield {
         let fr = vm.frames.last().unwrap();
         let (s_base, a_base, r_base) = (fr.s_base, fr.a_base, fr.r_base);
         let code = &lowered.procs[fr.proc].code;
-        /// Reads register `$i` of the current frame (unchecked).
+        /// Register `$i` of the current frame.
         macro_rules! reg {
-            ($i:expr) => {{
-                let idx = r_base + $i as usize;
-                debug_assert!(idx < vm.regs.len());
-                unsafe { *vm.regs.as_ptr().add(idx) }
-            }};
+            ($i:expr) => {
+                vm.regs[r_base + $i as usize]
+            };
         }
-        /// Writes register `$i` of the current frame (unchecked).
-        macro_rules! reg_set {
-            ($i:expr, $v:expr) => {{
-                let idx = r_base + $i as usize;
-                debug_assert!(idx < vm.regs.len());
-                let v = $v;
-                unsafe { *vm.regs.as_mut_ptr().add(idx) = v }
-            }};
+        /// Scalar slot `$i` of the current frame.
+        macro_rules! var {
+            ($i:expr) => {
+                vm.scalars[s_base + $i as usize]
+            };
         }
-        /// Computes the flat storage offset of an element access on
-        /// `$store` whose subscripts sit in registers `$first..+$n`,
-        /// with the same per-dimension bounds panic as
-        /// [`ArrayStore::flat`]. In-bounds subscripts imply
-        /// `flat < data.len()` (storage is the product of the widths).
+        /// The flat storage offset of an element access on `$store` whose
+        /// subscripts sit in registers `$first..+$n`.
         macro_rules! flat_of {
             ($store:expr, $first:expr, $n:expr) => {{
-                let mut flat = 0usize;
+                let mut flat = 0;
                 for k in 0..$n as usize {
                     let x = reg!($first as usize + k).as_i();
-                    let (lo, hi) = $store.bounds[k];
-                    assert!(
-                        x >= lo && x <= hi,
-                        "subscript {} out of local bounds {}:{} (dim {}) of array",
-                        x,
-                        lo,
-                        hi,
-                        k
-                    );
-                    flat = flat * (hi - lo + 1) as usize + (x - lo) as usize;
+                    flat = flat_step(flat, $store.bounds[k], x, k);
                 }
                 flat
             }};
@@ -956,26 +913,15 @@ fn exec(vm: &mut Vm, node: &mut Node) -> Yield {
         /// Like `flat_of!` for folded [`SubIdx`] subscript lists.
         macro_rules! flat_of_sub {
             ($store:expr, $subs:expr, $n:expr) => {{
-                let mut flat = 0usize;
+                let mut flat = 0;
                 for k in 0..$n as usize {
                     let s = $subs[k];
                     let x = if s.slot == NO_SLOT {
                         s.off as i64
                     } else {
-                        let idx = s_base + s.slot as usize;
-                        debug_assert!(idx < vm.scalars.len());
-                        (unsafe { *vm.scalars.as_ptr().add(idx) }).as_i() + s.off as i64
+                        var!(s.slot).as_i() + s.off as i64
                     };
-                    let (lo, hi) = $store.bounds[k];
-                    assert!(
-                        x >= lo && x <= hi,
-                        "subscript {} out of local bounds {}:{} (dim {}) of array",
-                        x,
-                        lo,
-                        hi,
-                        k
-                    );
-                    flat = flat * (hi - lo + 1) as usize + (x - lo) as usize;
+                    flat = flat_step(flat, $store.bounds[k], x, k);
                 }
                 flat
             }};
@@ -988,9 +934,7 @@ fn exec(vm: &mut Vm, node: &mut Node) -> Yield {
                 if o.slot == NO_SLOT {
                     reg!(o.reg)
                 } else {
-                    let idx = s_base + o.slot as usize;
-                    debug_assert!(idx < vm.scalars.len());
-                    unsafe { *vm.scalars.as_ptr().add(idx) }
+                    var!(o.slot)
                 }
             }};
         }
@@ -1014,30 +958,25 @@ fn exec(vm: &mut Vm, node: &mut Node) -> Yield {
             pc += 1;
             match instr {
                 Instr::LdI { dst, v } => {
-                    reg_set!(*dst, Value::I(*v));
+                    reg!(*dst) = Value::I(*v);
                 }
                 Instr::LdR { dst, v } => {
-                    reg_set!(*dst, Value::R(*v));
+                    reg!(*dst) = Value::R(*v);
                 }
                 Instr::LdVar { dst, slot } => {
-                    let idx = s_base + *slot as usize;
-                    debug_assert!(idx < vm.scalars.len());
-                    reg_set!(*dst, unsafe { *vm.scalars.as_ptr().add(idx) });
+                    reg!(*dst) = var!(*slot);
                 }
                 Instr::StVar { slot, src } => {
-                    let idx = s_base + *slot as usize;
-                    debug_assert!(idx < vm.scalars.len());
-                    let v = reg!(*src);
-                    unsafe { *vm.scalars.as_mut_ptr().add(idx) = v };
+                    var!(*slot) = reg!(*src);
                 }
                 Instr::MovI { dst, src } => {
-                    reg_set!(*dst, Value::I(reg!(*src).as_i()));
+                    reg!(*dst) = Value::I(reg!(*src).as_i());
                 }
                 Instr::MyP { dst } => {
-                    reg_set!(*dst, Value::I(node.rank() as i64));
+                    reg!(*dst) = Value::I(node.rank() as i64);
                 }
                 Instr::NProcs { dst } => {
-                    reg_set!(*dst, Value::I(node.nprocs() as i64));
+                    reg!(*dst) = Value::I(node.nprocs() as i64);
                 }
                 Instr::Bin { op, dst, l, r } => {
                     let a = reg!(*l);
@@ -1047,7 +986,7 @@ fn exec(vm: &mut Vm, node: &mut Node) -> Yield {
                     } else {
                         vm.pending_ops += 1;
                     }
-                    reg_set!(*dst, apply_bin(*op, a, b));
+                    reg!(*dst) = apply_bin(*op, a, b);
                 }
                 Instr::Fma {
                     op,
@@ -1070,7 +1009,7 @@ fn exec(vm: &mut Vm, node: &mut Node) -> Yield {
                     } else {
                         vm.pending_ops += 1;
                     }
-                    reg_set!(*dst, apply_bin(*op, a, m));
+                    reg!(*dst) = apply_bin(*op, a, m);
                 }
                 Instr::Neg { dst, src } => {
                     let v = match reg!(*src) {
@@ -1083,12 +1022,12 @@ fn exec(vm: &mut Vm, node: &mut Node) -> Yield {
                             Value::R(-r)
                         }
                     };
-                    reg_set!(*dst, v);
+                    reg!(*dst) = v;
                 }
                 Instr::Not { dst, src } => {
                     vm.pending_ops += 1;
                     let v = reg!(*src);
-                    reg_set!(*dst, Value::I(if v.truthy() { 0 } else { 1 }));
+                    reg!(*dst) = Value::I(if v.truthy() { 0 } else { 1 });
                 }
                 Instr::Intr {
                     name,
@@ -1098,15 +1037,14 @@ fn exec(vm: &mut Vm, node: &mut Node) -> Yield {
                 } => {
                     vm.pending_flops += 1;
                     let lo = r_base + *first as usize;
-                    let out = apply_intr(*name, &vm.regs[lo..lo + *n as usize]);
-                    vm.regs[r_base + *dst as usize] = out;
+                    reg!(*dst) = apply_intr(*name, &vm.regs[lo..lo + *n as usize]);
                 }
                 Instr::Load { dst, arr, first, n } => {
                     let id = vm.atab[a_base + *arr as usize];
                     vm.pending_ops += *n as u64;
                     let store = &vm.heap[id];
                     let flat = flat_of!(store, *first, *n);
-                    reg_set!(*dst, Value::R(unsafe { *store.data.as_ptr().add(flat) }));
+                    reg!(*dst) = Value::R(store.data[flat]);
                 }
                 Instr::Store { arr, first, n, src } => {
                     let id = vm.atab[a_base + *arr as usize];
@@ -1114,7 +1052,7 @@ fn exec(vm: &mut Vm, node: &mut Node) -> Yield {
                     let v = reg!(*src).as_r();
                     let store = &mut vm.heap[id];
                     let flat = flat_of!(store, *first, *n);
-                    unsafe { *store.data.as_mut_ptr().add(flat) = v };
+                    store.data[flat] = v;
                 }
                 Instr::LoadS {
                     dst,
@@ -1127,7 +1065,7 @@ fn exec(vm: &mut Vm, node: &mut Node) -> Yield {
                     vm.pending_ops += (*n + *extra_ops) as u64;
                     let store = &vm.heap[id];
                     let flat = flat_of_sub!(store, subs, *n);
-                    reg_set!(*dst, Value::R(unsafe { *store.data.as_ptr().add(flat) }));
+                    reg!(*dst) = Value::R(store.data[flat]);
                 }
                 Instr::StoreS {
                     arr,
@@ -1141,7 +1079,7 @@ fn exec(vm: &mut Vm, node: &mut Node) -> Yield {
                     let v = reg!(*src).as_r();
                     let store = &mut vm.heap[id];
                     let flat = flat_of_sub!(store, subs, *n);
-                    unsafe { *store.data.as_mut_ptr().add(flat) = v };
+                    store.data[flat] = v;
                 }
                 Instr::Owner {
                     dst,
@@ -1156,7 +1094,7 @@ fn exec(vm: &mut Vm, node: &mut Node) -> Yield {
                     }
                     vm.pending_ops += 3;
                     let d = &prog.dists[dist.0 as usize];
-                    vm.regs[r_base + *dst as usize] = Value::I(d.owner_of(&vm.subs_buf) as i64);
+                    reg!(*dst) = Value::I(d.owner_of(&vm.subs_buf) as i64);
                 }
                 Instr::CurOwner { dst, arr, first, n } => {
                     let lo = r_base + *first as usize;
@@ -1168,7 +1106,7 @@ fn exec(vm: &mut Vm, node: &mut Node) -> Yield {
                     let id = vm.atab[a_base + *arr as usize];
                     let did = vm.heap[id].owner_dist.unwrap_or(vm.heap[id].dist);
                     let d = &prog.dists[did.0 as usize];
-                    vm.regs[r_base + *dst as usize] = Value::I(d.owner_of(&vm.subs_buf) as i64);
+                    reg!(*dst) = Value::I(d.owner_of(&vm.subs_buf) as i64);
                 }
                 Instr::LocalIdx {
                     dst,
@@ -1179,7 +1117,7 @@ fn exec(vm: &mut Vm, node: &mut Node) -> Yield {
                     let g = reg!(*src).as_i();
                     vm.pending_ops += 2;
                     let d = &prog.dists[dist.0 as usize];
-                    reg_set!(*dst, Value::I(d.local_idx(*dim as usize, g)));
+                    reg!(*dst) = Value::I(d.local_idx(*dim as usize, g));
                 }
                 Instr::Jmp { to } => {
                     pc = *to as usize;
@@ -1210,9 +1148,7 @@ fn exec(vm: &mut Vm, node: &mut Node) -> Yield {
                     let iv = reg!(*i).as_i();
                     let hv = reg!(*hi).as_i();
                     if (*step > 0 && iv <= hv) || (*step < 0 && iv >= hv) {
-                        let idx = s_base + *var as usize;
-                        debug_assert!(idx < vm.scalars.len());
-                        unsafe { *vm.scalars.as_mut_ptr().add(idx) = Value::I(iv) };
+                        var!(*var) = Value::I(iv);
                         vm.pending_ops += 1; // loop bookkeeping
                     } else {
                         pc = *exit as usize;
@@ -1226,12 +1162,10 @@ fn exec(vm: &mut Vm, node: &mut Node) -> Yield {
                     body,
                 } => {
                     let v = reg!(*i).as_i() + *step;
-                    reg_set!(*i, Value::I(v));
+                    reg!(*i) = Value::I(v);
                     let hv = reg!(*hi).as_i();
                     if (*step > 0 && v <= hv) || (*step < 0 && v >= hv) {
-                        let idx = s_base + *var as usize;
-                        debug_assert!(idx < vm.scalars.len());
-                        unsafe { *vm.scalars.as_mut_ptr().add(idx) = Value::I(v) };
+                        var!(*var) = Value::I(v);
                         vm.pending_ops += 1; // loop bookkeeping
                         pc = *body as usize;
                     }
@@ -1247,18 +1181,12 @@ fn exec(vm: &mut Vm, node: &mut Node) -> Yield {
                     if (kl.step > 0 && iv <= hv) || (kl.step < 0 && iv >= hv) {
                         let t = (hv - iv) / kl.step + 1;
                         if vm.run_kloop(kl, s_base, a_base, iv, t) {
-                            reg_set!(kl.i, Value::I(iv + t * kl.step));
-                            let idx = s_base + kl.var as usize;
-                            debug_assert!(idx < vm.scalars.len());
-                            unsafe {
-                                *vm.scalars.as_mut_ptr().add(idx) = Value::I(iv + (t - 1) * kl.step)
-                            };
+                            reg!(kl.i) = Value::I(iv + t * kl.step);
+                            var!(kl.var) = Value::I(iv + (t - 1) * kl.step);
                             vm.fused += t as u64 * kl.fused_per_iter as u64;
                             pc = kl.exit as usize;
                         } else {
-                            let idx = s_base + kl.var as usize;
-                            debug_assert!(idx < vm.scalars.len());
-                            unsafe { *vm.scalars.as_mut_ptr().add(idx) = Value::I(iv) };
+                            var!(kl.var) = Value::I(iv);
                             vm.pending_ops += 1; // loop bookkeeping
                         }
                     } else {
@@ -1268,13 +1196,7 @@ fn exec(vm: &mut Vm, node: &mut Node) -> Yield {
                 Instr::MovVar { dst, src } => {
                     // Fused LdVar+StVar: scalar-to-scalar move, uncharged
                     // like its constituents.
-                    let si = s_base + *src as usize;
-                    let di = s_base + *dst as usize;
-                    debug_assert!(si < vm.scalars.len() && di < vm.scalars.len());
-                    unsafe {
-                        let v = *vm.scalars.as_ptr().add(si);
-                        *vm.scalars.as_mut_ptr().add(di) = v;
-                    }
+                    var!(*dst) = var!(*src);
                     vm.fused += 1;
                     pc += 1; // skip the replaced StVar
                 }
@@ -1288,9 +1210,7 @@ fn exec(vm: &mut Vm, node: &mut Node) -> Yield {
                     } else {
                         vm.pending_ops += 1;
                     }
-                    let idx = s_base + *dst as usize;
-                    debug_assert!(idx < vm.scalars.len());
-                    unsafe { *vm.scalars.as_mut_ptr().add(idx) = apply_bin(*op, a, b) };
+                    var!(*dst) = apply_bin(*op, a, b);
                     vm.fused += 3;
                     pc += 3; // skip the replaced leaves and StVar
                 }
@@ -1301,10 +1221,7 @@ fn exec(vm: &mut Vm, node: &mut Node) -> Yield {
                     vm.pending_ops += (acc.n as u64) + acc.extra_ops as u64;
                     let store = &vm.heap[id];
                     let flat = flat_of_sub!(store, acc.subs, acc.n);
-                    let v = Value::R(store.data[flat]);
-                    let idx = s_base + *slot as usize;
-                    debug_assert!(idx < vm.scalars.len());
-                    unsafe { *vm.scalars.as_mut_ptr().add(idx) = v };
+                    var!(*slot) = Value::R(store.data[flat]);
                     vm.fused += 1;
                     pc += 1; // skip the replaced StVar
                 }
@@ -1327,38 +1244,30 @@ fn exec(vm: &mut Vm, node: &mut Node) -> Yield {
                 }
                 Instr::Gather { arr, sec } => {
                     let id = vm.atab[a_base + *arr as usize];
-                    let n = vm.ensure_section(sec, id, r_base);
-                    vm.pending_ops += n as u64; // pack cost
+                    vm.pending_ops += vm.section_dims(sec, r_base) as u64; // pack cost
                     let msg = vm.msg.get_or_insert_with(|| node.acquire_buf());
-                    let entry = vm.sec_cache[sec.site as usize].as_ref().unwrap();
-                    let store = &vm.heap[id];
-                    msg.extend(entry.flats.iter().map(|&f| store.data[f as usize]));
+                    pack(&vm.heap[id], &vm.dims_buf, msg);
                 }
                 Instr::Scatter { arr, sec, exact } => {
                     let id = vm.atab[a_base + *arr as usize];
-                    let n = vm.ensure_section(sec, id, r_base);
+                    let n = vm.section_dims(sec, r_base);
                     vm.pending_ops += n as u64; // unpack cost
                     let inc = vm.incoming.as_ref().expect("scatter without message");
                     if *exact {
                         assert_eq!(n, inc.len(), "section/message size mismatch");
                     }
-                    let data = &inc[vm.in_off..];
-                    let entry = vm.sec_cache[sec.site as usize].as_ref().unwrap();
-                    let store = &mut vm.heap[id];
-                    for (k, &f) in entry.flats.iter().enumerate() {
-                        store.data[f as usize] = data[k];
-                    }
+                    unpack(&mut vm.heap[id], &vm.dims_buf, &inc[vm.in_off..][..n]);
                     vm.in_off += n;
                 }
                 Instr::SendMsg { to, tag } => {
-                    let dst = vm.regs[r_base + *to as usize].as_i();
+                    let dst = reg!(*to).as_i();
                     assert!(dst >= 0, "negative send destination");
                     vm.flush(node);
                     let data = vm.msg.take().expect("send without gathered message");
                     node.send_buf(dst as usize, *tag, data);
                 }
                 Instr::RecvMsg { from, tag } => {
-                    let src = vm.regs[r_base + *from as usize].as_i();
+                    let src = reg!(*from).as_i();
                     assert!(src >= 0, "negative recv source");
                     vm.flush(node);
                     match node.try_recv_payload(src as usize, *tag) {
@@ -1368,23 +1277,23 @@ fn exec(vm: &mut Vm, node: &mut Node) -> Yield {
                     vm.in_off = 0;
                 }
                 Instr::SendElem { to, val, tag } => {
-                    let dst = vm.regs[r_base + *to as usize].as_i() as usize;
-                    let v = vm.regs[r_base + *val as usize].as_r();
+                    let dst = reg!(*to).as_i() as usize;
+                    let v = reg!(*val).as_r();
                     vm.flush(node);
                     let mut buf = node.acquire_buf();
                     buf.push(v);
                     node.send_buf(dst, *tag, buf);
                 }
                 Instr::RecvElem { from, dst, tag } => {
-                    let src = vm.regs[r_base + *from as usize].as_i() as usize;
+                    let src = reg!(*from).as_i() as usize;
                     vm.flush(node);
                     match node.try_recv_payload(src, *tag) {
-                        Ok(p) => vm.regs[r_base + *dst as usize] = Value::R(p[0]),
+                        Ok(p) => reg!(*dst) = Value::R(p[0]),
                         Err(wait) => suspend!(instr, wait),
                     }
                 }
                 Instr::Bcast { root, tag } => {
-                    let root = vm.regs[r_base + *root as usize].as_i() as usize;
+                    let root = reg!(*root).as_i() as usize;
                     vm.flush(node);
                     // The guarded gather/pack ran (an empty section still
                     // acquired a buffer), so the root has a payload — once:
@@ -1401,7 +1310,7 @@ fn exec(vm: &mut Vm, node: &mut Node) -> Yield {
                     vm.in_off = 0;
                 }
                 Instr::PostSendMsg { to, tag } => {
-                    let dst = vm.regs[r_base + *to as usize].as_i();
+                    let dst = reg!(*to).as_i();
                     assert!(dst >= 0, "negative send destination");
                     vm.flush(node);
                     let data = vm.msg.take().expect("post-send without gathered message");
@@ -1412,7 +1321,7 @@ fn exec(vm: &mut Vm, node: &mut Node) -> Yield {
                     node.wait_send();
                 }
                 Instr::PostRecvMsg { from, tag, handle } => {
-                    let src = vm.regs[r_base + *from as usize].as_i();
+                    let src = reg!(*from).as_i();
                     assert!(src >= 0, "negative recv source");
                     vm.flush(node);
                     node.post_recv(src as usize, *tag);
@@ -1431,7 +1340,7 @@ fn exec(vm: &mut Vm, node: &mut Node) -> Yield {
                     vm.in_off = 0;
                 }
                 Instr::PostBcastMsg { root, tag, handle } => {
-                    let root = vm.regs[r_base + *root as usize].as_i() as usize;
+                    let root = reg!(*root).as_i() as usize;
                     vm.flush(node);
                     let data = if node.rank() == root {
                         Some(vm.msg.take().expect("posted bcast root without payload"))

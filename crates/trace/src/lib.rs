@@ -29,6 +29,8 @@
 //! (the Chrome trace-event format, loadable in `chrome://tracing` or
 //! Perfetto; validated by [`chrome::validate`]).
 
+#![forbid(unsafe_code)]
+
 pub mod chrome;
 pub mod sink;
 
