@@ -446,8 +446,8 @@ fn stats_json(experiment: &str, level: CommOpt, s: &RunStats) -> Json {
         ("comm_opt".into(), Json::str(level.as_str())),
         ("msgs".into(), Json::Int(s.total_msgs as i128)),
         ("bytes".into(), Json::Int(s.total_bytes as i128)),
-        // JSON numbers are integers here (see fortrand::json), so the
-        // LogGP model time travels as a fixed-point string.
+        // The LogGP model time travels as a fixed-point string, not a
+        // `Json::Num`, so that BENCH.json keeps its byte form.
         (
             "model_time_us".into(),
             Json::str(format!("{:.3}", s.time_us)),

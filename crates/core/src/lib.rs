@@ -47,7 +47,6 @@ pub mod corpus;
 pub mod driver;
 pub mod dynamic_decomp;
 mod incremental;
-pub mod json;
 pub mod model;
 pub mod overlap;
 pub mod pool;
@@ -67,7 +66,7 @@ pub use fortrand_spmd::{
     RunOutcome, Tree,
 };
 pub use fortrand_trace::{
-    ChromeTraceSink, JsonLinesSink, MemorySink, Trace, TraceSink, PID_COMPILE, PID_MACHINE,
+    json, ChromeTraceSink, JsonLinesSink, MemorySink, Trace, TraceSink, PID_COMPILE, PID_MACHINE,
 };
 pub use model::{DynOptLevel, Strategy};
 pub use pool::CompilePool;

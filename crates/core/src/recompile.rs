@@ -275,4 +275,11 @@ mod tests {
         let b = ModuleDb::from_json(&json).unwrap();
         assert_eq!(a, b);
     }
+
+    #[test]
+    fn db_rejects_a_digest_written_as_a_float() {
+        let text = r#"{"opts_hash":"0x1","units":{"p1":{"source_hash":"0x2","digests":{"reaching":1.5}}}}"#;
+        let err = ModuleDb::from_json(text).unwrap_err();
+        assert!(err.contains("bad digest for reaching"), "{err}");
+    }
 }

@@ -110,8 +110,9 @@ pub struct StoreStats {
 
 impl StoreStats {
     /// Hits per lookup, in hundredths of a percent-free unit — i.e.
-    /// `50` means half the lookups hit. Integer so it can ride the
-    /// float-free JSON layer: the true ratio × 100, rounded down.
+    /// `50` means half the lookups hit: the true ratio × 100, rounded
+    /// down. Integer so that the daemon's `compile` and `stats` responses
+    /// keep their byte form.
     pub fn hit_rate_x100(&self) -> u64 {
         (self.hits * 100)
             .checked_div(self.hits + self.misses)

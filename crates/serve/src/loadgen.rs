@@ -15,8 +15,10 @@
 //! 2. **baseline** — every script replayed one client at a time against
 //!    a *fresh* server (the single-client sequential reference).
 //!
-//! All report numbers are integers (µs, or ratios ×100) so they ride the
-//! float-free JSON layer (`fortrand-serve load` prints them as JSON).
+//! All report numbers are integers (µs, or ratios ×100), and
+//! `fortrand-serve load` prints them as JSON. `fortrand::json` reads and
+//! writes floats too; the integer encodings stay so that the load report
+//! keeps its byte form.
 
 use crate::server::{Server, ServerConfig};
 use fortrand::corpus::wide_corpus;

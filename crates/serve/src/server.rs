@@ -485,4 +485,34 @@ mod tests {
         }
         handle.shutdown();
     }
+
+    #[test]
+    fn deeply_nested_request_line_is_refused_and_the_daemon_lives() {
+        let server = Server::new(ServerConfig::default());
+        let handle = server.spawn("127.0.0.1:0").unwrap();
+        // 100 000 `[` in a 100 kB line: far under the line cap, and deep
+        // enough to overflow a connection thread's stack without the
+        // parser's nesting cap.
+        let mut hostile = TcpStream::connect(handle.addr).unwrap();
+        let mut line = vec![b'['; 100_000];
+        line.push(b'\n');
+        hostile.write_all(&line).unwrap();
+        let mut answer = String::new();
+        BufReader::new(&hostile).read_line(&mut answer).unwrap();
+        assert!(answer.contains("\"ok\":false"), "{answer}");
+        assert!(answer.contains("nesting"), "{answer}");
+
+        let stream = TcpStream::connect(handle.addr).unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = BufReader::new(stream);
+        let open = open_request("t", &source());
+        for req in [open.as_str(), r#"{"cmd":"compile","session":"t"}"#] {
+            writer.write_all(req.as_bytes()).unwrap();
+            writer.write_all(b"\n").unwrap();
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            assert!(line.contains("\"ok\":true"), "{req} -> {line}");
+        }
+        handle.shutdown();
+    }
 }

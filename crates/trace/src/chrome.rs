@@ -1,267 +1,49 @@
 //! Chrome trace-event format validation.
 //!
-//! The core workspace's JSON module deliberately rejects floats (it
-//! round-trips hashes and counts), but Chrome traces carry float
-//! timestamps — so this module has its own small JSON parser, used to
-//! check that an exported trace is well-formed *and* structurally a
-//! trace-event document: a top-level `{"traceEvents": [...]}` whose
-//! entries each carry `name`/`ph`/`ts`/`pid`/`tid` with the right types,
-//! `ph` drawn from the phases we emit, `dur` on complete events, and
-//! balanced B/E pairs per `(pid, tid)` track.
+//! Re-parses an exported trace with the workspace's one JSON parser
+//! ([`crate::json`]) and checks that it is structurally a trace-event
+//! document: a top-level `{"traceEvents": [...]}` whose entries each carry
+//! `name`/`ph`/`ts`/`pid`/`tid` with the right types, `ph` drawn from the
+//! phases we emit, `dur` on complete events, and balanced B/E pairs per
+//! `(pid, tid)` track.
 
-use std::collections::BTreeMap;
+use crate::json::{self, Json};
 use std::collections::HashMap;
 
-/// Minimal JSON value (floats allowed, unlike the core crate's parser).
-#[derive(Clone, Debug, PartialEq)]
-pub enum Json {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Any number (parsed as f64).
-    Num(f64),
-    /// String.
-    Str(String),
-    /// Array.
-    Arr(Vec<Json>),
-    /// Object (key order normalized).
-    Obj(BTreeMap<String, Json>),
-}
-
-impl Json {
-    fn type_name(&self) -> &'static str {
-        match self {
-            Json::Null => "null",
-            Json::Bool(_) => "bool",
-            Json::Num(_) => "number",
-            Json::Str(_) => "string",
-            Json::Arr(_) => "array",
-            Json::Obj(_) => "object",
-        }
+fn type_name(v: &Json) -> &'static str {
+    match v {
+        Json::Null => "null",
+        Json::Bool(_) => "bool",
+        Json::Int(_) | Json::Num(_) => "number",
+        Json::Str(_) => "string",
+        Json::Arr(_) => "array",
+        Json::Obj(_) => "object",
     }
 }
 
-struct Parser<'a> {
-    s: &'a [u8],
-    i: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn err(&self, msg: &str) -> String {
-        format!("json error at byte {}: {msg}", self.i)
-    }
-
-    fn skip_ws(&mut self) {
-        while self.i < self.s.len() && self.s[self.i].is_ascii_whitespace() {
-            self.i += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.s.get(self.i).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", b as char)))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.lit("true", Json::Bool(true)),
-            Some(b'f') => self.lit("false", Json::Bool(false)),
-            Some(b'n') => self.lit("null", Json::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(self.err("expected a value")),
-        }
-    }
-
-    fn lit(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.s[self.i..].starts_with(word.as_bytes()) {
-            self.i += word.len();
-            Ok(v)
-        } else {
-            Err(self.err(&format!("expected '{word}'")))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.i;
-        if self.peek() == Some(b'-') {
-            self.i += 1;
-        }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.i += 1;
-        }
-        if self.peek() == Some(b'.') {
-            self.i += 1;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.i += 1;
-            }
-        }
-        if matches!(self.peek(), Some(b'e') | Some(b'E')) {
-            self.i += 1;
-            if matches!(self.peek(), Some(b'+') | Some(b'-')) {
-                self.i += 1;
-            }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.i += 1;
-            }
-        }
-        let text = std::str::from_utf8(&self.s[start..self.i]).map_err(|_| self.err("utf8"))?;
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.err("bad number"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.i += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.i += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            if self.i + 4 >= self.s.len() {
-                                return Err(self.err("truncated \\u escape"));
-                            }
-                            let hex = std::str::from_utf8(&self.s[self.i + 1..self.i + 5])
-                                .map_err(|_| self.err("utf8 in \\u"))?;
-                            let cp = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            out.push(char::from_u32(cp).unwrap_or('\u{fffd}'));
-                            self.i += 4;
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                    self.i += 1;
-                }
-                Some(_) => {
-                    // Consume one full UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.s[self.i..])
-                        .map_err(|_| self.err("invalid utf8"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.i += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.i += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.i += 1;
-                }
-                Some(b']') => {
-                    self.i += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.i += 1;
-            return Ok(Json::Obj(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let val = self.value()?;
-            map.insert(key, val);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.i += 1;
-                }
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(Json::Obj(map));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-}
-
-/// Parses a complete JSON document (floats allowed).
-pub fn parse_json(text: &str) -> Result<Json, String> {
-    let mut p = Parser {
-        s: text.as_bytes(),
-        i: 0,
-    };
-    let v = p.value()?;
-    p.skip_ws();
-    if p.i != p.s.len() {
-        return Err(p.err("trailing content"));
-    }
-    Ok(v)
-}
-
-fn get<'a>(obj: &'a BTreeMap<String, Json>, key: &str, idx: usize) -> Result<&'a Json, String> {
-    obj.get(key)
+fn field<'a>(e: &'a Json, key: &str, idx: usize) -> Result<&'a Json, String> {
+    e.get(key)
         .ok_or_else(|| format!("event {idx}: missing \"{key}\""))
 }
 
-fn num(v: &Json, key: &str, idx: usize) -> Result<f64, String> {
-    match v {
-        Json::Num(n) => Ok(*n),
-        other => Err(format!(
+fn num(e: &Json, key: &str, idx: usize) -> Result<f64, String> {
+    let v = field(e, key, idx)?;
+    v.as_f64().ok_or_else(|| {
+        format!(
             "event {idx}: \"{key}\" must be a number, got {}",
-            other.type_name()
-        )),
-    }
+            type_name(v)
+        )
+    })
 }
 
-fn string<'a>(v: &'a Json, key: &str, idx: usize) -> Result<&'a str, String> {
-    match v {
-        Json::Str(s) => Ok(s),
-        other => Err(format!(
+fn string<'a>(e: &'a Json, key: &str, idx: usize) -> Result<&'a str, String> {
+    let v = field(e, key, idx)?;
+    v.as_str().ok_or_else(|| {
+        format!(
             "event {idx}: \"{key}\" must be a string, got {}",
-            other.type_name()
-        )),
-    }
+            type_name(v)
+        )
+    })
 }
 
 /// Summary of a validated trace, for quick assertions in tests and the
@@ -297,22 +79,19 @@ pub struct TraceSummary {
 /// of the trace — an in-flight operation left open at exit is a bug in
 /// the overlap transformation, not a rendering choice.
 pub fn validate(text: &str) -> Result<TraceSummary, String> {
-    let root = parse_json(text)?;
-    let obj = match root {
-        Json::Obj(o) => o,
-        other => {
-            return Err(format!(
-                "top level must be an object, got {}",
-                other.type_name()
-            ))
-        }
-    };
-    let events = match obj.get("traceEvents") {
+    let root = json::parse(text)?;
+    if root.as_obj().is_none() {
+        return Err(format!(
+            "top level must be an object, got {}",
+            type_name(&root)
+        ));
+    }
+    let events = match root.get("traceEvents") {
         Some(Json::Arr(a)) => a,
         Some(other) => {
             return Err(format!(
                 "\"traceEvents\" must be an array, got {}",
-                other.type_name()
+                type_name(other)
             ))
         }
         None => return Err("missing \"traceEvents\"".to_string()),
@@ -321,112 +100,76 @@ pub fn validate(text: &str) -> Result<TraceSummary, String> {
         events: events.len(),
         ..TraceSummary::default()
     };
-    let mut open: HashMap<(i64, i64), Vec<String>> = HashMap::new();
-    let mut tracks: Vec<(i64, i64)> = Vec::new();
-    // Outstanding posted sends / broadcasts per track (post − wait).
-    let mut in_flight: HashMap<(i64, i64), (i64, i64)> = HashMap::new();
-    for (idx, ev) in events.iter().enumerate() {
-        let e = match ev {
-            Json::Obj(o) => o,
-            other => {
-                return Err(format!(
-                    "event {idx}: must be an object, got {}",
-                    other.type_name()
-                ))
-            }
-        };
-        let name = string(get(e, "name", idx)?, "name", idx)?.to_string();
-        let ph = string(get(e, "ph", idx)?, "ph", idx)?;
-        let ts = num(get(e, "ts", idx)?, "ts", idx)?;
+    let mut open: HashMap<(i64, i64), Vec<&str>> = HashMap::new();
+    // Outstanding posted [sends, broadcasts] per track (post − wait).
+    let mut in_flight: HashMap<(i64, i64), [i64; 2]> = HashMap::new();
+    for (idx, e) in events.iter().enumerate() {
+        if e.as_obj().is_none() {
+            return Err(format!(
+                "event {idx}: must be an object, got {}",
+                type_name(e)
+            ));
+        }
+        let name = string(e, "name", idx)?;
+        let ph = string(e, "ph", idx)?;
+        let ts = num(e, "ts", idx)?;
         if !ts.is_finite() || ts < 0.0 {
             return Err(format!("event {idx}: non-finite or negative ts {ts}"));
         }
-        let pid = num(get(e, "pid", idx)?, "pid", idx)? as i64;
-        let tid = num(get(e, "tid", idx)?, "tid", idx)? as i64;
+        let pid = num(e, "pid", idx)? as i64;
+        let tid = num(e, "tid", idx)? as i64;
         let track = (pid, tid);
         if ph != "M" && ph != "E" {
-            match name.as_str() {
-                "post_send" | "post_recv" | "post_bcast" => {
+            if !summary.tracks.contains(&track) {
+                summary.tracks.push(track);
+            }
+            if let Some((dir @ ("post" | "wait"), op @ ("send" | "recv" | "bcast"))) =
+                name.split_once('_')
+            {
+                let posted = dir == "post";
+                if posted {
                     summary.posts += 1;
-                    let fl = in_flight.entry(track).or_default();
-                    match name.as_str() {
-                        "post_send" => fl.0 += 1,
-                        "post_bcast" => fl.1 += 1,
-                        _ => {}
-                    }
-                }
-                "wait_send" | "wait_recv" | "wait_bcast" => {
+                } else {
                     summary.waits += 1;
+                }
+                if op != "recv" {
                     let fl = in_flight.entry(track).or_default();
-                    let outstanding = match name.as_str() {
-                        "wait_send" => {
-                            fl.0 -= 1;
-                            fl.0
-                        }
-                        "wait_bcast" => {
-                            fl.1 -= 1;
-                            fl.1
-                        }
-                        _ => 0,
-                    };
-                    if outstanding < 0 {
+                    let n = &mut fl[usize::from(op == "bcast")];
+                    *n += if posted { 1 } else { -1 };
+                    if *n < 0 {
                         return Err(format!(
                             "event {idx}: track {pid}.{tid} has \"{name}\" with no \
                              matching post"
                         ));
                     }
                 }
-                _ => {}
             }
         }
         match ph {
-            "B" => {
-                open.entry(track).or_default().push(name);
-                if !tracks.contains(&track) {
-                    tracks.push(track);
+            "B" => open.entry(track).or_default().push(name),
+            "E" => match open.entry(track).or_default().pop() {
+                Some(opened) if opened == name => summary.spans += 1,
+                Some(opened) => {
+                    return Err(format!(
+                        "event {idx}: track {pid}.{tid} closes \"{name}\" but \
+                         \"{opened}\" is open"
+                    ))
                 }
-            }
-            "E" => {
-                let stack = open.entry(track).or_default();
-                match stack.pop() {
-                    Some(opened) => {
-                        if opened != name {
-                            return Err(format!(
-                                "event {idx}: track {pid}.{tid} closes \"{name}\" but \
-                                 \"{opened}\" is open"
-                            ));
-                        }
-                        summary.spans += 1;
-                    }
-                    None => {
-                        return Err(format!(
-                            "event {idx}: track {pid}.{tid} has \"E\" with no open span"
-                        ))
-                    }
+                None => {
+                    return Err(format!(
+                        "event {idx}: track {pid}.{tid} has \"E\" with no open span"
+                    ))
                 }
-            }
+            },
             "X" => {
-                let dur = num(get(e, "dur", idx)?, "dur", idx)?;
+                let dur = num(e, "dur", idx)?;
                 if !dur.is_finite() || dur < 0.0 {
                     return Err(format!("event {idx}: bad dur {dur}"));
                 }
                 summary.spans += 1;
-                if !tracks.contains(&track) {
-                    tracks.push(track);
-                }
             }
-            "i" => {
-                summary.instants += 1;
-                if !tracks.contains(&track) {
-                    tracks.push(track);
-                }
-            }
-            "C" => {
-                summary.counters += 1;
-                if !tracks.contains(&track) {
-                    tracks.push(track);
-                }
-            }
+            "i" => summary.instants += 1,
+            "C" => summary.counters += 1,
             "M" => {}
             other => return Err(format!("event {idx}: unknown phase \"{other}\"")),
         }
@@ -436,7 +179,7 @@ pub fn validate(text: &str) -> Result<TraceSummary, String> {
             return Err(format!("track {pid}.{tid}: span \"{name}\" never closed"));
         }
     }
-    for ((pid, tid), (sends, bcasts)) in &in_flight {
+    for ((pid, tid), [sends, bcasts]) in &in_flight {
         if *sends != 0 || *bcasts != 0 {
             return Err(format!(
                 "track {pid}.{tid}: {sends} posted send(s) and {bcasts} posted \
@@ -444,34 +187,12 @@ pub fn validate(text: &str) -> Result<TraceSummary, String> {
             ));
         }
     }
-    summary.tracks = tracks;
     Ok(summary)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parses_floats_and_nesting() {
-        let v = parse_json(r#"{"a":[1,2.5,-3e2],"b":{"c":null,"d":true}}"#).unwrap();
-        match v {
-            Json::Obj(o) => {
-                assert_eq!(
-                    o["a"],
-                    Json::Arr(vec![Json::Num(1.0), Json::Num(2.5), Json::Num(-300.0)])
-                );
-            }
-            _ => panic!("not an object"),
-        }
-    }
-
-    #[test]
-    fn rejects_malformed() {
-        assert!(parse_json("{").is_err());
-        assert!(parse_json("[1,]").is_err());
-        assert!(parse_json("{\"a\":1} x").is_err());
-    }
 
     #[test]
     fn validates_minimal_trace() {

@@ -28,10 +28,15 @@
 //! [`JsonLinesSink`] (one JSON object per line), and [`ChromeTraceSink`]
 //! (the Chrome trace-event format, loadable in `chrome://tracing` or
 //! Perfetto; validated by [`chrome::validate`]).
+//!
+//! [`json`] is the workspace's one JSON tree, parser and emitter; the
+//! sinks share its string escaper and float formatter, and the compiler
+//! re-exports it as `fortrand::json`.
 
 #![forbid(unsafe_code)]
 
 pub mod chrome;
+pub mod json;
 pub mod sink;
 
 pub use sink::{ChromeTraceSink, JsonLinesSink, MemorySink, TraceSink};

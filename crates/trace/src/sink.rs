@@ -1,6 +1,8 @@
 //! Trace exporters: where [`Event`]s go.
 
+use crate::json::{push_escaped, push_f64};
 use crate::{Arg, Event, Phase};
+use std::fmt::Write as _;
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 
@@ -45,74 +47,55 @@ impl TraceSink for MemorySink {
     }
 }
 
-fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-}
-
-fn fmt_f64(v: f64) -> String {
-    if !v.is_finite() {
-        return "0".to_string();
-    }
-    if v == v.trunc() && v.abs() < 1e15 {
-        format!("{}", v as i64)
-    } else {
-        let s = format!("{v}");
-        debug_assert!(s.parse::<f64>().is_ok());
-        s
-    }
-}
-
 fn arg_json(out: &mut String, a: &Arg) {
     match a {
-        Arg::I(v) => out.push_str(&format!("{v}")),
-        Arg::F(v) => out.push_str(&fmt_f64(*v)),
+        Arg::I(v) => {
+            let _ = write!(out, "{v}");
+        }
+        Arg::F(v) => push_f64(out, *v),
         Arg::S(v) => {
             out.push('"');
-            escape_into(out, v);
+            push_escaped(out, v);
             out.push('"');
         }
     }
 }
 
 /// Renders one event as a Chrome trace-event JSON object (no trailing
-/// newline). Shared by both streaming sinks.
+/// newline). Shared by both streaming sinks; written by hand rather than
+/// through a [`crate::json::Json`] tree, so tracing allocates one string
+/// per event.
 pub fn event_json(e: &Event) -> String {
-    let (ph, extra): (&str, String) = match &e.phase {
-        Phase::Begin => ("B", String::new()),
-        Phase::End => ("E", String::new()),
-        Phase::Complete { dur_us } => ("X", format!(",\"dur\":{}", fmt_f64(*dur_us))),
-        Phase::Instant => ("i", ",\"s\":\"t\"".to_string()),
-        Phase::Counter => ("C", String::new()),
-        Phase::Meta => ("M", String::new()),
+    let ph = match e.phase {
+        Phase::Begin => "B",
+        Phase::End => "E",
+        Phase::Complete { .. } => "X",
+        Phase::Instant => "i",
+        Phase::Counter => "C",
+        Phase::Meta => "M",
     };
-    let mut out = String::new();
-    out.push_str("{\"name\":\"");
+    let mut out = String::from("{\"name\":\"");
     if e.phase == Phase::Meta {
         out.push_str("thread_name");
     } else {
-        escape_into(&mut out, &e.name);
+        push_escaped(&mut out, &e.name);
     }
     out.push_str("\",\"cat\":\"");
-    escape_into(&mut out, e.cat);
-    out.push_str(&format!(
-        "\",\"ph\":\"{ph}\",\"ts\":{},\"pid\":{},\"tid\":{}{extra}",
-        fmt_f64(e.ts_us),
-        e.pid,
-        e.tid
-    ));
+    push_escaped(&mut out, e.cat);
+    let _ = write!(out, "\",\"ph\":\"{ph}\",\"ts\":");
+    push_f64(&mut out, e.ts_us);
+    let _ = write!(out, ",\"pid\":{},\"tid\":{}", e.pid, e.tid);
+    match e.phase {
+        Phase::Complete { dur_us } => {
+            out.push_str(",\"dur\":");
+            push_f64(&mut out, dur_us);
+        }
+        Phase::Instant => out.push_str(",\"s\":\"t\""),
+        _ => {}
+    }
     if e.phase == Phase::Meta {
         out.push_str(",\"args\":{\"name\":\"");
-        escape_into(&mut out, &e.name);
+        push_escaped(&mut out, &e.name);
         out.push_str("\"}");
     } else if !e.args.is_empty() {
         out.push_str(",\"args\":{");
@@ -121,7 +104,7 @@ pub fn event_json(e: &Event) -> String {
                 out.push(',');
             }
             out.push('"');
-            escape_into(&mut out, k);
+            push_escaped(&mut out, k);
             out.push_str("\":");
             arg_json(&mut out, v);
         }
@@ -286,12 +269,17 @@ mod tests {
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
         for l in lines {
-            crate::chrome::parse_json(l).unwrap();
+            crate::json::parse(l).unwrap();
         }
     }
 
     #[test]
     fn floats_render_parseably() {
+        let fmt_f64 = |v: f64| {
+            let mut s = String::new();
+            push_f64(&mut s, v);
+            s
+        };
         assert_eq!(fmt_f64(2.0), "2");
         assert_eq!(fmt_f64(1.5), "1.5");
         assert_eq!(fmt_f64(f64::NAN), "0");
@@ -311,6 +299,6 @@ mod tests {
             args: vec![("k", Arg::S("\t".to_string()))],
         };
         let json = event_json(&e);
-        crate::chrome::parse_json(&json).unwrap();
+        crate::json::parse(&json).unwrap();
     }
 }
