@@ -22,14 +22,12 @@
 
 use fortrand::corpus::{dgefa_matrix, dgefa_source};
 use fortrand::recompile::{self, ModuleDb};
-use fortrand::{
-    record_exec_stats, Bytecode, CompileOptions, DynOptLevel, ExecOptions, Session, Strategy, Tree,
-};
+use fortrand::{record_exec_stats, Bytecode, DynOptLevel, ExecOptions, Session, Strategy, Tree};
 use fortrand_analysis::acg::build_acg;
 use fortrand_analysis::fixtures::{FIG1, FIG15, FIG4};
 use fortrand_analysis::reaching;
 use fortrand_bench::{
-    compile, exp_delayed, exp_dgefa, exp_remap, exp_resolution, render_rows, run_spmd_opts,
+    exp_delayed, exp_dgefa, exp_remap, exp_resolution, render_rows, run_spmd_opts,
 };
 use fortrand_spmd::print::{pretty, pretty_all};
 
@@ -59,10 +57,8 @@ const PAPER: &[&str] = &[
 ];
 
 /// Reports on this implementation rather than the paper, printed only
-/// when named: they take minutes (`weakscale` reaches dgefa p=1024,
-/// `serve` drives 1000 clients) or print host times that differ run to
-/// run (`compile-time`).
-const REPORTS: &[&str] = &["compile-time", "vmprof", "weakscale", "serve"];
+/// when named (`weakscale` takes minutes: it reaches dgefa p=1024).
+const REPORTS: &[&str] = &["vmprof", "weakscale"];
 
 fn usage() -> ! {
     eprintln!(
@@ -402,114 +398,6 @@ fn main() {
             );
         }
     }
-    if want("compile-time") {
-        banner("COMPILE TIME — sequential vs wavefront-parallel vs incremental");
-        use fortrand::corpus::{wide_corpus, wide_corpus_edited};
-        use fortrand::CompileMode;
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let procs = 24;
-        let src = wide_corpus(procs, 512, 8);
-        let edited = wide_corpus_edited(procs, 512, 8);
-        println!("corpus: {procs} independent leaf procedures + root, host cores: {threads}");
-        if threads == 1 {
-            println!("(single-core host: the parallel schedule cannot beat sequential here)");
-        }
-        // Best-of-n wall-clock: 3 for each mode here, 5 for the wide block.
-        let best_of = |n: usize, f: &mut dyn FnMut() -> std::time::Duration| {
-            (0..n).map(|_| f()).min().unwrap()
-        };
-        let seq = best_of(3, &mut || {
-            let t0 = std::time::Instant::now();
-            compile(&src, &CompileOptions::default()).unwrap();
-            t0.elapsed()
-        });
-        let par = best_of(3, &mut || {
-            let t0 = std::time::Instant::now();
-            compile(
-                &src,
-                &CompileOptions::builder()
-                    .mode(CompileMode::Parallel(threads))
-                    .build(),
-            )
-            .unwrap();
-            t0.elapsed()
-        });
-        // Incremental: alternate base/edited so every timed compile is a
-        // genuine one-leaf edit, not a no-op.
-        let mut chain = fortrand_bench::Chain::default();
-        chain.compile(&src, &CompileOptions::default());
-        let mut flip = false;
-        let inc = best_of(3, &mut || {
-            flip = !flip;
-            let s: &str = if flip { &edited } else { &src };
-            let t0 = std::time::Instant::now();
-            chain.compile(s, &CompileOptions::default());
-            t0.elapsed()
-        });
-        let last = chain.compile(
-            if flip { &src } else { &edited },
-            &CompileOptions::default(),
-        );
-        println!("sequential            {:>10.3} ms", seq.as_secs_f64() * 1e3);
-        println!(
-            "parallel (x{threads:<2})        {:>10.3} ms  ({:.2}x vs sequential)",
-            par.as_secs_f64() * 1e3,
-            seq.as_secs_f64() / par.as_secs_f64()
-        );
-        println!(
-            "incremental edit      {:>10.3} ms  ({:.2}x vs sequential, {} recompiled / {} reused)",
-            inc.as_secs_f64() * 1e3,
-            seq.as_secs_f64() / inc.as_secs_f64(),
-            last.recompiled.len(),
-            last.reused.len()
-        );
-
-        // The benchmark's `wide_u300` program: analysis-dominated (600
-        // arrays and 900 statements in the main program), which the
-        // 24-leaf rows above do not show.
-        let procs = 300;
-        let src = wide_corpus(procs, 256, 4);
-        println!("\ncorpus: {procs} independent leaf procedures + root; best of 5");
-        let cold = best_of(5, &mut || {
-            let t0 = std::time::Instant::now();
-            compile(&src, &CompileOptions::default()).unwrap();
-            t0.elapsed()
-        });
-        // One store under every recompile, and a coefficient it has not
-        // seen each time: always exactly one leaf to generate.
-        let mut chain = fortrand_bench::Chain::default();
-        chain.compile(&src, &CompileOptions::default());
-        let mut edits = 0;
-        let mut last = None;
-        let inc = best_of(5, &mut || {
-            edits += 1;
-            let edited = src.replacen("0.5 * (u(i)", &format!("0.5{edits} * (u(i)"), 1);
-            let t0 = std::time::Instant::now();
-            last = Some(chain.compile(&edited, &CompileOptions::default()));
-            t0.elapsed()
-        });
-        let last = last.expect("five recompiles ran");
-        let (prog, info) = fortrand_frontend::load_program(&src).unwrap();
-        let acg = build_acg(&prog, &info).unwrap();
-        let stored = reaching::compute(&prog, &info, &acg).stored_entries();
-        println!(
-            "cold compile          {:>10.3} ms",
-            cold.as_secs_f64() * 1e3
-        );
-        println!(
-            "one-leaf recompile    {:>10.3} ms  ({:.2}x vs cold, {} recompiled / {} reused, store-backed, edit unseen)",
-            inc.as_secs_f64() * 1e3,
-            cold.as_secs_f64() / inc.as_secs_f64(),
-            last.recompiled.len(),
-            last.reused.len()
-        );
-        println!(
-            "reaching stored entries {stored:>8}     (a table of every array at every statement: {})",
-            6 * procs * procs + 8 * procs
-        );
-    }
     if want("sec9") {
         banner("SEC 9 — dgefa case study (n=64, strategies x processors)");
         for (p, rows) in exp_dgefa(64, &[1, 2, 4, 8]) {
@@ -580,16 +468,6 @@ fn main() {
         );
         println!("wall(ms) is one unrepeated sample on this host; nothing records or judges it.");
     }
-    if want("serve") {
-        banner("SERVE — compile-as-a-service load test (1000 clients)");
-        let cfg = fortrand_serve::LoadConfig::default();
-        let report = fortrand_serve::run_load(&cfg);
-        print_serve_report(&report);
-        if report.failures > 0 {
-            eprintln!("SERVE FAIL: {} failed requests", report.failures);
-            std::process::exit(1);
-        }
-    }
     if json {
         let doc = fortrand_bench::counters_report();
         std::fs::write("BENCH.json", doc.pretty()).expect("write BENCH.json");
@@ -598,33 +476,6 @@ fn main() {
     if let Some(path) = trace_path {
         write_trace_artifact(&path);
     }
-}
-
-fn print_serve_report(report: &fortrand_serve::LoadReport) {
-    println!(
-        "{} clients, {} compiles: {} failures",
-        report.clients, report.compiles, report.failures
-    );
-    println!(
-        "multi    : wall {:>9} us, throughput {:>8}.{:02} compiles/s, hit rate {}%",
-        report.wall_us,
-        report.throughput_x100 / 100,
-        report.throughput_x100 % 100,
-        report.hit_rate_x100
-    );
-    println!(
-        "baseline : wall {:>9} us, throughput {:>8}.{:02} compiles/s",
-        report.baseline_wall_us,
-        report.baseline_throughput_x100 / 100,
-        report.baseline_throughput_x100 % 100
-    );
-    println!(
-        "latency  : p50 {} us, p95 {} us, p99 {} us; speedup {:.2}x over sequential",
-        report.p50_us,
-        report.p95_us,
-        report.p99_us,
-        report.speedup_x100 as f64 / 100.0
-    );
 }
 
 /// Compiles and runs dgefa n=256 p=8 with tracing on, streams the Chrome

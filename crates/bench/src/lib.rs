@@ -25,7 +25,7 @@ use std::collections::BTreeMap;
 /// one definition for both (`tests/common/mod.rs`).
 #[path = "../../../tests/common/mod.rs"]
 mod common;
-pub use common::{compile, run_spmd, Chain};
+pub use common::{compile, run_spmd};
 
 /// [`run_spmd`] with explicit execution options (backend selection etc.).
 pub fn run_spmd_opts(

@@ -17,8 +17,19 @@ fn unknown_verb_exits_2_and_lists_the_verbs() {
     assert!(out.stdout.is_empty(), "nothing is printed before the error");
     let err = String::from_utf8(out.stderr).unwrap();
     assert!(err.contains("no-such-verb"), "{err}");
-    for verb in ["fig1", "tab1", "sec9", "vmprof", "weakscale", "serve"] {
+    for verb in ["fig1", "tab1", "sec9", "vmprof", "weakscale"] {
         assert!(err.contains(verb), "usage must list `{verb}`:\n{err}");
+    }
+}
+
+#[test]
+fn deleted_timing_verbs_are_unknown() {
+    // Wall clock is measured by `benchmark/`: `wide_u300` and
+    // `serve_edit_loop` replaced these two reports.
+    for verb in ["serve", "compile-time"] {
+        let out = tables(&[verb]);
+        assert_eq!(out.status.code(), Some(2), "`tables {verb}`");
+        assert!(out.stdout.is_empty(), "`tables {verb}`");
     }
 }
 

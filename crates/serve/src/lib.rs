@@ -20,25 +20,24 @@
 //! response := {"ok":true, ...}  |  {"ok":false, "error":TEXT}
 //! ```
 //!
-//! Failures are isolated per request: a compile error, a simulated-rank
-//! failure (`RankFailure`), or even a panic inside the pipeline produces
-//! an `{"ok":false}` response on that request only — the connection, the
-//! session, and every other session stay live.
+//! Failures are isolated per request: a line that is not UTF-8 or not a
+//! request, a compile error, a simulated-rank failure (`RankFailure`), or
+//! even a panic inside the pipeline produces an `{"ok":false}` response on
+//! that request only — the connection, the session, and every other
+//! session stay live. The one exception is a line over the length cap,
+//! which is answered and then closes its connection.
 //!
-//! The [`loadgen`] module is the load-generator harness behind
-//! `tables serve` and `fortrand-serve load`.
+//! The daemon's request latencies and store hit rate are measured by the
+//! `serve_edit_loop` workload of the repository's `benchmark/`.
 
 #![forbid(unsafe_code)]
 
-pub mod loadgen;
 pub mod protocol;
 pub mod server;
 
-pub use loadgen::{run_load, LoadConfig, LoadReport};
 pub use server::{Server, ServerConfig};
 
 // Compile-time thread-safety audit: one `Server` is shared by every
-// connection thread, and load reports cross the runner-thread join.
+// connection thread.
 const fn assert_send_sync<T: Send + Sync>() {}
 const _: () = assert_send_sync::<server::Server>();
-const _: () = assert_send_sync::<loadgen::LoadReport>();

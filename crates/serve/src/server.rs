@@ -298,7 +298,7 @@ fn handle_connection(server: &Server, stream: TcpStream, conn_id: u64) {
                 match std::str::from_utf8(&line) {
                     Ok(text) if text.trim().is_empty() => continue,
                     Ok(text) => server.handle_line(text),
-                    Err(_) => break,
+                    Err(_) => server.fail("request line is not UTF-8".into()),
                 }
             };
             resp.push('\n');
@@ -312,7 +312,8 @@ fn handle_connection(server: &Server, stream: TcpStream, conn_id: u64) {
 
 impl Server {
     /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and
-    /// serves connections on a background thread, one thread per client.
+    /// serves connections on a background thread, one thread per client,
+    /// until the returned handle is shut down or dropped.
     pub fn spawn(self: &Arc<Server>, addr: &str) -> std::io::Result<ServerHandle> {
         let listener = TcpListener::bind(addr)?;
         let bound = listener.local_addr()?;
@@ -325,6 +326,12 @@ impl Server {
                 for stream in listener.incoming() {
                     if server.shutdown.load(Ordering::SeqCst) {
                         break;
+                    }
+                    // Reap the handlers whose clients have left, so a
+                    // long-running daemon holds one handle per live
+                    // connection, not one per connection ever accepted.
+                    for t in handlers.extract_if(.., |t| t.is_finished()) {
+                        let _ = t.join();
                     }
                     let Ok(stream) = stream else { continue };
                     let conn_id = next_id;
@@ -349,23 +356,6 @@ impl Server {
             addr: bound,
             accept_thread: Some(accept_thread),
         })
-    }
-
-    /// Serves `addr` on the calling thread until the process exits. Used
-    /// by the `fortrand-serve` binary.
-    pub fn serve_forever(self: &Arc<Server>, addr: &str) -> std::io::Result<()> {
-        let listener = TcpListener::bind(addr)?;
-        eprintln!("fortrand-serve listening on {}", listener.local_addr()?);
-        for stream in listener.incoming() {
-            let Ok(stream) = stream else { continue };
-            let server = Arc::clone(self);
-            // No conn registry here: this loop never shuts down, so
-            // there is nothing to sever (id 0 prunes nothing).
-            std::thread::Builder::new()
-                .name("serve-conn".into())
-                .spawn(move || handle_connection(&server, stream, 0))?;
-        }
-        Ok(())
     }
 }
 
@@ -513,6 +503,141 @@ mod tests {
             reader.read_line(&mut line).unwrap();
             assert!(line.contains("\"ok\":true"), "{req} -> {line}");
         }
+        handle.shutdown();
+    }
+
+    /// Writes `req` and a newline, and returns the one response line.
+    fn ask(writer: &mut TcpStream, reader: &mut BufReader<TcpStream>, req: &[u8]) -> String {
+        writer.write_all(req).unwrap();
+        writer.write_all(b"\n").unwrap();
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        line
+    }
+
+    fn connect(addr: SocketAddr) -> (TcpStream, BufReader<TcpStream>) {
+        let stream = TcpStream::connect(addr).unwrap();
+        (stream.try_clone().unwrap(), BufReader::new(stream))
+    }
+
+    #[test]
+    fn non_utf8_request_line_fails_that_request_only() {
+        let server = Server::new(ServerConfig::default());
+        let handle = server.spawn("127.0.0.1:0").unwrap();
+        let (mut writer, mut reader) = connect(handle.addr);
+        let open = open_request("t", &source());
+        let replies: Vec<String> = [
+            &[0xff, 0xfe][..],
+            open.as_bytes(),
+            br#"{"cmd":"compile","session":"t"}"#,
+            br#"{"cmd":"stats"}"#,
+        ]
+        .into_iter()
+        .map(|req| ask(&mut writer, &mut reader, req))
+        .collect();
+        let replies: Vec<Json> = replies
+            .iter()
+            .map(|r| json::parse(r).unwrap_or_else(|e| panic!("{r:?}: {e}")))
+            .collect();
+        assert_eq!(
+            replies[0].get("ok"),
+            Some(&Json::Bool(false)),
+            "{replies:?}"
+        );
+        for r in &replies[1..] {
+            assert_eq!(r.get("ok"), Some(&Json::Bool(true)), "{replies:?}");
+        }
+        assert_eq!(replies[3].get("failures").and_then(Json::as_int), Some(1));
+        handle.shutdown();
+    }
+
+    #[test]
+    fn half_closed_client_gets_its_answer() {
+        let server = Server::new(ServerConfig::default());
+        let handle = server.spawn("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(handle.addr).unwrap();
+        // An unterminated last line, then end of input.
+        client.write_all(br#"{"cmd":"stats"}"#).unwrap();
+        client.shutdown(std::net::Shutdown::Write).unwrap();
+        // The daemon answers, then closes: reading to the end returns.
+        let mut answer = String::new();
+        client.read_to_string(&mut answer).unwrap();
+        assert_eq!(answer.lines().count(), 1, "{answer}");
+        assert!(answer.contains("\"ok\":true"), "{answer}");
+        handle.shutdown();
+    }
+
+    /// Many concurrent TCP clients on one daemon: 12 sessions on 4 client
+    /// threads, each open → compile → 2 × (edit → compile) → close over
+    /// one of 2 program variants. No request fails, and the sessions of a
+    /// variant compile out of each other's store entries.
+    #[test]
+    fn small_load_completes_without_failures_and_shares_the_store() {
+        const SESSIONS: usize = 12;
+        const THREADS: usize = 4;
+        let server = Server::new(ServerConfig {
+            threads: 2,
+            ..ServerConfig::default()
+        });
+        let handle = server.spawn("127.0.0.1:0").unwrap();
+        let addr = handle.addr;
+        // A coefficient per variant, so the two share no leaf.
+        let variants: Vec<String> = (0..2)
+            .map(|v| {
+                fortrand::corpus::wide_corpus(4, 32, 4)
+                    .replace("0.5 * (u(i)", &format!("0.{} * (u(i)", 500 + v))
+            })
+            .collect();
+        let compiles: usize = std::thread::scope(|s| {
+            let clients: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let variants = &variants;
+                    s.spawn(move || {
+                        let mut compiles = 0;
+                        for id in (t..SESSIONS).step_by(THREADS) {
+                            let (mut writer, mut reader) = connect(addr);
+                            let sid = format!("c{id}");
+                            let compile = format!(r#"{{"cmd":"compile","session":"{sid}"}}"#);
+                            let mut script = vec![
+                                open_request(&sid, &variants[id % variants.len()]),
+                                compile.clone(),
+                            ];
+                            // Back and forth: every source state recurs
+                            // across the sessions of a variant.
+                            for (find, replace) in [
+                                ("0.5 * (v(i)", "0.25 * (v(i)"),
+                                ("0.25 * (v(i)", "0.5 * (v(i)"),
+                            ] {
+                                script.push(
+                                    Json::Obj(vec![
+                                        ("cmd".into(), Json::str("edit")),
+                                        ("session".into(), Json::str(&sid)),
+                                        ("find".into(), Json::str(find)),
+                                        ("replace".into(), Json::str(replace)),
+                                    ])
+                                    .compact(),
+                                );
+                                script.push(compile.clone());
+                            }
+                            script.push(format!(r#"{{"cmd":"close","session":"{sid}"}}"#));
+                            for req in &script {
+                                let resp = ask(&mut writer, &mut reader, req.as_bytes());
+                                assert!(resp.contains("\"ok\":true"), "{req} -> {resp}");
+                                compiles += usize::from(req == &compile);
+                            }
+                        }
+                        compiles
+                    })
+                })
+                .collect();
+            clients.into_iter().map(|c| c.join().unwrap()).sum()
+        });
+        assert_eq!(compiles, 36);
+        let (mut writer, mut reader) = connect(addr);
+        let stats = json::parse(&ask(&mut writer, &mut reader, br#"{"cmd":"stats"}"#)).unwrap();
+        assert_eq!(stats.get("failures").and_then(Json::as_int), Some(0));
+        let hit_rate = stats.get("hit_rate_x100").and_then(Json::as_int).unwrap();
+        assert!(hit_rate >= 50, "cross-session hit rate too low: {stats:?}");
         handle.shutdown();
     }
 }
