@@ -151,3 +151,118 @@ fn fig10_vs_fig12_message_counts() {
     assert_eq!(rm.stats.total_msgs, 300, "immediate: one per invocation");
     assert!(rm.stats.time_us > ri.stats.time_us);
 }
+
+/// The loop header that directly encloses the first `send` in `text`, or
+/// `None` when the exchange sits outside every loop.
+fn exchange_loop(text: &str) -> Option<&str> {
+    let lines: Vec<&str> = text.lines().collect();
+    let at = lines
+        .iter()
+        .position(|l| l.contains(" send "))
+        .unwrap_or_else(|| panic!("no exchange in\n{text}"));
+    let indent = |l: &str| l.len() - l.trim_start().len();
+    let depth = indent(lines[at]);
+    lines[..at]
+        .iter()
+        .rev()
+        .find(|l| indent(l) < depth)
+        .map(|l| l.trim())
+}
+
+/// §5.4: an exchange is vectorized out to the deepest loop that carries a
+/// true dependence into the read, and no further. One row per case of the
+/// dependence test codegen asks; the positive-distance case (a flow
+/// dependence carried by the partitioned loop itself) is a compile error,
+/// pinned by `errors::pipelining_case_rejected_with_hint`.
+#[test]
+fn exchange_sits_at_the_deepest_carrying_loop() {
+    const HEAD: &str = "
+      PROGRAM p
+      PARAMETER (n$proc = 4)
+      REAL x(100), y(100)
+      DISTRIBUTE x(BLOCK)
+      DISTRIBUTE y(BLOCK)
+";
+    let cases: [(&str, &str, Option<&str>); 5] = [
+        (
+            "anti-dependence only",
+            "
+      do i = 1, 95
+        x(i) = x(i+5)
+      enddo
+      END
+",
+            None,
+        ),
+        (
+            "write in the enclosing k loop",
+            "
+      do k = 1, 10
+        do i = 1, 95
+          y(i) = x(i+5)
+        enddo
+        do i = 1, 100
+          x(i) = y(i) + 1.0
+        enddo
+      enddo
+      END
+",
+            Some("do k = 1,10"),
+        ),
+        (
+            "write through a call in the k loop",
+            "
+      do k = 1, 10
+        do i = 1, 95
+          y(i) = x(i+5)
+        enddo
+        call bump(x)
+      enddo
+      END
+      SUBROUTINE bump(x)
+      REAL x(100)
+      do i = 1, 100
+        x(i) = x(i) + 1.0
+      enddo
+      END
+",
+            Some("do k = 1,10"),
+        ),
+        (
+            "write disjoint from the read after the sweep",
+            "
+      do k = 1, 10
+        do i = 1, 50
+          y(i) = x(i+5)
+        enddo
+        do i = 61, 100
+          x(i) = 2.0 * x(i)
+        enddo
+      enddo
+      END
+",
+            None,
+        ),
+        (
+            "2-D nest carried at the outer level",
+            "
+      REAL a(16,16)
+      DISTRIBUTE a(BLOCK,:)
+      do j = 2, 16
+        do i = 1, 15
+          a(i,j) = a(i+1,j-1)
+        enddo
+      enddo
+      END
+",
+            Some("do j = 2,16"),
+        ),
+    ];
+    for (name, body, want) in cases {
+        let text = fortrand::Session::new(&format!("{HEAD}{body}"))
+            .compile()
+            .unwrap_or_else(|e| panic!("{name}: {e}"))
+            .emit();
+        assert_eq!(exchange_loop(&text), want, "{name}:\n{text}");
+    }
+}
