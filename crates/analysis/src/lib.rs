@@ -10,7 +10,6 @@
 //! | [`side_effects`] | scalar & array side effects (GMOD/GREF with RSDs) | bottom-up |
 //! | [`reaching`] | reaching decompositions | top-down |
 //! | [`consts`] | interprocedural symbolics & constants | bidirectional* |
-//! | [`depend`] | data dependence with interprocedural RSDs | per-unit |
 //! | [`kills`] | array kill analysis | per-unit |
 //! | [`refs`] | reference collection / local RSD construction | per-unit |
 //! | [`registry`] | the machine-readable Table 1 | — |
@@ -28,7 +27,6 @@
 
 pub mod acg;
 pub mod consts;
-pub mod depend;
 pub mod fixtures;
 pub mod framework;
 pub mod kills;

@@ -72,13 +72,6 @@ impl ArrayRef {
         }
         Some(r)
     }
-
-    /// Does this reference mention `var` in any subscript?
-    pub fn mentions(&self, var: Sym) -> bool {
-        self.subs
-            .iter()
-            .any(|s| s.as_ref().map(|a| a.mentions(var)).unwrap_or(true))
-    }
 }
 
 /// Collects all array references in `unit` (assignment lhs/rhs, loop

@@ -35,7 +35,7 @@ use fortrand_analysis::acg::Acg;
 use fortrand_analysis::consts::InterConsts;
 use fortrand_analysis::reaching::{DecompSpec, ReachingDecomps};
 use fortrand_analysis::refs::{collect_refs, ArrayRef, LoopCtx};
-use fortrand_analysis::side_effects::{Sections, SideEffects};
+use fortrand_analysis::side_effects::{translate_effects, Sections, SideEffects};
 use fortrand_frontend::ast::*;
 use fortrand_frontend::sema::{expr_affine, ProgramInfo, UnitInfo};
 use fortrand_ir::dist::{ArrayDist, DimPartition, DistKind};
@@ -187,6 +187,15 @@ enum CommOp {
 /// Key identifying a pinned read rewritten to a buffer.
 type PinKey = (Sym, usize, Affine);
 
+/// One write of an array in the unit: a definition in its body, or one
+/// section of a callee's GMOD translated at a call site.
+struct Write {
+    /// Loops enclosing the definition or call, outermost first.
+    loops: Vec<LoopCtx>,
+    /// The written section; `None` = the whole array.
+    section: Option<Rsd>,
+}
+
 struct UnitCompiler<'a, 'b> {
     ctx: &'a Ctx<'a>,
     unit: &'a ProcUnit,
@@ -238,6 +247,8 @@ struct UnitCompiler<'a, 'b> {
     edge_buffers: BTreeMap<StmtId, Vec<Sym>>,
     /// Global-value companion symbols for guarded local loops (`i$g`).
     global_companion: BTreeMap<Sym, Sym>,
+    /// Every write of each array in the unit (see [`Self::write_table`]).
+    writes: FxHashMap<Sym, Vec<Write>>,
 }
 
 impl<'a, 'b> UnitCompiler<'a, 'b> {
@@ -288,6 +299,7 @@ impl<'a, 'b> UnitCompiler<'a, 'b> {
             first_distribute_seen: BTreeMap::new(),
             edge_buffers: BTreeMap::new(),
             global_companion: BTreeMap::new(),
+            writes: FxHashMap::default(),
         })
     }
 
@@ -535,11 +547,57 @@ impl<'a, 'b> UnitCompiler<'a, 'b> {
     // Pass A: planning
     // ------------------------------------------------------------------
 
+    /// Plans partitioning and communication from one walk of the unit's
+    /// references.
+    fn plan(&mut self) -> R<()> {
+        let refs = collect_refs(self.unit, self.ui);
+        self.writes = self.write_table(&refs);
+        self.plan_partitioning(&refs)?;
+        self.plan_comm(&refs)
+    }
+
+    /// The unit's write table: per array, each definition among `refs` and
+    /// each section of a callee's GMOD, translated once per call edge.
+    fn write_table(&self, refs: &[ArrayRef]) -> FxHashMap<Sym, Vec<Write>> {
+        let mut writes: FxHashMap<Sym, Vec<Write>> = FxHashMap::default();
+        for r in refs.iter().filter(|r| r.is_def) {
+            writes.entry(r.array).or_default().push(Write {
+                loops: r.nest.clone(),
+                section: r.point_rsd(),
+            });
+        }
+        for edge in self
+            .ctx
+            .acg
+            .calls
+            .get(&self.unit.name)
+            .into_iter()
+            .flatten()
+        {
+            let Some(eff) = self.ctx.se.units.get(&edge.callee) else {
+                continue;
+            };
+            let ((mods, _), _) = translate_effects(eff, edge, self.ctx.info, &self.env);
+            for (array, secs) in mods {
+                let sections = match secs {
+                    Sections::Whole => vec![None],
+                    Sections::Some(v) => v.into_iter().map(Some).collect(),
+                };
+                for section in sections {
+                    writes.entry(array).or_default().push(Write {
+                        loops: edge.loops.clone(),
+                        section,
+                    });
+                }
+            }
+        }
+        writes
+    }
+
     /// Decides which loops are partitioned and which formals are
     /// owner-local, from assignment left-hand sides and callee residual
     /// constraints.
-    fn plan_partitioning(&mut self) -> R<()> {
-        let refs = collect_refs(self.unit, self.ui);
+    fn plan_partitioning(&mut self, refs: &[ArrayRef]) -> R<()> {
         // LHS-driven decisions.
         for r in refs.iter().filter(|r| r.is_def) {
             let Some(spec) = self.spec_at(r.stmt, r.array)? else {
@@ -814,9 +872,7 @@ impl<'a, 'b> UnitCompiler<'a, 'b> {
     }
 
     /// Plans communication: local stencil reads and callee residual comms.
-    fn plan_comm(&mut self) -> R<()> {
-        // Local reads.
-        let refs = collect_refs(self.unit, self.ui);
+    fn plan_comm(&mut self, refs: &[ArrayRef]) -> R<()> {
         // Pinned lhs dimensions per statement: a rhs read of the same
         // (array, dim, index) under that ownership guard is local and
         // needs no broadcast (Fig. 12's guarded column access).
@@ -848,7 +904,7 @@ impl<'a, 'b> UnitCompiler<'a, 'b> {
             }
         }
         let mut pinned_reads: Vec<(ArrayRef, usize, Affine)> = Vec::new();
-        for (idx, r) in refs.iter().enumerate() {
+        for r in refs {
             if r.is_def {
                 continue;
             }
@@ -879,7 +935,7 @@ impl<'a, 'b> UnitCompiler<'a, 'b> {
                         }
                         match dist.dims[d].kind {
                             DistKind::Block => {
-                                self.plan_shift(r, idx, d, off, &dist)?;
+                                self.plan_shift(r, d, off, &dist)?;
                                 continue;
                             }
                             _ => {
@@ -944,8 +1000,8 @@ impl<'a, 'b> UnitCompiler<'a, 'b> {
                     continue;
                 };
                 let pending: Vec<PendingComm> = cu.residual.comms.clone();
-                for (ci, pc) in pending.iter().enumerate() {
-                    self.adopt_pending(&edge, pc, ci)?;
+                for pc in &pending {
+                    self.adopt_pending(&edge, pc)?;
                 }
             }
         }
@@ -953,14 +1009,7 @@ impl<'a, 'b> UnitCompiler<'a, 'b> {
     }
 
     /// Shift pattern from a local read (e.g. `x(i+5)`).
-    fn plan_shift(
-        &mut self,
-        r: &ArrayRef,
-        _idx: usize,
-        dim: usize,
-        off: i64,
-        dist: &ArrayDist,
-    ) -> R<()> {
+    fn plan_shift(&mut self, r: &ArrayRef, dim: usize, off: i64, dist: &ArrayDist) -> R<()> {
         // Point access section; `place` vectorizes it over each loop it
         // clears (message vectorization, §5.4).
         let rsd = r.point_rsd().unwrap_or_else(|| {
@@ -1027,23 +1076,8 @@ impl<'a, 'b> UnitCompiler<'a, 'b> {
             .spec_at(r0.stmt, array)?
             .ok_or_else(|| CodegenError::at(0, "pinned read of a replicated array"))?;
         let dist = spec.array_dist(&self.ui.var(array).unwrap().dims, self.ctx.nprocs);
-        // Environment for hulling: unit facts + every group member's loop
-        // ranges.
-        let mut henv = self.env.clone();
-        for (r, _, _) in group {
-            for l in &r.nest {
-                if let (Some(lo), Some(hi)) = (
-                    l.lo.as_ref()
-                        .map(|a| henv.fold(a))
-                        .and_then(|a| a.as_const()),
-                    l.hi.as_ref()
-                        .map(|a| henv.fold(a))
-                        .and_then(|a| a.as_const()),
-                ) {
-                    henv.set_range(l.var, lo, hi);
-                }
-            }
-        }
+        // Environment for hulling: every group member's loop ranges.
+        let henv = self.loop_env(group.iter().flat_map(|(r, _, _)| &r.nest));
         let is_formal = self.ui.var(array).map(|v| v.is_formal).unwrap_or(false);
         let may_delay =
             !self.is_main && is_formal && self.ctx.strategy == Strategy::Interprocedural;
@@ -1083,13 +1117,11 @@ impl<'a, 'b> UnitCompiler<'a, 'b> {
                         ));
                     }
                     if !delayed_here && pan != an {
-                        // Differing anchors are safe when the unit never
-                        // writes the array (the slice is constant through
-                        // the body): hoist to the earliest anchor.
-                        let read_only = !collect_refs(self.unit, self.ui)
-                            .iter()
-                            .any(|x| x.is_def && x.array == array);
-                        if !read_only {
+                        // Differing anchors are safe when nothing in the
+                        // unit, calls included, writes the array (the slice
+                        // is constant through the body): hoist to the
+                        // earliest anchor.
+                        if self.writes.contains_key(&array) {
                             return Err(CodegenError::at(
                                 0,
                                 "pinned reads of one slice need conflicting placements",
@@ -1165,12 +1197,7 @@ impl<'a, 'b> UnitCompiler<'a, 'b> {
     }
 
     /// Adopts a callee's pending communication at one call edge.
-    fn adopt_pending(
-        &mut self,
-        edge: &fortrand_analysis::CallEdge,
-        pc: &PendingComm,
-        _ci: usize,
-    ) -> R<()> {
+    fn adopt_pending(&mut self, edge: &fortrand_analysis::CallEdge, pc: &PendingComm) -> R<()> {
         let callee_info = self.ctx.info.unit(edge.callee);
         // Translate: callee array formal → our actual array; scalar
         // formals in bounds → actual affine expressions.
@@ -1310,21 +1337,9 @@ impl<'a, 'b> UnitCompiler<'a, 'b> {
         array: Sym,
         floor: usize,
     ) -> R<(usize, Rsd)> {
-        // Comparison environment: unit constants + every enclosing loop's
-        // constant range (so `k ≤ n-1`-style facts are available).
-        let mut env = self.env.clone();
-        for l in nest {
-            if let (Some(lo), Some(hi)) = (
-                l.lo.as_ref()
-                    .map(|a| env.fold(a))
-                    .and_then(|a| a.as_const()),
-                l.hi.as_ref()
-                    .map(|a| env.fold(a))
-                    .and_then(|a| a.as_const()),
-            ) {
-                env.set_range(l.var, lo, hi);
-            }
-        }
+        // Comparison environment: every enclosing loop's constant range
+        // (so `k ≤ n-1`-style facts are available).
+        let env = self.loop_env(nest);
         let mut level = nest.len();
         for l in nest.iter().rev() {
             if level <= floor {
@@ -1348,11 +1363,31 @@ impl<'a, 'b> UnitCompiler<'a, 'b> {
         Ok((level, rsd))
     }
 
-    /// Conservative carried-dependence test for loop `l` between writes of
-    /// `array` in this unit and the read section `rsd`.
+    /// The unit's facts plus the constant range of each loop in `loops`,
+    /// outermost first.
+    fn loop_env<'l>(&self, loops: impl IntoIterator<Item = &'l LoopCtx>) -> SymEnv {
+        let mut env = self.env.clone();
+        for l in loops {
+            let fold = |b: &Option<Affine>| b.as_ref().and_then(|a| env.fold(a).as_const());
+            if let (Some(lo), Some(hi)) = (fold(&l.lo), fold(&l.hi)) {
+                env.set_range(l.var, lo, hi);
+            }
+        }
+        env
+    }
+
+    /// Conservative carried-dependence test for loop `l` between the
+    /// writes of `array` inside `l` (the unit's write table) and the read
+    /// section `rsd`. Writes outside `l` cannot create an `l`-carried
+    /// dependence; ordering with siblings is preserved by positional
+    /// anchoring.
     fn carried_dep(&self, l: &LoopCtx, rsd: &Rsd, array: Sym, env: &SymEnv) -> bool {
-        let mods = self.mods_below(l, array);
-        'mods: for m in &mods {
+        let writes = self.writes.get(&array).into_iter().flatten();
+        'mods: for w in writes {
+            let Some(pos) = w.loops.iter().position(|x| x.stmt == l.stmt) else {
+                continue;
+            };
+            let m = self.swept(w.section.clone(), &w.loops[pos + 1..], array);
             if m.rank() != rsd.rank() {
                 return true;
             }
@@ -1396,107 +1431,22 @@ impl<'a, 'b> UnitCompiler<'a, 'b> {
         false
     }
 
-    /// Write sections of `array` in this unit, vectorized over loops
-    /// strictly deeper than `l` (the loop var itself stays symbolic).
-    fn mods_below(&self, l: &LoopCtx, array: Sym) -> Vec<Rsd> {
-        let mut out = Vec::new();
-        // Direct defs — only those lexically inside loop `l` (writes
-        // outside it cannot create an l-carried dependence; ordering with
-        // siblings is preserved by positional anchoring).
-        for r in collect_refs(self.unit, self.ui) {
-            if !r.is_def || r.array != array {
-                continue;
-            }
-            if !r.nest.iter().any(|x| x.stmt == l.stmt) {
-                continue;
-            }
-            let Some(mut rsd) = r.point_rsd() else {
-                out.push(self.whole_of(array));
-                continue;
-            };
-            // Vectorize over loops deeper than l in r's nest.
-            let pos = r.nest.iter().position(|x| x.stmt == l.stmt);
-            let deeper: &[LoopCtx] = match pos {
-                Some(p) => &r.nest[p + 1..],
-                None => &r.nest[..],
-            };
-            let mut ok = true;
-            for dl in deeper.iter().rev() {
-                match (dl.lo.clone(), dl.hi.clone(), dl.step) {
-                    (Some(lo), Some(hi), Some(1)) => match rsd.vectorize(dl.var, &lo, &hi) {
-                        Some(v) => rsd = v,
-                        None => {
-                            ok = false;
-                            break;
-                        }
-                    },
-                    _ => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            out.push(if ok { rsd } else { self.whole_of(array) });
-        }
-        // Callee mods at call sites (already vectorized over callee loops,
-        // still symbolic in our loop vars).
-        for edge in self
-            .ctx
-            .acg
-            .calls
-            .get(&self.unit.name)
-            .into_iter()
-            .flatten()
-        {
-            if !edge.loops.iter().any(|x| x.stmt == l.stmt) {
-                continue;
-            }
-            let callee_eff = self.ctx.se.units.get(&edge.callee);
-            if let Some(eff) = callee_eff {
-                let (tmods, _) = fortrand_analysis::side_effects::translate_effects(
-                    eff,
-                    edge,
-                    self.ctx.info,
-                    &self.env,
-                );
-                if let Some(secs) = tmods.0.get(&array) {
-                    match secs {
-                        Sections::Whole => out.push(self.whole_of(array)),
-                        Sections::Some(v) => {
-                            for m in v {
-                                // Vectorize over our loops deeper than l.
-                                let pos = edge.loops.iter().position(|x| x.stmt == l.stmt);
-                                let deeper: &[LoopCtx] = match pos {
-                                    Some(p) => &edge.loops[p + 1..],
-                                    None => &edge.loops[..],
-                                };
-                                let mut rsd = m.clone();
-                                let mut ok = true;
-                                for dl in deeper.iter().rev() {
-                                    match (dl.lo.clone(), dl.hi.clone(), dl.step) {
-                                        (Some(lo), Some(hi), Some(1)) => {
-                                            match rsd.vectorize(dl.var, &lo, &hi) {
-                                                Some(v) => rsd = v,
-                                                None => {
-                                                    ok = false;
-                                                    break;
-                                                }
-                                            }
-                                        }
-                                        _ => {
-                                            ok = false;
-                                            break;
-                                        }
-                                    }
-                                }
-                                out.push(if ok { rsd } else { self.whole_of(array) });
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        out
+    /// A write's `section` of `array` vectorized over `loops`, innermost
+    /// first. Unknown sections, and loops without affine bounds, with a
+    /// step ≠ 1 or that the section cannot be vectorized over, give the
+    /// whole array.
+    fn swept(&self, section: Option<Rsd>, loops: &[LoopCtx], array: Sym) -> Rsd {
+        section
+            .and_then(|rsd| {
+                loops
+                    .iter()
+                    .rev()
+                    .try_fold(rsd, |rsd, l| match (&l.lo, &l.hi, l.step) {
+                        (Some(lo), Some(hi), Some(1)) => rsd.vectorize(l.var, lo, hi),
+                        _ => None,
+                    })
+            })
+            .unwrap_or_else(|| self.whole_of(array))
     }
 
     fn whole_of(&self, array: Sym) -> Rsd {

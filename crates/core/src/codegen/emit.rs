@@ -7,8 +7,7 @@ impl UnitCompiler<'_, '_> {
     /// Full compilation of one unit under a compile-time strategy.
     pub(super) fn compile(mut self) -> R<CachedUnit> {
         self.resolve_specs()?;
-        self.plan_partitioning()?;
-        self.plan_comm()?;
+        self.plan()?;
 
         // Dynamic-decomposition summary + caller-side remap placements.
         let dyn_summary = dynamic_decomp::summarize(

@@ -70,3 +70,29 @@ impl Chain {
         out
     }
 }
+
+/// Two loops read the pinned slice `a(:,3)` of a column-distributed array
+/// with a call that writes every element of `a` between them. A broadcast
+/// hoisted above both loops would hand the second loop stale values.
+pub const CALL_WRITES_PINNED_SLICE: &str = "
+      PROGRAM p
+      PARAMETER (n$proc = 4)
+      REAL a(16,16), b(16), c(16)
+      DISTRIBUTE a(:,BLOCK)
+      do i = 1, 16
+        b(i) = a(i,3)
+      enddo
+      call bump(a)
+      do i = 1, 16
+        c(i) = a(i,3)
+      enddo
+      END
+      SUBROUTINE bump(a)
+      REAL a(16,16)
+      do j = 1, 16
+        do i = 1, 16
+          a(i,j) = a(i,j) + 1.0
+        enddo
+      enddo
+      END
+";

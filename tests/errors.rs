@@ -130,6 +130,26 @@ fn pipelining_case_rejected_with_hint() {
     assert!(e.contains("run-time resolution"), "{e}");
 }
 
+/// A write made through a call between two pinned reads of one slice
+/// keeps the slice's broadcast from being hoisted above both reads, as a
+/// write in the unit itself does.
+#[test]
+fn pinned_slice_written_by_a_call_rejected() {
+    for strategy in [Strategy::Interprocedural, Strategy::Immediate] {
+        let e = match compile(
+            common::CALL_WRITES_PINNED_SLICE,
+            &CompileOptions::builder().strategy(strategy).build(),
+        ) {
+            Err(e) => format!("{e}"),
+            Ok(out) => panic!(
+                "{strategy:?}: expected a compile error, got\n{}",
+                fortrand_spmd::print::pretty_all(&out.spmd)
+            ),
+        };
+        assert!(e.contains("conflicting placements"), "{strategy:?}: {e}");
+    }
+}
+
 /// §6.4: dynamic decomposition of aliased variables is illegal.
 #[test]
 fn aliased_dynamic_decomposition_rejected() {

@@ -259,10 +259,53 @@ fn exchange_sits_at_the_deepest_carrying_loop() {
         ),
     ];
     for (name, body, want) in cases {
-        let text = fortrand::Session::new(&format!("{HEAD}{body}"))
+        let text = fortrand::Session::new(format!("{HEAD}{body}"))
             .compile()
             .unwrap_or_else(|e| panic!("{name}: {e}"))
             .emit();
         assert_eq!(exchange_loop(&text), want, "{name}:\n{text}");
     }
+}
+
+/// Two pinned reads of one slice at different anchors share one broadcast,
+/// hoisted to the earlier anchor, when nothing in the unit writes the
+/// array: here the call between them writes `d` only. A call that writes
+/// the slice is rejected instead (`errors::pinned_slice_written_by_a_call_rejected`).
+#[test]
+fn pinned_slice_broadcast_hoists_over_a_call_that_only_reads_it() {
+    let text = fortrand::Session::new(
+        "
+      PROGRAM p
+      PARAMETER (n$proc = 4)
+      REAL a(16,16), d(16,16), b(16), c(16)
+      DISTRIBUTE a(:,BLOCK)
+      DISTRIBUTE d(:,BLOCK)
+      do i = 1, 16
+        b(i) = a(i,3)
+      enddo
+      call copy(a, d)
+      do i = 1, 16
+        c(i) = a(i,3)
+      enddo
+      END
+      SUBROUTINE copy(a, d)
+      REAL a(16,16), d(16,16)
+      do j = 1, 16
+        do i = 1, 16
+          d(i,j) = a(i,j) + 1.0
+        enddo
+      enddo
+      END
+",
+    )
+    .compile()
+    .unwrap_or_else(|e| panic!("{e}"))
+    .emit();
+    let lines: Vec<&str> = text.lines().collect();
+    let bcasts: Vec<usize> = (0..lines.len())
+        .filter(|&k| lines[k].starts_with("broadcast A("))
+        .collect();
+    let first_loop = lines.iter().position(|l| l.starts_with("do i")).unwrap();
+    assert_eq!(bcasts.len(), 1, "{text}");
+    assert!(bcasts[0] < first_loop, "{text}");
 }

@@ -194,6 +194,18 @@ fn carried_flow_dependence_rejected_with_rtr_fallback() {
     check(src, Strategy::RuntimeResolution, 4, DynOptLevel::Kills);
 }
 
+/// Run-time resolution computes the pinned-slice program the compile-time
+/// strategies reject (`errors::pinned_slice_written_by_a_call_rejected`).
+#[test]
+fn pinned_slice_written_by_a_call_under_rtr() {
+    check(
+        common::CALL_WRITES_PINNED_SLICE,
+        Strategy::RuntimeResolution,
+        4,
+        DynOptLevel::Kills,
+    );
+}
+
 /// Two-dimensional block rows with a column-direction (serial) sweep.
 #[test]
 fn two_dim_row_block() {
