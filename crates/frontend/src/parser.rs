@@ -4,6 +4,10 @@
 //! reserved words, so statement kinds are recognized contextually from the
 //! leading identifier(s); anything unrecognized that contains a top-level
 //! `=` is an assignment.
+//!
+//! Nesting: a statement more than `MAX_DEPTH` (128) levels deep is a parse
+//! error, so a hostile source cannot overflow the stack of this parser or
+//! of a later pass that walks the tree.
 
 use crate::ast::*;
 use crate::error::{FrontendError, Result};
@@ -11,12 +15,19 @@ use crate::lexer::{lex, Line, Tok};
 use fortrand_ir::dist::DistKind;
 use fortrand_ir::{Interner, Sym};
 
+/// Deepest nesting [`parse_program`] accepts: enclosing DO/IF blocks plus
+/// the levels of an expression (parentheses, subscript lists, unary and
+/// binary operators). Every pass compiles and runs a statement this deep
+/// on a 2 MiB thread stack in an unoptimized build.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a whole source file.
 pub fn parse_program(source: &str) -> Result<SourceProgram> {
     let lines = lex(source)?;
     let mut p = Parser {
         interner: Interner::new(),
         next_id: 0,
+        depth: 0,
     };
     let mut units = Vec::new();
     let mut i = 0;
@@ -37,7 +48,15 @@ pub fn parse_program(source: &str) -> Result<SourceProgram> {
 struct Parser {
     interner: Interner,
     next_id: u32,
+    /// Levels open above the current parse point: enclosing DO/IF blocks,
+    /// then the parentheses, subscript lists and unary operators of the
+    /// expression being parsed.
+    depth: usize,
 }
+
+/// An expression and its height: the levels from its root to its deepest
+/// leaf.
+type Parsed = (Expr, usize);
 
 /// An open block while parsing a unit body.
 enum Block {
@@ -71,6 +90,25 @@ impl Parser {
 
     fn sym(&mut self, name: &str) -> Sym {
         self.interner.intern(name)
+    }
+
+    /// Errors when `height` levels below the current depth pass
+    /// `MAX_DEPTH`.
+    fn check_depth(&self, line: u32, height: usize) -> Result<()> {
+        if self.depth + height > MAX_DEPTH {
+            return Err(FrontendError::at(
+                line,
+                format!("nesting deeper than {MAX_DEPTH} levels"),
+            ));
+        }
+        Ok(())
+    }
+
+    /// Opens one level (a block, or an expression's nested operand).
+    fn enter(&mut self, line: u32) -> Result<()> {
+        self.check_depth(line, 1)?;
+        self.depth += 1;
+        Ok(())
     }
 
     /// Parses one program unit starting at `lines[0]`; returns it and the
@@ -205,6 +243,7 @@ impl Parser {
                     None
                 };
                 c2.expect_end()?;
+                self.enter(line.number)?;
                 blocks.push(Block::Do {
                     var,
                     lo,
@@ -228,6 +267,7 @@ impl Parser {
                 if c2.peek_ident() == Some("then") {
                     c2.bump();
                     c2.expect_end()?;
+                    self.enter(line.number)?;
                     blocks.push(Block::If {
                         cond,
                         line: line.number,
@@ -236,7 +276,9 @@ impl Parser {
                     });
                 } else {
                     // Logical IF: the rest is a single simple statement.
+                    self.enter(line.number)?;
                     let inner = self.parse_simple_stmt(&mut c2)?;
+                    self.depth -= 1;
                     let id = self.fresh_id();
                     let stmt = Stmt {
                         id,
@@ -340,6 +382,7 @@ impl Parser {
                 line,
                 ..
             }) => {
+                self.depth -= 1;
                 let id = self.fresh_id();
                 let stmt = Stmt {
                     id,
@@ -372,6 +415,7 @@ impl Parser {
                 then_body,
                 else_body,
             }) => {
+                self.depth -= 1;
                 let id = self.fresh_id();
                 let stmt = Stmt {
                     id,
@@ -734,189 +778,184 @@ impl Parser {
     }
 
     // ----- expressions ---------------------------------------------------
+    //
+    // Below `parse_expr`, each level returns its expression with its
+    // height. A nested operand is parsed one level deeper (`nested`), and
+    // each node built is checked against `MAX_DEPTH` with its height.
 
     fn parse_expr(&mut self, c: &mut Cursor) -> Result<Expr> {
-        self.parse_or(c)
+        Ok(self.parse_or(c)?.0)
     }
 
-    fn parse_or(&mut self, c: &mut Cursor) -> Result<Expr> {
-        let mut l = self.parse_and(c)?;
-        while c.eat(&Tok::Or) {
-            let r = self.parse_and(c)?;
-            l = Expr::Bin {
-                op: BinOp::Or,
-                l: Box::new(l),
-                r: Box::new(r),
-            };
-        }
-        Ok(l)
+    fn parse_or(&mut self, c: &mut Cursor) -> Result<Parsed> {
+        self.chain(c, Self::parse_and, |t| (*t == Tok::Or).then_some(BinOp::Or))
     }
 
-    fn parse_and(&mut self, c: &mut Cursor) -> Result<Expr> {
-        let mut l = self.parse_not(c)?;
-        while c.eat(&Tok::And) {
-            let r = self.parse_not(c)?;
-            l = Expr::Bin {
-                op: BinOp::And,
-                l: Box::new(l),
-                r: Box::new(r),
-            };
-        }
-        Ok(l)
+    fn parse_and(&mut self, c: &mut Cursor) -> Result<Parsed> {
+        self.chain(c, Self::parse_not, |t| {
+            (*t == Tok::And).then_some(BinOp::And)
+        })
     }
 
-    fn parse_not(&mut self, c: &mut Cursor) -> Result<Expr> {
+    fn parse_not(&mut self, c: &mut Cursor) -> Result<Parsed> {
         if c.eat(&Tok::Not) {
-            let e = self.parse_not(c)?;
-            return Ok(Expr::Un {
-                op: UnOp::Not,
-                e: Box::new(e),
-            });
+            return self.unary(c, UnOp::Not, Self::parse_not);
         }
         self.parse_rel(c)
     }
 
-    fn parse_rel(&mut self, c: &mut Cursor) -> Result<Expr> {
+    fn parse_rel(&mut self, c: &mut Cursor) -> Result<Parsed> {
         let l = self.parse_addsub(c)?;
         let op = match c.peek() {
-            Some(Tok::Lt) => Some(BinOp::Lt),
-            Some(Tok::Le) => Some(BinOp::Le),
-            Some(Tok::Gt) => Some(BinOp::Gt),
-            Some(Tok::Ge) => Some(BinOp::Ge),
-            Some(Tok::EqEq) => Some(BinOp::Eq),
-            Some(Tok::Ne) => Some(BinOp::Ne),
-            _ => None,
+            Some(Tok::Lt) => BinOp::Lt,
+            Some(Tok::Le) => BinOp::Le,
+            Some(Tok::Gt) => BinOp::Gt,
+            Some(Tok::Ge) => BinOp::Ge,
+            Some(Tok::EqEq) => BinOp::Eq,
+            Some(Tok::Ne) => BinOp::Ne,
+            _ => return Ok(l),
         };
-        match op {
-            Some(op) => {
-                c.bump();
-                let r = self.parse_addsub(c)?;
-                Ok(Expr::Bin {
-                    op,
-                    l: Box::new(l),
-                    r: Box::new(r),
-                })
-            }
-            None => Ok(l),
-        }
+        c.bump();
+        let r = self.parse_addsub(c)?;
+        self.bin(c, op, l, r)
     }
 
-    fn parse_addsub(&mut self, c: &mut Cursor) -> Result<Expr> {
-        let mut l = self.parse_muldiv(c)?;
-        loop {
-            let op = match c.peek() {
-                Some(Tok::Plus) => BinOp::Add,
-                Some(Tok::Minus) => BinOp::Sub,
-                _ => break,
-            };
-            c.bump();
-            let r = self.parse_muldiv(c)?;
-            l = Expr::Bin {
-                op,
-                l: Box::new(l),
-                r: Box::new(r),
-            };
-        }
-        Ok(l)
+    fn parse_addsub(&mut self, c: &mut Cursor) -> Result<Parsed> {
+        self.chain(c, Self::parse_muldiv, |t| match t {
+            Tok::Plus => Some(BinOp::Add),
+            Tok::Minus => Some(BinOp::Sub),
+            _ => None,
+        })
     }
 
-    fn parse_muldiv(&mut self, c: &mut Cursor) -> Result<Expr> {
-        let mut l = self.parse_unary(c)?;
-        loop {
-            let op = match c.peek() {
-                Some(Tok::Star) => BinOp::Mul,
-                Some(Tok::Slash) => BinOp::Div,
-                _ => break,
-            };
-            c.bump();
-            let r = self.parse_unary(c)?;
-            l = Expr::Bin {
-                op,
-                l: Box::new(l),
-                r: Box::new(r),
-            };
-        }
-        Ok(l)
+    fn parse_muldiv(&mut self, c: &mut Cursor) -> Result<Parsed> {
+        self.chain(c, Self::parse_unary, |t| match t {
+            Tok::Star => Some(BinOp::Mul),
+            Tok::Slash => Some(BinOp::Div),
+            _ => None,
+        })
     }
 
-    fn parse_unary(&mut self, c: &mut Cursor) -> Result<Expr> {
+    fn parse_unary(&mut self, c: &mut Cursor) -> Result<Parsed> {
         if c.eat(&Tok::Minus) {
-            let e = self.parse_unary(c)?;
-            return Ok(Expr::Un {
-                op: UnOp::Neg,
-                e: Box::new(e),
-            });
+            return self.unary(c, UnOp::Neg, Self::parse_unary);
         }
         if c.eat(&Tok::Plus) {
-            return self.parse_unary(c);
+            return self.nested(c, Self::parse_unary);
         }
         self.parse_power(c)
     }
 
-    fn parse_power(&mut self, c: &mut Cursor) -> Result<Expr> {
+    fn parse_power(&mut self, c: &mut Cursor) -> Result<Parsed> {
         let base = self.parse_primary(c)?;
         if c.eat(&Tok::Pow) {
-            // Right associative.
+            // Right associative: the exponent is one level deeper, the
+            // level of the node built over it.
+            self.enter(c.line)?;
             let exp = self.parse_unary(c)?;
-            return Ok(Expr::Bin {
-                op: BinOp::Pow,
-                l: Box::new(base),
-                r: Box::new(exp),
-            });
+            self.depth -= 1;
+            return self.bin(c, BinOp::Pow, base, exp);
         }
         Ok(base)
     }
 
-    fn parse_primary(&mut self, c: &mut Cursor) -> Result<Expr> {
-        match c.peek().cloned() {
-            Some(Tok::Int(v)) => {
-                c.bump();
-                Ok(Expr::Int(v))
-            }
-            Some(Tok::Real(v)) => {
-                c.bump();
-                Ok(Expr::Real(v))
-            }
-            Some(Tok::True) => {
-                c.bump();
-                Ok(Expr::Logical(true))
-            }
-            Some(Tok::False) => {
-                c.bump();
-                Ok(Expr::Logical(false))
-            }
+    fn parse_primary(&mut self, c: &mut Cursor) -> Result<Parsed> {
+        let leaf = match c.peek().cloned() {
+            Some(Tok::Int(v)) => Expr::Int(v),
+            Some(Tok::Real(v)) => Expr::Real(v),
+            Some(Tok::True) => Expr::Logical(true),
+            Some(Tok::False) => Expr::Logical(false),
             Some(Tok::LParen) => {
                 c.bump();
-                let e = self.parse_expr(c)?;
+                let e = self.nested(c, Self::parse_or)?;
                 c.expect(&Tok::RParen)?;
-                Ok(e)
+                return Ok(e);
             }
             Some(Tok::Ident(name)) => {
                 c.bump();
                 let sym = self.sym(&name);
-                if c.eat(&Tok::LParen) {
-                    let mut subs = Vec::new();
-                    if !c.eat(&Tok::RParen) {
-                        loop {
-                            subs.push(self.parse_expr(c)?);
-                            if c.eat(&Tok::RParen) {
-                                break;
-                            }
-                            c.expect(&Tok::Comma)?;
-                        }
-                    }
-                    // Array reference vs function/intrinsic call is decided
-                    // by sema; default to Element here.
-                    Ok(Expr::Element { array: sym, subs })
-                } else {
-                    Ok(Expr::Var(sym))
+                if !c.eat(&Tok::LParen) {
+                    return Ok((Expr::Var(sym), 0));
                 }
+                let mut subs = Vec::new();
+                let mut height = 0;
+                if !c.eat(&Tok::RParen) {
+                    loop {
+                        let (sub, h) = self.nested(c, Self::parse_or)?;
+                        subs.push(sub);
+                        height = height.max(h);
+                        if c.eat(&Tok::RParen) {
+                            break;
+                        }
+                        c.expect(&Tok::Comma)?;
+                    }
+                }
+                // Array reference vs function/intrinsic call is decided
+                // by sema; default to Element here.
+                return Ok((Expr::Element { array: sym, subs }, height));
             }
-            other => Err(FrontendError::at(
-                c.line,
-                format!("expected expression, found {other:?}"),
-            )),
+            other => {
+                return Err(FrontendError::at(
+                    c.line,
+                    format!("expected expression, found {other:?}"),
+                ))
+            }
+        };
+        c.bump();
+        Ok((leaf, 0))
+    }
+
+    /// `operand` parsed one level deeper; the level counts in its height.
+    fn nested(
+        &mut self,
+        c: &mut Cursor,
+        operand: fn(&mut Self, &mut Cursor) -> Result<Parsed>,
+    ) -> Result<Parsed> {
+        self.enter(c.line)?;
+        let (e, h) = operand(self, c)?;
+        self.depth -= 1;
+        Ok((e, h + 1))
+    }
+
+    /// `op` applied to `operand`, parsed one level deeper.
+    fn unary(
+        &mut self,
+        c: &mut Cursor,
+        op: UnOp,
+        operand: fn(&mut Self, &mut Cursor) -> Result<Parsed>,
+    ) -> Result<Parsed> {
+        let (e, h) = self.nested(c, operand)?;
+        Ok((Expr::Un { op, e: Box::new(e) }, h))
+    }
+
+    /// The node `l op r`, one level above the higher operand.
+    fn bin(&mut self, c: &Cursor, op: BinOp, (l, hl): Parsed, (r, hr): Parsed) -> Result<Parsed> {
+        let height = 1 + hl.max(hr);
+        self.check_depth(c.line, height)?;
+        let e = Expr::Bin {
+            op,
+            l: Box::new(l),
+            r: Box::new(r),
+        };
+        Ok((e, height))
+    }
+
+    /// A left-associative chain `operand (op operand)*`, where `op_of`
+    /// picks the chain's operators. Each operator nests the chain so far
+    /// one level deeper.
+    fn chain(
+        &mut self,
+        c: &mut Cursor,
+        operand: fn(&mut Self, &mut Cursor) -> Result<Parsed>,
+        op_of: fn(&Tok) -> Option<BinOp>,
+    ) -> Result<Parsed> {
+        let mut l = operand(self, c)?;
+        while let Some(op) = c.peek().and_then(op_of) {
+            c.bump();
+            let r = operand(self, c)?;
+            l = self.bin(c, op, l, r)?;
         }
+        Ok(l)
     }
 }
 
@@ -1264,6 +1303,30 @@ mod tests {
     fn print_statement() {
         let p = parse_program("PROGRAM P\n INTEGER i\n i = 1\n print *, 'x =', i\n END").unwrap();
         assert!(matches!(p.units[0].body[1].kind, StmtKind::Print { ref args } if args.len() == 1));
+    }
+
+    /// A one-statement program assigning `rhs`.
+    fn assign(rhs: &str) -> Result<SourceProgram> {
+        parse_program(&format!("PROGRAM P\n x = {rhs}\n END"))
+    }
+
+    #[test]
+    fn chain_depth_adds_up_through_parentheses() {
+        // Each operator of a left-associative chain nests everything before
+        // it one level deeper: a parenthesized 64-addition chain followed
+        // by `n` more additions, all in parentheses, is 1 + 65 + n levels.
+        let group = format!("(1.0{})", " + 1.0".repeat(64));
+        let rhs = |n: usize| format!("({group}{})", " + 1.0".repeat(n));
+        assert!(assign(&rhs(MAX_DEPTH - 66)).is_ok());
+        let e = assign(&rhs(MAX_DEPTH - 65)).unwrap_err();
+        assert!(e.message.contains("nesting"), "{e:?}");
+    }
+
+    #[test]
+    fn width_is_not_depth() {
+        let args = vec!["1"; 1000].join(",");
+        let src = format!("PROGRAM P\n x = a({args})\n call f({args})\n END");
+        assert!(parse_program(&src).is_ok());
     }
 
     #[test]

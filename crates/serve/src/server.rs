@@ -506,6 +506,35 @@ mod tests {
         handle.shutdown();
     }
 
+    #[test]
+    fn deeply_nested_source_fails_its_compile_and_the_connection_lives() {
+        let server = Server::new(ServerConfig::default());
+        let handle = server.spawn("127.0.0.1:0").unwrap();
+        let (mut writer, mut reader) = connect(handle.addr);
+        // 100 000 parentheses: deep enough to overflow a connection
+        // thread's stack without the Fortran parser's nesting cap.
+        let n = 100_000;
+        let source = format!(
+            "      PROGRAM p\n      REAL x\n      x = {}1.0{}\n      END\n",
+            "(".repeat(n),
+            ")".repeat(n)
+        );
+        let open = open_request("d", &source);
+        let replies: Vec<String> = [
+            open.as_bytes(),
+            br#"{"cmd":"compile","session":"d"}"#,
+            br#"{"cmd":"stats"}"#,
+        ]
+        .into_iter()
+        .map(|req| ask(&mut writer, &mut reader, req))
+        .collect();
+        assert!(replies[0].contains("\"ok\":true"), "{}", replies[0]);
+        assert!(replies[1].contains("\"ok\":false"), "{}", replies[1]);
+        assert!(replies[1].contains("nesting"), "{}", replies[1]);
+        assert!(replies[2].contains("\"ok\":true"), "{}", replies[2]);
+        handle.shutdown();
+    }
+
     /// Writes `req` and a newline, and returns the one response line.
     fn ask(writer: &mut TcpStream, reader: &mut BufReader<TcpStream>, req: &[u8]) -> String {
         writer.write_all(req).unwrap();

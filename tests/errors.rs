@@ -255,3 +255,71 @@ fn cloning_threshold_reported() {
         out.report.strategy_used
     );
 }
+
+/// Runs `f` on a thread with a 2 MiB stack, the size a daemon connection
+/// thread has.
+fn on_small_stack(f: impl FnOnce() + Send + 'static) {
+    std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(f)
+        .unwrap()
+        .join()
+        .unwrap();
+}
+
+/// Programs whose one assignment is `n` levels deep: in parentheses, in
+/// negations, in a chain of additions, and inside DO loops.
+fn nested_sources(n: usize) -> [String; 4] {
+    let program = |body: String| format!("      PROGRAM p\n      REAL x\n{body}      END\n");
+    [
+        program(format!("      x = {}1.0{}\n", "(".repeat(n), ")".repeat(n))),
+        program(format!("      x = {}1.0\n", "-".repeat(n))),
+        program(format!("      x = 1.0{}\n", " + 1.0".repeat(n))),
+        program(format!(
+            "{}      x = x + 1.0\n{}",
+            "      do i = 1, 1\n".repeat(n - 1),
+            "      enddo\n".repeat(n - 1)
+        )),
+    ]
+}
+
+/// The nesting cap compiles and runs where a daemon compiles; one level
+/// more is a front-end error naming the line.
+#[test]
+fn nesting_cap_compiles_and_one_level_more_is_a_spanned_error() {
+    use fortrand_frontend::parser::MAX_DEPTH;
+    on_small_stack(|| {
+        for src in nested_sources(MAX_DEPTH) {
+            let compiled = fortrand::Session::new(src)
+                .compile()
+                .unwrap_or_else(|e| panic!("{e}"));
+            if let Err(e) = compiled.run(&Default::default()) {
+                panic!("{e}");
+            }
+        }
+        for src in nested_sources(MAX_DEPTH + 1) {
+            match fortrand::Session::new(src).compile() {
+                Err(fortrand::Error::Compile(fortrand::CompileError::Frontend(e))) => {
+                    assert!(e.line >= 3, "{e}");
+                    assert!(e.message.contains("nesting"), "{e}");
+                }
+                Err(e) => panic!("expected a front-end error, got {e}"),
+                Ok(_) => panic!("expected a front-end error"),
+            }
+        }
+    });
+}
+
+/// 100 000 levels are an error, not a stack overflow.
+#[test]
+fn hundred_thousand_levels_are_an_error() {
+    on_small_stack(|| {
+        for src in nested_sources(100_000) {
+            let e = match fortrand::Session::new(src).compile() {
+                Err(e) => e.to_string(),
+                Ok(_) => panic!("expected a compile error"),
+            };
+            assert!(e.contains("nesting"), "{e}");
+        }
+    });
+}
