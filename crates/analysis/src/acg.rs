@@ -30,16 +30,6 @@ pub struct CallEdge {
     pub loops: Vec<LoopCtx>,
 }
 
-impl CallEdge {
-    /// The actual bound to formal position `i`, if it is a whole variable.
-    pub fn actual_var(&self, i: usize) -> Option<Sym> {
-        match self.actuals.get(i) {
-            Some(Expr::Var(s)) => Some(*s),
-            _ => None,
-        }
-    }
-}
-
 /// The augmented call graph.
 #[derive(Clone, Debug, Default)]
 pub struct Acg {

@@ -211,21 +211,6 @@ pub fn record_solve(trace: &fortrand_trace::Trace, stats: &SolveStats) {
     }
 }
 
-/// [`solve`] that also records the run on `trace` (see [`record_solve`]).
-pub fn solve_traced<G, P>(
-    g: &G,
-    problem: &mut P,
-    trace: &fortrand_trace::Trace,
-) -> (BTreeMap<G::Node, P::Fact>, SolveStats)
-where
-    G: DataflowGraph,
-    P: DataflowProblem<G>,
-{
-    let out = solve(g, problem);
-    record_solve(trace, &out.1);
-    out
-}
-
 /// The per-unit context shared by intraprocedural analyses: the unit,
 /// its semantic summary, and the symbolic environment the caller wants
 /// expressions folded under. Normalizes the calling convention so every

@@ -163,18 +163,6 @@ pub struct RecompilePlan {
     pub skip: Vec<String>,
 }
 
-impl RecompilePlan {
-    /// Fraction of units skipped (the benefit of the analysis).
-    pub fn skip_ratio(&self) -> f64 {
-        let total = self.recompile.len() + self.skip.len();
-        if total == 0 {
-            0.0
-        } else {
-            self.skip.len() as f64 / total as f64
-        }
-    }
-}
-
 /// The §8 test for one unit: why `now` must be recompiled given the
 /// record `prev` of the previous compile, or `None` when the compiled
 /// code is still valid.

@@ -213,12 +213,6 @@ impl Session {
         self
     }
 
-    /// The session's trace handle (shareable; `Trace(off)` unless
-    /// [`Session::trace`] was called).
-    pub fn trace_handle(&self) -> &Trace {
-        &self.trace
-    }
-
     /// Runs the compiler. The returned [`Compiled`] keeps the trace handle
     /// so subsequent [`Compiled::run`] calls land in the same timeline.
     pub fn compile(self) -> Result<Compiled, Error> {

@@ -283,20 +283,6 @@ pub enum BinOp {
     Or,
 }
 
-impl BinOp {
-    /// True for `< ≤ > ≥ = ≠`.
-    pub fn is_relational(self) -> bool {
-        matches!(
-            self,
-            BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge | BinOp::Eq | BinOp::Ne
-        )
-    }
-    /// True for `.AND.` / `.OR.`.
-    pub fn is_logical(self) -> bool {
-        matches!(self, BinOp::And | BinOp::Or)
-    }
-}
-
 /// Unary operators.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 #[allow(missing_docs)]

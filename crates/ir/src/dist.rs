@@ -82,11 +82,6 @@ pub struct Distribution {
 }
 
 impl Distribution {
-    /// Number of distributed dimensions.
-    pub fn ndist(&self) -> usize {
-        self.kinds.iter().filter(|k| k.is_distributed()).count()
-    }
-
     /// Source-level spelling, e.g. `(BLOCK,:)`.
     pub fn spelling(&self) -> String {
         let parts: Vec<_> = self.kinds.iter().map(|k| k.spelling()).collect();

@@ -30,10 +30,6 @@ impl Tri {
     pub fn is_yes(self) -> bool {
         self == Tri::Yes
     }
-    /// True only for `No`.
-    pub fn is_no(self) -> bool {
-        self == Tri::No
-    }
 }
 
 /// Known facts about symbols: constant values and inclusive ranges.
@@ -58,11 +54,6 @@ impl SymEnv {
     /// Records `lo ≤ s ≤ hi` (e.g. a loop index within its loop).
     pub fn set_range(&mut self, s: Sym, lo: i64, hi: i64) {
         self.ranges.insert(s, (lo, hi));
-    }
-
-    /// Constant value of `s`, if known.
-    pub fn get_const(&self, s: Sym) -> Option<i64> {
-        self.consts.get(&s).copied()
     }
 
     /// Known range of `s`, if any.

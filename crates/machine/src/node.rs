@@ -342,11 +342,6 @@ impl Node {
         self.clock_us
     }
 
-    /// The cost model in effect.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost
-    }
-
     /// Charges `n` floating-point operations to this node's clock.
     pub fn charge_flops(&mut self, n: u64) {
         self.stats.flops += n;
@@ -365,11 +360,6 @@ impl Node {
     pub fn charge_remap(&mut self) {
         self.stats.remaps += 1;
         self.clock_us += self.cost.remap_call_us;
-    }
-
-    /// The machine-wide message [`BufferPool`].
-    pub fn buffer_pool(&self) -> &Arc<BufferPool> {
-        &self.pool
     }
 
     /// Takes a cleared message buffer from the pool (see [`Node::send_buf`]).
