@@ -291,10 +291,10 @@ impl PostedCore {
     }
 }
 
-/// Threaded-machine wrapper for [`PostedCore`]: a `Mutex`/`Condvar` pair so
+/// Threaded-machine wrapper for `PostedCore`: a `Mutex`/`Condvar` pair so
 /// a rank reaching the wait before the root has posted can sleep. The
 /// event-driven scheduler drives the same core under its own lock
-/// ([`crate::sched`]), keeping posted completion times bit-identical
+/// (`sched`), keeping posted completion times bit-identical
 /// between the two machines.
 pub struct SharedPosted {
     state: Mutex<PostedCore>,

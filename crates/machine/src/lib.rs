@@ -62,7 +62,7 @@ pub enum MachineKind {
     Threaded,
     /// Deterministic discrete-event scheduler: ranks are [`RankTask`]
     /// structs stepped by one virtual-clock event loop on the calling
-    /// thread (see [`sched`]); scales to thousands of ranks.
+    /// thread (see `sched`); scales to thousands of ranks.
     #[default]
     Event,
 }

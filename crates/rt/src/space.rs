@@ -19,7 +19,7 @@ pub fn rect_len(dims: &[(i64, i64, i64)]) -> usize {
 
 /// Visits a rect's points in row-major order (rightmost dimension
 /// fastest): the order in which a section's elements are packed into and
-/// unpacked from a message. Allocates only above [`MAX_RANK`].
+/// unpacked from a message. Allocates only above rank `MAX_RANK` (7).
 #[inline]
 pub fn rect_for_each(dims: &[(i64, i64, i64)], mut f: impl FnMut(&[i64])) {
     if dims.iter().any(|&(lo, hi, _)| hi < lo) {

@@ -5,7 +5,7 @@
 //!
 //! 1. **emit** ([`emit`]): pretty-print the program as standalone Rust —
 //!    one `fn` per procedure, typed scalar locals (see
-//!    [`types`]), RSD loops as counted `while` loops, and every
+//!    `types`), RSD loops as counted `while` loops, and every
 //!    communication statement as a call into the `fortrand-shim` runtime
 //!    crate (thread-per-rank typed channels, rank-ordered collectives
 //!    matching the simulator's `CollCore`, and the message-statistics

@@ -6,7 +6,7 @@
 //! subscript, guard and loop-step) and communication through the machine's
 //! send/recv/collective primitives.
 //!
-//! This engine is the semantic reference: the bytecode VM ([`crate::vm`])
+//! This engine is the semantic reference: the bytecode VM (`vm`)
 //! must match it bit-for-bit on every simulated observable. Production runs
 //! default to the VM ([`crate::Bytecode`]); the tree-walker stays for
 //! differential testing and as executable documentation of the charging

@@ -20,7 +20,7 @@
 //! harness reports.
 //!
 //! Three [`ExecBackend`]s execute node programs — the bytecode VM
-//! (default; programs are flattened by [`lower`] and run by [`vm`]), the
+//! (default; programs are flattened by `lower` and run by `vm`), the
 //! reference tree-walker ([`interp`]), and the native backend
 //! ([`codegen`]), which pretty-prints the program as standalone Rust,
 //! builds it with `rustc` against the `fortrand-shim` runtime crate, and

@@ -20,9 +20,9 @@
 //!    (and tag-paired send/recv couples) are lifted out of loops with
 //!    provably positive constant trip counts.
 //! 3. **Message coalescing**: adjacent broadcasts with the same root fuse
-//!    into one [`SStmt::Bcast`] of several parts; adjacent send/send and
+//!    into one [`crate::ir::SStmt::Bcast`] of several parts; adjacent send/send and
 //!    recv/recv pairs over adjacent sections of the same array merge via
-//!    [`Rsd::merge_adjacent`] when the pairing is provably symmetric.
+//!    [`fortrand_ir::rsd::Rsd::merge_adjacent`] when the pairing is provably symmetric.
 //!
 //! Every transformation preserves bit-identical array results: shadows
 //! perform the same IEEE operations on the same broadcast bytes every rank

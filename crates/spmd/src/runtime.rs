@@ -137,7 +137,7 @@ impl ExecBackend for Tree {
     }
 }
 
-/// Bytecode-VM backend ([`crate::vm`]), the default.
+/// Bytecode-VM backend (`vm`), the default.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Bytecode;
 
