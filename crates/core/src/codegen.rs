@@ -46,7 +46,9 @@ use fortrand_spmd::ir::{
 };
 use fortrand_spmd::{SBinOp, SIntr};
 use rustc_hash::FxHashMap;
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 /// Code generation failure with a source line and reason.
 #[derive(Clone, Debug)]
@@ -247,8 +249,11 @@ struct UnitCompiler<'a, 'b> {
     edge_buffers: BTreeMap<StmtId, Vec<Sym>>,
     /// Global-value companion symbols for guarded local loops (`i$g`).
     global_companion: BTreeMap<Sym, Sym>,
-    /// Every write of each array in the unit (see [`Self::write_table`]).
-    writes: FxHashMap<Sym, Vec<Write>>,
+    /// The unit's array references, collected once.
+    refs: Rc<[ArrayRef]>,
+    /// Every write of each array in the unit, built on the first question
+    /// (see [`Self::writes`]).
+    writes: OnceCell<FxHashMap<Sym, Vec<Write>>>,
 }
 
 impl<'a, 'b> UnitCompiler<'a, 'b> {
@@ -299,7 +304,8 @@ impl<'a, 'b> UnitCompiler<'a, 'b> {
             first_distribute_seen: BTreeMap::new(),
             edge_buffers: BTreeMap::new(),
             global_companion: BTreeMap::new(),
-            writes: FxHashMap::default(),
+            refs: Vec::new().into(),
+            writes: OnceCell::new(),
         })
     }
 
@@ -550,17 +556,23 @@ impl<'a, 'b> UnitCompiler<'a, 'b> {
     /// Plans partitioning and communication from one walk of the unit's
     /// references.
     fn plan(&mut self) -> R<()> {
-        let refs = collect_refs(self.unit, self.ui);
-        self.writes = self.write_table(&refs);
+        self.refs = collect_refs(self.unit, self.ui).into();
+        let refs = Rc::clone(&self.refs);
         self.plan_partitioning(&refs)?;
         self.plan_comm(&refs)
     }
 
-    /// The unit's write table: per array, each definition among `refs` and
-    /// each section of a callee's GMOD, translated once per call edge.
-    fn write_table(&self, refs: &[ArrayRef]) -> FxHashMap<Sym, Vec<Write>> {
+    /// The unit's write table: per array, each definition and each section
+    /// of a callee's GMOD, translated once per call edge. An array the
+    /// unit never writes has no entry. Built when first asked, so a unit
+    /// that asks no dependence question translates no callee effects.
+    fn writes(&self) -> &FxHashMap<Sym, Vec<Write>> {
+        self.writes.get_or_init(|| self.write_table())
+    }
+
+    fn write_table(&self) -> FxHashMap<Sym, Vec<Write>> {
         let mut writes: FxHashMap<Sym, Vec<Write>> = FxHashMap::default();
-        for r in refs.iter().filter(|r| r.is_def) {
+        for r in self.refs.iter().filter(|r| r.is_def) {
             writes.entry(r.array).or_default().push(Write {
                 loops: r.nest.clone(),
                 section: r.point_rsd(),
@@ -1121,7 +1133,7 @@ impl<'a, 'b> UnitCompiler<'a, 'b> {
                         // unit, calls included, writes the array (the slice
                         // is constant through the body): hoist to the
                         // earliest anchor.
-                        if self.writes.contains_key(&array) {
+                        if self.writes().contains_key(&array) {
                             return Err(CodegenError::at(
                                 0,
                                 "pinned reads of one slice need conflicting placements",
@@ -1382,7 +1394,7 @@ impl<'a, 'b> UnitCompiler<'a, 'b> {
     /// dependence; ordering with siblings is preserved by positional
     /// anchoring.
     fn carried_dep(&self, l: &LoopCtx, rsd: &Rsd, array: Sym, env: &SymEnv) -> bool {
-        let writes = self.writes.get(&array).into_iter().flatten();
+        let writes = self.writes().get(&array).into_iter().flatten();
         'mods: for w in writes {
             let Some(pos) = w.loops.iter().position(|x| x.stmt == l.stmt) else {
                 continue;
