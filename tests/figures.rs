@@ -169,31 +169,91 @@ fn exchange_loop(text: &str) -> Option<&str> {
         .map(|l| l.trim())
 }
 
-/// §5.4: an exchange is vectorized out to the deepest loop that carries a
-/// true dependence into the read, and no further. One row per case of the
-/// dependence test codegen asks; the positive-distance case (a flow
-/// dependence carried by the partitioned loop itself) is a compile error,
-/// pinned by `errors::pipelining_case_rejected_with_hint`.
-#[test]
-fn exchange_sits_at_the_deepest_carrying_loop() {
-    const HEAD: &str = "
+const STENCIL_HEAD: &str = "
       PROGRAM p
       PARAMETER (n$proc = 4)
       REAL x(100), y(100)
       DISTRIBUTE x(BLOCK)
       DISTRIBUTE y(BLOCK)
 ";
-    let cases: [(&str, &str, Option<&str>); 5] = [
-        (
-            "anti-dependence only",
-            "
+
+/// Compiles `STENCIL_HEAD` followed by `body` and returns the loop header
+/// enclosing its exchange, as `exchange_loop` does.
+fn stencil_exchange_loop(body: &str) -> Result<Option<String>, String> {
+    let text = fortrand::Session::new(format!("{STENCIL_HEAD}{body}"))
+        .compile()
+        .map_err(|e| format!("{e}"))?
+        .emit();
+    Ok(exchange_loop(&text).map(str::to_string))
+}
+
+/// Fig. 1's shape `x(i) = f(x(i+5))`: the read precedes the write of the
+/// same element, so the dependence is anti only and the exchange is
+/// vectorized out of the loop (§3.1).
+#[test]
+fn fig1_has_no_true_dep_only_anti() {
+    let body = "
       do i = 1, 95
-        x(i) = x(i+5)
+        x(i) = 0.5 * x(i+5)
       enddo
       END
-",
-            None,
-        ),
+";
+    assert_eq!(stencil_exchange_loop(body), Ok(None));
+}
+
+/// `x(i) = x(i-1)`: the element read was written one iteration earlier,
+/// a flow dependence carried by the partitioned loop itself. That needs
+/// pipelining, which the compiler rejects; the same stencil over an array
+/// the loop does not write has no true dependence and compiles with the
+/// exchange outside the loop.
+#[test]
+fn forward_stencil_has_true_dep() {
+    let carried = "
+      do i = 2, 100
+        x(i) = x(i-1)
+      enddo
+      END
+";
+    let e = stencil_exchange_loop(carried).expect_err("flow dependence accepted");
+    assert!(e.contains("pipelining"), "{e}");
+    let free = "
+      do i = 2, 100
+        x(i) = y(i-1)
+      enddo
+      END
+";
+    assert_eq!(stencil_exchange_loop(free), Ok(None));
+}
+
+/// A 2-D nest whose read `a(i+1,j-1)` was written by the previous `j`
+/// iteration: the dependence is carried by the outer loop, so the exchange
+/// sits in it, not outside the nest and not in the inner loop.
+#[test]
+fn two_level_nest_carried_at_outer() {
+    let body = "
+      REAL a(16,16)
+      DISTRIBUTE a(BLOCK,:)
+      do j = 2, 16
+        do i = 1, 15
+          a(i,j) = a(i+1,j-1)
+        enddo
+      enddo
+      END
+";
+    assert_eq!(
+        stencil_exchange_loop(body),
+        Ok(Some("do j = 2,16".to_string()))
+    );
+}
+
+/// §5.4: an exchange is vectorized out to the deepest loop that carries a
+/// true dependence into the read, and no further. One row per case of the
+/// dependence test codegen asks about writes in an enclosing loop; the
+/// anti-only, single-loop flow and 2-D nest cases have tests of their own
+/// above.
+#[test]
+fn exchange_sits_at_the_deepest_carrying_loop() {
+    let cases: [(&str, &str, Option<&str>); 3] = [
         (
             "write in the enclosing k loop",
             "
@@ -243,27 +303,10 @@ fn exchange_sits_at_the_deepest_carrying_loop() {
 ",
             None,
         ),
-        (
-            "2-D nest carried at the outer level",
-            "
-      REAL a(16,16)
-      DISTRIBUTE a(BLOCK,:)
-      do j = 2, 16
-        do i = 1, 15
-          a(i,j) = a(i+1,j-1)
-        enddo
-      enddo
-      END
-",
-            Some("do j = 2,16"),
-        ),
     ];
     for (name, body, want) in cases {
-        let text = fortrand::Session::new(format!("{HEAD}{body}"))
-            .compile()
-            .unwrap_or_else(|e| panic!("{name}: {e}"))
-            .emit();
-        assert_eq!(exchange_loop(&text), want, "{name}:\n{text}");
+        let got = stencil_exchange_loop(body).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(got.as_deref(), want, "{name}");
     }
 }
 
