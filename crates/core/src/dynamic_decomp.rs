@@ -496,7 +496,8 @@ fn coalesce(events: &mut Vec<Ev>, current: &mut BTreeMap<Sym, DecompSpec>) {
 /// Loop-invariant hoisting (§6.2): within each loop, (1) a trailing remap
 /// whose target decomposition is not used inside the loop moves after the
 /// loop; (2) a leading remap that then provides the only decomposition
-/// used in the loop moves before the loop.
+/// used in the loop moves before the loop. "Inside the loop" includes the
+/// loops nested in its body.
 fn hoist(events: &mut Vec<Ev>) {
     let mut i = 0;
     while i < events.len() {
@@ -507,7 +508,7 @@ fn hoist(events: &mut Vec<Ev>) {
             let mut moved_after: Vec<Ev> = Vec::new();
             while let Some(Ev::Remap { array, to, .. }) = body.last() {
                 let (array, to) = (*array, to.clone());
-                let used_inside = body[..body.len() - 1].iter().any(|e| match e {
+                let used_inside = any_event(&body[..body.len() - 1], &|e| match e {
                     Ev::Use { array: a, spec, .. } => *a == array && *spec == to,
                     _ => false,
                 });
@@ -524,12 +525,12 @@ fn hoist(events: &mut Vec<Ev>) {
             let mut moved_before: Vec<Ev> = Vec::new();
             while let Some(Ev::Remap { array, to, .. }) = body.first() {
                 let (array, to) = (*array, to.clone());
-                let only_spec = body[1..].iter().all(|e| match e {
-                    Ev::Use { array: a, spec, .. } => *a != array || *spec == to,
-                    Ev::Remap { array: a, .. } => *a != array,
-                    Ev::Loop { .. } => true,
+                let other = any_event(&body[1..], &|e| match e {
+                    Ev::Use { array: a, spec, .. } => *a == array && *spec != to,
+                    Ev::Remap { array: a, .. } => *a == array,
+                    _ => false,
                 });
-                if !only_spec {
+                if other {
                     break;
                 }
                 let mut ev = body.remove(0);
@@ -549,6 +550,15 @@ fn hoist(events: &mut Vec<Ev>) {
         }
         i += 1;
     }
+}
+
+/// Whether an event of `events`, or of the loops nested in them,
+/// satisfies `f`.
+fn any_event(events: &[Ev], f: &impl Fn(&Ev) -> bool) -> bool {
+    events.iter().any(|e| match e {
+        Ev::Loop { body, .. } => any_event(body, f),
+        e => f(e),
+    })
 }
 
 /// Array-kill conversion (§6.3): a remap whose next event for the array is
@@ -719,6 +729,32 @@ mod tests {
             .id;
         assert!(p.before.contains_key(&loop_id), "{p:?}");
         assert!(p.after.contains_key(&loop_id), "{p:?}");
+    }
+
+    /// A use in a loop nested in the body counts as a use inside the loop:
+    /// with `Y(i) = X(i-1) + Y(i)` in an inner loop ahead of the calls, X
+    /// is read under BLOCK every trip, so the restore to BLOCK stays in
+    /// the loop (hoisted out, the second trip read a CYCLIC X as BLOCK).
+    #[test]
+    fn a_use_in_a_nested_loop_keeps_the_restore_inside() {
+        let src = FIG15
+            .replace(
+                "REAL X(100)\n      PARAMETER",
+                "REAL X(100), Y(100)\n      PARAMETER",
+            )
+            .replace(
+                "do k = 1,t\n",
+                "do k = 1,t\n        do i = 2,100\n          Y(i) = X(i-1) + Y(i)\n        enddo\n",
+            );
+        let s = setup(&src);
+        let main = s.prog.main_unit().unwrap();
+        let p = place(main, &s.info, &s.summaries, &s.reaching, DynOptLevel::Hoist);
+        let k_loop = main
+            .body
+            .iter()
+            .find(|st| matches!(st.kind, StmtKind::Do { .. }));
+        assert_eq!(p.count(), 2, "{p:?}");
+        assert!(!p.after.contains_key(&k_loop.unwrap().id), "{p:?}");
     }
 
     /// Fig. 16d: the restore before `call F2` becomes a mark-only remap.

@@ -210,11 +210,114 @@ impl DimPartition {
             .unwrap_or(0)
     }
 
-    /// The global indices coordinate `q` owns, ascending: the `l`-th is
-    /// the one stored at local index `l`. O(owned) for every kind, so no
-    /// walk has to test ownership point by point.
-    pub fn owned(&self, q: usize) -> impl Iterator<Item = i64> + '_ {
-        (1..=self.local_count(q)).map(move |l| self.global_of_local(q, l))
+    /// What coordinate `q` owns, as ascending runs of global indices with
+    /// the local indices they are stored at: one contiguous run for
+    /// `BLOCK` and a serial dimension, one run stepping `p` for `CYCLIC`,
+    /// one run per owned block for `BLOCK_CYCLIC` (the last one cut short
+    /// by the extent). O(runs), so no walk visits ownership point by point.
+    pub(crate) fn runs(&self, q: usize) -> impl Iterator<Item = Run> + '_ {
+        let count = self.local_count(q);
+        let (p, q) = (self.nprocs as i64, q as i64);
+        // The number of runs, each one's length and step, and `k` such
+        // that run `j` starts at `(j·p + q)·k + 1`: no division per run.
+        let (nruns, len, dx, k) = match self.kind {
+            _ if count == 0 => (0, 0, 1, 0),
+            DistKind::Block => (1, count, 1, self.block_size()),
+            DistKind::Cyclic => (1, count, p, 1),
+            DistKind::BlockCyclic(k) if p > 1 => ((count + k - 1) / k, k, 1, k),
+            DistKind::BlockCyclic(_) | DistKind::Serial => (1, count, 1, 0),
+        };
+        (0..nruns).map(move |j| Run {
+            x: (j * p + q) * k + 1,
+            dx,
+            l: j * len + 1,
+            dl: 1,
+            n: len.min(count - j * len),
+        })
+    }
+}
+
+/// A strided run of indices along one dimension: `n` indices from `x` by
+/// `dx`, stored at the local indices from `l` by `dl`.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) struct Run {
+    pub x: i64,
+    pub dx: i64,
+    pub l: i64,
+    pub dl: i64,
+    pub n: i64,
+}
+
+impl Run {
+    /// The last index.
+    fn last(&self) -> i64 {
+        self.x + (self.n - 1) * self.dx
+    }
+
+    /// The `i`-th index onwards, `None` if there are none left.
+    fn skip(self, i: i64) -> Option<Run> {
+        (i < self.n).then_some(Run {
+            x: self.x + i * self.dx,
+            l: self.l + i * self.dl,
+            n: self.n - i,
+            ..self
+        })
+    }
+
+    /// The indices `self` and `other` share, as a run of each: the same
+    /// indices, at the local indices each stores them. `None` if they
+    /// share none. Two arithmetic progressions meet in one whose step is
+    /// the lcm of theirs, from the first common index at or above both
+    /// starts (the Chinese remainder theorem).
+    pub(crate) fn meet(&self, other: &Run) -> Option<(Run, Run)> {
+        let (a, b) = (self, other);
+        // u with a.dx·u ≡ g (mod b.dx), g = gcd(a.dx, b.dx).
+        let (mut g, mut r, mut u, mut v) = (a.dx, b.dx, 1i64, 0i64);
+        while r != 0 {
+            let q = g / r;
+            (g, r) = (r, g - q * r);
+            (u, v) = (v, u - q * v);
+        }
+        let diff = b.x - a.x;
+        if diff % g != 0 {
+            return None;
+        }
+        let (m, dx) = (b.dx / g, a.dx / g * b.dx);
+        // a.x + a.dx·t is congruent to both starts.
+        let t = ((diff / g) % m * (u % m)).rem_euclid(m);
+        let lo = a.x.max(b.x);
+        let x = lo + (a.x + a.dx * t - lo).rem_euclid(dx);
+        let last = a.last().min(b.last());
+        if x > last {
+            return None;
+        }
+        let n = (last - x) / dx + 1;
+        let on = |r: &Run| Run {
+            x,
+            dx,
+            l: r.l + (x - r.x) / r.dx * r.dl,
+            dl: dx / r.dx * r.dl,
+            n,
+        };
+        Some((on(a), on(b)))
+    }
+}
+
+/// Calls `f` with each run of indices two ascending lists of runs share, in
+/// ascending order. The runs of one list cover disjoint ranges (true of
+/// every list [`DimPartition::runs`] makes), so one merge pass meets each
+/// run only with those whose range overlaps its own.
+pub(crate) fn shared(mine: &[Run], theirs: &[Run], mut f: impl FnMut(Run, Run)) {
+    let (mut i, mut j) = (0, 0);
+    while let (Some(a), Some(b)) = (mine.get(i), theirs.get(j)) {
+        if let Some((x, y)) = a.meet(b) {
+            f(x, y);
+        }
+        if a.last() < b.last() {
+            i += 1;
+        } else {
+            j += 1;
+        }
     }
 }
 
@@ -348,29 +451,43 @@ impl ArrayDist {
         (rank < self.nprocs() && on_mapped).then_some(coords)
     }
 
-    /// Owner coordinate of array index `x` along dimension `dim`, on the
-    /// grid axis the dimension is mapped to (0 on a serial dimension).
-    #[inline]
-    pub fn owner_along(&self, dim: usize, x: i64) -> usize {
-        match self.grid_axis[dim] {
-            Some(_) => self.dims[dim].owner(x + self.offsets[dim]),
-            None => 0,
-        }
+    /// The bounds of a store holding one rank's part under this
+    /// distribution with the overlap cells `bounds` has around its part
+    /// under `was`: what a remap from `was` (or an array kill) allocates,
+    /// so a shifted read still finds the cells its exchange fills.
+    pub fn local_bounds_like(&self, bounds: &[(i64, i64)], was: &ArrayDist) -> Vec<(i64, i64)> {
+        let extents = self.local_extents().into_iter().zip(was.local_extents());
+        (extents.zip(bounds))
+            .map(|((now, then), &(lo, hi))| (lo, hi - then + now))
+            .collect()
     }
 
-    /// The array indices along dimension `dim` that a rank at grid
-    /// coordinates `coords` stores, ascending, each with its local index:
-    /// the decomposition indices its coordinate owns with the alignment
-    /// offset undone, clamped to the array; a serial dimension whole.
-    pub fn owned_along<'a>(
-        &'a self,
-        dim: usize,
-        coords: &[usize],
-    ) -> impl Iterator<Item = (i64, i64)> + 'a {
-        let q = self.grid_axis[dim].map_or(0, |axis| coords[axis]);
-        let xs = self.dims[dim].owned(q).map(move |g| g - self.offsets[dim]);
-        xs.filter(|&x| x >= 1)
-            .map(move |x| (x, self.local_idx(dim, x)))
+    /// The grid coordinate along dimension `dim` of a rank at grid
+    /// coordinates `coords` (0 on a serial dimension).
+    pub(crate) fn coord_along(&self, dim: usize, coords: &[usize]) -> usize {
+        self.grid_axis[dim].map_or(0, |axis| coords[axis])
+    }
+
+    /// The number of coordinates along dimension `dim`'s grid axis (1 on a
+    /// serial dimension).
+    pub(crate) fn width_along(&self, dim: usize) -> usize {
+        self.grid_axis[dim].map_or(1, |axis| self.grid.shape[axis])
+    }
+
+    /// The array indices along dimension `dim` that coordinate `q` of its
+    /// grid axis stores, as ascending runs with their local indices: the
+    /// decomposition indices `q` owns with the alignment offset undone,
+    /// clamped to the array; a serial dimension whole, stored at its array
+    /// indices.
+    pub(crate) fn runs_along(&self, dim: usize, q: usize) -> impl Iterator<Item = Run> + '_ {
+        let (off, serial) = (self.offsets[dim], self.grid_axis[dim].is_none());
+        self.dims[dim].runs(q).filter_map(move |r| {
+            let x = r.x - off;
+            let l = if serial { x } else { r.l };
+            // The first index at or above 1.
+            let skip = ((1 - x).max(0) + r.dx - 1) / r.dx;
+            Run { x, l, ..r }.skip(skip)
+        })
     }
 
     /// Total processors.
@@ -484,6 +601,48 @@ mod tests {
         }
     }
 
+    /// The runs along a dimension are clamped to the array: with `X(i)`
+    /// aligned to `D(i+10)`, `D(110)` BLOCK over 11 ranks, rank 0 owns
+    /// `D(1:10)` and none of `X`; rank 10 owns `D(101:110)`, which is
+    /// `X(91:100)`, stored at `1:10`. A serial dimension is stored at its
+    /// array indices.
+    #[test]
+    fn runs_along_undo_the_alignment_offset() {
+        let ad = ArrayDist {
+            dims: vec![
+                block(110, 11),
+                DimPartition {
+                    kind: DistKind::Serial,
+                    extent: 7,
+                    nprocs: 1,
+                },
+            ],
+            offsets: vec![10, 2],
+            grid: ProcGrid::new(11, 1),
+            grid_axis: vec![Some(0), None],
+        };
+        assert_eq!(ad.runs_along(0, 0).count(), 0);
+        let run = |x, dx, l, n| Run { x, dx, l, dl: 1, n };
+        assert_eq!(
+            ad.runs_along(0, 10).collect::<Vec<_>>(),
+            [run(91, 1, 1, 10)]
+        );
+        assert_eq!(ad.runs_along(1, 0).collect::<Vec<_>>(), [run(1, 1, 1, 5)]);
+        // CYCLIC over 4 with offset 2: coordinate 1 owns D(2, 6, 10, ...);
+        // X(4) = D(6) is the first, stored second.
+        let cyc = ArrayDist {
+            dims: vec![DimPartition {
+                kind: DistKind::Cyclic,
+                extent: 22,
+                nprocs: 4,
+            }],
+            offsets: vec![2],
+            grid: ProcGrid::new(4, 1),
+            grid_axis: vec![Some(0)],
+        };
+        assert_eq!(cyc.runs_along(0, 1).collect::<Vec<_>>(), [run(4, 4, 2, 5)]);
+    }
+
     #[test]
     fn replicated_owner_is_zero() {
         let ad = ArrayDist::replicated(&[100]);
@@ -498,6 +657,11 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
 
+    /// The indices of a run with their local indices.
+    fn points(r: &Run) -> impl Iterator<Item = (i64, i64)> + '_ {
+        (0..r.n).map(|i| (r.x + i * r.dx, r.l + i * r.dl))
+    }
+
     fn kind_strategy() -> impl Strategy<Value = DistKind> {
         prop_oneof![
             Just(DistKind::Block),
@@ -507,8 +671,8 @@ mod proptests {
     }
 
     proptest! {
-        /// The owned-index list of a coordinate is its part of the
-        /// partition, in storage order.
+        /// The runs of a coordinate are its part of the partition, in
+        /// storage order, over disjoint ascending ranges.
         #[test]
         fn owned_lists_are_the_partition(
             kind in prop_oneof![kind_strategy(), Just(DistKind::Serial)],
@@ -517,15 +681,37 @@ mod proptests {
             let p = if kind.is_distributed() { p } else { 1 };
             let d = DimPartition { kind, extent, nprocs: p };
             for q in 0..p {
-                let owned: Vec<i64> = d.owned(q).collect();
+                let runs: Vec<Run> = d.runs(q).collect();
+                prop_assert!(runs.windows(2).all(|w| w[0].last() < w[1].x));
+                let owned: Vec<(i64, i64)> = runs.iter().flat_map(points).collect();
                 prop_assert_eq!(owned.len() as i64, d.local_count(q));
-                prop_assert!(owned.windows(2).all(|w| w[0] < w[1]));
-                for (l, &g) in (1i64..).zip(&owned) {
+                for (l, &(g, at)) in (1i64..).zip(&owned) {
                     prop_assert!(g >= 1 && g <= extent);
                     prop_assert_eq!(d.owner(g), q);
                     prop_assert_eq!(d.local_of_global(g), l);
+                    prop_assert_eq!(at, l);
                 }
             }
+        }
+
+        /// Two runs meet in exactly the indices both hold, each side at
+        /// the local index it stores the index at.
+        #[test]
+        fn runs_meet_in_their_common_indices(
+            a in (1i64..40, 1i64..7, 1i64..9, 1i64..4, 1i64..12),
+            b in (1i64..40, 1i64..7, 1i64..9, 1i64..4, 1i64..12),
+        ) {
+            let run = |(x, dx, l, dl, n)| Run { x, dx, l, dl, n };
+            let (a, b) = (run(a), run(b));
+            let on_b: std::collections::BTreeMap<i64, i64> = points(&b).collect();
+            let want: Vec<((i64, i64), (i64, i64))> = points(&a)
+                .filter_map(|(x, la)| Some(((x, la), (x, *on_b.get(&x)?))))
+                .collect();
+            let got: Vec<_> = match a.meet(&b) {
+                Some((x, y)) => points(&x).zip(points(&y)).collect(),
+                None => Vec::new(),
+            };
+            prop_assert_eq!(got, want);
         }
 
         /// Every global index has exactly one owner/local pair and the

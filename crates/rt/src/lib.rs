@@ -11,8 +11,9 @@
 //! * the section odometer ([`rect_for_each`]);
 //! * the ownership walks — initial scatter, final assembly and the dynamic
 //!   remap ([`scatter_init`], [`assemble`], [`Remap`]) — nested loops over
-//!   per-dimension ownership lists, between [`LocalStore`] buffers and a
-//!   `send` callback;
+//!   the few strided runs a rank owns along each dimension (and the runs
+//!   two owners share), copying whole contiguous spans between
+//!   [`LocalStore`] buffers and a `send` callback;
 //! * the message accounting every back end must agree on
 //!   ([`size_bucket`], the reserved tags).
 //!

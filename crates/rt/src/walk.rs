@@ -3,16 +3,20 @@
 //!
 //! Ownership is decided one dimension at a time, so the points a rank
 //! stores — and the points one rank holds before a remap and another
-//! after it — are a cartesian product of per-dimension index lists
-//! ([`ArrayDist::owned_along`]: ascending, O(owned), every `DistKind`).
-//! Each list entry carries its offset term in the two buffers a walk runs
-//! between, so a walk is nested loops over short lists and touches only
-//! what it moves. The product is visited first dimension outermost, which
-//! is ascending row-major order of the global points: a message's payload
-//! order is the same on the sending and the receiving rank and on every
-//! back end.
+//! after it — are a cartesian product of per-dimension sets. Each set is
+//! a few strided runs computed from the `DistKind` arithmetic (one for
+//! `BLOCK`, `CYCLIC` and a serial dimension, one per owned block for
+//! `BLOCK_CYCLIC`); what two ranks share along a dimension is the runs'
+//! intersection, again runs. A run becomes a span in each of the two
+//! buffers a walk moves between (an offset and a step), so a walk is
+//! nested loops over runs that copies each innermost span whole
+//! (`copy_from_slice` where both sides are contiguous): its cost is
+//! O(runs + elements moved), and it touches only what it moves. The
+//! product is visited first dimension outermost, which is ascending
+//! row-major order of the global points: a message's payload order is the
+//! same on the sending and the receiving rank and on every back end.
 
-use crate::dist::ArrayDist;
+use crate::dist::{shared, ArrayDist, Run};
 use crate::space::{rect_for_each, rect_len};
 use crate::REMAP_TAG_BASE;
 
@@ -77,90 +81,139 @@ impl Layout {
 
     /// The row-major global buffer of an array distributed as `dist`.
     fn global(dist: &ArrayDist) -> Layout {
-        let extents = dist
-            .dims
-            .iter()
-            .zip(&dist.offsets)
-            .map(|(dp, off)| dp.extent - off);
-        Layout::new(extents.map(|e| (1, e)), false)
+        Layout::new(dist.global_extents().into_iter().map(|e| (1, e)), false)
     }
 
-    /// Offset term of subscript `x` along dimension `d`; `None` outside
-    /// the box.
-    fn term(&self, d: usize, x: i64) -> Option<usize> {
+    /// Offset and step of the `n` subscripts from `x` by `dx` along
+    /// dimension `d`, every one of which the box must hold.
+    fn at(&self, d: usize, x: i64, dx: i64, n: i64) -> (usize, usize) {
         let (lo, hi, stride) = self.dims[d];
-        let inside = lo <= x && x <= hi;
-        inside.then(|| (x - lo) as usize * stride)
-    }
-
-    /// [`Layout::term`] of a subscript the box must hold.
-    fn at(&self, d: usize, x: i64) -> usize {
-        self.term(d, x).expect("owned index outside the store")
+        let last = x + (n - 1) * dx;
+        assert!(
+            lo <= x && last <= hi,
+            "owned subscripts {x}..={last} outside the store's {lo}:{hi} (dim {d})"
+        );
+        ((x - lo) as usize * stride, dx as usize * stride)
     }
 }
 
-/// One dimension of a walk: per index, ascending, its offset term in each
-/// of the two buffers the walk runs between.
-type Terms = Vec<(usize, usize)>;
-
-/// Visits the cartesian product of per-dimension term lists, first
-/// dimension outermost, with the two offsets summed onto `a` and `b`.
-fn for_each_pair<L: AsRef<[(usize, usize)]>>(
-    lists: &[L],
+/// One dimension's share of a walk between two buffers: `n` elements from
+/// offset `a` by `da` in one and from `b` by `db` in the other.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Span {
     a: usize,
+    da: usize,
     b: usize,
-    f: &mut impl FnMut(usize, usize),
-) {
+    db: usize,
+    n: usize,
+}
+
+impl Span {
+    /// `n` elements at the offsets and steps `a` and `b` give.
+    fn new(n: i64, (a, da): (usize, usize), (b, db): (usize, usize)) -> Span {
+        Span {
+            a,
+            da,
+            b,
+            db,
+            n: n as usize,
+        }
+    }
+}
+
+/// The number of points in the product of per-dimension span lists.
+fn points<L: AsRef<[Span]>>(lists: &[L]) -> usize {
+    let along = |l: &L| l.as_ref().iter().map(|s| s.n).sum::<usize>();
+    lists.iter().map(along).product()
+}
+
+/// Visits the cartesian product of per-dimension span lists, first
+/// dimension outermost, calling `f` with each span of the last dimension,
+/// the outer dimensions' offsets added to `a` and `b`: ascending
+/// row-major order of the points, one call per innermost span rather than
+/// per point.
+fn for_each_span<L: AsRef<[Span]>>(lists: &[L], a: usize, b: usize, f: &mut impl FnMut(Span)) {
     match lists {
-        [] => f(a, b),
-        [last] => last.as_ref().iter().for_each(|&(x, y)| f(a + x, b + y)),
+        [] => f(Span::new(1, (a, 1), (b, 1))),
+        [last] => (last.as_ref().iter()).for_each(|s| {
+            f(Span {
+                a: a + s.a,
+                b: b + s.b,
+                ..*s
+            })
+        }),
         [first, rest @ ..] => {
-            for &(x, y) in first.as_ref() {
-                for_each_pair(rest, a + x, b + y, f);
+            for s in first.as_ref() {
+                for i in 0..s.n {
+                    for_each_span(rest, a + s.a + i * s.da, b + s.b + i * s.db, f);
+                }
             }
         }
     }
 }
 
-/// Refills `lists` with, per dimension, the indices a rank at grid
-/// coordinates `coords` stores under `dist` and the terms
-/// `term(d, x, local)` gives them (an index it gives none is left out).
-fn stored_terms(
-    lists: &mut [Terms],
+/// Copies `n` elements from `from` (at `f` by `df`) to `to` (at `t` by
+/// `dt`): one slice copy where both are contiguous.
+#[inline]
+fn copy(to: &mut [f64], (t, dt): (usize, usize), from: &[f64], (f, df): (usize, usize), n: usize) {
+    if dt == 1 && df == 1 {
+        to[t..t + n].copy_from_slice(&from[f..f + n]);
+    } else {
+        for i in 0..n {
+            to[t + i * dt] = from[f + i * df];
+        }
+    }
+}
+
+/// Appends `n` elements of `from` (at `f` by `df`) to `buf`.
+#[inline]
+fn push(buf: &mut Vec<f64>, from: &[f64], (f, df): (usize, usize), n: usize) {
+    if df == 1 {
+        buf.extend_from_slice(&from[f..f + n]);
+    } else {
+        buf.extend((0..n).map(|i| from[f + i * df]));
+    }
+}
+
+/// Refills `lists` with, per dimension, the runs a rank at grid
+/// coordinates `coords` stores under `dist`, as the spans `span(d, run)`
+/// gives them.
+fn stored_spans(
+    lists: &mut [Vec<Span>],
     dist: &ArrayDist,
     coords: &[usize],
-    term: impl Fn(usize, i64, i64) -> Option<(usize, usize)>,
+    span: impl Fn(usize, &Run) -> Span,
 ) {
     for (d, list) in lists.iter_mut().enumerate() {
         list.clear();
-        let stored = dist.owned_along(d, coords);
-        // Sized up front: grown by doubling, the lists of p ranks' scatters
-        // leave freed blocks among allocations that outlive them.
-        list.reserve_exact(stored.size_hint().1.unwrap_or(0));
-        list.extend(stored.filter_map(|(x, l)| term(d, x, l)));
+        let runs = dist.runs_along(d, dist.coord_along(d, coords));
+        list.extend(runs.map(|r| span(d, &r)));
     }
 }
 
 /// Fills the local part of `store` (distributed as `dist` on rank `my`)
 /// from a row-major global buffer. Replicated (serial) dimensions store on
 /// every rank; distributed dimensions only on the owner. Run-time
-/// resolution storage is the caller's business (a full copy). Overlap
-/// bounds cannot exclude an owned point; one they did would be skipped.
+/// resolution storage is the caller's business (a full copy). A store
+/// whose box misses a point the rank owns panics.
 pub fn scatter_init<S: LocalStore>(store: &mut S, dist: &ArrayDist, global: &[f64], my: usize) {
     let (from, to) = (Layout::global(dist), Layout::of(store));
     assert_eq!(from.len, global.len(), "initial data size mismatch");
-    let mut lists = vec![Terms::new(); dist.rank()];
-    let term = |d, x, l| Some((from.at(d, x), to.term(d, l)?));
-    stored_terms(&mut lists, dist, &dist.grid.coords_of(my), term);
+    let mut lists = vec![Vec::new(); dist.rank()];
+    stored_spans(&mut lists, dist, &dist.grid.coords_of(my), |d, r| {
+        Span::new(r.n, from.at(d, r.x, r.dx, r.n), to.at(d, r.l, r.dl, r.n))
+    });
     let data = store.data_mut();
-    for_each_pair(&lists, 0, 0, &mut |g, s| data[s] = global[g]);
+    for_each_span(&lists, 0, 0, &mut |s| {
+        copy(data, (s.b, s.db), global, (s.a, s.da), s.n)
+    });
 }
 
 /// Assembles the row-major global contents of an array from its final
 /// stores, `per_rank[r]` being rank `r`'s, reading each element from its
 /// owner under `dist`. `global_indexed` storage (run-time resolution) is
 /// subscripted by the global point, any other by the owner's local
-/// indices. Points outside the owner's store read as zero.
+/// indices. A store whose box misses a point its rank owns panics.
 pub fn assemble<S: LocalStore>(
     dist: &ArrayDist,
     global_indexed: bool,
@@ -170,68 +223,87 @@ pub fn assemble<S: LocalStore>(
     let mut global = vec![0.0; to.len];
     // One set of lists for every rank: with many small arrays their
     // allocation is what an assembly costs.
-    let mut lists = vec![Terms::new(); dist.rank()];
+    let mut lists = vec![Vec::new(); dist.rank()];
     for (rank, src) in per_rank.iter().enumerate() {
         let Some(coords) = dist.owner_coords(rank) else {
             continue;
         };
         let (from, data) = (Layout::of(*src), src.data());
-        let stored_at = |x, l| if global_indexed { x } else { l };
-        let term = |d, x, l| Some((from.term(d, stored_at(x, l))?, to.at(d, x)));
-        stored_terms(&mut lists, dist, &coords, term);
-        for_each_pair(&lists, 0, 0, &mut |s, g| global[g] = data[s]);
+        stored_spans(&mut lists, dist, &coords, |d, r| {
+            let stored = if global_indexed {
+                from.at(d, r.x, r.dx, r.n)
+            } else {
+                from.at(d, r.l, r.dl, r.n)
+            };
+            Span::new(r.n, stored, to.at(d, r.x, r.dx, r.n))
+        });
+        for_each_span(&lists, 0, 0, &mut |s| {
+            copy(&mut global, (s.b, s.db), data, (s.a, s.da), s.n)
+        });
     }
     global
 }
 
 /// The points rank `my` owns under `mine`, split by their owner under
-/// `theirs`: what it exchanges with one peer is the product of one list
-/// per dimension.
+/// `theirs`: what it exchanges with one peer is the product of one span
+/// list per dimension, each the runs the two owners share along it.
 struct Split {
     my: usize,
     theirs: ArrayDist,
-    /// `buckets[d][c]`: the terms of the indices along dimension `d` that
-    /// `my` owns under `mine` and coordinate `c` of `d`'s grid axis owns
-    /// under `theirs` (`c` = 0 where `theirs` leaves `d` serial).
-    buckets: Vec<Vec<Terms>>,
+    /// The span lists of every dimension `d` and coordinate `c` of `d`'s
+    /// grid axis under `theirs` (`c` = 0 where `theirs` leaves `d`
+    /// serial), dimension by dimension: list `k` is
+    /// `spans[ends[k]..ends[k + 1]]`, the indices along `d` that `my` owns
+    /// under `mine` and `c` owns under `theirs`.
+    spans: Vec<Span>,
+    ends: Vec<usize>,
 }
 
 impl Split {
-    /// `term(d, x, local)` gives the terms of index `x` along `d`, stored
-    /// at `local` under `mine`.
+    /// `span(d, mine, theirs)` gives the spans of a run of indices along
+    /// `d`, stored as `mine` under `mine` and as `theirs` under `theirs`.
     fn new(
         mine: &ArrayDist,
         theirs: &ArrayDist,
         my: usize,
-        term: impl Fn(usize, i64, i64) -> (usize, usize),
+        span: impl Fn(usize, &Run, &Run) -> Span,
     ) -> Split {
         let shape = mine.global_extents();
         assert_eq!(shape, theirs.global_extents(), "remap changes array shape");
         let coords = mine.owner_coords(my);
-        let bucket = |d: usize| {
-            let width = theirs.grid_axis[d].map_or(1, |axis| theirs.grid.shape[axis]);
-            let mut by = vec![Terms::new(); width];
-            for (x, l) in coords.iter().flat_map(|c| mine.owned_along(d, c)) {
-                by[theirs.owner_along(d, x)].push(term(d, x, l));
+        let (mut ours, mut peers) = (Vec::new(), Vec::new());
+        let (mut spans, mut ends) = (Vec::new(), vec![0]);
+        for d in 0..mine.rank() {
+            ours.clear();
+            if let Some(coords) = &coords {
+                ours.extend(mine.runs_along(d, mine.coord_along(d, coords)));
             }
-            by
-        };
+            for c in 0..theirs.width_along(d) {
+                peers.clear();
+                peers.extend(theirs.runs_along(d, c));
+                shared(&ours, &peers, |a, b| spans.push(span(d, &a, &b)));
+                ends.push(spans.len());
+            }
+        }
         Split {
             my,
             theirs: theirs.clone(),
-            buckets: (0..mine.rank()).map(bucket).collect(),
+            spans,
+            ends,
         }
     }
 
-    /// The per-dimension lists of the points `peer` owns under `theirs`;
-    /// `None` when there are none.
-    fn with(&self, peer: usize) -> Option<Vec<&[(usize, usize)]>> {
+    /// The per-dimension span lists of the points `peer` owns under
+    /// `theirs`; `None` when there are none.
+    fn with(&self, peer: usize) -> Option<Vec<&[Span]>> {
         let coords = self.theirs.owner_coords(peer)?;
-        let per_dim = self.buckets.iter().zip(&self.theirs.grid_axis);
-        per_dim
-            .map(|(by, axis)| {
-                let terms = by[axis.map_or(0, |a| coords[a])].as_slice();
-                (!terms.is_empty()).then_some(terms)
+        let mut first = 0;
+        (0..self.theirs.rank())
+            .map(|d| {
+                let k = first + self.theirs.coord_along(d, &coords);
+                first += self.theirs.width_along(d);
+                let spans = &self.spans[self.ends[k]..self.ends[k + 1]];
+                (!spans.is_empty()).then_some(spans)
             })
             .collect()
     }
@@ -241,12 +313,30 @@ impl Split {
     fn post(&self, nprocs: usize, data: &[f64], mut send: impl FnMut(usize, u64, Vec<f64>)) {
         for dst in (0..nprocs).filter(|&dst| dst != self.my) {
             if let Some(lists) = self.with(dst) {
-                let mut buf = Vec::with_capacity(lists.iter().map(|l| l.len()).product());
-                for_each_pair(&lists, 0, 0, &mut |from, _| buf.push(data[from]));
+                let mut buf = Vec::with_capacity(points(&lists));
+                for_each_span(&lists, 0, 0, &mut |s| {
+                    push(&mut buf, data, (s.a, s.da), s.n)
+                });
                 send(dst, REMAP_TAG_BASE + dst as u64, buf);
             }
         }
     }
+}
+
+/// Whether the walks of a remap to `dist` write every cell of rank `my`'s
+/// store with `bounds`: along each dimension the rank stores exactly the
+/// local indices of the box, no overlap cell and no padding.
+fn fills(dist: &ArrayDist, my: usize, bounds: &[(i64, i64)]) -> bool {
+    let Some(coords) = dist.owner_coords(my) else {
+        return false;
+    };
+    let whole = |d: usize, (lo, hi): (i64, i64)| {
+        // Owned runs step 1 through the local indices: they must be
+        // `lo..=hi` one after another.
+        let mut runs = dist.runs_along(d, dist.coord_along(d, &coords));
+        runs.try_fold(lo, |at, r| (at == r.l).then_some(at + r.n)) == Some(hi + 1)
+    };
+    (bounds.iter().enumerate()).all(|(d, &b)| whole(d, b))
 }
 
 /// A dynamic remap (library routine of §6) of one array on one rank,
@@ -263,8 +353,8 @@ pub struct Remap<S> {
     /// run-time resolution, whose global-shaped storage is updated in
     /// place and subscripted by the global point.
     new: Option<S>,
-    /// What this rank owns afterwards, by old owner; the first term of an
-    /// entry is its offset in the store being filled.
+    /// What this rank owns afterwards, by old owner; the first offset of
+    /// a span is in the store being filled.
     incoming: Split,
     /// The source accepted next.
     src: usize,
@@ -272,8 +362,12 @@ pub struct Remap<S> {
 
 impl<S: LocalStore> Remap<S> {
     /// First half of a full remap on rank `my` of `nprocs`: moves the
-    /// contents of `old` (distributed as `d0`) towards `new`, a fresh
-    /// store of `d1`'s local extents. Kept points are copied directly.
+    /// contents of `old` (distributed as `d0`) towards `new`, a store whose
+    /// bounds hold this rank's part under `d1` (they may add overlap
+    /// cells: [`ArrayDist::local_bounds_like`]). Kept points are copied
+    /// directly. Whatever `new` holds is overwritten: a store the remap
+    /// fills cell by cell is not cleared first, any other is zeroed, so a
+    /// caller may recycle the buffer of an earlier remap's old store.
     pub fn begin(
         d0: &ArrayDist,
         d1: &ArrayDist,
@@ -284,17 +378,24 @@ impl<S: LocalStore> Remap<S> {
         send: impl FnMut(usize, u64, Vec<f64>),
     ) -> Remap<S> {
         let (from, to) = (Layout::of(old), Layout::of(&new));
-        let moved = |d, x, l| (from.at(d, l), to.at(d, d1.local_idx(d, x)));
+        let moved = |d, a: &Run, b: &Run| {
+            Span::new(a.n, from.at(d, a.l, a.dl, a.n), to.at(d, b.l, b.dl, b.n))
+        };
+        if !fills(d1, my, new.bounds()) {
+            new.data_mut().fill(0.0);
+        }
         let outgoing = Split::new(d0, d1, my, moved);
         outgoing.post(nprocs, old.data(), send);
         if let Some(kept) = outgoing.with(my) {
             let (old, new) = (old.data(), new.data_mut());
-            for_each_pair(&kept, 0, 0, &mut |from, to| new[to] = old[from]);
+            for_each_span(&kept, 0, 0, &mut |s| {
+                copy(new, (s.b, s.db), old, (s.a, s.da), s.n)
+            });
         }
-        let incoming = Split::new(d1, d0, my, |d, _, l| (to.at(d, l), 0));
+        let filled = |d, a: &Run, _: &Run| Span::new(a.n, to.at(d, a.l, a.dl, a.n), (0, 0));
         Remap {
             new: Some(new),
-            incoming,
+            incoming: Split::new(d1, d0, my, filled),
             src: 0,
         }
     }
@@ -312,11 +413,11 @@ impl<S: LocalStore> Remap<S> {
         send: impl FnMut(usize, u64, Vec<f64>),
     ) -> Remap<S> {
         let at = Layout::of(store);
-        let term = |d: usize, x: i64, _: i64| (at.at(d, x), 0);
-        Split::new(d0, d1, my, term).post(nprocs, store.data(), send);
+        let span = |d, a: &Run, _: &Run| Span::new(a.n, at.at(d, a.x, a.dx, a.n), (0, 0));
+        Split::new(d0, d1, my, span).post(nprocs, store.data(), send);
         Remap {
             new: None,
-            incoming: Split::new(d1, d0, my, term),
+            incoming: Split::new(d1, d0, my, span),
             src: 0,
         }
     }
@@ -339,21 +440,20 @@ impl<S: LocalStore> Remap<S> {
     /// again (every offset was fixed when the remap began).
     pub fn accept(&mut self, _d1: &ArrayDist, data: &[f64], store: &mut S) {
         let lists = (self.incoming.with(self.src)).expect("accept follows expects");
-        let len: usize = lists.iter().map(|l| l.len()).product();
-        assert_eq!(data.len(), len, "remap message size mismatch");
+        assert_eq!(data.len(), points(&lists), "remap message size mismatch");
         let into = self.new.as_mut().unwrap_or(store).data_mut();
-        let mut values = data.iter();
-        for_each_pair(&lists, 0, 0, &mut |to, _| {
-            into[to] = *values.next().expect("sized above")
+        let mut at = 0;
+        for_each_span(&lists, 0, 0, &mut |s| {
+            copy(into, (s.a, s.da), data, (at, 1), s.n);
+            at += s.n;
         });
         self.src += 1;
     }
 
-    /// Every message is in: a full remap replaces `store` with the new one.
-    pub fn finish(self, store: &mut S) {
-        if let Some(new) = self.new {
-            *store = new;
-        }
+    /// Every message is in: a full remap replaces `store` with the new one
+    /// and returns the old one.
+    pub fn finish(self, store: &mut S) -> Option<S> {
+        Some(std::mem::replace(store, self.new?))
     }
 }
 
@@ -412,9 +512,16 @@ mod proptests {
 
     impl<const COLUMN_MAJOR: bool> Store<COLUMN_MAJOR> {
         fn new(extents: &[i64]) -> Self {
+            Store::with_bounds(extents.iter().map(|&e| (1, e)).collect())
+        }
+        fn with_bounds(bounds: Vec<(i64, i64)>) -> Self {
+            let len = bounds
+                .iter()
+                .map(|&(lo, hi)| (hi - lo + 1).max(0))
+                .product::<i64>();
             Store {
-                bounds: extents.iter().map(|&e| (1, e)).collect(),
-                data: vec![0.0; extents.iter().product::<i64>() as usize],
+                bounds,
+                data: vec![0.0; len as usize],
             }
         }
         /// Written out longhand, independent of [`Layout`].
@@ -537,25 +644,45 @@ mod proptests {
     /// [`Split`] shares with it, in the order its walks visit them.
     fn flats(mine: &ArrayDist, theirs: &ArrayDist, my: usize, p: usize) -> Vec<Vec<usize>> {
         let global = Layout::global(mine);
-        let split = Split::new(mine, theirs, my, |d, x, _| (global.at(d, x), 0));
+        let span = |d, a: &Run, _: &Run| Span::new(a.n, global.at(d, a.x, a.dx, a.n), (0, 0));
+        let split = Split::new(mine, theirs, my, span);
         let shared = |peer| {
             let mut flats = Vec::new();
             if let Some(lists) = split.with(peer) {
-                for_each_pair(&lists, 0, 0, &mut |flat, _| flats.push(flat));
+                for_each_span(&lists, 0, 0, &mut |s| {
+                    flats.extend((0..s.n).map(|i| s.a + i * s.da))
+                });
+                assert_eq!(flats.len(), points(&lists));
             }
             flats
         };
         (0..p).map(shared).collect()
     }
 
-    /// `d0 → d1` on every rank of `p`, against the oracle: the lists name
-    /// the oracle's points in the oracle's order for every rank pair, both
-    /// remap routines send the oracle's messages and leave every element
-    /// with its new owner, and assembly returns what was scattered.
+    /// What a recycled store buffer holds before a remap fills it; no
+    /// element value (`flat + 0.5`).
+    const STALE: f64 = -1.0;
+
+    /// The bounds of a store of one rank's part under `dist` with
+    /// `overlap[d]` = (below, above) cells around dimension `d`'s.
+    fn boxed(dist: &ArrayDist, overlap: &[(i64, i64)]) -> Vec<(i64, i64)> {
+        let owned = dist.local_extents().into_iter().zip(overlap);
+        owned
+            .map(|(e, &(below, above))| (1 - below, e + above))
+            .collect()
+    }
+
+    /// `d0 → d1` on every rank of `p`, against the oracle: the span lists
+    /// name the oracle's points in the oracle's order for every rank pair,
+    /// both remap routines send the oracle's messages and leave every
+    /// element with its new owner, and assembly returns what was
+    /// scattered. Local stores carry `overlap[d]` = (below, above) cells
+    /// around the owned part of dimension `d`, kept across the remap.
     fn check_dists<const COLUMN_MAJOR: bool>(
         d0: &ArrayDist,
         d1: &ArrayDist,
         p: usize,
+        overlap: &[(i64, i64)],
     ) -> Result<(), TestCaseError> {
         let extents = d0.global_extents();
         let total = extents.iter().product::<i64>() as usize;
@@ -586,17 +713,17 @@ mod proptests {
         for global_indexed in [false, true] {
             let value = |flat: usize| flat as f64 + 0.5;
             let global: Vec<f64> = (0..total).map(value).collect();
-            let local_extents = |d: &ArrayDist| {
-                if global_indexed {
-                    extents.clone()
-                } else {
-                    d.local_extents()
-                }
+            // Run-time resolution storage is global-shaped, with no
+            // overlap cells.
+            let old_bounds: Vec<(i64, i64)> = if global_indexed {
+                extents.iter().map(|&e| (1, e)).collect()
+            } else {
+                boxed(d0, overlap)
             };
             let mut mail: BTreeMap<(usize, usize), Vec<f64>> = BTreeMap::new();
             let mut ranks = Vec::new();
             for (my, by_dst) in outgoing.iter().enumerate() {
-                let mut old = Store::<COLUMN_MAJOR>::new(&local_extents(d0));
+                let mut old = Store::<COLUMN_MAJOR>::with_bounds(old_bounds.clone());
                 let mut sent = Vec::new();
                 let send = |dst: usize, tag: u64, buf: Vec<f64>| sent.push((dst, tag, buf));
                 let remap = if global_indexed {
@@ -606,7 +733,10 @@ mod proptests {
                     Remap::begin_global(d0, d1, my, p, &old, send)
                 } else {
                     scatter_init(&mut old, d0, &global, my);
-                    let new = Store::new(&local_extents(d1));
+                    // A recycled buffer: what it held must not survive.
+                    let mut new = Store::with_bounds(d1.local_bounds_like(&old_bounds, d0));
+                    prop_assert_eq!(&new.bounds, &boxed(d1, overlap));
+                    new.data.fill(STALE);
                     Remap::begin(d0, d1, my, p, &old, new, send)
                 };
                 let expected: Vec<(usize, u64, Vec<f64>)> = (by_dst.iter().enumerate())
@@ -630,6 +760,7 @@ mod proptests {
                     remap.accept(d1, &data, &mut store);
                 }
                 remap.finish(&mut store);
+                prop_assert!(!store.data.contains(&STALE), "stale cell on rank {}", my);
                 stores.push(store);
             }
             prop_assert!(mail.is_empty(), "every message sent is expected");
@@ -640,26 +771,54 @@ mod proptests {
     }
 
     /// [`check_dists`] on generated distributions, in both storage orders.
-    fn check(extents: &[i64], dims0: &[Dim], dims1: &[Dim], p: usize) -> Result<(), TestCaseError> {
+    fn check(
+        extents: &[i64],
+        dims0: &[Dim],
+        dims1: &[Dim],
+        p: usize,
+        overlap: &[(i64, i64)],
+    ) -> Result<(), TestCaseError> {
         let (d0, d1) = (dist(extents, dims0, p), dist(extents, dims1, p));
-        check_dists::<false>(&d0, &d1, p)?;
-        check_dists::<true>(&d0, &d1, p)
+        check_dists::<false>(&d0, &d1, p, overlap)?;
+        check_dists::<true>(&d0, &d1, p, overlap)
     }
 
-    /// The shapes the generators may not hit often enough to count on.
+    /// The shapes the generators may not hit often enough to count on,
+    /// each without overlap cells and with uneven ones.
     #[test]
     fn remap_walks_agree_on_named_shapes() {
         use DistKind::{Block, BlockCyclic, Cyclic, Serial};
         let ok = |extents: &[i64], dims0: &[Dim], dims1: &[Dim], p| {
-            check(extents, dims0, dims1, p).unwrap()
+            let uneven: Vec<(i64, i64)> = (0..extents.len() as i64)
+                .map(|d| (d % 3, 2 - d % 3))
+                .collect();
+            for overlap in [vec![(0, 0); extents.len()], uneven] {
+                check(extents, dims0, dims1, p, &overlap).unwrap()
+            }
         };
         let (block, cyclic, serial) = ((Block, 0), (Cyclic, 0), (Serial, 0));
         // Two-axis grid against one axis.
         ok(&[7, 5], &[block, block], &[cyclic, serial], 6);
         // Multi-processor BLOCK_CYCLIC on both sides, with offsets.
         ok(&[23], &[(BlockCyclic(2), 1)], &[(BlockCyclic(3), 2)], 4);
+        // BLOCK_CYCLIC whose last run the extent cuts short (10 = 3·3 + 1
+        // over 2: rank 1's second block is `10` alone), against BLOCK and
+        // against runs of another length.
+        ok(&[10], &[(BlockCyclic(3), 0)], &[block], 2);
+        ok(&[10], &[(BlockCyclic(3), 0)], &[(BlockCyclic(4), 0)], 2);
+        // A non-zero alignment offset on a CYCLIC dimension, against
+        // CYCLIC without one (runs stepping 3 that meet shifted) and
+        // against a CYCLIC of another width (steps 3 and 6 meet every 6).
+        ok(&[17], &[(Cyclic, 2)], &[cyclic], 3);
+        ok(&[12, 5], &[(Cyclic, 1), cyclic], &[cyclic, serial], 6);
         // Extent smaller than p: ranks that own nothing.
         ok(&[3], &[block], &[cyclic], 5);
+        ok(
+            &[2, 3],
+            &[(BlockCyclic(2), 1), block],
+            &[cyclic, (Cyclic, 1)],
+            7,
+        );
         // All-serial source, then target: rank 0 is the one owner.
         ok(&[4, 3], &[serial, serial], &[block, serial], 3);
         ok(&[4, 3], &[(Serial, 1), cyclic], &[serial, serial], 3);
@@ -683,7 +842,45 @@ mod proptests {
             grid: ProcGrid { shape: vec![3, 2] },
             grid_axis: vec![Some(0)],
         };
-        check_dists::<false>(&on_two_axes(Block), &on_two_axes(Cyclic), 6).unwrap();
+        let (d0, d1) = (on_two_axes(Block), on_two_axes(Cyclic));
+        check_dists::<false>(&d0, &d1, 6, &[(1, 2)]).unwrap();
+    }
+
+    /// A store whose box misses a point its rank owns: rank 1 of
+    /// `X(10)` BLOCK over 2 owns `X(6:10)`, stored at `1:5`.
+    fn short_store<const COLUMN_MAJOR: bool>() -> (ArrayDist, Store<COLUMN_MAJOR>) {
+        (dist(&[10], &[(DistKind::Block, 0)], 2), Store::new(&[4]))
+    }
+
+    #[test]
+    #[should_panic(expected = "owned subscripts 1..=5 outside the store's 1:4 (dim 0)")]
+    fn scatter_into_a_store_missing_an_owned_point_panics() {
+        let (d, mut store) = short_store::<false>();
+        scatter_init(&mut store, &d, &[1.0; 10], 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "owned subscripts 1..=5 outside the store's 1:4 (dim 0)")]
+    fn assembling_from_a_store_missing_an_owned_point_panics() {
+        let (d, short) = short_store::<true>();
+        let whole = Store::new(&[5]);
+        assemble(&d, false, &[&whole, &short]);
+    }
+
+    #[test]
+    #[should_panic(expected = "owned subscripts 1..=5 outside the store's 1:4 (dim 0)")]
+    fn remapping_into_a_store_missing_an_owned_point_panics() {
+        let (d0, old) = (
+            dist(&[10], &[(DistKind::Cyclic, 0)], 2),
+            Store::<false>::new(&[5]),
+        );
+        let (d1, short) = short_store::<false>();
+        Remap::begin(&d0, &d1, 1, 2, &old, short, |_, _, _| {});
+    }
+
+    /// 0 to 2 overlap cells below and above one dimension.
+    fn overlap_strategy() -> impl Strategy<Value = (i64, i64)> {
+        (0i64..3, 0i64..3)
     }
 
     proptest! {
@@ -692,16 +889,18 @@ mod proptests {
         #[test]
         fn remap_walks_agree_1d(
             n in 1i64..40, p in 1usize..7, a in dim_strategy(), b in dim_strategy(),
+            o in overlap_strategy(),
         ) {
-            check(&[n], &[a], &[b], p)?;
+            check(&[n], &[a], &[b], p, &[o])?;
         }
 
         #[test]
         fn remap_walks_agree_2d(
             n in 1i64..12, m in 1i64..12, p in 1usize..7,
             a in (dim_strategy(), dim_strategy()), b in (dim_strategy(), dim_strategy()),
+            o in (overlap_strategy(), overlap_strategy()),
         ) {
-            check(&[n, m], &[a.0, a.1], &[b.0, b.1], p)?;
+            check(&[n, m], &[a.0, a.1], &[b.0, b.1], p, &[o.0, o.1])?;
         }
 
         #[test]
@@ -709,8 +908,9 @@ mod proptests {
             e in (1i64..6, 1i64..6, 1i64..6), p in 1usize..9,
             a in (dim_strategy(), dim_strategy(), dim_strategy()),
             b in (dim_strategy(), dim_strategy(), dim_strategy()),
+            o in (overlap_strategy(), overlap_strategy(), overlap_strategy()),
         ) {
-            check(&[e.0, e.1, e.2], &[a.0, a.1, a.2], &[b.0, b.1, b.2], p)?;
+            check(&[e.0, e.1, e.2], &[a.0, a.1, a.2], &[b.0, b.1, b.2], p, &[o.0, o.1, o.2])?;
         }
     }
 }

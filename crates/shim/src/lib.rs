@@ -490,7 +490,7 @@ pub fn remap(cx: &mut Ctx, h: &mut Heap, id: usize, dists: &[ArrayDist], to_dist
         return;
     }
     let (d0, d1) = (&dists[from as usize], &dists[to_dist as usize]);
-    let new = Arr::alloc(d1.local_bounds(), to_dist, None);
+    let new = Arr::alloc(d1.local_bounds_like(&h.arrs[id].bounds, d0), to_dist, None);
     let (my, p) = (cx.rank(), cx.nprocs());
     let send = |dst, tag, buf| cx.send(dst, tag, buf);
     let walk = Remap::begin(d0, d1, my, p, &h.arrs[id], new, send);
@@ -525,9 +525,11 @@ fn receive(cx: &mut Ctx, mut walk: Remap<Arr>, d1: &ArrayDist, store: &mut Arr) 
 }
 
 /// Array-kill optimized remap (§6.3): swap descriptors, zero contents, no
-/// data motion and no remap charge.
+/// data motion and no remap charge. The overlap cells stay.
 pub fn mark_dist(h: &mut Heap, id: usize, dists: &[ArrayDist], to_dist: u32) {
-    h.arrs[id] = Arr::alloc(dists[to_dist as usize].local_bounds(), to_dist, None);
+    let old = &h.arrs[id];
+    let (d0, d1) = (&dists[old.dist as usize], &dists[to_dist as usize]);
+    h.arrs[id] = Arr::alloc(d1.local_bounds_like(&old.bounds, d0), to_dist, None);
 }
 
 /// Assembles the global contents of each final array (same position in
@@ -537,12 +539,16 @@ fn assemble_finals(dists: &[ArrayDist], per_rank: &[Vec<Arr>]) -> Vec<Vec<f64>> 
     let Some(rank0) = per_rank.first() else {
         return Vec::new();
     };
+    let mut stores = Vec::with_capacity(per_rank.len());
     rank0
         .iter()
         .enumerate()
         .map(|(idx, fa)| {
             let dist = &dists[fa.owner_dist.unwrap_or(fa.dist) as usize];
-            let stores: Vec<&Arr> = per_rank.iter().map(|finals| &finals[idx]).collect();
+            stores.clear();
+            stores.extend(per_rank.iter().map(|finals| &finals[idx]));
+            let same = |a: &&Arr| (a.dist, a.owner_dist) == (fa.dist, fa.owner_dist);
+            debug_assert!(stores.iter().all(same), "finals out of order");
             assemble(dist, fa.owner_dist.is_some(), &stores)
         })
         .collect()
@@ -687,17 +693,20 @@ where
         std::process::exit(101);
     }
 
-    let per_rank: Vec<(Vec<Arr>, Vec<String>, Stats)> =
-        results.into_iter().map(|r| r.unwrap()).collect();
-    let finals: Vec<Vec<Arr>> = per_rank.iter().map(|(f, _, _)| f.clone()).collect();
+    let mut finals = Vec::with_capacity(p);
+    let mut per_rank = Vec::with_capacity(p);
+    for (fin, printed, stats) in results.into_iter().map(Result::unwrap) {
+        finals.push(fin);
+        per_rank.push((printed, stats));
+    }
     write_out(&args[2], &assemble_finals(dists, &finals));
 
     println!("FORTRAND-NATIVE-STATS v1");
     println!("nprocs {p}");
-    for line in &per_rank[0].1 {
+    for line in &per_rank[0].0 {
         println!("print {line}");
     }
-    for (rank, (_, _, st)) in per_rank.iter().enumerate() {
+    for (rank, (_, st)) in per_rank.iter().enumerate() {
         println!(
             "node {rank} {} {} {} {} {}",
             st.msgs, st.bytes, st.remaps, st.posts, st.waits

@@ -66,7 +66,10 @@ struct Exec<'a> {
     printed: Vec<String>,
     pending_flops: u64,
     pending_ops: u64,
-    main_arrays: Vec<usize>,
+    /// Arrays the main program declares: the first ones on the heap.
+    n_main: usize,
+    /// The buffer of the store the last remap replaced, for the next one.
+    spare: Vec<f64>,
     /// Posted-receive handle slots (overlap comm level): `(src, tag)`
     /// captured at the post, consumed by the matching wait.
     posted_recv: Vec<Option<(usize, u64)>>,
@@ -84,7 +87,8 @@ impl<'a> Exec<'a> {
             printed: Vec::new(),
             pending_flops: 0,
             pending_ops: 0,
-            main_arrays: Vec::new(),
+            n_main: 0,
+            spare: Vec::new(),
             posted_recv: Vec::new(),
             posted_bcast: Vec::new(),
         }
@@ -113,7 +117,7 @@ impl<'a> Exec<'a> {
             store.owner_dist = d.owner_dist;
             self.heap.push(store);
             frame.arrays.insert(d.name, id);
-            self.main_arrays.push(id);
+            self.n_main += 1;
             if let Some(global) = init.get(&d.name) {
                 let my = self.node.rank();
                 scatter_init_store(&mut self.heap[id], &self.prog.dists, global, my);
@@ -125,11 +129,11 @@ impl<'a> Exec<'a> {
         self.flush_charges();
     }
 
+    /// The main program's stores, moved out: they are the first
+    /// `n_main` of the heap.
     fn finish(&mut self) -> Vec<ArrayStore> {
-        self.main_arrays
-            .iter()
-            .map(|&id| self.heap[id].clone())
-            .collect()
+        self.heap.truncate(self.n_main);
+        std::mem::take(&mut self.heap)
     }
 
     fn frame(&self) -> &Frame {
@@ -369,9 +373,7 @@ impl<'a> Exec<'a> {
             }
             SStmt::MarkDist { array, to_dist } => {
                 let id = self.array_id(*array);
-                let prog = self.prog;
-                let new_dist = &prog.dists[to_dist.0 as usize];
-                mark_dist_store(&mut self.heap[id], new_dist, *to_dist);
+                mark_dist_store(&mut self.heap[id], &self.prog.dists, *to_dist);
                 self.pending_ops += 1;
                 Flow::Normal
             }
@@ -551,7 +553,9 @@ impl<'a> Exec<'a> {
             let data = self.node.recv(src, tag);
             remap.accept(d1, &data, &mut self.heap[id]);
         }
-        remap.finish(&mut self.heap[id]);
+        if let Some(old) = remap.finish(&mut self.heap[id]) {
+            self.spare = old.data;
+        }
     }
 
     /// Full dynamic remap with data motion (library routine of §6).
@@ -566,7 +570,8 @@ impl<'a> Exec<'a> {
         let prog = self.prog;
         let d0 = &prog.dists[from_dist_id.0 as usize];
         let d1 = &prog.dists[to_dist.0 as usize];
-        let remap = begin_remap(self.node, &self.heap[id], d0, d1, to_dist);
+        let spare = std::mem::take(&mut self.spare);
+        let remap = begin_remap(self.node, &self.heap[id], d0, d1, to_dist, spare);
         self.complete(remap, id, d1);
     }
 

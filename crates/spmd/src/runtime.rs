@@ -292,24 +292,25 @@ pub(crate) fn assemble_outcome(
 }
 
 /// Assembles global arrays from per-rank finals, reading each element from
-/// its owner under the array's final distribution.
+/// its owner under the array's final distribution. Every rank's finals
+/// list the main program's arrays in declaration order, so the ranks'
+/// stores of one array are zipped by position.
 fn assemble_arrays(prog: &SpmdProgram, per_rank: &[Vec<ArrayStore>]) -> BTreeMap<Sym, Vec<f64>> {
     let Some(rank0) = per_rank.first() else {
         return BTreeMap::new();
     };
+    let mut stores = Vec::with_capacity(per_rank.len());
     rank0
         .iter()
-        .map(|fa| {
+        .enumerate()
+        .map(|(idx, fa)| {
             let dist = &prog.dists[fa.owner_dist.unwrap_or(fa.dist).0 as usize];
-            let stores: Vec<&ArrayStore> = per_rank
-                .iter()
-                .map(|finals| {
-                    finals
-                        .iter()
-                        .find(|x| x.name == fa.name)
-                        .expect("array missing on a rank")
-                })
-                .collect();
+            stores.clear();
+            stores.extend(per_rank.iter().map(|finals| &finals[idx]));
+            debug_assert!(
+                stores.iter().all(|x| x.name == fa.name),
+                "finals out of order"
+            );
             // Run-time resolution storage is global-indexed.
             (fa.name, assemble(dist, fa.owner_dist.is_some(), &stores))
         })
@@ -317,8 +318,7 @@ fn assemble_arrays(prog: &SpmdProgram, per_rank: &[Vec<ArrayStore>]) -> BTreeMap
 }
 
 /// Array storage on one rank, row-major. A rank's final arrays are its
-/// main procedure's stores, cloned.
-#[derive(Clone)]
+/// main procedure's stores, moved out when it finishes.
 pub(crate) struct ArrayStore {
     pub name: Sym,
     pub bounds: Vec<(i64, i64)>,
@@ -329,14 +329,24 @@ pub(crate) struct ArrayStore {
 
 impl ArrayStore {
     pub fn alloc(name: Sym, bounds: Vec<(i64, i64)>, dist: DistId) -> Self {
+        ArrayStore::reusing(Vec::new(), name, bounds, dist)
+    }
+
+    /// A store over the buffer of a dead one: its leading elements keep
+    /// their stale values, the rest are zero. Only for a store whose first
+    /// writer clears what it does not overwrite, as
+    /// `fortrand_rt::Remap::begin` does.
+    fn reusing(mut data: Vec<f64>, name: Sym, bounds: Vec<(i64, i64)>, dist: DistId) -> Self {
         let len: i64 = bounds
             .iter()
             .map(|&(lo, hi)| (hi - lo + 1).max(0))
             .product();
+        data.truncate(len as usize);
+        data.resize(len as usize, 0.0);
         ArrayStore {
             name,
             bounds,
-            data: vec![0.0; len as usize],
+            data,
             dist,
             owner_dist: None,
         }
@@ -412,15 +422,19 @@ pub(crate) fn scatter_init_store(
 pub(crate) type Remap = fortrand_rt::Remap<ArrayStore>;
 
 /// First half of a full remap: moves the contents of `old` (distributed as
-/// `d0`) towards a fresh store distributed as `d1`.
+/// `d0`) towards a store distributed as `d1`, with the overlap cells `old`
+/// has, over `spare`: the buffer of a store an earlier remap on this rank
+/// replaced (or an empty one).
 pub(crate) fn begin_remap(
     node: &mut Node,
     old: &ArrayStore,
     d0: &ArrayDist,
     d1: &ArrayDist,
     to_dist: DistId,
+    spare: Vec<f64>,
 ) -> Remap {
-    let new = ArrayStore::alloc(old.name, d1.local_bounds(), to_dist);
+    let bounds = d1.local_bounds_like(&old.bounds, d0);
+    let new = ArrayStore::reusing(spare, old.name, bounds, to_dist);
     let (my, p) = (node.rank(), node.nprocs());
     let send = |dst, tag, buf| node.send_buf(dst, tag, buf);
     Remap::begin(d0, d1, my, p, old, new, send)
@@ -441,7 +455,9 @@ pub(crate) fn begin_remap_global(
 }
 
 /// Array-kill optimized remap (§6.3): values are dead — swap descriptors,
-/// no data motion. Contents become undefined (zeroed).
-pub(crate) fn mark_dist_store(store: &mut ArrayStore, new_dist: &ArrayDist, to_dist: DistId) {
-    *store = ArrayStore::alloc(store.name, new_dist.local_bounds(), to_dist);
+/// no data motion. Contents become undefined (zeroed); the overlap cells
+/// stay.
+pub(crate) fn mark_dist_store(store: &mut ArrayStore, dists: &[ArrayDist], to_dist: DistId) {
+    let (d0, d1) = (&dists[store.dist.0 as usize], &dists[to_dist.0 as usize]);
+    *store = ArrayStore::alloc(store.name, d1.local_bounds_like(&store.bounds, d0), to_dist);
 }

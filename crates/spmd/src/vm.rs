@@ -56,7 +56,7 @@ pub(crate) fn run_bytecode(
         .collect();
     let (stats, mut vms) = machine.try_run_tasks(vms)?;
     let printed = std::mem::take(&mut vms[0].printed);
-    let finals = vms.iter().map(Vm::finish).collect();
+    let finals = vms.iter_mut().map(Vm::finish).collect();
     let mut out = assemble_outcome(prog, stats, finals, printed);
     let mut mix = vec![0u64; N_OPCODES];
     for vm in &vms {
@@ -369,7 +369,10 @@ struct Vm<'a> {
     fused: u64,
     /// Dynamic opcode histogram, indexed by [`op_idx`].
     mix: Vec<u64>,
-    main_arrays: Vec<usize>,
+    /// Arrays the main program declares: the first ones on the heap.
+    n_main: usize,
+    /// The buffer of the store the last remap replaced, for the next one.
+    spare: Vec<f64>,
     /// Procedure names for per-call spans; empty unless tracing, which is
     /// what switches the spans off.
     proc_names: &'a [String],
@@ -420,7 +423,8 @@ impl<'a> Vm<'a> {
             instrs: 0,
             fused: 0,
             mix: vec![0; N_OPCODES],
-            main_arrays: Vec::new(),
+            n_main: 0,
+            spare: Vec::new(),
             proc_names,
         }
     }
@@ -485,7 +489,7 @@ impl<'a> Vm<'a> {
             store.owner_dist = d.owner_dist;
             self.heap.push(store);
             self.atab.push(id);
-            self.main_arrays.push(id);
+            self.n_main += 1;
             if let Some(global) = self.init.get(&d.name) {
                 scatter_init_store(&mut self.heap[id], &self.prog.dists, global, node.rank());
             }
@@ -502,11 +506,11 @@ impl<'a> Vm<'a> {
         self.trace_enter(node, main);
     }
 
-    fn finish(&self) -> Vec<ArrayStore> {
-        self.main_arrays
-            .iter()
-            .map(|&id| self.heap[id].clone())
-            .collect()
+    /// The main program's stores, moved out: they are the first
+    /// `n_main` of the heap.
+    fn finish(&mut self) -> Vec<ArrayStore> {
+        self.heap.truncate(self.n_main);
+        std::mem::take(&mut self.heap)
     }
 
     fn do_call(
@@ -849,7 +853,9 @@ impl<'a> Vm<'a> {
                 }
             }
         }
-        remap.finish(&mut self.heap[id]);
+        if let Some(old) = remap.finish(&mut self.heap[id]) {
+            self.spare = old.data;
+        }
         Ok(())
     }
 
@@ -1372,7 +1378,9 @@ fn exec(vm: &mut Vm, node: &mut Node) -> Yield {
                         node.charge_remap();
                         if from != *to {
                             let d0 = &prog.dists[from.0 as usize];
-                            vm.remap = Some(begin_remap(node, &vm.heap[id], d0, d1, *to));
+                            let spare = std::mem::take(&mut vm.spare);
+                            let old = &vm.heap[id];
+                            vm.remap = Some(begin_remap(node, old, d0, d1, *to, spare));
                         }
                     }
                     if let Err(wait) = vm.remap_accept(node, id, d1) {
@@ -1400,8 +1408,7 @@ fn exec(vm: &mut Vm, node: &mut Node) -> Yield {
                 }
                 Instr::MarkDist { arr, to } => {
                     let id = vm.atab[a_base + *arr as usize];
-                    let new_dist = &prog.dists[to.0 as usize];
-                    mark_dist_store(&mut vm.heap[id], new_dist, *to);
+                    mark_dist_store(&mut vm.heap[id], &prog.dists, *to);
                     vm.pending_ops += 1;
                 }
                 Instr::Print { first, n } => {

@@ -723,18 +723,18 @@ proptest! {
     }
 }
 
-/// One `Gather` site packing from two local-bound sets of one array:
-/// FIG15 with a shifted read ahead of the `k` loop, which gives `X` an
-/// overlap cell (`X(0:25)`), and broadcasts of `X(1)` and `X(k)` inside the
-/// loop. Under `DynOptLevel::None` each trip remaps `X` to CYCLIC and back
-/// around each `call F1`, and a remap allocates `X` at its owned bounds
-/// (`1:25`). So the broadcast of `X(1)` packs the same section from
-/// `X(0:25)` on the first trip and from `X(1:25)` on the others, where the
-/// element sits one place lower; the section of `X(k)` moves every trip.
-/// Tree, VM fused and VM unfused agree, buffer-pool counters included. (A
-/// shifted read *inside* the loop would receive into `X(0)` after a
-/// remap, which the remapped store lacks: every engine stops with a
-/// subscript error.)
+/// One `Gather` site packing one array across remaps: FIG15 with a
+/// shifted read ahead of the `k` loop, which gives `X` an overlap cell
+/// (`X(0:25)`), and broadcasts of `X(1)` and `X(k)` inside the loop. Under
+/// `DynOptLevel::None` each trip remaps `X` to CYCLIC and back around each
+/// `call F1`. A remap keeps the overlap cell, so every trip packs `X(1)`
+/// from a store with bounds `0:25`; when a remap allocated `X` at its
+/// owned bounds `1:25`, the trips after the first packed it from there,
+/// one place lower (hence the name). The section of `X(k)` moves every
+/// trip. Tree, VM fused and VM unfused agree, buffer-pool counters
+/// included. The shifted read *inside* the loop, which receives into
+/// `X(0)` after each remap, is the fixture
+/// `tests/regressions/remap_keeps_overlap_cells.f`.
 #[test]
 fn one_section_site_under_two_local_bound_sets() {
     let src = FIG15
