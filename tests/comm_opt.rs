@@ -93,7 +93,16 @@ fn fig4_all_levels_bit_identical() {
 #[test]
 fn wide_corpus_all_levels_bit_identical() {
     let src = wide_corpus(6, 32, 4);
-    assert_levels_agree("wide_corpus", &src, 4, &BTreeMap::new());
+    let names: Vec<String> = (0..6)
+        .flat_map(|p| [format!("x{p}"), format!("y{p}")])
+        .collect();
+    let init = (names.iter().enumerate())
+        .map(|(k, name)| {
+            let data = (0..32).map(|i| ((k * 32 + i) * 37 % 101) as f64 * 0.5 + 1.0);
+            (name.as_str(), data.collect())
+        })
+        .collect();
+    assert_levels_agree("wide_corpus", &src, 4, &init);
 }
 
 #[test]
