@@ -352,3 +352,39 @@ fn pinned_slice_broadcast_hoists_over_a_call_that_only_reads_it() {
     assert_eq!(bcasts.len(), 1, "{text}");
     assert!(bcasts[0] < first_loop, "{text}");
 }
+
+/// A read without a point section (`j*j` is not affine) exchanges the
+/// whole of its serial dimension: the array's declared extent (8), not
+/// the wider decomposition's (12) that sizes the local declaration.
+#[test]
+fn whole_section_fallback_uses_the_array_extent() {
+    let text = fortrand::Session::new(
+        "
+      PROGRAM p
+      PARAMETER (n$proc = 4)
+      REAL a(16,8), b(16,8)
+      DECOMPOSITION d(16,12)
+      ALIGN a(i,j) with d(i,j)
+      ALIGN b(i,j) with d(i,j)
+      DISTRIBUTE d(BLOCK,:)
+      do j = 1, 2
+        do i = 1, 15
+          b(i,j) = a(i+1,j*j)
+        enddo
+      enddo
+      END
+",
+    )
+    .compile()
+    .unwrap_or_else(|e| panic!("{e}"))
+    .emit();
+    assert!(text.contains("REAL A(5,12)"), "{text}");
+    assert!(
+        text.contains("if (my$p .gt. 0) send A(1,1:8) to my$p-1"),
+        "{text}"
+    );
+    assert!(
+        text.contains("if (my$p .lt. 3) recv A(5,1:8) from my$p+1"),
+        "{text}"
+    );
+}
