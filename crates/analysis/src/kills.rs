@@ -92,7 +92,7 @@ fn scan(body: &[Stmt], info: &UnitInfo, env: &SymEnv, nest: &mut Vec<LoopCtx>, o
                             .map(|&d| Affine::konst(d))
                             .collect::<Vec<_>>(),
                     );
-                    if swept.contains(&whole, env).is_yes() {
+                    if swept.contains(&whole, env) {
                         // Attribute the kill to the outermost loop of
                         // the nest (or the assignment itself).
                         let site = nest.first().map(|l| l.stmt).unwrap_or(s.id);

@@ -1267,7 +1267,7 @@ impl<'a, 'b> UnitCompiler<'a, 'b> {
             let rs = rsd.vectorize(l.var, &lo, &hi);
             if let (Some(ms), Some(rs)) = (ms, rs) {
                 if let Some(i) = ms.intersect(&rs, env) {
-                    if i.is_empty(env).is_yes() {
+                    if i.is_empty(env) {
                         continue 'mods;
                     }
                 }

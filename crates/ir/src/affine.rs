@@ -142,18 +142,6 @@ impl Affine {
         r + replacement.scale(c)
     }
 
-    /// Substitutes several symbols simultaneously.
-    pub fn subst_all(&self, map: &BTreeMap<Sym, Affine>) -> Self {
-        let mut r = Affine::konst(self.konst);
-        for (&s, &c) in &self.terms {
-            match map.get(&s) {
-                Some(rep) => r = r + rep.scale(c),
-                None => r = r + Affine::term(s, c),
-            }
-        }
-        r
-    }
-
     /// Evaluates under a full environment. `None` if a symbol is unbound.
     pub fn eval(&self, env: &dyn Fn(Sym) -> Option<i64>) -> Option<i64> {
         let mut acc = self.konst;
@@ -161,19 +149,6 @@ impl Affine {
             acc += c * env(s)?;
         }
         Some(acc)
-    }
-
-    /// `self - other` if the result is a constant, else `None`.
-    ///
-    /// This is the workhorse of symbolic bound comparison: `lo1 ≤ lo2` is
-    /// decidable whenever `lo2 - lo1` is a known constant.
-    pub fn const_diff(&self, other: &Affine) -> Option<i64> {
-        (self.clone() - other.clone()).as_const()
-    }
-
-    /// Pretty-prints with an interner-backed name function.
-    pub fn display<'a>(&'a self, name: &'a dyn Fn(Sym) -> String) -> AffineDisplay<'a> {
-        AffineDisplay { a: self, name }
     }
 }
 
@@ -251,45 +226,6 @@ impl fmt::Debug for Affine {
     }
 }
 
-/// Helper returned by [`Affine::display`].
-pub struct AffineDisplay<'a> {
-    a: &'a Affine,
-    name: &'a dyn Fn(Sym) -> String,
-}
-
-impl fmt::Display for AffineDisplay<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut first = true;
-        for (s, c) in self.a.terms() {
-            let n = (self.name)(s);
-            if first {
-                match c {
-                    1 => write!(f, "{n}")?,
-                    -1 => write!(f, "-{n}")?,
-                    _ => write!(f, "{c}*{n}")?,
-                }
-                first = false;
-            } else {
-                match c {
-                    1 => write!(f, "+{n}")?,
-                    -1 => write!(f, "-{n}")?,
-                    c if c > 0 => write!(f, "+{c}*{n}")?,
-                    c => write!(f, "-{}*{n}", -c)?,
-                }
-            }
-        }
-        let k = self.a.constant();
-        if first {
-            write!(f, "{k}")?;
-        } else if k > 0 {
-            write!(f, "+{k}")?;
-        } else if k < 0 {
-            write!(f, "{k}")?;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -335,18 +271,6 @@ mod tests {
     }
 
     #[test]
-    fn subst_all_simultaneous() {
-        // i + j with {i := j, j := 1} must give j + 1 (not 2).
-        let mut m = BTreeMap::new();
-        m.insert(s(0), Affine::sym(s(1)));
-        m.insert(s(1), Affine::konst(1));
-        let e = Affine::sym(s(0)) + Affine::sym(s(1));
-        let r = e.subst_all(&m);
-        assert_eq!(r.coeff(s(1)), 1);
-        assert_eq!(r.constant(), 1);
-    }
-
-    #[test]
     fn eval_full_env() {
         let e = Affine::term(s(0), 2) + Affine::term(s(1), -1) + Affine::konst(4);
         let v = e.eval(&|sym| match sym.0 {
@@ -361,20 +285,6 @@ mod tests {
     fn eval_unbound_is_none() {
         let e = Affine::sym(s(0));
         assert_eq!(e.eval(&|_| None), None);
-    }
-
-    #[test]
-    fn const_diff_same_symbols() {
-        let a = Affine::sym(s(0)).plus_const(5);
-        let b = Affine::sym(s(0)).plus_const(2);
-        assert_eq!(a.const_diff(&b), Some(3));
-    }
-
-    #[test]
-    fn const_diff_different_symbols_is_none() {
-        let a = Affine::sym(s(0));
-        let b = Affine::sym(s(1));
-        assert_eq!(a.const_diff(&b), None);
     }
 
     #[test]

@@ -20,11 +20,9 @@
 //! [`ArrayDist`] — is run-time library code and lives in `fortrand-rt`,
 //! re-exported here; this module keeps what needs the compiler's own
 //! types: building an [`ArrayDist`] from an [`Alignment`] and a
-//! [`Distribution`], and owned sets as symbolic [`Triplet`]s and [`Rsd`]s.
+//! [`Distribution`].
 
-use crate::affine::Affine;
 use crate::intern::Sym;
-use crate::rsd::{Rsd, Triplet};
 pub use fortrand_rt::dist::{ArrayDist, DimPartition, DistKind, ProcGrid};
 
 /// An abstract index domain, `DECOMPOSITION D(e1, …, ek)`.
@@ -142,50 +140,6 @@ pub fn array_dist(
     }
 }
 
-/// The set of *global* indices of `dim` owned by coordinate `q`, as a
-/// triplet: exact except for multi-processor `BLOCK_CYCLIC`, whose owned
-/// set is not one triplet and is over-approximated by the whole extent.
-pub fn owned_triplet(dim: &DimPartition, q: usize) -> Triplet {
-    let q = q as i64;
-    let (lo, hi, step) = match dim.kind {
-        DistKind::Block => {
-            let b = dim.block_size();
-            (q * b + 1, (q * b + b).min(dim.extent), 1)
-        }
-        DistKind::Cyclic => (q + 1, dim.extent, dim.nprocs as i64),
-        DistKind::Serial | DistKind::BlockCyclic(_) => (1, dim.extent, 1),
-    };
-    Triplet {
-        lo: Affine::konst(lo),
-        hi: Affine::konst(hi),
-        step,
-    }
-}
-
-/// Set of global indices owned by processor `rank` under `dist`, as an
-/// RSD (exact except multi-processor `BLOCK_CYCLIC` dims).
-pub fn owned_rsd(dist: &ArrayDist, rank: usize) -> Rsd {
-    let coords = dist.grid.coords_of(rank);
-    let dims = dist
-        .dims
-        .iter()
-        .enumerate()
-        .map(|(d, dp)| match dist.grid_axis[d] {
-            Some(axis) => {
-                let t = owned_triplet(dp, coords[axis]);
-                // Undo alignment offset to express in array indices.
-                Triplet {
-                    lo: t.lo.plus_const(-dist.offsets[d]),
-                    hi: t.hi.plus_const(-dist.offsets[d]),
-                    step: t.step,
-                }
-            }
-            None => Triplet::lit(1, dp.extent),
-        })
-        .collect();
-    Rsd::new(dims)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,7 +173,7 @@ mod tests {
         for q in 0..4 {
             assert_eq!(d.local_count(q), 25);
         }
-        assert_eq!(owned_triplet(&d, 1), Triplet::lit(26, 50));
+        assert!((1..=100).all(|g| (d.owner(g) == 1) == (26..=50).contains(&g)));
     }
 
     #[test]
@@ -229,7 +183,7 @@ mod tests {
         assert_eq!(d.local_count(0), 3);
         assert_eq!(d.local_count(3), 1);
         assert_eq!(d.owner(10), 3);
-        assert_eq!(owned_triplet(&d, 3), Triplet::lit(10, 10));
+        assert!((1..=10).all(|g| (d.owner(g) == 3) == (g == 10)));
         assert_eq!(d.local_extent(), 3);
     }
 
@@ -250,11 +204,8 @@ mod tests {
             assert_eq!(d.global_of_local(q, l), g);
         }
         // Owned set of proc 1 is 2:10:4.
-        let t = owned_triplet(&d, 1);
-        assert_eq!(
-            (t.lo.as_const(), t.hi.as_const(), t.step),
-            (Some(2), Some(10), 4)
-        );
+        let owned: Vec<i64> = (1..=10).filter(|&g| d.owner(g) == 1).collect();
+        assert_eq!(owned, vec![2, 6, 10]);
     }
 
     #[test]
@@ -268,11 +219,13 @@ mod tests {
         assert_eq!(ad.owner_of(&[25, 99]), 0);
         assert_eq!(ad.owner_of(&[26, 1]), 1);
         assert_eq!(ad.local_extents(), vec![25, 100]);
-        let owned = owned_rsd(&ad, 2);
-        assert_eq!(
-            owned,
-            Rsd::new(vec![Triplet::lit(51, 75), Triplet::lit(1, 100)])
-        );
+        // Rank 2 owns rows 51:75 of every column, stored from local row 1.
+        for i in 1..=100 {
+            for j in [1, 100] {
+                assert_eq!(ad.owner_of(&[i, j]) == 2, (51..=75).contains(&i));
+            }
+        }
+        assert_eq!((ad.local_idx(0, 51), ad.local_idx(0, 75)), (1, 25));
     }
 
     #[test]
@@ -287,11 +240,13 @@ mod tests {
         assert_eq!(ad.local_extents(), vec![100, 25]);
         assert_eq!(ad.owner_of(&[1, 25]), 0);
         assert_eq!(ad.owner_of(&[1, 26]), 1);
-        let owned = owned_rsd(&ad, 1);
-        assert_eq!(
-            owned,
-            Rsd::new(vec![Triplet::lit(1, 100), Triplet::lit(26, 50)])
-        );
+        // Rank 1 owns columns 26:50 of every row, stored from local column 1.
+        for j in 1..=100 {
+            for i in [1, 100] {
+                assert_eq!(ad.owner_of(&[i, j]) == 1, (26..=50).contains(&j));
+            }
+        }
+        assert_eq!((ad.local_idx(1, 26), ad.local_idx(1, 50)), (1, 25));
     }
 
     #[test]
@@ -308,8 +263,11 @@ mod tests {
         };
         let ad = array_dist(&[100], &al, &[110], &dist);
         assert_eq!(ad.owner_of(&[1]), 1);
-        // Owned RSD of proc 1 expressed in X's indices: D[11:20] -> X[1:10].
-        assert_eq!(owned_rsd(&ad, 1), Rsd::new(vec![Triplet::lit(1, 10)]));
+        // Proc 1 owns D[11:20], which is X[1:10] in X's indices.
+        for x in 1..=100 {
+            assert_eq!(ad.owner_of(&[x]) == 1, x <= 10);
+        }
+        assert_eq!((ad.local_idx(0, 1), ad.local_idx(0, 10)), (1, 10));
         // Proc 0 owns D[1:10], none of X; proc 10 owns D[101:110] ->
         // X[91:100], stored at 1:10.
         assert!((1..=100).all(|x| ad.owner_of(&[x]) != 0));
@@ -331,32 +289,5 @@ mod tests {
         assert_eq!(ad.owner_of(&[3, 6]), 1);
         assert_eq!(ad.local_extents(), vec![8, 2]);
         assert_eq!(ad.local_of_global(&[3, 6]), vec![3, 2]);
-    }
-}
-
-#[cfg(test)]
-mod proptests {
-    use super::*;
-    use proptest::prelude::*;
-
-    proptest! {
-        /// owned_triplet is exact for Block and Cyclic: membership in the
-        /// triplet coincides with ownership.
-        #[test]
-        fn owned_triplet_exactness(extent in 1i64..150, p in 1usize..8,
-                                   blockish in proptest::bool::ANY) {
-            let kind = if blockish { DistKind::Block } else { DistKind::Cyclic };
-            let d = DimPartition { kind, extent, nprocs: p };
-            for q in 0..p {
-                let t = owned_triplet(&d, q);
-                let (lo, hi, step) =
-                    (t.lo.as_const().unwrap(), t.hi.as_const().unwrap(), t.step);
-                for g in 1..=extent {
-                    let inside = g >= lo && g <= hi && (g - lo) % step == 0;
-                    prop_assert_eq!(inside, d.owner(g) == q,
-                        "kind={:?} q={} g={}", kind, q, g);
-                }
-            }
-        }
     }
 }

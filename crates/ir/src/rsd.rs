@@ -8,15 +8,15 @@
 //!
 //! Bounds are symbolic ([`Affine`]); steps are positive literal constants
 //! (the paper's sections are all unit- or constant-stride). The algebra is
-//! *exact or refuses*: operations return `None` whenever the result is not
-//! representable as (a small number of) RSDs or not provable under the given
+//! *exact or refuses*: operations return `None` (or `false`) whenever the
+//! result is not representable as one RSD or not provable under the given
 //! [`SymEnv`] — matching the paper's rule that sections are "merged only if
-//! no loss of precision will result". Callers handle `None` conservatively.
+//! no loss of precision will result". Callers handle a refusal
+//! conservatively.
 
 use crate::affine::Affine;
 use crate::intern::Sym;
-use crate::symenv::{SymEnv, Tri};
-use std::fmt;
+use crate::symenv::SymEnv;
 
 /// One dimension of a section: `lo : hi : step` (inclusive bounds).
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
@@ -49,29 +49,9 @@ impl Triplet {
         }
     }
 
-    /// True if this triplet denotes exactly one point.
-    pub fn is_point(&self) -> bool {
-        self.lo == self.hi
-    }
-
-    /// Provably empty under `env`?
-    pub fn is_empty(&self, env: &SymEnv) -> Tri {
-        match env.le(&self.lo, &self.hi) {
-            Tri::Yes => Tri::No,
-            Tri::No => Tri::Yes,
-            Tri::Maybe => Tri::Maybe,
-        }
-    }
-
-    /// Number of points if bounds are constant under `env`.
-    pub fn count(&self, env: &SymEnv) -> Option<i64> {
-        let lo = env.fold(&self.lo).as_const()?;
-        let hi = env.fold(&self.hi).as_const()?;
-        if hi < lo {
-            Some(0)
-        } else {
-            Some((hi - lo) / self.step + 1)
-        }
+    /// Provably empty under `env` (`hi < lo`)?
+    pub fn is_empty(&self, env: &SymEnv) -> bool {
+        env.le(&self.hi.plus_const(1), &self.lo)
     }
 
     /// Substitutes a symbol in both bounds.
@@ -87,7 +67,7 @@ impl Triplet {
     fn intersect(&self, other: &Triplet, env: &SymEnv) -> Option<Triplet> {
         if self.step != 1 || other.step != 1 {
             // Equal strides with provably equal bounds still intersect to self.
-            if self.step == other.step && env.eq(&self.lo, &other.lo).is_yes() {
+            if self.step == other.step && env.eq(&self.lo, &other.lo) {
                 let hi = env.min(&self.hi, &other.hi)?.clone();
                 return Some(Triplet {
                     lo: self.lo.clone(),
@@ -102,46 +82,13 @@ impl Triplet {
         Some(Triplet { lo, hi, step: 1 })
     }
 
-    /// `self \ other` for unit strides: up to two residual triplets
-    /// (left of `other.lo`, right of `other.hi`). `None` if not provable.
-    fn subtract(&self, other: &Triplet, env: &SymEnv) -> Option<Vec<Triplet>> {
-        if self.step != 1 || other.step != 1 {
-            return None;
-        }
-        // Disjoint? Then the difference is self.
-        if env.lt(&self.hi, &other.lo).is_yes() || env.lt(&other.hi, &self.lo).is_yes() {
-            return Some(vec![self.clone()]);
-        }
-        let mut out = Vec::new();
-        // Left residue: [self.lo, other.lo-1] if nonempty provably; empty ok.
-        match env.le(&self.lo, &other.lo.clone().plus_const(-1)) {
-            Tri::Yes => out.push(Triplet::new(
-                self.lo.clone(),
-                other.lo.clone().plus_const(-1),
-            )),
-            Tri::No => {}
-            Tri::Maybe => return None,
-        }
-        // Right residue: [other.hi+1, self.hi].
-        match env.le(&other.hi.clone().plus_const(1), &self.hi) {
-            Tri::Yes => out.push(Triplet::new(
-                other.hi.clone().plus_const(1),
-                self.hi.clone(),
-            )),
-            Tri::No => {}
-            Tri::Maybe => return None,
-        }
-        Some(out)
-    }
-
     /// Precise union when contiguous/overlapping, unit strides only.
     fn union(&self, other: &Triplet, env: &SymEnv) -> Option<Triplet> {
         if self.step != 1 || other.step != 1 {
             return None;
         }
         // They must touch: lo2 ≤ hi1+1 and lo1 ≤ hi2+1.
-        if !env.le(&other.lo, &self.hi.clone().plus_const(1)).is_yes()
-            || !env.le(&self.lo, &other.hi.clone().plus_const(1)).is_yes()
+        if !env.le(&other.lo, &self.hi.plus_const(1)) || !env.le(&self.lo, &other.hi.plus_const(1))
         {
             return None;
         }
@@ -150,41 +97,18 @@ impl Triplet {
         Some(Triplet { lo, hi, step: 1 })
     }
 
-    /// Is `other` provably the immediate continuation of `self`
-    /// (`other.lo == self.hi + 1`, both unit stride)? The message
-    /// coalescer merges exchanges whose sections touch this way.
-    pub fn adjacent_before(&self, other: &Triplet, env: &SymEnv) -> Tri {
-        if self.step != 1 || other.step != 1 {
-            return Tri::Maybe;
-        }
-        env.eq(&self.hi.clone().plus_const(1), &other.lo)
-    }
-
     /// Does this triplet provably contain `other`?
-    pub fn contains(&self, other: &Triplet, env: &SymEnv) -> Tri {
+    pub fn contains(&self, other: &Triplet, env: &SymEnv) -> bool {
         if self.step != 1 {
-            if self == other {
-                return Tri::Yes;
-            }
-            return Tri::Maybe;
+            return self == other;
         }
-        match (env.le(&self.lo, &other.lo), env.le(&other.hi, &self.hi)) {
-            (Tri::Yes, Tri::Yes) => Tri::Yes,
-            (Tri::No, _) | (_, Tri::No) => {
-                // Not a subset unless other is empty; be conservative.
-                if other.is_empty(env).is_yes() {
-                    Tri::Yes
-                } else {
-                    Tri::No
-                }
-            }
-            _ => Tri::Maybe,
+        if env.le(&self.lo, &other.lo) && env.le(&other.hi, &self.hi) {
+            return true;
         }
-    }
-
-    /// Concrete evaluation: `(lo, hi, step)` with constant bounds.
-    pub fn eval(&self, env: &dyn Fn(Sym) -> Option<i64>) -> Option<(i64, i64, i64)> {
-        Some((self.lo.eval(env)?, self.hi.eval(env)?, self.step))
+        // A bound provably outside: only an empty `other` is still a subset.
+        let outside =
+            env.le(&other.lo.plus_const(1), &self.lo) || env.le(&self.hi.plus_const(1), &other.hi);
+        outside && other.is_empty(env)
     }
 }
 
@@ -218,29 +142,8 @@ impl Rsd {
     }
 
     /// Provably empty (some dimension empty)?
-    pub fn is_empty(&self, env: &SymEnv) -> Tri {
-        let mut maybe = false;
-        for d in &self.dims {
-            match d.is_empty(env) {
-                Tri::Yes => return Tri::Yes,
-                Tri::Maybe => maybe = true,
-                Tri::No => {}
-            }
-        }
-        if maybe {
-            Tri::Maybe
-        } else {
-            Tri::No
-        }
-    }
-
-    /// Point count if all bounds constant under `env`.
-    pub fn volume(&self, env: &SymEnv) -> Option<i64> {
-        let mut v = 1i64;
-        for d in &self.dims {
-            v *= d.count(env)?;
-        }
-        Some(v)
+    pub fn is_empty(&self, env: &SymEnv) -> bool {
+        self.dims.iter().any(|d| d.is_empty(env))
     }
 
     /// Dimension-wise intersection; `None` if any dimension is unprovable.
@@ -258,43 +161,6 @@ impl Rsd {
         Some(Rsd { dims })
     }
 
-    /// Exact set difference `self \ other`, as a list of disjoint RSDs.
-    ///
-    /// Uses the standard rectangle decomposition: peel residues dimension by
-    /// dimension. Returns `None` when any required comparison is unprovable.
-    pub fn subtract(&self, other: &Rsd, env: &SymEnv) -> Option<Vec<Rsd>> {
-        if self.rank() != other.rank() {
-            return None;
-        }
-        // If disjoint in any dimension, difference is self.
-        let inter = match self.intersect(other, env) {
-            Some(i) => {
-                if i.is_empty(env).is_yes() {
-                    return Some(vec![self.clone()]);
-                }
-                i
-            }
-            None => return None,
-        };
-        let mut out = Vec::new();
-        // prefix holds the already-clipped dimensions (intersection), the
-        // current dimension contributes its residues, suffix stays as self.
-        for d in 0..self.rank() {
-            let residues = self.dims[d].subtract(&other.dims[d], env)?;
-            for r in residues {
-                if r.is_empty(env).is_yes() {
-                    continue;
-                }
-                let mut dims = Vec::with_capacity(self.rank());
-                dims.extend(inter.dims[..d].iter().cloned());
-                dims.push(r);
-                dims.extend(self.dims[d + 1..].iter().cloned());
-                out.push(Rsd { dims });
-            }
-        }
-        Some(out)
-    }
-
     /// Precise union: allowed when the sections agree in all dimensions but
     /// one, where they must be contiguous or overlapping. This is exactly
     /// the paper's "merge RSDs at loop if no precision is lost".
@@ -303,16 +169,16 @@ impl Rsd {
             return None;
         }
         // Containment fast paths.
-        if self.contains(other, env).is_yes() {
+        if self.contains(other, env) {
             return Some(self.clone());
         }
-        if other.contains(self, env).is_yes() {
+        if other.contains(self, env) {
             return Some(other.clone());
         }
         let mut differing = None;
         for d in 0..self.rank() {
-            let same = env.eq(&self.dims[d].lo, &other.dims[d].lo).is_yes()
-                && env.eq(&self.dims[d].hi, &other.dims[d].hi).is_yes()
+            let same = env.eq(&self.dims[d].lo, &other.dims[d].lo)
+                && env.eq(&self.dims[d].hi, &other.dims[d].hi)
                 && self.dims[d].step == other.dims[d].step;
             if !same {
                 if differing.is_some() {
@@ -332,66 +198,14 @@ impl Rsd {
         }
     }
 
-    /// If `self` and `other` are equal in every dimension but one, where
-    /// `other` is the provable immediate continuation of `self`, returns
-    /// that dimension. This is the exact condition under which two
-    /// messages' sections concatenate into one RSD with no padding.
-    pub fn adjacency(&self, other: &Rsd, env: &SymEnv) -> Option<usize> {
-        if self.rank() != other.rank() {
-            return None;
-        }
-        let mut touching = None;
-        for d in 0..self.rank() {
-            let same = env.eq(&self.dims[d].lo, &other.dims[d].lo).is_yes()
-                && env.eq(&self.dims[d].hi, &other.dims[d].hi).is_yes()
-                && self.dims[d].step == other.dims[d].step;
-            if same {
-                continue;
-            }
-            if touching.is_some() {
-                return None; // differs in ≥ 2 dims: concatenation not an RSD
-            }
-            if !self.dims[d].adjacent_before(&other.dims[d], env).is_yes() {
-                return None;
-            }
-            touching = Some(d);
-        }
-        touching
-    }
-
-    /// Merges two sections that are provably adjacent ([`Rsd::adjacency`])
-    /// into the single covering RSD. Unlike [`Rsd::union_merge`], this
-    /// refuses overlapping sections — the coalescer must not double-pack
-    /// shared elements.
-    pub fn merge_adjacent(&self, other: &Rsd, env: &SymEnv) -> Option<Rsd> {
-        let d = self.adjacency(other, env)?;
-        let mut dims = self.dims.clone();
-        dims[d] = Triplet {
-            lo: self.dims[d].lo.clone(),
-            hi: other.dims[d].hi.clone(),
-            step: 1,
-        };
-        Some(Rsd { dims })
-    }
-
     /// Provable containment `other ⊆ self`.
-    pub fn contains(&self, other: &Rsd, env: &SymEnv) -> Tri {
-        if self.rank() != other.rank() {
-            return Tri::No;
-        }
-        let mut maybe = false;
-        for (a, b) in self.dims.iter().zip(&other.dims) {
-            match a.contains(b, env) {
-                Tri::No => return Tri::No,
-                Tri::Maybe => maybe = true,
-                Tri::Yes => {}
-            }
-        }
-        if maybe {
-            Tri::Maybe
-        } else {
-            Tri::Yes
-        }
+    pub fn contains(&self, other: &Rsd, env: &SymEnv) -> bool {
+        self.rank() == other.rank()
+            && self
+                .dims
+                .iter()
+                .zip(&other.dims)
+                .all(|(a, b)| a.contains(b, env))
     }
 
     /// Substitutes a symbol in every bound (call-site translation,
@@ -439,51 +253,6 @@ impl Rsd {
         }
         Some(Rsd { dims })
     }
-
-    /// Concrete membership test (used by tests and the interpreter).
-    pub fn contains_point(&self, pt: &[i64], env: &dyn Fn(Sym) -> Option<i64>) -> Option<bool> {
-        if pt.len() != self.rank() {
-            return Some(false);
-        }
-        for (t, &x) in self.dims.iter().zip(pt) {
-            let (lo, hi, step) = t.eval(env)?;
-            if x < lo || x > hi || (x - lo) % step != 0 {
-                return Some(false);
-            }
-        }
-        Some(true)
-    }
-
-    /// Fortran 90 triplet-notation rendering, e.g. `(26:30,1:100)`.
-    pub fn display<'a>(&'a self, name: &'a dyn Fn(Sym) -> String) -> RsdDisplay<'a> {
-        RsdDisplay { rsd: self, name }
-    }
-}
-
-/// Helper returned by [`Rsd::display`].
-pub struct RsdDisplay<'a> {
-    rsd: &'a Rsd,
-    name: &'a dyn Fn(Sym) -> String,
-}
-
-impl fmt::Display for RsdDisplay<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "(")?;
-        for (i, t) in self.rsd.dims.iter().enumerate() {
-            if i > 0 {
-                write!(f, ",")?;
-            }
-            if t.is_point() {
-                write!(f, "{}", t.lo.display(self.name))?;
-            } else {
-                write!(f, "{}:{}", t.lo.display(self.name), t.hi.display(self.name))?;
-                if t.step != 1 {
-                    write!(f, ":{}", t.step)?;
-                }
-            }
-        }
-        write!(f, ")")
-    }
 }
 
 #[cfg(test)]
@@ -503,100 +272,6 @@ mod tests {
     }
 
     #[test]
-    fn paper_example_nonlocal_set() {
-        // §3.1: accesses [6:30] minus local [1:25] = nonlocal [26:30].
-        let accessed = r1(6, 30);
-        let local = r1(1, 25);
-        let diff = accessed.subtract(&local, &env()).unwrap();
-        assert_eq!(diff, vec![r1(26, 30)]);
-    }
-
-    #[test]
-    fn subtract_contained_gives_empty() {
-        let d = r1(5, 10).subtract(&r1(1, 20), &env()).unwrap();
-        assert!(d.is_empty());
-    }
-
-    #[test]
-    fn subtract_disjoint_gives_self() {
-        let d = r1(1, 5).subtract(&r1(10, 20), &env()).unwrap();
-        assert_eq!(d, vec![r1(1, 5)]);
-    }
-
-    #[test]
-    fn subtract_middle_gives_two_pieces() {
-        let d = r1(1, 10).subtract(&r1(4, 6), &env()).unwrap();
-        assert_eq!(d, vec![r1(1, 3), r1(7, 10)]);
-    }
-
-    #[test]
-    fn adjacency_and_merge() {
-        // [1:5] ++ [6:10] = [1:10]; overlap and gaps refuse.
-        assert_eq!(r1(1, 5).adjacency(&r1(6, 10), &env()), Some(0));
-        assert_eq!(r1(1, 5).merge_adjacent(&r1(6, 10), &env()), Some(r1(1, 10)));
-        assert_eq!(r1(1, 5).merge_adjacent(&r1(5, 10), &env()), None); // overlap
-        assert_eq!(r1(1, 5).merge_adjacent(&r1(7, 10), &env()), None); // gap
-        assert_eq!(r1(6, 10).merge_adjacent(&r1(1, 5), &env()), None); // order matters
-
-        // 2-D: columns concatenate when rows agree…
-        assert_eq!(
-            r2((1, 8), (1, 2)).merge_adjacent(&r2((1, 8), (3, 4)), &env()),
-            Some(r2((1, 8), (1, 4)))
-        );
-        // …but not when both dimensions differ.
-        assert_eq!(
-            r2((1, 4), (1, 2)).adjacency(&r2((5, 8), (3, 4)), &env()),
-            None
-        );
-    }
-
-    #[test]
-    fn adjacency_symbolic_bounds() {
-        // [1:k] ++ [k+1:n] merges with symbolic bounds.
-        let k = Sym(1);
-        let n = Sym(2);
-        let a = Rsd::new(vec![Triplet::new(Affine::konst(1), Affine::sym(k))]);
-        let b = Rsd::new(vec![Triplet::new(
-            Affine::sym(k).plus_const(1),
-            Affine::sym(n),
-        )]);
-        let m = a.merge_adjacent(&b, &env()).unwrap();
-        assert_eq!(
-            m,
-            Rsd::new(vec![Triplet::new(Affine::konst(1), Affine::sym(n))])
-        );
-    }
-
-    #[test]
-    fn subtract_2d_column_pattern() {
-        // [1:30,1:100] \ [1:25,1:100] = [26:30,1:100]
-        let d = r2((1, 30), (1, 100))
-            .subtract(&r2((1, 25), (1, 100)), &env())
-            .unwrap();
-        assert_eq!(d, vec![r2((26, 30), (1, 100))]);
-    }
-
-    #[test]
-    fn subtract_2d_corner_two_rects() {
-        // [1:10,1:10] \ [1:5,1:5] = [6:10,1:10] ∪ [1:5,6:10]
-        let d = r2((1, 10), (1, 10))
-            .subtract(&r2((1, 5), (1, 5)), &env())
-            .unwrap();
-        assert_eq!(d.len(), 2);
-        // Verify exact coverage by membership.
-        let ev = |_s: Sym| -> Option<i64> { None };
-        for x in 1..=10 {
-            for y in 1..=10 {
-                let in_self = (1..=10).contains(&x) && (1..=10).contains(&y);
-                let in_other = x <= 5 && y <= 5;
-                let expect = in_self && !in_other;
-                let got = d.iter().any(|r| r.contains_point(&[x, y], &ev).unwrap());
-                assert_eq!(got, expect, "point ({x},{y})");
-            }
-        }
-    }
-
-    #[test]
     fn intersect_basic() {
         let i = r1(6, 30).intersect(&r1(1, 25), &env()).unwrap();
         assert_eq!(i, r1(6, 25));
@@ -605,7 +280,7 @@ mod tests {
     #[test]
     fn intersect_empty_detected() {
         let i = r1(26, 30).intersect(&r1(1, 25), &env()).unwrap();
-        assert!(i.is_empty(&env()).is_yes());
+        assert!(i.is_empty(&env()));
     }
 
     #[test]
@@ -706,33 +381,7 @@ mod tests {
             Affine::konst(2),
             Affine::sym(n).plus_const(-1),
         )]);
-        assert!(whole.contains(&part, &env()).is_yes());
-    }
-
-    #[test]
-    fn volume_counts_points() {
-        assert_eq!(r2((26, 30), (1, 100)).volume(&env()), Some(500));
-        assert_eq!(r1(5, 4).volume(&env()), Some(0));
-        let stepped = Rsd::new(vec![Triplet {
-            lo: Affine::konst(1),
-            hi: Affine::konst(9),
-            step: 2,
-        }]);
-        assert_eq!(stepped.volume(&env()), Some(5));
-    }
-
-    #[test]
-    fn display_matches_paper_notation() {
-        let nm = |_s: Sym| "i".to_string();
-        assert_eq!(
-            format!("{}", r2((26, 30), (1, 100)).display(&nm)),
-            "(26:30,1:100)"
-        );
-        let pt = Rsd::new(vec![
-            Triplet::lit(26, 30),
-            Triplet::point(Affine::sym(Sym(0))),
-        ]);
-        assert_eq!(format!("{}", pt.display(&nm)), "(26:30,i)");
+        assert!(whole.contains(&part, &env()));
     }
 
     #[test]

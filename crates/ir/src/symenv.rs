@@ -4,33 +4,16 @@
 //! alone. The compiler, however, usually knows ranges for the symbols
 //! involved — loop indices have their loop bounds (recorded in the augmented
 //! call graph), and `PARAMETER` symbols have constant values. [`SymEnv`]
-//! packages that knowledge and answers three-valued comparison queries via
+//! packages that knowledge and answers "provable?" comparison queries via
 //! one level of interval arithmetic.
 //!
-//! All answers are *conservative*: `Maybe` is always a sound result, and the
-//! RSD algebra treats `Maybe` as "cannot simplify".
+//! All answers are *conservative*: `false` means "not provable", never
+//! "provably false". A relation is shown false by proving its negation:
+//! `a ≤ b` is provably false exactly when `le(b + 1, a)` holds.
 
 use crate::affine::Affine;
 use crate::intern::Sym;
 use rustc_hash::FxHashMap;
-
-/// Three-valued truth for symbolic predicates.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Tri {
-    /// Definitely true.
-    Yes,
-    /// Definitely false.
-    No,
-    /// Unknown; callers must be conservative.
-    Maybe,
-}
-
-impl Tri {
-    /// True only for `Yes`.
-    pub fn is_yes(self) -> bool {
-        self == Tri::Yes
-    }
-}
 
 /// Known facts about symbols: constant values and inclusive ranges.
 #[derive(Default, Clone, Debug)]
@@ -40,7 +23,8 @@ pub struct SymEnv {
 }
 
 impl SymEnv {
-    /// An environment with no facts; every nontrivial query answers `Maybe`.
+    /// An environment with no facts; only comparisons whose difference is
+    /// constant are provable.
     pub fn new() -> Self {
         Self::default()
     }
@@ -56,11 +40,6 @@ impl SymEnv {
         self.ranges.insert(s, (lo, hi));
     }
 
-    /// Known range of `s`, if any.
-    pub fn get_range(&self, s: Sym) -> Option<(i64, i64)> {
-        self.ranges.get(&s).copied()
-    }
-
     /// Replaces known-constant symbols in `a` by their values.
     pub fn fold(&self, a: &Affine) -> Affine {
         let mut r = Affine::konst(a.constant());
@@ -73,77 +52,48 @@ impl SymEnv {
         r
     }
 
-    /// Interval bounds `[lo, hi]` of `a`, if every symbol has a range.
-    pub fn interval(&self, a: &Affine) -> Option<(i64, i64)> {
+    /// Interval lower bound of `a`, if every symbol has a range.
+    fn lower_bound(&self, a: &Affine) -> Option<i64> {
         let mut lo = a.constant();
-        let mut hi = a.constant();
         for (s, c) in a.terms() {
-            let (slo, shi) = self.get_range(s)?;
-            if c >= 0 {
-                lo += c * slo;
-                hi += c * shi;
-            } else {
-                lo += c * shi;
-                hi += c * slo;
-            }
+            let &(slo, shi) = self.ranges.get(&s)?;
+            lo += c * if c >= 0 { slo } else { shi };
         }
-        Some((lo, hi))
+        Some(lo)
     }
 
-    /// Decides `a ≤ b` three-valuedly.
-    pub fn le(&self, a: &Affine, b: &Affine) -> Tri {
+    /// Is `a ≤ b` provable?
+    pub fn le(&self, a: &Affine, b: &Affine) -> bool {
         let d = self.fold(&(b.clone() - a.clone()));
-        if let Some(v) = d.as_const() {
-            return if v >= 0 { Tri::Yes } else { Tri::No };
-        }
-        if let Some((lo, hi)) = self.interval(&d) {
-            if lo >= 0 {
-                return Tri::Yes;
-            }
-            if hi < 0 {
-                return Tri::No;
-            }
-        }
-        Tri::Maybe
+        self.lower_bound(&d).is_some_and(|lo| lo >= 0)
     }
 
-    /// Decides `a < b`.
-    pub fn lt(&self, a: &Affine, b: &Affine) -> Tri {
-        self.le(&a.clone().plus_const(1), b)
-    }
-
-    /// Decides `a = b`.
-    pub fn eq(&self, a: &Affine, b: &Affine) -> Tri {
-        match (self.le(a, b), self.le(b, a)) {
-            (Tri::Yes, Tri::Yes) => Tri::Yes,
-            (Tri::No, _) | (_, Tri::No) => Tri::No,
-            _ => Tri::Maybe,
-        }
+    /// Is `a = b` provable?
+    pub fn eq(&self, a: &Affine, b: &Affine) -> bool {
+        self.le(a, b) && self.le(b, a)
     }
 
     /// Symbolic minimum: returns whichever of `a`, `b` is provably ≤ the
     /// other, else `None`.
     pub fn min<'a>(&self, a: &'a Affine, b: &'a Affine) -> Option<&'a Affine> {
-        match self.le(a, b) {
-            Tri::Yes => Some(a),
-            Tri::No => Some(b),
-            Tri::Maybe => match self.le(b, a) {
-                Tri::Yes => Some(b),
-                _ => None,
-            },
+        if self.le(a, b) {
+            Some(a)
+        } else if self.le(b, a) {
+            Some(b)
+        } else {
+            None
         }
     }
 
     /// Symbolic maximum: returns whichever of `a`, `b` is provably ≥ the
     /// other, else `None`.
     pub fn max<'a>(&self, a: &'a Affine, b: &'a Affine) -> Option<&'a Affine> {
-        match self.le(a, b) {
-            Tri::Yes => Some(b),
-            Tri::No => Some(a),
-            Tri::Maybe => match self.le(b, a) {
-                Tri::Yes => Some(a),
-                _ => None,
-            },
+        if self.le(a, b) {
+            Some(b)
+        } else if self.le(b, a) {
+            Some(a)
+        } else {
+            None
         }
     }
 }
@@ -156,27 +106,36 @@ mod tests {
         Sym(n)
     }
 
+    /// `a ≤ b` is provably false.
+    fn refuted(env: &SymEnv, a: &Affine, b: &Affine) -> bool {
+        env.le(&b.plus_const(1), a)
+    }
+
     #[test]
     fn constant_comparisons() {
         let env = SymEnv::new();
-        assert_eq!(env.le(&Affine::konst(1), &Affine::konst(2)), Tri::Yes);
-        assert_eq!(env.le(&Affine::konst(3), &Affine::konst(2)), Tri::No);
-        assert_eq!(env.eq(&Affine::konst(2), &Affine::konst(2)), Tri::Yes);
+        assert!(env.le(&Affine::konst(1), &Affine::konst(2)));
+        assert!(!env.le(&Affine::konst(3), &Affine::konst(2)));
+        assert!(refuted(&env, &Affine::konst(3), &Affine::konst(2)));
+        assert!(env.eq(&Affine::konst(2), &Affine::konst(2)));
     }
 
     #[test]
     fn same_symbol_cancels() {
-        // n ≤ n + 1 regardless of n's value.
+        // n ≤ n + 1 regardless of n's value, and n < n is false.
         let env = SymEnv::new();
         let n = Affine::sym(s(0));
-        assert_eq!(env.le(&n, &n.clone().plus_const(1)), Tri::Yes);
-        assert_eq!(env.lt(&n, &n), Tri::No);
+        assert!(env.le(&n, &n.plus_const(1)));
+        assert!(refuted(&env, &n.plus_const(1), &n));
     }
 
     #[test]
     fn unknown_symbols_give_maybe() {
+        // Neither a ≤ b nor its negation is provable.
         let env = SymEnv::new();
-        assert_eq!(env.le(&Affine::sym(s(0)), &Affine::sym(s(1))), Tri::Maybe);
+        let (a, b) = (Affine::sym(s(0)), Affine::sym(s(1)));
+        assert!(!env.le(&a, &b));
+        assert!(!refuted(&env, &a, &b));
     }
 
     #[test]
@@ -184,39 +143,32 @@ mod tests {
         let mut env = SymEnv::new();
         env.set_const(s(0), 100);
         // n - 5 ≤ 100 when n = 100.
-        assert_eq!(
-            env.le(&Affine::sym(s(0)).plus_const(-5), &Affine::konst(100)),
-            Tri::Yes
-        );
-        assert_eq!(env.eq(&Affine::sym(s(0)), &Affine::konst(100)), Tri::Yes);
+        assert!(env.le(&Affine::sym(s(0)).plus_const(-5), &Affine::konst(100)));
+        assert!(env.eq(&Affine::sym(s(0)), &Affine::konst(100)));
     }
 
     #[test]
     fn range_interval_arithmetic() {
         let mut env = SymEnv::new();
         env.set_range(s(0), 1, 95); // loop index i in 1..95
-                                    // i + 5 ≤ 100
-        assert_eq!(
-            env.le(&Affine::sym(s(0)).plus_const(5), &Affine::konst(100)),
-            Tri::Yes
-        );
+        let i5 = Affine::sym(s(0)).plus_const(5);
+        // i + 5 ≤ 100
+        assert!(env.le(&i5, &Affine::konst(100)));
         // i + 5 ≤ 50 is unknown (i may be 95)
-        assert_eq!(
-            env.le(&Affine::sym(s(0)).plus_const(5), &Affine::konst(50)),
-            Tri::Maybe
-        );
+        assert!(!env.le(&i5, &Affine::konst(50)));
+        assert!(!refuted(&env, &i5, &Affine::konst(50)));
         // i ≥ 1 i.e. 1 ≤ i
-        assert_eq!(env.le(&Affine::konst(1), &Affine::sym(s(0))), Tri::Yes);
+        assert!(env.le(&Affine::konst(1), &Affine::sym(s(0))));
     }
 
     #[test]
     fn negative_coefficient_interval() {
         let mut env = SymEnv::new();
         env.set_range(s(0), 2, 10);
-        // -i ranges over [-10, -2]; so -i ≤ -2 is Yes.
+        // -i ranges over [-10, -2]; so -i ≤ -2 holds and -i ≤ -11 is false.
         let e = Affine::term(s(0), -1);
-        assert_eq!(env.le(&e, &Affine::konst(-2)), Tri::Yes);
-        assert_eq!(env.le(&e, &Affine::konst(-11)), Tri::No);
+        assert!(env.le(&e, &Affine::konst(-2)));
+        assert!(refuted(&env, &e, &Affine::konst(-11)));
     }
 
     #[test]
@@ -236,6 +188,7 @@ mod tests {
         let mut env = SymEnv::new();
         env.set_range(s(0), 1, 10);
         env.set_range(s(1), 20, 30);
-        assert_eq!(env.lt(&Affine::sym(s(0)), &Affine::sym(s(1))), Tri::Yes);
+        // i < j, i.e. i + 1 ≤ j.
+        assert!(env.le(&Affine::sym(s(0)).plus_const(1), &Affine::sym(s(1))));
     }
 }

@@ -52,25 +52,6 @@ proptest! {
         }
     }
 
-    /// Subtraction produces disjoint pieces covering exactly the set
-    /// difference.
-    #[test]
-    fn subtract_is_set_difference(a in rsd_strategy(2), b in rsd_strategy(2)) {
-        let env = SymEnv::new();
-        if let Some(pieces) = a.subtract(&b, &env) {
-            let expect: BTreeSet<_> = points(&a).difference(&points(&b)).cloned().collect();
-            let mut got = BTreeSet::new();
-            for p in &pieces {
-                let pts = points(p);
-                // Disjointness between pieces.
-                for x in &pts {
-                    prop_assert!(got.insert(x.clone()), "pieces overlap at {x:?}");
-                }
-            }
-            prop_assert_eq!(got, expect);
-        }
-    }
-
     /// Merging never changes the union (it only succeeds when exact).
     #[test]
     fn union_merge_is_exact(a in rsd_strategy(2), b in rsd_strategy(2)) {
@@ -81,11 +62,11 @@ proptest! {
         }
     }
 
-    /// `contains` answering Yes implies real set containment.
+    /// `contains` answering true implies real set containment.
     #[test]
     fn contains_yes_is_sound(a in rsd_strategy(2), b in rsd_strategy(2)) {
         let env = SymEnv::new();
-        if a.contains(&b, &env).is_yes() {
+        if a.contains(&b, &env) {
             prop_assert!(points(&b).is_subset(&points(&a)));
         }
     }
@@ -113,20 +94,5 @@ proptest! {
             // Refusal is only allowed for |coeff| > 1 (non-contiguous).
             prop_assert!(coeff.abs() > 1);
         }
-    }
-
-    /// `volume` counts points exactly.
-    #[test]
-    fn volume_counts_points(a in rsd_strategy(3)) {
-        let env = SymEnv::new();
-        prop_assert_eq!(a.volume(&env), Some(points(&a).len() as i64));
-    }
-
-    /// `contains_point` agrees with membership.
-    #[test]
-    fn contains_point_is_membership(a in rsd_strategy(2), x in 0i64..35, y in 0i64..35) {
-        let ev = |_s: Sym| -> Option<i64> { None };
-        let inside = a.contains_point(&[x, y], &ev).unwrap();
-        prop_assert_eq!(inside, points(&a).contains(&vec![x, y]));
     }
 }

@@ -1,11 +1,10 @@
 use crate::ir::{walk_stmts, MsgKind, OperandMut, SExpr, SRect, SStmt, SpmdProgram};
 use fortrand_ir::dist::ArrayDist;
-use fortrand_ir::rsd::{Rsd, Triplet};
-use fortrand_ir::symenv::SymEnv;
-use fortrand_ir::{Affine, Sym};
+use fortrand_ir::Sym;
 use std::collections::{BTreeMap, BTreeSet};
 
-use super::dataflow::{any_node, linearize, syn_eq};
+use super::dataflow::any_node;
+use super::lin::{const_diff, linearize, syn_eq, Lin};
 use super::OptReport;
 
 // ---------------------------------------------------------------------------
@@ -20,39 +19,42 @@ fn elem_reads_any(e: &SExpr, w: &BTreeSet<Sym>) -> bool {
     )
 }
 
-/// Converts a section bound to the RSD bound language (affine over plain
-/// scalar symbols) so [`Rsd::adjacency`] can judge it.
-fn sexpr_to_affine(e: &SExpr) -> Option<Affine> {
+/// A section bound as a linear form over plain scalar variables. The atoms
+/// are checked before any subtraction: a receive writes arrays, so a bound
+/// that reads an element refuses even where that read would cancel.
+fn scalar_lin(e: &SExpr) -> Option<Lin> {
     let lin = linearize(e)?;
-    let mut acc = Affine::konst(lin.konst);
-    for (atom, c) in &lin.terms {
-        match atom {
-            SExpr::Var(s) => acc = acc + Affine::sym(*s).scale(*c),
-            _ => return None,
-        }
-    }
-    Some(acc)
+    lin.terms
+        .iter()
+        .all(|(atom, _)| matches!(atom, SExpr::Var(_)))
+        .then_some(lin)
 }
 
-fn rect_to_rsd(r: &SRect) -> Option<Rsd> {
-    let mut dims = Vec::with_capacity(r.dims.len());
-    for (lo, hi, step) in &r.dims {
-        if *step != 1 {
+/// Merges two unit-stride section rectangles that concatenate along one
+/// dimension: equal on every other dimension, and `lo2 − hi1 = 1` on that
+/// one. The merged payload must equal `payload(a) ++ payload(b)` under the
+/// interpreter's last-dimension-fastest iteration order, which holds
+/// exactly when every dimension slower than the seam is degenerate.
+pub(super) fn merge_rects(s1: &SRect, s2: &SRect, dists: &[ArrayDist]) -> Option<SRect> {
+    if s1.dims.len() != s2.dims.len() {
+        return None;
+    }
+    let mut seam = None;
+    for (d, (a, b)) in s1.dims.iter().zip(&s2.dims).enumerate() {
+        if a.2 != 1 || b.2 != 1 {
             return None;
         }
-        dims.push(Triplet::new(sexpr_to_affine(lo)?, sexpr_to_affine(hi)?));
+        let (lo1, hi1) = (scalar_lin(&a.0)?, scalar_lin(&a.1)?);
+        let (lo2, hi2) = (scalar_lin(&b.0)?, scalar_lin(&b.1)?);
+        if const_diff(lo2.clone(), lo1) == Some(0) && const_diff(hi2, hi1.clone()) == Some(0) {
+            continue;
+        }
+        if seam.is_some() || const_diff(lo2, hi1) != Some(1) {
+            return None;
+        }
+        seam = Some(d);
     }
-    Some(Rsd::new(dims))
-}
-
-/// Merges two section rectangles that concatenate along one dimension. The
-/// merged payload must equal `payload(a) ++ payload(b)` under the
-/// interpreter's last-dimension-fastest iteration order, which holds exactly
-/// when every dimension slower than the seam is degenerate.
-pub(super) fn merge_rects(s1: &SRect, s2: &SRect, dists: &[ArrayDist]) -> Option<SRect> {
-    let r1 = rect_to_rsd(s1)?;
-    let r2 = rect_to_rsd(s2)?;
-    let d = r1.adjacency(&r2, &SymEnv::new())?;
+    let d = seam?;
     for k in 0..d {
         if !syn_eq(&s1.dims[k].0, &s1.dims[k].1, dists) {
             return None;

@@ -3,9 +3,10 @@ use fortrand_ir::dist::ArrayDist;
 use std::collections::BTreeSet;
 
 use super::dataflow::{
-    collect_assigned_scalars, collect_callees, collect_written_arrays, const_of, mentions_any,
-    reads_memory, written_formals,
+    collect_assigned_scalars, collect_callees, collect_written_arrays, mentions_any, reads_memory,
+    written_formals,
 };
+use super::lin::const_of;
 use super::OptReport;
 
 // ---------------------------------------------------------------------------

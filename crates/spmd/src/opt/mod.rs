@@ -21,8 +21,9 @@
 //!    provably positive constant trip counts.
 //! 3. **Message coalescing**: adjacent broadcasts with the same root fuse
 //!    into one [`crate::ir::SStmt::Bcast`] of several parts; adjacent send/send and
-//!    recv/recv pairs over adjacent sections of the same array merge via
-//!    [`fortrand_ir::rsd::Rsd::merge_adjacent`] when the pairing is provably symmetric.
+//!    recv/recv pairs over adjacent sections of the same array merge when
+//!    the pairing is provably symmetric. Adjacency is judged on linear
+//!    forms over scalar variables, comm-opt's one bound prover (`lin`).
 //!
 //! Every transformation preserves bit-identical array results: shadows
 //! perform the same IEEE operations on the same broadcast bytes every rank
@@ -36,6 +37,7 @@ use std::collections::BTreeMap;
 mod coalesce;
 mod dataflow;
 mod hoist;
+mod lin;
 mod overlap;
 #[cfg(test)]
 mod tests;

@@ -47,9 +47,9 @@ use fortrand_ir::{Interner, Sym};
 use std::collections::{BTreeMap, BTreeSet};
 
 use super::dataflow::{
-    collect_assigned_scalars, collect_written_arrays, const_of, mentions_any, reads_memory, syn_eq,
-    written_formals,
+    collect_assigned_scalars, collect_written_arrays, mentions_any, reads_memory, written_formals,
 };
+use super::lin::{const_of, syn_eq};
 use super::OptReport;
 
 /// Runs the overlap pass in place (after eliminate/hoist/coalesce).

@@ -1,5 +1,5 @@
 use super::coalesce::merge_rects;
-use super::dataflow::{prove_ge, simplify, syn_eq, Ranges};
+use super::lin::{prove_ge, simplify, syn_eq, Ranges};
 use super::*;
 use crate::ir::{BcastPart, SBinOp, SExpr, SLval, SProc, SRect, SStmt};
 use fortrand_ir::{Interner, Sym};
@@ -71,6 +71,72 @@ fn merge_rects_requires_exact_adjacency() {
     // A gap or an overlap refuses.
     assert_eq!(merge_rects(&rect(1, 4), &rect(6, 9), &[]), None);
     assert_eq!(merge_rects(&rect(1, 4), &rect(4, 8), &[]), None);
+}
+
+#[test]
+fn merge_rects_adjacency_and_merge() {
+    // 1:5 ++ 6:10 = 1:10; overlap, gap and reversed order refuse.
+    assert_eq!(
+        merge_rects(&rect(1, 5), &rect(6, 10), &[]),
+        Some(rect(1, 10))
+    );
+    assert_eq!(merge_rects(&rect(1, 5), &rect(5, 10), &[]), None);
+    assert_eq!(merge_rects(&rect(1, 5), &rect(7, 10), &[]), None);
+    assert_eq!(merge_rects(&rect(6, 10), &rect(1, 5), &[]), None);
+    let r2 = |a: (i64, i64), b: (i64, i64)| SRect {
+        dims: vec![
+            (SExpr::Int(a.0), SExpr::Int(a.1), 1),
+            (SExpr::Int(b.0), SExpr::Int(b.1), 1),
+        ],
+    };
+    // 2-D: rows concatenate when columns agree…
+    assert_eq!(
+        merge_rects(&r2((1, 2), (1, 8)), &r2((3, 4), (1, 8)), &[]),
+        Some(r2((1, 4), (1, 8)))
+    );
+    // …but not when both dimensions differ.
+    assert_eq!(
+        merge_rects(&r2((1, 4), (1, 2)), &r2((5, 8), (3, 4)), &[]),
+        None
+    );
+    // A step-2 dimension refuses.
+    let step2 = |lo: i64, hi: i64| SRect {
+        dims: vec![(SExpr::Int(lo), SExpr::Int(hi), 2)],
+    };
+    assert_eq!(merge_rects(&step2(1, 4), &step2(5, 8), &[]), None);
+    // A rank mismatch refuses.
+    assert_eq!(merge_rects(&rect(1, 4), &r2((5, 8), (1, 1)), &[]), None);
+}
+
+#[test]
+fn merge_rects_adjacency_symbolic_bounds() {
+    let mut i = Interner::new();
+    let (k, n, x) = (i.intern("k"), i.intern("n"), i.intern("x"));
+    let var = SExpr::Var;
+    let plus = |e: SExpr, c: i64| SExpr::add(e, SExpr::Int(c));
+    // 1:k then k+1:n concatenates to 1:n.
+    assert_eq!(
+        merge_rects(
+            &SRect::one(SExpr::Int(1), var(k)),
+            &SRect::one(plus(var(k), 1), var(n)),
+            &[]
+        ),
+        Some(SRect::one(SExpr::Int(1), var(n)))
+    );
+    // x(1)+1:x(1)+4 then x(1)+5:x(1)+8 refuses: the bounds read an element
+    // (a receive may write it), even though x(1) cancels in the seam test.
+    let x1 = || SExpr::Elem {
+        array: x,
+        subs: vec![SExpr::Int(1)],
+    };
+    assert_eq!(
+        merge_rects(
+            &SRect::one(plus(x1(), 1), plus(x1(), 4)),
+            &SRect::one(plus(x1(), 5), plus(x1(), 8)),
+            &[]
+        ),
+        None
+    );
 }
 
 #[test]

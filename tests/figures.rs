@@ -4,7 +4,7 @@
 mod common;
 
 use common::compile;
-use fortrand::{CompileOptions, Strategy};
+use fortrand::{CommOpt, CompileOptions, Strategy};
 use fortrand_analysis::fixtures::{FIG1, FIG4};
 use fortrand_spmd::print::{pretty, pretty_all};
 
@@ -387,4 +387,24 @@ fn whole_section_fallback_uses_the_array_extent() {
         text.contains("if (my$p .lt. 3) recv A(5,1:8) from my$p+1"),
         "{text}"
     );
+}
+
+/// Two column reads with one owner pack into one broadcast under
+/// `CommOpt::Coalesce`. This is the one source program whose node program
+/// packs; `tests/regressions/packed_column_broadcast.f` runs it on every
+/// engine against the sequential oracle.
+#[test]
+fn same_root_column_broadcasts_pack_into_one() {
+    let fixture = include_str!("regressions/packed_column_broadcast.f");
+    let (_header, src) = fixture.split_once('\n').unwrap();
+    let compiled = fortrand::Session::new(src)
+        .comm_opt(CommOpt::Coalesce)
+        .compile()
+        .unwrap_or_else(|e| panic!("{e}"));
+    let text = compiled.emit();
+    assert!(
+        text.contains("broadcast [A(1:16,local(k)), D(1:16,local(k))] from owner(1,k)"),
+        "{text}"
+    );
+    assert_eq!(compiled.report().comm.coalesced, 1, "{text}");
 }
