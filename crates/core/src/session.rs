@@ -41,7 +41,7 @@ use fortrand_machine::{Machine, RankFailure};
 use fortrand_spmd::ir::SpmdProgram;
 use fortrand_spmd::opt::CommOpt;
 use fortrand_spmd::print::pretty_all;
-use fortrand_spmd::{try_run_spmd, ExecError, ExecOptions, RunOutcome};
+use fortrand_spmd::{ExecError, ExecOptions, LoweredProgram, RunOutcome};
 use fortrand_trace::{Trace, TraceSink};
 use std::collections::BTreeMap;
 
@@ -213,7 +213,8 @@ impl Session {
         self
     }
 
-    /// Runs the compiler. The returned [`Compiled`] keeps the trace handle
+    /// Runs the compiler, then lowers the node program to the bytecode
+    /// its runs execute. The returned [`Compiled`] keeps the trace handle
     /// so subsequent [`Compiled::run`] calls land in the same timeline.
     pub fn compile(self) -> Result<Compiled, Error> {
         let out = driver::compile(
@@ -224,6 +225,7 @@ impl Session {
             &self.prev,
         )?;
         Ok(Compiled {
+            code: LoweredProgram::new(&out.spmd),
             out,
             trace: self.trace,
         })
@@ -231,9 +233,15 @@ impl Session {
 }
 
 /// A compiled program: report access, emission, and simulated execution.
+///
+/// It owns the node program's fused bytecode, lowered by
+/// [`Session::compile`], so a run on the default bytecode backend only
+/// executes. The unfused form (`ExecOptions::kernels(false)`) is lowered
+/// on the first run that asks for it and kept too.
 #[derive(Debug)]
 pub struct Compiled {
     out: CompileOutput,
+    code: LoweredProgram,
     trace: Trace,
 }
 
@@ -288,11 +296,8 @@ impl Compiled {
         init: &BTreeMap<Sym, Vec<f64>>,
         opts: &ExecOptions,
     ) -> Result<RunOutcome, Error> {
-        let mut machine = Machine::new(self.out.spmd.nprocs).with_trace(self.trace.clone());
-        if let Some(kind) = opts.machine {
-            machine = machine.with_kind(kind);
-        }
-        Ok(try_run_spmd(&self.out.spmd, &machine, init, opts)?)
+        let machine = Machine::new(self.out.spmd.nprocs).with_trace(self.trace.clone());
+        Ok(self.code.run(&self.out.spmd, &machine, init, opts)?)
     }
 
     /// Flushes the trace sink (writes the Chrome-trace closing bracket,

@@ -20,7 +20,8 @@
 //! harness reports.
 //!
 //! Three [`ExecBackend`]s execute node programs — the bytecode VM
-//! (default; programs are flattened by `lower` and run by `vm`), the
+//! (default; programs are flattened by `lower`, once per compiled program
+//! when a [`LoweredProgram`] keeps the result, and run by `vm`), the
 //! reference tree-walker ([`interp`]), and the native backend
 //! ([`codegen`]), which pretty-prints the program as standalone Rust,
 //! builds it with `rustc` against the `fortrand-shim` runtime crate, and
@@ -46,15 +47,17 @@ pub use ir::{
 pub use opt::{optimize, CommOpt, OptReport};
 pub use print::pretty;
 pub use runtime::{
-    try_run_spmd, Bytecode, ExecBackend, ExecError, ExecOptions, MachineKind, RankFailure,
-    RunOutcome, Tree,
+    try_run_spmd, Bytecode, ExecBackend, ExecError, ExecOptions, LoweredProgram, MachineKind,
+    RankFailure, RunOutcome, Tree,
 };
 
 // Compile-time thread-safety audit: compiled node programs are cached in
-// the shared artifact store and executed from server threads, so the IR
-// (and a rank failure carried across a join) must stay Send + Sync.
+// the shared artifact store and executed from server threads, so the IR,
+// its stored bytecode (and a rank failure carried across a join) must
+// stay Send + Sync.
 const fn assert_send_sync<T: Send + Sync>() {}
 const _: () = assert_send_sync::<ir::SpmdProgram>();
+const _: () = assert_send_sync::<runtime::LoweredProgram>();
 const _: () = assert_send_sync::<runtime::RunOutcome>();
 const _: () = assert_send_sync::<runtime::ExecOptions>();
 const _: () = assert_send_sync::<runtime::ExecError>();

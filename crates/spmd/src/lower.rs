@@ -111,6 +111,16 @@ impl KSrc {
     }
 }
 
+/// Operand of a [`BinSS`](Instr::BinSS): a scalar slot or an immediate,
+/// never an element walk. Keeping element accesses out of it keeps
+/// `BinSS` as small as the other instructions.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum SSrc {
+    Slot(Slot),
+    ImmI(i64),
+    ImmR(f64),
+}
+
 /// One node of a [`KBody::Expr`] postfix program.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum KOp {
@@ -459,8 +469,8 @@ pub(crate) enum Instr {
     BinSS {
         op: SBinOp,
         dst: Slot,
-        l: KSrc,
-        r: KSrc,
+        l: SSrc,
+        r: SSrc,
     },
     /// `scalars[slot] = a(...)` — fuses `LoadS + StVar` (skips 1).
     LdElemVar {
@@ -468,6 +478,13 @@ pub(crate) enum Instr {
         acc: KAcc,
     },
 }
+
+// A compiled program keeps its bytecode for as long as it lives, and a
+// recompile holds a second one beside it. At 88 bytes an instruction,
+// `wide_u300`'s 27 901 instructions held 3.5 MB and raised its peak RSS
+// by 27 %; at 40 they hold 1.5 MB. A variant that grows past 40 bytes
+// belongs behind a `Box`, as `Call`, `Gather` and `KLoop` are.
+const _: () = assert!(std::mem::size_of::<Instr>() <= 40);
 
 /// Number of distinct opcodes (sizes the VM's dynamic-mix histogram).
 pub(crate) const N_OPCODES: usize = 49;
@@ -714,6 +731,8 @@ pub(crate) fn lower_with(prog: &SpmdProgram, fuse: bool) -> Lowered {
             if fuse {
                 fuse_proc(&mut code);
             }
+            // The code outlives the lowering: keep no spare capacity.
+            code.shrink_to_fit();
             LProc {
                 code,
                 n_slots: layouts[pi].n_slots,
@@ -1414,10 +1433,12 @@ fn leaf_of(ins: &Instr) -> Option<(Reg, KSrc)> {
 
 /// Like [`leaf_of`] but scalar-only (for `BinSS` windows, whose charge
 /// must stay runtime-typed like `Bin`'s).
-fn scalar_leaf(ins: &Instr) -> Option<(Reg, KSrc)> {
+fn scalar_leaf(ins: &Instr) -> Option<(Reg, SSrc)> {
     match ins {
-        Instr::LoadS { .. } => None,
-        other => leaf_of(other),
+        Instr::LdI { dst, v } => Some((*dst, SSrc::ImmI(*v))),
+        Instr::LdR { dst, v } => Some((*dst, SSrc::ImmR(*v))),
+        Instr::LdVar { dst, slot } => Some((*dst, SSrc::Slot(*slot))),
+        _ => None,
     }
 }
 

@@ -13,6 +13,7 @@
 //! from per-rank finals.
 
 use crate::ir::*;
+use crate::lower::{lower_with, Lowered};
 use fortrand_ir::dist::ArrayDist;
 use fortrand_ir::Sym;
 use fortrand_machine::{Machine, Node, RunStats};
@@ -22,7 +23,7 @@ use fortrand_rt::{assemble, scatter_init};
 pub use fortrand_rt::{TAG_BCAST, TAG_BCAST_PACK};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// The accounting tag of a broadcast of `parts` sections: several sections
 /// in one message are a packed broadcast.
@@ -116,6 +117,20 @@ pub trait ExecBackend: Send + Sync + std::fmt::Debug {
         init: &BTreeMap<Sym, Vec<f64>>,
         opts: &ExecOptions,
     ) -> Result<RunOutcome, ExecError>;
+
+    /// Like [`ExecBackend::run`], with `prog`'s bytecode already lowered
+    /// into `code`. Backends that do not execute bytecode ignore it.
+    fn run_lowered(
+        &self,
+        prog: &SpmdProgram,
+        code: &LoweredProgram,
+        machine: &Machine,
+        init: &BTreeMap<Sym, Vec<f64>>,
+        opts: &ExecOptions,
+    ) -> Result<RunOutcome, ExecError> {
+        let _ = code;
+        self.run(prog, machine, init, opts)
+    }
 }
 
 /// Reference tree-walking interpreter backend ([`crate::interp`]).
@@ -152,7 +167,78 @@ impl ExecBackend for Bytecode {
         init: &BTreeMap<Sym, Vec<f64>>,
         opts: &ExecOptions,
     ) -> Result<RunOutcome, ExecError> {
-        crate::vm::run_bytecode(prog, machine, init, opts.kernels).map_err(ExecError::Rank)
+        let code = lower_with(prog, opts.kernels);
+        crate::vm::run_bytecode(prog, &code, machine, init).map_err(ExecError::Rank)
+    }
+
+    fn run_lowered(
+        &self,
+        prog: &SpmdProgram,
+        code: &LoweredProgram,
+        machine: &Machine,
+        init: &BTreeMap<Sym, Vec<f64>>,
+        opts: &ExecOptions,
+    ) -> Result<RunOutcome, ExecError> {
+        let code = code.get(prog, opts.kernels);
+        crate::vm::run_bytecode(prog, code, machine, init).map_err(ExecError::Rank)
+    }
+}
+
+/// A node program's bytecode, lowered once ahead of its runs: the fused
+/// form when it is built, the unfused form (`ExecOptions::kernels(false)`)
+/// on its first use. It belongs to the [`SpmdProgram`] it was lowered
+/// from and runs only with that program ([`LoweredProgram::run`]).
+pub struct LoweredProgram {
+    fused: Lowered,
+    unfused: OnceLock<Lowered>,
+}
+
+impl LoweredProgram {
+    /// Lowers `prog`'s fused bytecode.
+    pub fn new(prog: &SpmdProgram) -> LoweredProgram {
+        LoweredProgram {
+            fused: lower_with(prog, true),
+            unfused: OnceLock::new(),
+        }
+    }
+
+    /// The fused or the unfused form, lowering the unfused one from
+    /// `prog` on first use.
+    fn get(&self, prog: &SpmdProgram, kernels: bool) -> &Lowered {
+        assert_eq!(
+            self.fused.procs.len(),
+            prog.procs.len(),
+            "bytecode lowered from another program"
+        );
+        if kernels {
+            &self.fused
+        } else {
+            self.unfused.get_or_init(|| lower_with(prog, false))
+        }
+    }
+
+    /// [`try_run_spmd`] for `prog`, the program this bytecode was lowered
+    /// from: the bytecode backend executes the stored code instead of
+    /// lowering `prog` again; every other backend runs `prog` as usual.
+    pub fn run(
+        &self,
+        prog: &SpmdProgram,
+        machine: &Machine,
+        init: &BTreeMap<Sym, Vec<f64>>,
+        opts: &ExecOptions,
+    ) -> Result<RunOutcome, ExecError> {
+        run_on(prog, Some(self), machine, init, opts)
+    }
+}
+
+impl std::fmt::Debug for LoweredProgram {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let instrs: usize = self.fused.procs.iter().map(|p| p.code.len()).sum();
+        f.debug_struct("LoweredProgram")
+            .field("procs", &self.fused.procs.len())
+            .field("fused_instrs", &instrs)
+            .field("unfused", &self.unfused.get().is_some())
+            .finish()
     }
 }
 
@@ -227,6 +313,19 @@ pub fn try_run_spmd(
     init: &BTreeMap<Sym, Vec<f64>>,
     opts: &ExecOptions,
 ) -> Result<RunOutcome, ExecError> {
+    run_on(prog, None, machine, init, opts)
+}
+
+/// The one run path: checks the machine, re-keys it onto
+/// `opts.machine`, and hands `prog` (with its bytecode, when stored) to
+/// the backend.
+fn run_on(
+    prog: &SpmdProgram,
+    code: Option<&LoweredProgram>,
+    machine: &Machine,
+    init: &BTreeMap<Sym, Vec<f64>>,
+    opts: &ExecOptions,
+) -> Result<RunOutcome, ExecError> {
     assert_eq!(
         machine.nprocs, prog.nprocs,
         "program compiled for {} procs, machine has {}",
@@ -240,7 +339,10 @@ pub fn try_run_spmd(
         }
         _ => machine,
     };
-    opts.backend.run(prog, machine, init, opts)
+    match code {
+        Some(code) => opts.backend.run_lowered(prog, code, machine, init, opts),
+        None => opts.backend.run(prog, machine, init, opts),
+    }
 }
 
 /// Engine-independent run harness: executes `body` once per rank, collects

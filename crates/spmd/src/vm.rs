@@ -16,8 +16,8 @@
 
 use crate::ir::{SBinOp, SIntr, SpmdProgram};
 use crate::lower::{
-    expr_depth, lower_with, op_idx, CallArgs, Instr, KAcc, KBody, KLoop, KOp, KSrc, Lowered,
-    SecInstr, Slot, EXPR_DEPTH, EXPR_NODES, NO_SLOT, N_OPCODES, OPCODE_NAMES,
+    expr_depth, op_idx, CallArgs, Instr, KAcc, KBody, KLoop, KOp, KSrc, Lowered, SSrc, SecInstr,
+    Slot, EXPR_DEPTH, EXPR_NODES, NO_SLOT, N_OPCODES, OPCODE_NAMES,
 };
 use crate::runtime::{
     apply_bin, apply_bin_r, apply_intr, assemble_outcome, begin_remap, begin_remap_global,
@@ -29,17 +29,15 @@ use fortrand_machine::{Machine, Node, Payload, RankTask, Wait, Yield};
 use fortrand_rt::{pack, rect_len, slot, unpack};
 use std::collections::BTreeMap;
 
-/// Runs `prog` under the bytecode engine. Lowering happens once; the
-/// resulting program is shared read-only by every rank's VM. `kernels`
-/// enables the superinstruction fusion tier (identical observables
-/// either way; only dispatch count and wall time differ).
+/// Runs `prog`, lowered to `lowered`, under the bytecode engine. The
+/// bytecode is shared read-only by every rank's VM; whether it is the
+/// fused or the unfused form changes dispatch count and wall time only.
 pub(crate) fn run_bytecode(
     prog: &SpmdProgram,
+    lowered: &Lowered,
     machine: &Machine,
     init: &BTreeMap<Sym, Vec<f64>>,
-    kernels: bool,
 ) -> Result<RunOutcome, crate::runtime::RankFailure> {
-    let lowered = lower_with(prog, kernels);
     // Resolved once per run, only when tracing: per-call spans need
     // procedure names and the hot path must not touch the interner.
     let proc_names: Vec<String> = if machine.trace().on() {
@@ -52,7 +50,7 @@ pub(crate) fn run_bytecode(
     };
     // One VM per rank, each a resumable task: the machine steps them.
     let vms = (0..machine.nprocs)
-        .map(|_| Vm::new(prog, &lowered, init, &proc_names))
+        .map(|_| Vm::new(prog, lowered, init, &proc_names))
         .collect();
     let (stats, mut vms) = machine.try_run_tasks(vms)?;
     let printed = std::mem::take(&mut vms[0].printed);
@@ -643,6 +641,15 @@ impl<'a> Vm<'a> {
         }
     }
 
+    /// Reads a [`BinSS`](Instr::BinSS) operand.
+    fn ssrc_val(&self, s: &SSrc, s_base: usize) -> Value {
+        match s {
+            SSrc::Slot(sl) => self.scalars[s_base + *sl as usize],
+            SSrc::ImmI(v) => Value::I(*v),
+            SSrc::ImmR(v) => Value::R(*v),
+        }
+    }
+
     /// Executes a fused loop's entire trip count (`t >= 1` iterations
     /// from `i0`) in one dispatch, charging the batched per-iteration
     /// inventory. Returns `false` (having performed *no* side effects)
@@ -1209,8 +1216,8 @@ fn exec(vm: &mut Vm, node: &mut Node) -> Yield {
                 Instr::BinSS { op, dst, l, r } => {
                     // Fused leaf+leaf+Bin+StVar: runtime-typed charge
                     // identical to the constituent Bin.
-                    let a = vm.ksrc_val(l, s_base);
-                    let b = vm.ksrc_val(r, s_base);
+                    let a = vm.ssrc_val(l, s_base);
+                    let b = vm.ssrc_val(r, s_base);
                     if matches!(a, Value::R(_)) || matches!(b, Value::R(_)) {
                         vm.pending_flops += 1;
                     } else {
