@@ -186,6 +186,8 @@ type PinKey = (Sym, usize, Affine);
 /// One write of an array in the unit: a definition in its body, or one
 /// section of a callee's GMOD translated at a call site.
 struct Write {
+    /// The defining statement, or the call.
+    stmt: StmtId,
     /// Loops enclosing the definition or call, outermost first.
     loops: Vec<LoopCtx>,
     /// The written section; `None` = the whole array.
@@ -582,6 +584,7 @@ impl<'a, 'b> UnitCompiler<'a, 'b> {
         let mut writes: FxHashMap<Sym, Vec<Write>> = FxHashMap::default();
         for r in self.refs.iter().filter(|r| r.is_def) {
             writes.entry(r.array).or_default().push(Write {
+                stmt: r.stmt,
                 loops: r.nest.clone(),
                 section: r.point_rsd(),
             });
@@ -605,6 +608,7 @@ impl<'a, 'b> UnitCompiler<'a, 'b> {
                 };
                 for section in sections {
                     writes.entry(array).or_default().push(Write {
+                        stmt: edge.site,
                         loops: edge.loops.clone(),
                         section,
                     });
@@ -1049,8 +1053,10 @@ impl<'a, 'b> UnitCompiler<'a, 'b> {
         let henv = self.loop_env(group.iter().flat_map(|(r, _, _)| &r.nest));
         let conflict =
             || CodegenError::at(0, "pinned reads of one slice need conflicting placements");
-        // The group's level, anchor and hulled section so far.
+        // The group's level, anchor and hulled section so far, and
+        // whether every member so far is delayed to the callers.
         let mut placed: Option<(usize, StmtId, Rsd)> = None;
+        let mut all_delay = true;
         for (r, _, _) in group {
             let mut comm = PendingComm {
                 array,
@@ -1059,6 +1065,7 @@ impl<'a, 'b> UnitCompiler<'a, 'b> {
             };
             let lv = self.place(&r.nest, &mut comm);
             let an = anchor_at(&r.nest, lv, r.stmt);
+            all_delay &= self.delays(array, lv, an);
             let Some((level, anchor, hull)) = &mut placed else {
                 placed = Some((lv, an, comm.rsd));
                 continue;
@@ -1066,7 +1073,7 @@ impl<'a, 'b> UnitCompiler<'a, 'b> {
             if *level != lv {
                 return Err(conflict());
             }
-            if !self.delays(array, lv) && *anchor != an {
+            if !all_delay && *anchor != an {
                 // Differing anchors are safe when nothing in the unit,
                 // calls included, writes the array (the slice is constant
                 // through the body): hoist to the earliest anchor.
@@ -1130,16 +1137,19 @@ impl<'a, 'b> UnitCompiler<'a, 'b> {
 
     /// Paper §5's delay rule: a message hoisted out of every loop of a
     /// subroutine, on a formal, is delayed to the callers
-    /// (`Strategy::Interprocedural`). Known gap: §5 delays only when no
-    /// local dependence binds the message, and this test does not yet ask
-    /// whether a write of the array (a definition, or a call's GMOD
-    /// section) comes before `anchor`; such a message reads the values
-    /// the array had on entry.
-    fn delays(&self, array: Sym, level: usize) -> bool {
+    /// (`Strategy::Interprocedural`) when no local dependence binds it:
+    /// no write of the array (a definition, or a call's GMOD section)
+    /// comes before `anchor`. A delayed message reads the values the
+    /// array had on entry, which such a write would have changed.
+    fn delays(&self, array: Sym, level: usize, anchor: StmtId) -> bool {
         level == 0
             && !self.is_main
             && self.ctx.strategy == Strategy::Interprocedural
             && self.ui.var(array).is_some_and(|v| v.is_formal)
+            && self.writes().get(&array).is_none_or(|ws| {
+                let pos = self.walk_pos();
+                ws.iter().all(|w| pos[&w.stmt] >= pos[&anchor])
+            })
     }
 
     /// The one delay-or-instantiate step for every message codegen plans:
@@ -1155,7 +1165,7 @@ impl<'a, 'b> UnitCompiler<'a, 'b> {
     ) -> Option<Sym> {
         let buffer =
             matches!(comm.pattern, CommPattern::BroadcastDim { .. }).then(|| self.fresh("buf"));
-        if self.delays(comm.array, level) {
+        if self.delays(comm.array, level, anchor) {
             self.buffer_formals.extend(buffer);
             self.residual.comms.push(comm);
             return buffer;

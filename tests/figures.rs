@@ -408,3 +408,34 @@ fn same_root_column_broadcasts_pack_into_one() {
     );
     assert_eq!(compiled.report().comm.coalesced, 1, "{text}");
 }
+
+/// A subroutine that writes `v` in one loop and reads `v(i+1)` in the
+/// next must exchange `v` between the loops: delayed to the caller, the
+/// exchange would ship the values `v` had on entry. `u`'s exchange has
+/// no write before it and is still delayed into `MAIN` as `x`'s, before
+/// the call.
+/// `tests/regressions/delayed_exchange_after_callee_write.f` runs the
+/// program against the sequential oracle.
+#[test]
+fn delayed_exchange_stays_after_a_write_in_the_callee() {
+    let fixture = include_str!("regressions/delayed_exchange_after_callee_write.f");
+    let (_header, src) = fixture.split_once('\n').unwrap();
+    let text = compiled(src, Strategy::Interprocedural);
+    let text = pretty_all(&text.spmd);
+    let (main, sweep) = text.split_once("SUBROUTINE SWEEP").unwrap();
+    let at = |body: &str, needle: &str| {
+        body.find(needle)
+            .unwrap_or_else(|| panic!("no `{needle}` in:\n{text}"))
+    };
+    assert!(
+        at(main, "send X(1) to my$p-1") < at(main, "call SWEEP")
+            && at(main, "recv X(17) from my$p+1") < at(main, "call SWEEP"),
+        "{text}"
+    );
+    assert!(!main.contains("send Y"), "{text}");
+    let second_loop = at(sweep, "U(i) = ");
+    for exchange in ["send V(1) to my$p-1", "recv V(17) from my$p+1"] {
+        let pos = at(sweep, exchange);
+        assert!(at(sweep, "V(i) = ") < pos && pos < second_loop, "{text}");
+    }
+}
