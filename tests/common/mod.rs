@@ -37,6 +37,44 @@ pub fn run_spmd(
     try_run_spmd(prog, machine, init, &ExecOptions::new()).unwrap_or_else(|f| panic!("{f}"))
 }
 
+/// The sequential oracle's final arrays for `src` from `init`, both keyed
+/// by source name.
+pub fn oracle(src: &str, init: &BTreeMap<String, Vec<f64>>) -> BTreeMap<String, Vec<f64>> {
+    let (prog, info) = fortrand_frontend::load_program(src).unwrap_or_else(|e| panic!("{e}"));
+    let init = (init.iter())
+        .map(|(name, data)| (prog.interner.get(name).unwrap(), data.clone()))
+        .collect();
+    (fortrand::run_sequential(&prog, &info, &init)
+        .arrays
+        .into_iter())
+    .map(|(sym, data)| (prog.interner.name(sym).to_string(), data))
+    .collect()
+}
+
+/// Panics unless `got` holds exactly the arrays of the oracle's `want`,
+/// each element within 1e-9 of the oracle's (relative above 1); a NaN
+/// never is.
+pub fn assert_matches_oracle(
+    got: &BTreeMap<String, Vec<f64>>,
+    want: &BTreeMap<String, Vec<f64>>,
+    ctx: &str,
+) {
+    assert_eq!(
+        got.keys().collect::<Vec<_>>(),
+        want.keys().collect::<Vec<_>>(),
+        "{ctx}: array inventory differs from the oracle's"
+    );
+    for (name, expect) in want {
+        let got = &got[name];
+        assert_eq!(got.len(), expect.len(), "{ctx}: len of {name}");
+        for (i, (g, e)) in got.iter().zip(expect).enumerate() {
+            // Written as "not close" so that a NaN is a mismatch too.
+            let close = (g - e).abs() <= 1e-9 * e.abs().max(1.0);
+            assert!(close, "{ctx}: {name}[{i}] = {g}, oracle {e}");
+        }
+    }
+}
+
 /// An edit → compile chain driven the way the daemon drives a client
 /// session: every compile goes through the same artifact store and is
 /// handed the previous compile's database, so its §8 reasons are judged
