@@ -5,11 +5,18 @@
 //! Fortran meaning — the compiler must preserve it). Used as the
 //! correctness oracle for every compilation strategy: simulated SPMD
 //! results must match this interpreter's results.
+//!
+//! It walks the AST that sema left and shares nothing else with the
+//! compiler. Before the walk, each unit is resolved once: every name it
+//! declares becomes a scalar slot, an array slot or a `PARAMETER`
+//! constant, and every callee a unit index. A frame is a run of slots on
+//! two stacks, so a variable read, a DO step and a call index instead of
+//! hashing, and an element reference folds its subscripts as it
+//! evaluates them.
 
 use fortrand_frontend::ast::*;
-use fortrand_frontend::sema::ProgramInfo;
+use fortrand_frontend::sema::{ProgramInfo, UnitInfo, VarInfo};
 use fortrand_ir::Sym;
-use rustc_hash::FxHashMap;
 use std::collections::BTreeMap;
 
 /// Result of a sequential run.
@@ -46,33 +53,132 @@ impl V {
     }
 }
 
-struct Arr {
-    dims: Vec<i64>,
-    lower: Vec<i64>,
+struct Arr<'a> {
+    dims: &'a [i64],
+    lower: &'a [i64],
     data: Vec<f64>,
 }
 
-impl Arr {
-    fn flat(&self, subs: &[i64]) -> usize {
-        let mut f = 0usize;
-        for (d, &x) in subs.iter().enumerate() {
-            let lo = self.lower[d];
-            let w = self.dims[d];
-            assert!(
-                x >= lo && x < lo + w,
-                "sequential interpreter: subscript {x} out of bounds {}..{}",
-                lo,
-                lo + w - 1
-            );
-            f = f * w as usize + (x - lo) as usize;
+impl<'a> Arr<'a> {
+    fn zeroed(vi: &'a VarInfo) -> Self {
+        Arr {
+            dims: &vi.dims,
+            lower: &vi.lower,
+            data: vec![0.0; vi.dims.iter().product::<i64>() as usize],
         }
-        f
     }
 }
 
-struct Frame {
-    arrays: FxHashMap<Sym, usize>,
-    scalars: FxHashMap<Sym, V>,
+/// What a name means inside one unit.
+#[derive(Clone, Copy)]
+enum Res {
+    /// Neither a variable nor a `PARAMETER` of the unit.
+    Free,
+    /// A scalar slot of the unit's frame.
+    Scalar(u32),
+    /// An array slot of the unit's frame; it holds a heap index.
+    Array(u32),
+    /// A `PARAMETER`: `Unit::consts[k]`.
+    Const(u32),
+}
+
+/// A unit with its names resolved.
+struct Unit<'a> {
+    src: &'a ProcUnit,
+    info: &'a UnitInfo,
+    /// Indexed by `Sym`; a name past the end is `Free`.
+    names: Vec<Res>,
+    /// Each `PARAMETER`'s value, and the slot of a scalar of the same
+    /// name: a write goes there, while every read sees the constant.
+    consts: Vec<(i64, Option<u32>)>,
+    scalars: usize,
+    /// The declaration of each array slot.
+    arrays: Vec<&'a VarInfo>,
+    /// Each formal's slot, in order.
+    formals: Vec<Res>,
+    /// A function's result slot: its own name.
+    result: Option<u32>,
+}
+
+impl<'a> Unit<'a> {
+    fn resolve(src: &'a ProcUnit, info: &'a UnitInfo) -> Self {
+        let mut u = Unit {
+            src,
+            info,
+            names: Vec::new(),
+            consts: Vec::new(),
+            scalars: 0,
+            arrays: Vec::new(),
+            formals: Vec::new(),
+            result: None,
+        };
+        for (&x, vi) in &info.vars {
+            let res = if vi.is_array() {
+                u.arrays.push(vi);
+                Res::Array(u.arrays.len() as u32 - 1)
+            } else {
+                Res::Scalar(u.new_scalar())
+            };
+            u.bind(x, res);
+        }
+        u.formals = src.formals.iter().map(|&f| u.res(f)).collect();
+        if let UnitKind::Function(_) = src.kind {
+            let k = match u.res(src.name) {
+                Res::Scalar(k) => k,
+                _ => u.new_scalar(),
+            };
+            u.bind(src.name, Res::Scalar(k));
+            u.result = Some(k);
+        }
+        for (&x, &c) in &info.params {
+            let slot = match u.res(x) {
+                Res::Scalar(k) => Some(k),
+                // An array keeps its slot; `Seq::eval` reads its name as
+                // the constant.
+                Res::Array(_) => continue,
+                Res::Free | Res::Const(_) => None,
+            };
+            u.consts.push((c, slot));
+            u.bind(x, Res::Const(u.consts.len() as u32 - 1));
+        }
+        u
+    }
+
+    fn new_scalar(&mut self) -> u32 {
+        self.scalars += 1;
+        self.scalars as u32 - 1
+    }
+
+    fn bind(&mut self, x: Sym, res: Res) {
+        let i = x.0 as usize;
+        if self.names.len() <= i {
+            self.names.resize(i + 1, Res::Free);
+        }
+        self.names[i] = res;
+    }
+
+    fn res(&self, x: Sym) -> Res {
+        self.names.get(x.0 as usize).copied().unwrap_or(Res::Free)
+    }
+
+    /// The scalar slot a write of `x` goes to; `None` when no read can
+    /// see it (a `PARAMETER` with no variable of its name).
+    fn write_slot(&self, x: Sym) -> Option<u32> {
+        match self.res(x) {
+            Res::Scalar(k) => Some(k),
+            Res::Const(k) => self.consts[k as usize].1,
+            Res::Array(_) | Res::Free => {
+                panic!("sequential interpreter: write of {x:?}, not a scalar of its unit")
+            }
+        }
+    }
+}
+
+/// A whole array passed to a scalar formal, or a name no statement
+/// declares, reads as 0, or as a `PARAMETER` of the array's name.
+#[cold]
+fn unbound(x: Sym, u: &Unit) -> V {
+    V::I(u.info.params.get(&x).copied().unwrap_or(0))
 }
 
 enum Flow {
@@ -81,15 +187,19 @@ enum Flow {
     Stop,
 }
 
-struct Seq<'a> {
-    prog: &'a SourceProgram,
-    info: &'a ProgramInfo,
-    heap: Vec<Arr>,
-    frames: Vec<Frame>,
+struct Seq<'a, 'u> {
+    units: &'u [Unit<'a>],
+    /// Indexed by `Sym`: the unit of that name.
+    unit_of: Vec<usize>,
+    heap: Vec<Arr<'a>>,
+    /// Every live frame's scalar slots, the innermost last.
+    scalars: Vec<V>,
+    /// Every live frame's array slots (heap indices), the innermost last.
+    arrays: Vec<usize>,
+    /// Where the innermost frame's slots start.
+    fs: usize,
+    fa: usize,
     printed: Vec<String>,
-    /// Result value slot for the function currently executing (Fortran
-    /// functions assign to their own name).
-    fn_result: Vec<(Sym, V)>,
 }
 
 /// Runs the program sequentially. `init` provides initial array contents
@@ -99,61 +209,62 @@ pub fn run_sequential(
     info: &ProgramInfo,
     init: &BTreeMap<Sym, Vec<f64>>,
 ) -> SeqOutput {
-    let main = prog.main_unit().expect("no PROGRAM unit");
+    let units: Vec<Unit> = (prog.units.iter())
+        .map(|u| Unit::resolve(u, info.unit(u.name)))
+        .collect();
+    let mut unit_of = vec![
+        usize::MAX;
+        units
+            .iter()
+            .map(|u| u.src.name.0 as usize + 1)
+            .max()
+            .unwrap_or(0)
+    ];
+    for (k, u) in units.iter().enumerate() {
+        unit_of[u.src.name.0 as usize] = k;
+    }
+    let main = (units.iter())
+        .find(|u| u.src.kind == UnitKind::Program)
+        .expect("no PROGRAM unit");
     let mut s = Seq {
-        prog,
-        info,
+        units: &units,
+        unit_of,
         heap: Vec::new(),
-        frames: Vec::new(),
+        scalars: vec![V::I(0); main.scalars],
+        arrays: Vec::new(),
+        fs: 0,
+        fa: 0,
         printed: Vec::new(),
-        fn_result: vec![],
     };
-    let mut frame = Frame {
-        arrays: FxHashMap::default(),
-        scalars: FxHashMap::default(),
-    };
-    let ui = info.unit(main.name);
-    for (&name, vi) in &ui.vars {
-        if vi.is_array() {
-            let len: i64 = vi.dims.iter().product();
-            let mut data = vec![0.0; len as usize];
-            if let Some(v) = init.get(&name) {
-                assert_eq!(v.len(), data.len(), "init size mismatch");
-                data.copy_from_slice(v);
-            }
-            let id = s.heap.len();
-            s.heap.push(Arr {
-                dims: vi.dims.clone(),
-                lower: vi.lower.clone(),
-                data,
-            });
-            frame.arrays.insert(name, id);
+    for &vi in &main.arrays {
+        s.arrays.push(s.heap.len());
+        s.heap.push(Arr::zeroed(vi));
+    }
+    for (&name, v) in init {
+        if let Res::Array(k) = main.res(name) {
+            let data = &mut s.heap[s.arrays[k as usize]].data;
+            assert_eq!(v.len(), data.len(), "init size mismatch");
+            data.copy_from_slice(v);
         }
     }
-    s.frames.push(frame);
-    let _ = s.body(&main.body, main.name);
+    let _ = s.body(&main.src.body, main);
     let mut out = SeqOutput {
-        printed: std::mem::take(&mut s.printed),
+        printed: s.printed,
         ..Default::default()
     };
-    let frame = s.frames.pop().unwrap();
-    for (&name, vi) in &ui.vars {
-        if vi.is_array() {
-            let id = frame.arrays[&name];
-            out.arrays.insert(name, s.heap[id].data.clone());
+    for (&name, vi) in &main.info.vars {
+        if let (true, Res::Array(k)) = (vi.is_array(), main.res(name)) {
+            let data = std::mem::take(&mut s.heap[s.arrays[k as usize]].data);
+            out.arrays.insert(name, data);
         }
     }
     out
 }
 
-impl Seq<'_> {
-    fn frame(&mut self) -> &mut Frame {
-        self.frames.last_mut().unwrap()
-    }
-
-    fn body(&mut self, body: &[Stmt], unit: Sym) -> Flow {
+impl<'a, 'u> Seq<'a, 'u> {
+    fn body(&mut self, body: &[Stmt], u: &'u Unit<'a>) -> Flow {
         for st in body {
-            match self.stmt(st, unit) {
+            match self.stmt(st, u) {
                 Flow::Normal => {}
                 f => return f,
             }
@@ -161,25 +272,18 @@ impl Seq<'_> {
         Flow::Normal
     }
 
-    fn stmt(&mut self, s: &Stmt, unit: Sym) -> Flow {
+    fn stmt(&mut self, s: &Stmt, u: &'u Unit<'a>) -> Flow {
         match &s.kind {
             StmtKind::Assign { lhs, rhs } => {
-                let v = self.eval(rhs, unit);
+                let v = self.eval(rhs, u);
                 match lhs {
                     LValue::Scalar(x) => {
-                        // Function result assignment?
-                        if let Some(slot) = self.fn_result.last_mut() {
-                            if slot.0 == *x {
-                                slot.1 = v;
-                                return Flow::Normal;
-                            }
+                        if let Some(k) = u.write_slot(*x) {
+                            self.scalars[self.fs + k as usize] = v;
                         }
-                        self.frame().scalars.insert(*x, v);
                     }
                     LValue::Element { array, subs } => {
-                        let idx: Vec<i64> = subs.iter().map(|e| self.eval(e, unit).i()).collect();
-                        let id = self.frames.last().unwrap().arrays[array];
-                        let f = self.heap[id].flat(&idx);
+                        let (id, f) = self.element(*array, subs, u);
                         self.heap[id].data[f] = v.r();
                     }
                 }
@@ -192,14 +296,17 @@ impl Seq<'_> {
                 step,
                 body,
             } => {
-                let lo = self.eval(lo, unit).i();
-                let hi = self.eval(hi, unit).i();
-                let st = step.as_ref().map(|e| self.eval(e, unit).i()).unwrap_or(1);
+                let lo = self.eval(lo, u).i();
+                let hi = self.eval(hi, u).i();
+                let st = step.as_ref().map(|e| self.eval(e, u).i()).unwrap_or(1);
                 assert!(st != 0);
+                let slot = u.write_slot(*var).map(|k| self.fs + k as usize);
                 let mut i = lo;
                 while (st > 0 && i <= hi) || (st < 0 && i >= hi) {
-                    self.frame().scalars.insert(*var, V::I(i));
-                    match self.body(body, unit) {
+                    if let Some(at) = slot {
+                        self.scalars[at] = V::I(i);
+                    }
+                    match self.body(body, u) {
                         Flow::Normal => {}
                         f => return f,
                     }
@@ -212,14 +319,14 @@ impl Seq<'_> {
                 then_body,
                 else_body,
             } => {
-                if self.eval(cond, unit).truthy() {
-                    self.body(then_body, unit)
+                if self.eval(cond, u).truthy() {
+                    self.body(then_body, u)
                 } else {
-                    self.body(else_body, unit)
+                    self.body(else_body, u)
                 }
             }
             StmtKind::Call { name, args } => {
-                self.invoke(*name, args, unit);
+                self.invoke(*name, args, u);
                 Flow::Normal
             }
             StmtKind::Return => Flow::Return,
@@ -227,7 +334,7 @@ impl Seq<'_> {
             StmtKind::Print { args } => {
                 let line: Vec<String> = args
                     .iter()
-                    .map(|a| match self.eval(a, unit) {
+                    .map(|a| match self.eval(a, u) {
                         V::I(v) => format!("{v}"),
                         V::R(v) => format!("{v}"),
                     })
@@ -242,103 +349,117 @@ impl Seq<'_> {
         }
     }
 
+    /// The heap index and row-major offset of `array(subs)`.
+    fn element(&mut self, array: Sym, subs: &[Expr], u: &'u Unit<'a>) -> (usize, usize) {
+        let Res::Array(k) = u.res(array) else {
+            panic!("sequential interpreter: {array:?} is not an array of its unit")
+        };
+        let id = self.arrays[self.fa + k as usize];
+        let mut f = 0usize;
+        for (d, e) in subs.iter().enumerate() {
+            let x = self.eval(e, u).i();
+            let (lo, w) = (self.heap[id].lower[d], self.heap[id].dims[d]);
+            assert!(
+                x >= lo && x < lo + w,
+                "sequential interpreter: subscript {x} out of bounds {}..{}",
+                lo,
+                lo + w - 1
+            );
+            f = f * w as usize + (x - lo) as usize;
+        }
+        (id, f)
+    }
+
     /// Calls a subroutine or function; returns the function value if any.
-    fn invoke(&mut self, name: Sym, args: &[Expr], caller: Sym) -> V {
-        let unit = self.prog.unit(name).expect("callee exists");
-        let ui = self.info.unit(name);
-        let mut frame = Frame {
-            arrays: FxHashMap::default(),
-            scalars: FxHashMap::default(),
-        };
-        // Copy-back list for scalar actuals that are plain variables.
-        let mut copy_back: Vec<(Sym, Sym)> = Vec::new(); // (formal, caller var)
-        for (i, &f) in unit.formals.iter().enumerate() {
-            let actual = &args[i];
-            let f_is_array = ui.is_array(f);
-            if f_is_array {
-                match actual {
-                    Expr::Var(a) => {
-                        let id = self.frames.last().unwrap().arrays[a];
-                        frame.arrays.insert(f, id);
-                    }
-                    _ => panic!("array formal requires whole-array actual in this subset"),
+    #[inline(never)]
+    fn invoke(&mut self, name: Sym, args: &[Expr], caller: &'u Unit<'a>) -> V {
+        let units = self.units;
+        let callee = &units[self.unit_of[name.0 as usize]];
+        let (fs, fa, heap) = (self.scalars.len(), self.arrays.len(), self.heap.len());
+        self.scalars.resize(fs + callee.scalars, V::I(0));
+        self.arrays.resize(fa + callee.arrays.len(), usize::MAX);
+        // Actuals are evaluated in the caller's frame; a function they
+        // call pushes its frame above this one and pops it again.
+        for (formal, actual) in callee.formals.iter().zip(args) {
+            match (*formal, actual) {
+                (Res::Array(k), Expr::Var(a)) => {
+                    let Res::Array(ka) = caller.res(*a) else {
+                        panic!("sequential interpreter: array formal bound to scalar {a:?}")
+                    };
+                    self.arrays[fa + k as usize] = self.arrays[self.fa + ka as usize];
                 }
-            } else {
-                let v = self.eval(actual, caller);
-                frame.scalars.insert(f, v);
-                if let Expr::Var(a) = actual {
-                    if !self.info.unit(caller).is_array(*a) {
-                        copy_back.push((f, *a));
-                    }
+                (Res::Array(_), _) => {
+                    panic!("array formal requires whole-array actual in this subset")
                 }
+                (Res::Scalar(k), _) => self.scalars[fs + k as usize] = self.eval(actual, caller),
+                (Res::Free | Res::Const(_), _) => unreachable!("formals are variables"),
             }
         }
-        // Allocate callee locals.
-        for (&v, vi) in &ui.vars {
-            if vi.is_array() && !frame.arrays.contains_key(&v) {
-                let len: i64 = vi.dims.iter().product();
-                let id = self.heap.len();
-                self.heap.push(Arr {
-                    dims: vi.dims.clone(),
-                    lower: vi.lower.clone(),
-                    data: vec![0.0; len as usize],
-                });
-                frame.arrays.insert(v, id);
+        // Local arrays start zeroed on every call.
+        for (k, &vi) in callee.arrays.iter().enumerate() {
+            if !vi.is_formal {
+                self.arrays[fa + k] = self.heap.len();
+                self.heap.push(Arr::zeroed(vi));
             }
         }
-        self.frames.push(frame);
-        let is_fn = matches!(unit.kind, UnitKind::Function(_));
-        if is_fn {
-            self.fn_result.push((name, V::R(0.0)));
+        if let Some(r) = callee.result {
+            self.scalars[fs + r as usize] = V::R(0.0);
         }
-        let _ = self.body(&unit.body, name);
-        let result = if is_fn {
-            self.fn_result.pop().unwrap().1
-        } else {
-            V::R(0.0)
-        };
-        let callee_frame = self.frames.pop().unwrap();
+        let (caller_fs, caller_fa) = (self.fs, self.fa);
+        (self.fs, self.fa) = (fs, fa);
+        let _ = self.body(&callee.src.body, callee);
+        (self.fs, self.fa) = (caller_fs, caller_fa);
+        let result = callee
+            .result
+            .map_or(V::R(0.0), |r| self.scalars[fs + r as usize]);
         // Fortran copy-out for scalar var actuals.
-        for (f, a) in copy_back {
-            if let Some(&v) = callee_frame.scalars.get(&f) {
-                self.frame().scalars.insert(a, v);
+        for (formal, actual) in callee.formals.iter().zip(args) {
+            if let (Res::Scalar(k), Expr::Var(a)) = (*formal, actual) {
+                if matches!(caller.res(*a), Res::Array(_)) {
+                    continue;
+                }
+                if let Some(at) = caller.write_slot(*a) {
+                    self.scalars[caller_fs + at as usize] = self.scalars[fs + k as usize];
+                }
             }
         }
+        self.scalars.truncate(fs);
+        self.arrays.truncate(fa);
+        self.heap.truncate(heap);
         result
     }
 
-    fn eval(&mut self, e: &Expr, unit: Sym) -> V {
+    /// Leaves inline at the caller; an inner node costs a call.
+    #[inline(always)]
+    fn eval(&mut self, e: &Expr, u: &'u Unit<'a>) -> V {
         match e {
             Expr::Int(v) => V::I(*v),
             Expr::Real(v) => V::R(*v),
+            Expr::Var(x) => match u.res(*x) {
+                Res::Scalar(k) => self.scalars[self.fs + k as usize],
+                Res::Const(k) => V::I(u.consts[k as usize].0),
+                Res::Array(_) | Res::Free => unbound(*x, u),
+            },
+            _ => self.eval_node(e, u),
+        }
+    }
+
+    #[inline(never)]
+    fn eval_node(&mut self, e: &Expr, u: &'u Unit<'a>) -> V {
+        match e {
             Expr::Logical(b) => V::I(*b as i64),
-            Expr::Var(x) => {
-                if let Some(&c) = self.info.unit(unit).params.get(x) {
-                    return V::I(c);
-                }
-                // Uninitialized variables read as zero (out-parameters are
-                // evaluated before the callee defines them).
-                self.frames
-                    .last()
-                    .unwrap()
-                    .scalars
-                    .get(x)
-                    .copied()
-                    .unwrap_or(V::I(0))
-            }
+            Expr::Int(_) | Expr::Real(_) | Expr::Var(_) => unreachable!("leaves evaluate inline"),
             Expr::Element { array, subs } => {
-                let idx: Vec<i64> = subs.iter().map(|s| self.eval(s, unit).i()).collect();
-                let id = self.frames.last().unwrap().arrays[array];
-                let f = self.heap[id].flat(&idx);
+                let (id, f) = self.element(*array, subs, u);
                 V::R(self.heap[id].data[f])
             }
             Expr::Bin { op, l, r } => {
-                let a = self.eval(l, unit);
-                let b = self.eval(r, unit);
+                let a = self.eval(l, u);
+                let b = self.eval(r, u);
                 self.binop(*op, a, b)
             }
             Expr::Un { op, e } => {
-                let v = self.eval(e, unit);
+                let v = self.eval(e, u);
                 match op {
                     UnOp::Neg => match v {
                         V::I(x) => V::I(-x),
@@ -347,11 +468,8 @@ impl Seq<'_> {
                     UnOp::Not => V::I(!v.truthy() as i64),
                 }
             }
-            Expr::Intrinsic { name, args } => {
-                let vals: Vec<V> = args.iter().map(|a| self.eval(a, unit)).collect();
-                self.intrinsic(*name, &vals)
-            }
-            Expr::FuncCall { name, args } => self.invoke(*name, args, unit),
+            Expr::Intrinsic { name, args } => self.intrinsic(*name, args, u),
+            Expr::FuncCall { name, args } => self.invoke(*name, args, u),
         }
     }
 
@@ -395,26 +513,42 @@ impl Seq<'_> {
         }
     }
 
-    fn intrinsic(&self, name: Intrinsic, vals: &[V]) -> V {
+    /// Evaluates every argument in order, as a call would; MIN and MAX
+    /// fold them as they come, the others take at most two.
+    #[inline(never)]
+    fn intrinsic(&mut self, name: Intrinsic, args: &[Expr], u: &'u Unit<'a>) -> V {
+        if let Intrinsic::Min | Intrinsic::Max = name {
+            let min = name == Intrinsic::Min;
+            let (mut all_int, mut int, mut real) = (true, None, f64::INFINITY);
+            if !min {
+                real = f64::NEG_INFINITY;
+            }
+            for a in args {
+                let v = self.eval(a, u);
+                all_int &= matches!(v, V::I(_));
+                let (i, r) = (v.i(), v.r());
+                int = Some(int.map_or(i, |m: i64| if min { m.min(i) } else { m.max(i) }));
+                real = if min { real.min(r) } else { real.max(r) };
+            }
+            return if all_int {
+                V::I(int.expect("MIN or MAX of no arguments"))
+            } else {
+                V::R(real)
+            };
+        }
+        let mut buf = [V::I(0); 2];
+        for (k, a) in args.iter().enumerate() {
+            let v = self.eval(a, u);
+            if let Some(slot) = buf.get_mut(k) {
+                *slot = v;
+            }
+        }
+        let vals = &buf[..args.len().min(2)];
         match name {
             Intrinsic::Abs => match vals[0] {
                 V::I(v) => V::I(v.abs()),
                 V::R(v) => V::R(v.abs()),
             },
-            Intrinsic::Min => {
-                if vals.iter().all(|v| matches!(v, V::I(_))) {
-                    V::I(vals.iter().map(|v| v.i()).min().unwrap())
-                } else {
-                    V::R(vals.iter().map(|v| v.r()).fold(f64::INFINITY, f64::min))
-                }
-            }
-            Intrinsic::Max => {
-                if vals.iter().all(|v| matches!(v, V::I(_))) {
-                    V::I(vals.iter().map(|v| v.i()).max().unwrap())
-                } else {
-                    V::R(vals.iter().map(|v| v.r()).fold(f64::NEG_INFINITY, f64::max))
-                }
-            }
             Intrinsic::Mod => match (vals[0], vals[1]) {
                 (V::I(a), V::I(b)) => V::I(a % b),
                 (a, b) => V::R(a.r() % b.r()),
@@ -426,6 +560,7 @@ impl Seq<'_> {
             }
             Intrinsic::Dble | Intrinsic::Float => V::R(vals[0].r()),
             Intrinsic::Int => V::I(vals[0].i()),
+            Intrinsic::Min | Intrinsic::Max => unreachable!(),
         }
     }
 }
@@ -521,6 +656,34 @@ mod tests {
             &[],
         );
         assert_eq!(out.printed, vec!["9"]);
+    }
+
+    /// A function's result is its own name in its own unit only: a
+    /// subroutine it calls that assigns a local of the same name writes
+    /// that local.
+    #[test]
+    fn function_result_does_not_leak_into_callees() {
+        let (_, out) = run(
+            "
+      PROGRAM main
+      REAL y
+      y = sq(3.0)
+      print *, y
+      END
+      REAL FUNCTION sq(x)
+      REAL x
+      call s(x)
+      sq = x * x
+      END
+      SUBROUTINE s(x)
+      REAL x
+      sq = 100.0
+      x = x + sq
+      END
+",
+            &[],
+        );
+        assert_eq!(out.printed, vec!["10609"]);
     }
 
     #[test]
