@@ -72,7 +72,9 @@ fn assert_identical(t: &RunOutcome, b: &RunOutcome, ctx: &str) {
 }
 
 /// Compiles `src` once and runs it under both engines on fresh
-/// machines, with `named` as the initial array contents. The bytecode
+/// machines, with `named` as the initial array contents. The tree
+/// walker's arrays must match the sequential oracle's: engine ≡ engine
+/// cannot see a message that every engine places wrong. The bytecode
 /// engine runs twice — superinstruction fusion on and off — and both
 /// runs must match the tree walker bit for bit, so a fused kernel that
 /// drifts from its constituent instructions fails here. The bytecode
@@ -94,6 +96,13 @@ fn engines_agree(src: &str, opts: &CompileOptions, named: &[(String, Vec<f64>)],
         try_run_spmd(prog, &machine, &init, &exec_opts).unwrap_or_else(|f| panic!("{ctx}: {f}"))
     };
     let t = run(ExecOptions::new().backend(Tree));
+    let want = oracle(src, &named.iter().cloned().collect());
+    // The node program's own arrays (message buffers) have no source name.
+    let got = (t.arrays.iter())
+        .map(|(&sym, data)| (prog.interner.name(sym).to_string(), data.clone()))
+        .filter(|(name, _)| want.contains_key(name))
+        .collect();
+    assert_matches_oracle(&got, &want, &format!("{ctx}/tree vs oracle"));
     let b = run(ExecOptions::new().backend(Bytecode));
     assert_identical(&t, &b, &format!("{ctx}/kernels-on"));
     let b_plain = run(ExecOptions::new().backend(Bytecode).kernels(false));
@@ -516,6 +525,17 @@ impl Expr {
         }
     }
 
+    /// The highest `c` of a fixed element `v(c)` the tree reads (0 if
+    /// none).
+    fn highest_fixed(&self) -> i64 {
+        match self {
+            Expr::VAt(c) => *c,
+            Expr::Bin(_, l, r) => l.highest_fixed().max(r.highest_fixed()),
+            Expr::Neg(e) => e.highest_fixed(),
+            _ => 0,
+        }
+    }
+
     /// The tree with every offset 0 (CYCLIC distributions only support
     /// unshifted sweeps in the compile-time strategies).
     fn unshifted(&self) -> Expr {
@@ -575,9 +595,12 @@ impl Sweep {
 
     /// True when the compile-time strategies refuse the sweep on a
     /// distributed dimension: `v(i-1)` is a carried flow dependence (it
-    /// needs pipelining), and a descending loop has a non-unit step.
+    /// needs pipelining), so is a read of a fixed `v(c)` that the loop
+    /// stores along the way, and a descending loop has a non-unit step.
     fn needs_rtr(&self) -> bool {
-        self.e.offsets().0 < 0 || self.down
+        let lo = 1 - self.e.offsets().0 + self.lo_off;
+        let stores_read_element = self.dst.is_none() && self.e.highest_fixed() >= lo;
+        self.e.offsets().0 < 0 || stores_read_element || self.down
     }
 
     fn render(&self, n: i64, u: &str, v: &str, col: &str) -> String {

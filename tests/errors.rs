@@ -130,6 +130,31 @@ fn pipelining_case_rejected_with_hint() {
     assert!(e.contains("run-time resolution"), "{e}");
 }
 
+/// A partitioned loop that writes the element every iteration reads
+/// through a broadcast carries a flow dependence across ranks: each rank
+/// would receive the element at its own local iteration, before the
+/// global iteration that writes it. Both compile-time strategies reject
+/// it; run-time resolution computes it
+/// (`tests/regressions/broadcast_of_an_element_the_loop_writes.f`).
+#[test]
+fn broadcast_of_an_element_the_partitioned_loop_writes_rejected() {
+    let src = "
+      PROGRAM main
+      PARAMETER (n$proc = 3)
+      REAL y(24)
+      DISTRIBUTE y(BLOCK)
+      do i = 1, 24
+        y(i) = y(i) / y(2)
+      enddo
+      END
+";
+    for strategy in [Strategy::Interprocedural, Strategy::Immediate] {
+        let opts = CompileOptions::builder().strategy(strategy).build();
+        let e = format!("{}", compile(src, &opts).expect_err("must be rejected"));
+        assert!(e.contains("pipelining"), "{strategy:?}: {e}");
+    }
+}
+
 /// A write made through a call between two pinned reads of one slice
 /// keeps the slice's broadcast from being hoisted above both reads, as a
 /// write in the unit itself does.
