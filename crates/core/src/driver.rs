@@ -74,8 +74,8 @@ pub struct CompileOptions {
     pub clone_limit: usize,
     /// Code-generation schedule.
     pub mode: CompileMode,
-    /// Communication optimization level (paper §7's message aggregation
-    /// plus interprocedural redundant-communication elimination).
+    /// Communication optimization level (message coalescing plus
+    /// interprocedural redundant-communication elimination).
     pub comm_opt: CommOpt,
     /// Externally owned codegen worker pool. When set, the wavefront sweep
     /// submits its per-unit batches here instead of spawning threads, so

@@ -1,7 +1,7 @@
 //! Communication optimization over SPMD node programs (the "between codegen
 //! and emit" pass pipeline).
 //!
-//! Three cooperating optimizations, run in this order:
+//! Two cooperating optimizations, run in this order:
 //!
 //! 1. **Redundant-communication elimination** (level [`CommOpt::Full`] only):
 //!    a forward "available data" dataflow over broadcast sections. A
@@ -16,10 +16,7 @@
 //!    site the caller's facts are mapped through array/scalar actuals onto
 //!    the callee's formals, met over all call sites in reverse-invocation
 //!    (callers-first) order over the call graph.
-//! 2. **Loop-level message aggregation**: leading loop-invariant collectives
-//!    (and tag-paired send/recv couples) are lifted out of loops with
-//!    provably positive constant trip counts.
-//! 3. **Message coalescing**: adjacent broadcasts with the same root fuse
+//! 2. **Message coalescing**: adjacent broadcasts with the same root fuse
 //!    into one [`crate::ir::SStmt::Bcast`] of several parts; adjacent send/send and
 //!    recv/recv pairs over adjacent sections of the same array merge when
 //!    the pairing is provably symmetric. Adjacency is judged on linear
@@ -27,16 +24,15 @@
 //!
 //! Every transformation preserves bit-identical array results: shadows
 //! perform the same IEEE operations on the same broadcast bytes every rank
-//! already holds, and packing/aggregation only re-batches identical
-//! payloads. See DESIGN.md §"Communication optimization" for the dataflow
-//! equations and the soundness argument.
+//! already holds, and packing only re-batches identical payloads. See
+//! DESIGN.md §"Communication optimization" for the dataflow equations and
+//! the soundness argument.
 
 use crate::ir::SpmdProgram;
 use std::collections::BTreeMap;
 
 mod coalesce;
 mod dataflow;
-mod hoist;
 mod lin;
 mod overlap;
 #[cfg(test)]
@@ -44,7 +40,6 @@ mod tests;
 
 use coalesce::coalesce;
 use dataflow::eliminate;
-use hoist::hoist;
 use overlap::overlap;
 
 /// Communication optimization level (driver flag).
@@ -52,10 +47,10 @@ use overlap::overlap;
 pub enum CommOpt {
     /// Pass disabled: emit exactly what codegen produced.
     Off,
-    /// Message coalescing and loop-level aggregation only.
+    /// Message coalescing only.
     Coalesce,
-    /// Everything: redundant-communication elimination + aggregation +
-    /// coalescing (the default).
+    /// Everything: redundant-communication elimination + coalescing (the
+    /// default).
     #[default]
     Full,
     /// [`CommOpt::Full`] plus communication/computation overlap: blocking
@@ -100,7 +95,10 @@ pub struct OptReport {
     pub eliminated: usize,
     /// Messages removed by packing/merging (per merged pair).
     pub coalesced: usize,
-    /// Communication statements lifted out of loops.
+    /// Communication statements lifted out of loops: always 0. Codegen
+    /// already places every loop-invariant message outside the loops no
+    /// dependence pins, and the pass that lifted them never fired on its
+    /// output, so it is gone; reports still carry the count.
     pub hoisted: usize,
     /// Blocking operations split into post/wait pairs
     /// ([`CommOpt::Overlap`] only).
@@ -133,7 +131,7 @@ pub fn optimize_with_stats(
 }
 
 /// [`optimize_with_stats`] recording one compile-timeline span per
-/// optimizer pass (eliminate / hoist / coalesce) plus the embedded
+/// optimizer pass (eliminate / coalesce / overlap) plus the embedded
 /// available-sections dataflow solve.
 pub fn optimize_traced(
     prog: &mut SpmdProgram,
@@ -155,10 +153,6 @@ pub fn optimize_traced(
         fortrand_analysis::framework::record_solve(trace, &solve);
         stats.push(solve);
         drop(span);
-    }
-    {
-        let _span = trace.span(PID_COMPILE, 0, "comm-opt", "hoist");
-        hoist(prog, &mut report);
     }
     {
         let _span = trace.span(PID_COMPILE, 0, "comm-opt", "coalesce");

@@ -52,7 +52,7 @@ use super::dataflow::{
 use super::lin::{const_of, syn_eq};
 use super::OptReport;
 
-/// Runs the overlap pass in place (after eliminate/hoist/coalesce).
+/// Runs the overlap pass in place (after eliminate and coalesce).
 /// Runs the pass in place; returns the number of procedures whose bodies
 /// it changed (the `units` figure of the per-pass statistics row).
 pub(super) fn overlap(prog: &mut SpmdProgram, report: &mut OptReport) -> usize {

@@ -163,87 +163,6 @@ fn merge_rects_2d_needs_degenerate_outer_dims() {
     assert_eq!(merge_rects(&wide(1, 4), &wide(5, 8), &[]), None);
 }
 
-/// A one-element section is how a scalar travels (dgefa's pivot index).
-#[test]
-fn hoist_lifts_invariant_scalar_broadcast() {
-    let mut i = Interner::new();
-    let s = i.intern("s");
-    let t = i.intern("t");
-    let x = i.intern("x");
-    let iv = i.intern("i");
-    let loop_body = vec![
-        bcast(s, t, 1, 1),
-        SStmt::Assign {
-            lhs: SLval::Elem {
-                array: x,
-                subs: vec![SExpr::Var(iv)],
-            },
-            rhs: SExpr::Elem {
-                array: t,
-                subs: vec![SExpr::Int(1)],
-            },
-        },
-    ];
-    let (mut p, _) = prog(vec![SStmt::Do {
-        var: iv,
-        lo: SExpr::Int(1),
-        hi: SExpr::Int(4),
-        step: 1,
-        body: loop_body.clone(),
-    }]);
-    let report = optimize(&mut p, CommOpt::Coalesce);
-    assert_eq!(report.hoisted, 1);
-    assert_eq!(p.procs[0].body[0], loop_body[0]);
-    match &p.procs[0].body[1] {
-        SStmt::Do { body, .. } => assert_eq!(body.len(), 1),
-        other => panic!("expected Do, got {other:?}"),
-    }
-
-    // Redefining the element later in the body pins the broadcast.
-    let mut pinned = loop_body;
-    pinned.push(SStmt::Assign {
-        lhs: SLval::Elem {
-            array: s,
-            subs: vec![SExpr::Int(1)],
-        },
-        rhs: SExpr::Int(0),
-    });
-    let (mut p2, _) = prog(vec![SStmt::Do {
-        var: iv,
-        lo: SExpr::Int(1),
-        hi: SExpr::Int(4),
-        step: 1,
-        body: pinned,
-    }]);
-    let report2 = optimize(&mut p2, CommOpt::Coalesce);
-    assert_eq!(report2.hoisted, 0);
-    assert!(matches!(p2.procs[0].body[0], SStmt::Do { .. }));
-}
-
-#[test]
-fn hoist_refuses_possibly_zero_trip_loops() {
-    let mut i = Interner::new();
-    let s = i.intern("s");
-    let t = i.intern("t");
-    let iv = i.intern("i");
-    let n = i.intern("n");
-    for (lo, hi) in [
-        (SExpr::Int(5), SExpr::Int(4)), // zero trips
-        (SExpr::Int(1), SExpr::Var(n)), // unknown trips
-    ] {
-        let (mut p, _) = prog(vec![SStmt::Do {
-            var: iv,
-            lo,
-            hi,
-            step: 1,
-            body: vec![bcast(s, t, 1, 1)],
-        }]);
-        let report = optimize(&mut p, CommOpt::Coalesce);
-        assert_eq!(report.hoisted, 0);
-        assert!(matches!(p.procs[0].body[0], SStmt::Do { .. }));
-    }
-}
-
 #[test]
 fn pack_fuses_same_root_broadcast_runs() {
     let mut i = Interner::new();
