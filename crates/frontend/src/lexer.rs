@@ -7,6 +7,7 @@
 //! decides contextually whether `do` starts a loop or names a variable.
 
 use crate::error::{FrontendError, Result};
+use std::borrow::Cow;
 
 /// One token.
 #[derive(Clone, Debug, PartialEq)]
@@ -75,9 +76,14 @@ pub struct Line {
 }
 
 /// Lexes a whole source file into logical lines.
+///
+/// Works on bytes: every byte the lexer branches on is ASCII, and a
+/// UTF-8 multi-byte character never contains an ASCII byte, so slices
+/// cut at those bytes always fall on character boundaries. A logical line
+/// borrows its physical line's text unless continuations glue several.
 pub fn lex(source: &str) -> Result<Vec<Line>> {
     // Glue continuations and strip comments first.
-    let mut logical: Vec<(u32, String)> = Vec::new();
+    let mut logical: Vec<(u32, Cow<'_, str>)> = Vec::new();
     for (idx, raw) in source.lines().enumerate() {
         let lineno = idx as u32 + 1;
         let trimmed = raw.trim_start();
@@ -87,43 +93,34 @@ pub fn lex(source: &str) -> Result<Vec<Line>> {
         }
         // Column-1 comment markers: `*` always; `C`/`c` only when followed
         // by whitespace or nothing (so `CALL` in column 1 stays code).
-        let mut chars = raw.chars();
-        let first = chars.next().unwrap();
-        let second = chars.next();
-        if first == '*'
-            || ((first == 'C' || first == 'c')
-                && second.map(|c| c == ' ' || c == '\t').unwrap_or(true))
+        let b = raw.as_bytes();
+        if b[0] == b'*'
+            || ((b[0] == b'C' || b[0] == b'c') && matches!(b.get(1), None | Some(b' ' | b'\t')))
             || trimmed.starts_with('!')
         {
             continue;
         }
         // Trailing '!' comment (we have no strings containing '!').
-        let mut text = match raw.find('!') {
+        let text = match raw.find('!') {
             Some(p) => &raw[..p],
             None => raw,
         }
-        .trim_end()
-        .to_string();
+        .trim_end();
         // Continuation: previous line ended with '&'.
-        let continues_prev = logical
-            .last()
-            .map(|(_, t)| t.ends_with('&'))
-            .unwrap_or(false);
-        if continues_prev {
-            let (_, prev) = logical.last_mut().unwrap();
-            prev.pop(); // drop '&'
-            prev.push(' ');
-            prev.push_str(text.trim_start());
-        } else {
-            // Leading '&' style continuation also accepted.
-            if let Some(stripped) = text.strip_prefix('&') {
-                if let Some((_, prev)) = logical.last_mut() {
-                    prev.push(' ');
-                    prev.push_str(stripped.trim_start());
-                    continue;
-                }
+        match logical.last_mut() {
+            Some((_, prev)) if prev.ends_with('&') => {
+                let prev = prev.to_mut();
+                prev.pop(); // drop '&'
+                prev.push(' ');
+                prev.push_str(text.trim_start());
             }
-            logical.push((lineno, std::mem::take(&mut text)));
+            // Leading '&' style continuation also accepted.
+            Some((_, prev)) if text.starts_with('&') => {
+                let prev = prev.to_mut();
+                prev.push(' ');
+                prev.push_str(text[1..].trim_start());
+            }
+            _ => logical.push((lineno, Cow::Borrowed(text))),
         }
     }
 
@@ -152,206 +149,133 @@ pub fn lex(source: &str) -> Result<Vec<Line>> {
 }
 
 fn lex_line(text: &str, lineno: u32) -> Result<Vec<Tok>> {
-    let b: Vec<char> = text.chars().collect();
+    let b = text.as_bytes();
     let n = b.len();
+    // The byte after `i`, if any.
+    let next = |i: usize| b.get(i + 1).copied();
     let mut i = 0;
     let mut toks = Vec::new();
     while i < n {
-        let c = b[i];
-        match c {
-            ' ' | '\t' | '\r' => i += 1,
-            '+' => {
-                toks.push(Tok::Plus);
+        let (tok, len) = match b[i] {
+            b' ' | b'\t' | b'\r' => {
                 i += 1;
+                continue;
             }
-            '-' => {
-                toks.push(Tok::Minus);
-                i += 1;
-            }
-            '*' => {
-                if i + 1 < n && b[i + 1] == '*' {
-                    toks.push(Tok::Pow);
-                    i += 2;
-                } else {
-                    toks.push(Tok::Star);
-                    i += 1;
-                }
-            }
-            '/' => {
-                if i + 1 < n && b[i + 1] == '=' {
-                    toks.push(Tok::Ne);
-                    i += 2;
-                } else {
-                    toks.push(Tok::Slash);
-                    i += 1;
-                }
-            }
-            '(' => {
-                toks.push(Tok::LParen);
-                i += 1;
-            }
-            ')' => {
-                toks.push(Tok::RParen);
-                i += 1;
-            }
-            ',' => {
-                toks.push(Tok::Comma);
-                i += 1;
-            }
-            ':' => {
-                toks.push(Tok::Colon);
-                i += 1;
-            }
-            '<' => {
-                if i + 1 < n && b[i + 1] == '=' {
-                    toks.push(Tok::Le);
-                    i += 2;
-                } else {
-                    toks.push(Tok::Lt);
-                    i += 1;
-                }
-            }
-            '>' => {
-                if i + 1 < n && b[i + 1] == '=' {
-                    toks.push(Tok::Ge);
-                    i += 2;
-                } else {
-                    toks.push(Tok::Gt);
-                    i += 1;
-                }
-            }
-            '=' => {
-                if i + 1 < n && b[i + 1] == '=' {
-                    toks.push(Tok::EqEq);
-                    i += 2;
-                } else {
-                    toks.push(Tok::Assign);
-                    i += 1;
-                }
-            }
-            '\'' => {
-                let start = i + 1;
-                let mut j = start;
-                while j < n && b[j] != '\'' {
-                    j += 1;
-                }
-                if j >= n {
+            b'+' => (Tok::Plus, 1),
+            b'-' => (Tok::Minus, 1),
+            b'*' if next(i) == Some(b'*') => (Tok::Pow, 2),
+            b'*' => (Tok::Star, 1),
+            b'/' if next(i) == Some(b'=') => (Tok::Ne, 2),
+            b'/' => (Tok::Slash, 1),
+            b'(' => (Tok::LParen, 1),
+            b')' => (Tok::RParen, 1),
+            b',' => (Tok::Comma, 1),
+            b':' => (Tok::Colon, 1),
+            b'<' if next(i) == Some(b'=') => (Tok::Le, 2),
+            b'<' => (Tok::Lt, 1),
+            b'>' if next(i) == Some(b'=') => (Tok::Ge, 2),
+            b'>' => (Tok::Gt, 1),
+            b'=' if next(i) == Some(b'=') => (Tok::EqEq, 2),
+            b'=' => (Tok::Assign, 1),
+            b'\'' => {
+                let Some(len) = b[i + 1..].iter().position(|&c| c == b'\'') else {
                     return Err(FrontendError::at(lineno, "unterminated string literal"));
-                }
-                toks.push(Tok::Str(b[start..j].iter().collect()));
-                i = j + 1;
+                };
+                (Tok::Str(text[i + 1..i + 1 + len].to_string()), len + 2)
             }
-            '.' => {
-                // Dotted operator (.lt. etc) or a real literal like `.5`.
-                if i + 1 < n && b[i + 1].is_ascii_alphabetic() {
-                    let start = i + 1;
-                    let mut j = start;
-                    while j < n && b[j].is_ascii_alphabetic() {
-                        j += 1;
+            // Dotted operator (.lt. etc).
+            b'.' if next(i).is_some_and(|c| c.is_ascii_alphabetic()) && {
+                let letters = alpha_run(&b[i + 1..]);
+                b.get(i + 1 + letters) == Some(&b'.')
+            } =>
+            {
+                let letters = alpha_run(&b[i + 1..]);
+                let word = text[i + 1..i + 1 + letters].to_ascii_lowercase();
+                let tok = match word.as_str() {
+                    "lt" => Tok::Lt,
+                    "le" => Tok::Le,
+                    "gt" => Tok::Gt,
+                    "ge" => Tok::Ge,
+                    "eq" => Tok::EqEq,
+                    "ne" => Tok::Ne,
+                    "and" => Tok::And,
+                    "or" => Tok::Or,
+                    "not" => Tok::Not,
+                    "true" => Tok::True,
+                    "false" => Tok::False,
+                    _ => {
+                        return Err(FrontendError::at(
+                            lineno,
+                            format!("unknown dotted operator `.{word}.`"),
+                        ))
                     }
-                    if j < n && b[j] == '.' {
-                        let word: String = b[start..j].iter().collect::<String>().to_lowercase();
-                        let tok = match word.as_str() {
-                            "lt" => Tok::Lt,
-                            "le" => Tok::Le,
-                            "gt" => Tok::Gt,
-                            "ge" => Tok::Ge,
-                            "eq" => Tok::EqEq,
-                            "ne" => Tok::Ne,
-                            "and" => Tok::And,
-                            "or" => Tok::Or,
-                            "not" => Tok::Not,
-                            "true" => Tok::True,
-                            "false" => Tok::False,
-                            _ => {
-                                return Err(FrontendError::at(
-                                    lineno,
-                                    format!("unknown dotted operator `.{word}.`"),
-                                ))
-                            }
-                        };
-                        toks.push(tok);
-                        i = j + 1;
-                        continue;
-                    }
-                }
-                // Real literal starting with '.'
-                if i + 1 < n && b[i + 1].is_ascii_digit() {
-                    let (tok, len) = lex_number(&b[i..], lineno)?;
-                    toks.push(tok);
-                    i += len;
-                } else {
-                    return Err(FrontendError::at(lineno, "stray `.`"));
-                }
+                };
+                (tok, letters + 2)
             }
-            c if c.is_ascii_digit() => {
-                let (tok, len) = lex_number(&b[i..], lineno)?;
-                toks.push(tok);
-                i += len;
+            // Real literal starting with '.'
+            b'.' if next(i).is_some_and(|c| c.is_ascii_digit()) => lex_number(&text[i..], lineno)?,
+            b'.' => return Err(FrontendError::at(lineno, "stray `.`")),
+            c if c.is_ascii_digit() => lex_number(&text[i..], lineno)?,
+            c if c.is_ascii_alphabetic() || c == b'_' || c == b'$' => {
+                let len = b[i..]
+                    .iter()
+                    .position(|&c| !(c.is_ascii_alphanumeric() || c == b'_' || c == b'$'))
+                    .unwrap_or(n - i);
+                (Tok::Ident(text[i..i + len].to_ascii_lowercase()), len)
             }
-            c if c.is_ascii_alphabetic() || c == '_' || c == '$' => {
-                let start = i;
-                let mut j = i;
-                while j < n && (b[j].is_ascii_alphanumeric() || b[j] == '_' || b[j] == '$') {
-                    j += 1;
-                }
-                let word: String = b[start..j].iter().collect::<String>().to_lowercase();
-                toks.push(Tok::Ident(word));
-                i = j;
-            }
-            other => {
+            _ => {
+                // `i` is on a character boundary: every branch above
+                // advances over ASCII bytes or a whole quoted string.
+                let other = text[i..].chars().next().expect("i < n");
                 return Err(FrontendError::at(
                     lineno,
                     format!("unexpected character `{other}`"),
                 ));
             }
-        }
+        };
+        toks.push(tok);
+        i += len;
     }
     Ok(toks)
 }
 
-/// Lexes a numeric literal starting at `b[0]`; returns the token and length
-/// consumed. Handles the `1.eq.2` ambiguity by refusing to absorb a `.`
-/// that begins a dotted operator.
-fn lex_number(b: &[char], lineno: u32) -> Result<(Tok, usize)> {
+/// Length of the run of ASCII letters at the start of `b`.
+fn alpha_run(b: &[u8]) -> usize {
+    b.iter().take_while(|c| c.is_ascii_alphabetic()).count()
+}
+
+/// Lexes a numeric literal at the start of `text`; returns the token and
+/// length consumed. Handles the `1.eq.2` ambiguity by refusing to absorb
+/// a `.` that begins a dotted operator.
+fn lex_number(text: &str, lineno: u32) -> Result<(Tok, usize)> {
+    let b = text.as_bytes();
     let n = b.len();
-    let mut j = 0;
-    while j < n && b[j].is_ascii_digit() {
-        j += 1;
-    }
+    let digits = |from: usize| from + b[from..].iter().take_while(|c| c.is_ascii_digit()).count();
+    let mut j = digits(0);
     let mut is_real = false;
-    if j < n && b[j] == '.' {
+    if j < n && b[j] == b'.' {
         // Is this `.lt.`-style? Look ahead: letters then '.'.
-        let mut k = j + 1;
-        while k < n && b[k].is_ascii_alphabetic() {
-            k += 1;
-        }
-        let dotted_op = k > j + 1 && k < n && b[k] == '.';
+        let k = j + 1 + alpha_run(&b[j + 1..]);
+        let dotted_op = k > j + 1 && k < n && b[k] == b'.';
         if !dotted_op {
             is_real = true;
-            j += 1;
-            while j < n && b[j].is_ascii_digit() {
-                j += 1;
-            }
+            j = digits(j + 1);
         }
     }
     // Exponent: e/d [+/-] digits.
-    if j < n && matches!(b[j], 'e' | 'E' | 'd' | 'D') {
+    if j < n && matches!(b[j], b'e' | b'E' | b'd' | b'D') {
         let mut k = j + 1;
-        if k < n && (b[k] == '+' || b[k] == '-') {
+        if k < n && (b[k] == b'+' || b[k] == b'-') {
             k += 1;
         }
         if k < n && b[k].is_ascii_digit() {
             is_real = true;
-            j = k;
-            while j < n && b[j].is_ascii_digit() {
-                j += 1;
-            }
+            j = digits(k);
         }
     }
-    let text: String = b[..j].iter().collect();
+    let text = &text[..j];
     if is_real {
-        let norm = text.to_lowercase().replace('d', "e");
+        let norm = text.to_ascii_lowercase().replace('d', "e");
         norm.parse::<f64>()
             .map(|v| (Tok::Real(v), j))
             .map_err(|_| FrontendError::at(lineno, format!("bad real literal `{text}`")))
