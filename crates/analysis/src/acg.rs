@@ -37,8 +37,11 @@ pub struct Acg {
     pub topo: Vec<Sym>,
     /// Out-edges per unit.
     pub calls: BTreeMap<Sym, Vec<CallEdge>>,
-    /// In-edges: callee → (caller, site) pairs.
-    pub callers: BTreeMap<Sym, Vec<(Sym, StmtId)>>,
+    /// In-edges: callee → `(caller, i)` pairs, edge `i` of
+    /// `calls[caller]`; callers in topological order, each caller's sites
+    /// in statement order (see [`Acg::edges_into`]). Every unit has an
+    /// entry.
+    pub callers: BTreeMap<Sym, Vec<(Sym, usize)>>,
     /// Known constant iteration ranges of formals: `(unit, formal) → (lo,
     /// hi)` when every call site binds the formal to a loop index (or
     /// constant) with that consistent range.
@@ -86,12 +89,15 @@ impl Acg {
         out
     }
 
-    /// All call edges into `callee`.
-    pub fn edges_into(&self, callee: Sym) -> Vec<&CallEdge> {
-        self.calls
-            .values()
-            .flat_map(|es| es.iter().filter(move |e| e.callee == callee))
-            .collect()
+    /// All call edges into `callee`: callers in topological order, each
+    /// caller's sites in statement order. Reads the [`Acg::callers`]
+    /// index, so it costs the in-degree, not the whole graph.
+    pub fn edges_into(&self, callee: Sym) -> impl Iterator<Item = &CallEdge> + '_ {
+        self.callers
+            .get(&callee)
+            .into_iter()
+            .flatten()
+            .map(|&(caller, i)| &self.calls[&caller][i])
     }
 }
 
@@ -103,16 +109,7 @@ pub fn build_acg(prog: &SourceProgram, info: &ProgramInfo) -> Result<Acg, String
         let mut edges = Vec::new();
         let mut nest: Vec<LoopCtx> = Vec::new();
         collect_calls(u, &u.body, info, &mut nest, &mut edges);
-        for e in &edges {
-            acg.callers
-                .entry(e.callee)
-                .or_default()
-                .push((e.caller, e.site));
-        }
         acg.calls.insert(u.name, edges);
-    }
-    for u in &prog.units {
-        acg.callers.entry(u.name).or_default();
     }
 
     // Topological sort (callers first). Kahn over call edges.
@@ -154,90 +151,61 @@ pub fn build_acg(prog: &SourceProgram, info: &ProgramInfo) -> Result<Acg, String
         );
     }
     acg.topo = topo;
-
-    // Formal range annotations: formal f of P has range (lo,hi) when every
-    // call site binds it to either a constant c (range (c,c)) or a loop
-    // index whose constant bounds are known, and all sites agree... the
-    // annotation keeps the convex hull (min lo, max hi) instead of
-    // requiring exact agreement — ranges are only used for conservative
-    // bound comparisons.
-    // Process callees in topological order so a caller's already-final
-    // formal ranges propagate transitively (F2's `i` inherits F1's `i`
-    // inherits the 1:100 loop of P1 — the annotation of Fig. 5).
-    let topo = acg.topo.clone();
-    for &callee in &topo {
-        let edges: Vec<CallEdge> = acg.edges_into(callee).into_iter().cloned().collect();
-        if edges.is_empty() {
-            continue;
-        }
-        let formals = info.unit(callee).formals.clone();
-        for (i, &f) in formals.iter().enumerate() {
-            let mut hull: Option<(i64, i64)> = None;
-            let mut all_known = true;
-            for e in &edges {
-                let this: Option<(i64, i64)> = match e.actuals.get(i) {
-                    Some(Expr::Int(c)) => Some((*c, *c)),
-                    Some(Expr::Var(v)) => {
-                        let ui = info.unit(e.caller);
-                        e.loops
-                            .iter()
-                            .rev()
-                            .find(|l| l.var == *v)
-                            .and_then(|l| {
-                                let lo = l.lo.as_ref().and_then(Affine::as_const)?;
-                                let hi = l.hi.as_ref().and_then(Affine::as_const)?;
-                                Some((lo, hi))
-                            })
-                            .or_else(|| ui.params.get(v).map(|&c| (c, c)))
-                            .or_else(|| acg.formal_ranges.get(&(e.caller, *v)).copied())
-                    }
-                    _ => None,
-                };
-                match this {
-                    Some((lo, hi)) => {
-                        hull = Some(match hull {
-                            Some((alo, ahi)) => (alo.min(lo), ahi.max(hi)),
-                            None => (lo, hi),
-                        });
-                    }
-                    None => all_known = false,
-                }
-            }
-            if all_known {
-                if let Some(r) = hull {
-                    acg.formal_ranges.insert((callee, f), r);
-                }
+    for u in &prog.units {
+        acg.callers.insert(u.name, Vec::new());
+    }
+    for &caller in &acg.topo {
+        for (i, e) in acg.calls[&caller].iter().enumerate() {
+            if let Some(v) = acg.callers.get_mut(&e.callee) {
+                v.push((caller, i));
             }
         }
     }
+
+    // Formal range annotations: formal f of P has range (lo,hi) when every
+    // call site binds it to either a constant c (range (c,c)) or a loop
+    // index whose constant bounds are known — the convex hull (min lo,
+    // max hi) over the sites, since ranges are only used for conservative
+    // bound comparisons. Loop bounds already have the caller's PARAMETERs
+    // folded in (`expr_affine`), so the PARAMETER table is the whole
+    // constant environment here.
+    refine_formal_ranges(&mut acg, info, &|u| info.unit(u).params.clone());
     Ok(acg)
 }
 
-/// Recomputes formal-range annotations with a richer constant environment
-/// (interprocedural constants folded into loop bounds). Run after
-/// `consts::compute`; `params_of(unit)` supplies each unit's full constant
-/// table.
+/// Adds formal-range annotations under the constant environment
+/// `params_of(unit)` gives each caller, leaving formals that already have
+/// one alone: `build_acg` runs it with each unit's PARAMETERs, and the
+/// driver again after `consts::compute` with the interprocedural
+/// constants folded in, which sharpens loop bounds. Callees are visited
+/// in topological order, so a caller's ranges are final when its callees
+/// read them (F2's `i` inherits F1's `i` inherits the 1:100 loop of P1 —
+/// the annotation of Fig. 5). `params_of` runs once per caller.
 pub fn refine_formal_ranges(
     acg: &mut Acg,
     info: &ProgramInfo,
     params_of: &dyn Fn(Sym) -> BTreeMap<Sym, i64>,
 ) {
-    let topo = acg.topo.clone();
-    for &callee in &topo {
-        let edges: Vec<CallEdge> = acg.edges_into(callee).into_iter().cloned().collect();
-        if edges.is_empty() {
+    let mut params: FxHashMap<Sym, BTreeMap<Sym, i64>> = FxHashMap::default();
+    for &callee in &acg.topo {
+        let formals = &info.unit(callee).formals;
+        // Per formal: `Some(hull so far)` while every site seen binds it
+        // to a known range; `None` once one does not, or when it already
+        // has a range.
+        let mut hulls: Vec<Option<Option<(i64, i64)>>> = formals
+            .iter()
+            .map(|&f| (!acg.formal_ranges.contains_key(&(callee, f))).then_some(None))
+            .collect();
+        if acg.callers[&callee].is_empty() || hulls.iter().all(Option::is_none) {
             continue;
         }
-        let formals = info.unit(callee).formals.clone();
-        for (i, &f) in formals.iter().enumerate() {
-            if acg.formal_ranges.contains_key(&(callee, f)) {
-                continue;
-            }
-            let mut hull: Option<(i64, i64)> = None;
-            let mut all_known = true;
-            for e in &edges {
-                let params = params_of(e.caller);
-                let fold = |a: &Affine| -> Option<i64> { a.eval(&|s| params.get(&s).copied()) };
+        for e in acg.edges_into(callee) {
+            let params = params
+                .entry(e.caller)
+                .or_insert_with(|| params_of(e.caller));
+            let fold = |a: &Affine| -> Option<i64> { a.eval(&|s| params.get(&s).copied()) };
+            for (i, slot) in hulls.iter_mut().enumerate() {
+                let Some(hull) = slot else { continue };
                 let this: Option<(i64, i64)> = match e.actuals.get(i) {
                     Some(Expr::Int(c)) => Some((*c, *c)),
                     Some(Expr::Var(v)) => e
@@ -246,28 +214,25 @@ pub fn refine_formal_ranges(
                         .rev()
                         .find(|l| l.var == *v)
                         .and_then(|l| {
-                            let lo = l.lo.as_ref().and_then(&fold)?;
-                            let hi = l.hi.as_ref().and_then(&fold)?;
+                            let lo = l.lo.as_ref().and_then(fold)?;
+                            let hi = l.hi.as_ref().and_then(fold)?;
                             Some((lo, hi))
                         })
                         .or_else(|| params.get(v).map(|&c| (c, c)))
                         .or_else(|| acg.formal_ranges.get(&(e.caller, *v)).copied()),
                     _ => None,
                 };
-                match this {
-                    Some((lo, hi)) => {
-                        hull = Some(match hull {
-                            Some((alo, ahi)) => (alo.min(lo), ahi.max(hi)),
-                            None => (lo, hi),
-                        });
-                    }
-                    None => all_known = false,
-                }
+                *slot = this.map(|(lo, hi)| {
+                    Some(match *hull {
+                        Some((alo, ahi)) => (alo.min(lo), ahi.max(hi)),
+                        None => (lo, hi),
+                    })
+                });
             }
-            if all_known {
-                if let Some(r) = hull {
-                    acg.formal_ranges.insert((callee, f), r);
-                }
+        }
+        for (&f, slot) in formals.iter().zip(hulls) {
+            if let Some(Some(r)) = slot {
+                acg.formal_ranges.insert((callee, f), r);
             }
         }
     }

@@ -27,10 +27,8 @@ impl InterConsts {
     /// plus interprocedurally-known formals.
     pub fn params_for(&self, unit: Sym, info: &ProgramInfo) -> BTreeMap<Sym, i64> {
         let mut m = info.unit(unit).params.clone();
-        for (&(u, f), &v) in &self.formals {
-            if u == unit {
-                m.insert(f, v);
-            }
+        for (&(_, f), &v) in self.formals.range((unit, Sym(0))..=(unit, Sym(u32::MAX))) {
+            m.insert(f, v);
         }
         m
     }

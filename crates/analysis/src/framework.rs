@@ -42,9 +42,7 @@ use crate::registry::Direction;
 use fortrand_frontend::ast::ProcUnit;
 use fortrand_frontend::sema::UnitInfo;
 use fortrand_ir::{Interner, Sym, SymEnv};
-use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
-use std::hash::{Hash, Hasher};
 use std::time::Instant;
 
 /// A graph the solver can run over: nodes in dependency order, each with
@@ -250,17 +248,7 @@ impl FactStore {
         Self::default()
     }
 
-    /// Records the digest of `rendered` (a deterministic fact rendering)
-    /// for `(problem, unit)`. `Sym(<id>)` occurrences are resolved to
-    /// names first so interner renumbering can't perturb the digest.
-    pub fn record(&mut self, problem: &str, unit: &str, rendered: &str, interner: &Interner) {
-        self.digests.insert(
-            (problem.to_string(), unit.to_string()),
-            stable_hash(rendered, interner),
-        );
-    }
-
-    /// Records a precomputed digest.
+    /// Records the digest for `(problem, unit)`.
     pub fn record_digest(&mut self, problem: &str, unit: &str, digest: u64) {
         self.digests
             .insert((problem.to_string(), unit.to_string()), digest);
@@ -291,26 +279,9 @@ impl FactStore {
     }
 }
 
-fn hash_of(s: &str) -> u64 {
-    let mut h = DefaultHasher::new();
-    s.hash(&mut h);
-    h.finish()
-}
-
-/// Hashes a debug-rendered fact string after resolving `Sym(<id>)`
-/// occurrences to `Sym(<name>)`.
-///
-/// Interner ids are assigned in parse order, so an edit that adds or
-/// removes an identifier early in the file shifts the ids of every later
-/// symbol — which would spuriously change the hashes of *unedited* units
-/// and defeat the §8 recompilation analysis. Resolving ids to names makes
-/// the hashes depend only on what the facts actually say.
-pub fn stable_hash(s: &str, interner: &Interner) -> u64 {
-    hash_of(&resolve_syms(s, interner))
-}
-
 /// Rewrites `Sym(<id>)` occurrences in a debug rendering to
-/// `Sym(<name>)` using the interner.
+/// `Sym(<name>)` using the interner, so a rendering made for a reader
+/// (or a golden file) does not move when ids are renumbered.
 pub fn resolve_syms(s: &str, interner: &Interner) -> String {
     let mut out = String::with_capacity(s.len());
     let mut rest = s;
@@ -365,19 +336,9 @@ impl DataflowGraph for AcgGraph<'_> {
 
     fn deps(&self, n: Sym, dir: Direction) -> Vec<(Sym, &crate::acg::CallEdge)> {
         match dir {
-            Direction::TopDown => {
-                // In-edges, callers enumerated in topological order, each
-                // caller's call sites in statement order.
-                let mut v = Vec::new();
-                for caller in &self.acg.topo {
-                    for e in self.acg.calls.get(caller).into_iter().flatten() {
-                        if e.callee == n {
-                            v.push((*caller, e));
-                        }
-                    }
-                }
-                v
-            }
+            // In-edges, callers enumerated in topological order, each
+            // caller's call sites in statement order.
+            Direction::TopDown => self.acg.edges_into(n).map(|e| (e.caller, e)).collect(),
             _ => self
                 .acg
                 .calls
@@ -468,18 +429,14 @@ mod tests {
 
     #[test]
     fn fact_store_digests_are_per_problem() {
-        let interner = Interner::default();
         let mut fs = FactStore::new();
-        fs.record("constants", "main", "c=8;", &interner);
-        fs.record("reaching", "main", "x: BLOCK", &interner);
-        let d0 = fs.digest("constants", "main").unwrap();
-        fs.record("constants", "main", "c=9;", &interner);
-        assert_ne!(fs.digest("constants", "main").unwrap(), d0);
+        fs.record_digest("constants", "main", 8);
+        fs.record_digest("reaching", "main", 1);
+        fs.record_digest("constants", "main", 9);
+        assert_eq!(fs.digest("constants", "main"), Some(9));
         // The other class is untouched.
-        assert_eq!(
-            fs.digest("reaching", "main").unwrap(),
-            stable_hash("x: BLOCK", &interner)
-        );
+        assert_eq!(fs.digest("reaching", "main"), Some(1));
+        assert_eq!(fs.digest("reaching", "other"), None);
         assert_eq!(fs.len(), 2);
     }
 

@@ -56,6 +56,14 @@ pub struct DecompSpec {
     pub align: Alignment,
 }
 
+impl fortrand_ir::digest::StableHash for DecompSpec {
+    fn stable_hash(&self, d: &mut fortrand_ir::digest::Digester) {
+        self.extents.stable_hash(d);
+        self.kinds.stable_hash(d);
+        self.align.stable_hash(d);
+    }
+}
+
 impl DecompSpec {
     /// Builds the effective [`ArrayDist`] for an array with these extents
     /// on `nprocs` processors.
@@ -219,11 +227,32 @@ struct State {
     val: BTreeMap<Sym, SetRef>,
     /// Per-array current alignment.
     aligned: BTreeMap<Sym, AlignBinding>,
+    /// `aligned` inverted: the arrays bound to each target (no empty
+    /// sets), so a DISTRIBUTE finds its arrays without scanning them all.
+    members: BTreeMap<Sym, BTreeSet<Sym>>,
     /// Last distribution seen per decomposition target.
     dist_of: BTreeMap<Sym, Vec<DistKind>>,
 }
 
 impl State {
+    /// Binds `array` to `binding.target`, replacing its old binding.
+    fn align(&mut self, array: Sym, binding: AlignBinding) {
+        let target = binding.target;
+        if let Some(old) = self.aligned.insert(array, binding) {
+            self.unbind(array, old.target);
+        }
+        self.members.entry(target).or_default().insert(array);
+    }
+
+    fn unbind(&mut self, array: Sym, target: Sym) {
+        if let Some(set) = self.members.get_mut(&target) {
+            set.remove(&array);
+            if set.is_empty() {
+                self.members.remove(&target);
+            }
+        }
+    }
+
     fn merge(&mut self, other: &State) {
         for (k, v) in &other.val {
             match self.val.get_mut(k) {
@@ -237,7 +266,14 @@ impl State {
         }
         // Alignment conflicts collapse to "unknown": drop the binding so a
         // later DISTRIBUTE of the target no longer updates the array.
-        self.aligned.retain(|k, b| other.aligned.get(k) == Some(b));
+        let dropped: Vec<(Sym, Sym)> = (self.aligned.iter())
+            .filter(|&(k, b)| other.aligned.get(k) != Some(b))
+            .map(|(&k, b)| (k, b.target))
+            .collect();
+        for (array, target) in dropped {
+            self.aligned.remove(&array);
+            self.unbind(array, target);
+        }
         self.dist_of.retain(|k, d| other.dist_of.get(k) == Some(d));
     }
 }
@@ -319,7 +355,7 @@ impl DataflowProblem<AcgGraph<'_>> for ReachingProblem<'_> {
                     _ => Arc::clone(&replicated),
                 };
                 st.val.insert(v, set);
-                st.aligned.insert(
+                st.align(
                     v,
                     AlignBinding {
                         target: v,
@@ -441,7 +477,7 @@ impl Walker<'_> {
                     perm: perm.clone(),
                     offset: offset.clone(),
                 };
-                st.aligned.insert(
+                st.align(
                     *array,
                     AlignBinding {
                         target: *target,
@@ -468,11 +504,9 @@ impl Walker<'_> {
                 let extents = self.target_extents(*target);
                 // Every array currently aligned to the target (including the
                 // target itself if it is an array) is re-specified.
-                let affected: Vec<(Sym, Alignment)> = st
-                    .aligned
-                    .iter()
-                    .filter(|(_, b)| b.target == *target)
-                    .map(|(&a, b)| (a, b.align.clone()))
+                let affected: Vec<(Sym, Alignment)> = (st.members.get(target).into_iter())
+                    .flatten()
+                    .map(|&a| (a, st.aligned[&a].align.clone()))
                     .collect();
                 for (a, align) in affected {
                     self.respecify(

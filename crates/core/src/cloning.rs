@@ -92,7 +92,7 @@ pub fn clone_for_decompositions(
             // Partition incoming edges by filtered reaching sets, keeping
             // first-seen order for deterministic clone naming.
             let mut parts: Vec<(PartKey, Vec<StmtId>)> = Vec::new();
-            let mut edges: Vec<_> = acg.edges_into(unit).into_iter().cloned().collect();
+            let mut edges: Vec<_> = acg.edges_into(unit).collect();
             edges.sort_by_key(|e| e.site);
             for e in &edges {
                 let at = rd.at_call.get(&e.site).cloned().unwrap_or_default();

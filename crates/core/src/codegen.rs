@@ -38,6 +38,7 @@ use fortrand_analysis::refs::{collect_refs, ArrayRef, LoopCtx};
 use fortrand_analysis::side_effects::{translate_effects, Sections, SideEffects};
 use fortrand_frontend::ast::*;
 use fortrand_frontend::sema::{expr_affine, ProgramInfo, UnitInfo};
+use fortrand_ir::digest::digest;
 use fortrand_ir::dist::{ArrayDist, DimPartition, DistKind};
 use fortrand_ir::rsd::{Rsd, Triplet};
 use fortrand_ir::{Affine, Sym, SymEnv};
@@ -109,6 +110,10 @@ pub struct CompiledUnit {
     pub residual: Residual,
     /// Dynamic decomposition summary (for caller placement).
     pub dyn_summary: DynDecompSummary,
+    /// Stable digest of the residual and summary (see
+    /// [`CachedUnit`]'s field of the same name): callers' `residuals`
+    /// fact class combines these in call order.
+    pub residual_digest: u64,
 }
 
 /// Compiles every unit, returning the program and per-unit records: the
@@ -268,10 +273,9 @@ impl<'a, 'b> UnitCompiler<'a, 'b> {
         for (&s, &v) in &params {
             env.set_const(s, v);
         }
-        for (&(u, f), &(lo, hi)) in &ctx.acg.formal_ranges {
-            if u == unit.name {
-                env.set_range(f, lo, hi);
-            }
+        let unit_keys = (unit.name, Sym(0))..=(unit.name, Sym(u32::MAX));
+        for (&(_, f), &(lo, hi)) in ctx.acg.formal_ranges.range(unit_keys) {
+            env.set_range(f, lo, hi);
         }
         Ok(UnitCompiler {
             ctx,
@@ -359,10 +363,12 @@ impl<'a, 'b> UnitCompiler<'a, 'b> {
         residual.remap_syms(&mut |s| self.sym(s));
         dyn_summary.remap_syms(&mut |s| self.sym(s));
         let interner = &self.ctx.prog.interner;
+        let residual_digest = digest(&(&residual, &dyn_summary), &self.names);
         CachedUnit {
             proc,
             residual,
             dyn_summary,
+            residual_digest,
             names: self.names,
             dists: self.dist_table,
             callees: self

@@ -11,6 +11,7 @@
 //! can act with the caller's loop context.
 
 use fortrand_analysis::DecompSpec;
+use fortrand_ir::digest::{Digester, StableHash};
 use fortrand_ir::rsd::Rsd;
 use fortrand_ir::{Affine, Sym};
 use std::collections::BTreeSet;
@@ -179,6 +180,71 @@ impl Residual {
         for (s, _, _, _) in &mut self.overlaps {
             *s = f(*s);
         }
+    }
+}
+
+// Structural digests of what a compiled unit hands its callers: the
+// `residuals` fact class of every caller (see `CachedUnit::residual_digest`).
+
+impl StableHash for Residual {
+    fn stable_hash(&self, d: &mut Digester) {
+        self.comms.stable_hash(d);
+        self.iter_constraints.stable_hash(d);
+        self.owner_only.stable_hash(d);
+        self.dyn_decomp.stable_hash(d);
+        self.overlaps.stable_hash(d);
+    }
+}
+
+impl StableHash for PendingComm {
+    fn stable_hash(&self, d: &mut Digester) {
+        d.sym(self.array);
+        self.pattern.stable_hash(d);
+        self.rsd.stable_hash(d);
+    }
+}
+
+impl StableHash for CommPattern {
+    fn stable_hash(&self, d: &mut Digester) {
+        match self {
+            CommPattern::BlockShift { dim, offset } => {
+                d.tag(0);
+                dim.stable_hash(d);
+                d.i64(*offset);
+            }
+            CommPattern::BroadcastDim { dim, index } => {
+                d.tag(1);
+                dim.stable_hash(d);
+                index.stable_hash(d);
+            }
+        }
+    }
+}
+
+impl StableHash for IterConstraint {
+    fn stable_hash(&self, d: &mut Digester) {
+        d.sym(self.formal);
+        d.sym(self.array);
+        self.dim.stable_hash(d);
+    }
+}
+
+impl StableHash for OwnerOnly {
+    fn stable_hash(&self, d: &mut Digester) {
+        d.sym(self.array);
+        self.dim.stable_hash(d);
+        self.index.stable_hash(d);
+        self.out_scalars.stable_hash(d);
+    }
+}
+
+impl StableHash for DynDecompSummary {
+    fn stable_hash(&self, d: &mut Digester) {
+        self.uses.stable_hash(d);
+        self.kills.stable_hash(d);
+        self.before.stable_hash(d);
+        self.after.stable_hash(d);
+        self.value_kills.stable_hash(d);
     }
 }
 

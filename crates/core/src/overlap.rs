@@ -68,16 +68,8 @@ pub fn compute(prog: &SourceProgram, info: &ProgramInfo, acg: &Acg) -> Overlaps 
 
     // Bottom-up: callee formal offsets → caller actual arrays.
     for unit in acg.reverse_topo() {
-        let edges: Vec<_> = acg
-            .calls
-            .get(&unit)
-            .into_iter()
-            .flatten()
-            .cloned()
-            .collect();
-        for e in edges {
-            let callee_formals = info.unit(e.callee).formals.clone();
-            for (i, &f) in callee_formals.iter().enumerate() {
+        for e in acg.calls.get(&unit).into_iter().flatten() {
+            for (i, &f) in info.unit(e.callee).formals.iter().enumerate() {
                 if !info.unit(e.callee).is_array(f) {
                     continue;
                 }
@@ -105,16 +97,8 @@ pub fn compute(prog: &SourceProgram, info: &ProgramInfo, acg: &Acg) -> Overlaps 
 
     // Top-down: caller widths → callee formals, so declarations agree.
     for &unit in &acg.topo {
-        let edges: Vec<_> = acg
-            .calls
-            .get(&unit)
-            .into_iter()
-            .flatten()
-            .cloned()
-            .collect();
-        for e in edges {
-            let callee_formals = info.unit(e.callee).formals.clone();
-            for (i, &f) in callee_formals.iter().enumerate() {
+        for e in acg.calls.get(&unit).into_iter().flatten() {
+            for (i, &f) in info.unit(e.callee).formals.iter().enumerate() {
                 if !info.unit(e.callee).is_array(f) {
                     continue;
                 }

@@ -37,6 +37,11 @@ pub struct CachedUnit {
     pub(crate) residual: Residual,
     /// Dynamic-decomposition summary.
     pub(crate) dyn_summary: DynDecompSummary,
+    /// Digest of `(residual, dyn_summary)`, symbols named through `names`:
+    /// what this unit contributes to each caller's `residuals` fact class.
+    /// Computed once, when the unit is generated, so a store hit costs no
+    /// rendering.
+    pub(crate) residual_digest: u64,
     /// Symbol id → name.
     pub(crate) names: Vec<String>,
     /// Distribution id → distribution.
@@ -268,6 +273,7 @@ mod tests {
             },
             residual: Residual::default(),
             dyn_summary: DynDecompSummary::default(),
+            residual_digest: 0,
             names: vec![tag.repeat(pad.max(1))],
             dists: Vec::new(),
             callees: Vec::new(),

@@ -12,6 +12,8 @@
 //! * [`dist`] — decompositions, alignments and distributions (`BLOCK`,
 //!   `CYCLIC`, `BLOCK_CYCLIC(k)`), together with the owner/local-index
 //!   arithmetic that the partitioning and communication phases rely on.
+//! * [`digest`] — structural digests that name symbols instead of
+//!   numbering them, for the §8 recompilation test and the artifact store.
 //! * [`symenv`] — a small environment of symbol ranges/constants that lets
 //!   the RSD algebra answer symbolic bound comparisons conservatively.
 //!
@@ -23,6 +25,7 @@
 #![forbid(unsafe_code)]
 
 pub mod affine;
+pub mod digest;
 pub mod dist;
 pub mod intern;
 pub mod rsd;
