@@ -795,6 +795,48 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 24, .. ProptestConfig::default() })]
+
+    /// `v(i) = f(v(c))` on purpose: a fixed-element read of the 1-D
+    /// distributed array the loop stores along, under a compile-time
+    /// strategy (the generator above sends every such sweep to run-time
+    /// resolution, so it never asks one). When the loop stores `v(c)`
+    /// before later iterations read it, the read is a flow dependence
+    /// carried across ranks: the compiler must reject the program with the
+    /// pipelining diagnostic, or its runs must match the oracle. `f` is a
+    /// leaf combined by `+`, `-` or `*`, so no case can divide by zero.
+    #[test]
+    fn fixed_element_reads_are_rejected_or_compiled_right(
+        n in 16i64..48,
+        nprocs in 2usize..5,
+        c in 1i64..4,
+        lo_off in 0i64..3,
+        leaf in 0u64..1 << 20,
+        op in 0usize..3,
+        cyclic in any::<bool>(),
+        through_call in any::<bool>(),
+        immediate in any::<bool>(),
+    ) {
+        let f = Expr::grow(1, &mut [leaf].into_iter());
+        let e = bin(["+", "-", "*"][op], f, Expr::VAt(c));
+        let sweep = Sweep {
+            lo_off,
+            ..Sweep::new(if cyclic { e.unshifted() } else { e })
+        };
+        let dist = if cyclic { "CYCLIC" } else { "BLOCK" };
+        let src = render(n, nprocs, dist, &[sweep], through_call, false, None);
+        let strategy = if immediate { Strategy::Immediate } else { Strategy::Interprocedural };
+        let opts = CompileOptions::builder().strategy(strategy).nprocs(nprocs).build();
+        match Session::new(src.as_str()).options(opts).compile() {
+            Err(e) => prop_assert!(e.to_string().contains("requires pipelining"), "{src}: {e}"),
+            Ok(_) => {
+                check(&src, strategy, nprocs, DynOptLevel::Kills, CommOpt::Full);
+            }
+        }
+    }
+}
+
 /// One `Gather` site packing one array across remaps: FIG15 with a
 /// shifted read ahead of the `k` loop, which gives `X` an overlap cell
 /// (`X(0:25)`), and broadcasts of `X(1)` and `X(k)` inside the loop. Under
