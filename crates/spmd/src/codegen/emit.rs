@@ -645,38 +645,23 @@ impl<'a> Emitter<'a> {
                 let ret = self.ret_expr(self.cur);
                 self.w(&format!("return (shim::Flow::Stop, {ret});"));
             }
-            SStmt::Send {
-                to,
-                tag,
-                array,
-                section,
-            } => {
+            SStmt::Send { to, tag, parts } => {
                 let n = self.fresh();
                 let to_s = self.ei(to);
-                let dims = self.rect(section);
-                let arr = self.aname(*array);
                 self.w("{");
                 self.indent += 1;
                 self.w(&format!("let dst_t{n}: i64 = {to_s};"));
                 self.w(&format!(
                     "assert!(dst_t{n} >= 0, \"negative send destination\");"
                 ));
-                self.w(&format!("let dims_t{n}: Vec<(i64, i64, i64)> = {dims};"));
-                self.w(&format!("let buf_t{n} = h.gather({arr}, &dims_t{n});"));
+                self.emit_gather(n, parts);
                 self.w(&format!("cx.send(dst_t{n} as usize, {tag}u64, buf_t{n});"));
                 self.indent -= 1;
                 self.w("}");
             }
-            SStmt::Recv {
-                from,
-                tag,
-                array,
-                section,
-            } => {
+            SStmt::Recv { from, tag, parts } => {
                 let n = self.fresh();
                 let from_s = self.ei(from);
-                let dims = self.rect(section);
-                let arr = self.aname(*array);
                 self.w("{");
                 self.indent += 1;
                 self.w(&format!("let src_t{n}: i64 = {from_s};"));
@@ -687,8 +672,7 @@ impl<'a> Emitter<'a> {
                     "let buf_t{n} = cx.recv(src_t{n} as usize, {tag}u64);"
                 ));
                 // Section dimensions evaluate *after* the receive.
-                self.w(&format!("let dims_t{n}: Vec<(i64, i64, i64)> = {dims};"));
-                self.w(&format!("h.scatter({arr}, &dims_t{n}, &buf_t{n});"));
+                self.emit_unpack(n, parts.iter().map(|(a, s)| (*a, s)));
                 self.indent -= 1;
                 self.w("}");
             }
@@ -755,21 +739,17 @@ impl<'a> Emitter<'a> {
                 handle: _,
                 to,
                 tag,
-                array,
-                section,
+                parts,
             } => {
                 let n = self.fresh();
                 let to_s = self.ei(to);
-                let dims = self.rect(section);
-                let arr = self.aname(*array);
                 self.w("{");
                 self.indent += 1;
                 self.w(&format!("let dst_t{n}: i64 = {to_s};"));
                 self.w(&format!(
                     "assert!(dst_t{n} >= 0, \"negative send destination\");"
                 ));
-                self.w(&format!("let dims_t{n}: Vec<(i64, i64, i64)> = {dims};"));
-                self.w(&format!("let buf_t{n} = h.gather({arr}, &dims_t{n});"));
+                self.emit_gather(n, parts);
                 self.w(&format!(
                     "cx.post_send(dst_t{n} as usize, {tag}u64, buf_t{n});"
                 ));
@@ -794,19 +774,12 @@ impl<'a> Emitter<'a> {
                 self.indent -= 1;
                 self.w("}");
             }
-            SStmt::WaitRecv {
-                handle,
-                array,
-                section,
-            } => {
+            SStmt::WaitRecv { handle, parts } => {
                 let n = self.fresh();
-                let dims = self.rect(section);
-                let arr = self.aname(*array);
                 self.w("{");
                 self.indent += 1;
                 self.w(&format!("let buf_t{n} = cx.wait_recv({handle}u32);"));
-                self.w(&format!("let dims_t{n}: Vec<(i64, i64, i64)> = {dims};"));
-                self.w(&format!("h.scatter({arr}, &dims_t{n}, &buf_t{n});"));
+                self.emit_unpack(n, parts.iter().map(|(a, s)| (*a, s)));
                 self.indent -= 1;
                 self.w("}");
             }
@@ -899,7 +872,29 @@ impl<'a> Emitter<'a> {
         self.w("} else { None };");
     }
 
-    /// All-ranks side of a broadcast: `buf_t{n}` scattered into each
+    /// A point-to-point payload: `buf_t{n}` is every part gathered, in
+    /// order. A single section is its gathered buffer; several are
+    /// appended to one.
+    fn emit_gather(&mut self, n: u32, parts: &[(Sym, SRect)]) {
+        if let [(array, section)] = parts {
+            let dims = self.rect(section);
+            let arr = self.aname(*array);
+            self.w(&format!("let dims_t{n}: Vec<(i64, i64, i64)> = {dims};"));
+            self.w(&format!("let buf_t{n} = h.gather({arr}, &dims_t{n});"));
+            return;
+        }
+        self.w(&format!("let mut buf_t{n}: Vec<f64> = Vec::new();"));
+        for (array, section) in parts {
+            let g = format!(
+                "buf_t{n}.extend_from_slice(&h.gather({}, &{}));",
+                self.aname(*array),
+                self.rect(section)
+            );
+            self.w(&g);
+        }
+    }
+
+    /// The receiving side of a message: `buf_t{n}` scattered into each
     /// destination in order. A single section takes the whole payload;
     /// several advance an offset cursor by their rect lengths.
     fn emit_unpack<'s>(

@@ -585,10 +585,12 @@ mod tests {
                 then_body: vec![SStmt::Send {
                     to: SExpr::Int(1),
                     tag: 7,
-                    array: a,
-                    section: SRect {
-                        dims: vec![(SExpr::Int(lb), SExpr::Int(lb), 1)],
-                    },
+                    parts: vec![(
+                        a,
+                        SRect {
+                            dims: vec![(SExpr::Int(lb), SExpr::Int(lb), 1)],
+                        },
+                    )],
                 }],
                 else_body: vec![],
             },
@@ -601,10 +603,12 @@ mod tests {
                 then_body: vec![SStmt::Recv {
                     from: SExpr::Int(0),
                     tag: 7,
-                    array: a,
-                    section: SRect {
-                        dims: vec![(SExpr::Int(1), SExpr::Int(1), 1)],
-                    },
+                    parts: vec![(
+                        a,
+                        SRect {
+                            dims: vec![(SExpr::Int(1), SExpr::Int(1), 1)],
+                        },
+                    )],
                 }],
                 else_body: vec![],
             },

@@ -318,28 +318,29 @@ pub enum SStmt {
     },
     /// Return from the current procedure.
     Return,
-    /// Vectorized section send: gathers `array[section]` (local indices)
-    /// and ships one message.
+    /// Vectorized section send: gathers every part's `array[section]`
+    /// (local indices) into one message, in order. Codegen emits one
+    /// part; the communication optimizer ([`crate::opt`]) aggregates the
+    /// exchanges of one statement list that share a guard and a peer
+    /// (one α instead of several).
     Send {
         /// Destination rank.
         to: SExpr,
         /// Message tag.
         tag: u64,
-        /// Source array.
-        array: Sym,
-        /// Section (local index space).
-        section: SRect,
+        /// Source array and section (local index space) of each part;
+        /// never empty.
+        parts: Vec<(Sym, SRect)>,
     },
-    /// Matching receive: scatters into `array[section]`.
+    /// Matching receive: scatters the message into every part's
+    /// `array[section]`, in order.
     Recv {
         /// Source rank.
         from: SExpr,
         /// Message tag.
         tag: u64,
-        /// Destination array.
-        array: Sym,
-        /// Section (local index space).
-        section: SRect,
+        /// Destination array and section of each part; never empty.
+        parts: Vec<(Sym, SRect)>,
     },
     /// Run-time resolution element send.
     SendElem {
@@ -375,8 +376,8 @@ pub enum SStmt {
         /// Sections broadcast, packed in order; never empty.
         parts: Vec<BcastPart>,
     },
-    /// Nonblocking half of [`SStmt::Send`]: gathers `array[section]` and
-    /// posts the message immediately (the sender is charged the message
+    /// Nonblocking half of [`SStmt::Send`]: gathers its parts and posts
+    /// the message immediately (the sender is charged the message
     /// startup α only; the per-byte cost overlaps with subsequent compute).
     /// Produced by the `overlap` communication-optimizer level; every
     /// `PostSend` is paired with exactly one later [`SStmt::WaitSend`] with
@@ -388,10 +389,8 @@ pub enum SStmt {
         to: SExpr,
         /// Message tag.
         tag: u64,
-        /// Source array.
-        array: Sym,
-        /// Section (local index space).
-        section: SRect,
+        /// Source array and section of each part, packed in order.
+        parts: Vec<(Sym, SRect)>,
     },
     /// Completion point of a [`SStmt::PostSend`]. The payload was captured
     /// at the post, so this is pure bookkeeping (frees the handle).
@@ -411,14 +410,12 @@ pub enum SStmt {
         tag: u64,
     },
     /// Completion point of a [`SStmt::PostRecv`]: blocks until the posted
-    /// message is available and scatters it into `array[section]`.
+    /// message is available and scatters it into its parts, in order.
     WaitRecv {
         /// Handle of the matching post.
         handle: u32,
-        /// Destination array.
-        array: Sym,
-        /// Section (local index space).
-        section: SRect,
+        /// Destination array and section of each part, unpacked in order.
+        parts: Vec<(Sym, SRect)>,
     },
     /// Nonblocking half of [`SStmt::Bcast`]: the root gathers the source
     /// half of every part and posts the broadcast (charged α on the root;

@@ -331,27 +331,28 @@ impl SStmt {
             SStmt::Send {
                 to: peer,
                 tag: _,
-                array,
-                section,
+                parts,
             }
             | SStmt::PostSend {
                 handle: _,
                 to: peer,
                 tag: _,
-                array,
-                section,
+                parts,
             } => {
                 f(Operand::Expr(peer));
-                array_operand(*array, Access::Read, section, f);
+                for (array, section) in parts {
+                    array_operand(*array, Access::Read, section, f);
+                }
             }
             SStmt::Recv {
                 from,
                 tag: _,
-                array,
-                section,
+                parts,
             } => {
                 f(Operand::Expr(from));
-                array_operand(*array, Access::Write, section, f);
+                for (array, section) in parts {
+                    array_operand(*array, Access::Write, section, f);
+                }
             }
             SStmt::SendElem { to, tag: _, value } => {
                 f(Operand::Expr(to));
@@ -373,11 +374,11 @@ impl SStmt {
                 from,
                 tag: _,
             } => f(Operand::Expr(from)),
-            SStmt::WaitRecv {
-                handle: _,
-                array,
-                section,
-            } => array_operand(*array, Access::Write, section, f),
+            SStmt::WaitRecv { handle: _, parts } => {
+                for (array, section) in parts {
+                    array_operand(*array, Access::Write, section, f);
+                }
+            }
             SStmt::PostBcast {
                 handle: _,
                 root,
@@ -470,27 +471,28 @@ impl SStmt {
             SStmt::Send {
                 to: peer,
                 tag: _,
-                array,
-                section,
+                parts,
             }
             | SStmt::PostSend {
                 handle: _,
                 to: peer,
                 tag: _,
-                array,
-                section,
+                parts,
             } => {
                 f(OperandMut::Expr(peer));
-                array_operand_mut(array, Access::Read, section, f);
+                for (array, section) in parts {
+                    array_operand_mut(array, Access::Read, section, f);
+                }
             }
             SStmt::Recv {
                 from,
                 tag: _,
-                array,
-                section,
+                parts,
             } => {
                 f(OperandMut::Expr(from));
-                array_operand_mut(array, Access::Write, section, f);
+                for (array, section) in parts {
+                    array_operand_mut(array, Access::Write, section, f);
+                }
             }
             SStmt::SendElem { to, tag: _, value } => {
                 f(OperandMut::Expr(to));
@@ -512,11 +514,11 @@ impl SStmt {
                 from,
                 tag: _,
             } => f(OperandMut::Expr(from)),
-            SStmt::WaitRecv {
-                handle: _,
-                array,
-                section,
-            } => array_operand_mut(array, Access::Write, section, f),
+            SStmt::WaitRecv { handle: _, parts } => {
+                for (array, section) in parts {
+                    array_operand_mut(array, Access::Write, section, f);
+                }
+            }
             SStmt::PostBcast {
                 handle: _,
                 root,

@@ -1015,12 +1015,18 @@ impl ProcLowerer<'_> {
         }
     }
 
-    /// The root's side of a broadcast: every source section gathered into
-    /// the outgoing buffer, in order, under one branch the other ranks
-    /// take (the bounds evaluate on the root only).
+    /// The root's side of a broadcast: the sources gathered under one
+    /// branch the other ranks take (the bounds evaluate on the root only).
     fn lower_bcast_gather<'s>(&mut self, root: Reg, src: impl Iterator<Item = (Sym, &'s SRect)>) {
         let br = self.code.len();
         self.code.push(Instr::BrNotRank { root, to: 0 });
+        self.lower_gather(src);
+        let after = self.here();
+        self.patch(br, after);
+    }
+
+    /// Every source section gathered into the outgoing buffer, in order.
+    fn lower_gather<'s>(&mut self, src: impl IntoIterator<Item = (Sym, &'s SRect)>) {
         for (array, section) in src {
             let mark = self.next_reg;
             let arr = self.layout.arr_of(array, self.prog);
@@ -1028,16 +1034,14 @@ impl ProcLowerer<'_> {
             self.code.push(Instr::Gather { arr, sec });
             self.free_to(mark);
         }
-        let after = self.here();
-        self.patch(br, after);
     }
 
-    /// Every rank's side of a broadcast: the incoming payload scattered
+    /// The receiving side of a message: the incoming payload scattered
     /// into each destination, in order. A single section spans the whole
     /// message; each of several is a slice the tree engine sizes by
     /// enumerating the section once before it scatters, so its bounds are
     /// evaluated twice to keep charge totals equal (the first set is dead).
-    fn lower_bcast_scatter<'s>(&mut self, dst: impl ExactSizeIterator<Item = (Sym, &'s SRect)>) {
+    fn lower_scatter<'s>(&mut self, dst: impl ExactSizeIterator<Item = (Sym, &'s SRect)>) {
         let whole = dst.len() == 1;
         for (array, section) in dst {
             let mark = self.next_reg;
@@ -1216,35 +1220,17 @@ impl ProcLowerer<'_> {
             }
             SStmt::Return => self.code.push(Instr::Return),
             SStmt::Stop => self.code.push(Instr::Stop),
-            SStmt::Send {
-                to,
-                tag,
-                array,
-                section,
-            } => {
+            SStmt::Send { to, tag, parts } => {
                 let t = self.lower_expr(to);
-                let arr = self.layout.arr_of(*array, self.prog);
-                let sec = self.lower_section(section);
-                self.code.push(Instr::Gather { arr, sec });
+                self.lower_gather(parts.iter().map(|(a, s)| (*a, s)));
                 self.code.push(Instr::SendMsg { to: t, tag: *tag });
             }
-            SStmt::Recv {
-                from,
-                tag,
-                array,
-                section,
-            } => {
+            SStmt::Recv { from, tag, parts } => {
                 let f = self.lower_expr(from);
                 self.code.push(Instr::RecvMsg { from: f, tag: *tag });
                 // Destination bounds are evaluated after the receive,
                 // matching the tree engine's charge windows.
-                let arr = self.layout.arr_of(*array, self.prog);
-                let sec = self.lower_section(section);
-                self.code.push(Instr::Scatter {
-                    arr,
-                    sec,
-                    exact: true,
-                });
+                self.lower_scatter(parts.iter().map(|(a, s)| (*a, s)));
             }
             SStmt::SendElem { to, tag, value } => {
                 let t = self.lower_expr(to);
@@ -1290,19 +1276,16 @@ impl ProcLowerer<'_> {
                     root: r,
                     tag: bcast_tag(parts.len()),
                 });
-                self.lower_bcast_scatter(parts.iter().map(BcastPart::dst));
+                self.lower_scatter(parts.iter().map(BcastPart::dst));
             }
             SStmt::PostSend {
                 handle: _,
                 to,
                 tag,
-                array,
-                section,
+                parts,
             } => {
                 let t = self.lower_expr(to);
-                let arr = self.layout.arr_of(*array, self.prog);
-                let sec = self.lower_section(section);
-                self.code.push(Instr::Gather { arr, sec });
+                self.lower_gather(parts.iter().map(|(a, s)| (*a, s)));
                 self.code.push(Instr::PostSendMsg { to: t, tag: *tag });
             }
             SStmt::WaitSend { handle: _ } => {
@@ -1316,21 +1299,11 @@ impl ProcLowerer<'_> {
                     handle: *handle,
                 });
             }
-            SStmt::WaitRecv {
-                handle,
-                array,
-                section,
-            } => {
+            SStmt::WaitRecv { handle, parts } => {
                 self.code.push(Instr::WaitRecvMsg { handle: *handle });
                 // Destination bounds are evaluated after the receive
                 // completes, matching `Recv` (and the tree engine).
-                let arr = self.layout.arr_of(*array, self.prog);
-                let sec = self.lower_section(section);
-                self.code.push(Instr::Scatter {
-                    arr,
-                    sec,
-                    exact: true,
-                });
+                self.lower_scatter(parts.iter().map(|(a, s)| (*a, s)));
             }
             SStmt::PostBcast { handle, root, src } => {
                 let r = self.lower_expr(root);
@@ -1343,7 +1316,7 @@ impl ProcLowerer<'_> {
             }
             SStmt::WaitBcast { handle, dst } => {
                 self.code.push(Instr::WaitBcastMsg { handle: *handle });
-                self.lower_bcast_scatter(dst.iter().map(|(a, s)| (*a, s)));
+                self.lower_scatter(dst.iter().map(|(a, s)| (*a, s)));
             }
             SStmt::Remap { array, to_dist } => {
                 let arr = self.layout.arr_of(*array, self.prog);

@@ -249,8 +249,7 @@ fn hoist_post(out: &mut Vec<SStmt>, post: SStmt, reads: &PostReads, cx: &mut Cx<
 /// A receive wait being sunk forward past independent statements.
 struct PendingWait {
     handle: u32,
-    array: Sym,
-    section: SRect,
+    parts: Vec<(Sym, SRect)>,
     /// Scalars the section bounds mention (a crossed statement must not
     /// assign them) — the bounds are evaluated at the wait.
     scalars: BTreeSet<Sym>,
@@ -271,7 +270,7 @@ fn can_sink_past(s: &SStmt, pending: &[PendingWait], cx: &Cx<'_>) -> bool {
     let mut written = BTreeSet::new();
     collect_written_arrays(std::slice::from_ref(s), cx.wf, &mut written);
     pending.iter().all(|pw| {
-        !mentions_array(std::slice::from_ref(s), pw.array)
+        (pw.parts.iter()).all(|(a, _)| !mentions_array(std::slice::from_ref(s), *a))
             && pw.scalars.iter().all(|v| !assigned.contains(v))
             && pw.read_arrays.iter().all(|a| !written.contains(a))
     })
@@ -284,8 +283,7 @@ fn flush_pending(out: &mut Vec<SStmt>, pending: &mut Vec<PendingWait>, cx: &mut 
         }
         out.push(SStmt::WaitRecv {
             handle: pw.handle,
-            array: pw.array,
-            section: pw.section,
+            parts: pw.parts,
         });
     }
 }
@@ -305,34 +303,25 @@ fn overlap_stmts(stmts: Vec<SStmt>, cx: &mut Cx<'_>, interner: &mut Interner) ->
             flush_pending(&mut out, &mut pending, cx);
         }
         match s {
-            SStmt::Send {
-                to,
-                tag,
-                array,
-                section,
-            } => {
+            SStmt::Send { to, tag, parts } => {
                 cx.overlapped += 1;
                 let h = cx.fresh_handle();
                 let mut reads = PostReads::new();
-                reads.arrays.insert(array);
                 reads.add_expr(&to);
-                reads.add_rect(&section);
+                for (array, section) in &parts {
+                    reads.arrays.insert(*array);
+                    reads.add_rect(section);
+                }
                 let post = SStmt::PostSend {
                     handle: h,
                     to,
                     tag,
-                    array,
-                    section,
+                    parts,
                 };
                 hoist_post(&mut out, post, &reads, cx);
                 out.push(SStmt::WaitSend { handle: h });
             }
-            SStmt::Recv {
-                from,
-                tag,
-                array,
-                section,
-            } => {
+            SStmt::Recv { from, tag, parts } => {
                 cx.overlapped += 1;
                 let h = cx.fresh_handle();
                 out.push(SStmt::PostRecv {
@@ -342,20 +331,17 @@ fn overlap_stmts(stmts: Vec<SStmt>, cx: &mut Cx<'_>, interner: &mut Interner) ->
                 });
                 let mut scalars = BTreeSet::new();
                 let mut read_arrays = BTreeSet::new();
-                for (lo, hi, _) in &section.dims {
-                    for e in [lo, hi] {
-                        e.walk(&mut |x| {
-                            if let SExpr::Var(v) = x {
-                                scalars.insert(*v);
-                            }
-                        });
-                        expr_read_arrays(e, &mut read_arrays);
-                    }
+                for e in parts.iter().flat_map(|(_, section)| section.bounds()) {
+                    e.walk(&mut |x| {
+                        if let SExpr::Var(v) = x {
+                            scalars.insert(*v);
+                        }
+                    });
+                    expr_read_arrays(e, &mut read_arrays);
                 }
                 pending.push(PendingWait {
                     handle: h,
-                    array,
-                    section,
+                    parts,
                     scalars,
                     read_arrays,
                     origin: out.len(),

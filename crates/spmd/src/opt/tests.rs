@@ -190,8 +190,7 @@ fn send(tag: u64, array: Sym, lo: i64, hi: i64) -> SStmt {
     SStmt::Send {
         to: SExpr::Int(1),
         tag,
-        array,
-        section: rect(lo, hi),
+        parts: vec![(array, rect(lo, hi))],
     }
 }
 
@@ -199,8 +198,7 @@ fn recv(tag: u64, array: Sym, lo: i64, hi: i64) -> SStmt {
     SStmt::Recv {
         from: SExpr::Int(0),
         tag,
-        array,
-        section: rect(lo, hi),
+        parts: vec![(array, rect(lo, hi))],
     }
 }
 
@@ -306,8 +304,7 @@ fn overlap_sinks_recv_wait_only_past_independent_compute() {
     let recv = SStmt::Recv {
         from: SExpr::Int(1),
         tag: 7,
-        array: b,
-        section: rect(1, 2),
+        parts: vec![(b, rect(1, 2))],
     };
     let indep = SStmt::Assign {
         lhs: SLval::Elem {

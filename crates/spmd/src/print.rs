@@ -180,26 +180,17 @@ impl Printer<'_> {
             SStmt::Assign { lhs, rhs } => {
                 format!("{} = {}", self.lval(lhs), self.expr(rhs, 0))
             }
-            SStmt::Send {
-                to, array, section, ..
-            } => {
+            SStmt::Send { to, parts, .. } => {
                 format!(
-                    "send {}{} to {}",
-                    self.name(*array).to_uppercase(),
-                    self.rect(section),
+                    "send {} to {}",
+                    self.sections(parts.iter().map(|(a, s)| (*a, s))),
                     self.expr(to, 0)
                 )
             }
-            SStmt::Recv {
-                from,
-                array,
-                section,
-                ..
-            } => {
+            SStmt::Recv { from, parts, .. } => {
                 format!(
-                    "recv {}{} from {}",
-                    self.name(*array).to_uppercase(),
-                    self.rect(section),
+                    "recv {} from {}",
+                    self.sections(parts.iter().map(|(a, s)| (*a, s))),
                     self.expr(from, 0)
                 )
             }
@@ -216,13 +207,10 @@ impl Printer<'_> {
                     self.expr(root, 0)
                 )
             }
-            SStmt::PostSend {
-                to, array, section, ..
-            } => {
+            SStmt::PostSend { to, parts, .. } => {
                 format!(
-                    "post send {}{} to {}",
-                    self.name(*array).to_uppercase(),
-                    self.rect(section),
+                    "post send {} to {}",
+                    self.sections(parts.iter().map(|(a, s)| (*a, s))),
                     self.expr(to, 0)
                 )
             }
@@ -230,11 +218,10 @@ impl Printer<'_> {
             SStmt::PostRecv { from, .. } => {
                 format!("post recv from {}", self.expr(from, 0))
             }
-            SStmt::WaitRecv { array, section, .. } => {
+            SStmt::WaitRecv { parts, .. } => {
                 format!(
-                    "wait recv {}{}",
-                    self.name(*array).to_uppercase(),
-                    self.rect(section)
+                    "wait recv {}",
+                    self.sections(parts.iter().map(|(a, s)| (*a, s)))
                 )
             }
             SStmt::PostBcast { root, src, .. } => {
@@ -295,7 +282,7 @@ impl Printer<'_> {
         }
     }
 
-    /// The sections of a broadcast: `A(..)` alone, `[A(..), B(..)]` packed.
+    /// The sections of a message: `A(..)` alone, `[A(..), B(..)]` packed.
     fn sections<'s>(&mut self, items: impl Iterator<Item = (Sym, &'s SRect)>) -> String {
         let items: Vec<String> = items
             .map(|(a, r)| format!("{}{}", self.name(a).to_uppercase(), self.rect(r)))
@@ -473,8 +460,7 @@ mod tests {
                 then_body: vec![SStmt::Send {
                     to: SExpr::sub(SExpr::MyP, SExpr::int(1)),
                     tag: 0,
-                    array: x,
-                    section: SRect::one(SExpr::int(1), SExpr::int(5)),
+                    parts: vec![(x, SRect::one(SExpr::int(1), SExpr::int(5)))],
                 }],
                 else_body: vec![],
             },
@@ -483,8 +469,7 @@ mod tests {
                 then_body: vec![SStmt::Recv {
                     from: SExpr::add(SExpr::MyP, SExpr::int(1)),
                     tag: 0,
-                    array: x,
-                    section: SRect::one(SExpr::int(26), SExpr::int(30)),
+                    parts: vec![(x, SRect::one(SExpr::int(26), SExpr::int(30)))],
                 }],
                 else_body: vec![],
             },

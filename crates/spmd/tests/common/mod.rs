@@ -113,15 +113,13 @@ pub fn every_kind() -> (SpmdProgram, Sym) {
         SStmt::Send {
             to: int_(1),
             tag: 7,
-            array: a,
-            section: rect(int_(1), int_(4)),
+            parts: vec![(a, rect(int_(1), int_(4)))],
         },
         // 2: the array and a read in its section's bound.
         SStmt::Recv {
             from: int_(0),
             tag: 7,
-            array: a,
-            section: rect(int_(1), elem(a, int_(1))),
+            parts: vec![(a, rect(int_(1), elem(a, int_(1))))],
         },
         // 1
         SStmt::SendElem {
@@ -159,8 +157,7 @@ pub fn every_kind() -> (SpmdProgram, Sym) {
             handle: 0,
             to: int_(1),
             tag: 10,
-            array: a,
-            section: rect(int_(1), int_(2)),
+            parts: vec![(a, rect(int_(1), int_(2)))],
         },
         SStmt::WaitSend { handle: 0 },
         SStmt::PostRecv {
@@ -171,8 +168,7 @@ pub fn every_kind() -> (SpmdProgram, Sym) {
         // 1
         SStmt::WaitRecv {
             handle: 1,
-            array: a,
-            section: rect(int_(3), int_(4)),
+            parts: vec![(a, rect(int_(3), int_(4)))],
         },
         // 1
         SStmt::PostBcast {

@@ -315,14 +315,12 @@ fn comm_only_cost_model_times_messages_exactly() {
             then_body: vec![SStmt::Send {
                 to: SExpr::int(1),
                 tag: 1,
-                array: a,
-                section: SRect::one(SExpr::int(1), SExpr::int(2)),
+                parts: vec![(a, SRect::one(SExpr::int(1), SExpr::int(2)))],
             }],
             else_body: vec![SStmt::Recv {
                 from: SExpr::int(0),
                 tag: 1,
-                array: a,
-                section: SRect::one(SExpr::int(1), SExpr::int(2)),
+                parts: vec![(a, SRect::one(SExpr::int(1), SExpr::int(2)))],
             }],
         }],
     });

@@ -166,8 +166,7 @@ fn recv_msg_suspends_and_resumes() {
                     vec![SStmt::Send {
                         to: SExpr::int(r),
                         tag: 7,
-                        array: a,
-                        section: all(),
+                        parts: vec![(a, all())],
                     }],
                 ),
                 on_rank(
@@ -175,8 +174,7 @@ fn recv_msg_suspends_and_resumes() {
                     vec![SStmt::Recv {
                         from: SExpr::int(s),
                         tag: 7,
-                        array: b,
-                        section: all(),
+                        parts: vec![(b, all())],
                     }],
                 ),
             ]
@@ -243,8 +241,7 @@ fn wait_recv_msg_suspends_and_resumes() {
                             handle: 1,
                             to: SExpr::int(r),
                             tag: 9,
-                            array: a,
-                            section: all(),
+                            parts: vec![(a, all())],
                         },
                         SStmt::WaitSend { handle: 1 },
                     ],
@@ -253,8 +250,7 @@ fn wait_recv_msg_suspends_and_resumes() {
                     r,
                     vec![SStmt::WaitRecv {
                         handle: 0,
-                        array: b,
-                        section: all(),
+                        parts: vec![(b, all())],
                     }],
                 ),
             ]

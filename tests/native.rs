@@ -301,10 +301,12 @@ fn rank_failure_propagates() {
                 then_body: vec![SStmt::Recv {
                     from: SExpr::Int(-1),
                     tag: 3,
-                    array: a,
-                    section: SRect {
-                        dims: vec![(SExpr::Int(1), SExpr::Int(1), 1)],
-                    },
+                    parts: vec![(
+                        a,
+                        SRect {
+                            dims: vec![(SExpr::Int(1), SExpr::Int(1), 1)],
+                        },
+                    )],
                 }],
                 else_body: vec![],
             }],
