@@ -654,8 +654,8 @@ fig15 Hoist tree: sw=10 smsgs=24 rpeak=4 qpeak=11 instrs=0 fused=0 time=40857bae
 fig15 Hoist vm: sw=10 smsgs=24 rpeak=4 qpeak=11 instrs=696 fused=4300 time=40857bae147ae147 wait=0000000000000000 posts=0 waits=0 msgs=24 bytes=1152\n\
 fig15 Kills tree: sw=7 smsgs=12 rpeak=4 qpeak=9 instrs=0 fused=0 time=40768a6666666667 wait=0000000000000000 posts=0 waits=0 msgs=12 bytes=576\n\
 fig15 Kills vm: sw=7 smsgs=12 rpeak=4 qpeak=9 instrs=696 fused=4300 time=40768a6666666667 wait=0000000000000000 posts=0 waits=0 msgs=12 bytes=576\n\
-wide tree: sw=10 smsgs=48 rpeak=4 qpeak=18 instrs=0 fused=0 time=409697851eb851ea wait=409564ae147ae145 posts=0 waits=0 msgs=48 bytes=1392\n\
-wide vm: sw=10 smsgs=48 rpeak=4 qpeak=18 instrs=2308 fused=6762 time=409697851eb851ea wait=409564ae147ae145 posts=0 waits=0 msgs=48 bytes=1392\n\
+wide tree: sw=10 smsgs=27 rpeak=4 qpeak=11 instrs=0 fused=0 time=408cbcf5c28f5c29 wait=408a5fae147ae147 posts=0 waits=0 msgs=27 bytes=1392\n\
+wide vm: sw=10 smsgs=27 rpeak=4 qpeak=11 instrs=1964 fused=6762 time=408cbcf5c28f5c29 wait=408a5fae147ae147 posts=0 waits=0 msgs=27 bytes=1392\n\
 ";
 
 /// Renders a compact stencil-sweep program (same generator space as
