@@ -21,6 +21,10 @@
 //!    recv/recv pairs over adjacent sections of the same array merge when
 //!    the pairing is provably symmetric. Adjacency is judged on linear
 //!    forms over scalar variables, comm-opt's one bound prover (`lin`).
+//!    The exchanges of one statement list that share a guard and a peer
+//!    aggregate into one message over a parts list, hoisted across the
+//!    statements and calls that neither mention their arrays nor assign
+//!    the scalars their guards and bounds read.
 //!
 //! Every transformation preserves bit-identical array results: shadows
 //! perform the same IEEE operations on the same broadcast bytes every rank
