@@ -50,26 +50,24 @@ pub struct Acg {
 
 impl Acg {
     /// Units in reverse topological order (callees before callers) — the
-    /// interprocedural code-generation order (paper §5).
+    /// one interprocedural code-generation order (paper §5).
     ///
-    /// Defined as the flattening of [`Acg::wavefront_levels`], so the
-    /// sequential driver and the wavefront-parallel driver visit units in
-    /// exactly the same order and produce byte-identical output.
+    /// Defined as the flattening of `wavefront_levels`: leaves first,
+    /// then each unit one level above its deepest callee. The order
+    /// interns names and numbers distributions in the emitted program,
+    /// so every golden pins it.
     pub fn reverse_topo(&self) -> Vec<Sym> {
         self.wavefront_levels().into_iter().flatten().collect()
     }
 
-    /// Wavefront levels for parallel code generation. Level 0 holds the
-    /// leaves; a unit's level is `1 + max(level of its callees)`. Units
-    /// within one level share no call edges (directly or transitively), so
-    /// their code generation is independent and can run concurrently; the
-    /// levels themselves are compiled in order, acting as the barriers of
-    /// the paper's reverse-topological single pass.
+    /// The units by level. Level 0 holds the leaves; a unit's level is
+    /// `1 + max(level of its callees)`, so units of one level share no
+    /// call edges (directly or transitively).
     ///
     /// Within a level, units keep their relative order from the plain
     /// reversed topological sort, which makes the flattened order a
     /// deterministic, callees-before-callers refinement of it.
-    pub fn wavefront_levels(&self) -> Vec<Vec<Sym>> {
+    fn wavefront_levels(&self) -> Vec<Vec<Sym>> {
         let mut level: BTreeMap<Sym, usize> = BTreeMap::new();
         // `topo` is callers-first, so the reverse iteration sees every
         // callee before its callers.

@@ -1,7 +1,7 @@
 //! SPMD code generation.
 //!
-//! Each program unit is compiled (in reverse topological order) into a
-//! node procedure. The generator implements the paper's compilation
+//! Each program unit is compiled into a node procedure, in one pass in
+//! reverse topological order (`incremental::sweep`). The generator implements the paper's compilation
 //! strategy concretely:
 //!
 //! * **data partitioning** — each array's unique reaching decomposition
@@ -117,21 +117,20 @@ pub struct CompiledUnit {
 }
 
 /// Compiles every unit, returning the program and per-unit records: the
-/// code-generation sweep (`incremental::sweep`) with no artifact store
-/// and no worker pool. With an enabled `trace`, each unit's compilation is
-/// a complete span on the driver track.
+/// code-generation sweep (`incremental::sweep`) with no artifact store.
+/// With an enabled `trace`, each unit's compilation is a complete span on
+/// the driver track.
 pub fn compile_all(
     ctx: &Ctx,
     trace: &fortrand_trace::Trace,
 ) -> R<(SpmdProgram, BTreeMap<Sym, CompiledUnit>)> {
-    let sweep = crate::incremental::sweep(ctx, None, None, 0, &Default::default(), trace)?;
+    let sweep = crate::incremental::sweep(ctx, None, 0, &Default::default(), trace)?;
     Ok((sweep.spmd, sweep.compiled))
 }
 
 /// Generates a single unit, with every callee's record already present in
 /// `compiled`/`dyn_summaries`, as a position-independent [`CachedUnit`]:
-/// the same value whether the sweep generates it inline or on a pool
-/// worker, and whether it is then grafted only or also stored.
+/// the same value whether it is then grafted only or also stored.
 pub(crate) fn compile_one(
     ctx: &Ctx,
     name: Sym,

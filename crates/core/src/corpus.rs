@@ -195,8 +195,7 @@ pub fn adi_source(n: i64, steps: i64, nprocs: usize) -> String {
 /// A wide, call-independent corpus for compile-time benchmarking: `procs`
 /// leaf subroutines, each sweeping its own pair of BLOCK-distributed
 /// arrays with a distinct stencil shift, all called from the main program.
-/// The ACG is a single wavefront level of `procs` independent units below
-/// the root — the shape the wavefront-parallel code generator exploits.
+/// The ACG is `procs` independent leaves below the root.
 pub fn wide_corpus(procs: usize, n: i64, nprocs: usize) -> String {
     let mut s = String::new();
     s.push_str(&format!(

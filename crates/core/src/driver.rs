@@ -10,7 +10,7 @@
 //!    instantiation).
 //!
 //! Phase 3 is one sweep (`incremental::sweep`) for every kind of
-//! compile — sequential, pooled, store-backed. It also produces per-unit
+//! compile, with or without an artifact store. It also produces per-unit
 //! *fact hashes* — digests of the interprocedural information each unit's
 //! code depends on — which key the artifact store and which the
 //! [`crate::recompile`] module compares across compilations to decide what
@@ -44,14 +44,17 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 
-/// How the code-generation phase is scheduled.
+/// A code-generation schedule, as [`crate::Session::mode`] takes it.
+/// Code generation is one pass in reverse topological order whichever is
+/// given: the type stays until the re-baseline (ROADMAP item 12) drops
+/// the benchmark's `core.codegen_par` stage, which names
+/// [`CompileMode::Parallel`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CompileMode {
     /// One unit at a time, in reverse topological order over the ACG.
     Sequential,
-    /// Wavefront-parallel over the ACG with up to this many worker
-    /// threads (clamped to ≥ 1). Output is byte-identical to
-    /// [`CompileMode::Sequential`].
+    /// Compiles as [`CompileMode::Sequential`]; the thread count is
+    /// ignored.
     Parallel(usize),
 }
 
@@ -73,16 +76,9 @@ pub struct CompileOptions {
     /// Cloning growth threshold before falling back to run-time
     /// resolution (paper §5.2).
     pub clone_limit: usize,
-    /// Code-generation schedule.
-    pub mode: CompileMode,
     /// Communication optimization level (message coalescing plus
     /// interprocedural redundant-communication elimination).
     pub comm_opt: CommOpt,
-    /// Externally owned codegen worker pool. When set, the wavefront sweep
-    /// submits its per-unit batches here instead of spawning threads, so
-    /// concurrent compiles from different sessions interleave on one pool;
-    /// this takes precedence over [`CompileOptions::mode`].
-    pub pool: Option<crate::pool::CompilePool>,
 }
 
 impl Default for CompileOptions {
@@ -92,9 +88,7 @@ impl Default for CompileOptions {
             nprocs: None,
             dyn_opt: DynOptLevel::Kills,
             clone_limit: 64,
-            mode: CompileMode::Sequential,
             comm_opt: CommOpt::Full,
-            pool: None,
         }
     }
 }
@@ -141,21 +135,9 @@ impl CompileOptionsBuilder {
         self
     }
 
-    /// Code-generation schedule.
-    pub fn mode(mut self, mode: CompileMode) -> Self {
-        self.opts.mode = mode;
-        self
-    }
-
     /// Communication optimization level.
     pub fn comm_opt(mut self, comm_opt: CommOpt) -> Self {
         self.opts.comm_opt = comm_opt;
-        self
-    }
-
-    /// Shared codegen worker pool (see [`CompileOptions::pool`]).
-    pub fn pool(mut self, pool: crate::pool::CompilePool) -> Self {
-        self.opts.pool = Some(pool);
         self
     }
 
@@ -274,9 +256,6 @@ pub struct CompileOutput {
 }
 
 /// The product of phases 1 and 2: everything code generation consumes.
-///
-/// Shared (`Arc`) with the codegen pool's workers, which outlive any
-/// borrow of it.
 pub(crate) struct Analysis {
     pub prog: SourceProgram,
     pub info: ProgramInfo,
@@ -409,9 +388,8 @@ pub(crate) fn analyze(
 
 /// Compiles Fortran D source to an SPMD node program, recording every
 /// driver phase — parse, cloning, each dataflow solve, per-unit code
-/// generation (with wavefront worker/level attribution when a pool runs),
-/// the communication optimizer passes, and with a `store` the cache
-/// decisions and counters — on `trace`'s compile timeline.
+/// generation, the communication optimizer passes, and with a `store`
+/// the cache decisions and counters — on `trace`'s compile timeline.
 ///
 /// `store`, when given, answers units whose content key it holds and
 /// receives the rest; `prev` is the previous compile's database, read only
@@ -428,7 +406,7 @@ pub(crate) fn compile(
         trace.name_track(PID_COMPILE, 0, "driver");
     }
     let stats0 = store.map(ArtifactStore::stats);
-    let an = std::sync::Arc::new(analyze(source, opts, trace)?);
+    let an = analyze(source, opts, trace)?;
     let opts_hash = hash_of(&format!(
         "{:?}|{}|{:?}|{}|{}",
         an.strategy,
@@ -438,19 +416,8 @@ pub(crate) fn compile(
         opts.comm_opt.as_str()
     ));
 
-    // Phase 3: the level-ordered sweep — on the caller's shared pool, on
-    // a transient one for `CompileMode::Parallel`, or inline (identical
-    // output all three ways).
+    // Phase 3: the sweep in reverse topological order.
     let codegen_span = trace.span(PID_COMPILE, 0, "driver", "codegen");
-    let transient;
-    let pool = match (&opts.pool, opts.mode) {
-        (Some(pool), _) => Some(pool),
-        (None, CompileMode::Parallel(threads)) => {
-            transient = crate::pool::CompilePool::new(threads);
-            Some(&transient)
-        }
-        (None, CompileMode::Sequential) => None,
-    };
     let Sweep {
         mut spmd,
         records,
@@ -458,15 +425,8 @@ pub(crate) fn compile(
         recompiled,
         reused,
         ..
-    } = incremental::sweep(
-        &an.ctx(opts.dyn_opt),
-        pool.map(|pool| (pool, &an)),
-        store,
-        opts_hash,
-        prev,
-        trace,
-    )
-    .map_err(CompileError::Codegen)?;
+    } = incremental::sweep(&an.ctx(opts.dyn_opt), store, opts_hash, prev, trace)
+        .map_err(CompileError::Codegen)?;
     drop(codegen_span);
 
     // Between codegen and emit: the communication optimization pass. The
@@ -751,30 +711,6 @@ mod tests {
         assert_eq!(count(DynOptLevel::Live), (2, 0));
         assert_eq!(count(DynOptLevel::Hoist), (2, 0));
         assert_eq!(count(DynOptLevel::Kills), (1, 1));
-    }
-
-    #[test]
-    fn parallel_output_is_byte_identical_to_sequential() {
-        for src in [FIG1, FIG4, FIG15] {
-            let seq = compile(src, &CompileOptions::default()).unwrap();
-            for threads in [1, 2, 4] {
-                let par = compile(
-                    src,
-                    &CompileOptions {
-                        mode: CompileMode::Parallel(threads),
-                        ..Default::default()
-                    },
-                )
-                .unwrap();
-                assert_eq!(
-                    fortrand_spmd::print::pretty_all(&par.spmd),
-                    fortrand_spmd::print::pretty_all(&seq.spmd),
-                    "threads={threads}"
-                );
-                assert_eq!(par.spmd.main, seq.spmd.main);
-                assert_eq!(par.report.fact_hashes, seq.report.fact_hashes);
-            }
-        }
     }
 
     #[test]

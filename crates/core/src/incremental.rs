@@ -1,26 +1,18 @@
 //! The code-generation sweep (paper §5 phase 3, with §8 operationalized).
 //!
-//! Every compile — clean, wavefront-parallel, on a shared pool,
-//! store-backed, from the daemon — generates code through [`sweep`]: one
-//! pass over the ACG's wavefront levels, whose flattening *is* reverse
-//! topological order. Every unit, however it was obtained, is a
-//! position-independent [`CachedUnit`] (its symbols, distributions and
+//! Every compile — clean, store-backed, from the daemon — generates code
+//! through [`sweep`]: one pass over the units in reverse topological
+//! order, callees before callers. Every unit, however it was obtained, is
+//! a position-independent [`CachedUnit`] (its symbols, distributions and
 //! callees index tables of its own) and enters the program through one
-//! [`graft`]. Per unit of a level there are two decisions:
-//!
-//! * **reuse or generate.** With an [`ArtifactStore`] attached, a unit
-//!   whose content key — driver options, unit source hash, consumed-facts
-//!   digests — is present is *reused*: the stored unit is grafted,
-//!   skipping code generation entirely. The store is shared: a unit
-//!   compiled by one session is a hit for every other session whose key
-//!   matches. Everything else is generated, for the §8 reason
-//!   [`crate::recompile::reason`] gives against the previous compile's
-//!   [`ModuleDb`], and stored as the same value that is grafted.
-//! * **inline or pooled.** A level with more than one unit to generate,
-//!   when a [`CompilePool`] is attached, runs as one batch of per-unit
-//!   jobs on it (so concurrent compiles from different sessions
-//!   interleave on the same workers); otherwise units are generated in
-//!   turn as the level is assembled.
+//! [`graft`]. Per unit there is one decision, reuse or generate: with an
+//! [`ArtifactStore`] attached, a unit whose content key — driver options,
+//! unit source hash, consumed-facts digests — is present is *reused*: the
+//! stored unit is grafted, skipping code generation entirely. The store
+//! is shared: a unit compiled by one session is a hit for every other
+//! session whose key matches. Everything else is generated, for the §8
+//! reason [`crate::recompile::reason`] gives against the previous
+//! compile's [`ModuleDb`], and stored as the same value that is grafted.
 //!
 //! Because callees are decided before callers, a changed residual in a
 //! leaf transparently flips its callers to "facts changed" in the same
@@ -29,12 +21,11 @@
 //! and both are covered by the content key; and whichever way a unit was
 //! obtained, units are grafted in the one order, interning names and
 //! adding distributions in the order codegen first used them, so the
-//! program is byte-identical across all of the above.
+//! program is byte-identical with or without a store.
 
 use crate::codegen::{self, CodegenError, CompiledUnit, Ctx};
-use crate::driver::{unit_hashes, Analysis};
+use crate::driver::unit_hashes;
 use crate::model::DynDecompSummary;
-use crate::pool::CompilePool;
 use crate::recompile::{self, ModuleDb, Reason, UnitRecord};
 use crate::store::{ArtifactKey, ArtifactStore, CachedUnit};
 use fortrand_frontend::ast::UnitKind;
@@ -44,7 +35,7 @@ use fortrand_spmd::rewrite::{remap_proc, ProcRemap};
 use fortrand_trace::{Trace, PID_COMPILE};
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 
 /// What the sweep produced.
 pub(crate) struct Sweep {
@@ -62,23 +53,11 @@ pub(crate) struct Sweep {
     pub reused: Vec<String>,
 }
 
-/// One unit of a level, decided.
-struct Plan {
-    name: Sym,
-    name_str: String,
-    /// On a store miss, the key the generated unit is stored under.
-    key: Option<ArtifactKey>,
-    /// The unit, once the store or a pool worker supplied it.
-    unit: Option<Result<Arc<CachedUnit>, CodegenError>>,
-}
-
-/// Generates code for every unit (see the module docs). `workers` is the
-/// pool to batch onto plus the analysis its `'static` jobs rebuild `ctx`
-/// from; `store` is consulted under `opts_hash` and receives what was
-/// generated; `prev` only names reasons.
+/// Generates code for every unit (see the module docs). `store` is
+/// consulted under `opts_hash` and receives what was generated; `prev`
+/// only names reasons.
 pub(crate) fn sweep(
     ctx: &Ctx,
-    workers: Option<(&CompilePool, &Arc<Analysis>)>,
     store: Option<&ArtifactStore>,
     opts_hash: u64,
     prev: &ModuleDb,
@@ -101,146 +80,74 @@ pub(crate) fn sweep(
     let mut reused: Vec<String> = Vec::new();
     let mut generated: BTreeMap<Sym, (ArtifactKey, Arc<CachedUnit>)> = BTreeMap::new();
 
-    for (level_idx, level) in ctx.acg.wavefront_levels().into_iter().enumerate() {
-        // Decide every unit of the level first. Callees belong to earlier
-        // levels, so the facts each unit consumes are fully known before
-        // any of the level's code generation runs.
-        let mut plans: Vec<Plan> = Vec::new();
-        for &name in &level {
-            let unit = ctx
-                .prog
-                .unit(name)
-                .ok_or_else(|| CodegenError::at(0, "unit missing from program"))?;
-            let name_str = interner.name(name).to_string();
-            let (record, fact_hash) = unit_hashes(ctx, unit, &compiled);
-            let key = store.map(|_| {
-                ArtifactKey::new(opts_hash, record.source_hash, {
-                    let mut h = std::collections::hash_map::DefaultHasher::new();
-                    record.digests.hash(&mut h);
-                    h.finish()
-                })
-            });
-            let cached = store.zip(key).and_then(|(store, key)| store.get(&key));
-            // Only asked on a miss, where an unchanged record can only
-            // mean an evicted (or never stored) artifact: the store can't
-            // tell that from another session's edit.
-            let why = cached.is_none().then(|| {
-                recompile::reason(prev.previous(opts_hash, &name_str), &record)
-                    .unwrap_or(Reason::FactsChanged)
-            });
-            if store.is_some() && trace.on() {
-                let mut args = vec![("unit", name_str.as_str().into())];
-                if let Some(why) = why {
-                    args.push(("reason", format!("{why:?}").into()));
-                }
-                let event = if why.is_some() {
-                    "cache miss"
-                } else {
-                    "cache hit"
-                };
-                trace.instant(PID_COMPILE, 0, "incremental", event, trace.now_us(), args);
+    // Callees come first, so every record a unit's digests and code read
+    // is already in `compiled`. `?` surfaces the first error in this order.
+    for name in ctx.acg.reverse_topo() {
+        let unit = ctx
+            .prog
+            .unit(name)
+            .ok_or_else(|| CodegenError::at(0, "unit missing from program"))?;
+        let is_main = unit.kind == UnitKind::Program;
+        let name_str = interner.name(name).to_string();
+        let (record, fact_hash) = unit_hashes(ctx, unit, &compiled);
+        let key = store.map(|_| {
+            ArtifactKey::new(opts_hash, record.source_hash, {
+                let mut h = std::collections::hash_map::DefaultHasher::new();
+                record.digests.hash(&mut h);
+                h.finish()
+            })
+        });
+        let cached = store.zip(key).and_then(|(store, key)| store.get(&key));
+        // Only asked on a miss, where an unchanged record can only
+        // mean an evicted (or never stored) artifact: the store can't
+        // tell that from another session's edit.
+        let why = cached.is_none().then(|| {
+            recompile::reason(prev.previous(opts_hash, &name_str), &record)
+                .unwrap_or(Reason::FactsChanged)
+        });
+        if store.is_some() && trace.on() {
+            let mut args = vec![("unit", name_str.as_str().into())];
+            if let Some(why) = why {
+                args.push(("reason", format!("{why:?}").into()));
             }
-            match why {
-                Some(why) => {
-                    recompiled.insert(name_str.clone(), why);
-                }
-                None => reused.push(name_str.clone()),
-            }
-            records.insert(name_str.clone(), record);
-            fact_hashes.insert(name_str.clone(), fact_hash);
-            plans.push(Plan {
-                name,
-                name_str,
-                key: key.filter(|_| cached.is_none()),
-                unit: cached.map(Ok),
-            });
-        }
-
-        // Generate the level's misses as one pool batch when there is a
-        // pool and more than one of them. Each job reads the shared
-        // analysis and the earlier levels' records, and returns its unit.
-        let misses: Vec<usize> = (0..plans.len())
-            .filter(|&i| plans[i].unit.is_none())
-            .collect();
-        if let Some((pool, an)) = workers.filter(|_| misses.len() > 1) {
-            let _level_span = trace.span(
-                PID_COMPILE,
-                0,
-                "codegen",
-                &format!("wavefront level {level_idx}"),
-            );
-            // Pool jobs must be 'static: the pool outlives this compilation.
-            let callees = Arc::new(std::mem::take(&mut compiled));
-            let summaries = Arc::new(std::mem::take(&mut dyn_summaries));
-            let (done, results) = mpsc::channel();
-            let dyn_opt = ctx.dyn_opt;
-            let jobs = misses
-                .iter()
-                .map(|&i| {
-                    let name = plans[i].name;
-                    let an = Arc::clone(an);
-                    let callees = Arc::clone(&callees);
-                    let summaries = Arc::clone(&summaries);
-                    let done = done.clone();
-                    let trace = trace.clone();
-                    Box::new(move |worker: usize| {
-                        let t0 = trace.now_us();
-                        let r = codegen::compile_one(&an.ctx(dyn_opt), name, &callees, &summaries);
-                        if trace.on() {
-                            // Worker tracks are tid 1..=threads; tid 0 is
-                            // the driver thread.
-                            trace.complete(
-                                PID_COMPILE,
-                                worker as u32 + 1,
-                                "codegen",
-                                an.prog.interner.name(name),
-                                t0,
-                                trace.now_us() - t0,
-                                vec![("level", level_idx.into()), ("worker", worker.into())],
-                            );
-                        }
-                        // The receiver outlives the batch.
-                        let _ = done.send((i, r.map(Arc::new)));
-                    }) as Box<dyn FnOnce(usize) + Send>
-                })
-                .collect();
-            pool.run_batch(jobs);
-            compiled = Arc::try_unwrap(callees).unwrap_or_else(|a| (*a).clone());
-            dyn_summaries = Arc::try_unwrap(summaries).unwrap_or_else(|a| (*a).clone());
-            for (i, r) in results.try_iter() {
-                plans[i].unit = Some(r);
-            }
-        }
-
-        // Assemble the level in order (= flattened reverse-topo order),
-        // generating what is still missing inline; every unit goes into
-        // the program through `graft`. `?` surfaces the first error in
-        // that order.
-        for plan in plans {
-            let unit = match plan.unit {
-                Some(unit) => unit?,
-                None => {
-                    let t0 = trace.now_us();
-                    let unit = codegen::compile_one(ctx, plan.name, &compiled, &dyn_summaries)?;
-                    if trace.on() {
-                        let dur = trace.now_us() - t0;
-                        let name = plan.name_str.as_str();
-                        trace.complete(PID_COMPILE, 0, "codegen", name, t0, dur, Vec::new());
-                    }
-                    Arc::new(unit)
-                }
+            let event = if why.is_some() {
+                "cache miss"
+            } else {
+                "cache hit"
             };
-            if let Some(key) = plan.key {
-                generated.insert(plan.name, (key, Arc::clone(&unit)));
-            }
-            let cu = graft(unit, &mut spmd, &proc_index);
-            proc_index.insert(plan.name_str, cu.proc);
-            if ctx.prog.unit(plan.name).map(|u| u.kind) == Some(UnitKind::Program) {
-                spmd.main = cu.proc;
-            }
-            dyn_summaries.insert(plan.name, cu.dyn_summary.clone());
-            compiled.insert(plan.name, cu);
+            trace.instant(PID_COMPILE, 0, "incremental", event, trace.now_us(), args);
         }
+        match why {
+            Some(why) => {
+                recompiled.insert(name_str.clone(), why);
+            }
+            None => reused.push(name_str.clone()),
+        }
+        records.insert(name_str.clone(), record);
+        fact_hashes.insert(name_str.clone(), fact_hash);
+
+        let unit = match cached {
+            Some(unit) => unit,
+            None => {
+                let t0 = trace.now_us();
+                let unit = Arc::new(codegen::compile_one(ctx, name, &compiled, &dyn_summaries)?);
+                if trace.on() {
+                    let dur = trace.now_us() - t0;
+                    trace.complete(PID_COMPILE, 0, "codegen", &name_str, t0, dur, Vec::new());
+                }
+                if let Some(key) = key {
+                    generated.insert(name, (key, Arc::clone(&unit)));
+                }
+                unit
+            }
+        };
+        let cu = graft(unit, &mut spmd, &proc_index);
+        proc_index.insert(name_str, cu.proc);
+        if is_main {
+            spmd.main = cu.proc;
+        }
+        dyn_summaries.insert(name, cu.dyn_summary.clone());
+        compiled.insert(name, cu);
     }
     if spmd.main == usize::MAX {
         return Err(CodegenError::at(0, "no PROGRAM unit"));

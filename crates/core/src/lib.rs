@@ -49,7 +49,6 @@ pub mod dynamic_decomp;
 mod incremental;
 pub mod model;
 pub mod overlap;
-pub mod pool;
 pub mod recompile;
 pub mod seq;
 pub mod session;
@@ -69,21 +68,19 @@ pub use fortrand_trace::{
     json, ChromeTraceSink, JsonLinesSink, MemorySink, Trace, TraceSink, PID_COMPILE, PID_MACHINE,
 };
 pub use model::{DynOptLevel, Strategy};
-pub use pool::CompilePool;
 pub use seq::run_sequential;
 pub use session::{Compiled, Error, Session};
 pub use store::{ArtifactKey, ArtifactStore, StoreStats};
 
 // Compile-time thread-safety audit: the compile-as-a-service stack hands
-// these types across threads (server sessions, pooled codegen workers,
-// shared artifact store), so losing Send/Sync on any of them is an API
-// break. A `!Send` field added by accident fails the build right here
-// instead of at some distant spawn site.
+// these types across threads (server sessions, the shared artifact
+// store), so losing Send/Sync on any of them is an API break. A `!Send`
+// field added by accident fails the build right here instead of at some
+// distant spawn site.
 const fn assert_send_sync<T: Send + Sync>() {}
 const _: () = assert_send_sync::<session::Session>();
 const _: () = assert_send_sync::<session::Compiled>();
 const _: () = assert_send_sync::<store::ArtifactStore>();
 const _: () = assert_send_sync::<store::StoreStats>();
-const _: () = assert_send_sync::<pool::CompilePool>();
 const _: () = assert_send_sync::<driver::CompileOptions>();
 const _: () = assert_send_sync::<driver::CompileReport>();

@@ -23,17 +23,16 @@
 //! phases and per-rank message events land in one timeline.
 //!
 //! The session is also the handle over the shared compile state: bind an
-//! [`ArtifactStore`] with [`Session::store`] and a [`CompilePool`] with
-//! [`Session::pool`], hand the previous compile's [`ModuleDb`] to
-//! [`Session::previous`], and the same compile reuses every unit whose
-//! content the store already holds and names the §8 reason for each unit
-//! it regenerates ([`Compiled::recompiled`], [`Compiled::reused`]).
+//! [`ArtifactStore`] with [`Session::store`], hand the previous compile's
+//! [`ModuleDb`] to [`Session::previous`], and the same compile reuses
+//! every unit whose content the store already holds and names the §8
+//! reason for each unit it regenerates ([`Compiled::recompiled`],
+//! [`Compiled::reused`]).
 
 use crate::driver::{
     self, CompileError, CompileMode, CompileOptions, CompileOutput, CompileReport,
 };
 use crate::model::{DynOptLevel, Strategy};
-use crate::pool::CompilePool;
 use crate::recompile::{ModuleDb, Reason};
 use crate::store::ArtifactStore;
 use fortrand_ir::Sym;
@@ -110,9 +109,7 @@ impl From<std::io::Error> for Error {
 ///
 /// A session is a *cheap handle*: attach a shared [`ArtifactStore`] with
 /// [`Session::store`] and this compile reuses any unit — by content — that
-/// any other session bound to the same store already compiled; attach a
-/// shared [`CompilePool`] with [`Session::pool`] and its codegen batches
-/// interleave with other sessions' on the same workers.
+/// any other session bound to the same store already compiled.
 #[derive(Debug)]
 pub struct Session {
     source: String,
@@ -164,9 +161,10 @@ impl Session {
         self
     }
 
-    /// Sequential vs parallel codegen sweep.
-    pub fn mode(mut self, mode: CompileMode) -> Session {
-        self.opts.mode = mode;
+    /// Does nothing: code generation is one pass in reverse topological
+    /// order. Kept until the re-baseline (ROADMAP item 12) drops the
+    /// benchmark's `core.codegen_par` stage, which calls it.
+    pub fn mode(self, _mode: CompileMode) -> Session {
         self
     }
 
@@ -195,14 +193,6 @@ impl Session {
     /// is decided by the store's content keys.
     pub fn previous(mut self, db: ModuleDb) -> Session {
         self.prev = db;
-        self
-    }
-
-    /// Attaches a shared codegen worker pool (see [`CompileOptions::pool`]):
-    /// wavefront batches from this session interleave with other sessions'
-    /// batches on the same workers.
-    pub fn pool(mut self, pool: CompilePool) -> Session {
-        self.opts.pool = Some(pool);
         self
     }
 

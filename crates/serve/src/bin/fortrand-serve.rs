@@ -1,7 +1,7 @@
 //! `fortrand-serve` — the compile-as-a-service daemon.
 //!
 //! ```text
-//! fortrand-serve [--addr HOST:PORT] [--threads N] [--capacity-mb MB]
+//! fortrand-serve [--addr HOST:PORT] [--capacity-mb MB]
 //! ```
 //!
 //! Binds the address (default `127.0.0.1:7377`) and serves the
@@ -32,7 +32,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let addr = arg_value(&args, "--addr").unwrap_or_else(|| "127.0.0.1:7377".to_string());
     let config = ServerConfig {
-        threads: parse_num(&args, "--threads", ServerConfig::default().threads),
         capacity: parse_num(&args, "--capacity-mb", 256usize) << 20,
         ..ServerConfig::default()
     };

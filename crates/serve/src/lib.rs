@@ -2,9 +2,9 @@
 //!
 //! A long-lived daemon multiplexing many concurrent edit → compile → run
 //! sessions over one shared [`fortrand::ArtifactStore`] (content-addressed
-//! artifact cache) and one shared [`fortrand::CompilePool`] (wavefront
-//! codegen workers). Clients speak a **line-delimited JSON protocol** over
-//! TCP: one request object per line, one response object per line.
+//! artifact cache); each connection compiles on its own thread. Clients
+//! speak a **line-delimited JSON protocol** over TCP: one request object
+//! per line, one response object per line.
 //!
 //! ## Protocol grammar
 //!

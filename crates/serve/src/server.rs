@@ -1,14 +1,14 @@
 //! The daemon: shared compile state plus a TCP accept loop.
 //!
-//! One [`Server`] owns the shared [`ArtifactStore`] and [`CompilePool`];
-//! each client session is a cheap handle (source text + its last
-//! [`Compiled`] program, whose artifacts live in the shared store).
-//! Requests mutate only their own session under its own lock, so sessions
-//! compile concurrently and interleave on the one worker pool.
+//! One [`Server`] owns the shared [`ArtifactStore`]; each client session
+//! is a cheap handle (source text + its last [`Compiled`] program, whose
+//! artifacts live in the shared store). Each connection has its own
+//! thread and compiles on it; requests mutate only their own session
+//! under its own lock, so sessions compile concurrently.
 
 use crate::protocol::{err_response, ok_response, parse_request, Request};
 use fortrand::json::Json;
-use fortrand::{ArtifactStore, CompileOptions, CompilePool, Compiled, Session};
+use fortrand::{ArtifactStore, CompileOptions, Compiled, Session};
 use std::collections::{BTreeMap, HashMap};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -22,7 +22,8 @@ use std::thread::JoinHandle;
 pub struct ServerConfig {
     /// Artifact-store capacity in approximate bytes.
     pub capacity: usize,
-    /// Codegen worker threads in the shared pool.
+    /// Ignored: each connection compiles on its own thread. Kept until the
+    /// re-baseline (ROADMAP item 12), because the benchmark sets it.
     pub threads: usize,
     /// Compile options applied to every session.
     pub opts: CompileOptions,
@@ -49,7 +50,6 @@ struct SessionState {
 /// clone.
 pub struct Server {
     store: Arc<ArtifactStore>,
-    pool: CompilePool,
     opts: CompileOptions,
     sessions: Mutex<HashMap<String, Arc<Mutex<SessionState>>>>,
     requests: AtomicU64,
@@ -72,7 +72,6 @@ impl Server {
     pub fn new(config: ServerConfig) -> Arc<Server> {
         Arc::new(Server {
             store: Arc::new(ArtifactStore::with_capacity(config.capacity)),
-            pool: CompilePool::new(config.threads),
             opts: config.opts,
             sessions: Mutex::new(HashMap::new()),
             requests: AtomicU64::new(0),
@@ -155,7 +154,6 @@ impl Server {
                 let out = Session::new(state.source.as_str())
                     .options(self.opts.clone())
                     .store(Arc::clone(&self.store))
-                    .pool(self.pool.clone())
                     .compile()
                     .map_err(|e| e.to_string())?;
                 let store = out.report().store.expect("store-backed compile");

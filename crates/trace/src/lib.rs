@@ -2,18 +2,17 @@
 //!
 //! Zero-cost-when-off structured tracing for the Fortran D compiler and
 //! the machine simulator. The whole stack — driver phases, dataflow
-//! solves, per-unit code generation (including the wavefront-parallel
-//! schedule), communication-optimizer passes, incremental cache
-//! decisions, and the simulated machine's per-rank execution and message
-//! traffic — reports into one [`Trace`] handle, which forwards events to
-//! a pluggable [`TraceSink`].
+//! solves, per-unit code generation, communication-optimizer passes,
+//! incremental cache decisions, and the simulated machine's per-rank
+//! execution and message traffic — reports into one [`Trace`] handle,
+//! which forwards events to a pluggable [`TraceSink`].
 //!
 //! Two timebases share one timeline, separated by Chrome-trace *process*
 //! ids:
 //!
 //! * [`PID_COMPILE`] — host wall-clock microseconds since the trace was
-//!   created. Compilation spans live here; `tid` is 0 for the driver
-//!   thread and `1 + worker` for wavefront codegen workers.
+//!   created. Compilation spans live here, on one driver track
+//!   (`tid` 0).
 //! * [`PID_MACHINE`] — *simulated* microseconds (the machine's virtual
 //!   clocks). Per-rank execution slices and message events live here;
 //!   `tid` is the rank.
@@ -143,8 +142,9 @@ struct Inner {
 
 /// Cheap clonable tracing handle. [`Trace::off`] (the [`Default`]) is
 /// disabled: recording methods are a single branch. An enabled handle
-/// forwards every event to its sink under a mutex (events from codegen
-/// workers and simulator ranks interleave by arrival).
+/// forwards every event to its sink under a mutex (events from threads
+/// that share it — simulator ranks, concurrent sessions — interleave by
+/// arrival).
 #[derive(Clone, Default)]
 pub struct Trace {
     inner: Option<Arc<Inner>>,
@@ -431,9 +431,8 @@ pub fn span_tree(events: &[Event]) -> String {
     out
 }
 
-// Compile-time thread-safety audit: traces are cloned into codegen pool
-// workers and simulated ranks, and sinks aggregate events from all of
-// them, so `Trace` and the bundled sinks must stay Send + Sync.
+// Compile-time thread-safety audit: traces are cloned into simulated
+// ranks, and sinks aggregate events from all of them, so `Trace` and the bundled sinks must stay Send + Sync.
 const fn assert_send_sync<T: Send + Sync>() {}
 const _: () = assert_send_sync::<Trace>();
 const _: () = assert_send_sync::<sink::MemorySink>();

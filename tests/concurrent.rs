@@ -1,5 +1,5 @@
 //! Concurrent-session stress: N threads hammer one shared
-//! [`ArtifactStore`] + [`CompilePool`] with edit → compile loops and must
+//! [`ArtifactStore`] with edit → compile loops and must
 //! (a) each produce output byte-identical to a sequential reference,
 //! (b) leave no lock poisoned, and (c) actually share artifacts across
 //! threads (cross-session hits).
@@ -8,7 +8,7 @@ mod common;
 
 use common::{compile, Chain};
 use fortrand::corpus::{wide_corpus, wide_corpus_edited};
-use fortrand::{ArtifactStore, CompileOptions, CompilePool};
+use fortrand::{ArtifactStore, CompileOptions};
 use fortrand_spmd::print::pretty_all;
 use std::sync::Arc;
 
@@ -27,7 +27,6 @@ fn sources(thread: usize) -> (String, String) {
 fn concurrent_sessions_share_one_store_and_stay_byte_identical() {
     let store = ArtifactStore::shared();
     let opts = CompileOptions::default();
-    let pooled = CompileOptions::builder().pool(CompilePool::new(4)).build();
 
     // Sequential reference for every (thread, round) cell.
     let expected: Vec<Vec<String>> = (0..THREADS)
@@ -45,7 +44,7 @@ fn concurrent_sessions_share_one_store_and_stay_byte_identical() {
     let workers: Vec<_> = (0..THREADS)
         .map(|t| {
             let store = Arc::clone(&store);
-            let opts = pooled.clone();
+            let opts = opts.clone();
             std::thread::spawn(move || -> Vec<String> {
                 let (base, edited) = sources(t);
                 let mut eng = Chain::over(store);
