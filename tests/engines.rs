@@ -388,6 +388,49 @@ fn relax_opcode_mix_sums_and_fusion_covers() {
     mix_sums_and_fusion_covers(&relax_source(256, 1, 8, 16), 16, &[], 0.65);
 }
 
+/// Scalar arithmetic in a partitioned loop body: `k = k + 1` (integer)
+/// and `s = s + t` (real) each lower to one `BinSS`, whose charge is typed
+/// at run time. The fused run dispatches both on every local trip, and
+/// [`engines_agree`] holds its op and flop totals to the tree walker's and
+/// its arrays to the oracle's, so a wrong charge on either branch fails.
+#[test]
+fn scalar_arithmetic_in_a_partitioned_loop_fuses_and_charges_alike() {
+    let src = "
+      PROGRAM main
+      PARAMETER (n = 64)
+      PARAMETER (n$proc = 4)
+      REAL a(n), b(n)
+      REAL s, t
+      INTEGER i, k
+      DISTRIBUTE a(BLOCK)
+      DISTRIBUTE b(BLOCK)
+      t = 0.5
+      do i = 1, n
+        s = t
+        s = s + t
+        k = i
+        k = k + 1
+        b(i) = a(i) * s + k
+      enddo
+      END
+";
+    let opts = CompileOptions::builder().nprocs(4).build();
+    let named = default_init(src);
+    engines_agree(src, &opts, &named, "BinSS");
+    let compiled = Session::new(src).options(opts).compile().unwrap();
+    let prog = compiled.spmd();
+    let init = (named.iter())
+        .map(|(name, data)| (prog.interner.get(name).unwrap(), data.clone()))
+        .collect();
+    let mix = compiled.run(&init).unwrap().stats.instr_mix;
+    let binss = mix.iter().find(|(op, _)| op == "BinSS").map(|&(_, n)| n);
+    assert_eq!(
+        binss,
+        Some(2 * 64),
+        "two per trip of the 64-trip loop: {mix:?}"
+    );
+}
+
 /// A rank that fails on its own is the run's failure, ahead of the ranks
 /// it leaves waiting: rank 2 indexes out of its local bounds while ranks
 /// 0, 1 and 3 sit in a broadcast it never enters. The VM catches the panic
