@@ -12,7 +12,7 @@
 
 mod common;
 
-use common::{assert_matches_oracle, compile, oracle};
+use common::{assert_matches_oracle, compile, oracle, render_chain, Link, COEFFS};
 use fortrand::corpus::{dgefa_matrix, dgefa_source, fig4_source, relax_source, wide_corpus};
 use fortrand::{CommOpt, CompileOptions, DynOptLevel, Session, Strategy};
 use fortrand_analysis::fixtures::{FIG1, FIG15, FIG4};
@@ -519,7 +519,6 @@ enum Expr {
     Neg(Box<Expr>),
 }
 
-const COEFFS: [&str; 4] = ["0.5", "0.25", "1.5", "2.0"];
 const OPS: [&str; 5] = ["+", "-", "*", "/", ".gt."];
 
 fn bin(op: &'static str, l: Expr, r: Expr) -> Expr {
@@ -878,56 +877,6 @@ proptest! {
             }
         }
     }
-}
-
-/// One call of a generated chain: `call s{c}(a{src}, a{dst})`, where the
-/// subroutine reads `u(i+shift)` into `v(i)`, with `write_back` then
-/// updates `u` in place from `v`, and with `tail` finally bumps `v(i)`:
-/// a read of the DO variable after its partitioned loops.
-#[derive(Debug, Clone)]
-struct Link {
-    src: usize,
-    dst: usize,
-    shift: i64,
-    coeff: usize,
-    write_back: bool,
-    tail: bool,
-}
-
-/// A main program calling one subroutine per link over `k` BLOCK arrays.
-/// Every shifted read is an exchange the caller places before the call;
-/// the later links read and write arrays the earlier ones exchanged, so
-/// the exchanges aggregate only as far as the writes between allow.
-fn render_chain(n: i64, nprocs: usize, k: usize, links: &[Link]) -> String {
-    let arrays: Vec<String> = (0..k).map(|a| format!("a{a}({n})")).collect();
-    let mut main = format!(
-        "      PROGRAM main\n      PARAMETER (n$proc = {nprocs})\n      REAL {}\n",
-        arrays.join(", ")
-    );
-    let mut subs = String::new();
-    for a in 0..k {
-        main.push_str(&format!("      DISTRIBUTE a{a}(BLOCK)\n"));
-    }
-    for (c, l) in links.iter().enumerate() {
-        main.push_str(&format!("      call s{c}(a{}, a{})\n", l.src, l.dst));
-        let (lo, hi) = ((1 - l.shift).max(1), (n - l.shift).min(n));
-        let coeff = COEFFS[l.coeff % COEFFS.len()];
-        subs.push_str(&format!(
-            "      SUBROUTINE s{c}(u, v)\n      REAL u({n}), v({n})\n      do i = {lo}, {hi}\n        v(i) = v(i) + {coeff} * u(i+{})\n      enddo\n",
-            l.shift
-        ));
-        if l.write_back {
-            subs.push_str(&format!(
-                "      do i = 1, {n}\n        u(i) = u(i) - 0.5 * v(i)\n      enddo\n"
-            ));
-        }
-        if l.tail {
-            subs.push_str("      v(i) = v(i) + 1.0\n");
-        }
-        subs.push_str("      END\n");
-    }
-    main.push_str("      END\n");
-    main + &subs
 }
 
 proptest! {
