@@ -19,10 +19,6 @@
 //!   the problem's boundary value), so a single pass in dependency order
 //!   reaches the fixpoint; the solver reports per-problem
 //!   [`SolveStats`].
-//! * [`FactStore`] — per-`(problem, unit)` fact digests, the currency of
-//!   the §8 incremental recompilation analysis. An edit that perturbs
-//!   only one fact class invalidates only the units consuming that
-//!   class.
 //! * [`UnitCtx`] — the per-unit calling convention shared by
 //!   intraprocedural passes (e.g. [`crate::kills`]).
 //!
@@ -230,55 +226,6 @@ impl<'a> UnitCtx<'a> {
     }
 }
 
-/// Per-`(problem, unit)` stable fact digests.
-///
-/// The incremental engine compares these across compilations: a unit is
-/// reusable only when *every* fact class it consumes is unchanged, and —
-/// the point of splitting the old monolithic hash — an edit perturbing
-/// one class (say, an interprocedural constant) leaves units that don't
-/// consume that class untouched.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct FactStore {
-    digests: BTreeMap<(String, String), u64>,
-}
-
-impl FactStore {
-    /// Empty store.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records the digest for `(problem, unit)`.
-    pub fn record_digest(&mut self, problem: &str, unit: &str, digest: u64) {
-        self.digests
-            .insert((problem.to_string(), unit.to_string()), digest);
-    }
-
-    /// The digest for `(problem, unit)`, if recorded.
-    pub fn digest(&self, problem: &str, unit: &str) -> Option<u64> {
-        self.digests
-            .get(&(problem.to_string(), unit.to_string()))
-            .copied()
-    }
-
-    /// Iterates `(problem, unit) → digest` in deterministic order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &str, u64)> {
-        self.digests
-            .iter()
-            .map(|((p, u), &d)| (p.as_str(), u.as_str(), d))
-    }
-
-    /// Number of recorded digests.
-    pub fn len(&self) -> usize {
-        self.digests.len()
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.digests.is_empty()
-    }
-}
-
 /// Rewrites `Sym(<id>)` occurrences in a debug rendering to
 /// `Sym(<name>)` using the interner, so a rendering made for a reader
 /// (or a golden file) does not move when ids are renumbered.
@@ -425,19 +372,6 @@ mod tests {
                 assert_eq!(e.caller, src);
             }
         }
-    }
-
-    #[test]
-    fn fact_store_digests_are_per_problem() {
-        let mut fs = FactStore::new();
-        fs.record_digest("constants", "main", 8);
-        fs.record_digest("reaching", "main", 1);
-        fs.record_digest("constants", "main", 9);
-        assert_eq!(fs.digest("constants", "main"), Some(9));
-        // The other class is untouched.
-        assert_eq!(fs.digest("reaching", "main"), Some(1));
-        assert_eq!(fs.digest("reaching", "other"), None);
-        assert_eq!(fs.len(), 2);
     }
 
     #[test]

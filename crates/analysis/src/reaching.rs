@@ -34,6 +34,7 @@ use crate::framework::{self, AcgGraph, DataflowProblem, SolveStats};
 use crate::registry::Direction;
 use fortrand_frontend::ast::{Expr, SourceProgram, Stmt, StmtId, StmtKind};
 use fortrand_frontend::sema::ProgramInfo;
+use fortrand_ir::digest::{Digester, StableHash, SymNames};
 use fortrand_ir::dist::{self, Alignment, ArrayDist, DistKind, Distribution};
 use fortrand_ir::Sym;
 use std::collections::{BTreeMap, BTreeSet};
@@ -56,8 +57,8 @@ pub struct DecompSpec {
     pub align: Alignment,
 }
 
-impl fortrand_ir::digest::StableHash for DecompSpec {
-    fn stable_hash(&self, d: &mut fortrand_ir::digest::Digester) {
+impl StableHash for DecompSpec {
+    fn stable_hash(&self, d: &mut Digester) {
         self.extents.stable_hash(d);
         self.kinds.stable_hash(d);
         self.align.stable_hash(d);
@@ -172,6 +173,21 @@ impl ReachingDecomps {
     ) -> Option<&DecompSpec> {
         let list = self.timelines.get(&unit)?.changes.get(&array)?;
         list.iter().find(|(_, set)| accept(set))?.1.first()
+    }
+
+    /// The stable digest of `unit`'s reaching sets statement by statement:
+    /// each array's change list, by visit position, so no statement id
+    /// enters it.
+    pub fn timeline_digest(&self, unit: Sym, names: &dyn SymNames) -> u64 {
+        let mut d = Digester::new(names);
+        if let Some(t) = self.timelines.get(&unit) {
+            d.unordered(t.changes.iter().map(|(array, list)| {
+                let list: Vec<(u64, &BTreeSet<DecompSpec>)> =
+                    list.iter().map(|(at, set)| (*at as u64, &**set)).collect();
+                (array, list)
+            }));
+        }
+        d.finish()
     }
 
     /// What the per-statement record stores: visit positions, change-list

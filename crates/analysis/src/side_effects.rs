@@ -13,6 +13,7 @@ use crate::refs::collect_refs;
 use crate::registry::Direction;
 use fortrand_frontend::ast::{Expr, LValue, SourceProgram, StmtKind};
 use fortrand_frontend::sema::{expr_affine, ProgramInfo};
+use fortrand_ir::digest::{Digester, StableHash};
 use fortrand_ir::rsd::Rsd;
 use fortrand_ir::{Affine, Sym, SymEnv};
 use std::collections::{BTreeMap, BTreeSet};
@@ -87,6 +88,17 @@ impl UnitEffects {
         s.extend(self.mod_arrays.keys().copied());
         s.extend(self.ref_arrays.keys().copied());
         s
+    }
+}
+
+/// As `None` for the whole array.
+impl StableHash for Sections {
+    fn stable_hash(&self, d: &mut Digester) {
+        let some = match self {
+            Sections::Whole => None,
+            Sections::Some(v) => Some(v),
+        };
+        some.stable_hash(d);
     }
 }
 

@@ -21,7 +21,7 @@
 #![forbid(unsafe_code)]
 
 use fortrand::corpus::{dgefa_matrix, dgefa_source};
-use fortrand::recompile::{self, ModuleDb};
+use fortrand::recompile;
 use fortrand::{record_exec_stats, Bytecode, DynOptLevel, ExecOptions, Session, Strategy, Tree};
 use fortrand_analysis::acg::build_acg;
 use fortrand_analysis::fixtures::{FIG1, FIG15, FIG4};
@@ -367,8 +367,7 @@ fn main() {
     }
     if want("sec8") {
         banner("SEC 8 — recompilation analysis scenarios");
-        let base = Session::new(FIG4).compile().unwrap().into_output();
-        let db0 = ModuleDb::from_report(&base.report);
+        let db0 = Session::new(FIG4).compile().unwrap().report().db.clone();
         let scenarios = [
             ("no edit", FIG4.to_string()),
             ("local body edit in F2", FIG4.replace("0.5 *", "0.25 *")),
@@ -383,9 +382,8 @@ fn main() {
             ),
         ];
         for (label, src) in scenarios {
-            let out = Session::new(src.as_str()).compile().unwrap().into_output();
-            let db1 = ModuleDb::from_report(&out.report);
-            let plan = recompile::plan(&db0, &db1);
+            let out = Session::new(src.as_str()).compile().unwrap();
+            let plan = recompile::plan(&db0, &out.report().db);
             println!(
                 "{label:<28} recompiled {:>2}/{:<2} units  ({})",
                 plan.recompile.len(),

@@ -10,36 +10,34 @@
 //!    instantiation).
 //!
 //! Phase 3 is one sweep (`incremental::sweep`) for every kind of
-//! compile, with or without an artifact store. It also produces per-unit
-//! *fact hashes* — digests of the interprocedural information each unit's
-//! code depends on — which key the artifact store and which the
-//! [`crate::recompile`] module compares across compilations to decide what
-//! must be recompiled after an edit (paper §8).
+//! compile, with or without an artifact store. Code generation reads the
+//! interprocedural facts through a recording view, so each unit comes
+//! with a log of what it read; the log keys the artifact store, and the
+//! per-class digests built from it are the unit records
+//! ([`crate::recompile::ModuleDb`]) that §8 compares across compilations
+//! to decide what must be recompiled after an edit.
 
 use crate::cloning::{clone_for_decompositions, CloneResult};
-use crate::codegen::{CodegenError, CompiledUnit, Ctx};
+use crate::codegen::{CodegenError, Ctx};
 use crate::incremental::{self, Sweep};
 use crate::model::{DynOptLevel, Strategy};
 use crate::overlap::{self, Overlaps};
-use crate::recompile::{ModuleDb, Reason, UnitRecord};
+use crate::recompile::{ModuleDb, Reason};
 use crate::store::ArtifactStore;
 use fortrand_analysis::acg::Acg;
 use fortrand_analysis::consts;
 use fortrand_analysis::consts::InterConsts;
-use fortrand_analysis::framework::{FactStore, SolveStats};
+use fortrand_analysis::framework::SolveStats;
 use fortrand_analysis::reaching::ReachingDecomps;
 use fortrand_analysis::registry::{self, SolverId};
 use fortrand_analysis::side_effects::SideEffects;
 use fortrand_frontend::parse_program;
 use fortrand_frontend::sema::ProgramInfo;
 use fortrand_frontend::SourceProgram;
-use fortrand_ir::digest::{digest, Digester, StableHash, SymNames};
 use fortrand_ir::Sym;
 use fortrand_spmd::ir::{walk_stmts, MsgKind, SStmt, SpmdProgram};
 use fortrand_spmd::opt::{self, CommOpt, OptReport};
 use fortrand_trace::{Trace, PID_COMPILE};
-use rustc_hash::FxHashSet;
-use std::cell::RefCell;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
@@ -194,18 +192,11 @@ pub struct CompileReport {
     pub static_remaps: usize,
     /// Static mark-only remaps.
     pub static_marks: usize,
-    /// Per-unit source hashes (recompilation analysis input).
-    pub source_hashes: BTreeMap<String, u64>,
-    /// Per-unit hashes of consumed interprocedural facts — the *monolithic*
-    /// digest (all fact classes concatenated, optimizer decisions folded
-    /// in). Kept for §8 reporting and as the baseline the per-class
-    /// digests in [`CompileReport::facts`] improve on.
-    pub fact_hashes: BTreeMap<String, u64>,
-    /// Per-`(problem, unit)` fact digests: the same information as
-    /// [`CompileReport::fact_hashes`] but split by fact class (`reaching`,
-    /// `constants`, `overlaps`, `residuals`, `comm`), so an edit
-    /// perturbing one class invalidates only its consumers.
-    pub facts: FactStore,
+    /// The unit records §8 compares: per unit, its source digest and the
+    /// digest of each class of facts its code read, plus `comm`, the
+    /// communication optimizer's decisions about it. Hand it to the next
+    /// compile's [`crate::Session::previous`].
+    pub db: ModuleDb,
     /// Per-problem solver statistics, in the order the problems ran.
     pub pass_stats: Vec<SolveStats>,
     /// What the communication optimizer did.
@@ -213,11 +204,6 @@ pub struct CompileReport {
     /// Artifact-store counters at the end of the compile, when a store
     /// was attached ([`crate::Session::store`]); `None` otherwise.
     pub store: Option<crate::store::StoreStats>,
-    /// Fingerprint of the options that shape generated code (strategy,
-    /// processor count, dynamic-decomposition and communication levels):
-    /// the first component of every artifact key, and the condition under
-    /// which two compiles' per-unit hashes are comparable.
-    pub opts_hash: u64,
 }
 
 /// Folds one simulated run's execution-engine cost into a report's
@@ -420,8 +406,7 @@ pub(crate) fn compile(
     let codegen_span = trace.span(PID_COMPILE, 0, "driver", "codegen");
     let Sweep {
         mut spmd,
-        records,
-        fact_hashes,
+        db,
         recompiled,
         reused,
         ..
@@ -436,9 +421,8 @@ pub(crate) fn compile(
 
     let mut report = {
         let _span = trace.span(PID_COMPILE, 0, "driver", "build report");
-        build_report(&an, &spmd, records, fact_hashes, comm, comm_stats)
+        build_report(&an, &spmd, db, comm, comm_stats)
     };
-    report.opts_hash = opts_hash;
     if let (Some(store), Some(stats0)) = (store, stats0) {
         let stats = store.stats();
         report.store = Some(stats);
@@ -482,14 +466,12 @@ pub(crate) fn compile(
     })
 }
 
-/// Builds the statistics + recompilation-hash report for a finished
-/// compile from the hashes the sweep computed (`records`: source hash and
-/// per-class digests; `fact_hashes`: the monolithic digest).
+/// Builds the statistics and recompilation report for a finished compile
+/// from the unit records the sweep built.
 fn build_report(
     an: &Analysis,
     spmd: &SpmdProgram,
-    records: BTreeMap<String, UnitRecord>,
-    fact_hashes: BTreeMap<String, u64>,
+    db: ModuleDb,
     comm: OptReport,
     comm_stats: Vec<SolveStats>,
 ) -> CompileReport {
@@ -509,128 +491,24 @@ fn build_report(
             })
             .collect(),
         pass_stats: an.pass_stats.clone(),
-        fact_hashes,
+        db,
         ..Default::default()
     };
     report.pass_stats.extend(comm_stats);
     for p in &spmd.procs {
         count_static(&p.body, &mut report);
     }
-    for (name, rec) in records {
-        for (class, digest) in rec.digests {
-            report.facts.record_digest(&class, &name, digest);
-        }
-        report.source_hashes.insert(name, rec.source_hash);
-    }
-    // Fold the optimizer's per-procedure decisions into the fact hashes:
-    // a unit whose communication was rewritten based on interprocedural
-    // available-data facts must be re-examined when those facts change.
+    // Record the optimizer's per-procedure decisions: a unit whose
+    // communication was rewritten based on interprocedural available-data
+    // facts must be re-examined when those facts change.
     for (pname, facts) in &comm.per_proc {
-        let h = hash_of(facts) ^ hash_of(comm.level.as_str());
-        report
-            .fact_hashes
-            .entry(pname.clone())
-            .and_modify(|e| *e ^= h)
-            .or_insert(h);
-        report.facts.record_digest("comm", pname, h);
+        if let Some(rec) = report.db.units.get_mut(pname) {
+            let h = hash_of(facts) ^ hash_of(comm.level.as_str());
+            rec.digests.insert("comm".into(), h);
+        }
     }
     report.comm = comm;
     report
-}
-
-/// The hashes the §8 test and the artifact store key on, for one unit
-/// whose callees are all in `compiled`: its record (source digest plus one
-/// digest per fact class — a unit is reusable only when *every* class it
-/// consumes is unchanged, and an edit perturbing one class leaves units
-/// that don't consume it untouched) and the monolithic digest kept for §8
-/// reporting (every class, every formal constant included, mentioned or
-/// not: the baseline the per-class digests improve on). Every digest is
-/// structural and names symbols ([`fortrand_ir::digest`]); DESIGN.md
-/// "Digests" says what each class covers.
-pub(crate) fn unit_hashes(
-    ctx: &Ctx,
-    u: &fortrand_frontend::ProcUnit,
-    compiled: &BTreeMap<Sym, CompiledUnit>,
-) -> (UnitRecord, u64) {
-    let names = &ctx.prog.interner;
-    // The source digest. Every symbol the declarations and statements
-    // name on the way is a mention (the header's name and formal list are
-    // not).
-    let mentions = Mentions {
-        names,
-        seen: RefCell::default(),
-    };
-    let mut d = Digester::new(names);
-    u.kind.stable_hash(&mut d);
-    d.sym(u.name);
-    u.formals.stable_hash(&mut d);
-    d.u64(digest(&(&u.decls, &u.body), &mentions));
-    let source_hash = d.finish();
-    let mentioned = mentions.seen.into_inner();
-    // The decomposition sets flowing into the unit.
-    let reaching = digest(&ctx.reaching.reaching.get(&u.name), names);
-    // The interprocedural constants of the unit's formals: the class keeps
-    // only formals the unit mentions (a constant landing in a formal the
-    // unit never reads cannot affect its code), the monolithic digest all.
-    let consts: Vec<(Sym, i64)> = (u.formals.iter())
-        .filter_map(|&f| Some((f, *ctx.consts.formals.get(&(u.name, f))?)))
-        .collect();
-    let constants = digest(
-        &consts
-            .iter()
-            .filter(|(f, _)| mentioned.contains(f))
-            .collect::<Vec<_>>(),
-        names,
-    );
-    let all_constants = digest(&consts, names);
-    // The overlap widths of the unit's arrays.
-    let unit_keys = (u.name, Sym(0))..=(u.name, Sym(u32::MAX));
-    let mut d = Digester::new(names);
-    d.unordered(
-        ctx.overlaps
-            .widths
-            .range(unit_keys)
-            .map(|((_, a), w)| (a, w)),
-    );
-    let overlaps = d.finish();
-    // Every callee's residual, in call order.
-    let mut d = Digester::new(names);
-    for edge in ctx.acg.calls.get(&u.name).into_iter().flatten() {
-        if let Some(cu) = compiled.get(&edge.callee) {
-            d.u64(cu.residual_digest);
-        }
-    }
-    let residuals = d.finish();
-
-    let record = UnitRecord {
-        source_hash,
-        digests: [
-            ("reaching", reaching),
-            ("constants", constants),
-            ("overlaps", overlaps),
-            ("residuals", residuals),
-        ]
-        .into_iter()
-        .map(|(class, h)| (class.to_string(), h))
-        .collect(),
-    };
-    let monolithic = digest(&[reaching, all_constants, overlaps, residuals][..], names);
-    (record, monolithic)
-}
-
-/// The program's names, recording every symbol looked up: digesting a
-/// unit's declarations and statements through it collects what they
-/// mention.
-struct Mentions<'a> {
-    names: &'a fortrand_ir::Interner,
-    seen: RefCell<FxHashSet<Sym>>,
-}
-
-impl SymNames for Mentions<'_> {
-    fn sym_name(&self, s: Sym) -> &str {
-        self.seen.borrow_mut().insert(s);
-        self.names.sym_name(s)
-    }
 }
 
 /// Static message counts: a posted operation counts as the message it

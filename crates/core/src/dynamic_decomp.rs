@@ -14,12 +14,11 @@
 //!   before any read becomes an in-place re-marking — Fig. 16c → 16d.
 
 use crate::model::{DynDecompSummary, DynOptLevel};
+use crate::reads::Reads;
 use fortrand_analysis::framework::UnitCtx;
 use fortrand_analysis::kills;
-use fortrand_analysis::reaching::{DecompSpec, ReachingDecomps};
-use fortrand_analysis::side_effects::SideEffects;
+use fortrand_analysis::reaching::DecompSpec;
 use fortrand_frontend::ast::{Expr, ProcUnit, Stmt, StmtId, StmtKind};
-use fortrand_frontend::sema::{ProgramInfo, UnitInfo};
 use fortrand_ir::{Sym, SymEnv};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -52,42 +51,26 @@ impl Placements {
     }
 }
 
-/// Computes a unit's own dynamic-decomposition summary (Fig. 17), given
-/// its callees' summaries. `entry_specs` gives each formal array's
-/// inherited decomposition (post-cloning unique).
-pub fn summarize(
-    unit: &ProcUnit,
-    ui: &UnitInfo,
-    info: &ProgramInfo,
-    reaching: &ReachingDecomps,
-    callee_summaries: &BTreeMap<Sym, DynDecompSummary>,
-    se: &SideEffects,
-) -> DynDecompSummary {
+/// Computes a unit's own dynamic-decomposition summary (Fig. 17) from its
+/// callees' summaries, its entry decompositions (post-cloning unique) and
+/// its side effects, all read through `reads`.
+pub(crate) fn summarize(unit: &ProcUnit, reads: &Reads) -> DynDecompSummary {
+    let ui = reads.unit_info();
     let mut s = DynDecompSummary::default();
     // Arrays whose values are fully killed before any read: killed
     // somewhere and never read by this unit or its descendants.
     let env = SymEnv::new();
     let k = kills::compute(&UnitCtx::new(unit, ui, &env));
-    let my_eff = se.unit(unit.name);
     for &a in &k.anywhere {
-        if !my_eff.ref_arrays.contains_key(&a) {
+        if !reads.effects(unit.name).ref_arrays.contains_key(&a) {
             s.value_kills.insert(a);
         }
     }
 
     // Entry (inherited) spec per array.
     let entry_spec = |array: Sym| -> Option<DecompSpec> {
-        reaching
-            .reaching
-            .get(&unit.name)
-            .and_then(|m| m.get(&array))
-            .and_then(|set| {
-                if set.len() == 1 {
-                    set.iter().next().cloned()
-                } else {
-                    None
-                }
-            })
+        let set = reads.entry(array).filter(|set| set.len() == 1)?;
+        set.first().cloned()
     };
 
     // Walk in pre-order tracking which arrays have been redistributed.
@@ -136,8 +119,8 @@ pub fn summarize(
                 }
             }
             StmtKind::Call { name, args } => {
-                if let Some(cs) = callee_summaries.get(name) {
-                    let callee_info = info.unit(*name);
+                if let Some(cs) = reads.callee(*name).map(|c| &c.dyn_summary) {
+                    let callee_info = reads.interface(*name);
                     for (i, a) in args.iter().enumerate() {
                         if let Expr::Var(v) = a {
                             let f = callee_info.formals.get(i).copied();
@@ -187,15 +170,9 @@ pub fn summarize(
 /// each must be in before the call (`DecompBefore` translated, or the
 /// inherited spec when the callee merely uses it), the spec to restore
 /// after (`DecompAfter` translated), and whether the callee value-kills it.
-pub fn place(
-    unit: &ProcUnit,
-    info: &ProgramInfo,
-    callee_summaries: &BTreeMap<Sym, DynDecompSummary>,
-    reaching: &ReachingDecomps,
-    level: DynOptLevel,
-) -> Placements {
+pub(crate) fn place(unit: &ProcUnit, reads: &Reads, level: DynOptLevel) -> Placements {
     // Build the event tree.
-    let mut events = build_events(&unit.body, unit.name, info, callee_summaries, reaching);
+    let mut events = build_events(&unit.body, reads);
     if level >= DynOptLevel::Live {
         // Iterate dead-removal + coalescing to a fixpoint.
         loop {
@@ -247,21 +224,16 @@ enum Anchor {
     After(StmtId),
 }
 
-fn build_events(
-    body: &[Stmt],
-    unit: Sym,
-    info: &ProgramInfo,
-    callee_summaries: &BTreeMap<Sym, DynDecompSummary>,
-    reaching: &ReachingDecomps,
-) -> Vec<Ev> {
-    let ui = info.unit(unit);
+fn build_events(body: &[Stmt], reads: &Reads) -> Vec<Ev> {
+    let ui = reads.unit_info();
+    let unique_at = |stmt, v| Some(reads.at(stmt, v)).filter(|s| s.len() == 1)?.first();
     let mut out = Vec::new();
     for st in body {
         match &st.kind {
             StmtKind::Do { body, .. } => {
                 out.push(Ev::Loop {
                     stmt: st.id,
-                    body: build_events(body, unit, info, callee_summaries, reaching),
+                    body: build_events(body, reads),
                 });
             }
             StmtKind::If {
@@ -270,26 +242,14 @@ fn build_events(
                 ..
             } => {
                 // Conservative: treat both branches' events as sequential.
-                out.extend(build_events(
-                    then_body,
-                    unit,
-                    info,
-                    callee_summaries,
-                    reaching,
-                ));
-                out.extend(build_events(
-                    else_body,
-                    unit,
-                    info,
-                    callee_summaries,
-                    reaching,
-                ));
+                out.extend(build_events(then_body, reads));
+                out.extend(build_events(else_body, reads));
             }
             StmtKind::Call { name, args } => {
-                let Some(cs) = callee_summaries.get(name) else {
+                let Some(cs) = reads.callee(*name).map(|c| &c.dyn_summary) else {
                     continue;
                 };
-                let callee_info = info.unit(*name);
+                let callee_info = reads.interface(*name);
                 for (i, a) in args.iter().enumerate() {
                     let Expr::Var(v) = a else { continue };
                     if !ui.is_array(*v) {
@@ -300,7 +260,7 @@ fn build_events(
                     };
                     // Spec needed before the call.
                     let before_spec = cs.before.iter().find(|(bf, _)| *bf == f).map(|(_, s)| s);
-                    let inherited = reaching.unique_at(unit, st.id, *v);
+                    let inherited = unique_at(st.id, *v);
                     if let Some(spec) = before_spec {
                         out.push(Ev::Remap {
                             array: *v,
@@ -349,7 +309,7 @@ fn build_events(
                     if !ui.is_array(v) {
                         continue;
                     }
-                    if let Some(spec) = reaching.unique_at(unit, st.id, v) {
+                    if let Some(spec) = unique_at(st.id, v) {
                         out.push(Ev::Use {
                             array: v,
                             spec: spec.clone(),
@@ -634,41 +594,47 @@ fn collect_placements(events: &[Ev], out: &mut Placements) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fortrand_analysis::acg::build_acg;
+    use crate::codegen::CompiledUnit;
+    use crate::driver::{analyze, Analysis, CompileOptions};
+    use crate::model::Residual;
     use fortrand_analysis::fixtures::FIG15;
-    use fortrand_analysis::{reaching, side_effects};
-    use fortrand_frontend::load_program;
+    use fortrand_trace::Trace;
 
+    /// A program's analysis and, per unit, a record carrying only its
+    /// summary.
     struct Setup {
-        prog: fortrand_frontend::SourceProgram,
-        info: ProgramInfo,
-        summaries: BTreeMap<Sym, DynDecompSummary>,
-        reaching: ReachingDecomps,
+        an: Analysis,
+        compiled: BTreeMap<Sym, CompiledUnit>,
     }
 
     fn setup(src: &str) -> Setup {
-        let (prog, info) = load_program(src).unwrap();
-        let acg = build_acg(&prog, &info).unwrap();
-        let rd = reaching::compute(&prog, &info, &acg);
-        let se = side_effects::compute(&prog, &info, &acg);
-        let mut summaries = BTreeMap::new();
-        for name in acg.reverse_topo() {
-            let unit = prog.unit(name).unwrap();
-            let s = summarize(unit, info.unit(name), &info, &rd, &summaries, &se);
-            summaries.insert(name, s);
+        let an = analyze(src, &CompileOptions::default(), &Trace::off()).unwrap();
+        let ctx = an.ctx(DynOptLevel::Kills);
+        let mut compiled = BTreeMap::new();
+        for name in an.acg.reverse_topo() {
+            let unit = an.prog.unit(name).unwrap();
+            let dyn_summary = summarize(unit, &Reads::new(&ctx, &compiled, name));
+            let record = CompiledUnit {
+                proc: 0,
+                residual: Residual::default(),
+                dyn_summary,
+                residual_digest: 0,
+            };
+            compiled.insert(name, record);
         }
-        Setup {
-            prog,
-            info,
-            summaries,
-            reaching: rd,
-        }
+        Setup { an, compiled }
+    }
+
+    /// The main unit's placements at `level`.
+    fn place_main(s: &Setup, level: DynOptLevel) -> Placements {
+        let ctx = s.an.ctx(level);
+        let main = s.an.prog.main_unit().unwrap();
+        place(main, &Reads::new(&ctx, &s.compiled, main.name), level)
     }
 
     fn placements_at(level: DynOptLevel) -> (Setup, Placements) {
         let s = setup(FIG15);
-        let main = s.prog.main_unit().unwrap();
-        let p = place(main, &s.info, &s.summaries, &s.reaching, level);
+        let p = place_main(&s, level);
         (s, p)
     }
 
@@ -676,10 +642,10 @@ mod tests {
     #[test]
     fn fig17_summary_sets() {
         let s = setup(FIG15);
-        let f1 = s.prog.interner.get("f1").unwrap();
-        let f2 = s.prog.interner.get("f2").unwrap();
-        let x = s.prog.interner.get("x").unwrap();
-        let s1 = &s.summaries[&f1];
+        let f1 = s.an.prog.interner.get("f1").unwrap();
+        let f2 = s.an.prog.interner.get("f2").unwrap();
+        let x = s.an.prog.interner.get("x").unwrap();
+        let s1 = &s.compiled[&f1].dyn_summary;
         assert!(s1.uses.is_empty(), "{s1:?}");
         assert!(s1.kills.contains(&x));
         assert_eq!(s1.before.len(), 1);
@@ -692,7 +658,7 @@ mod tests {
             s1.after[0].1.kinds,
             vec![fortrand_ir::dist::DistKind::Block]
         );
-        let s2 = &s.summaries[&f2];
+        let s2 = &s.compiled[&f2].dyn_summary;
         assert!(s2.uses.contains(&x));
         assert!(s2.kills.is_empty());
         assert!(s2.value_kills.contains(&x), "F2 only writes X");
@@ -721,7 +687,7 @@ mod tests {
         let (s, p) = placements_at(DynOptLevel::Hoist);
         assert_eq!(p.count(), 2, "{p:?}");
         // Both anchors must be the loop statement itself.
-        let main = s.prog.main_unit().unwrap();
+        let main = s.an.prog.main_unit().unwrap();
         let loop_id = main
             .walk()
             .find(|st| matches!(st.kind, StmtKind::Do { .. }))
@@ -747,8 +713,8 @@ mod tests {
                 "do k = 1,t\n        do i = 2,100\n          Y(i) = X(i-1) + Y(i)\n        enddo\n",
             );
         let s = setup(&src);
-        let main = s.prog.main_unit().unwrap();
-        let p = place(main, &s.info, &s.summaries, &s.reaching, DynOptLevel::Hoist);
+        let main = s.an.prog.main_unit().unwrap();
+        let p = place_main(&s, DynOptLevel::Hoist);
         let k_loop = main
             .body
             .iter()

@@ -49,6 +49,7 @@ pub mod dynamic_decomp;
 mod incremental;
 pub mod model;
 pub mod overlap;
+mod reads;
 pub mod recompile;
 pub mod seq;
 pub mod session;

@@ -7,13 +7,14 @@
 //! decompositions, callee residuals (iteration sets, nonlocal index sets,
 //! remap summaries), interprocedural constants, overlap widths — changed.
 //!
-//! The code-generation sweep (`incremental::sweep`) computes both hash
-//! families during every compile; this module persists them as a *module
-//! database*, holds the per-unit test ([`reason`]) the sweep applies to
-//! every unit it cannot take from the artifact store, and diffs whole
-//! databases with the same test to produce a recompilation plan.
+//! The code-generation sweep (`incremental::sweep`) builds each unit's
+//! record from the source digest and the log of facts its code read
+//! (`crate::reads`) during every compile; this module holds the records
+//! as a *module database* ([`crate::CompileReport::db`]), the per-unit
+//! test ([`reason`]) the sweep applies to every unit it cannot take from
+//! the artifact store, and diffs whole databases with the same test to
+//! produce a recompilation plan.
 
-use crate::driver::CompileReport;
 use crate::json::{self, Json};
 use std::collections::BTreeMap;
 
@@ -21,8 +22,9 @@ use std::collections::BTreeMap;
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ModuleDb {
     /// Fingerprint of the code-shaping driver options the records were
-    /// made under ([`CompileReport::opts_hash`]). Records made under other
-    /// options say nothing about a unit: see [`ModuleDb::previous`].
+    /// made under (strategy, processor count, dynamic-decomposition and
+    /// communication levels). Records made under other options say
+    /// nothing about a unit: see [`ModuleDb::previous`].
     pub opts_hash: u64,
     /// Per-unit records, keyed by unit name.
     pub units: BTreeMap<String, UnitRecord>,
@@ -34,37 +36,14 @@ pub struct UnitRecord {
     /// Hash of the unit's own source (structural fingerprint).
     pub source_hash: u64,
     /// Per-fact-class digests of the interprocedural facts the unit's
-    /// code consumed, keyed by fact-class name (`reaching`, `constants`,
-    /// `overlaps`, `residuals`, `comm`). Comparing class-by-class is what
-    /// lets an edit that perturbs only one class skip units that don't
-    /// consume it.
+    /// code read, keyed by fact-class name (`reaching`, `constants`,
+    /// `overlaps`, `effects`, `residuals`, `interfaces`; a class the unit
+    /// never read is absent), plus `comm` for the optimizer's decisions.
+    /// A fact the unit never read moves no digest.
     pub digests: BTreeMap<String, u64>,
 }
 
 impl ModuleDb {
-    /// Builds a database from a compile report.
-    pub fn from_report(report: &CompileReport) -> Self {
-        let mut db = ModuleDb {
-            opts_hash: report.opts_hash,
-            ..Default::default()
-        };
-        for (name, &source_hash) in &report.source_hashes {
-            db.units.insert(
-                name.clone(),
-                UnitRecord {
-                    source_hash,
-                    digests: BTreeMap::new(),
-                },
-            );
-        }
-        for (class, unit, digest) in report.facts.iter() {
-            if let Some(rec) = db.units.get_mut(unit) {
-                rec.digests.insert(class.to_string(), digest);
-            }
-        }
-        db
-    }
-
     /// The record a compile under `opts_hash` tests `unit` against: the
     /// one stored here, unless this database was made under other options
     /// (then every unit counts as new).
@@ -103,41 +82,30 @@ impl ModuleDb {
     /// Deserializes from JSON.
     pub fn from_json(s: &str) -> Result<Self, String> {
         let root = json::parse(s)?;
-        let units = root
-            .get("units")
-            .and_then(Json::as_obj)
+        let hex = |v: Option<&Json>, bad: &dyn Fn() -> String| {
+            v.and_then(Json::as_hex_u64).ok_or_else(bad)
+        };
+        let units = (root.get("units").and_then(Json::as_obj))
             .ok_or("module db: missing \"units\" object")?;
-        let opts_hash = root
-            .get("opts_hash")
-            .and_then(Json::as_hex_u64)
-            .ok_or("module db: bad opts_hash")?;
+        let opts_hash = hex(root.get("opts_hash"), &|| "module db: bad opts_hash".into())?;
         let mut db = ModuleDb {
             opts_hash,
             ..Default::default()
         };
         for (name, rec) in units {
-            let source_hash = rec
-                .get("source_hash")
-                .and_then(Json::as_hex_u64)
-                .ok_or_else(|| format!("module db: unit {name}: bad source_hash"))?;
-            let digest_obj = rec
-                .get("digests")
-                .and_then(Json::as_obj)
-                .ok_or_else(|| format!("module db: unit {name}: bad digests"))?;
+            let bad = |what: &str| format!("module db: unit {name}: bad {what}");
+            let source_hash = hex(rec.get("source_hash"), &|| bad("source_hash"))?;
+            let obj = rec.get("digests").and_then(Json::as_obj);
             let mut digests = BTreeMap::new();
-            for (class, v) in digest_obj {
-                let d = v
-                    .as_hex_u64()
-                    .ok_or_else(|| format!("module db: unit {name}: bad digest for {class}"))?;
+            for (class, v) in obj.ok_or_else(|| bad("digests"))? {
+                let d = hex(Some(v), &|| bad(&format!("digest for {class}")))?;
                 digests.insert(class.clone(), d);
             }
-            db.units.insert(
-                name.clone(),
-                UnitRecord {
-                    source_hash,
-                    digests,
-                },
-            );
+            let record = UnitRecord {
+                source_hash,
+                digests,
+            };
+            db.units.insert(name.clone(), record);
         }
         Ok(db)
     }
@@ -196,7 +164,7 @@ mod tests {
     use fortrand_analysis::fixtures::FIG4;
 
     fn db_of(src: &str) -> ModuleDb {
-        ModuleDb::from_report(Session::new(src).compile().unwrap().report())
+        Session::new(src).compile().unwrap().report().db.clone()
     }
 
     #[test]

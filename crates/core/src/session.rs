@@ -185,12 +185,12 @@ impl Session {
     }
 
     /// Hands over the previous compile's database
-    /// ([`ModuleDb::from_report`], or one persisted as JSON): each unit
+    /// ([`CompileReport::db`], or one persisted as JSON): each unit
     /// this compile regenerates is then labelled with the paper's §8
     /// reason — own source changed, consumed facts changed, or new —
     /// instead of all being new. A database made under other
     /// code-shaping options is ignored. Reasons only: what is *reused*
-    /// is decided by the store's content keys.
+    /// is decided by the store's test of each stored unit's reads.
     pub fn previous(mut self, db: ModuleDb) -> Session {
         self.prev = db;
         self

@@ -5,11 +5,13 @@
 //! so two sessions compiling the same program do not generate everything
 //! twice: artifacts are keyed by
 //! **content** — the driver-options fingerprint, the unit's structural
-//! source hash, and the combined per-class fact digests (reaching /
-//! constants / overlaps / residuals / comm) that PR 3 introduced — so a
-//! unit compiled by *any* session is reusable by *every* session whose
-//! key matches, and a stale entry can never be returned (an edit changes
-//! the key, it does not overwrite the slot).
+//! source hash, and the digest of the unit's read log (the facts its code
+//! generation read, `crate::reads`). A lookup takes the variants stored
+//! under one options fingerprint and source hash and returns the first
+//! whose logged reads re-answer alike against the new analysis, so a unit
+//! compiled by *any* session is reusable by *every* session that would
+//! read the same facts, and a stale entry can never be returned (an edit
+//! that moves a read fails the test; it does not overwrite the slot).
 //!
 //! The store is bounded: each entry is charged an approximate cost,
 //! least-recently-used entries are evicted once the total exceeds the
@@ -18,6 +20,7 @@
 //! `CompileReport::pass_stats`.
 
 use crate::model::{DynDecompSummary, Residual};
+use crate::reads::Read;
 use fortrand_ir::dist::ArrayDist;
 use fortrand_spmd::ir::{walk_stmts, SProc};
 use std::collections::BTreeMap;
@@ -42,6 +45,9 @@ pub struct CachedUnit {
     /// Computed once, when the unit is generated, so a store hit costs no
     /// rendering.
     pub(crate) residual_digest: u64,
+    /// The facts code generation read, in the order it first asked: the
+    /// test a later compile puts the unit to before reusing it.
+    pub(crate) reads: Vec<Read>,
     /// Symbol id → name.
     pub(crate) names: Vec<String>,
     /// Distribution id → distribution.
@@ -60,20 +66,22 @@ impl CachedUnit {
         walk_stmts(&self.proc.body, &mut |_| stmts += 1);
         let names: usize = self.names.iter().map(|n| n.len() + 24).sum();
         let callees: usize = self.callees.iter().map(|n| n.len() + 24).sum();
+        let reads: usize = self.reads.iter().map(|(_, n, _)| n.len() + 48).sum();
         stmts * 96
             + self.proc.decls.len() * 48
             + self.proc.formals.len() * 8
             + self.dists.len() * 64
             + names
             + callees
+            + reads
             + 256
     }
 }
 
-/// Content address of one cached artifact. Equal keys mean "same driver
-/// options, same unit source structure, same consumed interprocedural
-/// facts" — which is exactly the precondition under which codegen is a
-/// pure function and its output reusable.
+/// Content address of one cached artifact: the driver options, the unit's
+/// source structure and the digest of its read log. Codegen is a pure
+/// function of the first two and of the answers to the reads, so a stored
+/// unit whose reads re-answer alike is what codegen would produce.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ArtifactKey {
     opts: u64,
@@ -83,7 +91,7 @@ pub struct ArtifactKey {
 
 impl ArtifactKey {
     /// Builds a key from the options fingerprint, the unit's stable
-    /// source hash, and a combined digest of its per-class fact hashes.
+    /// source hash, and the digest of its read log.
     pub fn new(opts: u64, source: u64, facts: u64) -> ArtifactKey {
         ArtifactKey {
             opts,
@@ -188,24 +196,26 @@ impl ArtifactStore {
         Arc::new(ArtifactStore::new())
     }
 
-    /// Looks up an artifact, bumping its recency. Every call is counted
-    /// as a hit or a miss.
-    pub(crate) fn get(&self, key: &ArtifactKey) -> Option<Arc<CachedUnit>> {
-        let mut inner = self.inner.lock().expect("artifact store poisoned");
+    /// Looks up a unit: the first variant stored under `opts` and
+    /// `source`, in key order, that `valid` accepts, bumping its recency.
+    /// Every call is counted as one hit or one miss.
+    pub(crate) fn lookup(
+        &self,
+        opts: u64,
+        source: u64,
+        valid: impl Fn(&CachedUnit) -> bool,
+    ) -> Option<Arc<CachedUnit>> {
+        let mut guard = self.inner.lock().expect("artifact store poisoned");
+        let inner = &mut *guard;
         inner.tick += 1;
-        let tick = inner.tick;
-        match inner.map.get_mut(key) {
-            Some(e) => {
-                e.last_used = tick;
-                let unit = Arc::clone(&e.unit);
-                inner.hits += 1;
-                Some(unit)
-            }
-            None => {
-                inner.misses += 1;
-                None
-            }
-        }
+        let variants = ArtifactKey::new(opts, source, 0)..=ArtifactKey::new(opts, source, u64::MAX);
+        let Some((_, e)) = inner.map.range_mut(variants).find(|(_, e)| valid(&e.unit)) else {
+            inner.misses += 1;
+            return None;
+        };
+        e.last_used = inner.tick;
+        inner.hits += 1;
+        Some(Arc::clone(&e.unit))
     }
 
     /// Inserts (or refreshes) an artifact, then evicts least-recently-used
@@ -274,19 +284,25 @@ mod tests {
             residual: Residual::default(),
             dyn_summary: DynDecompSummary::default(),
             residual_digest: 0,
+            reads: Vec::new(),
             names: vec![tag.repeat(pad.max(1))],
             dists: Vec::new(),
             callees: Vec::new(),
         })
     }
 
+    /// Every variant under `key`'s options and source is valid.
+    fn get(store: &ArtifactStore, key: &ArtifactKey) -> Option<Arc<CachedUnit>> {
+        store.lookup(key.opts, key.source, |_| true)
+    }
+
     #[test]
     fn get_put_counts_hits_and_misses() {
         let store = ArtifactStore::new();
         let k = ArtifactKey::new(1, 2, 3);
-        assert!(store.get(&k).is_none());
+        assert!(get(&store, &k).is_none());
         store.put(k, unit("a", 1));
-        assert!(store.get(&k).is_some());
+        assert!(get(&store, &k).is_some());
         let st = store.stats();
         assert_eq!((st.hits, st.misses, st.insertions), (1, 1, 1));
         assert_eq!(st.entries, 1);
@@ -299,18 +315,18 @@ mod tests {
         let one_cost = unit("x", 64).approx_cost();
         let store = ArtifactStore::with_capacity(one_cost * 2 + 64);
         let (ka, kb, kc) = (
-            ArtifactKey::new(0, 0, 1),
-            ArtifactKey::new(0, 0, 2),
-            ArtifactKey::new(0, 0, 3),
+            ArtifactKey::new(0, 1, 0),
+            ArtifactKey::new(0, 2, 0),
+            ArtifactKey::new(0, 3, 0),
         );
         store.put(ka, unit("x", 64));
         store.put(kb, unit("y", 64));
-        assert!(store.get(&ka).is_some(), "touch a: b becomes LRU");
+        assert!(get(&store, &ka).is_some(), "touch a: b becomes LRU");
         store.put(kc, unit("z", 64));
         let st = store.stats();
         assert_eq!(st.evictions, 1, "{st:?}");
-        assert!(store.get(&kb).is_none(), "b was evicted");
-        assert!(store.get(&ka).is_some() && store.get(&kc).is_some());
+        assert!(get(&store, &kb).is_none(), "b was evicted");
+        assert!(get(&store, &ka).is_some() && get(&store, &kc).is_some());
         assert!(st.cost <= st.capacity);
     }
 

@@ -418,7 +418,7 @@ impl Expr {
 
 // Structural digests: a unit's header, declarations and statements make
 // its source fingerprint in the §8 test and the artifact store's key
-// (`driver::unit_hashes` in the `fortrand` crate). Source lines and
+// (`incremental::sweep` in the `fortrand` crate). Source lines and
 // statement ids are left out, so whitespace edits, reordering units in the file and cloning's
 // statement renumbering leave it alone; nested bodies are lists, so moving
 // a statement into or out of a loop or branch moves it.

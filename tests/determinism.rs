@@ -10,11 +10,11 @@ mod common;
 
 use common::compile;
 use fortrand::corpus::{adi_source, dgefa_source, relax_source, wide_corpus};
+use fortrand::recompile::ModuleDb;
 use fortrand::{ArtifactStore, CompileMode, CompileOptions, MemorySink, Session, Strategy};
 use fortrand_analysis::fixtures::{FIG1, FIG4};
 use fortrand_spmd::print::pretty_all;
 use proptest::prelude::*;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 fn compiled_text(src: &str) -> String {
@@ -24,12 +24,12 @@ fn compiled_text(src: &str) -> String {
 
 /// Every path a unit can take into the program — generated and grafted,
 /// generated and stored, grafted from the store — gives one node program
-/// and one set of fact hashes per (program, strategy). Run-time
+/// and one set of unit records per (program, strategy). Run-time
 /// resolution is the strategy that adds replicated distributions and
 /// fresh names in the middle of a unit.
 #[test]
 fn every_schedule_and_store_state_gives_one_program_per_strategy() {
-    type Outcome = Result<(String, BTreeMap<String, u64>), String>;
+    type Outcome = Result<(String, ModuleDb), String>;
     let programs = [
         ("FIG1", FIG1.to_string()),
         ("FIG4", FIG4.to_string()),
@@ -51,7 +51,7 @@ fn every_schedule_and_store_state_gives_one_program_per_strategy() {
                 }
                 session
                     .compile()
-                    .map(|c| (c.emit(), c.report().fact_hashes.clone()))
+                    .map(|c| (c.emit(), c.report().db.clone()))
                     .map_err(|e| e.to_string())
             };
             let reference = outcome(None);
