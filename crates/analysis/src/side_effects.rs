@@ -9,10 +9,10 @@
 
 use crate::acg::{Acg, CallEdge};
 use crate::framework::{self, AcgGraph, DataflowProblem, SolveStats};
-use crate::refs::collect_refs;
+use crate::refs::{collect_refs, ArrayRef};
 use crate::registry::Direction;
-use fortrand_frontend::ast::{Expr, LValue, SourceProgram, StmtKind};
-use fortrand_frontend::sema::{expr_affine, ProgramInfo};
+use fortrand_frontend::ast::{Expr, LValue, ProcUnit, SourceProgram, StmtKind};
+use fortrand_frontend::sema::{expr_affine, ProgramInfo, UnitInfo};
 use fortrand_ir::digest::{Digester, StableHash};
 use fortrand_ir::rsd::Rsd;
 use fortrand_ir::{Affine, Sym, SymEnv};
@@ -79,6 +79,32 @@ pub struct UnitEffects {
 }
 
 impl UnitEffects {
+    /// A copy with every symbol renamed through `sym`.
+    pub fn relocated(&self, sym: &mut dyn FnMut(Sym) -> Sym) -> UnitEffects {
+        let mut scalars =
+            |set: &BTreeSet<Sym>| -> BTreeSet<Sym> { set.iter().map(|&s| sym(s)).collect() };
+        let (mod_scalars, ref_scalars) = (scalars(&self.mod_scalars), scalars(&self.ref_scalars));
+        let mut arrays = |side: &BTreeMap<Sym, Sections>| -> BTreeMap<Sym, Sections> {
+            (side.iter())
+                .map(|(&a, secs)| {
+                    let secs = match secs {
+                        Sections::Whole => Sections::Whole,
+                        Sections::Some(v) => {
+                            Sections::Some(v.iter().map(|r| r.map_syms(sym)).collect())
+                        }
+                    };
+                    (sym(a), secs)
+                })
+                .collect()
+        };
+        UnitEffects {
+            mod_scalars,
+            ref_scalars,
+            mod_arrays: arrays(&self.mod_arrays),
+            ref_arrays: arrays(&self.ref_arrays),
+        }
+    }
+
     /// `Appear(P)`: every variable modified or referenced by `P` or its
     /// descendants (paper Fig. 8).
     pub fn appear(&self) -> BTreeSet<Sym> {
@@ -118,13 +144,13 @@ impl SideEffects {
 
 /// The GMOD/GREF problem over the ACG: a node's fact is its
 /// [`UnitEffects`] summary (itself + descendants). The boundary value is
-/// the unit's *local* effects; each call edge contributes the callee's
-/// summary translated through the formal/actual bindings, met in call-list
-/// order (section widening is order-sensitive, so the fold order of the
-/// pre-framework pass is preserved exactly).
+/// the unit's *local* effects, as `local` gives them; each call edge
+/// contributes the callee's summary translated through the formal/actual
+/// bindings, met in call-list order (section widening is order-sensitive,
+/// so the fold order of the pre-framework pass is preserved exactly).
 struct SideEffectsProblem<'a> {
-    prog: &'a SourceProgram,
     info: &'a ProgramInfo,
+    local: &'a dyn Fn(Sym) -> UnitEffects,
     env: SymEnv,
 }
 
@@ -140,60 +166,7 @@ impl DataflowProblem<AcgGraph<'_>> for SideEffectsProblem<'_> {
     }
 
     fn boundary(&mut self, _g: &AcgGraph, n: Sym) -> UnitEffects {
-        let unit = self.prog.unit(n).expect("unit in ACG");
-        let ui = self.info.unit(n);
-        let mut eff = UnitEffects::default();
-
-        // Local array references.
-        for r in collect_refs(unit, ui) {
-            let sections = if r.is_def {
-                &mut eff.mod_arrays
-            } else {
-                &mut eff.ref_arrays
-            };
-            let entry = sections
-                .entry(r.array)
-                .or_insert_with(|| Sections::Some(vec![]));
-            match r.swept_rsd() {
-                Some(rsd) => entry.add(rsd, &self.env),
-                None => *entry = Sections::Whole,
-            }
-        }
-        // Local scalar effects.
-        for s in unit.walk() {
-            match &s.kind {
-                StmtKind::Assign { lhs, rhs } => {
-                    if let LValue::Scalar(v) = lhs {
-                        eff.mod_scalars.insert(*v);
-                    }
-                    let mut used = vec![];
-                    rhs.mentioned_syms(&mut used);
-                    if let LValue::Element { subs, .. } = lhs {
-                        for sub in subs {
-                            sub.mentioned_syms(&mut used);
-                        }
-                    }
-                    for v in used {
-                        if !ui.is_array(v) && !ui.params.contains_key(&v) {
-                            eff.ref_scalars.insert(v);
-                        }
-                    }
-                }
-                StmtKind::Do { var, lo, hi, .. } => {
-                    eff.mod_scalars.insert(*var);
-                    let mut used = vec![];
-                    lo.mentioned_syms(&mut used);
-                    hi.mentioned_syms(&mut used);
-                    for v in used {
-                        if !ui.is_array(v) && !ui.params.contains_key(&v) {
-                            eff.ref_scalars.insert(v);
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-        eff
+        (self.local)(n)
     }
 
     fn translate(
@@ -238,6 +211,65 @@ impl DataflowProblem<AcgGraph<'_>> for SideEffectsProblem<'_> {
     }
 }
 
+/// A unit's local effects, the problem's boundary value: the sections of
+/// `refs` (the unit's own references, [`collect_refs`]) and the scalars
+/// its assignments and loops write and read, no callee's included.
+pub fn local_effects(unit: &ProcUnit, ui: &UnitInfo, refs: &[ArrayRef]) -> UnitEffects {
+    let env = SymEnv::new();
+    let mut eff = UnitEffects::default();
+
+    // Local array references.
+    for r in refs {
+        let sections = if r.is_def {
+            &mut eff.mod_arrays
+        } else {
+            &mut eff.ref_arrays
+        };
+        let entry = sections
+            .entry(r.array)
+            .or_insert_with(|| Sections::Some(vec![]));
+        match r.swept_rsd() {
+            Some(rsd) => entry.add(rsd, &env),
+            None => *entry = Sections::Whole,
+        }
+    }
+    // Local scalar effects.
+    for s in unit.walk() {
+        match &s.kind {
+            StmtKind::Assign { lhs, rhs } => {
+                if let LValue::Scalar(v) = lhs {
+                    eff.mod_scalars.insert(*v);
+                }
+                let mut used = vec![];
+                rhs.mentioned_syms(&mut used);
+                if let LValue::Element { subs, .. } = lhs {
+                    for sub in subs {
+                        sub.mentioned_syms(&mut used);
+                    }
+                }
+                for v in used {
+                    if !ui.is_array(v) && !ui.params.contains_key(&v) {
+                        eff.ref_scalars.insert(v);
+                    }
+                }
+            }
+            StmtKind::Do { var, lo, hi, .. } => {
+                eff.mod_scalars.insert(*var);
+                let mut used = vec![];
+                lo.mentioned_syms(&mut used);
+                hi.mentioned_syms(&mut used);
+                for v in used {
+                    if !ui.is_array(v) && !ui.params.contains_key(&v) {
+                        eff.ref_scalars.insert(v);
+                    }
+                }
+            }
+            _ => {}
+        }
+    }
+    eff
+}
+
 /// Computes GMOD/GREF bottom-up (reverse topological order).
 pub fn compute(prog: &SourceProgram, info: &ProgramInfo, acg: &Acg) -> SideEffects {
     compute_with_stats(prog, info, acg).0
@@ -249,10 +281,25 @@ pub fn compute_with_stats(
     info: &ProgramInfo,
     acg: &Acg,
 ) -> (SideEffects, SolveStats) {
+    let local = |n: Sym| {
+        let unit = prog.unit(n).expect("unit in ACG");
+        let ui = info.unit(n);
+        local_effects(unit, ui, &collect_refs(unit, ui))
+    };
+    compute_from_locals(info, acg, &local)
+}
+
+/// [`compute_with_stats`] from each unit's local effects as `local` gives
+/// them ([`local_effects`]), so a caller that keeps them walks no unit.
+pub fn compute_from_locals(
+    info: &ProgramInfo,
+    acg: &Acg,
+    local: &dyn Fn(Sym) -> UnitEffects,
+) -> (SideEffects, SolveStats) {
     let g = AcgGraph { acg };
     let mut problem = SideEffectsProblem {
-        prog,
         info,
+        local,
         env: SymEnv::new(),
     };
     let (facts, stats) = framework::solve(&g, &mut problem);

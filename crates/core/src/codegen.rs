@@ -35,7 +35,7 @@ use crate::store::CachedUnit;
 use fortrand_analysis::acg::Acg;
 use fortrand_analysis::consts::InterConsts;
 use fortrand_analysis::reaching::{DecompSpec, ReachingDecomps};
-use fortrand_analysis::refs::{collect_refs, ArrayRef, LoopCtx};
+use fortrand_analysis::refs::{ArrayRef, LoopCtx};
 use fortrand_analysis::side_effects::{Sections, SideEffects};
 use fortrand_frontend::ast::*;
 use fortrand_frontend::sema::{expr_affine, ProgramInfo, UnitInfo};
@@ -127,17 +127,20 @@ pub fn compile_all(
     ctx: &Ctx,
     trace: &fortrand_trace::Trace,
 ) -> R<(SpmdProgram, BTreeMap<Sym, CompiledUnit>)> {
-    let sweep = crate::incremental::sweep(ctx, None, 0, &Default::default(), trace)?;
+    let mut locals = Default::default();
+    let sweep = crate::incremental::sweep(ctx, &mut locals, None, 0, &Default::default(), trace)?;
     Ok((sweep.spmd, sweep.compiled))
 }
 
 /// Generates a single unit, reading every interprocedural fact through
 /// `reads`, as a position-independent [`CachedUnit`] that keeps the read
 /// log: the same value whether it is then grafted only or also stored.
+/// `refs` are the unit's array references (`collect_refs`).
 pub(crate) fn compile_one<'a>(
     ctx: &Ctx,
     reads: &'a Reads<'a>,
     unit: &'a ProcUnit,
+    refs: Rc<[ArrayRef]>,
 ) -> R<CachedUnit> {
     if matches!(unit.kind, UnitKind::Function(_)) {
         return Err(CodegenError::at(
@@ -145,7 +148,7 @@ pub(crate) fn compile_one<'a>(
             "FUNCTION units are not supported by SPMD code generation; use a subroutine",
         ));
     }
-    let uc = UnitCompiler::new(ctx, reads, unit);
+    let uc = UnitCompiler::new(ctx, reads, unit, refs);
     match ctx.strategy {
         Strategy::RuntimeResolution => uc.compile_rtr(),
         _ => uc.compile(),
@@ -261,7 +264,7 @@ struct UnitCompiler<'a> {
 }
 
 impl<'a> UnitCompiler<'a> {
-    fn new(ctx: &Ctx, reads: &'a Reads<'a>, unit: &'a ProcUnit) -> Self {
+    fn new(ctx: &Ctx, reads: &'a Reads<'a>, unit: &'a ProcUnit, refs: Rc<[ArrayRef]>) -> Self {
         let ui = reads.unit_info();
         // Only the formals the unit names: a constant or range of a formal
         // no statement names cannot shape the code, so it is not read.
@@ -311,7 +314,7 @@ impl<'a> UnitCompiler<'a> {
             first_distribute_seen: BTreeMap::new(),
             edge_buffers: BTreeMap::new(),
             global_companion: BTreeMap::new(),
-            refs: Vec::new().into(),
+            refs,
             writes: OnceCell::new(),
             walk_pos: OnceCell::new(),
         }
@@ -541,7 +544,6 @@ impl<'a> UnitCompiler<'a> {
     /// Plans partitioning and communication from one walk of the unit's
     /// references.
     fn plan(&mut self) -> R<()> {
-        self.refs = collect_refs(self.unit, self.ui).into();
         let refs = Rc::clone(&self.refs);
         self.plan_partitioning(&refs)?;
         self.plan_comm(&refs)
@@ -553,6 +555,13 @@ impl<'a> UnitCompiler<'a> {
     /// that asks no dependence question translates no callee effects.
     fn writes(&self) -> &FxHashMap<Sym, Vec<Write>> {
         self.writes.get_or_init(|| self.write_table())
+    }
+
+    /// The source line of the unit's statement `id`.
+    fn line_of(&self, id: StmtId) -> u32 {
+        (self.unit.walk())
+            .find(|st| st.id == id)
+            .map_or(self.unit.line, |st| st.line)
     }
 
     fn walk_pos(&self) -> &FxHashMap<StmtId, usize> {
@@ -665,7 +674,8 @@ impl<'a> UnitCompiler<'a> {
                                 .iter()
                                 .position(|&f| f == c.array)
                                 .ok_or_else(|| {
-                                    CodegenError::at(0, "constraint on non-formal array")
+                                    let line = self.line_of(edge.site);
+                                    CodegenError::at(line, "constraint on non-formal array")
                                 })?;
                             if let Some(Expr::Var(arr)) = edge.actuals.get(apos) {
                                 if self.partition_safe(l.stmt, *v) {
@@ -1009,7 +1019,7 @@ impl<'a> UnitCompiler<'a> {
         // a flow dependence pins the exchange inside its own loop.
         if let Some((v, _)) = r.subs[dim].as_ref().and_then(|a| a.as_sym_plus_const()) {
             if comm.rsd.dims[dim].lo.mentions(v) {
-                return Err(needs_pipelining());
+                return Err(needs_pipelining(self.line_of(r.stmt)));
             }
         }
         self.delay_or_instantiate(comm, level, anchor_at(&r.nest, level, r.stmt));
@@ -1027,8 +1037,12 @@ impl<'a> UnitCompiler<'a> {
         };
         // Environment for hulling: every group member's loop ranges.
         let henv = self.loop_env(group.iter().flat_map(|(r, _, _)| &r.nest));
-        let conflict =
-            || CodegenError::at(0, "pinned reads of one slice need conflicting placements");
+        let conflict = |line| {
+            CodegenError::at(
+                line,
+                "pinned reads of one slice need conflicting placements",
+            )
+        };
         // The group's level, anchor and hulled section so far, and
         // whether every member so far is delayed to the callers.
         let mut placed: Option<(usize, StmtId, Rsd)> = None;
@@ -1045,7 +1059,7 @@ impl<'a> UnitCompiler<'a> {
             // that last wrote the element (`place` keeps it there when the
             // loop writes what it reads).
             if (r.nest[..lv].iter()).any(|l| self.partitioned.contains_key(&l.stmt)) {
-                return Err(needs_pipelining());
+                return Err(needs_pipelining(self.line_of(r.stmt)));
             }
             let an = anchor_at(&r.nest, lv, r.stmt);
             all_delay &= self.delays(array, lv, an);
@@ -1054,21 +1068,22 @@ impl<'a> UnitCompiler<'a> {
                 continue;
             };
             if *level != lv {
-                return Err(conflict());
+                return Err(conflict(self.line_of(r.stmt)));
             }
             if !all_delay && *anchor != an {
                 // Differing anchors are safe when nothing in the unit,
                 // calls included, writes the array (the slice is constant
                 // through the body): hoist to the earliest anchor.
                 if self.writes().contains_key(&array) {
-                    return Err(conflict());
+                    return Err(conflict(self.line_of(r.stmt)));
                 }
                 if self.walk_pos()[&an] < self.walk_pos()[anchor] {
                     *anchor = an;
                 }
             }
-            *hull = hull_rsd(hull, &comm.rsd, &henv)
-                .ok_or_else(|| CodegenError::at(0, "cannot hull pinned-read sections"))?;
+            *hull = hull_rsd(hull, &comm.rsd, &henv).ok_or_else(|| {
+                CodegenError::at(self.line_of(r.stmt), "cannot hull pinned-read sections")
+            })?;
         }
         let (level, anchor, rsd) = placed.expect("a group has a member");
         let comm = PendingComm {
@@ -1088,12 +1103,13 @@ impl<'a> UnitCompiler<'a> {
         // Translate: callee array formal → our actual array; scalar
         // formals in bounds → actual affine expressions.
         let apos = callee_info.formals.iter().position(|&f| f == pc.array);
+        let reject = |m: &str| Err(CodegenError::at(self.line_of(edge.site), m));
         let our_array = match apos {
             Some(p) => match edge.actuals.get(p) {
                 Some(Expr::Var(a)) => *a,
-                _ => return Err(CodegenError::at(0, "pending comm on non-variable actual")),
+                _ => return reject("pending comm on non-variable actual"),
             },
-            None => return Err(CodegenError::at(0, "pending comm on callee local")),
+            None => return reject("pending comm on callee local"),
         };
         let subst: BTreeMap<Sym, Affine> = (callee_info.formals.iter().zip(&edge.actuals))
             .filter(|&(&f, _)| !callee_info.is_array(f))
@@ -1390,9 +1406,9 @@ fn pin_floor(nest: &[LoopCtx], pattern: &CommPattern) -> usize {
 /// A flow dependence carried by a partitioned loop: the pipelined code
 /// generation of the companion papers, which this reproduction does not
 /// implement.
-fn needs_pipelining() -> CodegenError {
+fn needs_pipelining(line: u32) -> CodegenError {
     CodegenError::at(
-        0,
+        line,
         "carried flow dependence on a distributed dimension requires \
          pipelining (unsupported); restructure the loop or use \
          run-time resolution",

@@ -78,7 +78,7 @@ impl UnitCompiler<'_> {
                 .cloned()
                 .unwrap_or_default()
             {
-                out.push(self.emit_remap(&action)?);
+                out.push(self.emit_remap(&action, st.line)?);
             }
             // Planned communication anchored here.
             for op in self.comm_before.get(&st.id).cloned().unwrap_or_default() {
@@ -92,17 +92,18 @@ impl UnitCompiler<'_> {
                 .cloned()
                 .unwrap_or_default()
             {
-                out.push(self.emit_remap(&action)?);
+                out.push(self.emit_remap(&action, st.line)?);
             }
         }
         Ok(out)
     }
 
-    fn emit_remap(&mut self, action: &dynamic_decomp::RemapAction) -> R<SStmt> {
+    /// The remap `action` placed at the statement of `line`.
+    fn emit_remap(&mut self, action: &dynamic_decomp::RemapAction, line: u32) -> R<SStmt> {
         let extents = self
             .ui
             .var(action.array)
-            .ok_or_else(|| CodegenError::at(0, "remap of unknown array"))?
+            .ok_or_else(|| CodegenError::at(line, "remap of unknown array"))?
             .dims
             .clone();
         let dist = action.to.array_dist(&extents, self.nprocs);
@@ -963,8 +964,9 @@ impl UnitCompiler<'_> {
                 out_subs.push(self.tr_expr(sub, stmt)?);
                 continue;
             }
-            let a = expr_affine(sub, &self.params)
-                .ok_or_else(|| CodegenError::at(0, "non-affine distributed subscript"))?;
+            let a = expr_affine(sub, &self.params).ok_or_else(|| {
+                CodegenError::at(self.line_of(stmt), "non-affine distributed subscript")
+            })?;
             if let Some((v, off)) = a.as_sym_plus_const() {
                 if self.is_local_valued(v) {
                     let v = SExpr::Var(self.sym(v));

@@ -608,7 +608,7 @@ mod tests {
     }
 
     fn setup(src: &str) -> Setup {
-        let an = analyze(src, &CompileOptions::default(), &Trace::off()).unwrap();
+        let an = analyze(src, &CompileOptions::default(), &Trace::off(), None).unwrap();
         let ctx = an.ctx(DynOptLevel::Kills);
         let mut compiled = BTreeMap::new();
         for name in an.acg.reverse_topo() {

@@ -47,6 +47,7 @@ pub mod corpus;
 pub mod driver;
 pub mod dynamic_decomp;
 mod incremental;
+mod local;
 pub mod model;
 pub mod overlap;
 mod reads;

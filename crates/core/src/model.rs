@@ -158,12 +158,9 @@ impl Residual {
         for c in &mut self.comms {
             c.array = f(c.array);
             if let CommPattern::BroadcastDim { index, .. } = &mut c.pattern {
-                *index = remap_affine(index, f);
+                *index = index.map_syms(f);
             }
-            for t in &mut c.rsd.dims {
-                t.lo = remap_affine(&t.lo, f);
-                t.hi = remap_affine(&t.hi, f);
-            }
+            c.rsd = c.rsd.map_syms(f);
         }
         for ic in &mut self.iter_constraints {
             ic.formal = f(ic.formal);
@@ -171,7 +168,7 @@ impl Residual {
         }
         if let Some(oo) = &mut self.owner_only {
             oo.array = f(oo.array);
-            oo.index = remap_affine(&oo.index, f);
+            oo.index = oo.index.map_syms(f);
             for s in &mut oo.out_scalars {
                 *s = f(*s);
             }
@@ -246,12 +243,6 @@ impl StableHash for DynDecompSummary {
         self.after.stable_hash(d);
         self.value_kills.stable_hash(d);
     }
-}
-
-fn remap_affine(a: &Affine, f: &mut dyn FnMut(Sym) -> Sym) -> Affine {
-    a.terms().fold(Affine::konst(a.constant()), |acc, (s, c)| {
-        acc + Affine::term(f(s), c)
-    })
 }
 
 #[cfg(test)]

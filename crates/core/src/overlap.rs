@@ -16,7 +16,7 @@
 //! compilation; the recompilation module covers that behaviour.)
 
 use fortrand_analysis::acg::Acg;
-use fortrand_analysis::refs::collect_refs;
+use fortrand_analysis::refs::{collect_refs, ArrayRef};
 use fortrand_frontend::ast::{Expr, SourceProgram};
 use fortrand_frontend::sema::ProgramInfo;
 use fortrand_ir::Sym;
@@ -40,30 +40,42 @@ impl Overlaps {
 /// Collects constant subscript offsets and propagates them across the call
 /// graph in both directions.
 pub fn compute(prog: &SourceProgram, info: &ProgramInfo, acg: &Acg) -> Overlaps {
-    let mut o = Overlaps::default();
+    let locals =
+        (prog.units.iter()).map(|u| (u.name, local_offsets(&collect_refs(u, info.unit(u.name)))));
+    from_locals(info, acg, locals)
+}
 
-    // Local phase: per unit, constant offsets of subscripts of the form
-    // `v + c` (v a loop index or formal).
-    for u in &prog.units {
-        let ui = info.unit(u.name);
-        for r in collect_refs(u, ui) {
-            let rank = r.subs.len();
-            let entry = o
-                .widths
-                .entry((u.name, r.array))
-                .or_insert_with(|| vec![(0, 0); rank]);
-            for (d, sub) in r.subs.iter().enumerate() {
-                if let Some(a) = sub {
-                    if let Some((_, c)) = a.as_sym_plus_const() {
-                        if c < 0 {
-                            entry[d].0 = entry[d].0.max(-c);
-                        } else if c > 0 {
-                            entry[d].1 = entry[d].1.max(c);
-                        }
-                    }
+/// One unit's constant subscript offsets per array, its references `refs`
+/// (`collect_refs`) given: the local phase of [`compute`]. Subscripts of
+/// the form `v + c` count (v a loop index or formal); every array
+/// referenced has an entry.
+pub(crate) fn local_offsets(refs: &[ArrayRef]) -> BTreeMap<Sym, Vec<(i64, i64)>> {
+    let mut widths: BTreeMap<Sym, Vec<(i64, i64)>> = BTreeMap::new();
+    for r in refs {
+        let rank = r.subs.len();
+        let entry = widths.entry(r.array).or_insert_with(|| vec![(0, 0); rank]);
+        for (d, sub) in r.subs.iter().enumerate() {
+            if let Some((_, c)) = sub.as_ref().and_then(|a| a.as_sym_plus_const()) {
+                if c < 0 {
+                    entry[d].0 = entry[d].0.max(-c);
+                } else if c > 0 {
+                    entry[d].1 = entry[d].1.max(c);
                 }
             }
         }
+    }
+    widths
+}
+
+/// [`compute`] from each unit's local offsets ([`local_offsets`]).
+pub(crate) fn from_locals(
+    info: &ProgramInfo,
+    acg: &Acg,
+    locals: impl IntoIterator<Item = (Sym, BTreeMap<Sym, Vec<(i64, i64)>>)>,
+) -> Overlaps {
+    let mut o = Overlaps::default();
+    for (unit, widths) in locals {
+        (o.widths).extend(widths.into_iter().map(|(a, w)| ((unit, a), w)));
     }
 
     // Bottom-up: callee formal offsets → caller actual arrays.

@@ -39,7 +39,7 @@ impl SourceProgram {
 }
 
 /// What kind of program unit this is.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum UnitKind {
     /// `PROGRAM name`.
     Program,
@@ -76,6 +76,101 @@ impl ProcUnit {
     }
 }
 
+impl ProcUnit {
+    /// Renames every symbol through `sym`, moves statement ids up by `ids`
+    /// and lines by `lines`: how a unit parsed alone enters a program whose
+    /// earlier units hold `ids` statements and `lines` lines. Offsets add
+    /// modulo 2³², so `ids.wrapping_neg()` and `lines.wrapping_neg()` move
+    /// a unit back out.
+    pub fn relocate(&mut self, sym: &dyn Fn(Sym) -> Sym, ids: u32, lines: u32) {
+        self.name = sym(self.name);
+        for f in &mut self.formals {
+            *f = sym(*f);
+        }
+        for d in &mut self.decls {
+            let (name, line) = match d {
+                Decl::Var {
+                    name, dims, line, ..
+                }
+                | Decl::Decomposition { name, dims, line } => {
+                    for e in dims {
+                        e.lo.relocate(sym);
+                        e.hi.relocate(sym);
+                    }
+                    (name, line)
+                }
+                Decl::Parameter { name, value, line } => {
+                    value.relocate(sym);
+                    (name, line)
+                }
+            };
+            *name = sym(*name);
+            *line = line.wrapping_add(lines);
+        }
+        relocate_body(&mut self.body, sym, ids, lines);
+        self.line = self.line.wrapping_add(lines);
+    }
+
+    /// A relocated copy (see [`ProcUnit::relocate`]).
+    pub fn relocated(&self, sym: &dyn Fn(Sym) -> Sym, ids: u32, lines: u32) -> ProcUnit {
+        let mut u = self.clone();
+        u.relocate(sym, ids, lines);
+        u
+    }
+}
+
+fn relocate_body(body: &mut [Stmt], sym: &dyn Fn(Sym) -> Sym, ids: u32, lines: u32) {
+    for s in body {
+        s.id.0 = s.id.0.wrapping_add(ids);
+        s.line = s.line.wrapping_add(lines);
+        match &mut s.kind {
+            StmtKind::Assign { lhs, rhs } => {
+                match lhs {
+                    LValue::Scalar(v) => *v = sym(*v),
+                    LValue::Element { array, subs } => {
+                        *array = sym(*array);
+                        subs.iter_mut().for_each(|e| e.relocate(sym));
+                    }
+                }
+                rhs.relocate(sym);
+            }
+            StmtKind::Do {
+                var,
+                lo,
+                hi,
+                step,
+                body,
+            } => {
+                *var = sym(*var);
+                lo.relocate(sym);
+                hi.relocate(sym);
+                step.iter_mut().for_each(|e| e.relocate(sym));
+                relocate_body(body, sym, ids, lines);
+            }
+            StmtKind::If {
+                cond,
+                then_body,
+                else_body,
+            } => {
+                cond.relocate(sym);
+                relocate_body(then_body, sym, ids, lines);
+                relocate_body(else_body, sym, ids, lines);
+            }
+            StmtKind::Call { name, args } => {
+                *name = sym(*name);
+                args.iter_mut().for_each(|e| e.relocate(sym));
+            }
+            StmtKind::Return | StmtKind::Continue | StmtKind::Stop => {}
+            StmtKind::Align { array, target, .. } => {
+                *array = sym(*array);
+                *target = sym(*target);
+            }
+            StmtKind::Distribute { target, .. } => *target = sym(*target),
+            StmtKind::Print { args } => args.iter_mut().for_each(|e| e.relocate(sym)),
+        }
+    }
+}
+
 /// Pre-order statement iterator (see [`ProcUnit::walk`]).
 pub struct StmtWalker<'a> {
     stack: Vec<&'a Stmt>,
@@ -104,7 +199,7 @@ impl<'a> Iterator for StmtWalker<'a> {
 }
 
 /// Scalar types.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Type {
     /// `INTEGER`.
     Integer,
@@ -403,6 +498,35 @@ impl Expr {
             }
             _ => {}
         }
+    }
+
+    /// Renames every symbol through `sym`.
+    pub fn relocate(&mut self, sym: &dyn Fn(Sym) -> Sym) {
+        match self {
+            Expr::Int(_) | Expr::Real(_) | Expr::Logical(_) => {}
+            Expr::Var(s) => *s = sym(*s),
+            Expr::Element {
+                array: s,
+                subs: args,
+            }
+            | Expr::FuncCall { name: s, args } => {
+                *s = sym(*s);
+                args.iter_mut().for_each(|e| e.relocate(sym));
+            }
+            Expr::Bin { l, r, .. } => {
+                l.relocate(sym);
+                r.relocate(sym);
+            }
+            Expr::Un { e, .. } => e.relocate(sym),
+            Expr::Intrinsic { args, .. } => args.iter_mut().for_each(|e| e.relocate(sym)),
+        }
+    }
+
+    /// A copy with every symbol renamed through `sym`.
+    pub fn relocated(&self, sym: &dyn Fn(Sym) -> Sym) -> Expr {
+        let mut e = self.clone();
+        e.relocate(sym);
+        e
     }
 
     /// Collects every variable/array symbol mentioned.

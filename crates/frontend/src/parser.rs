@@ -11,9 +11,10 @@
 
 use crate::ast::*;
 use crate::error::{FrontendError, Result};
-use crate::lexer::{lex, Line, Tok};
+use crate::lexer::{label, lex, logical_lines, Line, Tok, Tokens};
 use fortrand_ir::dist::DistKind;
 use fortrand_ir::{Interner, Sym};
+use std::ops::Range;
 
 /// Deepest nesting [`parse_program`] accepts: enclosing DO/IF blocks plus
 /// the levels of an expression (parentheses, subscript lists, unary and
@@ -23,30 +24,110 @@ pub const MAX_DEPTH: usize = 128;
 
 /// Parses a whole source file.
 pub fn parse_program(source: &str) -> Result<SourceProgram> {
-    let lines = lex(source)?;
+    let mut interner = Interner::new();
+    let (units, _) = parse_lines(&lex(source)?, &mut interner, 0)?;
+    if units.is_empty() {
+        return Err(FrontendError::at(0, "empty program"));
+    }
+    Ok(SourceProgram { units, interner })
+}
+
+/// Parses lexed lines into as many units as they hold, none included,
+/// interning names into `interner` and numbering statements from
+/// `first_id`. Also returns, per unit, the symbols it names in the order
+/// it first names them: the numbering the unit would get from an interner
+/// of its own.
+pub fn parse_lines(
+    lines: &[Line],
+    interner: &mut Interner,
+    first_id: u32,
+) -> Result<(Vec<ProcUnit>, Vec<Vec<Sym>>)> {
     let mut p = Parser {
-        interner: Interner::new(),
-        next_id: 0,
+        interner,
+        named: Vec::new(),
+        seen: Vec::new(),
+        next_id: first_id,
         depth: 0,
     };
     let mut units = Vec::new();
     let mut i = 0;
     while i < lines.len() {
+        p.named.push(Vec::new());
         let (unit, consumed) = p.parse_unit(&lines[i..])?;
         units.push(unit);
         i += consumed;
     }
-    if units.is_empty() {
-        return Err(FrontendError::at(0, "empty program"));
-    }
-    Ok(SourceProgram {
-        units,
-        interner: p.interner,
-    })
+    Ok((units, p.named))
 }
 
-struct Parser {
-    interner: Interner,
+/// True when a logical line's tokens, label removed, end a program unit:
+/// `END` that no name follows (`END DO` and `END IF` close blocks).
+fn ends_unit(toks: &[Tok]) -> bool {
+    matches!(toks.first(), Some(Tok::Ident(w)) if w == "end")
+        && !matches!(toks.get(1), Some(Tok::Ident(_)))
+}
+
+/// Cuts `source` into unit slices: byte ranges in source order, each with
+/// the number of lines before it. A cut falls just past each logical line
+/// that ends a unit, by the comment, continuation and `END` rules the
+/// lexer and [`parse_program`] apply; a line whose first tokens do not lex
+/// is no cut, so its slice merges with the next. Lines after the last cut
+/// that hold no code join the last slice.
+///
+/// A unit is parsed from its header through the first line that ends a
+/// unit, so [`parse_lines`] finds in each slice, lexed alone, exactly the
+/// units [`parse_program`] finds in it, and an error at the same line
+/// (counted from the slice's first line).
+pub fn split_units(source: &str) -> Vec<(Range<usize>, u32)> {
+    let mut out: Vec<(Range<usize>, u32)> = Vec::new();
+    let (mut start, mut before, mut code_after) = (0, 0, false);
+    for l in logical_lines(source) {
+        // A line that ends a unit names `end`; most lines do not.
+        let b = l.text.as_bytes();
+        let names_end = (1..b.len().saturating_sub(1)).any(|i| {
+            b[i].eq_ignore_ascii_case(&b'n')
+                && b[i - 1].eq_ignore_ascii_case(&b'e')
+                && b[i + 1].eq_ignore_ascii_case(&b'd')
+        });
+        if !names_end {
+            code_after = true;
+            continue;
+        }
+        // A label and the two tokens after it decide.
+        let mut head: Vec<Tok> = Vec::with_capacity(3);
+        let mut lexed = true;
+        for tok in Tokens::new(&l.text, l.number).take(3) {
+            match tok {
+                Ok(t) => head.push(t),
+                Err(_) => {
+                    lexed = false;
+                    break;
+                }
+            }
+        }
+        if head.first().and_then(label).is_some() {
+            head.remove(0);
+        }
+        if !(lexed && ends_unit(&head)) {
+            code_after = true;
+            continue;
+        }
+        out.push((start..l.end, before));
+        (start, before, code_after) = (l.end, l.last, false);
+    }
+    match out.last_mut() {
+        Some((last, _)) if !code_after => last.end = source.len(),
+        _ => out.push((start..source.len(), before)),
+    }
+    out
+}
+
+struct Parser<'a> {
+    interner: &'a mut Interner,
+    /// Per unit so far, the symbols it names in first-use order; and per
+    /// symbol, the number of units when it was last named.
+    named: Vec<Vec<Sym>>,
+    seen: Vec<usize>,
     next_id: u32,
     /// Levels open above the current parse point: enclosing DO/IF blocks,
     /// then the parentheses, subscript lists and unary operators of the
@@ -81,7 +162,7 @@ enum Block {
     },
 }
 
-impl Parser {
+impl Parser<'_> {
     fn fresh_id(&mut self) -> StmtId {
         let id = StmtId(self.next_id);
         self.next_id += 1;
@@ -89,7 +170,16 @@ impl Parser {
     }
 
     fn sym(&mut self, name: &str) -> Sym {
-        self.interner.intern(name)
+        let s = self.interner.intern(name);
+        let i = s.0 as usize;
+        if i >= self.seen.len() {
+            self.seen.resize(self.interner.len(), 0);
+        }
+        if self.seen[i] != self.named.len() {
+            self.seen[i] = self.named.len();
+            self.named.last_mut().expect("inside a unit").push(s);
+        }
+        s
     }
 
     /// Errors when `height` levels below the current depth pass
@@ -137,41 +227,40 @@ impl Parser {
                 Some(w) => w.to_string(),
                 None => String::new(),
             };
-            // END variants.
+            if ends_unit(&line.toks) {
+                if blocks.len() != 1 {
+                    return Err(FrontendError::at(
+                        line.number,
+                        "END of unit with unterminated DO/IF block",
+                    ));
+                }
+                let body = match blocks.pop().unwrap() {
+                    Block::Unit(b) => b,
+                    _ => unreachable!(),
+                };
+                let unit = ProcUnit {
+                    kind,
+                    name,
+                    formals,
+                    decls,
+                    body,
+                    line: header.number,
+                };
+                return Ok((unit, idx));
+            }
+            // The other END variants: a name follows.
             if head == "end" {
                 c.bump();
-                match c.peek_ident() {
-                    Some("do") => {
+                match c.peek_ident().unwrap_or_default() {
+                    "do" => {
                         self.close_do(&mut blocks, line.number)?;
                         continue;
                     }
-                    Some("if") => {
+                    "if" => {
                         self.close_if(&mut blocks, line.number)?;
                         continue;
                     }
-                    None => {
-                        // end of unit
-                        if blocks.len() != 1 {
-                            return Err(FrontendError::at(
-                                line.number,
-                                "END of unit with unterminated DO/IF block",
-                            ));
-                        }
-                        let body = match blocks.pop().unwrap() {
-                            Block::Unit(b) => b,
-                            _ => unreachable!(),
-                        };
-                        let unit = ProcUnit {
-                            kind,
-                            name,
-                            formals,
-                            decls,
-                            body,
-                            line: header.number,
-                        };
-                        return Ok((unit, idx));
-                    }
-                    Some(other) => {
+                    other => {
                         return Err(FrontendError::at(line.number, format!("END {other}?")));
                     }
                 }

@@ -11,7 +11,8 @@
 use crate::ast::*;
 use crate::error::{FrontendError, Result};
 use fortrand_ir::dist::DistKind;
-use fortrand_ir::{Affine, Sym};
+use fortrand_ir::{Affine, Interner, Sym};
+use rustc_hash::FxHashMap;
 use std::collections::BTreeMap;
 
 /// Information about one declared (or implicitly declared) variable.
@@ -69,6 +70,31 @@ pub struct UnitInfo {
 }
 
 impl UnitInfo {
+    /// A copy with every symbol renamed through `sym` and call-site
+    /// statement ids moved up by `ids` (see [`ProcUnit::relocated`]):
+    /// equal to what analyzing the renamed unit gives.
+    pub fn relocated(&self, sym: &dyn Fn(Sym) -> Sym, ids: u32) -> UnitInfo {
+        let calls: Vec<CallSite> = (self.calls.iter())
+            .map(|c| CallSite {
+                stmt: StmtId(c.stmt.0.wrapping_add(ids)),
+                callee: sym(c.callee),
+                args: c.args.iter().map(|a| a.relocated(sym)).collect(),
+            })
+            .collect();
+        UnitInfo {
+            vars: (self.vars.iter())
+                .map(|(&s, v)| (sym(s), v.clone()))
+                .collect(),
+            params: self.params.iter().map(|(&s, &v)| (sym(s), v)).collect(),
+            decomps: (self.decomps.iter())
+                .map(|(&s, d)| (sym(s), d.clone()))
+                .collect(),
+            formals: self.formals.iter().map(|&f| sym(f)).collect(),
+            aliased_vars: aliased_vars(&calls),
+            calls,
+        }
+    }
+
     /// Looks up a variable.
     pub fn var(&self, s: Sym) -> Option<&VarInfo> {
         self.vars.get(&s)
@@ -100,42 +126,48 @@ impl ProgramInfo {
 /// Runs semantic analysis, rewriting `Element` nodes that are actually
 /// intrinsic or user-function calls.
 pub fn analyze(prog: &mut SourceProgram) -> Result<ProgramInfo> {
-    // Pass 0: unit name table.
-    let mut unit_kinds: BTreeMap<Sym, UnitKind> = BTreeMap::new();
-    let mut formal_counts: BTreeMap<Sym, usize> = BTreeMap::new();
-    let mut n_programs = 0;
-    for u in &prog.units {
-        if unit_kinds.insert(u.name, u.kind).is_some() {
-            return Err(FrontendError::at(
-                u.line,
-                format!("duplicate unit `{}`", prog.interner.name(u.name)),
-            ));
+    let interner = &prog.interner;
+    let table = unit_table(
+        (prog.units.iter()).map(|u| (u.name, u.kind, u.formals.len(), u.line)),
+        interner,
+    )?;
+    let mut info = ProgramInfo {
+        unit_kinds: prog.units.iter().map(|u| (u.name, u.kind)).collect(),
+        ..Default::default()
+    };
+    let n_proc = interner.get("n$proc").unwrap_or(Sym(u32::MAX));
+    for u in &mut prog.units {
+        let ui = analyze_unit(u, interner, &mut |s| table.get(&s).copied())?;
+        if let Some(&np) = ui.params.get(&n_proc) {
+            info.n_proc = Some(np);
         }
-        formal_counts.insert(u.name, u.formals.len());
-        if u.kind == UnitKind::Program {
+        info.units.insert(u.name, ui);
+    }
+    Ok(info)
+}
+
+/// Pass 0: the unit name table, from each unit's name, kind, formal count
+/// and header line in program order. Rejects a second unit of one name
+/// and a second `PROGRAM`.
+pub fn unit_table(
+    units: impl IntoIterator<Item = (Sym, UnitKind, usize, u32)>,
+    interner: &Interner,
+) -> Result<FxHashMap<Sym, (UnitKind, usize)>> {
+    let mut table = FxHashMap::default();
+    let mut n_programs = 0;
+    for (name, kind, formals, line) in units {
+        if table.insert(name, (kind, formals)).is_some() {
+            let name = interner.name(name);
+            return Err(FrontendError::at(line, format!("duplicate unit `{name}`")));
+        }
+        if kind == UnitKind::Program {
             n_programs += 1;
         }
     }
     if n_programs > 1 {
         return Err(FrontendError::at(0, "more than one PROGRAM unit"));
     }
-
-    let mut info = ProgramInfo {
-        unit_kinds: unit_kinds.clone(),
-        ..Default::default()
-    };
-
-    for u in &mut prog.units {
-        let ui = analyze_unit(u, &prog.interner, &unit_kinds, &formal_counts)?;
-        if let Some(&np) = ui
-            .params
-            .get(&prog.interner.get("n$proc").unwrap_or(Sym(u32::MAX)))
-        {
-            info.n_proc = Some(np);
-        }
-        info.units.insert(u.name, ui);
-    }
-    Ok(info)
+    Ok(table)
 }
 
 fn implicit_type(name: &str) -> Type {
@@ -145,11 +177,15 @@ fn implicit_type(name: &str) -> Type {
     }
 }
 
-fn analyze_unit(
+/// Pass 1 over one unit: its symbol table, its `PARAMETER`s and extents
+/// folded, its `name(…)` references told apart and its Fortran D
+/// statements checked. The unit table is read through `units`: the kind
+/// and formal count of the unit a symbol names, if any; nothing else
+/// outside the unit is read.
+pub fn analyze_unit(
     u: &mut ProcUnit,
-    interner: &fortrand_ir::Interner,
-    unit_kinds: &BTreeMap<Sym, UnitKind>,
-    formal_counts: &BTreeMap<Sym, usize>,
+    interner: &Interner,
+    units: &mut dyn FnMut(Sym) -> Option<(UnitKind, usize)>,
 ) -> Result<UnitInfo> {
     let mut ui = UnitInfo {
         formals: u.formals.clone(),
@@ -251,19 +287,40 @@ fn analyze_unit(
     let mut ctx = UnitCtx {
         ui: &mut ui,
         interner,
-        unit_kinds,
-        formal_counts,
+        units,
     };
     rewrite_body(&mut u.body, &mut ctx)?;
+    ui.aliased_vars = aliased_vars(&ui.calls);
 
     Ok(ui)
 }
 
+/// Alias detection: the variables some call passes as the base of two
+/// actuals, call by call, each call's in symbol order.
+fn aliased_vars(calls: &[CallSite]) -> Vec<Sym> {
+    let mut out: Vec<Sym> = Vec::new();
+    for c in calls {
+        let mut bases: Vec<Sym> = (c.args.iter())
+            .filter_map(|a| match a {
+                Expr::Var(v) => Some(*v),
+                Expr::Element { array, .. } => Some(*array),
+                _ => None,
+            })
+            .collect();
+        bases.sort();
+        for w in bases.windows(2) {
+            if w[0] == w[1] && !out.contains(&w[0]) {
+                out.push(w[0]);
+            }
+        }
+    }
+    out
+}
+
 struct UnitCtx<'a> {
     ui: &'a mut UnitInfo,
-    interner: &'a fortrand_ir::Interner,
-    unit_kinds: &'a BTreeMap<Sym, UnitKind>,
-    formal_counts: &'a BTreeMap<Sym, usize>,
+    interner: &'a Interner,
+    units: &'a mut dyn FnMut(Sym) -> Option<(UnitKind, usize)>,
 }
 
 impl UnitCtx<'_> {
@@ -362,8 +419,8 @@ fn rewrite_body(body: &mut [Stmt], ctx: &mut UnitCtx) -> Result<()> {
                 rewrite_body(else_body, ctx)?;
             }
             StmtKind::Call { name, args } => {
-                match ctx.unit_kinds.get(name) {
-                    Some(UnitKind::Subroutine) => {}
+                let expected = match (ctx.units)(*name) {
+                    Some((UnitKind::Subroutine, formals)) => formals,
                     Some(_) => {
                         return Err(FrontendError::at(
                             line,
@@ -379,9 +436,8 @@ fn rewrite_body(body: &mut [Stmt], ctx: &mut UnitCtx) -> Result<()> {
                             ),
                         ))
                     }
-                }
-                let expected = ctx.formal_counts[name];
-                if *ctx.formal_counts.get(name).unwrap() != args.len() {
+                };
+                if expected != args.len() {
                     return Err(FrontendError::at(
                         line,
                         format!(
@@ -394,21 +450,6 @@ fn rewrite_body(body: &mut [Stmt], ctx: &mut UnitCtx) -> Result<()> {
                 }
                 for a in args.iter_mut() {
                     rewrite_expr(a, ctx, line)?;
-                }
-                // Alias detection: same base variable in two actuals.
-                let mut bases: Vec<Sym> = Vec::new();
-                for a in args.iter() {
-                    match a {
-                        Expr::Var(v) => bases.push(*v),
-                        Expr::Element { array, .. } => bases.push(*array),
-                        _ => {}
-                    }
-                }
-                bases.sort();
-                for w in bases.windows(2) {
-                    if w[0] == w[1] && !ctx.ui.aliased_vars.contains(&w[0]) {
-                        ctx.ui.aliased_vars.push(w[0]);
-                    }
                 }
                 ctx.ui.calls.push(CallSite {
                     stmt: sid,
@@ -548,7 +589,7 @@ fn rewrite_expr(e: &mut Expr, ctx: &mut UnitCtx, line: u32) -> Result<()> {
                 }
                 // declared scalar subscripted: if it's also a unit name,
                 // fall through; else error.
-                if !ctx.unit_kinds.contains_key(array) {
+                if (ctx.units)(*array).is_none() {
                     return Err(FrontendError::at(
                         line,
                         format!("scalar `{name_str}` used with subscripts"),
@@ -562,8 +603,7 @@ fn rewrite_expr(e: &mut Expr, ctx: &mut UnitCtx, line: u32) -> Result<()> {
                 return Ok(());
             }
             // User function?
-            if let Some(UnitKind::Function(_)) = ctx.unit_kinds.get(array) {
-                let expected = ctx.formal_counts[array];
+            if let Some((UnitKind::Function(_), expected)) = (ctx.units)(*array) {
                 if expected != subs.len() {
                     return Err(FrontendError::at(
                         line,

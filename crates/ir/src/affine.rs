@@ -53,6 +53,20 @@ impl Affine {
         Affine { terms, konst: 0 }
     }
 
+    /// This expression with every symbol renamed through `f`; terms whose
+    /// new symbols coincide are summed.
+    pub fn map_syms(&self, f: &mut dyn FnMut(Sym) -> Sym) -> Self {
+        let mut terms = BTreeMap::new();
+        for (&s, &c) in &self.terms {
+            *terms.entry(f(s)).or_insert(0) += c;
+        }
+        terms.retain(|_, c| *c != 0);
+        Affine {
+            terms,
+            konst: self.konst,
+        }
+    }
+
     /// The constant part.
     pub fn constant(&self) -> i64 {
         self.konst

@@ -126,6 +126,18 @@ impl Rsd {
         Rsd { dims }
     }
 
+    /// This section with every symbol of its bounds renamed through `f`.
+    pub fn map_syms(&self, f: &mut dyn FnMut(Sym) -> Sym) -> Self {
+        let dims = (self.dims.iter())
+            .map(|t| Triplet {
+                lo: t.lo.map_syms(f),
+                hi: t.hi.map_syms(f),
+                step: t.step,
+            })
+            .collect();
+        Rsd { dims }
+    }
+
     /// Rank (number of dimensions).
     pub fn rank(&self) -> usize {
         self.dims.len()

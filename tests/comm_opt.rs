@@ -613,8 +613,8 @@ aggregation_stops_at_a_call_that_writes_the_array.f RuntimeResolution: 6c4d17c61
 aggregation_stops_at_a_copied_out_bound.f Interprocedural: 35af508911df8364 1b3419c4ca1a3ef4 0fce68594e41171c 1552a0e262738135\n\
 aggregation_stops_at_a_copied_out_bound.f Immediate: 7742c4119488c55a 99baa97d2a8c9e92 88b977cc670637fa 450db4b260735ef1\n\
 aggregation_stops_at_a_copied_out_bound.f RuntimeResolution: 1d6b1a2ad7c79cc9 2b982c89b08733f7 6895c0550ec84bfb ad87c8799c50a6e5\n\
-broadcast_of_an_element_the_loop_writes.f Interprocedural: 49107d75972c3397 49107d75972c3397 49107d75972c3397 49107d75972c3397\n\
-broadcast_of_an_element_the_loop_writes.f Immediate: 49107d75972c3397 49107d75972c3397 49107d75972c3397 49107d75972c3397\n\
+broadcast_of_an_element_the_loop_writes.f Interprocedural: ac95131996d2b82d ac95131996d2b82d ac95131996d2b82d ac95131996d2b82d\n\
+broadcast_of_an_element_the_loop_writes.f Immediate: ac95131996d2b82d ac95131996d2b82d ac95131996d2b82d ac95131996d2b82d\n\
 broadcast_of_an_element_the_loop_writes.f RuntimeResolution: 642a743e4e767466 5ae85d5c5fcc945e d8605006621c658f 267e0d67a7104f37\n\
 delayed_exchange_after_callee_write.f Interprocedural: 689ef85c96aaad1d 9df2e286f70477db bbac059a71a8a836 0ef3a99b49456aa2\n\
 delayed_exchange_after_callee_write.f Immediate: f6bff0a2e1ae255b 3c902f511ad1ce51 940ab3dcbb8fced8 03c2684982c168c9\n\

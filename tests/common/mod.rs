@@ -97,15 +97,35 @@ impl Chain {
 
     /// The next compile of the chain; panics on a compile error.
     pub fn compile(&mut self, source: &str, opts: &fortrand::CompileOptions) -> CompileOutput {
+        self.try_compile(source, opts)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// The next compile of the chain, or its compile error as the clean
+    /// compile's [`compile`] renders it; a failed compile leaves the
+    /// chain as it was.
+    pub fn try_compile(
+        &mut self,
+        source: &str,
+        opts: &fortrand::CompileOptions,
+    ) -> Result<CompileOutput, String> {
         let out = fortrand::Session::new(source)
             .options(opts.clone())
             .store(Arc::clone(&self.store))
-            .previous(std::mem::take(&mut self.prev))
+            .previous(self.prev.clone())
             .compile()
-            .unwrap_or_else(|e| panic!("{e}"))
+            .map_err(|e| match e {
+                fortrand::Error::Compile(e) => e.to_string(),
+                e => panic!("compile-only session hit a non-compile error: {e}"),
+            })?
             .into_output();
         self.prev = out.report.db.clone();
-        out
+        Ok(out)
+    }
+
+    /// The chain's store.
+    pub fn store(&self) -> &ArtifactStore {
+        &self.store
     }
 }
 

@@ -128,6 +128,8 @@ fn pipelining_case_rejected_with_hint() {
     );
     assert!(e.contains("pipelining"), "{e}");
     assert!(e.contains("run-time resolution"), "{e}");
+    // The line of `a(i) = a(i-1)`.
+    assert!(e.contains("line 7:"), "{e}");
 }
 
 /// A partitioned loop that writes the element every iteration reads
